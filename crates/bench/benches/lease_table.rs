@@ -52,8 +52,8 @@ fn renewal(c: &mut Criterion) {
     // later deadline. The slab takes the handle fast path (one slab load);
     // the reference re-probes two maps and churns its B-tree index. Each
     // iteration ends with the steady-state prune a live server performs —
-    // for the slab it drains the wheel's superseded entries, for the
-    // reference it finds nothing expired.
+    // for the slab every record's one wheel entry fires and is re-armed,
+    // for the reference it finds nothing expired.
     let mut group = c.benchmark_group("lease_table/renewal");
     group.bench_with_input(BenchmarkId::from_parameter("slab"), &N, |b, &n| {
         let mut table = SlabTable::<u64>::new();
@@ -68,7 +68,7 @@ fn renewal(c: &mut Criterion) {
             for (i, &mut (r, cl, ref mut h)) in handles.iter_mut().enumerate() {
                 *h = table.extend(*h, r, cl, Time(i as u64 + 1_000_000_000 + bump));
             }
-            // Past every superseded deadline, before every live one.
+            // Past every previous deadline, before every live one.
             table.prune(Time(1_000_000_000 + bump - 500_000));
             black_box(table.len())
         });

@@ -144,10 +144,11 @@ fn bench_grant() -> (OpStats, OpStats) {
 }
 
 /// Renewals: every pair's lease is re-extended each round; the slab takes
-/// the handle fast path. A prune per round advances time just past the
-/// superseded expiries so the slab's wheel drains its stale entries — the
-/// steady-state maintenance a live server performs — while the reference
-/// prune finds nothing expired (its index is always exact).
+/// the handle fast path (one field written, no wheel traffic). A prune per
+/// round advances time just past the previous round's expiries, so every
+/// slab record's wheel entry fires and is re-armed — the worst case of the
+/// lazy-timer rule, a term as short as the renewal period — while the
+/// reference prune finds nothing expired (its index is always exact).
 fn bench_renewal() -> (OpStats, OpStats) {
     let expiry = |round: u64| Time((round + 2) * STEP);
     let prune_at = |round: u64| Time((round + 1) * STEP + STEP / 2);

@@ -24,8 +24,9 @@ const STEP: u64 = 1_000_000; // one slab tick (1 ms) in ns
 
 /// One steady-state round: every lease renewed to a later deadline, a
 /// subset released and re-granted (free-list churn), then a prune that
-/// advances past the superseded deadlines so the wheel drains its stale
-/// entries. Returns the heap allocations the round performed.
+/// advances past the previous round's deadlines, so every record's wheel
+/// entry fires and is re-armed and the released tenancies' entries drain.
+/// Returns the heap allocations the round performed.
 fn round(table: &mut SlabTable<u64>, handles: &mut [LeaseHandle], epoch: u64) -> u64 {
     let before = allocations().expect("alloc-count feature is on");
     let expiry = Time((epoch + 2) * STEP);

@@ -5,8 +5,13 @@
 //! doubly-linked list threaded *through* the slab via `prev`/`next` slot
 //! indices, so the per-resource state in the `heads` map is a single
 //! `u32`. Expiry ordering is delegated to the hierarchical
-//! [`TimerWheel`]: granting schedules the slot index at its expiry, and
-//! [`SlabTable::prune`] just advances the wheel and frees whatever fired.
+//! [`TimerWheel`] under the lazy-timer rule: creating a record schedules
+//! its one wheel entry, keyed `(slot, generation)`; extension — the
+//! paper's steady state — overwrites `Slot::expiry` and never touches the
+//! wheel; and when the entry fires, [`SlabTable::prune`] frees the record
+//! if it has lapsed, else puts the entry back at the record's current
+//! expiry. Wheel entries follow live leases, not grants: a continuously
+//! renewed lease costs one re-arm per *term*.
 //!
 //! Costs, compared to [`crate::table::ReferenceTable`]:
 //!
@@ -15,8 +20,9 @@
 //!   B-tree remove+insert. With a valid [`LeaseHandle`] the extend path
 //!   is a single slab load — no hashing at all.
 //! * Steady state allocates nothing: freed slots recycle through the free
-//!   list, the wheel recycles its redistribution buffers, and the holder
-//!   list is intrusive, so no per-grant boxes or tree nodes exist.
+//!   list, the wheel recycles its redistribution buffers, the holder list
+//!   is intrusive, and an extension writes one field — no per-grant
+//!   boxes, tree nodes or wheel entries exist.
 //!
 //! Handles are hints, never authority (see [`LeaseHandle`]): the table
 //! checks generation parity, generation equality, resource, and holder
@@ -73,12 +79,13 @@ pub struct SlabTable<R> {
     free_head: u32,
     /// resource -> slot index of the first holder in its intrusive list.
     heads: HashMap<R, u32>,
-    /// Expiry ordering: slot indices scheduled at their expiry. Never
-    /// cancelled — release and extension leave stale entries behind, and
-    /// prune discards any fired entry that no longer describes its slot.
-    wheel: TimerWheel<u32>,
+    /// Expiry ordering: exactly one `(slot, generation)` entry per live
+    /// record, scheduled at or before its expiry. Never cancelled — a
+    /// release leaves its tenancy's entry behind, and prune drops it by
+    /// generation when it fires; extension leaves the wheel alone.
+    wheel: TimerWheel<(u32, u32)>,
     /// Fired-entry scratch reused across prunes.
-    scratch: Vec<(Time, u32)>,
+    scratch: Vec<(Time, (u32, u32))>,
     /// Occupied slots.
     live: usize,
     /// Leases ever granted: records created plus actual extensions
@@ -121,10 +128,11 @@ impl<R: Resource> SlabTable<R> {
         }
         let idx = self.alloc(resource, client, expiry);
         self.link_front(resource, idx);
-        self.wheel.schedule(expiry, idx);
+        let handle = self.handle_at(idx);
+        self.wheel.schedule(expiry, (idx, handle.gen));
         self.live += 1;
         self.granted_total += 1;
-        self.handle_at(idx)
+        handle
     }
 
     /// Handle-keyed extension: the renewal fast path. A handle that still
@@ -221,14 +229,12 @@ impl<R: Resource> SlabTable<R> {
 
     /// Physically frees records whose expiry has passed; returns how many.
     ///
-    /// Advances the wheel to `now` and inspects every fired entry:
-    /// occupied slot with `expiry <= now` — expired, free it; free slot or
-    /// extended record — a stale entry, drop it. The one subtle case is an
-    /// entry fired *early* relative to `now` (possible only when a grant
-    /// landed behind the wheel's position and `prune` is then called with
-    /// an older `now`): the record is live and this entry is its only one,
-    /// so it is rescheduled to keep the invariant that every live record
-    /// has a wheel entry at its exact expiry.
+    /// Advances the wheel to `now` and applies the lazy-timer rule to
+    /// every fired entry: generation mismatch — the tenancy it was
+    /// scheduled for is over (released, slot possibly reused), drop it;
+    /// `expiry <= now` — lapsed, free the record; otherwise the record
+    /// was extended (or `now` ran backwards) and this is still its only
+    /// entry, so it goes back on the wheel at the record's current expiry.
     ///
     /// May lag a true expiry by up to one wheel tick (see the module docs).
     pub fn prune(&mut self, now: Time) -> usize {
@@ -236,22 +242,18 @@ impl<R: Resource> SlabTable<R> {
         fired.clear();
         self.wheel.advance_into(now, &mut fired);
         let mut removed = 0;
-        for &(at, idx) in &fired {
+        for &(_, (idx, gen)) in &fired {
             let s = &self.slots[idx as usize];
-            if s.gen & 1 == 0 {
-                continue; // released (or already freed this prune): stale
+            if s.gen != gen {
+                continue;
             }
             if s.expiry <= now {
                 self.unlink(idx);
                 self.free(idx);
                 removed += 1;
-            } else if s.expiry == at {
-                // Fired early (backward-time prune): still this record's
-                // only entry, so put it back.
-                self.wheel.schedule(at, idx);
+            } else {
+                self.wheel.schedule(s.expiry, (idx, gen));
             }
-            // Otherwise expiry > at: an extension superseded this entry
-            // and scheduled its own; drop it.
         }
         self.scratch = fired;
         removed
@@ -260,8 +262,11 @@ impl<R: Resource> SlabTable<R> {
     /// A lower bound on the earliest instant at which
     /// [`SlabTable::prune`] could free a record — suitable for arming a
     /// wake-up timer (wake, prune, ask again). Unlike the reference
-    /// table's exact answer this may be early (stale wheel entries, wheel
-    /// cascade boundaries), never late. `None` when no records are live.
+    /// table's exact answer this may be early (an extended record's entry
+    /// sits at the expiry it was last armed for, a released tenancy's
+    /// lingers, wheel cascade boundaries), never late; each prune re-arms
+    /// strictly past its `now`, so the loop converges. `None` when no
+    /// records are live.
     pub fn next_expiry(&self) -> Option<Time> {
         if self.live == 0 {
             return None;
@@ -287,6 +292,13 @@ impl<R: Resource> SlabTable<R> {
     /// Whether the table holds no records.
     pub fn is_empty(&self) -> bool {
         self.live == 0
+    }
+
+    /// Entries on the expiry wheel: one per live record, plus one per
+    /// released tenancy whose entry has not fired yet. Never grows with
+    /// extensions.
+    pub fn timer_entries(&self) -> usize {
+        self.wheel.len()
     }
 
     /// Total leases ever granted (an actual extension counts as a grant;
@@ -322,12 +334,12 @@ impl<R: Resource> SlabTable<R> {
         None
     }
 
-    /// Extends the record in occupied slot `idx` if `expiry` is later.
+    /// Extends the record in occupied slot `idx` if `expiry` is later. The
+    /// record's wheel entry stays where it is; `prune` re-arms it.
     fn extend_slot(&mut self, idx: u32, expiry: Time) {
         let s = &mut self.slots[idx as usize];
         if expiry > s.expiry {
             s.expiry = expiry;
-            self.wheel.schedule(expiry, idx);
             self.granted_total += 1;
         }
     }
@@ -543,17 +555,121 @@ mod tests {
     }
 
     #[test]
-    fn prune_ignores_stale_wheel_entries() {
+    fn prune_drops_entries_of_released_tenancies_only() {
         let mut tab = exact();
         tab.grant(1, C1, t(5));
-        tab.grant(1, C1, t(50)); // extension leaves a stale entry at t(5)
-        assert_eq!(tab.prune(t(10)), 0);
+        tab.grant(1, C1, t(50)); // extension: the entry stays at t(5)...
+        assert_eq!(tab.prune(t(10)), 0); // ...fires, and is re-armed at t(50)
         assert_eq!(tab.expiry_of(1, C1, t(10)), Some(t(50)));
+        assert_eq!(tab.timer_entries(), 1);
         tab.grant(2, C2, t(8));
-        tab.release(2, C2); // released record's entry is stale too
+        tab.release(2, C2); // the one stale kind: a released tenancy's entry
+        assert_eq!(tab.timer_entries(), 2);
         assert_eq!(tab.prune(t(20)), 0);
+        assert_eq!(tab.timer_entries(), 1); // dropped, not re-armed
         assert_eq!(tab.prune(t(50)), 1);
         assert!(tab.is_empty());
+        assert_eq!(tab.timer_entries(), 0);
+    }
+
+    #[test]
+    fn extensions_never_add_wheel_entries() {
+        let mut tab = exact();
+        let h = tab.grant(1, C1, t(10));
+        tab.grant(2, C2, t(10));
+        for i in 0..1000 {
+            tab.extend(h, 1, C1, t(11 + i)); // handle-keyed
+            tab.grant(2, C2, t(11 + i)); // keyed
+            assert_eq!(tab.timer_entries(), tab.len());
+        }
+        assert_eq!(tab.granted_total(), 2002);
+        assert_eq!(tab.expiry_of(1, C1, t(0)), Some(t(1010)));
+    }
+
+    #[test]
+    fn slot_reuse_never_leaves_two_entries_answering_for_one_record() {
+        let mut tab = exact();
+        let old = tab.grant(1, C1, t(5));
+        tab.release(1, C1);
+        let new = tab.grant(2, C2, t(50)); // same slot, next tenancy
+        assert_eq!(old.idx, new.idx);
+        // len() + one unfired release, whose entry then fires over an
+        // occupied, unexpired slot: it must be dropped by generation, not
+        // re-armed for (2, C2).
+        assert_eq!(tab.timer_entries(), 2);
+        assert_eq!(tab.prune(t(10)), 0);
+        assert_eq!(tab.timer_entries(), 1);
+        assert_eq!(tab.expiry_of(2, C2, t(10)), Some(t(50)));
+        // Churn the slot through many tenancies: entries stay bounded by
+        // live + unfired releases, and one prune past them all leaves one.
+        for i in 0..100 {
+            tab.release(2, C2);
+            tab.grant(2, C2, t(60 + i));
+            assert_eq!(tab.timer_entries(), 2 + i as usize);
+        }
+        assert_eq!(tab.prune(t(64)), 0);
+        assert_eq!((tab.len(), tab.timer_entries()), (1, 95));
+        assert_eq!(tab.prune(t(159)), 1);
+        assert_eq!((tab.len(), tab.timer_entries()), (0, 0));
+    }
+
+    #[test]
+    fn continuous_renewal_keeps_one_entry_and_lapses_within_a_tick() {
+        let mut tab: SlabTable<u64> = SlabTable::new(); // 1 ms tick
+        let term = Dur::from_secs(10);
+        let off = Dur::from_micros(500); // keep expiries off the tick grid
+        let mut now = Time::ZERO + off;
+        let mut h = tab.grant(1, C1, now + term);
+        // Ten terms of synthetic time, renewed every second, pruned every
+        // 100 ms: the record's entry fires about once a term and goes back.
+        for step in 1..=1000u64 {
+            now = Time::ZERO + off + Dur::from_millis(100 * step);
+            if step % 10 == 0 {
+                h = tab.extend(h, 1, C1, now + term);
+            }
+            assert_eq!(tab.prune(now), 0);
+            assert_eq!((tab.len(), tab.timer_entries()), (1, 1));
+        }
+        assert_eq!(tab.granted_total(), 101);
+        // Renewals stop: the record outlives every instant before its
+        // expiry and is gone within one tick after it.
+        let expiry = now + term;
+        assert_eq!(tab.prune(Time(expiry.0 - 1)), 0);
+        assert_eq!((tab.len(), tab.timer_entries()), (1, 1));
+        assert_eq!(tab.prune(expiry + Dur::from_millis(1)), 1);
+        assert_eq!((tab.len(), tab.timer_entries()), (0, 0));
+    }
+
+    #[test]
+    fn next_expiry_is_never_late_and_the_wake_loop_terminates() {
+        // Default tick; every time below is a whole second, so on the
+        // tick grid, and prune is exact at the instants the loop visits.
+        let mut tab: SlabTable<u64> = SlabTable::new();
+        for r in 0..40u64 {
+            tab.grant(r, C1, t(10 + r));
+            tab.grant(r, C2, t(500 + 7 * r));
+        }
+        for r in 0..40u64 {
+            tab.grant(r, C1, t(100 + 3 * r)); // extended past their entries
+        }
+        for r in 0..10u64 {
+            tab.release(r, C2); // stale entries that only ever fire early
+        }
+        let mut now = Time::ZERO;
+        let mut wakes = 0;
+        while let Some(bound) = tab.next_expiry() {
+            let earliest = tab.iter().map(|(_, _, e)| e).min().expect("live");
+            assert!(bound <= earliest, "late bound {bound:?} > {earliest:?}");
+            assert!(bound > now, "wake loop stalled at {now:?}");
+            now = bound;
+            tab.prune(now);
+            assert!(tab.iter().all(|(_, _, e)| e > now));
+            assert!(tab.timer_entries() <= tab.len() + 10);
+            wakes += 1;
+            assert!(wakes < 1000, "wake/prune/re-ask did not converge");
+        }
+        assert!(tab.is_empty());
+        assert!(now <= t(500 + 7 * 39));
     }
 
     #[test]

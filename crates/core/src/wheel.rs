@@ -23,9 +23,15 @@
 //!   exactly the order a naive scan of an expiry-ordered index produces
 //!   (the property test in `lease-svc/tests/wheel_prop.rs` pins this
 //!   down).
-//! * The wheel does not cancel. Callers keep a `key -> latest deadline`
-//!   map and drop entries whose deadline no longer matches when they fire
-//!   (lazy cancellation); re-scheduling a key simply supersedes it.
+//! * The wheel does not cancel; callers cancel lazily, when an entry
+//!   fires. A caller whose deadlines only move *later* keeps one entry
+//!   per object and never re-schedules on extension: the fired entry is
+//!   checked against the object's current deadline and put back if that
+//!   has not passed (the lazy-timer rule — the slab table, one entry per
+//!   lease however often it is renewed). A caller whose deadlines move
+//!   either way re-schedules and keeps a `key -> latest deadline` map,
+//!   dropping fired entries that no longer match (the shard's `Prune` and
+//!   `InstalledTick` keys), at the price of one entry per re-schedule.
 //!
 //! Steady-state behaviour: redistribution buffers are recycled between
 //! cascades and [`TimerWheel::advance_into`] reuses a caller-owned output
@@ -442,6 +448,17 @@ impl<K: Ord> TimerWheel<K> {
         let bound_t = Time(bound.saturating_mul(self.tick_ns));
         Some(l0_min.map_or(bound_t, |m| m.min(bound_t)))
     }
+
+    /// The earliest `now` at which [`TimerWheel::advance`] can release
+    /// anything: [`TimerWheel::next_deadline`] rounded up to its tick
+    /// boundary. This, not the bare deadline, is what a thread should
+    /// sleep until — woken at the deadline it is one partial tick short,
+    /// finds nothing due, re-asks, gets the same (now past) deadline and
+    /// spins until the boundary.
+    pub fn next_fire(&self) -> Option<Time> {
+        self.next_deadline()
+            .map(|at| Time(self.tick_of(at).saturating_mul(self.tick_ns)))
+    }
 }
 
 #[cfg(test)]
@@ -521,6 +538,21 @@ mod tests {
         // Far entry: bound is the next wrap, never past the deadline.
         let d = w.next_deadline().unwrap();
         assert!(d <= Time(1_000_000));
+    }
+
+    #[test]
+    fn next_fire_is_the_instant_the_next_entry_can_be_released() {
+        let mut w = wheel();
+        assert_eq!(w.next_fire(), None);
+        w.schedule(Time(7300), 1);
+        // Sleeping until the deadline itself wakes a partial tick early...
+        assert!(w.advance(w.next_deadline().unwrap()).is_empty());
+        assert_eq!(w.next_deadline(), Some(Time(7300))); // ...and re-asks in vain.
+        assert_eq!(w.next_fire(), Some(Time(8000)));
+        assert_eq!(w.advance(Time(8000)), vec![(Time(7300), 1)]);
+        // An overdue entry can go at once.
+        w.schedule(Time(10), 2);
+        assert!(w.next_fire().unwrap() <= Time(8000));
     }
 
     #[test]

@@ -18,6 +18,10 @@
 //! miss (keyed fallback) for the tables to stay in lockstep — if a stale
 //! handle ever touched the wrong record, holders or expiries would
 //! diverge and the property would fail.
+//!
+//! The slab's memory invariant rides along: after every step its wheel
+//! holds at most one entry per live record plus one per release whose
+//! old entry cannot have fired yet — extensions never add one.
 
 use std::collections::HashMap;
 
@@ -93,8 +97,9 @@ fn assert_same_view(
     let ref_recs: Vec<_> = reference.iter().collect();
     prop_assert_eq!(slab_recs, ref_recs);
     // next_expiry: the reference answer is exact; the slab's is a lower
-    // bound (stale wheel entries fire early and re-ask), absent iff no
-    // records are live — which the len check above already aligned.
+    // bound (an extended record's entry fires at the expiry it was last
+    // armed for, a released tenancy's lingers), absent iff no records
+    // are live — which the len check above already aligned.
     match (slab.next_expiry(), reference.next_expiry()) {
         (None, None) => {}
         (Some(bound), Some(exact)) => prop_assert!(bound <= exact),
@@ -113,6 +118,10 @@ proptest! {
         // side: exactly the abuse a slow, crashed, or confused client
         // would inflict on the server.
         let mut handles: HashMap<(u64, ClientId), LeaseHandle> = HashMap::new();
+        // Expiry of every released record whose wheel entry may still be
+        // pending: the entry sits at or before that expiry, so a prune at
+        // or past it has certainly fired (and dropped) it.
+        let mut released: Vec<Time> = Vec::new();
         let mut now = Time::ZERO;
 
         for s in steps {
@@ -137,6 +146,7 @@ proptest! {
                 }
                 Step::Release { resource, client } => {
                     let client = ClientId(client);
+                    released.extend(reference.expiry_of(resource, client, Time::ZERO));
                     slab.release(resource, client);
                     reference.release(resource, client);
                     // The stale handle stays in `handles` on purpose.
@@ -146,6 +156,7 @@ proptest! {
                     let slab_removed = slab.prune(now);
                     let ref_removed = reference.prune(now);
                     prop_assert_eq!(slab_removed, ref_removed);
+                    released.retain(|&e| e > now);
                 }
                 Step::Advance { by } => {
                     now = Time(now.0 + by);
@@ -153,11 +164,13 @@ proptest! {
                 Step::Crash => {
                     slab.clear();
                     reference.clear();
+                    released.clear();
                     // Pre-crash handles stay around: they must all be
                     // clean misses against the post-crash slab.
                 }
             }
             assert_same_view(&slab, &reference, now)?;
+            prop_assert!(slab.timer_entries() <= slab.len() + released.len());
         }
 
         // Drain: after pruning far past every expiry the tables are empty.
@@ -165,5 +178,6 @@ proptest! {
         prop_assert_eq!(slab.prune(now), reference.prune(now));
         assert_same_view(&slab, &reference, now)?;
         prop_assert!(slab.is_empty());
+        prop_assert_eq!(slab.timer_entries(), 0);
     }
 }

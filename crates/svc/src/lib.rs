@@ -113,8 +113,8 @@ pub use chaos::{
 };
 pub use egress::{Egress, EgressRx, EgressSink, EgressWorker};
 pub use service::{
-    shard_of, AdmissionControl, BatchBuf, ClientSink, LeaseService, SvcConfig, SvcError, SvcHandle,
-    SvcHooks, SvcStats, WorkerSink,
+    shard_of, AdmissionControl, BatchBuf, ClientSink, LeaseService, ShardGauges, SvcConfig,
+    SvcError, SvcHandle, SvcHooks, SvcStats, WorkerSink,
 };
 pub use shard::INJECTED_KILL;
 pub use wheel::TimerWheel;

@@ -232,6 +232,18 @@ impl std::fmt::Display for SvcError {
 
 impl std::error::Error for SvcError {}
 
+/// Point-in-time sizes of one shard (or, merged, of the service) — what
+/// it holds now, where [`ServerCounters`] say what it has done.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardGauges {
+    /// Lease records in the table, expired-but-unpruned included.
+    pub leases_live: u64,
+    /// Pending timer-wheel entries: the table's (one per live record, plus
+    /// released tenancies whose entry has not fired yet) and the shard's
+    /// own (prune, installed tick, one per deferred write for a term).
+    pub timer_entries: u64,
+}
+
 /// Merged counters across shards, with the per-shard breakdown.
 #[derive(Debug, Clone)]
 pub struct SvcStats {
@@ -239,6 +251,10 @@ pub struct SvcStats {
     pub counters: ServerCounters,
     /// One entry per shard, in shard order.
     pub per_shard: Vec<ServerCounters>,
+    /// All shards' gauges summed.
+    pub gauges: ShardGauges,
+    /// One entry per shard, in shard order.
+    pub per_shard_gauges: Vec<ShardGauges>,
     /// Crash/restart count per shard, in shard order. Counters in
     /// [`SvcStats::per_shard`] reset when a shard restarts; this says how
     /// often that happened.
@@ -987,8 +1003,10 @@ impl<R: Resource, D: Clone + Send + 'static> LeaseService<R, D> {
         let deadline = Instant::now() + std::time::Duration::from_secs(5);
         let mut counters = ServerCounters::default();
         let mut per_shard = Vec::with_capacity(replies.len());
+        let mut gauges = ShardGauges::default();
+        let mut per_shard_gauges = Vec::with_capacity(replies.len());
         for (i, rx) in replies.into_iter().enumerate() {
-            let c = rx
+            let (c, g) = rx
                 .recv_timeout(deadline.saturating_duration_since(Instant::now()))
                 .map_err(|e| match e {
                     RecvTimeoutError::Timeout => SvcError::Timeout(i),
@@ -996,10 +1014,15 @@ impl<R: Resource, D: Clone + Send + 'static> LeaseService<R, D> {
                 })?;
             counters.merge(&c);
             per_shard.push(c);
+            gauges.leases_live += g.leases_live;
+            gauges.timer_entries += g.timer_entries;
+            per_shard_gauges.push(g);
         }
         Ok(SvcStats {
             counters,
             per_shard,
+            gauges,
+            per_shard_gauges,
             restarts: self
                 .restarts
                 .iter()
@@ -1101,6 +1124,12 @@ mod tests {
         // The merged view is exactly the sum of the shards.
         let sum: u64 = stats.per_shard.iter().map(|c| c.fetch_rx).sum();
         assert_eq!(sum, stats.counters.fetch_rx);
+        // Gauges: 16 leases held, one table-wheel entry each, plus each
+        // holding shard's armed prune.
+        assert_eq!(stats.gauges.leases_live, 16);
+        assert!((16..=20).contains(&stats.gauges.timer_entries));
+        let live: u64 = stats.per_shard_gauges.iter().map(|g| g.leases_live).sum();
+        assert_eq!(live, 16);
         svc.shutdown();
     }
 

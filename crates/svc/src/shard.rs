@@ -46,7 +46,6 @@
 //! (seeded chaos plans replay identically). Organic panics make no such
 //! promise — a real crash may lose its in-flight batch and outbox.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -60,7 +59,7 @@ use lease_core::{
     ServerTimer, Storage, ToClient, ToServer, WriteId,
 };
 
-use crate::service::{AdmissionControl, ClientSink, SvcHooks, WorkerSink};
+use crate::service::{AdmissionControl, ClientSink, ShardGauges, SvcHooks, WorkerSink};
 use crate::wheel::TimerWheel;
 
 /// Bits of a global write id reserved for the shard's restart epoch.
@@ -87,10 +86,10 @@ pub(crate) enum ShardMsg<R, D> {
         /// Drop-dead time; `None` means never expire.
         deadline: Option<Time>,
     },
-    /// Snapshot this shard's counters.
+    /// Snapshot this shard's counters and gauges.
     Stats {
         /// Where to send the snapshot.
-        reply: Sender<ServerCounters>,
+        reply: Sender<(ServerCounters, ShardGauges)>,
         /// Set once the worker has run the ring barrier for this request
         /// (drained and re-queued everything published before it), so a
         /// re-queued stats request is answered instead of re-barriered.
@@ -112,26 +111,73 @@ pub(crate) enum ShardMsg<R, D> {
 pub(crate) type ShardIngress<R, D> = Inbox<ShardMsg<R, D>>;
 
 /// The timer-wheel key space of one shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum WheelKey {
     /// Prune the lease table (armed at the table's earliest expiry).
     Prune,
-    /// A core server timer: 0 = InstalledTick, k+1 = WriteDeadline(k).
-    Timer(u64),
+    /// The core server's installed-file extension tick.
+    InstalledTick,
+    /// The core server's deadline for one deferred write.
+    WriteDeadline(WriteId),
 }
 
-fn key_of(t: ServerTimer) -> WheelKey {
-    match t {
-        ServerTimer::InstalledTick => WheelKey::Timer(0),
-        ServerTimer::WriteDeadline(w) => WheelKey::Timer(w.0 + 1),
+/// The shard's timers: the wheel, plus the latest armed deadline of the
+/// two keys that re-arm (a fired `Prune` or `InstalledTick` entry that no
+/// longer matches was superseded and is dropped). Write deadlines are not
+/// tracked: a write id is armed once, and `LeaseServer::on_timer` ignores
+/// the deadline of a write that already committed. The known residual is
+/// that write's wheel entry itself: 40 B per deferred write, for one term.
+struct Timers {
+    wheel: TimerWheel<WheelKey>,
+    prune_at: Option<Time>,
+    installed_at: Option<Time>,
+}
+
+impl Timers {
+    fn new(tick: Dur, now: Time) -> Timers {
+        Timers {
+            wheel: TimerWheel::new(tick, now),
+            prune_at: None,
+            installed_at: None,
+        }
     }
-}
 
-fn timer_of(k: u64) -> ServerTimer {
-    if k == 0 {
-        ServerTimer::InstalledTick
-    } else {
-        ServerTimer::WriteDeadline(WriteId(k - 1))
+    fn set(&mut self, at: Time, timer: ServerTimer) {
+        let k = match timer {
+            ServerTimer::InstalledTick => {
+                self.installed_at = Some(at);
+                WheelKey::InstalledTick
+            }
+            ServerTimer::WriteDeadline(w) => WheelKey::WriteDeadline(w),
+        };
+        self.wheel.schedule(at, k);
+    }
+
+    /// Keeps one `Prune` entry armed at the table's earliest expiry, so
+    /// expirations cost a wheel fire instead of periodic table walks.
+    /// `next` may be early (see `SlabTable::next_expiry`): the worker
+    /// wakes, prunes, and asks again.
+    fn arm_prune(&mut self, next: Option<Time>) {
+        let Some(t) = next else { return };
+        if self.prune_at.is_none_or(|p| p > t) {
+            self.prune_at = Some(t);
+            self.wheel.schedule(t, WheelKey::Prune);
+        }
+    }
+
+    /// Whether the entry `(at, k)` that just fired is still wanted;
+    /// consumes the key's armed deadline if so.
+    fn claim(&mut self, at: Time, k: WheelKey) -> bool {
+        let armed = match k {
+            WheelKey::Prune => &mut self.prune_at,
+            WheelKey::InstalledTick => &mut self.installed_at,
+            WheelKey::WriteDeadline(_) => return true,
+        };
+        let current = *armed == Some(at);
+        if current {
+            *armed = None;
+        }
+        current
     }
 }
 
@@ -191,8 +237,7 @@ where
 
 fn apply<R, D>(
     outs: Vec<ServerOutput<R, D>>,
-    wheel: &mut TimerWheel<WheelKey>,
-    armed: &mut HashMap<WheelKey, Time>,
+    timers: &mut Timers,
     outbox: &mut Vec<(ClientId, ToClient<R, D>)>,
     ctx: &ShardCtx<R, D>,
     epoch: u64,
@@ -212,13 +257,7 @@ fn apply<R, D>(
                     outbox.push((c, msg.clone()));
                 }
             }
-            ServerOutput::SetTimer { at, timer } => {
-                let k = key_of(timer);
-                // Re-arming a key supersedes: the stale wheel entry is
-                // dropped when it fires and no longer matches `armed`.
-                armed.insert(k, at);
-                wheel.schedule(at, k);
-            }
+            ServerOutput::SetTimer { at, timer } => timers.set(at, timer),
             ServerOutput::PersistMaxTerm(d) => {
                 if let Some(f) = &ctx.hooks.persist_max_term {
                     f(d);
@@ -228,23 +267,6 @@ fn apply<R, D>(
                 // The service recovers via MaxTerm, like lease-rt.
             }
             ServerOutput::Committed { .. } => {}
-        }
-    }
-}
-
-/// Keeps one `Prune` entry armed at the table's earliest expiry, so
-/// expirations cost a wheel fire instead of periodic table walks.
-fn schedule_prune(
-    wheel: &mut TimerWheel<WheelKey>,
-    armed: &mut HashMap<WheelKey, Time>,
-    next: Option<Time>,
-) {
-    let Some(t) = next else { return };
-    match armed.get(&WheelKey::Prune) {
-        Some(&p) if p <= t => {}
-        _ => {
-            armed.insert(WheelKey::Prune, t);
-            wheel.schedule(t, WheelKey::Prune);
         }
     }
 }
@@ -315,8 +337,9 @@ where
 {
     let (mut server, mut storage) = (ctx.factory)(ctx.index as usize);
     let now = ctx.clock.now();
-    let mut wheel: TimerWheel<WheelKey> = TimerWheel::new(ctx.tick, now);
-    let mut armed: HashMap<WheelKey, Time> = HashMap::new();
+    let mut timers = Timers::new(ctx.tick, now);
+    // Fired-entry scratch reused across wakeups.
+    let mut fired: Vec<(Time, WheelKey)> = Vec::new();
     let mut outbox: Vec<(ClientId, ToClient<R, D>)> = Vec::new();
     let outs = if epoch == 0 {
         server.start(now, &*storage)
@@ -328,7 +351,7 @@ where
         let max_term = ctx.hooks.recover_max_term.as_ref().and_then(|f| f());
         server.recover(now, max_term, Vec::new(), &*storage)
     };
-    apply(outs, &mut wheel, &mut armed, &mut outbox, ctx, epoch);
+    apply(outs, &mut timers, &mut outbox, ctx, epoch);
 
     // Start from whatever an injected kill left half-drained: those
     // messages precede everything still in the mailbox, so the new
@@ -341,26 +364,24 @@ where
     let mut hot = false;
     loop {
         // Fire due wheel entries, skipping superseded ones.
-        for (at, k) in wheel.advance(ctx.clock.now()) {
-            if armed.get(&k) != Some(&at) {
+        fired.clear();
+        timers.wheel.advance_into(ctx.clock.now(), &mut fired);
+        for &(at, k) in &fired {
+            if !timers.claim(at, k) {
                 continue;
             }
-            armed.remove(&k);
-            match k {
+            let timer = match k {
                 WheelKey::Prune => {
                     server.prune(ctx.clock.now());
+                    continue;
                 }
-                WheelKey::Timer(enc) => {
-                    let outs = server.handle(
-                        ctx.clock.now(),
-                        ServerInput::Timer(timer_of(enc)),
-                        &mut *storage,
-                    );
-                    apply(outs, &mut wheel, &mut armed, &mut outbox, ctx, epoch);
-                }
-            }
+                WheelKey::InstalledTick => ServerTimer::InstalledTick,
+                WheelKey::WriteDeadline(w) => ServerTimer::WriteDeadline(w),
+            };
+            let outs = server.handle(ctx.clock.now(), ServerInput::Timer(timer), &mut *storage);
+            apply(outs, &mut timers, &mut outbox, ctx, epoch);
         }
-        schedule_prune(&mut wheel, &mut armed, server.table().next_expiry());
+        timers.arm_prune(server.table().next_expiry());
 
         // One egress flush per wakeup: everything the drained batch and
         // the wheel advance produced leaves in a single sink call.
@@ -397,9 +418,13 @@ where
                     // Every handle is gone and the lanes are dry.
                     return Exit::Disconnected;
                 }
+                // Until the next entry can fire — its tick boundary, not
+                // its bare deadline, which under a steady stream of write
+                // deadlines would have the worker spin between the two.
                 let wait = std::time::Duration::from(
-                    wheel
-                        .next_deadline()
+                    timers
+                        .wheel
+                        .next_fire()
                         .map(|at| at.saturating_since(ctx.clock.now()))
                         .map_or(ctx.idle_wait, |d| d.min(ctx.idle_wait)),
                 );
@@ -496,7 +521,7 @@ where
                             other => other,
                         };
                         let outs = server.handle(ctx.clock.now(), input, &mut *storage);
-                        apply(outs, &mut wheel, &mut armed, &mut outbox, ctx, epoch);
+                        apply(outs, &mut timers, &mut outbox, ctx, epoch);
                         if let Some(d) = ctx.slow {
                             // Injected degradation: bound this worker's
                             // throughput to ~1/d inputs per second.
@@ -531,7 +556,12 @@ where
                         if !stats_skip_flush {
                             flush_outbox(ctx, wsink, &mut outbox);
                         }
-                        let _ = reply.send(server.counters);
+                        let table = server.table();
+                        let gauges = ShardGauges {
+                            leases_live: table.len() as u64,
+                            timer_entries: (table.timer_entries() + timers.wheel.len()) as u64,
+                        };
+                        let _ = reply.send((server.counters, gauges));
                     }
                     ShardMsg::Kill => {
                         // Make the injected crash boundary exactly this
@@ -607,4 +637,73 @@ where
             drop(lanes);
         })
         .expect("spawn shard worker")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lease_core::{MemStorage, ReqId, ServerConfig, Version};
+
+    /// Write deadlines are armed once and never tracked, so a run of
+    /// deferred writes, each committed by its approval long before its
+    /// deadline, leaves nothing behind but one wheel entry per write (for
+    /// a term) — and firing those late changes nothing.
+    #[test]
+    fn committed_deferred_writes_leave_only_their_wheel_entries() {
+        const WRITES: u64 = 1000;
+        let (reader, writer) = (ClientId(1), ClientId(2));
+        let mut server: LeaseServer<u64, u64> =
+            LeaseServer::new(ServerConfig::fixed(Dur::from_secs(10)));
+        let mut store = MemStorage::new();
+        store.insert(7, 0);
+        let mut timers = Timers::new(Dur::from_millis(1), Time::ZERO);
+        let mut step = |server: &mut LeaseServer<u64, u64>, now: Time, from, msg| {
+            let mut approve = None;
+            for o in server.handle(now, ServerInput::Msg { from, msg }, &mut store) {
+                match o {
+                    ServerOutput::SetTimer { at, timer } => timers.set(at, timer),
+                    ServerOutput::Multicast {
+                        msg: ToClient::ApprovalRequest { write_id, .. },
+                        ..
+                    } => approve = Some(write_id),
+                    _ => {}
+                }
+            }
+            timers.arm_prune(server.table().next_expiry());
+            approve
+        };
+        for i in 0..WRITES {
+            let now = Time::from_millis(i);
+            let fetch = ToServer::Fetch {
+                req: ReqId(i),
+                resource: 7,
+                cached: None,
+                also_extend: vec![],
+            };
+            step(&mut server, now, reader, fetch);
+            let write = ToServer::Write {
+                req: ReqId(i),
+                resource: 7,
+                data: i,
+            };
+            let write_id = step(&mut server, now, writer, write).expect("deferred");
+            step(&mut server, now, reader, ToServer::Approve { write_id });
+        }
+        assert_eq!(server.counters.writes_deferred, WRITES);
+        assert_eq!(store.version(&7), Some(Version(WRITES + 1)));
+        // The known residual: the deadlines plus at most one armed prune.
+        assert!((WRITES..=WRITES + 1).contains(&(timers.wheel.len() as u64)));
+        let late = Time::from_secs(60);
+        let mut deadlines = 0;
+        for (at, k) in timers.wheel.advance(late) {
+            if let WheelKey::WriteDeadline(w) = k {
+                assert!(timers.claim(at, k));
+                let timer = ServerInput::Timer(ServerTimer::WriteDeadline(w));
+                assert!(server.handle(late, timer, &mut store).is_empty());
+                deadlines += 1;
+            }
+        }
+        assert_eq!(deadlines, WRITES);
+        assert_eq!(store.version(&7), Some(Version(WRITES + 1)));
+    }
 }
