@@ -28,10 +28,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use lease_bench::percentile;
 use lease_clock::{Clock, Dur, Time, WallClock};
 use lease_core::{
@@ -39,8 +39,8 @@ use lease_core::{
     ToClient, ToServer,
 };
 use lease_svc::{
-    AdmissionControl, ClientSink, FaultPlan, LeaseService, OverloadPlan, SvcConfig, SvcHandle,
-    SvcHooks,
+    AdmissionControl, Egress, EgressRx, EgressSink, FaultPlan, LeaseService, OverloadPlan,
+    SvcConfig, SvcHandle, SvcHooks,
 };
 
 type R = u64;
@@ -59,6 +59,9 @@ const FILES: u64 = 256;
 /// op would already be late and shedding could not preserve goodput.
 const MAILBOX: usize = 64;
 const BATCH: usize = 8;
+/// Reply lanes hold this many messages per client — far more than the
+/// capacity-pinned shard can have outstanding, so a flush never stalls.
+const LANE_CAP: usize = 1024;
 /// Offered load as fractions of saturation.
 const OFFERED: [f64; 4] = [0.5, 1.0, 2.0, 4.0];
 
@@ -83,17 +86,6 @@ instant.
                   ratio must be within 25% of the baseline's. One
                   re-measure before failing.
   --help          this text";
-
-/// Delivers shard output onto per-client reply channels.
-struct ChannelSink {
-    txs: Vec<Sender<ToClient<R, D>>>,
-}
-
-impl ClientSink<R, D> for ChannelSink {
-    fn deliver(&self, to: ClientId, msg: ToClient<R, D>) {
-        let _ = self.txs[to.0 as usize].send(msg);
-    }
-}
 
 /// An op registered by the sender, awaiting its reply.
 struct Pend {
@@ -194,7 +186,7 @@ fn receiver(
     id: ClientId,
     handle: &SvcHandle<R, D>,
     clock: &WallClock,
-    rx: &Receiver<ToClient<R, D>>,
+    mut rx: EgressRx<R, D>,
     reg: &Receiver<(u64, Pend)>,
     stop: &AtomicBool,
     controlled: bool,
@@ -208,6 +200,7 @@ fn receiver(
     let mut tokens = burst;
     let mut refill = Instant::now();
     let mut drain_until: Option<Instant> = None;
+    let mut replies: Vec<ToClient<R, D>> = Vec::new();
     loop {
         if stop.load(Ordering::Relaxed) {
             let until =
@@ -247,46 +240,49 @@ fn receiver(
                 t.refused += 1;
             }
         }
-        let msg = match rx.recv_timeout(Duration::from_millis(5)) {
-            Ok(m) => m,
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
-        };
-        match msg {
-            ToClient::Grants { req, grants } => {
-                if let Some(pend) = pending.get(&req.0) {
-                    if grants.iter().any(|g| g.resource == pend.resource) {
-                        let lat = pend.t0.elapsed().as_nanos() as u64;
-                        if lat <= Duration::from(SLO).as_nanos() as u64 {
-                            t.good += 1;
+        // Ticket before the poll, so a publish cannot slip past the park.
+        let ticket = rx.bell().ticket();
+        if rx.drain_into(&mut replies, LANE_CAP) == 0 {
+            rx.bell().wait(ticket, Duration::from_millis(5));
+            continue;
+        }
+        for msg in replies.drain(..) {
+            match msg {
+                ToClient::Grants { req, grants } => {
+                    if let Some(pend) = pending.get(&req.0) {
+                        if grants.iter().any(|g| g.resource == pend.resource) {
+                            let lat = pend.t0.elapsed().as_nanos() as u64;
+                            if lat <= Duration::from(SLO).as_nanos() as u64 {
+                                t.good += 1;
+                            }
+                            t.lats.push(lat);
+                            pending.remove(&req.0);
                         }
-                        t.lats.push(lat);
+                    }
+                }
+                ToClient::Error {
+                    req,
+                    reason: ErrorReason::Shed { retry_after },
+                } => {
+                    t.shed_seen += 1;
+                    if controlled && pending.contains_key(&req.0) && tokens >= 1.0 {
+                        tokens -= 1.0;
+                        parked.push(Parked {
+                            due: Instant::now() + Duration::from(retry_after),
+                            req: req.0,
+                        });
+                    } else {
                         pending.remove(&req.0);
                     }
                 }
-            }
-            ToClient::Error {
-                req,
-                reason: ErrorReason::Shed { retry_after },
-            } => {
-                t.shed_seen += 1;
-                if controlled && pending.contains_key(&req.0) && tokens >= 1.0 {
-                    tokens -= 1.0;
-                    parked.push(Parked {
-                        due: Instant::now() + Duration::from(retry_after),
-                        req: req.0,
-                    });
-                } else {
+                ToClient::Error { req, .. } => {
                     pending.remove(&req.0);
                 }
+                ToClient::ApprovalRequest { write_id, .. } => {
+                    let _ = handle.try_send(id, ToServer::Approve { write_id });
+                }
+                _ => {}
             }
-            ToClient::Error { req, .. } => {
-                pending.remove(&req.0);
-            }
-            ToClient::ApprovalRequest { write_id, .. } => {
-                let _ = handle.try_send(id, ToServer::Approve { write_id });
-            }
-            _ => {}
         }
     }
     t.unanswered = pending.len() as u64;
@@ -327,13 +323,7 @@ struct OverloadBench {
 fn run_row(offered_x: f64, controlled: bool, window: Duration) -> Row {
     let offered = offered_x * CAPACITY;
     let clock = Arc::new(WallClock::new());
-    let mut txs = Vec::new();
-    let mut rxs = Vec::new();
-    for _ in 0..CLIENTS {
-        let (tx, rx) = unbounded();
-        txs.push(tx);
-        rxs.push(rx);
-    }
+    let egress: Egress<R, D> = Egress::new(CLIENTS as usize, LANE_CAP);
     let service = LeaseService::spawn(
         SvcConfig {
             shards: 1,
@@ -347,7 +337,7 @@ fn run_row(offered_x: f64, controlled: bool, window: Duration) -> Row {
             slow_shard: Some((0, PER_INPUT)),
             ..SvcConfig::default()
         },
-        Arc::new(ChannelSink { txs }),
+        Arc::new(EgressSink::new(egress.clone())),
         SvcHooks {
             clock: Some(clock.clone()),
             ..SvcHooks::default()
@@ -383,12 +373,13 @@ fn run_row(offered_x: f64, controlled: bool, window: Duration) -> Row {
     let mut tallies: Vec<Tally> = Vec::new();
     std::thread::scope(|s| {
         let mut drainers = Vec::new();
-        for (i, rx) in rxs.into_iter().enumerate() {
+        for i in 0..CLIENTS as usize {
             let id = ClientId(i as u32);
-            let (reg_tx, reg_rx) = unbounded();
+            let rx = egress.rx(i);
+            let (reg_tx, reg_rx) = channel();
             let (handle2, clock2, stop2) = (handle.clone(), clock.clone(), stop.clone());
             drainers.push(
-                s.spawn(move || receiver(id, &handle2, &clock2, &rx, &reg_rx, &stop2, controlled)),
+                s.spawn(move || receiver(id, &handle2, &clock2, rx, &reg_rx, &stop2, controlled)),
             );
             let (handle2, clock2, plan2, refused2) =
                 (handle.clone(), clock.clone(), plan.clone(), refused.clone());

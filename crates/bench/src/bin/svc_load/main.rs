@@ -10,17 +10,14 @@
 //!   baseline;
 //! * **batched** (`batch=N`): windowed pipelined clients that stage `N`
 //!   ops into a [`BatchBuf`], submit them with one routing pass and one
-//!   locked enqueue per touched shard (`try_send_batch`), and keep
+//!   lane publish per touched shard (`try_send_batch`), and keep
 //!   `batch × 2 × shards` ops in flight — the throughput path the
 //!   sharded service is built around.
 //!
-//! Each closed-loop configuration runs twice: once with replies on
-//! per-client channels (`egress=channel`, the pre-ring reply path kept
-//! as the executable baseline) and once over per-(shard→client) SPSC
-//! ring lanes with coalesced doorbells (`egress=ring`, the hot path).
-//! Ring rows also record **wakes/op** — futex-backed doorbell wakeups
-//! per completed op — the figure the coalesced flush is built to
-//! collapse.
+//! Replies come back over the service's per-(shard→client) SPSC ring
+//! lanes with coalesced doorbells; every row also records **wakes/op** —
+//! futex-backed doorbell wakeups per completed op — the figure the
+//! coalesced flush is built to collapse.
 //!
 //! It reports sustained ops/sec, grants/sec and p50/p95/p99 op latency
 //! per row. Results are written to `BENCH_svc.json` so future PRs can
@@ -44,7 +41,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use lease_bench::percentile;
 use lease_bench::sweep::{parse_threads, pin_to_core};
 use lease_clock::Dur;
@@ -52,8 +48,8 @@ use lease_core::{
     ClientId, LeaseServer, MemStorage, ReqId, ServerConfig, Storage, ToClient, ToServer,
 };
 use lease_svc::{
-    BatchBuf, ClientSink, Egress, EgressRx, EgressSink, FaultPlan, LeaseService, OverloadPlan,
-    SvcConfig, SvcHandle, SvcHooks,
+    BatchBuf, Egress, EgressRx, EgressSink, FaultPlan, LeaseService, OverloadPlan, SvcConfig,
+    SvcHandle, SvcHooks,
 };
 
 type R = u64;
@@ -100,16 +96,12 @@ svc_load: closed-loop load generator for the sharded lease service
                   of writing. Fails unless batched ops/s at shards=4
                   beats shards=1, and unless the fresh s4/s1 ratios are
                   within 25% of the baseline's — compared same-mode
-                  (per-op against per-op, batched against batched,
-                  channel egress against channel, ring against ring; a
-                  mode the baseline never recorded, e.g. a v3 baseline's
-                  missing ring rows, is skipped). On a host with >= 4
-                  cores the pinned scaling curve must also show batched
-                  s4 >= 2x batched s1, and pinned per-op s4 with ring
-                  egress must beat channel egress by at least 75% of the
-                  baseline's recorded ring/channel ratio (and at least
-                  1.0x); on smaller hosts both gates are skipped with a
-                  visible notice. One re-measure before failing.
+                  (per-op against per-op, batched against batched). A
+                  baseline of another schema is refused by name. On a
+                  host with >= 4 cores the pinned scaling curve must also
+                  show batched s4 >= 2x batched s1; on smaller hosts that
+                  gate is skipped with a visible notice. One re-measure
+                  before failing.
   --help          this text
 
 Client threads are pinned round-robin across cores (best effort, Linux
@@ -120,53 +112,22 @@ clients); the batched rows still scale with shards there because the
 in-flight window — and so the work a shard drains per wakeup — grows
 with the shard count.";
 
-/// Delivers shard output onto per-client reply channels.
-struct ChannelSink {
-    txs: Vec<Sender<ToClient<R, D>>>,
-}
-
-impl ClientSink<R, D> for ChannelSink {
-    fn deliver(&self, to: ClientId, msg: ToClient<R, D>) {
-        let _ = self.txs[to.0 as usize].send(msg);
-    }
-
-    fn deliver_batch(&self, msgs: &mut Vec<(ClientId, ToClient<R, D>)>) {
-        // Group consecutive same-client replies so each run costs one
-        // locked enqueue instead of one per message.
-        let mut run: Vec<ToClient<R, D>> = Vec::new();
-        let mut it = msgs.drain(..).peekable();
-        while let Some((to, msg)) = it.next() {
-            run.push(msg);
-            while it.peek().is_some_and(|(next, _)| *next == to) {
-                run.push(it.next().unwrap().1);
-            }
-            let _ = self.txs[to.0 as usize].send_many(run.drain(..));
-        }
-    }
-}
-
-/// Where one client's replies come from: its channel (`egress=channel`)
-/// or its adopted SPSC egress lanes (`egress=ring`). The client loops
-/// are written against this adapter so the two reply paths run the
-/// *same* workload logic; only the transport differs.
-enum Replies {
-    Chan(Receiver<ToClient<R, D>>),
-    Ring {
-        lanes: EgressRx<R, D>,
-        /// Drained-but-undelivered messages (lanes drain in bulk; the
-        /// loops consume one at a time).
-        q: VecDeque<ToClient<R, D>>,
-        scratch: Vec<ToClient<R, D>>,
-        /// Spin briefly before parking (multicore hosts only — on one
-        /// core spinning just steals the shard worker's timeslice).
-        spin: u32,
-    },
+/// One client's replies: its adopted SPSC egress lanes, drained in bulk
+/// and handed to the client loops one message at a time.
+struct Replies {
+    lanes: EgressRx<R, D>,
+    /// Drained-but-undelivered messages.
+    q: VecDeque<ToClient<R, D>>,
+    scratch: Vec<ToClient<R, D>>,
+    /// Spin briefly before parking (multicore hosts only — on one core
+    /// spinning just steals the shard worker's timeslice).
+    spin: u32,
 }
 
 impl Replies {
-    fn ring(lanes: EgressRx<R, D>) -> Replies {
+    fn new(lanes: EgressRx<R, D>) -> Replies {
         let multicore = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
-        Replies::Ring {
+        Replies {
             lanes,
             q: VecDeque::new(),
             scratch: Vec::new(),
@@ -174,65 +135,43 @@ impl Replies {
         }
     }
 
-    /// Blocking receive with a deadline, mirroring
-    /// `Receiver::recv_timeout`: the ring side drains its lanes with the
-    /// ticket-before-final-poll spin-then-park loop and reports
-    /// `Timeout` (lanes cannot disconnect mid-run; the service outlives
-    /// every measuring client).
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<ToClient<R, D>, RecvTimeoutError> {
-        match self {
-            Replies::Chan(rx) => rx.recv_timeout(timeout),
-            Replies::Ring {
-                lanes,
-                q,
-                scratch,
-                spin,
-            } => {
-                if let Some(m) = q.pop_front() {
-                    return Ok(m);
+    /// Blocking receive with a deadline: drains the lanes with the
+    /// ticket-before-final-poll spin-then-park loop; `None` on timeout
+    /// (lanes cannot disconnect mid-run; the service outlives every
+    /// measuring client).
+    fn recv_timeout(&mut self, timeout: Duration) -> Option<ToClient<R, D>> {
+        if let Some(m) = self.q.pop_front() {
+            return Some(m);
+        }
+        let deadline = Instant::now() + timeout;
+        loop {
+            let ticket = self.lanes.bell().ticket();
+            let mut found = self.lanes.drain_into(&mut self.scratch, 1024) > 0;
+            for _ in 0..self.spin {
+                if found {
+                    break;
                 }
-                let deadline = Instant::now() + timeout;
-                loop {
-                    let ticket = lanes.bell().ticket();
-                    if lanes.drain_into(scratch, 1024) > 0 {
-                        q.extend(scratch.drain(..));
-                        return Ok(q.pop_front().expect("drained non-empty"));
-                    }
-                    let mut found = false;
-                    for _ in 0..*spin {
-                        if lanes.drain_into(scratch, 1024) > 0 {
-                            found = true;
-                            break;
-                        }
-                        std::hint::spin_loop();
-                    }
-                    if found {
-                        q.extend(scratch.drain(..));
-                        return Ok(q.pop_front().expect("drained non-empty"));
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(RecvTimeoutError::Timeout);
-                    }
-                    lanes.bell().wait(ticket, deadline - now);
-                }
+                std::hint::spin_loop();
+                found = self.lanes.drain_into(&mut self.scratch, 1024) > 0;
             }
+            if found {
+                self.q.extend(self.scratch.drain(..));
+                return self.q.pop_front();
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return None;
+            }
+            self.lanes.bell().wait(ticket, deadline - now);
         }
     }
 
-    /// Non-blocking receive, mirroring `Receiver::try_recv`.
+    /// Non-blocking receive.
     fn try_recv(&mut self) -> Option<ToClient<R, D>> {
-        match self {
-            Replies::Chan(rx) => rx.try_recv().ok(),
-            Replies::Ring {
-                lanes, q, scratch, ..
-            } => {
-                if q.is_empty() && lanes.drain_into(scratch, 1024) > 0 {
-                    q.extend(scratch.drain(..));
-                }
-                q.pop_front()
-            }
+        if self.q.is_empty() && self.lanes.drain_into(&mut self.scratch, 1024) > 0 {
+            self.q.extend(self.scratch.drain(..));
         }
+        self.q.pop_front()
     }
 }
 
@@ -288,9 +227,8 @@ fn client_loop(
         // callbacks that arrive meanwhile (other clients' writes cannot
         // commit without our approval).
         loop {
-            let m = match replies.recv_timeout(Duration::from_secs(5)) {
-                Ok(m) => m,
-                Err(_) => return latencies,
+            let Some(m) = replies.recv_timeout(Duration::from_secs(5)) else {
+                return latencies;
             };
             match m {
                 // A fetch may be answered in parts (the cross-shard split,
@@ -314,7 +252,7 @@ fn client_loop(
     // their final in-flight write.
     let grace = Instant::now();
     while grace.elapsed() < Duration::from_millis(100) {
-        if let Ok(ToClient::ApprovalRequest { write_id, .. }) =
+        if let Some(ToClient::ApprovalRequest { write_id, .. }) =
             replies.recv_timeout(Duration::from_millis(20))
         {
             let _ = handle.send(id, ToServer::Approve { write_id });
@@ -388,18 +326,17 @@ fn client_loop_batched(
                 buf.push(id, msg);
             }
         }
-        // One routing pass, one locked enqueue per touched shard; what
-        // the mailboxes refuse stays in `buf` for the next pass.
+        // One routing pass, one lane publish per touched shard; what
+        // the lanes refuse stays in `buf` for the next pass.
         if !buf.is_empty() && handle.try_send_batch(&mut buf).is_err() {
             return latencies;
         }
         // Drain replies: block for one, then sweep the queue dry.
-        let first =
-            match replies.recv_timeout(Duration::from_millis(if stopping { 20 } else { 5000 })) {
-                Ok(m) => m,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return latencies,
-            };
+        let Some(first) =
+            replies.recv_timeout(Duration::from_millis(if stopping { 20 } else { 5000 }))
+        else {
+            continue;
+        };
         let mut next = Some(first);
         while let Some(m) = next {
             match m {
@@ -429,7 +366,7 @@ fn client_loop_batched(
     // Grace drain: peers may still be waiting on approvals from us.
     let grace = Instant::now();
     while grace.elapsed() < Duration::from_millis(100) {
-        if let Ok(ToClient::ApprovalRequest { write_id, .. }) =
+        if let Some(ToClient::ApprovalRequest { write_id, .. }) =
             replies.recv_timeout(Duration::from_millis(20))
         {
             let _ = handle.send(id, ToServer::Approve { write_id });
@@ -490,10 +427,8 @@ fn client_loop_open(
                 if now >= at {
                     break;
                 }
-                match replies.recv_timeout((at - now).min(Duration::from_millis(1))) {
-                    Ok(m) => drain_open(&handle, id, m, &mut pending, &mut latencies),
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => return latencies,
+                if let Some(m) = replies.recv_timeout((at - now).min(Duration::from_millis(1))) {
+                    drain_open(&handle, id, m, &mut pending, &mut latencies);
                 }
             }
             let resource = (rng_next(&mut rng) >> 33) % files;
@@ -518,10 +453,8 @@ fn client_loop_open(
             }
             continue;
         }
-        match replies.recv_timeout(Duration::from_millis(20)) {
-            Ok(m) => drain_open(&handle, id, m, &mut pending, &mut latencies),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
+        if let Some(m) = replies.recv_timeout(Duration::from_millis(20)) {
+            drain_open(&handle, id, m, &mut pending, &mut latencies);
         }
     }
     latencies
@@ -568,36 +501,27 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// The `egress` tag a pre-v4 baseline row gets when parsed: every row
-/// recorded before the ring reply path existed measured the channel
-/// sink.
-fn default_egress() -> String {
-    "channel".to_string()
-}
+/// The schema this binary writes and the only one `--check` reads.
+const SCHEMA: &str = "lease-bench/BENCH_svc/v5";
 
 /// One row of the sweep, as printed and as recorded in `BENCH_svc.json`.
 /// `batch == 1` rows come from the per-op closed loop; larger batches
-/// from the windowed pipelined loop. `egress` (new in schema v4) says
-/// which reply path the row measured — v3 baselines parse as
-/// channel-mode rows — and ring rows also record `wakes_per_op`, the
-/// futex-backed doorbell wakeups per completed op.
+/// from the windowed pipelined loop. `wakes_per_op` is the futex-backed
+/// doorbell wakeups per completed op.
 #[derive(serde::Serialize, serde::Deserialize)]
 struct SweepRow {
     shards: usize,
     batch: usize,
-    #[serde(default = "default_egress")]
-    egress: String,
     ops: u64,
     ops_per_sec: f64,
     grants_per_sec: f64,
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    wakes_per_op: Option<f64>,
+    wakes_per_op: f64,
     p50_us: u64,
     p95_us: u64,
     p99_us: u64,
 }
 
-/// The core-pinned scaling-curve section of the v3 schema: the same
+/// The core-pinned scaling-curve section: the same
 /// per-op and batched rows, but with shard workers pinned to cores
 /// `0..s` and clients to the cores after them. `cores` records the
 /// host's parallelism so a reader (and the `--check` gate) knows
@@ -615,7 +539,7 @@ struct SvcBench {
     files: u64,
     window_ms: u64,
     rows: Vec<SweepRow>,
-    /// Absent in `--open-loop` mode and in pre-v3 baselines.
+    /// Absent in `--open-loop` mode.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     scaling: Option<ScalingCurve>,
 }
@@ -626,11 +550,7 @@ struct SvcBench {
 /// clients (the row is marked `batch = 0`). With `pin`, shard workers
 /// are pinned to cores `0..shards` and clients to the cores after them
 /// (the scaling-curve placement); without it, clients pin round-robin
-/// from core 0 and workers float, as the main sweep always has. With
-/// `ring_egress`, replies travel per-client SPSC lanes with coalesced
-/// doorbells instead of the crossbeam channel, and the row records
-/// `wakes_per_op` (sleeper-present doorbell wakes / completed ops).
-#[allow(clippy::too_many_arguments)] // one knob per argument
+/// from core 0 and workers float, as the main sweep always has.
 fn run_config(
     shards: usize,
     clients: u32,
@@ -639,26 +559,13 @@ fn run_config(
     batch: usize,
     open_loop: Option<f64>,
     pin: bool,
-    ring_egress: bool,
 ) -> SweepRow {
     // Open-loop rows are tagged batch=0 in the sweep output.
     let batch = if open_loop.is_some() { 0 } else { batch };
     let egress: Egress<R, D> = Egress::new(clients as usize, 1024);
-    let mut replies: Vec<Replies> = Vec::new();
-    let sink: Arc<dyn lease_svc::ClientSink<R, D>> = if ring_egress {
-        for i in 0..clients as usize {
-            replies.push(Replies::ring(egress.rx(i)));
-        }
-        Arc::new(EgressSink::new(egress.clone()))
-    } else {
-        let mut txs = Vec::new();
-        for _ in 0..clients {
-            let (tx, rx) = unbounded();
-            txs.push(tx);
-            replies.push(Replies::Chan(rx));
-        }
-        Arc::new(ChannelSink { txs })
-    };
+    let replies: Vec<Replies> = (0..clients as usize)
+        .map(|i| Replies::new(egress.rx(i)))
+        .collect();
     let base = SvcConfig::default();
     let service = LeaseService::spawn(
         SvcConfig {
@@ -668,7 +575,7 @@ fn run_config(
             pin: pin.then_some(0),
             ..base
         },
-        sink,
+        Arc::new(EgressSink::new(egress.clone())),
         SvcHooks::default(),
         move |_| {
             // Every shard preloads the full set; the router only sends a
@@ -730,34 +637,28 @@ fn run_config(
     service.shutdown();
     lats.sort_unstable();
     let ops = lats.len() as u64;
-    let wakes_per_op = (ring_egress && ops > 0).then(|| egress.wakes() as f64 / ops as f64);
     let row = SweepRow {
         shards,
         batch,
-        egress: if ring_egress { "ring" } else { "channel" }.to_string(),
         ops,
         ops_per_sec: ops as f64 / elapsed.as_secs_f64(),
         grants_per_sec: grants as f64 / elapsed.as_secs_f64(),
-        wakes_per_op,
+        wakes_per_op: egress.wakes() as f64 / ops.max(1) as f64,
         p50_us: percentile(&lats, 0.50) / 1_000,
         p95_us: percentile(&lats, 0.95) / 1_000,
         p99_us: percentile(&lats, 0.99) / 1_000,
     };
     println!(
-        "shards={:<2} batch={:<3} egress={:<7} ops={:>8} ops/s={:>8.0} grants/s={:>8.0} p50={:>5}us p95={:>5}us p99={:>5}us{}{}",
+        "shards={:<2} batch={:<3} ops={:>8} ops/s={:>8.0} grants/s={:>8.0} p50={:>5}us p95={:>5}us p99={:>5}us wakes/op={:.3}{}",
         row.shards,
         row.batch,
-        row.egress,
         row.ops,
         row.ops_per_sec,
         row.grants_per_sec,
         row.p50_us,
         row.p95_us,
         row.p99_us,
-        match row.wakes_per_op {
-            Some(w) => format!(" wakes/op={w:.3}"),
-            None => String::new(),
-        },
+        row.wakes_per_op,
         if pin { " [pinned]" } else { "" },
     );
     row
@@ -773,56 +674,36 @@ struct Opts {
     open_loop: Option<f64>,
 }
 
-/// Runs the full sweep: per shard count, a per-op and a batched row in
-/// *each* egress mode — channel (the spec path) then ring (the SPSC
-/// lane path) — or one channel open-loop row per shard count in
-/// `--open-loop` mode, followed by the core-pinned scaling curve over
-/// `scale_counts`, again in both egress modes.
+/// Runs the full sweep: per shard count, a per-op and a batched row — or
+/// one open-loop row per shard count in `--open-loop` mode — followed by
+/// the core-pinned scaling curve over `scale_counts`.
 fn measure(o: &Opts) -> SvcBench {
-    let mut rows = Vec::new();
-    for &s in &o.shard_counts {
-        if o.open_loop.is_some() {
-            rows.push(run_config(
-                s,
-                o.clients,
-                o.files,
-                o.window,
-                0,
-                o.open_loop,
-                false,
-                false,
-            ));
-        } else {
-            for ring in [false, true] {
-                rows.push(run_config(
-                    s, o.clients, o.files, o.window, 1, None, false, ring,
-                ));
-                rows.push(run_config(
-                    s, o.clients, o.files, o.window, o.batch, None, false, ring,
-                ));
+    let sweep = |counts: &[usize], pin: bool| -> Vec<SweepRow> {
+        let mut rows = Vec::new();
+        for &s in counts {
+            let run = |batch| run_config(s, o.clients, o.files, o.window, batch, o.open_loop, pin);
+            if o.open_loop.is_some() {
+                rows.push(run(0));
+            } else {
+                rows.push(run(1));
+                rows.push(run(o.batch));
             }
         }
-    }
+        rows
+    };
+    let rows = sweep(&o.shard_counts, false);
     let scaling = if o.open_loop.is_none() && !o.scale_counts.is_empty() {
         let cores = lease_bench::sweep::available_cores();
         println!("scaling curve ({cores} cores, workers pinned 0..s, clients after):");
-        let mut rows = Vec::new();
-        for &s in &o.scale_counts {
-            for ring in [false, true] {
-                rows.push(run_config(
-                    s, o.clients, o.files, o.window, 1, None, true, ring,
-                ));
-                rows.push(run_config(
-                    s, o.clients, o.files, o.window, o.batch, None, true, ring,
-                ));
-            }
-        }
-        Some(ScalingCurve { cores, rows })
+        Some(ScalingCurve {
+            cores,
+            rows: sweep(&o.scale_counts, true),
+        })
     } else {
         None
     };
     SvcBench {
-        schema: "lease-bench/BENCH_svc/v4".to_string(),
+        schema: SCHEMA.to_string(),
         clients: o.clients,
         files: o.files,
         window_ms: o.window.as_millis() as u64,
@@ -831,78 +712,32 @@ fn measure(o: &Opts) -> SvcBench {
     }
 }
 
-/// Ops/s of the row at `shards` in the given mode. A mode is the pair
-/// (`batched`, `egress`): batched rows never compare against per-op
-/// rows, and ring rows never compare against channel rows.
-fn mode_ops(rows: &[SweepRow], shards: usize, batched: bool, egress: &str) -> Option<f64> {
+/// Ops/s of the row at `shards` in the given mode (batched rows never
+/// compare against per-op rows).
+fn mode_ops(rows: &[SweepRow], shards: usize, batched: bool) -> Option<f64> {
     rows.iter()
-        .find(|r| r.shards == shards && (r.batch > 1) == batched && r.egress == egress)
+        .find(|r| r.shards == shards && (r.batch > 1) == batched)
         .map(|r| r.ops_per_sec)
 }
 
 /// The s4/s1 throughput ratio in one mode, when both rows are present.
-fn mode_ratio(rows: &[SweepRow], batched: bool, egress: &str) -> Option<f64> {
-    match (
-        mode_ops(rows, 1, batched, egress),
-        mode_ops(rows, 4, batched, egress),
-    ) {
-        (Some(s1), Some(s4)) => Some(s4 / s1),
-        _ => None,
-    }
-}
-
-/// The per-op ring/channel throughput ratio at `shards`, when both rows
-/// are present — the number the egress gate protects.
-fn egress_ratio(rows: &[SweepRow], shards: usize) -> Option<f64> {
-    match (
-        mode_ops(rows, shards, false, "channel"),
-        mode_ops(rows, shards, false, "ring"),
-    ) {
-        (Some(chan), Some(ring)) => Some(ring / chan),
-        _ => None,
-    }
-}
-
-/// The `kind/egress` mode pairs a baseline's rows actually contain (with
-/// an s4/s1 ratio to compare against), for the skip notice: when a mode
-/// the fresh run measured is missing from the baseline, the notice names
-/// both sides instead of only one.
-fn recorded_modes(rows: &[SweepRow]) -> Vec<String> {
-    let mut out = Vec::new();
-    for (kind, batched) in [("per-op", false), ("batched", true)] {
-        for egress in ["channel", "ring"] {
-            if mode_ratio(rows, batched, egress).is_some() {
-                out.push(format!("{kind}/{egress}"));
-            }
-        }
-    }
-    out
+fn mode_ratio(rows: &[SweepRow], batched: bool) -> Option<f64> {
+    Some(mode_ops(rows, 4, batched)? / mode_ops(rows, 1, batched)?)
 }
 
 /// The scaling gate. Always: batched throughput at 4 shards must
-/// strictly beat 1 shard (ring rows preferred, channel rows otherwise),
-/// and the fresh s4/s1 ratio in *each* mode must sit within 25% of the
-/// same mode's ratio in the checked-in baseline (raw ops/s is
-/// machine-dependent; the per-mode ratio is what the ingress and egress
-/// paths are supposed to protect). A mode is (batch class, egress):
-/// batched never compares against per-op, ring never against channel,
-/// and modes the baseline did not record — every ring mode under a v3
-/// baseline — are skipped, so old baselines keep parsing and gating
-/// what they know about. On a host with >= 4 cores the pinned scaling
-/// curve must additionally show batched s4 >= 2x batched s1, and the
-/// pinned per-op s4 *ring/channel* ratio must hold at least
-/// `max(1.0, 0.75 x baseline ratio)` — the ring reply path must keep
-/// beating the channel it replaced; on smaller hosts both multicore
-/// gates are skipped with a visible notice.
+/// strictly beat 1 shard, and the fresh s4/s1 ratio in *each* mode
+/// (per-op, batched) must sit within 25% of the same mode's ratio in the
+/// checked-in baseline (raw ops/s is machine-dependent; the per-mode
+/// ratio is what the message path is supposed to protect). A baseline of
+/// any other schema is refused by name: re-record it with this binary.
+/// On a host with >= 4 cores the pinned scaling curve must additionally
+/// show batched s4 >= 2x batched s1; on smaller hosts that gate is
+/// skipped with a visible notice.
 fn check(fresh: &SvcBench, baseline_path: &str) -> Result<(), String> {
-    let scale_mode = if mode_ops(&fresh.rows, 1, true, "ring").is_some() {
-        "ring"
-    } else {
-        "channel"
-    };
     let (s1, s4) = match (
-        mode_ops(&fresh.rows, 1, true, scale_mode),
-        mode_ops(&fresh.rows, 4, true, scale_mode),
+        mode_ops(&fresh.rows, 1, true),
+        mode_ops(&fresh.rows, 4, true),
     ) {
         (Some(s1), Some(s4)) => (s1, s4),
         _ => return Err("check needs batched rows for shards=1 and shards=4".into()),
@@ -917,9 +752,18 @@ fn check(fresh: &SvcBench, baseline_path: &str) -> Result<(), String> {
         ));
     }
     let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-    let baseline: SvcBench =
-        serde_json::from_str(&text).map_err(|e| format!("cannot parse {baseline_path}: {e:?}"))?;
+        .map_err(|e| format!("cannot read baseline {baseline_path}: {e} [no-retry]"))?;
+    let schema = serde_json::from_str::<SchemaTag>(&text)
+        .map_err(|e| format!("cannot parse {baseline_path}: {e:?} [no-retry]"))?
+        .schema;
+    if schema != SCHEMA {
+        return Err(format!(
+            "baseline {baseline_path} has schema `{schema}` but this binary reads `{SCHEMA}`; \
+             re-record it with `svc_load --json {baseline_path}` [no-retry]"
+        ));
+    }
+    let baseline: SvcBench = serde_json::from_str(&text)
+        .map_err(|e| format!("cannot parse {baseline_path}: {e:?} [no-retry]"))?;
     // Same-mode ratio comparison, for the main rows and (when both the
     // fresh run and the baseline recorded one) the pinned scaling curve.
     // The scaling section only gates when both recordings had >= 2 cores:
@@ -934,21 +778,16 @@ fn check(fresh: &SvcBench, baseline_path: &str) -> Result<(), String> {
             scaling_cores(&baseline)
         );
     }
+    fn scaling_rows(b: &SvcBench, gated: bool) -> Option<&[SweepRow]> {
+        b.scaling.as_ref().filter(|_| gated).map(|s| &s.rows[..])
+    }
     type Section<'a> = (&'a str, Option<&'a [SweepRow]>, Option<&'a [SweepRow]>);
     let sections: [Section<'_>; 2] = [
         ("rows", Some(&fresh.rows[..]), Some(&baseline.rows[..])),
         (
             "scaling",
-            fresh
-                .scaling
-                .as_ref()
-                .filter(|_| scaling_gated)
-                .map(|s| &s.rows[..]),
-            baseline
-                .scaling
-                .as_ref()
-                .filter(|_| scaling_gated)
-                .map(|s| &s.rows[..]),
+            scaling_rows(fresh, scaling_gated),
+            scaling_rows(&baseline, scaling_gated),
         ),
     ];
     for (section, fresh_rows, base_rows) in sections {
@@ -956,105 +795,55 @@ fn check(fresh: &SvcBench, baseline_path: &str) -> Result<(), String> {
             continue;
         };
         for (kind, batched) in [("per-op", false), ("batched", true)] {
-            for egress in ["channel", "ring"] {
-                let Some(ratio) = mode_ratio(fresh_rows, batched, egress) else {
-                    continue;
-                };
-                let Some(b_ratio) = mode_ratio(base_rows, batched, egress) else {
-                    // A v3 baseline has no ring rows; name both sides —
-                    // the mode this run measured AND the modes the
-                    // baseline can actually vouch for — rather than
-                    // silently passing.
-                    let recorded = recorded_modes(base_rows);
-                    println!(
-                        "check {section}/{kind}/{egress}: s4/s1 = {ratio:.2}x, but the baseline \
-                         recorded no {kind}/{egress} rows (it has: {}) — this run's {kind}/{egress} \
-                         mode is skipped, not gated",
-                        if recorded.is_empty() {
-                            "none".to_string()
-                        } else {
-                            recorded.join(", ")
-                        }
-                    );
-                    continue;
-                };
-                let floor = b_ratio * 0.75;
-                println!(
-                    "check {section}/{kind}/{egress}: s4/s1 = {ratio:.2}x, baseline {b_ratio:.2}x (floor {floor:.2}x)"
-                );
-                if ratio < floor {
-                    return Err(format!(
-                        "{section}/{kind}/{egress} s4/s1 ratio {ratio:.2}x regressed >25% below baseline {b_ratio:.2}x"
-                    ));
-                }
+            let (Some(ratio), Some(b_ratio)) = (
+                mode_ratio(fresh_rows, batched),
+                mode_ratio(base_rows, batched),
+            ) else {
+                continue;
+            };
+            let floor = b_ratio * 0.75;
+            println!(
+                "check {section}/{kind}: s4/s1 = {ratio:.2}x, baseline {b_ratio:.2}x (floor {floor:.2}x)"
+            );
+            if ratio < floor {
+                return Err(format!(
+                    "{section}/{kind} s4/s1 ratio {ratio:.2}x regressed >25% below baseline {b_ratio:.2}x"
+                ));
             }
         }
     }
-    // The multicore gates: with >= 4 real cores and pinned workers,
-    // (a) the batched path must scale at least 2x from 1 shard to 4,
-    // and (b) the per-op s4 ring egress must beat the channel egress it
-    // replaced — in-run ratio >= max(1.0, 0.75 x the baseline's ratio).
+    // The multicore gate: with >= 4 real cores and pinned workers, the
+    // batched path must scale at least 2x from 1 shard to 4.
     match fresh.scaling.as_ref() {
         Some(curve) if curve.cores >= 4 => {
-            let mode = if mode_ratio(&curve.rows, true, "ring").is_some() {
-                "ring"
-            } else {
-                "channel"
-            };
-            let Some(ratio) = mode_ratio(&curve.rows, true, mode) else {
+            let Some(ratio) = mode_ratio(&curve.rows, true) else {
                 return Err("scaling curve lacks batched rows for shards=1 and shards=4".into());
             };
             println!(
-                "check multicore gate ({} cores): pinned batched/{mode} s4/s1 = {ratio:.2}x (need >= 2x)",
+                "check multicore gate ({} cores): pinned batched s4/s1 = {ratio:.2}x (need >= 2x)",
                 curve.cores
             );
             if ratio < 2.0 {
                 return Err(format!(
-                    "pinned batched/{mode} s4/s1 = {ratio:.2}x on a {}-core host (need >= 2x)",
+                    "pinned batched s4/s1 = {ratio:.2}x on a {}-core host (need >= 2x)",
                     curve.cores
                 ));
             }
-            match egress_ratio(&curve.rows, 4) {
-                Some(er) => {
-                    let b_er = baseline
-                        .scaling
-                        .as_ref()
-                        .filter(|b| b.cores >= 4)
-                        .and_then(|b| egress_ratio(&b.rows, 4));
-                    let floor = b_er.map_or(1.0, |b| (b * 0.75).max(1.0));
-                    match b_er {
-                        Some(b_er) => println!(
-                            "check egress gate ({} cores): pinned per-op s4 ring/channel = {er:.2}x, \
-                             baseline {b_er:.2}x (floor {floor:.2}x)",
-                            curve.cores
-                        ),
-                        None => println!(
-                            "check egress gate ({} cores): pinned per-op s4 ring/channel = {er:.2}x \
-                             (no >=4-core baseline ratio; floor {floor:.2}x)",
-                            curve.cores
-                        ),
-                    }
-                    if er < floor {
-                        return Err(format!(
-                            "per-op s4 ring egress no longer beats the channel: {er:.2}x < floor {floor:.2}x"
-                        ));
-                    }
-                }
-                None => println!(
-                    "check egress gate SKIPPED: scaling curve lacks per-op s4 rows in both egress modes"
-                ),
-            }
         }
         Some(curve) => println!(
-            "check multicore + egress gates SKIPPED: only {} core(s), need >= 4 for the 2x batched \
-             s4/s1 gate and the per-op s4 ring-vs-channel gate",
+            "check multicore gate SKIPPED: only {} core(s), need >= 4 for the 2x batched s4/s1 gate",
             curve.cores
         ),
-        None => println!(
-            "check multicore + egress gates SKIPPED: no scaling curve in this run (--scale none)"
-        ),
+        None => println!("check multicore gate SKIPPED: no scaling curve in this run (--scale none)"),
     }
     Ok(())
+}
+
+/// Just the schema tag of a baseline file, read before committing to its
+/// row layout.
+#[derive(serde::Deserialize)]
+struct SchemaTag {
+    schema: String,
 }
 
 fn main() {
@@ -1223,6 +1012,10 @@ fn main() {
     match check_path {
         Some(path) => {
             if let Err(first) = check(&fresh, &path) {
+                if first.ends_with("[no-retry]") {
+                    eprintln!("svc_load --check FAILED: {first}");
+                    std::process::exit(1);
+                }
                 // One retry before failing: even batched-throughput
                 // ratios can be unlucky on a loaded host.
                 eprintln!("svc_load --check below floor ({first}); re-measuring once");

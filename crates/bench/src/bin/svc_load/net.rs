@@ -44,7 +44,7 @@ use lease_core::{
 use lease_net::tcp::FrameAccum;
 use lease_net::{connect_as, NetServer};
 use lease_svc::{Egress, EgressSink, LeaseService, SvcConfig, SvcHooks};
-use lease_wire::{frame_len, frame_messages, Dir, FrameBuilder, WireValue};
+use lease_wire::{frame_messages, Dir, FrameBuilder, WireValue};
 
 use crate::{rng_next, rng_seed, run_config, SweepRow, R};
 
@@ -348,9 +348,7 @@ fn measure_net(o: &NetOpts) -> NetBench {
     // The same-run in-process reference: the batched ring row this
     // topology is allowed to cost at most 2x of.
     print!("inproc ");
-    let inproc = run_config(
-        o.shards, o.gens, o.files, o.window, o.batch, None, false, true,
-    );
+    let inproc = run_config(o.shards, o.gens, o.files, o.window, o.batch, None, false);
     let ratio = if inproc.ops_per_sec > 0.0 {
         net.ops_per_sec / inproc.ops_per_sec
     } else {
@@ -935,60 +933,53 @@ fn run_gen(o: &GenOpts) -> GenResult {
                 Err(_) => dead = true,
             }
             while !dead {
-                let len = match frame_len(accum.bytes()) {
-                    Ok(Some(len)) if accum.bytes().len() >= len => len,
-                    Ok(_) => break,
+                let frame = match accum.next_frame() {
+                    Ok(Some(frame)) => frame,
+                    Ok(None) => break,
                     Err(_) => {
                         dead = true; // corrupt stream: reconnect
                         break;
                     }
                 };
-                {
-                    let frame = &accum.bytes()[..len];
-                    let Ok((h, mut it)) = frame_messages(frame) else {
-                        dead = true;
-                        break;
-                    };
-                    if h.dir == Dir::S2c {
-                        while let Ok(Some(m)) = it.next_s2c::<R, crate::D>() {
-                            match m {
-                                ToClient::Grants { req, grants } => {
-                                    if let Some(p) = pending.get(&req.0) {
-                                        if grants.iter().any(|g| g.resource == p.resource) {
-                                            let t0 = p.t0;
-                                            pending.remove(&req.0);
-                                            ops += 1;
-                                            *hist
-                                                .entry(t0.elapsed().as_micros() as u64)
-                                                .or_insert(0) += 1;
-                                        }
-                                    }
+                let Ok((h, mut it)) = frame_messages(frame) else {
+                    dead = true;
+                    break;
+                };
+                if h.dir != Dir::S2c {
+                    continue;
+                }
+                while let Ok(Some(m)) = it.next_s2c::<R, crate::D>() {
+                    match m {
+                        ToClient::Grants { req, grants } => {
+                            if let Some(p) = pending.get(&req.0) {
+                                if grants.iter().any(|g| g.resource == p.resource) {
+                                    let t0 = p.t0;
+                                    pending.remove(&req.0);
+                                    ops += 1;
+                                    *hist.entry(t0.elapsed().as_micros() as u64).or_insert(0) += 1;
                                 }
-                                ToClient::WriteDone { req, .. } => {
-                                    if let Some(p) = pending.remove(&req.0) {
-                                        ops += 1;
-                                        *hist
-                                            .entry(p.t0.elapsed().as_micros() as u64)
-                                            .or_insert(0) += 1;
-                                    }
-                                }
-                                ToClient::ApprovalRequest { write_id, .. } => {
-                                    // Approvals ride the next flush; a
-                                    // peer's write is blocked on them.
-                                    staged.push(ToServer::Approve { write_id });
-                                }
-                                ToClient::Error { req, .. } => {
-                                    // Shed or unknown resource: done as
-                                    // far as the wire is concerned, but
-                                    // not a completed op.
-                                    sheds += u64::from(pending.remove(&req.0).is_some());
-                                }
-                                _ => {}
                             }
                         }
+                        ToClient::WriteDone { req, .. } => {
+                            if let Some(p) = pending.remove(&req.0) {
+                                ops += 1;
+                                *hist.entry(p.t0.elapsed().as_micros() as u64).or_insert(0) += 1;
+                            }
+                        }
+                        ToClient::ApprovalRequest { write_id, .. } => {
+                            // Approvals ride the next flush; a peer's
+                            // write is blocked on them.
+                            staged.push(ToServer::Approve { write_id });
+                        }
+                        ToClient::Error { req, .. } => {
+                            // Shed or unknown resource: done as far as
+                            // the wire is concerned, but not a completed
+                            // op.
+                            sheds += u64::from(pending.remove(&req.0).is_some());
+                        }
+                        _ => {}
                     }
                 }
-                accum.consume(len);
             }
         }
         if dead {
@@ -1015,33 +1006,30 @@ fn run_gen(o: &GenOpts) -> GenResult {
             Err(_) => break,
         }
         loop {
-            let len = match frame_len(accum.bytes()) {
-                Ok(Some(len)) if accum.bytes().len() >= len => len,
-                Ok(_) => break,
+            let frame = match accum.next_frame() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => break,
                 Err(_) => break 'grace,
             };
+            let Ok((h, mut it)) = frame_messages(frame) else {
+                break 'grace;
+            };
+            if h.dir != Dir::S2c {
+                continue;
+            }
             wire.clear();
             let mut fb = FrameBuilder::begin(&mut wire, Dir::C2s, who);
             let mut any = false;
-            {
-                let frame = &accum.bytes()[..len];
-                let Ok((h, mut it)) = frame_messages(frame) else {
-                    break 'grace;
-                };
-                if h.dir == Dir::S2c {
-                    while let Ok(Some(m)) = it.next_s2c::<R, crate::D>() {
-                        if let ToClient::ApprovalRequest { write_id, .. } = m {
-                            fb.push_c2s(
-                                &mut wire,
-                                &ToServer::Approve::<R, crate::D> { write_id },
-                                None,
-                            );
-                            any = true;
-                        }
-                    }
+            while let Ok(Some(m)) = it.next_s2c::<R, crate::D>() {
+                if let ToClient::ApprovalRequest { write_id, .. } = m {
+                    fb.push_c2s(
+                        &mut wire,
+                        &ToServer::Approve::<R, crate::D> { write_id },
+                        None,
+                    );
+                    any = true;
                 }
             }
-            accum.consume(len);
             fb.finish(&mut wire);
             if any && stream.write_all(&wire).is_err() {
                 break 'grace;

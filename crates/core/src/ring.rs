@@ -550,6 +550,12 @@ impl<T> Lanes<T> {
         }
     }
 
+    /// How many lanes are adopted right now (pending registrations and
+    /// pruned lanes excluded).
+    pub fn adopted(&self) -> usize {
+        self.lanes.len()
+    }
+
     /// Total items currently visible across the adopted lanes (occupancy
     /// for admission pressure).
     pub fn queued(&self) -> usize {

@@ -345,15 +345,14 @@ where
     'conn: while !stop.load(Ordering::SeqCst) {
         // Decode every complete frame currently buffered.
         loop {
-            let complete = match frame_len(rd.bytes()) {
-                Ok(Some(len)) if rd.bytes().len() >= len => len,
-                Ok(_) => break,
+            let frame = match rd.next_frame() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => break,
                 Err(_) => {
                     counters.bad_frames.fetch_add(1, Ordering::Relaxed);
                     break 'conn;
                 }
             };
-            let frame = &rd.bytes()[..complete];
             match decode_into(frame, clock, &mut batch, counters) {
                 Ok(DecodedFrame::Hello(from)) => {
                     let c = from.0 as usize;
@@ -377,7 +376,6 @@ where
                     break 'conn;
                 }
             }
-            rd.consume(complete);
 
             // Publish before reading more: a full shard lane must stall
             // the socket, not grow a buffer.
@@ -512,10 +510,14 @@ fn writer_loop<R, D>(
 }
 
 /// A reusable receive buffer: bytes accumulate at the tail, complete
-/// frames are consumed from the head, and the remainder slides to the
-/// front — no per-read allocation once warm.
+/// frames are consumed from the head by advancing a cursor, and the
+/// unread remainder slides to the front only when the tail runs out of
+/// room — no per-read allocation once warm, no per-frame memmove.
 pub struct FrameAccum {
     buf: Vec<u8>,
+    /// Start of the unread bytes.
+    head: usize,
+    /// End of the unread bytes.
     filled: usize,
 }
 
@@ -530,27 +532,53 @@ impl FrameAccum {
     pub fn new() -> FrameAccum {
         FrameAccum {
             buf: Vec::new(),
+            head: 0,
             filled: 0,
         }
     }
 
     /// The buffered, not-yet-consumed bytes.
     pub fn bytes(&self) -> &[u8] {
-        &self.buf[..self.filled]
+        &self.buf[self.head..self.filled]
     }
 
     /// Discards `n` consumed bytes from the head.
     pub fn consume(&mut self, n: usize) {
-        debug_assert!(n <= self.filled);
-        self.buf.copy_within(n..self.filled, 0);
-        self.filled -= n;
+        debug_assert!(n <= self.filled - self.head);
+        self.head += n;
+    }
+
+    /// The next complete frame, already consumed: `Ok(None)` until a
+    /// whole frame is buffered, `Err` when the bytes at the head cannot
+    /// start one (a corrupt stream — drop the connection). The slice
+    /// stays valid until the next call that adds bytes.
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, WireError> {
+        let len = match frame_len(self.bytes())? {
+            Some(len) if self.bytes().len() >= len => len,
+            _ => return Ok(None),
+        };
+        let start = self.head;
+        self.consume(len);
+        Ok(Some(&self.buf[start..start + len]))
+    }
+
+    /// Makes the tail at least `n` bytes long: slides the unread bytes to
+    /// the front, and grows the buffer if that is still not enough.
+    fn make_room(&mut self, n: usize) {
+        if self.buf.len() - self.filled >= n {
+            return;
+        }
+        self.buf.copy_within(self.head..self.filled, 0);
+        self.filled -= self.head;
+        self.head = 0;
+        if self.buf.len() < self.filled + n {
+            self.buf.resize(self.filled + n, 0);
+        }
     }
 
     /// One `read(2)` into the tail. Returns the byte count (0 = EOF).
     pub fn fill<S: Read>(&mut self, stream: &mut S) -> std::io::Result<usize> {
-        if self.buf.len() < self.filled + READ_CHUNK {
-            self.buf.resize(self.filled + READ_CHUNK, 0);
-        }
+        self.make_room(READ_CHUNK);
         let n = stream.read(&mut self.buf[self.filled..])?;
         self.filled += n;
         Ok(n)
@@ -558,9 +586,7 @@ impl FrameAccum {
 
     /// Appends bytes directly (tests, non-socket sources).
     pub fn extend_from_slice(&mut self, bytes: &[u8]) {
-        if self.buf.len() < self.filled + bytes.len() {
-            self.buf.resize(self.filled + bytes.len(), 0);
-        }
+        self.make_room(bytes.len());
         self.buf[self.filled..self.filled + bytes.len()].copy_from_slice(bytes);
         self.filled += bytes.len();
     }
@@ -576,4 +602,54 @@ pub fn connect_as(addr: &SocketAddr, who: ClientId) -> std::io::Result<TcpStream
     lease_wire::hello_frame(&mut hello, who);
     (&stream).write_all(&hello)?;
     Ok(stream)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A source that hands out its bytes a few at a time.
+    struct Trickle<'a>(&'a [u8], usize);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.1.min(self.0.len()).min(out.len());
+            out[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    /// Frames arriving in arbitrary slices — so most fills end mid-frame
+    /// and the unread tail is carried across the slide to the front —
+    /// come out of `next_frame` whole, in order, byte for byte.
+    #[test]
+    fn next_frame_reassembles_frames_split_across_fills() {
+        let mut frames: Vec<Vec<u8>> = Vec::new();
+        for c in 0..50u32 {
+            let mut f = Vec::new();
+            lease_wire::hello_frame(&mut f, ClientId(c));
+            frames.push(f);
+        }
+        let stream: Vec<u8> = frames.concat();
+        for step in [1, 7, lease_wire::HEADER_LEN + 3, stream.len()] {
+            let mut src = Trickle(&stream, step);
+            let mut accum = FrameAccum::new();
+            let mut got: Vec<Vec<u8>> = Vec::new();
+            while accum.fill(&mut src).expect("read") > 0 {
+                while let Some(frame) = accum.next_frame().expect("well-formed") {
+                    got.push(frame.to_vec());
+                }
+            }
+            assert_eq!(got, frames, "step {step}");
+            assert!(accum.bytes().is_empty());
+        }
+    }
+
+    #[test]
+    fn next_frame_refuses_a_corrupt_head() {
+        let mut accum = FrameAccum::new();
+        accum.extend_from_slice(&[0xff; 64]);
+        assert!(accum.next_frame().is_err());
+    }
 }

@@ -451,7 +451,6 @@ const LANE_BATCH: usize = 64;
 pub(crate) fn spawn_client(
     cache: LeaseClient<Res, Bytes>,
     cmd_rx: Receiver<ClientCmd>,
-    net_rx: Receiver<ToClient<Res, Bytes>>,
     mut lanes: EgressRx<Res, Bytes>,
     port: Box<dyn Port>,
     clock: Arc<dyn Clock>,
@@ -484,8 +483,8 @@ pub(crate) fn spawn_client(
             w.apply(outs);
 
             // The client parks on its egress inbox's one doorbell for
-            // all three inputs: every command send, channel send, and
-            // lane publish rings it. Ticket-before-final-poll makes the
+            // both inputs: every command send and every lane publish
+            // rings it. Ticket-before-final-poll makes the
             // park race-free, and a short spin after a hot iteration
             // catches back-to-back replies without a futex round trip
             // (skipped on a single core, where spinning only steals the
@@ -496,7 +495,6 @@ pub(crate) fn spawn_client(
                 0
             };
             let mut net_buf: Vec<ToClient<Res, Bytes>> = Vec::new();
-            let mut chan_open = true;
             let mut hot = false;
             'main: loop {
                 w.flush_resend();
@@ -521,22 +519,6 @@ pub(crate) fn spawn_client(
                         Err(TryRecvError::Empty) => break,
                     }
                 }
-                if chan_open {
-                    // The cold/chaos/fence channel path.
-                    loop {
-                        match net_rx.try_recv() {
-                            Ok(m) => {
-                                did = true;
-                                w.handle_msg(m);
-                            }
-                            Err(TryRecvError::Empty) => break,
-                            Err(TryRecvError::Disconnected) => {
-                                chan_open = false;
-                                break;
-                            }
-                        }
-                    }
-                }
                 if lanes.drain_into(&mut net_buf, LANE_BATCH) > 0 {
                     did = true;
                     for m in net_buf.drain(..) {
@@ -554,7 +536,7 @@ pub(crate) fn spawn_client(
                             found = true;
                             break;
                         }
-                        if !cmd_rx.is_empty() || (chan_open && !net_rx.is_empty()) {
+                        if !cmd_rx.is_empty() {
                             found = true;
                             break;
                         }

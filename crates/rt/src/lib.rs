@@ -7,8 +7,9 @@
 //! server side runs on the sharded `lease-svc` runtime (the lease table
 //! partitioned by file-id hash across worker threads, expirations driven
 //! by its timer wheel), each client cache is an OS thread, the "network"
-//! is a pair of crossbeam channels per host, and the primary copies live
-//! in a real `lease-store` file store shared by every shard.
+//! is the service's SPSC ring lanes in both directions (with the cut,
+//! fence and chaos filters in front of them), and the primary copies
+//! live in a real `lease-store` file store shared by every shard.
 //!
 //! This is the deployment a downstream user would embed: short leases over
 //! real time, write-through to a durable store, approval callbacks between

@@ -15,9 +15,12 @@
 //!   An unwritable socket is [`PortVerdict::Dropped`] — exactly the
 //!   lost-datagram case §2's retransmission machinery already recovers,
 //!   so a server crash needs no client-side handling at all.
-//! * A reader thread per client decodes reply frames and feeds the
-//!   worker's doorbell, reconnecting (with the hello handshake) whenever
-//!   the connection dies. Reconnection is invisible to the worker: its
+//! * A reader thread per client decodes reply frames and publishes each
+//!   frame's replies into its own ring lane to the worker (one `Release`
+//!   store and one doorbell ring per frame), reconnecting (with the
+//!   hello handshake) whenever the connection dies. A worker slower than
+//!   the socket fills the lane, the reader stalls on it, and TCP flow
+//!   control carries the stall back to the server. Reconnection is invisible to the worker: its
 //!   pending ops simply retransmit into the new connection.
 //!
 //! [`RtSystem`]: crate::system::RtSystem
@@ -32,12 +35,11 @@ use std::time::Duration;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Sender};
 use lease_clock::{Clock, Dur, Time, WallClock};
-use lease_core::ring::Inbox;
 use lease_core::{Backoff, ClientConfig, ClientId, LeaseClient, RetryBudget, ToClient, ToServer};
 use lease_net::connect_as;
 use lease_net::tcp::FrameAccum;
-use lease_svc::Egress;
-use lease_wire::{frame_len, frame_messages, Dir, FrameBuilder};
+use lease_svc::{Egress, EgressWorker};
+use lease_wire::{frame_messages, Dir, FrameBuilder, WireError};
 
 use crate::breaker::CircuitBreaker;
 use crate::client::{spawn_client, ClientCmd, RtClientHandle};
@@ -49,6 +51,9 @@ const POLL: Duration = Duration::from_millis(100);
 
 /// Pause before a reconnection attempt after a refused/dead connection.
 const RECONNECT_PAUSE: Duration = Duration::from_millis(50);
+
+/// Replies a worker's lane holds before its reader stalls.
+const LANE_CAP: usize = 1024;
 
 /// Configuration for a [`NetClient`] fleet.
 pub struct NetClientConfig {
@@ -115,24 +120,21 @@ impl NetClient {
         let recorder = Arc::new(Recorder::with_clock(Arc::clone(&clock)));
         let stop = Arc::new(AtomicBool::new(false));
         // A local egress registry supplies each worker's lanes+doorbell;
-        // the reader threads publish over the channel half and ring the
-        // bell, so the worker's one-bell park loop works unchanged.
-        let egress: Egress<Res, Bytes> = Egress::new(cfg.clients as usize, 1024);
+        // each reader thread is the one producer of its client's lane.
+        let egress: Egress<Res, Bytes> = Egress::new(cfg.clients as usize, LANE_CAP);
         let mut handles = Vec::new();
         let mut cmd_txs = Vec::new();
         let mut threads = Vec::new();
 
         for i in 0..cfg.clients {
             let (cmd_tx, cmd_rx) = unbounded();
-            let (net_tx, net_rx) = unbounded();
             let slot: Arc<Mutex<Option<TcpStream>>> = Arc::new(Mutex::new(None));
 
             threads.push(spawn_reader(
                 cfg.addr,
                 ClientId(i),
                 Arc::clone(&slot),
-                net_tx,
-                egress.inbox(i as usize),
+                egress.worker(),
                 Arc::clone(&stop),
             ));
 
@@ -159,7 +161,6 @@ impl NetClient {
             threads.push(spawn_client(
                 cache,
                 cmd_rx,
-                net_rx,
                 egress.rx(i as usize),
                 Box::new(port),
                 Arc::clone(&clock),
@@ -254,18 +255,18 @@ impl Port for TcpPort {
 }
 
 /// The per-client reader: owns the connect/reconnect loop, decodes reply
-/// frames, and feeds the worker through its channel + doorbell.
+/// frames, and publishes them into its lane to the worker.
 fn spawn_reader(
     addr: SocketAddr,
     who: ClientId,
     slot: Arc<Mutex<Option<TcpStream>>>,
-    net_tx: crossbeam::channel::Sender<ToClient<Res, Bytes>>,
-    inbox: Arc<Inbox<ToClient<Res, Bytes>>>,
+    mut lane: EgressWorker<Res, Bytes>,
     stop: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(format!("lease-net-reader-{}", who.0))
         .spawn(move || {
+            let mut run: Vec<ToClient<Res, Bytes>> = Vec::new();
             while !stop.load(Ordering::SeqCst) {
                 // (Re)connect, with the hello handshake that names us.
                 let mut stream = match connect_as(&addr, who) {
@@ -283,31 +284,10 @@ fn spawn_reader(
                 // prefix from the previous connection.
                 let mut accum = FrameAccum::new();
 
-                'read: while !stop.load(Ordering::SeqCst) {
-                    // Decode every buffered complete frame.
-                    loop {
-                        let len = match frame_len(accum.bytes()) {
-                            Ok(Some(len)) if accum.bytes().len() >= len => len,
-                            Ok(_) => break,
-                            Err(_) => break 'read, // corrupt stream: reconnect
-                        };
-                        let mut delivered = false;
-                        {
-                            let frame = &accum.bytes()[..len];
-                            let Ok((h, mut it)) = frame_messages(frame) else {
-                                break 'read;
-                            };
-                            if h.dir == Dir::S2c {
-                                while let Ok(Some(m)) = it.next_s2c::<Res, Bytes>() {
-                                    let _ = net_tx.send(m);
-                                    delivered = true;
-                                }
-                            }
-                        }
-                        accum.consume(len);
-                        if delivered {
-                            inbox.bell().ring();
-                        }
+                while !stop.load(Ordering::SeqCst) {
+                    // A corrupt stream means reconnect.
+                    if publish_frames(&mut accum, &mut lane, who, &mut run).is_err() {
+                        break;
                     }
                     match accum.fill(&mut stream) {
                         Ok(0) => break, // server closed: reconnect
@@ -325,4 +305,32 @@ fn spawn_reader(
             }
         })
         .expect("spawn net reader")
+}
+
+/// Decodes every complete frame buffered in `accum` and publishes each
+/// reply frame's messages to `who`'s worker as one run: one `Release`
+/// store and one doorbell ring per frame. A full lane blocks here until
+/// the worker drains it (or is gone, which drops the run). `run` is the
+/// caller's reusable scratch, left empty.
+fn publish_frames(
+    accum: &mut FrameAccum,
+    lane: &mut EgressWorker<Res, Bytes>,
+    who: ClientId,
+    run: &mut Vec<ToClient<Res, Bytes>>,
+) -> Result<(), WireError> {
+    run.clear();
+    while let Some(frame) = accum.next_frame()? {
+        let (h, mut it) = frame_messages(frame)?;
+        if h.dir != Dir::S2c {
+            continue;
+        }
+        while let Some(m) = it.next_s2c::<Res, Bytes>()? {
+            run.push(m);
+        }
+        if !run.is_empty() {
+            lane.push_run(who, run);
+            lane.flush_wakes();
+        }
+    }
+    Ok(())
 }

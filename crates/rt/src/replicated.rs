@@ -56,7 +56,7 @@ use crate::breaker::CircuitBreaker;
 use crate::client::{spawn_client, ClientCmd, RtClientHandle};
 use crate::record::Recorder;
 use crate::server::{
-    lock_backend, ChaosNet, ClientLink, DelayPool, Port, PortVerdict, Res, RtFence, RtSink,
+    lock_backend, ChaosNet, DelayPool, Delayed, Port, PortVerdict, Res, RtFence, RtSink,
     SharedBackend, StoreBackend,
 };
 
@@ -96,17 +96,17 @@ impl Storage<Res, Bytes> for GatedBackend {
 ///
 /// The handle sits behind a mutex because the failover routing core is
 /// *shared* state — the current-grantor hint is a property of the whole
-/// cluster, and chaos-delay threads re-resolve it at delivery time — so
-/// it cannot hold per-producer ring lanes the way the single-server
-/// port does. A lock per submission is the pre-ring ingress cost; the
-/// replicated topology is the fault-tolerance subsystem, not the
-/// throughput path, and keeps it.
+/// cluster, and the chaos-delay sleeper re-resolves it at delivery time
+/// — so every client submits through the same lanes. A lock per
+/// submission is the price; the replicated topology is the
+/// fault-tolerance subsystem, not the throughput path, and keeps it.
 struct ReplicaTarget {
     svc: Mutex<SvcHandle<Res, Bytes>>,
     gate: Arc<GrantorGate>,
 }
 
-/// The routing core of the failover port, shared with chaos-delay threads.
+/// The routing core of the failover port, shared with the chaos-delay
+/// sleeper.
 struct PortState {
     replicas: Vec<ReplicaTarget>,
     /// The last replica that accepted traffic. Shared across clients:
@@ -160,12 +160,13 @@ impl PortState {
 }
 
 /// The client-side failover port of the replicated topology. Cloned
-/// per client thread (both fields are shared `Arc`s — the routing core
+/// per client thread (every field is a shared `Arc` — the routing core
 /// really is cluster-wide state).
 #[derive(Clone)]
 pub(crate) struct ReplicaPort {
     state: Arc<PortState>,
     cuts: Arc<Vec<Arc<AtomicBool>>>,
+    delay: Arc<DelayPool>,
 }
 
 impl Port for ReplicaPort {
@@ -189,14 +190,9 @@ impl Port for ReplicaPort {
                 Delivery::Deliver { delay, copies } => {
                     if !delay.is_zero() || copies != 1 {
                         // Late (or duplicated) submissions re-resolve the
-                        // grantor at delivery time, off the client thread.
-                        let state = Arc::clone(&self.state);
-                        std::thread::spawn(move || {
-                            std::thread::sleep(std::time::Duration::from(delay));
-                            for _ in 0..copies {
-                                let _ = state.route(from, msg.clone(), deadline);
-                            }
-                        });
+                        // grantor at delivery time, on the sleeper.
+                        let held = Delayed::Submission(from, msg, deadline);
+                        self.delay.schedule(delay, held, copies);
                         return PortVerdict::Sent;
                     }
                 }
@@ -345,22 +341,15 @@ impl ReplicatedSystemBuilder {
             }
         }
 
-        // Per-client inbound channels, shared by every replica's sink.
-        // Data stays on the channels here (replies must pass the fence's
-        // per-message gate recheck); the egress registry exists only so
-        // each client thread has the one doorbell it parks on.
+        // The per-client reply lanes, shared by every replica's sink:
+        // each replica's shard workers register their own lanes into the
+        // client's one inbox, behind that replica's fence.
         let egress: Egress<Res, Bytes> =
             Egress::new(self.clients as usize, SvcConfig::default().mailbox);
-        let mut link_protos = Vec::new();
-        let mut cuts = Vec::new();
-        let mut net_rxs = Vec::new();
-        for _ in 0..self.clients {
-            let (net_tx, net_rx) = unbounded();
-            let cut = Arc::new(AtomicBool::new(false));
-            link_protos.push((net_tx, cut.clone()));
-            cuts.push(cut);
-            net_rxs.push(net_rx);
-        }
+        let cuts: Vec<Arc<AtomicBool>> = (0..self.clients)
+            .map(|_| Arc::new(AtomicBool::new(false)))
+            .collect();
+        let delay = Arc::new(DelayPool::new(&egress));
         let chaos_net = self.chaos.as_ref().map(|p| {
             Arc::new(ChaosNet::new(
                 p.clone(),
@@ -443,25 +432,15 @@ impl ReplicatedSystemBuilder {
                 on_restart: None,
                 clock: Some(replica_clock),
             };
-            let links: Vec<ClientLink> = link_protos
-                .iter()
-                .enumerate()
-                .map(|(i, (tx, cut))| ClientLink {
-                    tx: tx.clone(),
-                    inbox: egress.inbox(i),
-                    cut: cut.clone(),
-                })
-                .collect();
             let sink = Arc::new(RtSink {
-                links,
+                egress: egress.clone(),
+                cuts: cuts.clone(),
                 chaos: chaos_net.clone(),
                 fence: Some(RtFence {
                     replica: r,
                     gate: Arc::clone(&gate),
                 }),
-                // The fence declines ring egress; leave the registry out.
-                egress: None,
-                delay: DelayPool::new(),
+                delay: Arc::clone(&delay),
             });
             let term = self.term;
             let factory_backend = backend.clone();
@@ -527,25 +506,34 @@ impl ReplicatedSystemBuilder {
             );
         }
 
-        // Clients, submitting through the failover port.
+        // Clients, submitting through the failover port; the sleeper
+        // routes what chaos delayed through the same core.
+        let state = Arc::new(PortState {
+            replicas: service_handles
+                .iter()
+                .enumerate()
+                .map(|(r, svc)| ReplicaTarget {
+                    svc: Mutex::new(svc.clone()),
+                    gate: quorum.gate(r),
+                })
+                .collect(),
+            current: AtomicUsize::new(0),
+            chaos: chaos_net,
+        });
+        delay.route_submissions(Box::new({
+            let state = Arc::clone(&state);
+            move |from, msg, deadline| {
+                let _ = state.route(from, msg, deadline);
+            }
+        }));
         let port = ReplicaPort {
-            state: Arc::new(PortState {
-                replicas: service_handles
-                    .iter()
-                    .enumerate()
-                    .map(|(r, svc)| ReplicaTarget {
-                        svc: Mutex::new(svc.clone()),
-                        gate: quorum.gate(r),
-                    })
-                    .collect(),
-                current: AtomicUsize::new(0),
-                chaos: chaos_net,
-            }),
+            state,
             cuts: Arc::new(cuts.clone()),
+            delay,
         };
         let mut client_handles = Vec::new();
         let mut client_cmd_txs: Vec<Sender<ClientCmd>> = Vec::new();
-        for (i, net_rx) in net_rxs.into_iter().enumerate() {
+        for i in 0..self.clients as usize {
             let (cmd_tx, cmd_rx) = unbounded();
             let cache = LeaseClient::new(
                 ClientId(i as u32),
@@ -569,7 +557,6 @@ impl ReplicatedSystemBuilder {
             threads.push(spawn_client(
                 cache,
                 cmd_rx,
-                net_rx,
                 egress.rx(i),
                 Box::new(port.clone()),
                 client_clock,

@@ -4,20 +4,19 @@
 //! one channel. The real-time deployment now runs on the sharded
 //! `lease-svc` runtime instead: the pieces here adapt it to this crate's
 //! world — the durable [`StoreBackend`] shared by every shard, the
-//! [`RtSink`] that delivers shard output over per-client channels (with
-//! cut switches and seeded chaos faults), and the [`ServerPort`] client
-//! threads use to submit protocol messages into the service.
+//! [`RtSink`] whose per-worker halves filter shard output (cut switches,
+//! replica fence, seeded chaos dice) in front of the per-client ring
+//! lanes, and the [`ServerPort`] client threads use to submit protocol
+//! messages into the service.
 
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 use bytes::Bytes;
-use crossbeam::channel::Sender;
 use lease_clock::{Clock, Dur, Time, WallClock};
-use lease_core::ring::Inbox;
 use lease_core::{ClientId, ServerCounters, Storage, ToClient, ToServer, Version};
 use lease_store::{FileId, Store};
 use lease_svc::{
@@ -232,38 +231,31 @@ impl ChaosNet {
     }
 }
 
-/// Per-client outbound link, with a kill switch for fault injection.
-pub struct ClientLink {
-    /// Channel into the client thread (the cold/chaos/fence path; the
-    /// hot path is the ring lane the [`Egress`] registry hands shard
-    /// workers).
-    pub tx: Sender<ToClient<Res, Bytes>>,
-    /// The client's egress inbox. Every channel send must ring its
-    /// doorbell afterwards — the client thread parks on this one bell
-    /// for *all* of its inputs (commands, channel messages, ring
-    /// lanes).
-    pub inbox: Arc<Inbox<ToClient<Res, Bytes>>>,
-    /// When set, messages to and from this client are dropped.
-    pub cut: Arc<AtomicBool>,
+/// A protocol message held back by chaos, in either direction.
+pub(crate) enum Delayed {
+    /// Server→client: published into the sleeper's own egress lanes.
+    Reply(ClientId, ToClient<Res, Bytes>),
+    /// Client→server: handed to the topology's submission route.
+    Submission(ClientId, ToServer<Res, Bytes>, Option<Time>),
 }
 
-impl ClientLink {
-    /// Sends over the channel and rings the client's doorbell.
-    fn send(&self, msg: ToClient<Res, Bytes>) {
-        let _ = self.tx.send(msg);
-        self.inbox.bell().ring();
-    }
-}
+/// How the sleeper submits a delayed client→server message: one closure
+/// per topology, owning whatever it routes through (the single-server
+/// topology's one handle clone, the replicated topology's failover
+/// core). Must not block: the sleeper serves every link.
+pub(crate) type SubmitRoute = Box<dyn FnMut(ClientId, ToServer<Res, Bytes>, Option<Time>) + Send>;
 
-/// One shared sleeper thread servicing every delayed (or duplicated)
-/// chaos delivery, replacing the unbounded short-lived
-/// `std::thread::spawn` per faulted message: entries wait in a min-heap
-/// keyed by deadline, the sleeper parks until the earliest one is due,
-/// sends it, and rings the client's doorbell. The thread is spawned
-/// lazily on the first delayed delivery (fault-free runs never pay for
-/// it) and exits when the owning [`RtSink`] drops, discarding whatever
-/// is still pending — an undelivered delayed message is
-/// indistinguishable from a dropped one, which chaos already models.
+/// One shared sleeper thread servicing every chaos-delayed (or
+/// duplicated) message of a topology, both directions: entries wait in a
+/// map ordered by deadline, the sleeper parks until the earliest one
+/// is due and then sends it through its *own* sending halves — an
+/// [`EgressWorker`] for replies, the [`SubmitRoute`] for submissions — so
+/// a delayed message costs a map entry: no thread, no handle clone, no
+/// lane registration. The thread is spawned lazily on the first delayed
+/// message (fault-free runs never pay for it) and is stopped and joined
+/// when the pool drops, discarding whatever is still pending — an
+/// undelivered delayed message is indistinguishable from a dropped one,
+/// which chaos already models.
 pub(crate) struct DelayPool {
     inner: Arc<DelayShared>,
 }
@@ -271,67 +263,60 @@ pub(crate) struct DelayPool {
 struct DelayShared {
     state: Mutex<DelayState>,
     cvar: Condvar,
+    /// The sleeper's sending halves. Locked by the sleeper per delivery
+    /// and by [`DelayPool::route_submissions`] once, at set-up.
+    io: Mutex<DelayIo>,
+}
+
+struct DelayIo {
+    replies: EgressWorker<Res, Bytes>,
+    submit: Option<SubmitRoute>,
 }
 
 struct DelayState {
-    heap: BinaryHeap<DelayedSend>,
+    /// Pending messages by `(due, insertion order)`, so the earliest
+    /// deadline comes first and equal deadlines deliver FIFO; the value is
+    /// the message and how many copies of it to send.
+    pending: BTreeMap<(Instant, u64), (Delayed, u32)>,
     seq: u64,
-    started: bool,
+    sleeper: Option<JoinHandle<()>>,
     closed: bool,
 }
 
-struct DelayedSend {
-    due: Instant,
-    /// Insertion order, so equal deadlines deliver FIFO.
-    seq: u64,
-    tx: Sender<ToClient<Res, Bytes>>,
-    inbox: Arc<Inbox<ToClient<Res, Bytes>>>,
-    msg: ToClient<Res, Bytes>,
-    copies: u32,
-}
-
-impl Ord for DelayedSend {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        // `BinaryHeap` is a max-heap; invert so the earliest deadline
-        // surfaces first.
-        other
-            .due
-            .cmp(&self.due)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for DelayedSend {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for DelayedSend {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-
-impl Eq for DelayedSend {}
-
 impl DelayPool {
-    pub fn new() -> DelayPool {
+    /// A pool whose delayed replies reach clients through `egress`.
+    /// Delayed submissions are dropped until
+    /// [`DelayPool::route_submissions`] says where they go.
+    pub fn new(egress: &Egress<Res, Bytes>) -> DelayPool {
         DelayPool {
             inner: Arc::new(DelayShared {
                 state: Mutex::new(DelayState {
-                    heap: BinaryHeap::new(),
+                    pending: BTreeMap::new(),
                     seq: 0,
-                    started: false,
+                    sleeper: None,
                     closed: false,
                 }),
                 cvar: Condvar::new(),
+                io: Mutex::new(DelayIo {
+                    replies: egress.worker(),
+                    submit: None,
+                }),
             }),
         }
     }
 
-    /// Queues `copies` of `msg` for delivery to `link` after `delay`.
-    pub fn schedule(&self, delay: Dur, link: &ClientLink, msg: ToClient<Res, Bytes>, copies: u32) {
+    /// Installs the client→server route (the services it needs exist only
+    /// after the sinks holding this pool do).
+    pub fn route_submissions(&self, route: SubmitRoute) {
+        self.inner
+            .io
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .submit = Some(route);
+    }
+
+    /// Queues `copies` of `what` to be sent once `delay` has passed.
+    pub fn schedule(&self, delay: Dur, what: Delayed, copies: u32) {
         let due = Instant::now() + std::time::Duration::from(delay);
         let mut st = self
             .inner
@@ -343,21 +328,15 @@ impl DelayPool {
         }
         let seq = st.seq;
         st.seq += 1;
-        st.heap.push(DelayedSend {
-            due,
-            seq,
-            tx: link.tx.clone(),
-            inbox: Arc::clone(&link.inbox),
-            msg,
-            copies,
-        });
-        if !st.started {
-            st.started = true;
+        st.pending.insert((due, seq), (what, copies));
+        if st.sleeper.is_none() {
             let inner = Arc::clone(&self.inner);
-            std::thread::Builder::new()
-                .name("rt-chaos-delay".into())
-                .spawn(move || inner.run())
-                .expect("spawn chaos delay sleeper");
+            st.sleeper = Some(
+                std::thread::Builder::new()
+                    .name("rt-chaos-delay".into())
+                    .spawn(move || inner.run())
+                    .expect("spawn chaos delay sleeper"),
+            );
         }
         drop(st);
         self.inner.cvar.notify_one();
@@ -372,25 +351,27 @@ impl Drop for DelayPool {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         st.closed = true;
-        st.heap.clear();
+        st.pending.clear();
+        let sleeper = st.sleeper.take();
         drop(st);
         self.inner.cvar.notify_all();
+        if let Some(t) = sleeper {
+            let _ = t.join();
+        }
     }
 }
 
 impl DelayShared {
     fn run(&self) {
+        let mut run: Vec<ToClient<Res, Bytes>> = Vec::new();
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if st.closed {
                 return;
             }
-            let due = match st.heap.peek() {
-                None => {
-                    st = self.cvar.wait(st).unwrap_or_else(PoisonError::into_inner);
-                    continue;
-                }
-                Some(top) => top.due,
+            let Some((&(due, _), _)) = st.pending.first_key_value() else {
+                st = self.cvar.wait(st).unwrap_or_else(PoisonError::into_inner);
+                continue;
             };
             let now = Instant::now();
             if due > now {
@@ -401,14 +382,26 @@ impl DelayShared {
                     .0;
                 continue;
             }
-            let entry = st.heap.pop().expect("peeked");
+            let (_, (what, copies)) = st.pending.pop_first().expect("peeked");
             // Deliver outside the lock: schedulers must never block
-            // behind a slow (or full) client channel.
+            // behind a slow client's full lane.
             drop(st);
-            for _ in 0..entry.copies {
-                let _ = entry.tx.send(entry.msg.clone());
+            let mut io = self.io.lock().unwrap_or_else(PoisonError::into_inner);
+            match what {
+                Delayed::Reply(to, msg) => {
+                    run.extend((0..copies).map(|_| msg.clone()));
+                    io.replies.push_run(to, &mut run);
+                    io.replies.flush_wakes();
+                }
+                Delayed::Submission(from, msg, deadline) => {
+                    if let Some(submit) = io.submit.as_mut() {
+                        for _ in 0..copies {
+                            submit(from, msg.clone(), deadline);
+                        }
+                    }
+                }
             }
-            entry.inbox.bell().ring();
+            drop(io);
             st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         }
     }
@@ -416,6 +409,7 @@ impl DelayShared {
 
 /// Egress fencing for one replica of the replicated topology: which
 /// replica this service is, and the grantor gate its replies must pass.
+#[derive(Clone)]
 pub(crate) struct RtFence {
     /// This service's replica index (for plan-relative cut windows).
     pub replica: usize,
@@ -425,159 +419,91 @@ pub(crate) struct RtFence {
     pub gate: Arc<lease_quorum::GrantorGate>,
 }
 
-/// Delivers shard output to client threads: over per-client SPSC ring
-/// lanes when the topology is fault-free (each shard worker attaches a
-/// private [`EgressWorker`] at thread start), over the per-client
-/// channels otherwise — chaos rolls per-message dice and the replica
-/// fence re-checks its gate per message, both of which need the shared
-/// one-at-a-time path.
+/// What every shard worker's egress half is built from: the per-client
+/// ring-lane registry plus the filters that sit in front of it.
 pub(crate) struct RtSink {
-    pub links: Vec<ClientLink>,
+    /// The per-client lane registry.
+    pub egress: Egress<Res, Bytes>,
+    /// Per-client cut switches, which fault injection can flip at any
+    /// moment.
+    pub cuts: Vec<Arc<AtomicBool>>,
     pub chaos: Option<Arc<ChaosNet>>,
     /// Present only in the replicated topology.
     pub fence: Option<RtFence>,
-    /// The ring-lane registry; `None` leaves every delivery on the
-    /// channel path.
-    pub egress: Option<Egress<Res, Bytes>>,
-    /// Shared sleeper for chaos-delayed deliveries.
-    pub delay: DelayPool,
+    /// The topology's shared sleeper for chaos-delayed messages.
+    pub delay: Arc<DelayPool>,
 }
 
-/// A shard worker's private egress half in the real-time topology: the
-/// ring lanes plus the per-client cut switches, which fault injection
-/// can flip at any moment and therefore must gate the ring path exactly
-/// like they gate the channel path.
+impl ClientSink<Res, Bytes> for RtSink {
+    fn attach_worker(&self) -> Box<dyn WorkerSink<Res, Bytes>> {
+        Box::new(RtWorkerSink {
+            worker: self.egress.worker(),
+            cuts: self.cuts.clone(),
+            chaos: self.chaos.clone(),
+            fence: self.fence.clone(),
+            delay: Arc::clone(&self.delay),
+        })
+    }
+}
+
+/// One shard worker's egress half in every real-time topology: a filter
+/// in front of the worker's ring lanes. Each message passes the replica
+/// fence, the client's cut switch and the chaos dice — all of which can
+/// change between two messages of one flush — and is dropped, handed to
+/// the [`DelayPool`] sleeper, or left in the flush the lanes then publish
+/// one same-client run at a time.
 struct RtWorkerSink {
     worker: EgressWorker<Res, Bytes>,
     cuts: Vec<Arc<AtomicBool>>,
-    run: Vec<ToClient<Res, Bytes>>,
+    chaos: Option<Arc<ChaosNet>>,
+    fence: Option<RtFence>,
+    delay: Arc<DelayPool>,
+}
+
+impl RtWorkerSink {
+    /// Whether `msg` may go out to `to` right now. A message chaos delays
+    /// or duplicates is handed to the sleeper and refused here.
+    fn admit(&self, to: ClientId, msg: &ToClient<Res, Bytes>) -> bool {
+        let c = to.0 as usize;
+        if let Some(f) = &self.fence {
+            // The gate can lapse mid-batch: re-check per message.
+            let cut_off = self
+                .chaos
+                .as_ref()
+                .is_some_and(|c| c.replica_cut(f.replica));
+            if !f.gate.is_open() || cut_off {
+                return false;
+            }
+        }
+        if self.cuts[c].load(Ordering::Relaxed) {
+            return false;
+        }
+        let Some(chaos) = &self.chaos else {
+            return true;
+        };
+        if chaos.cut(c) {
+            return false;
+        }
+        match chaos.s2c(c) {
+            Delivery::Drop => false,
+            Delivery::Deliver { delay, copies } if !delay.is_zero() || copies != 1 => {
+                // Must not block the shard worker: the shared sleeper
+                // publishes it when due.
+                let held = Delayed::Reply(to, msg.clone());
+                self.delay.schedule(delay, held, copies);
+                false
+            }
+            Delivery::Deliver { .. } => true,
+        }
+    }
 }
 
 impl WorkerSink<Res, Bytes> for RtWorkerSink {
     fn deliver_batch(&mut self, msgs: &mut Vec<(ClientId, ToClient<Res, Bytes>)>) {
-        let mut run = std::mem::take(&mut self.run);
-        let mut it = msgs.drain(..).peekable();
-        while let Some((to, msg)) = it.next() {
-            // Check the cut *before* accumulating the run: a cut
-            // client's messages are discarded as they stream past, not
-            // staged and thrown away.
-            let cut = self.cuts[to.0 as usize].load(Ordering::Relaxed);
-            if !cut {
-                run.push(msg);
-            }
-            while let Some((next, _)) = it.peek() {
-                if *next != to {
-                    break;
-                }
-                let (_, m) = it.next().expect("peeked");
-                if !cut {
-                    run.push(m);
-                }
-            }
-            if !cut {
-                self.worker.push_run(to, &mut run);
-            }
-        }
-        drop(it);
-        self.run = run;
-        self.worker.flush_wakes();
-    }
-}
-
-impl RtSink {
-    /// Whether the replica may emit anything at all right now.
-    fn fenced(&self) -> bool {
-        match &self.fence {
-            None => false,
-            Some(f) => {
-                !f.gate.is_open()
-                    || self
-                        .chaos
-                        .as_ref()
-                        .is_some_and(|c| c.replica_cut(f.replica))
-            }
-        }
-    }
-}
-
-impl ClientSink<Res, Bytes> for RtSink {
-    fn deliver(&self, to: ClientId, msg: ToClient<Res, Bytes>) {
-        if self.fenced() {
-            return;
-        }
-        let link = &self.links[to.0 as usize];
-        if link.cut.load(Ordering::Relaxed) {
-            return;
-        }
-        if let Some(chaos) = &self.chaos {
-            if chaos.cut(to.0 as usize) {
-                return;
-            }
-            match chaos.s2c(to.0 as usize) {
-                Delivery::Drop => return,
-                Delivery::Deliver { delay, copies } => {
-                    if !delay.is_zero() || copies != 1 {
-                        // Delayed (or duplicated) delivery must not block
-                        // the shard worker: hand it to the shared sleeper.
-                        self.delay.schedule(delay, link, msg, copies);
-                        return;
-                    }
-                }
-            }
-        }
-        link.send(msg);
-    }
-
-    fn deliver_batch(&self, msgs: &mut Vec<(ClientId, ToClient<Res, Bytes>)>) {
-        if self.chaos.is_some() || self.fence.is_some() {
-            // Chaos rolls per-message dice (drop/delay/duplicate) and the
-            // fence must be re-checked per message (the gate can lapse
-            // mid-batch); keep the one-at-a-time path.
-            for (to, msg) in msgs.drain(..) {
-                self.deliver(to, msg);
-            }
-            return;
-        }
-        // Shard replies arrive heavily run-clustered (one client's batch
-        // drains in order), so group consecutive same-client messages and
-        // push each run through one locked enqueue. A cut client's
-        // messages are discarded *before* they are accumulated.
-        let mut it = msgs.drain(..).peekable();
-        let mut run: Vec<ToClient<Res, Bytes>> = Vec::new();
-        while let Some((to, msg)) = it.next() {
-            let link = &self.links[to.0 as usize];
-            let cut = link.cut.load(Ordering::Relaxed);
-            if !cut {
-                run.push(msg);
-            }
-            while let Some((next, _)) = it.peek() {
-                if *next != to {
-                    break;
-                }
-                let (_, m) = it.next().expect("peeked");
-                if !cut {
-                    run.push(m);
-                }
-            }
-            if !cut {
-                let _ = link.tx.send_many(run.drain(..));
-                link.inbox.bell().ring();
-            }
-        }
-    }
-
-    fn attach_worker(&self) -> Option<Box<dyn WorkerSink<Res, Bytes>>> {
-        if self.chaos.is_some() || self.fence.is_some() {
-            // Per-message dice and per-message gate rechecks cannot ride
-            // a run-grouped lane publish: stay on the shared path.
-            return None;
-        }
-        let egress = self.egress.as_ref()?;
-        Some(Box::new(RtWorkerSink {
-            worker: egress.worker(),
-            cuts: self.links.iter().map(|l| Arc::clone(&l.cut)).collect(),
-            run: Vec::new(),
-        }))
+        // A refused message is discarded here, before anything is staged
+        // into a lane.
+        msgs.retain(|(to, msg)| self.admit(*to, msg));
+        self.worker.deliver_batch(msgs);
     }
 }
 
@@ -618,13 +544,14 @@ pub trait Port: Send {
 }
 
 /// What client threads hold instead of a channel to a server thread: the
-/// sharded service handle, the cut switches, and the chaos dice for the
-/// inbound direction.
+/// sharded service handle, the cut switches, and the chaos dice (with the
+/// sleeper that serves them) for the inbound direction.
 #[derive(Clone)]
 pub(crate) struct ServerPort {
     pub svc: SvcHandle<Res, Bytes>,
     pub cuts: Arc<Vec<Arc<AtomicBool>>>,
     pub chaos: Option<Arc<ChaosNet>>,
+    pub delay: Arc<DelayPool>,
 }
 
 impl Port for ServerPort {
@@ -646,14 +573,9 @@ impl Port for ServerPort {
                 Delivery::Deliver { delay, copies } => {
                     if !delay.is_zero() || copies != 1 {
                         // Late (or duplicated) submission happens off the
-                        // client thread; the blocking send is fine there.
-                        let svc = self.svc.clone();
-                        std::thread::spawn(move || {
-                            std::thread::sleep(std::time::Duration::from(delay));
-                            for _ in 0..copies {
-                                let _ = svc.send_at(from, msg.clone(), deadline);
-                            }
-                        });
+                        // client thread, on the topology's one sleeper.
+                        let held = Delayed::Submission(from, msg, deadline);
+                        self.delay.schedule(delay, held, copies);
                         return PortVerdict::Sent;
                     }
                 }
@@ -664,5 +586,195 @@ impl Port for ServerPort {
             Err(SvcError::Backpressure) => PortVerdict::RetryAfter(msg),
             Err(_) => PortVerdict::Dropped,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use lease_core::{LeaseServer, MemStorage, ReqId, ServerConfig};
+    use lease_svc::{EgressRx, EgressSink, LeaseService, SvcConfig, SvcHooks};
+
+    use super::*;
+
+    fn reply(n: u64) -> ToClient<Res, Bytes> {
+        ToClient::WriteDone {
+            req: ReqId(n),
+            resource: n,
+            version: Version(n),
+            term: Dur::from_secs(1),
+        }
+    }
+
+    fn req_of(m: &ToClient<Res, Bytes>) -> u64 {
+        match m {
+            ToClient::WriteDone { req, .. } => req.0,
+            other => panic!("unexpected message {other:?}"),
+        }
+    }
+
+    /// A two-client sink with the given cut switches and chaos plan.
+    fn sink(egress: &Egress<Res, Bytes>, cut: [bool; 2], plan: Option<FaultPlan>) -> RtSink {
+        RtSink {
+            egress: egress.clone(),
+            cuts: cut.map(|c| Arc::new(AtomicBool::new(c))).to_vec(),
+            chaos: plan.map(|p| Arc::new(ChaosNet::new(p, WallClock::new(), 2))),
+            fence: None,
+            delay: Arc::new(DelayPool::new(egress)),
+        }
+    }
+
+    fn drain(rx: &mut EgressRx<Res, Bytes>) -> Vec<u64> {
+        let mut out = Vec::new();
+        while rx.drain_into(&mut out, 1024) > 0 {}
+        out.iter().map(req_of).collect()
+    }
+
+    /// The filter sits in front of the lanes: a reply refused by a cut
+    /// switch or eaten by the chaos dice is never staged — the refused
+    /// client's inbox does not even see a lane registered.
+    #[test]
+    fn a_cut_or_chaos_dropped_reply_never_reaches_a_lane() {
+        let egress: Egress<Res, Bytes> = Egress::new(2, 16);
+        let (mut rx0, mut rx1) = (egress.rx(0), egress.rx(1));
+        let mut batch: Vec<(ClientId, ToClient<Res, Bytes>)> =
+            (0..8).map(|n| (ClientId(n as u32 % 2), reply(n))).collect();
+
+        let mut cut0 = sink(&egress, [true, false], None).attach_worker();
+        cut0.deliver_batch(&mut batch);
+        assert!(batch.is_empty());
+        assert_eq!(
+            drain(&mut rx1),
+            [1, 3, 5, 7],
+            "client 1 gets its run, in order"
+        );
+        assert!(drain(&mut rx0).is_empty());
+        assert_eq!(
+            rx0.adopted(),
+            0,
+            "nothing was ever staged for the cut client"
+        );
+
+        let lossy = FaultPlan::new(7).drop_messages(1.0);
+        let mut dropper = sink(&egress, [false, false], Some(lossy)).attach_worker();
+        batch.extend((8..16).map(|n| (ClientId(0), reply(n))));
+        dropper.deliver_batch(&mut batch);
+        assert!(drain(&mut rx0).is_empty());
+        assert_eq!(
+            rx0.adopted(),
+            0,
+            "nothing was ever staged for a dropped reply"
+        );
+    }
+
+    /// A chaos-delayed reply leaves through the sleeper's own lane: the
+    /// worker that refused it registers nothing, and however many replies
+    /// are delayed there is one sleeper.
+    #[test]
+    fn delayed_replies_arrive_through_the_one_sleeper() {
+        let egress: Egress<Res, Bytes> = Egress::new(2, 16);
+        let mut rx0 = egress.rx(0);
+        let slow = FaultPlan::new(3).delay_messages(Dur::from_millis(2));
+        let sink = sink(&egress, [false, false], Some(slow));
+        let mut worker = sink.attach_worker();
+        let mut batch: Vec<_> = (0..200).map(|n| (ClientId(0), reply(n))).collect();
+        worker.deliver_batch(&mut batch);
+
+        let mut got = Vec::new();
+        let t0 = Instant::now();
+        while got.len() < 200 {
+            assert!(
+                t0.elapsed() < Duration::from_secs(5),
+                "{} of 200",
+                got.len()
+            );
+            let ticket = rx0.bell().ticket();
+            let fresh = drain(&mut rx0);
+            if fresh.is_empty() {
+                rx0.bell().wait(ticket, Duration::from_millis(50));
+            }
+            got.extend(fresh);
+        }
+        got.sort_unstable();
+        assert_eq!(got, (0..200).collect::<Vec<u64>>());
+        assert_eq!(rx0.adopted(), 1, "only the sleeper's lane");
+        // The pool and its one sleeper thread: nothing else holds it.
+        assert_eq!(Arc::strong_count(&sink.delay.inner), 2);
+    }
+
+    /// The bug this pins: every chaos-delayed submission used to spawn a
+    /// thread and clone the service handle — a fresh ring per shard, per
+    /// message. Now a thousand of them leave the adopted-lane gauge where
+    /// it started.
+    #[test]
+    fn delayed_submissions_cost_no_thread_and_no_lane() {
+        const N: u64 = 1000;
+        let egress: Egress<Res, Bytes> = Egress::new(2, 2048);
+        let _rx0 = egress.rx(0);
+        let service = LeaseService::spawn(
+            SvcConfig {
+                shards: 2,
+                mailbox: 2048,
+                ..SvcConfig::default()
+            },
+            Arc::new(EgressSink::new(egress.clone())),
+            SvcHooks::default(),
+            |_| {
+                let mut store: MemStorage<Res, Bytes> = MemStorage::new();
+                for r in 0..16 {
+                    store.insert(r, Bytes::new());
+                }
+                (
+                    LeaseServer::new(ServerConfig::fixed(Dur::from_secs(10))),
+                    Box::new(store) as Box<dyn Storage<Res, Bytes> + Send>,
+                )
+            },
+        );
+        let delay = Arc::new(DelayPool::new(&egress));
+        delay.route_submissions(Box::new({
+            let svc = service.handle();
+            move |from, msg, deadline| {
+                let _ = svc.try_send_at(from, msg, deadline);
+            }
+        }));
+        let slow = FaultPlan::new(5).delay_messages(Dur::from_millis(2));
+        let port = ServerPort {
+            svc: service.handle(),
+            cuts: Arc::new(vec![Arc::new(AtomicBool::new(false))]),
+            chaos: Some(Arc::new(ChaosNet::new(slow, WallClock::new(), 1))),
+            delay: Arc::clone(&delay),
+        };
+        let lanes_before = service.stats().expect("stats").gauges.ingress_lanes;
+
+        for n in 0..N {
+            let fetch = ToServer::Fetch {
+                req: ReqId(n),
+                resource: n % 16,
+                cached: None,
+                also_extend: Vec::new(),
+            };
+            assert!(matches!(
+                port.send(ClientId(0), fetch, None),
+                PortVerdict::Sent
+            ));
+        }
+        let t0 = Instant::now();
+        loop {
+            let stats = service.stats().expect("stats");
+            assert_eq!(stats.gauges.ingress_lanes, lanes_before);
+            if stats.counters.fetch_rx == N {
+                break;
+            }
+            assert!(
+                t0.elapsed() < Duration::from_secs(5),
+                "{} of {N} delayed submissions arrived",
+                stats.counters.fetch_rx
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(Arc::strong_count(&delay.inner), 2, "one sleeper, no more");
+        drop((port, delay));
+        service.shutdown();
     }
 }

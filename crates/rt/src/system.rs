@@ -23,8 +23,8 @@ use crate::breaker::CircuitBreaker;
 use crate::client::{spawn_client, ClientCmd, RtClientHandle};
 use crate::record::Recorder;
 use crate::server::{
-    lock_backend, ChaosNet, ClientLink, DelayPool, Res, RtSink, ServerPort, ServerStats,
-    SharedBackend, StoreBackend,
+    lock_backend, ChaosNet, DelayPool, Res, RtSink, ServerPort, ServerStats, SharedBackend,
+    StoreBackend,
 };
 
 /// Builder for an [`RtSystem`].
@@ -208,26 +208,16 @@ impl RtSystemBuilder {
             }
         }
 
-        // Per-client links first: the service's sink needs every one.
-        // Ring-lane egress rides next to the channels — each client gets
-        // an inbox whose doorbell is the one thing its thread parks on.
+        // The reply path first: the service's sink needs it. Each client
+        // gets an inbox of ring lanes whose doorbell is the one thing its
+        // thread parks on, and a cut switch both directions consult.
         let base_cfg = SvcConfig::default();
         let mailbox = self.mailbox.unwrap_or(base_cfg.mailbox);
         let egress: Egress<Res, Bytes> = Egress::new(self.clients as usize, mailbox);
-        let mut links = Vec::new();
-        let mut cuts = Vec::new();
-        let mut net_rxs = Vec::new();
-        for i in 0..self.clients as usize {
-            let (net_tx, net_rx) = unbounded();
-            let cut = Arc::new(AtomicBool::new(false));
-            links.push(ClientLink {
-                tx: net_tx,
-                inbox: egress.inbox(i),
-                cut: cut.clone(),
-            });
-            cuts.push(cut);
-            net_rxs.push(net_rx);
-        }
+        let cuts: Vec<Arc<AtomicBool>> = (0..self.clients)
+            .map(|_| Arc::new(AtomicBool::new(false)))
+            .collect();
+        let delay = Arc::new(DelayPool::new(&egress));
 
         // The sharded lease service, every shard sharing the one durable
         // backend (resources are partitioned, so writers never collide).
@@ -302,11 +292,11 @@ impl RtSystemBuilder {
                 ..base_cfg
             },
             Arc::new(RtSink {
-                links,
+                egress: egress.clone(),
+                cuts: cuts.clone(),
                 chaos: chaos_net.clone(),
                 fence: None,
-                egress: Some(egress.clone()),
-                delay: DelayPool::new(),
+                delay: Arc::clone(&delay),
             }),
             hooks,
             move |i| {
@@ -341,6 +331,15 @@ impl RtSystemBuilder {
             },
         );
         let svc = service.handle();
+        if self.chaos.is_some() {
+            // Chaos-delayed submissions leave the sleeper through its one
+            // handle clone; a lane too full to take one drops it, like
+            // any other datagram chaos loses.
+            let svc = svc.clone();
+            delay.route_submissions(Box::new(move |from, msg, deadline| {
+                let _ = svc.try_send_at(from, msg, deadline);
+            }));
+        }
 
         // The chaos driver replays the plan's shard kills at their
         // plan-relative instants on the true clock.
@@ -382,10 +381,11 @@ impl RtSystemBuilder {
             svc: svc.clone(),
             cuts: Arc::new(cuts.clone()),
             chaos: chaos_net,
+            delay,
         };
         let mut client_handles = Vec::new();
         let mut client_cmd_txs: Vec<Sender<ClientCmd>> = Vec::new();
-        for (i, net_rx) in net_rxs.into_iter().enumerate() {
+        for i in 0..self.clients as usize {
             let (cmd_tx, cmd_rx) = unbounded();
             let cache = LeaseClient::new(
                 ClientId(i as u32),
@@ -409,7 +409,6 @@ impl RtSystemBuilder {
             threads.push(spawn_client(
                 cache,
                 cmd_rx,
-                net_rx,
                 egress.rx(i),
                 Box::new(port.clone()),
                 client_clock,

@@ -27,12 +27,13 @@
 //! shard's first reply to a client registers a fresh lane the client
 //! adopts on its next wakeup. The handshake with the service is
 //! [`ClientSink::attach_worker`]: each worker asks the sink for its
-//! private [`EgressWorker`] at thread start (ring producers are
+//! private sending half at thread start (ring producers are
 //! deliberately `!Sync`, so they cannot live behind the shared sink
-//! `Arc`), and transports that must stay on the shared path — chaos
-//! dice, replica fences — simply decline.
+//! `Arc`). A transport that must look at each message first — chaos
+//! dice, replica fences, cut switches — wraps an [`EgressWorker`] in its
+//! own [`WorkerSink`] and filters in front of [`EgressWorker::push_run`].
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use lease_core::ring::{spsc, Inbox, Lanes, Producer};
 use lease_core::{ClientId, ToClient};
@@ -94,9 +95,9 @@ impl<R: Send + 'static, D: Send + 'static> Egress<R, D> {
         Lanes::new(Arc::clone(&self.inboxes[c]))
     }
 
-    /// Client `c`'s inbox — for transports that keep a side channel
-    /// (cold/chaos paths) and must ring the client's one doorbell after
-    /// publishing to it.
+    /// Client `c`'s inbox — for whoever feeds the client's thread
+    /// something besides replies (application commands, say) and must
+    /// ring the one doorbell that thread parks on.
     pub fn inbox(&self, c: usize) -> Arc<Inbox<ToClient<R, D>>> {
         Arc::clone(&self.inboxes[c])
     }
@@ -224,38 +225,21 @@ impl<R: Send + 'static, D: Send + 'static> WorkerSink<R, D> for EgressWorker<R, 
 }
 
 /// A ready-made [`ClientSink`] over an [`Egress`] registry for
-/// embedders without a transport of their own (benchmarks, tests):
-/// every shard worker gets its own [`EgressWorker`] through the
-/// [`ClientSink::attach_worker`] handshake, and the rare shared-path
-/// call (a custom sink layered on top, a cold single delivery) goes
-/// through one mutex-guarded fallback worker.
+/// embedders without a transport of their own (benchmarks, tests, the
+/// TCP front): every shard worker gets its own [`EgressWorker`].
 pub struct EgressSink<R, D> {
     egress: Egress<R, D>,
-    cold: Mutex<EgressWorker<R, D>>,
 }
 
 impl<R: Send + 'static, D: Send + 'static> EgressSink<R, D> {
     /// Wraps a registry.
     pub fn new(egress: Egress<R, D>) -> EgressSink<R, D> {
-        let cold = Mutex::new(egress.worker());
-        EgressSink { egress, cold }
+        EgressSink { egress }
     }
 }
 
 impl<R: Send + 'static, D: Send + 'static> ClientSink<R, D> for EgressSink<R, D> {
-    fn deliver(&self, to: ClientId, msg: ToClient<R, D>) {
-        let mut w = self.cold.lock().expect("egress cold worker poisoned");
-        let mut one = vec![msg];
-        w.push_run(to, &mut one);
-        w.flush_wakes();
-    }
-
-    fn deliver_batch(&self, msgs: &mut Vec<(ClientId, ToClient<R, D>)>) {
-        let mut w = self.cold.lock().expect("egress cold worker poisoned");
-        w.deliver_batch(msgs);
-    }
-
-    fn attach_worker(&self) -> Option<Box<dyn WorkerSink<R, D>>> {
-        Some(Box::new(self.egress.worker()))
+    fn attach_worker(&self) -> Box<dyn WorkerSink<R, D>> {
+        Box::new(self.egress.worker())
     }
 }

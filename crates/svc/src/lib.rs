@@ -10,18 +10,28 @@
 //!
 //! * **Sharding** — resources are partitioned by key hash ([`shard_of`])
 //!   across N single-threaded shard workers, each owning its slice of the
-//!   lease table behind a bounded crossbeam mailbox. Distinct files never
-//!   contend; the paper's per-datum protocol makes the partition exact.
+//!   lease table. Distinct files never contend; the paper's per-datum
+//!   protocol makes the partition exact.
+//! * **One message path** — a message reaches a shard one way: the
+//!   bounded SPSC ring lane its [`SvcHandle`] owns into that shard
+//!   (protocol inputs, stats requests, injected kills and shutdown
+//!   alike). A reply leaves one way: the private [`WorkerSink`] each
+//!   worker got from [`ClientSink::attach_worker`] — [`EgressWorker`]'s
+//!   per-(shard→client) lanes, or a transport's filter in front of them.
+//!   The protocol asks its transport for nothing but lossy datagrams plus
+//!   retransmission, so a dropped, delayed or fenced message is a filter
+//!   before a lane, never a second transport.
 //! * **Batching** — batched end to end. Ingress: [`SvcHandle::send_batch`]
-//!   routes a whole [`BatchBuf`] in one pass and submits one locked
-//!   enqueue per touched shard. Worker: a shard drains its mailbox in
-//!   batches, so one wakeup amortizes grant/extend/approval processing
-//!   and timer maintenance. Egress: replies accumulate across the whole
-//!   wakeup and leave through a single [`ClientSink::deliver_batch`] call.
+//!   routes a whole [`BatchBuf`] in one pass and publishes one run per
+//!   touched shard with a single `Release` store. Worker: a shard drains
+//!   its lanes in batches, so one wakeup amortizes grant/extend/approval
+//!   processing and timer maintenance. Egress: replies accumulate across
+//!   the whole wakeup and leave through a single
+//!   [`WorkerSink::deliver_batch`] call.
 //! * **Adaptive parking** — a loaded shard spins briefly
 //!   (`SvcConfig::spin` polls) for its next batch before falling back to
-//!   a timed park on the mailbox condvar, keeping the hot path off the
-//!   futex without burning an idle core.
+//!   a timed park on its doorbell, keeping the hot path off the futex
+//!   without burning an idle core.
 //! * **Timer wheel** — lease expirations and write deadlines are driven by
 //!   a hierarchical [`TimerWheel`] (O(1) amortized per timer) instead of a
 //!   heap or a table scan; the table's own expiry index is consulted only
@@ -31,8 +41,9 @@
 //!   with service-global write ids, and routes each approval back to the
 //!   shard that is collecting it (the §3.1 multicast approval path,
 //!   partitioned).
-//! * **Backpressure** — mailboxes are bounded; [`SvcHandle::send`] blocks
-//!   and [`SvcHandle::try_send`] refuses when a shard is saturated.
+//! * **Backpressure** — lanes are bounded (`SvcConfig::mailbox` slots
+//!   each); [`SvcHandle::send`] blocks and [`SvcHandle::try_send`] refuses
+//!   when the handle's lane into a shard is full.
 //! * **Admission control** — beyond transport backpressure, a shard over
 //!   its [`AdmissionControl`] watermark sheds cold fetches with an
 //!   explicit `Shed { retry_after }` reply (renewals, writes, and
@@ -41,7 +52,7 @@
 //!   deadline has already passed.
 //! * **Supervision** — each shard worker runs under a supervisor that
 //!   catches panics and restarts the shard through §5 MaxTerm recovery on
-//!   the *same* mailbox; restart epochs are folded into global write ids
+//!   the *same* lanes; restart epochs are folded into global write ids
 //!   so approvals addressed to a dead incarnation are dropped, not
 //!   misapplied ([`SvcHandle::kill_shard`] injects such a crash on
 //!   purpose).
@@ -57,24 +68,20 @@
 //!
 //! ```
 //! use std::sync::Arc;
+//! use std::time::Duration;
 //! use lease_clock::Dur;
 //! use lease_core::{
 //!     ClientId, LeaseServer, MemStorage, ReqId, ServerConfig, Storage, ToClient, ToServer,
 //! };
-//! use lease_svc::{ClientSink, LeaseService, SvcConfig, SvcHooks};
+//! use lease_svc::{Egress, EgressSink, LeaseService, SvcConfig, SvcHooks};
 //!
-//! // Replies go wherever the embedder wants; here, a channel.
-//! let (tx, rx) = crossbeam::channel::unbounded();
-//! struct Sink(crossbeam::channel::Sender<(ClientId, ToClient<u64, String>)>);
-//! impl ClientSink<u64, String> for Sink {
-//!     fn deliver(&self, to: ClientId, msg: ToClient<u64, String>) {
-//!         let _ = self.0.send((to, msg));
-//!     }
-//! }
+//! // Replies leave over per-client ring lanes; this is client 0's end.
+//! let egress: Egress<u64, String> = Egress::new(1, 64);
+//! let mut replies = egress.rx(0);
 //!
 //! let svc = LeaseService::spawn(
 //!     SvcConfig { shards: 4, ..SvcConfig::default() },
-//!     Arc::new(Sink(tx)),
+//!     Arc::new(EgressSink::new(egress.clone())),
 //!     SvcHooks::default(),
 //!     |_shard| {
 //!         let mut store = MemStorage::new();
@@ -89,9 +96,15 @@
 //! h.send(ClientId(0), ToServer::Fetch {
 //!     req: ReqId(1), resource: 7, cached: None, also_extend: vec![],
 //! }).unwrap();
-//! let (to, reply) = rx.recv().unwrap();
-//! assert_eq!(to, ClientId(0));
-//! assert!(matches!(reply, ToClient::Grants { .. }));
+//! // Ticket before the poll, so a publish can never slip past the park.
+//! let mut got = Vec::new();
+//! while got.is_empty() {
+//!     let ticket = replies.bell().ticket();
+//!     if replies.drain_into(&mut got, 16) == 0 {
+//!         replies.bell().wait(ticket, Duration::from_millis(100));
+//!     }
+//! }
+//! assert!(matches!(got[0], ToClient::Grants { .. }));
 //! svc.shutdown();
 //! ```
 

@@ -2,11 +2,11 @@
 
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use lease_clock::{Clock, Dur, Time, WallClock};
 use lease_core::ring::{spsc, Producer, PushError};
 use lease_core::{
@@ -19,44 +19,20 @@ use crate::shard::{spawn_shard, ShardCtx, ShardIngress, ShardMsg};
 /// Where shard workers deliver protocol messages bound for clients.
 ///
 /// The service owns routing *into* shards; delivery back out is the
-/// embedder's transport (channels in `lease-rt`, a socket in a real
-/// deployment), so it is abstracted behind this one call.
+/// embedder's transport (ring lanes to client threads in `lease-rt`, to
+/// socket writers in `lease-net`), so it is abstracted behind the one
+/// thing every sink must do: hand each shard worker its own sending half.
 pub trait ClientSink<R, D>: Send + Sync {
-    /// Delivers `msg` to client `to`. Must not block indefinitely: a
-    /// blocked sink stalls the shard worker that called it.
-    fn deliver(&self, to: ClientId, msg: ToClient<R, D>);
-
-    /// Delivers one whole egress flush — everything a shard worker
-    /// accumulated across a mailbox drain plus wheel advance — draining
-    /// `msgs` in order.
+    /// Called once by every shard worker, at thread start: the *private*
+    /// sending half that worker flushes through for its whole life,
+    /// restarts included.
     ///
-    /// The default implementation loops over [`ClientSink::deliver`], so
-    /// every existing sink compiles and behaves unchanged. Transports
-    /// should override it to amortize per-message cost (one lock/syscall
-    /// round per *flush*, e.g. by grouping runs of messages to the same
-    /// client); per-client message order must be preserved.
-    fn deliver_batch(&self, msgs: &mut Vec<(ClientId, ToClient<R, D>)>) {
-        for (to, msg) in msgs.drain(..) {
-            self.deliver(to, msg);
-        }
-    }
-
-    /// The egress-lane handshake. A shard worker calls this once, at
-    /// thread start, asking the sink for a *private* sending half it can
-    /// flush through without synchronization; `Some` routes every flush
-    /// of that worker through the returned [`WorkerSink`] instead of the
-    /// shared `deliver`/`deliver_batch` methods.
-    ///
-    /// This exists because a ring [`lease_core::ring::Producer`] is
-    /// deliberately `!Sync` — per-(shard→client) SPSC egress lanes
-    /// cannot live behind the shared `&self` methods of a sink one `Arc`
-    /// of which every worker holds. The default returns `None`: plain
-    /// sinks keep the shared path, and chaos/fenced transports (which
-    /// must roll per-message dice or re-check a gate) decline the
-    /// handshake to stay on it.
-    fn attach_worker(&self) -> Option<Box<dyn WorkerSink<R, D>>> {
-        None
-    }
+    /// Private because a ring [`lease_core::ring::Producer`] is
+    /// deliberately `!Sync` — per-(shard→client) SPSC egress lanes cannot
+    /// live behind the shared `&self` of a sink every worker holds one
+    /// `Arc` of. A transport that drops, delays or fences messages does so
+    /// inside its [`WorkerSink`], in front of the lanes.
+    fn attach_worker(&self) -> Box<dyn WorkerSink<R, D>>;
 }
 
 /// One shard worker's private egress half, produced by
@@ -64,9 +40,11 @@ pub trait ClientSink<R, D>: Send + Sync {
 /// worker thread, so it can hold per-client ring producers and reusable
 /// scratch buffers without a lock.
 pub trait WorkerSink<R, D>: Send {
-    /// Delivers one whole egress flush, draining `msgs` in order
-    /// (per-client order must be preserved). Must not block
-    /// indefinitely.
+    /// Delivers one whole egress flush — everything the worker
+    /// accumulated across a drain plus wheel advance — draining `msgs` in
+    /// order (per-client order must be preserved). Must not block
+    /// indefinitely: a blocked sink stalls the shard worker that called
+    /// it.
     fn deliver_batch(&mut self, msgs: &mut Vec<(ClientId, ToClient<R, D>)>);
 }
 
@@ -112,9 +90,12 @@ impl Default for AdmissionControl {
 pub struct SvcConfig {
     /// Shard worker count. Resources are partitioned by key hash.
     pub shards: usize,
-    /// Bounded mailbox capacity per shard; a full mailbox is the service's
-    /// backpressure signal ([`SvcHandle::send`] blocks,
-    /// [`SvcHandle::try_send`] refuses).
+    /// Capacity of each handle's ring lane into each shard — how much one
+    /// submitter may have in flight per shard. A full lane is the
+    /// service's backpressure signal ([`SvcHandle::send`] blocks,
+    /// [`SvcHandle::try_send`] refuses), and admission control measures
+    /// a shard's occupancy (everything queued across its lanes) against
+    /// this number.
     pub mailbox: usize,
     /// Max messages drained per wakeup, amortizing timer/wheel work.
     pub batch: usize,
@@ -124,8 +105,8 @@ pub struct SvcConfig {
     /// Max sleep when no timer is pending.
     pub idle_wait: Dur,
     /// Adaptive-park spin budget: a shard worker whose last drain was
-    /// non-empty polls its mailbox up to this many times (cheap
-    /// `try_recv` with a spin-loop hint) before falling back to the timed
+    /// non-empty polls its lanes up to this many times (`Acquire` loads
+    /// with a spin-loop hint) before falling back to the timed
     /// park, so shards under sustained load never touch the futex. Idle
     /// shards (empty last drain) park immediately, exactly as before.
     /// `0` disables spinning.
@@ -207,12 +188,13 @@ pub fn shard_of<R: Hash>(resource: &R, shards: usize) -> usize {
 /// Why a call into the service failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SvcError {
-    /// A shard mailbox is full (only from [`SvcHandle::try_send`]).
+    /// The handle's lane into a shard is full (only from the `try_`
+    /// sends).
     Backpressure,
     /// The service has shut down.
     Closed,
-    /// A shard worker is gone: its mailbox is disconnected, or it died
-    /// while holding a request. Distinct from [`SvcError::Timeout`] — the
+    /// A shard worker is gone: its lanes are closed, or it died while
+    /// holding a request. Distinct from [`SvcError::Timeout`] — the
     /// shard will not answer, ever.
     ShardDown(usize),
     /// A shard did not answer within the deadline; it may merely be busy.
@@ -242,6 +224,13 @@ pub struct ShardGauges {
     /// released tenancies whose entry has not fired yet) and the shard's
     /// own (prune, installed tick, one per deferred write for a term).
     pub timer_entries: u64,
+    /// Ingress lanes the worker has adopted: one per live handle (the
+    /// service's own included). A producer that clones a handle per
+    /// message shows up here.
+    pub ingress_lanes: u64,
+    /// Messages waiting in those lanes when the snapshot was taken —
+    /// where ops queue in front of this shard.
+    pub ingress_queued: u64,
 }
 
 /// Merged counters across shards, with the per-shard breakdown.
@@ -279,10 +268,9 @@ pub struct SvcStats {
 /// `Send` but `!Sync`: one thread per handle is what makes the lanes
 /// single-producer. To share a handle across threads (e.g. in a slot a
 /// failover path swaps), wrap it in a `Mutex` — `Mutex<SvcHandle>` is
-/// `Sync` — or give each thread its own clone. The original
-/// shim-crossbeam channel survives as the cold/control path
-/// ([`SvcHandle::send_cold`], stats, shutdown) and as the executable
-/// spec the ring path is property-tested against.
+/// `Sync` — or give each thread its own clone. The lanes are the only
+/// way into a shard: the service's own stats, kill and shutdown messages
+/// ride the lanes of the handle [`LeaseService`] keeps for itself.
 pub struct SvcHandle<R: Resource, D> {
     shared: Arc<HandleShared<R, D>>,
     /// This handle's private SPSC lane into each shard, in shard order.
@@ -291,10 +279,8 @@ pub struct SvcHandle<R: Resource, D> {
 
 /// The per-service state every handle shares.
 pub(crate) struct HandleShared<R: Resource, D> {
-    /// The cold/control channel into each shard.
-    pub(crate) txs: Box<[Sender<ShardMsg<R, D>>]>,
     /// Each shard's doorbell + lane registry.
-    pub(crate) ingress: Box<[Arc<ShardIngress<R, D>>]>,
+    ingress: Box<[Arc<ShardIngress<R, D>>]>,
     /// Capacity of each newly attached lane.
     lane_cap: usize,
 }
@@ -314,8 +300,7 @@ impl<R: Resource, D> SvcHandle<R, D> {
         SvcHandle { shared, lanes }
     }
 
-    /// Rings shard `s`'s doorbell (call after publishing to its lane or
-    /// control channel).
+    /// Rings shard `s`'s doorbell (call after publishing to its lane).
     fn wake(&self, s: usize) {
         self.shared.ingress[s].bell().ring();
     }
@@ -337,7 +322,18 @@ impl<R: Resource, D> SvcHandle<R, D> {
     /// parks while this lane is non-empty (it polls lanes before taking
     /// a doorbell ticket), so spinning here cannot deadlock.
     fn lane_push(&self, s: usize, msg: ShardMsg<R, D>) -> Result<(), SvcError> {
-        let mut msg = msg;
+        self.lane_push_until(s, msg, None)
+    }
+
+    /// [`Self::lane_push`] that gives up with [`SvcError::Timeout`] once
+    /// `deadline` passes — a worker stuck in its sink drains nothing, and
+    /// a caller with a deadline of its own must not wait on it forever.
+    fn lane_push_until(
+        &self,
+        s: usize,
+        mut msg: ShardMsg<R, D>,
+        deadline: Option<Instant>,
+    ) -> Result<(), SvcError> {
         loop {
             match self.lanes[s].try_push(msg) {
                 Ok(()) => {
@@ -346,6 +342,9 @@ impl<R: Resource, D> SvcHandle<R, D> {
                 }
                 Err(PushError::Closed(_)) => return Err(SvcError::Closed),
                 Err(PushError::Full(back)) => {
+                    if deadline.is_some_and(|d| Instant::now() >= d) {
+                        return Err(SvcError::Timeout(s));
+                    }
                     msg = back;
                     std::thread::yield_now();
                 }
@@ -385,9 +384,9 @@ impl<R: Resource, D> Clone for SvcHandle<R, D> {
 /// service — the unit of [`SvcHandle::send_batch`].
 ///
 /// Callers push `(from, msg)` pairs between submits; the handle routes the
-/// whole buffer in one pass (one [`shard_of`] per message, one mailbox
-/// push per *touched shard* instead of one per message) so the per-op
-/// submission cost under load is a queue slot, not a channel round trip.
+/// whole buffer in one pass (one [`shard_of`] per message, one lane
+/// publish per *touched shard* instead of one per message) so the per-op
+/// submission cost under load is a ring slot.
 /// The buffer retains its allocations across submits — a steady-state
 /// producer reuses one `BatchBuf` indefinitely.
 pub struct BatchBuf<R: Resource, D> {
@@ -423,7 +422,7 @@ impl<R: Resource, D> BatchBuf<R, D> {
     }
 
     /// Like [`BatchBuf::push`] with the originating op's deadline: every
-    /// later hop — staging, the shard mailbox, the drain — may drop the
+    /// later hop — staging, the shard's lanes, the drain — may drop the
     /// message once the deadline passes instead of doing dead work for a
     /// caller that has already timed out.
     pub fn push_deadline(&mut self, from: ClientId, msg: ToServer<R, D>, deadline: Option<Time>) {
@@ -491,7 +490,7 @@ impl<R: Resource, D> BatchBuf<R, D> {
 impl<R: Resource, D: Clone> SvcHandle<R, D> {
     /// The shard count.
     pub fn shards(&self) -> usize {
-        self.shared.txs.len()
+        self.shared.ingress.len()
     }
 
     /// Routes `msg` to its shard(s), blocking while a target lane is
@@ -604,8 +603,8 @@ impl<R: Resource, D: Clone> SvcHandle<R, D> {
     }
 
     /// Like [`SvcHandle::send_batch`] but never blocks: each touched
-    /// shard accepts the prefix of its sub-batch that fits its mailbox
-    /// right now. Returns how many routed parts were accepted; the
+    /// shard accepts the prefix of its sub-batch that fits this handle's
+    /// lane right now. Returns how many routed parts were accepted; the
     /// refused remainder is put **back into `buf`** (as individually
     /// resubmittable messages, split parts included), so backpressure
     /// pacing — `lease-rt`'s `RetryAfter` — just resubmits the buffer
@@ -681,60 +680,6 @@ impl<R: Resource, D: Clone> SvcHandle<R, D> {
             return Err(SvcError::ShardDown(shard));
         }
         self.lane_push(shard, ShardMsg::Kill)
-    }
-
-    /// Routes `msg` through the **cold path** — the original
-    /// shim-crossbeam control channel — instead of this handle's lanes.
-    ///
-    /// One shared FIFO, a mutex acquisition per send, a condvar signal
-    /// per wake: the pre-ring ingress, kept alive as the executable spec
-    /// the ring path is property-tested against (`batch_equiv`) and for
-    /// callers that must not touch the per-producer lanes (e.g. a
-    /// chaos-delay thread holding a borrowed handle's clone would
-    /// otherwise register a ring pair per delayed message).
-    pub fn send_cold(&self, from: ClientId, msg: ToServer<R, D>) -> Result<(), SvcError> {
-        let n = self.shards();
-        match route_single(msg, n) {
-            Ok((s, msg)) => {
-                self.shared.txs[s]
-                    .send(ShardMsg::Input {
-                        input: ServerInput::Msg { from, msg },
-                        deadline: None,
-                    })
-                    .map_err(|_| SvcError::Closed)?;
-                self.wake(s);
-                Ok(())
-            }
-            Err(msg) => {
-                let mut staged: Vec<Vec<ShardMsg<R, D>>> = (0..n).map(|_| Vec::new()).collect();
-                route_into(from, msg, None, n, &mut staged);
-                for (s, stage) in staged.iter_mut().enumerate() {
-                    if stage.is_empty() {
-                        continue;
-                    }
-                    self.shared.txs[s]
-                        .send_many(stage.drain(..))
-                        .map_err(|_| SvcError::Closed)?;
-                    self.wake(s);
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// [`SvcHandle::kill_shard`] over the cold path: the kill is ordered
-    /// against [`SvcHandle::send_cold`] traffic (control-channel FIFO),
-    /// not against this handle's lanes. The spec half of the ring-vs-shim
-    /// equivalence tests uses this.
-    pub fn kill_shard_cold(&self, shard: usize) -> Result<(), SvcError> {
-        self.shared
-            .txs
-            .get(shard)
-            .ok_or(SvcError::ShardDown(shard))?
-            .send(ShardMsg::Kill)
-            .map_err(|_| SvcError::Closed)?;
-        self.wake(shard);
-        Ok(())
     }
 }
 
@@ -923,43 +868,41 @@ impl<R: Resource, D: Clone + Send + 'static> LeaseService<R, D> {
         let restarts: Vec<Arc<AtomicU64>> = (0..cfg.shards)
             .map(|_| Arc::new(AtomicU64::new(0)))
             .collect();
-        let mut txs = Vec::with_capacity(cfg.shards);
-        let mut ingress = Vec::with_capacity(cfg.shards);
-        let mut threads = Vec::with_capacity(cfg.shards);
-        for (i, shard_restarts) in restarts.iter().enumerate() {
-            let (tx, rx) = bounded(cfg.mailbox.max(1));
-            let ing = Arc::new(ShardIngress::new());
-            let ctx = ShardCtx {
-                index: i as u64,
-                nshards: cfg.shards as u64,
-                batch: cfg.batch.max(1),
-                tick: cfg.wheel_tick,
-                idle_wait: cfg.idle_wait,
-                spin,
-                mailbox: cfg.mailbox.max(1),
-                ingress: ing.clone(),
-                pin: cfg.pin,
-                admission: cfg.admission,
-                slow: cfg.slow_shard.and_then(|(s, d)| (s == i).then_some(d)),
-                sink: sink.clone(),
-                hooks: hooks.clone(),
-                clock: clock.clone(),
-                factory: factory.clone(),
-                restarts: shard_restarts.clone(),
-                stash: std::sync::Mutex::new(Vec::new()),
-            };
-            threads.push(spawn_shard(rx, ctx));
-            txs.push(tx);
-            ingress.push(ing);
-        }
         let shared = Arc::new(HandleShared {
-            txs: txs.into(),
-            ingress: ingress.into(),
+            ingress: (0..cfg.shards)
+                .map(|_| Arc::new(ShardIngress::new()))
+                .collect(),
             // Each producer lane gets the mailbox's capacity: the knob
             // keeps its meaning as "how much one submitter may have in
             // flight per shard before backpressure".
             lane_cap: cfg.mailbox.max(1),
         });
+        let threads = restarts
+            .iter()
+            .enumerate()
+            .map(|(i, shard_restarts)| {
+                spawn_shard(ShardCtx {
+                    index: i as u64,
+                    nshards: cfg.shards as u64,
+                    batch: cfg.batch.max(1),
+                    tick: cfg.wheel_tick,
+                    idle_wait: cfg.idle_wait,
+                    spin,
+                    mailbox: cfg.mailbox.max(1),
+                    ingress: shared.ingress[i].clone(),
+                    handles: Arc::downgrade(&shared),
+                    pin: cfg.pin,
+                    admission: cfg.admission,
+                    slow: cfg.slow_shard.and_then(|(s, d)| (s == i).then_some(d)),
+                    sink: sink.clone(),
+                    hooks: hooks.clone(),
+                    clock: clock.clone(),
+                    factory: factory.clone(),
+                    restarts: shard_restarts.clone(),
+                    stash: std::sync::Mutex::new(Vec::new()),
+                })
+            })
+            .collect();
         LeaseService {
             handle: SvcHandle::attach(shared),
             threads,
@@ -975,10 +918,10 @@ impl<R: Resource, D: Clone + Send + 'static> LeaseService<R, D> {
     /// Snapshots and merges every shard's counters.
     ///
     /// Fails with [`SvcError::ShardDown`] when a shard's worker is gone
-    /// (its mailbox is disconnected or it died holding the request) and
-    /// with [`SvcError::Timeout`] when a shard is merely too busy to
-    /// answer within 5 seconds — callers can tell a dead shard from a
-    /// slow one.
+    /// (its lanes are closed or it died holding the request) and with
+    /// [`SvcError::Timeout`] when a shard is merely too busy — or too
+    /// stuck in its sink — to take or answer the request within 5
+    /// seconds: callers can tell a dead shard from a slow one.
     ///
     /// Every shard's `Stats` request is issued before any reply is
     /// awaited, and the replies are collected against one shared
@@ -988,23 +931,31 @@ impl<R: Resource, D: Clone + Send + 'static> LeaseService<R, D> {
     /// successful snapshot also means every reply to earlier-submitted
     /// input has left the service.
     pub fn stats(&self) -> Result<SvcStats, SvcError> {
-        let shared = &self.handle.shared;
-        let mut replies = Vec::with_capacity(shared.txs.len());
-        for (i, tx) in shared.txs.iter().enumerate() {
-            let (stx, srx) = bounded(1);
-            tx.send(ShardMsg::Stats {
-                reply: stx,
+        self.stats_within(Duration::from_secs(5))
+    }
+
+    fn stats_within(&self, patience: Duration) -> Result<SvcStats, SvcError> {
+        let shards = self.handle.shards();
+        let deadline = Instant::now() + patience;
+        let mut replies = Vec::with_capacity(shards);
+        for i in 0..shards {
+            let (reply, rx) = sync_channel(1);
+            let request = ShardMsg::Stats {
+                reply,
                 barriered: false,
-            })
-            .map_err(|_| SvcError::ShardDown(i))?;
-            shared.ingress[i].bell().ring();
-            replies.push(srx);
+            };
+            self.handle
+                .lane_push_until(i, request, Some(deadline))
+                .map_err(|e| match e {
+                    SvcError::Closed => SvcError::ShardDown(i),
+                    other => other,
+                })?;
+            replies.push(rx);
         }
-        let deadline = Instant::now() + std::time::Duration::from_secs(5);
         let mut counters = ServerCounters::default();
-        let mut per_shard = Vec::with_capacity(replies.len());
+        let mut per_shard = Vec::with_capacity(shards);
         let mut gauges = ShardGauges::default();
-        let mut per_shard_gauges = Vec::with_capacity(replies.len());
+        let mut per_shard_gauges = Vec::with_capacity(shards);
         for (i, rx) in replies.into_iter().enumerate() {
             let (c, g) = rx
                 .recv_timeout(deadline.saturating_duration_since(Instant::now()))
@@ -1016,6 +967,8 @@ impl<R: Resource, D: Clone + Send + 'static> LeaseService<R, D> {
             per_shard.push(c);
             gauges.leases_live += g.leases_live;
             gauges.timer_entries += g.timer_entries;
+            gauges.ingress_lanes += g.ingress_lanes;
+            gauges.ingress_queued += g.ingress_queued;
             per_shard_gauges.push(g);
         }
         Ok(SvcStats {
@@ -1031,12 +984,12 @@ impl<R: Resource, D: Clone + Send + 'static> LeaseService<R, D> {
         })
     }
 
-    /// Stops every shard worker and waits for them.
+    /// Stops every shard worker and waits for them. (Dropping the service
+    /// and every handle stops the workers too, without the wait: a worker
+    /// whose producers are all gone exits once its lanes are dry.)
     pub fn shutdown(mut self) {
-        let shared = &self.handle.shared;
-        for (i, tx) in shared.txs.iter().enumerate() {
-            let _ = tx.send(ShardMsg::Shutdown);
-            shared.ingress[i].bell().ring();
+        for i in 0..self.handle.shards() {
+            let _ = self.handle.lane_push(i, ShardMsg::Shutdown);
         }
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -1047,36 +1000,59 @@ impl<R: Resource, D: Clone + Send + 'static> LeaseService<R, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::{unbounded, Receiver};
     use lease_core::{Grant, MemStorage, ReqId, ServerConfig};
+    use std::sync::mpsc::{channel as unbounded, Receiver};
 
     type Msg = (ClientId, ToClient<u64, String>);
 
-    struct ChanSink(Sender<Msg>);
-    impl ClientSink<u64, String> for ChanSink {
-        fn deliver(&self, to: ClientId, msg: ToClient<u64, String>) {
-            let _ = self.0.send((to, msg));
+    /// A plain-FIFO test sink: every worker forwards each reply, in
+    /// order, through its own clone of `send` (a channel sender — a
+    /// `sync_channel` one jams the worker once full).
+    struct FifoSink<F>(F);
+
+    impl<F> ClientSink<u64, String> for FifoSink<F>
+    where
+        F: Fn(Msg) + Clone + Send + Sync + 'static,
+    {
+        fn attach_worker(&self) -> Box<dyn WorkerSink<u64, String>> {
+            Box::new(FifoSink(self.0.clone()))
         }
     }
 
-    fn service(shards: usize, resources: u64) -> (LeaseService<u64, String>, Receiver<Msg>) {
+    impl<F: Fn(Msg) + Send> WorkerSink<u64, String> for FifoSink<F> {
+        fn deliver_batch(&mut self, msgs: &mut Vec<Msg>) {
+            msgs.drain(..).for_each(&self.0);
+        }
+    }
+
+    /// A service over 64 resources (`r` holds `"v{r}"`, 10 s terms) whose
+    /// workers hand every reply to a clone of `send`.
+    fn spawn<F>(cfg: SvcConfig, hooks: SvcHooks, send: F) -> LeaseService<u64, String>
+    where
+        F: Fn(Msg) + Clone + Send + Sync + 'static,
+    {
+        LeaseService::spawn(cfg, Arc::new(FifoSink(send)), hooks, |_| {
+            let mut store = MemStorage::new();
+            for r in 0..64u64 {
+                store.insert(r, format!("v{r}"));
+            }
+            (
+                LeaseServer::new(ServerConfig::fixed(Dur::from_secs(10))),
+                Box::new(store) as Box<dyn Storage<u64, String> + Send>,
+            )
+        })
+    }
+
+    fn service(shards: usize) -> (LeaseService<u64, String>, Receiver<Msg>) {
         let (tx, rx) = unbounded();
-        let svc = LeaseService::spawn(
+        let svc = spawn(
             SvcConfig {
                 shards,
                 ..SvcConfig::default()
             },
-            Arc::new(ChanSink(tx)),
             SvcHooks::default(),
-            move |_| {
-                let mut store = MemStorage::new();
-                for r in 0..resources {
-                    store.insert(r, format!("v{r}"));
-                }
-                (
-                    LeaseServer::new(ServerConfig::fixed(Dur::from_secs(10))),
-                    Box::new(store) as Box<dyn Storage<u64, String> + Send>,
-                )
+            move |m| {
+                let _ = tx.send(m);
             },
         );
         (svc, rx)
@@ -1089,7 +1065,7 @@ mod tests {
 
     #[test]
     fn fetches_are_granted_across_shards() {
-        let (svc, rx) = service(4, 16);
+        let (svc, rx) = service(4);
         let h = svc.handle();
         for r in 0..16u64 {
             h.send(
@@ -1130,12 +1106,17 @@ mod tests {
         assert!((16..=20).contains(&stats.gauges.timer_entries));
         let live: u64 = stats.per_shard_gauges.iter().map(|g| g.leases_live).sum();
         assert_eq!(live, 16);
+        // Two handles (the service's own and `h`), one lane each per
+        // shard, and the barrier left nothing waiting in them.
+        assert!(stats.per_shard_gauges.iter().all(|g| g.ingress_lanes == 2));
+        assert_eq!(stats.gauges.ingress_lanes, 8);
+        assert_eq!(stats.gauges.ingress_queued, 0);
         svc.shutdown();
     }
 
     #[test]
     fn batched_extension_splits_into_renewals() {
-        let (svc, rx) = service(4, 8);
+        let (svc, rx) = service(4);
         let h = svc.handle();
         // Take leases on every resource first, remembering versions.
         let mut versions = std::collections::HashMap::new();
@@ -1195,7 +1176,7 @@ mod tests {
 
     #[test]
     fn write_approval_round_trips_through_global_write_ids() {
-        let (svc, rx) = service(4, 8);
+        let (svc, rx) = service(4);
         let h = svc.handle();
         // Client 1 takes a lease on every resource, so every write below
         // needs its approval — wherever the resource's shard is.
@@ -1252,24 +1233,16 @@ mod tests {
         // A 1-slot mailbox feeding a shard whose sink quickly jams: once
         // the worker blocks delivering a reply and the mailbox is full,
         // try_send must refuse rather than block or drop.
-        let (tx, rx) = bounded(1);
-        let svc = LeaseService::spawn(
+        let (tx, rx) = sync_channel(1);
+        let svc = spawn(
             SvcConfig {
                 shards: 1,
                 mailbox: 1,
                 ..SvcConfig::default()
             },
-            Arc::new(ChanSink(tx)),
             SvcHooks::default(),
-            move |_| {
-                let mut store = MemStorage::new();
-                for r in 0..16u64 {
-                    store.insert(r, String::new());
-                }
-                (
-                    LeaseServer::new(ServerConfig::fixed(Dur::from_secs(10))),
-                    Box::new(store) as Box<dyn Storage<u64, String> + Send>,
-                )
+            move |m| {
+                let _ = tx.send(m);
             },
         );
         let h = svc.handle();
@@ -1323,7 +1296,7 @@ mod tests {
 
     #[test]
     fn send_batch_round_trips_across_shards() {
-        let (svc, rx) = service(4, 32);
+        let (svc, rx) = service(4);
         let h = svc.handle();
         let mut buf = BatchBuf::new();
         for r in 0..32u64 {
@@ -1363,7 +1336,7 @@ mod tests {
         // mailbox answer cold fetches with Shed instead of granting.
         use lease_core::ErrorReason;
         let (tx, rx) = unbounded();
-        let svc = LeaseService::spawn(
+        let svc = spawn(
             SvcConfig {
                 shards: 1,
                 mailbox: 8,
@@ -1376,17 +1349,9 @@ mod tests {
                 slow_shard: Some((0, Dur::from_millis(2))),
                 ..SvcConfig::default()
             },
-            Arc::new(ChanSink(tx)),
             SvcHooks::default(),
-            move |_| {
-                let mut store = MemStorage::new();
-                for r in 0..64u64 {
-                    store.insert(r, String::new());
-                }
-                (
-                    LeaseServer::new(ServerConfig::fixed(Dur::from_secs(10))),
-                    Box::new(store) as Box<dyn Storage<u64, String> + Send>,
-                )
+            move |m| {
+                let _ = tx.send(m);
             },
         );
         let h = svc.handle();
@@ -1455,7 +1420,7 @@ mod tests {
 
     #[test]
     fn expired_deadlines_are_dropped_not_processed() {
-        let (svc, rx) = service(1, 8);
+        let (svc, rx) = service(1);
         let h = svc.handle();
         // A deadline far in the past: the shard must drop the input.
         h.send_at(
@@ -1493,7 +1458,7 @@ mod tests {
 
     #[test]
     fn try_send_batch_at_drops_expired_at_the_door() {
-        let (svc, rx) = service(1, 8);
+        let (svc, rx) = service(1);
         let h = svc.handle();
         let mut buf = BatchBuf::new();
         buf.push_deadline(
@@ -1536,24 +1501,16 @@ mod tests {
         // accept what fits and hand the refused remainder back in the
         // buffer, self-contained, so resubmitting exactly `buf` is
         // enough.
-        let (tx, rx) = bounded(1);
-        let svc = LeaseService::spawn(
+        let (tx, rx) = sync_channel(1);
+        let svc = spawn(
             SvcConfig {
                 shards: 1,
                 mailbox: 1,
                 ..SvcConfig::default()
             },
-            Arc::new(ChanSink(tx)),
             SvcHooks::default(),
-            move |_| {
-                let mut store = MemStorage::new();
-                for r in 0..64u64 {
-                    store.insert(r, String::new());
-                }
-                (
-                    LeaseServer::new(ServerConfig::fixed(Dur::from_secs(10))),
-                    Box::new(store) as Box<dyn Storage<u64, String> + Send>,
-                )
+            move |m| {
+                let _ = tx.send(m);
             },
         );
         let h = svc.handle();
@@ -1604,5 +1561,170 @@ mod tests {
         svc.shutdown();
         // Every accepted fetch was answered exactly once.
         assert_eq!(drained + drainer.join().unwrap(), 64);
+    }
+
+    fn fetch(r: u64) -> ToServer<u64, String> {
+        ToServer::Fetch {
+            req: ReqId(r),
+            resource: r,
+            cached: None,
+            also_extend: vec![],
+        }
+    }
+
+    #[test]
+    fn stats_times_out_on_a_jammed_shard_even_with_a_full_control_lane() {
+        // The sink takes one reply and then blocks for good, so the
+        // worker stops draining. The service's own lane (2 slots at
+        // mailbox 1) absorbs two stats requests; the third finds it
+        // full. Every call must give up at its deadline.
+        let (tx, rx) = sync_channel(1);
+        let svc = spawn(
+            SvcConfig {
+                shards: 1,
+                mailbox: 1,
+                ..SvcConfig::default()
+            },
+            SvcHooks::default(),
+            move |m| {
+                let _ = tx.send(m);
+            },
+        );
+        let h = svc.handle();
+        let mut jammed = false;
+        for r in 0..1000u64 {
+            if h.try_send(ClientId(0), fetch(r % 16)) == Err(SvcError::Backpressure) {
+                jammed = true;
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(jammed, "the worker never jammed in its sink");
+        for _ in 0..3 {
+            let t0 = Instant::now();
+            let patience = Duration::from_millis(200);
+            assert_eq!(svc.stats_within(patience).err(), Some(SvcError::Timeout(0)));
+            assert!(t0.elapsed() < patience + Duration::from_secs(2));
+        }
+        // Unjammed, the shard answers again (the abandoned requests are
+        // answered into dropped receivers, harmlessly).
+        let drainer = std::thread::spawn(move || while rx.recv().is_ok() {});
+        assert!(svc.stats().is_ok());
+        svc.shutdown();
+        drainer.join().unwrap();
+    }
+
+    #[test]
+    fn a_dead_shard_reports_shard_down_not_timeout() {
+        // An `on_restart` hook that panics takes the supervisor itself
+        // down with the next injected kill: the thread is gone for good.
+        crate::chaos::silence_injected_kills();
+        let svc = spawn(
+            SvcConfig::default(),
+            SvcHooks {
+                on_restart: Some(Arc::new(|_, _| {
+                    panic!("{}: the supervisor dies too", crate::INJECTED_KILL)
+                })),
+                ..SvcHooks::default()
+            },
+            |_| {},
+        );
+        let h = svc.handle();
+        h.kill_shard(0).unwrap();
+        let t0 = Instant::now();
+        while h.try_send(ClientId(0), fetch(0)) != Err(SvcError::Closed) {
+            assert!(t0.elapsed() < Duration::from_secs(5), "shard never died");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(svc.stats().err(), Some(SvcError::ShardDown(0)));
+        svc.shutdown();
+    }
+
+    #[test]
+    fn stats_barrier_covers_lane_traffic_from_other_handles() {
+        // The stats request rides the service's own lane; the fetches
+        // ride two other handles' lanes. Whatever order the gather met
+        // them in, every reply is in the sink when `stats` returns.
+        let (svc, rx) = service(4);
+        let (a, b) = (svc.handle(), svc.handle());
+        for round in 0..20u64 {
+            for r in 0..32u64 {
+                a.send(ClientId(0), fetch(r)).unwrap();
+                b.send(ClientId(1), fetch(32 + r)).unwrap();
+            }
+            let stats = svc.stats().unwrap();
+            assert_eq!(stats.counters.fetch_rx, 64 * (round + 1));
+            assert_eq!(rx.try_iter().count(), 64, "round {round}");
+        }
+        svc.shutdown();
+    }
+
+    #[test]
+    fn stats_and_shutdown_are_not_starved_by_saturated_data_lanes() {
+        // Three producers keep their 4-slot lanes full for the whole
+        // test; control messages share the round-robin with them.
+        let svc = spawn(
+            SvcConfig {
+                shards: 1,
+                mailbox: 4,
+                batch: 4,
+                ..SvcConfig::default()
+            },
+            SvcHooks::default(),
+            |_| {},
+        );
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let producers: Vec<_> = (0..3u32)
+            .map(|c| {
+                let (h, stop) = (svc.handle(), stop.clone());
+                std::thread::spawn(move || {
+                    let mut r = 0u64;
+                    while !stop.load(Ordering::Relaxed) && h.send(ClientId(c), fetch(r)).is_ok() {
+                        r = (r + 1) % 16;
+                    }
+                })
+            })
+            .collect();
+        let mut seen = 0;
+        for _ in 0..20 {
+            let stats = svc
+                .stats_within(Duration::from_secs(2))
+                .expect("stats starved");
+            assert!(stats.counters.fetch_rx >= seen);
+            seen = stats.counters.fetch_rx;
+        }
+        assert!(seen > 0, "the producers never got through");
+        // Shutdown rides the same round-robin, past still-full lanes.
+        svc.shutdown();
+        stop.store(true, Ordering::Relaxed);
+        for p in producers {
+            p.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn workers_stop_once_the_service_and_every_handle_are_dropped() {
+        // No `shutdown()`: the workers notice their producers are gone,
+        // drain what those left behind, and exit — dropping the sink,
+        // which is what disconnects `rx`.
+        let (svc, rx) = service(2);
+        let h = svc.handle();
+        for r in 0..64u64 {
+            h.send(ClientId(0), fetch(r)).unwrap();
+        }
+        drop(h);
+        drop(svc);
+        let mut replies = 0;
+        loop {
+            match rx.recv_timeout(Duration::from_secs(5)) {
+                Ok(_) => replies += 1,
+                Err(RecvTimeoutError::Disconnected) => break,
+                Err(RecvTimeoutError::Timeout) => panic!("workers still running"),
+            }
+        }
+        assert_eq!(
+            replies, 64,
+            "input queued at drop time must still be answered"
+        );
     }
 }

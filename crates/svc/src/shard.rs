@@ -1,21 +1,22 @@
 //! One shard worker: a supervised thread owning a slice of the lease table.
 //!
 //! Each worker runs an unmodified `lease-core` [`LeaseServer`] over the
-//! resources that hash to its shard. Input arrives on two paths: the hot
-//! path is a set of per-producer SPSC ring *lanes* (one per live
-//! [`crate::SvcHandle`], adopted through the shard's
-//! [`lease_core::ring::Inbox`] and drained round-robin with pure atomic
-//! loads), the cold path is the original shim-crossbeam control channel
-//! (stats, shutdown, `send_cold`). The worker gathers both into one
-//! batch per wakeup (control first, so it cannot starve behind
-//! saturated lanes), accumulates every reply those inputs and the timer
-//! advance produce into an outbox that leaves through a single flush
-//! per wakeup — via the worker's private [`WorkerSink`] egress lanes
-//! when the sink granted one at [`ClientSink::attach_worker`], else the
-//! shared [`ClientSink::deliver_batch`] — drives the core's timers and
-//! the table's expiry pruning from a hierarchical [`TimerWheel`], and
-//! rewrites write ids on outbound approval requests so that approvals
-//! can be routed back to the owning shard from anywhere.
+//! resources that hash to its shard. Everything it is told arrives one
+//! way: per-producer SPSC ring *lanes* (one per live [`crate::SvcHandle`],
+//! adopted through the shard's [`lease_core::ring::Inbox`] and drained
+//! round-robin with pure atomic loads). Protocol inputs, stats requests,
+//! injected kills and shutdown all ride them — the service's control
+//! messages travel the lane of its own handle, and because the sweep's
+//! starting lane rotates every gather, a control message waits at most
+//! one gather per adopted lane however saturated the others are. The
+//! worker gathers one batch per wakeup, accumulates every reply those
+//! inputs and the timer advance produce into an outbox that leaves
+//! through a single flush per wakeup — via the private [`WorkerSink`] the
+//! sink handed it at [`ClientSink::attach_worker`](crate::ClientSink) —
+//! drives the core's timers and the table's expiry pruning from a
+//! hierarchical [`TimerWheel`], and rewrites write ids on outbound
+//! approval requests so that approvals can be routed back to the owning
+//! shard from anywhere.
 //!
 //! Between batches the worker parks *adaptively*: after a non-empty drain
 //! it polls its lanes up to `SvcConfig::spin` times (lock-free `Acquire`
@@ -32,7 +33,7 @@
 //! [`ShardMsg::Kill`] — is treated as a §5 server crash. The supervisor
 //! rebuilds the state machine from the shard factory, replays MaxTerm
 //! recovery from whatever [`SvcHooks::recover_max_term`] persisted, and
-//! resumes on the *same* mailbox, so [`crate::SvcHandle`]s held by clients
+//! resumes on the *same* lanes, so [`crate::SvcHandle`]s held by clients
 //! stay valid across the crash. Every incarnation gets a new *epoch*,
 //! folded into outbound global write ids; approvals addressed to a dead
 //! incarnation carry its old epoch and are dropped on arrival instead of
@@ -42,16 +43,16 @@
 //! An *injected* kill is message-aligned: the dying worker flushes replies
 //! it already computed and stashes the drained-but-unprocessed tail of its
 //! batch for the next incarnation to replay first, so a kill's observable
-//! effect does not depend on how the mailbox was chunked into batches
+//! effect does not depend on how the lanes were chunked into batches
 //! (seeded chaos plans replay identically). Organic panics make no such
 //! promise — a real crash may lose its in-flight batch and outbox.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::mpsc::SyncSender;
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use lease_clock::{Clock, Dur, Time};
 use lease_core::ring::{Inbox, Lanes};
 use lease_core::{
@@ -59,7 +60,9 @@ use lease_core::{
     ServerTimer, Storage, ToClient, ToServer, WriteId,
 };
 
-use crate::service::{AdmissionControl, ClientSink, ShardGauges, SvcHooks, WorkerSink};
+use crate::service::{
+    AdmissionControl, ClientSink, HandleShared, ShardGauges, SvcHooks, WorkerSink,
+};
 use crate::wheel::TimerWheel;
 
 /// Bits of a global write id reserved for the shard's restart epoch.
@@ -89,7 +92,7 @@ pub(crate) enum ShardMsg<R, D> {
     /// Snapshot this shard's counters and gauges.
     Stats {
         /// Where to send the snapshot.
-        reply: Sender<(ServerCounters, ShardGauges)>,
+        reply: SyncSender<(ServerCounters, ShardGauges)>,
         /// Set once the worker has run the ring barrier for this request
         /// (drained and re-queued everything published before it), so a
         /// re-queued stats request is answered instead of re-barriered.
@@ -198,6 +201,9 @@ pub(crate) struct ShardCtx<R: Resource, D> {
     pub mailbox: usize,
     /// Doorbell + lane hand-off shared with every handle.
     pub ingress: Arc<ShardIngress<R, D>>,
+    /// The state every handle holds strongly: once it is gone no producer
+    /// exists and none can appear, so a worker with dry lanes exits.
+    pub handles: Weak<HandleShared<R, D>>,
     /// Pin this worker to core `base + index` (best effort, Linux).
     pub pin: Option<usize>,
     /// Watermark-driven shedding; `None` processes everything.
@@ -213,9 +219,9 @@ pub(crate) struct ShardCtx<R: Resource, D> {
     pub restarts: Arc<AtomicU64>,
     /// Messages an injected kill had already drained but not yet
     /// processed, handed across the panic to the next incarnation (which
-    /// replays them before touching the mailbox, preserving FIFO order).
+    /// replays them before touching the lanes, preserving FIFO order).
     /// Keeps the kill's crash boundary message-aligned no matter how the
-    /// mailbox was chunked into batches; organic panics don't use it — a
+    /// lanes were chunked into batches; organic panics don't use it — a
     /// real crash may lose its in-flight batch.
     pub stash: Mutex<Vec<ShardMsg<R, D>>>,
 }
@@ -248,8 +254,8 @@ fn apply<R, D>(
     for o in outs {
         match o {
             // Outbound protocol messages accumulate in the worker's
-            // outbox and leave in one `deliver_batch` per wakeup, so the
-            // sink's per-call cost is paid per flush, not per message.
+            // outbox and leave in one flush per wakeup, so the sink's
+            // per-call cost is paid per flush, not per message.
             ServerOutput::Send { to, msg } => outbox.push((to, globalize(msg, ctx, epoch))),
             ServerOutput::Multicast { to, msg } => {
                 let msg = globalize(msg, ctx, epoch);
@@ -276,46 +282,20 @@ fn apply<R, D>(
 enum Exit {
     /// [`ShardMsg::Shutdown`] received.
     Shutdown,
-    /// Every sender is gone.
+    /// Every handle is gone and the lanes are dry.
     Disconnected,
 }
 
-/// Non-blocking drain of the cold/control channel (stats, shutdown,
-/// `send_cold` traffic) into `batch`, capped at `max` total batch
-/// entries. `Err(())` means every control sender is gone.
-fn drain_control<R, D>(
-    rx: &Receiver<ShardMsg<R, D>>,
-    batch: &mut Vec<ShardMsg<R, D>>,
-    max: usize,
-) -> Result<(), ()> {
-    while batch.len() < max {
-        match rx.try_recv() {
-            Ok(m) => batch.push(m),
-            Err(TryRecvError::Empty) => return Ok(()),
-            Err(TryRecvError::Disconnected) => return Err(()),
-        }
-    }
-    Ok(())
-}
-
 /// One egress flush: everything the wakeup accumulated leaves through
-/// the worker's private ring-lane sink when the shared sink granted one
-/// at attach time, else through the shared [`ClientSink::deliver_batch`].
+/// the worker's private sink.
 fn flush_outbox<R, D>(
-    ctx: &ShardCtx<R, D>,
-    wsink: &mut Option<Box<dyn WorkerSink<R, D>>>,
+    wsink: &mut dyn WorkerSink<R, D>,
     outbox: &mut Vec<(ClientId, ToClient<R, D>)>,
-) where
-    R: Resource,
-    D: Clone + Send + 'static,
-{
+) {
     if outbox.is_empty() {
         return;
     }
-    match wsink {
-        Some(w) => w.deliver_batch(outbox),
-        None => ctx.sink.deliver_batch(outbox),
-    }
+    wsink.deliver_batch(outbox);
     outbox.clear(); // In case a custom sink did not drain fully.
 }
 
@@ -323,12 +303,11 @@ fn flush_outbox<R, D>(
 /// panic. `lanes` (the adopted per-producer ring consumers with their
 /// round-robin cursor) and `wsink` (the per-worker egress sink) live in
 /// the supervisor so queued ring traffic — and established egress lanes
-/// — survive a crash exactly like the control mailbox does.
+/// — survive a crash.
 fn run<R, D>(
-    rx: &Receiver<ShardMsg<R, D>>,
     ctx: &ShardCtx<R, D>,
     lanes: &mut Lanes<ShardMsg<R, D>>,
-    wsink: &mut Option<Box<dyn WorkerSink<R, D>>>,
+    wsink: &mut dyn WorkerSink<R, D>,
     epoch: u64,
 ) -> Exit
 where
@@ -354,7 +333,7 @@ where
     apply(outs, &mut timers, &mut outbox, ctx, epoch);
 
     // Start from whatever an injected kill left half-drained: those
-    // messages precede everything still in the mailbox, so the new
+    // messages precede everything still in the lanes, so the new
     // incarnation replays them first, preserving FIFO order.
     let mut batch: Vec<ShardMsg<R, D>> = std::mem::take(&mut *ctx.stash.lock().unwrap());
     batch.reserve(ctx.batch.saturating_sub(batch.len()));
@@ -385,7 +364,7 @@ where
 
         // One egress flush per wakeup: everything the drained batch and
         // the wheel advance produced leaves in a single sink call.
-        flush_outbox(ctx, wsink, &mut outbox);
+        flush_outbox(wsink, &mut outbox);
 
         // Gather input (unless a replayed stash is already pending).
         // Ticket first, then poll: any publish after a poll bumps the
@@ -396,16 +375,11 @@ where
         if batch.is_empty() {
             let ticket = ctx.ingress.bell().ticket();
             lanes.prune_disconnected();
-            // Control first: it is rare, low-volume, and must not starve
-            // behind a saturated data path. The per-producer lanes are
-            // drained round-robin behind it.
-            let disconnected = drain_control(rx, &mut batch, ctx.batch).is_err();
-            let room = ctx.batch.saturating_sub(batch.len());
-            lanes.drain_into(&mut batch, room);
+            lanes.drain_into(&mut batch, ctx.batch);
             if batch.is_empty() && hot && ctx.spin > 0 {
                 // Adaptive spin: a loaded shard polls its lanes (pure
-                // Acquire loads — the control mutex is not touched) up
-                // to `spin` times before conceding the park.
+                // Acquire loads) up to `spin` times before conceding
+                // the park.
                 for _ in 0..ctx.spin {
                     if lanes.drain_into(&mut batch, ctx.batch) > 0 {
                         break;
@@ -414,34 +388,40 @@ where
                 }
             }
             if batch.is_empty() {
-                if disconnected {
-                    // Every handle is gone and the lanes are dry.
-                    return Exit::Disconnected;
+                if ctx.handles.strong_count() == 0 {
+                    // Every handle is gone. The fence pairs with the
+                    // Release decrement of the last handle's `Arc` drop,
+                    // so whatever that handle registered or published
+                    // before it died is visible to this final look.
+                    fence(Ordering::Acquire);
+                    if lanes.drain_into(&mut batch, ctx.batch) == 0 {
+                        return Exit::Disconnected;
+                    }
+                } else {
+                    // Until the next entry can fire — its tick boundary,
+                    // not its bare deadline, which under a steady stream
+                    // of write deadlines would have the worker spin
+                    // between the two.
+                    let wait = std::time::Duration::from(
+                        timers
+                            .wheel
+                            .next_fire()
+                            .map(|at| at.saturating_since(ctx.clock.now()))
+                            .map_or(ctx.idle_wait, |d| d.min(ctx.idle_wait)),
+                    );
+                    ctx.ingress.bell().wait(ticket, wait);
+                    // Woken or timed out either way: loop back through
+                    // the wheel advance and re-gather.
                 }
-                // Until the next entry can fire — its tick boundary, not
-                // its bare deadline, which under a steady stream of write
-                // deadlines would have the worker spin between the two.
-                let wait = std::time::Duration::from(
-                    timers
-                        .wheel
-                        .next_fire()
-                        .map(|at| at.saturating_since(ctx.clock.now()))
-                        .map_or(ctx.idle_wait, |d| d.min(ctx.idle_wait)),
-                );
-                ctx.ingress.bell().wait(ticket, wait);
-                // Woken or timed out either way: loop back through the
-                // wheel advance and re-gather.
             }
         }
         hot = !batch.is_empty();
         // Admission pressure: occupancy *behind* this drain — what is
-        // still queued (control plus every adopted lane) after we took
-        // our batch, against the nominal mailbox capacity. Fed to the
-        // server's term controller every wakeup, so sustained overload
-        // degrades granted terms and idle wakeups decay the degradation
-        // back out.
-        let queued = rx.len() + lanes.queued();
-        let occ = queued as f64 / ctx.mailbox as f64;
+        // still queued in the adopted lanes after we took our batch,
+        // against the nominal mailbox capacity. Fed to the server's term
+        // controller every wakeup, so sustained overload degrades granted
+        // terms and idle wakeups decay the degradation back out.
+        let occ = lanes.queued() as f64 / ctx.mailbox as f64;
         server.set_pressure(occ);
         let shed = ctx.admission.filter(|a| occ >= a.shed_watermark);
         let stats_skip_flush = ctx.admission.is_some_and(|a| occ >= a.stats_watermark);
@@ -533,11 +513,10 @@ where
                         // every reply to input submitted before the stats
                         // request has left the service (the contract
                         // `LeaseService::stats` documents and the
-                        // equivalence tests rely on). The control channel
-                        // orders cold traffic by FIFO, but hot traffic
-                        // rides the per-producer lanes — and this gather
-                        // may already have drained lane messages *behind*
-                        // this request in `batch`. So take a snapshot of
+                        // equivalence tests rely on). The request rode one
+                        // lane; input submitted before it on *other*
+                        // lanes may still be queued there, or sit behind
+                        // it in `batch`. So take a snapshot of
                         // everything still visible in the lanes, append
                         // it to the end of the batch, and re-queue the
                         // request (marked) behind all of it. Above the
@@ -554,12 +533,14 @@ where
                             continue;
                         }
                         if !stats_skip_flush {
-                            flush_outbox(ctx, wsink, &mut outbox);
+                            flush_outbox(wsink, &mut outbox);
                         }
                         let table = server.table();
                         let gauges = ShardGauges {
                             leases_live: table.len() as u64,
                             timer_entries: (table.timer_entries() + timers.wheel.len()) as u64,
+                            ingress_lanes: lanes.adopted() as u64,
+                            ingress_queued: lanes.queued() as u64,
                         };
                         let _ = reply.send((server.counters, gauges));
                     }
@@ -571,17 +552,16 @@ where
                         // the next incarnation via the stash. Seeded
                         // chaos plans (and the batch-equivalence tests)
                         // rely on a kill's observable effect not
-                        // depending on how the mailbox happened to be
+                        // depending on how the lanes happened to be
                         // chunked into batches.
-                        flush_outbox(ctx, wsink, &mut outbox);
+                        flush_outbox(wsink, &mut outbox);
                         *ctx.stash.lock().unwrap() = batch.drain(i..).collect();
                         panic!("{INJECTED_KILL}")
                     }
                     ShardMsg::Shutdown => {
-                        // Deliver what this batch already produced; the
-                        // rest of the mailbox is abandoned with the
-                        // service.
-                        flush_outbox(ctx, wsink, &mut outbox);
+                        // Deliver what this batch already produced; what
+                        // is still queued is abandoned with the service.
+                        flush_outbox(wsink, &mut outbox);
                         return Exit::Shutdown;
                     }
                 }
@@ -592,7 +572,7 @@ where
 }
 
 /// Spawns the supervisor thread for one shard.
-pub(crate) fn spawn_shard<R, D>(rx: Receiver<ShardMsg<R, D>>, ctx: ShardCtx<R, D>) -> JoinHandle<()>
+pub(crate) fn spawn_shard<R, D>(ctx: ShardCtx<R, D>) -> JoinHandle<()>
 where
     R: Resource,
     D: Clone + Send + 'static,
@@ -607,18 +587,18 @@ where
             // Adopted lanes (with their round-robin cursor) and the
             // per-worker egress sink live here, outside the incarnation,
             // so ring traffic queued at crash time is replayed by the
-            // next incarnation exactly like the control mailbox
-            // (dropping the consumers would instead sever every live
-            // handle), and established egress lanes survive the restart.
+            // next incarnation (dropping the consumers would instead
+            // sever every live handle), and established egress lanes
+            // survive the restart.
             let mut lanes: Lanes<ShardMsg<R, D>> = Lanes::new(Arc::clone(&ctx.ingress));
-            let mut wsink: Option<Box<dyn WorkerSink<R, D>>> = ctx.sink.attach_worker();
+            let mut wsink: Box<dyn WorkerSink<R, D>> = ctx.sink.attach_worker();
             loop {
                 match catch_unwind(AssertUnwindSafe(|| {
-                    run(&rx, &ctx, &mut lanes, &mut wsink, epoch)
+                    run(&ctx, &mut lanes, &mut *wsink, epoch)
                 })) {
                     Ok(Exit::Shutdown) | Ok(Exit::Disconnected) => break,
                     Err(_) => {
-                        // Crash: restart on the same mailbox with the next
+                        // Crash: restart on the same lanes with the next
                         // epoch. Unprocessed inputs queued behind the
                         // panic are handled by the new incarnation, which
                         // answers them with fresh (post-recovery) state.

@@ -1,20 +1,17 @@
-//! Property: ring-lane submission — one-by-one or batched in arbitrary
-//! chunkings — is *observationally equivalent* to the shim-channel cold
-//! path, which survives as the executable spec of the pre-ring ingress.
+//! Property: batched submission in arbitrary chunkings is
+//! *observationally equivalent* to submitting the same messages one by
+//! one.
 //!
-//! The same op stream pushed three ways — one-by-one through the cold
-//! path (`send_cold`/`kill_shard_cold`: one shared FIFO, a lock per
-//! send), one-by-one through this handle's SPSC lanes (`send`), and
-//! chunked through shard-affine `send_batch` — including with a shard
-//! kill/restart injected mid-stream, possibly mid-batch — must leave
-//! the service in the same observable state: the same merged
-//! [`ServerCounters`] and the same multiset of delivered `ToClient`
-//! messages. This is the license for the whole ring ingress and every
-//! batching layer in the message path (the router's one-pass staging,
-//! the ring's single-publish `push_from`, the worker's round-robin lane
-//! drain and outbox, the sink's `deliver_batch`): lanes may reorder
-//! *between* shards but must preserve each shard's FIFO and lose
-//! nothing.
+//! The same op stream pushed two ways — one-by-one through this handle's
+//! SPSC lanes (`send`), and chunked through shard-affine `send_batch` —
+//! including with a shard kill/restart injected mid-stream, possibly
+//! mid-batch — must leave the service in the same observable state: the
+//! same merged [`ServerCounters`] and the same multiset of delivered
+//! `ToClient` messages. This is the license for every batching layer in
+//! the message path (the router's one-pass staging, the ring's
+//! single-publish `push_from`, the worker's round-robin lane drain and
+//! outbox, the sink's `deliver_batch`): lanes may reorder *between*
+//! shards but must preserve each shard's FIFO and lose nothing.
 //!
 //! Determinism notes: a fixed [`TermPolicy`](lease_core::TermPolicy)
 //! keeps grant terms constant (terms are relative `Dur`s, not wall
@@ -24,15 +21,15 @@
 //! before answering, so after `stats()` returns every reply to earlier
 //! input is in the sink.
 
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Sender};
 use lease_clock::Dur;
 use lease_core::{
     ClientId, LeaseHandle, LeaseServer, MemStorage, ReqId, ServerConfig, Storage, ToClient,
     ToServer, Version,
 };
-use lease_svc::{BatchBuf, ClientSink, LeaseService, SvcConfig, SvcHooks};
+use lease_svc::{BatchBuf, ClientSink, LeaseService, SvcConfig, SvcHooks, WorkerSink};
 use proptest::prelude::*;
 
 const SHARDS: usize = 3;
@@ -40,10 +37,18 @@ const RESOURCES: u64 = 12;
 
 type Msg = (ClientId, ToClient<u64, u64>);
 
+/// Collects every worker's flushes into one channel.
 struct ChanSink(Sender<Msg>);
 impl ClientSink<u64, u64> for ChanSink {
-    fn deliver(&self, to: ClientId, msg: ToClient<u64, u64>) {
-        let _ = self.0.send((to, msg));
+    fn attach_worker(&self) -> Box<dyn WorkerSink<u64, u64>> {
+        Box::new(ChanSink(self.0.clone()))
+    }
+}
+impl WorkerSink<u64, u64> for ChanSink {
+    fn deliver_batch(&mut self, msgs: &mut Vec<Msg>) {
+        for m in msgs.drain(..) {
+            let _ = self.0.send(m);
+        }
     }
 }
 
@@ -105,8 +110,6 @@ fn step() -> impl Strategy<Value = Step> {
 /// How the stream is submitted to the service.
 #[derive(Clone, Copy)]
 enum Mode<'a> {
-    /// One-by-one over the shim control channel — the executable spec.
-    Cold,
     /// One-by-one over this handle's SPSC ring lanes.
     Lanes,
     /// Shard-affine `send_batch` over the lanes, cut into buffers of
@@ -119,7 +122,7 @@ enum Mode<'a> {
 /// messages. A kill always flushes the open buffer first so it lands
 /// at the same per-shard stream position in every mode.
 fn run(steps: &[Step], mode: Mode<'_>) -> (String, Vec<String>) {
-    let (tx, rx) = unbounded();
+    let (tx, rx) = channel();
     let svc = LeaseService::spawn(
         SvcConfig {
             shards: SHARDS,
@@ -140,14 +143,6 @@ fn run(steps: &[Step], mode: Mode<'_>) -> (String, Vec<String>) {
     );
     let h = svc.handle();
     match mode {
-        Mode::Cold => {
-            for s in steps {
-                match s {
-                    Step::Msg(from, msg) => h.send_cold(*from, msg.clone()).unwrap(),
-                    Step::Kill(shard) => h.kill_shard_cold(*shard).unwrap(),
-                }
-            }
-        }
         Mode::Lanes => {
             for s in steps {
                 match s {
@@ -195,7 +190,7 @@ fn run(steps: &[Step], mode: Mode<'_>) -> (String, Vec<String>) {
 
 proptest! {
     #[test]
-    fn ring_lanes_match_the_shim_spec(
+    fn chunked_batches_match_one_by_one_sends(
         steps in proptest::collection::vec(step(), 1..48),
         chunks in proptest::collection::vec(1usize..9, 1..6),
         kill in proptest::option::of((0usize..48, 0usize..SHARDS)),
@@ -205,14 +200,10 @@ proptest! {
         if let Some((at, shard)) = kill {
             steps.insert(at.min(steps.len()), Step::Kill(shard));
         }
-        let (spec_counters, spec_msgs) = run(&steps, Mode::Cold);
         let (lane_counters, lane_msgs) = run(&steps, Mode::Lanes);
         let (chunk_counters, chunk_msgs) = run(&steps, Mode::Chunked(&chunks));
-        prop_assert_eq!(&spec_counters, &lane_counters);
-        prop_assert_eq!(&spec_counters, &chunk_counters);
-        prop_assert_eq!(spec_msgs.len(), lane_msgs.len());
-        prop_assert_eq!(&spec_msgs, &lane_msgs);
-        prop_assert_eq!(spec_msgs.len(), chunk_msgs.len());
-        prop_assert_eq!(&spec_msgs, &chunk_msgs);
+        prop_assert_eq!(&lane_counters, &chunk_counters);
+        prop_assert_eq!(lane_msgs.len(), chunk_msgs.len());
+        prop_assert_eq!(&lane_msgs, &chunk_msgs);
     }
 }

@@ -1,15 +1,15 @@
 //! Property: ring-lane egress — shard workers publishing reply runs
 //! into per-client SPSC lanes with coalesced doorbells — is
-//! *observationally equivalent* to the channel sink, which survives as
-//! the executable spec of the pre-ring reply path (and as the live
-//! cold/chaos/fence transport in `lease-rt`).
+//! *observationally equivalent* to a reference sink that does nothing
+//! clever: the test-local [`FifoSink`] below forwards every reply, one
+//! at a time, into a single FIFO.
 //!
 //! The same op stream run against both sinks — including with a shard
 //! kill/restart injected mid-stream, so a flush is interrupted and the
 //! restarted worker keeps publishing into the *same* lanes — must
 //! deliver the same multiset of `ToClient` messages **per client** and
 //! leave the same merged [`ServerCounters`]. Lanes from different shard
-//! workers may interleave differently than channel sends, but nothing
+//! workers may interleave differently than the FIFO does, but nothing
 //! may be lost, duplicated, or misrouted; with a single shard the
 //! per-client delivery *order* must match exactly (one producer, one
 //! lane, FIFO on both paths).
@@ -19,18 +19,20 @@
 //! both runs, and `stats()` is the egress barrier — each shard flushes
 //! its outbox (through its attached [`EgressWorker`] in ring mode)
 //! before answering, so after `stats()` returns every reply is either
-//! in the channel or published in a lane.
+//! in the FIFO or published in a lane.
 
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Sender};
 use lease_clock::Dur;
 use lease_core::{
     ClientId, LeaseHandle, LeaseServer, MemStorage, ReqId, ServerConfig, Storage, ToClient,
     ToServer, Version,
 };
-use lease_svc::{ClientSink, Egress, EgressRx, EgressSink, LeaseService, SvcConfig, SvcHooks};
+use lease_svc::{
+    ClientSink, Egress, EgressRx, EgressSink, LeaseService, SvcConfig, SvcHooks, WorkerSink,
+};
 use proptest::prelude::*;
 
 const CLIENTS: usize = 2;
@@ -38,10 +40,18 @@ const RESOURCES: u64 = 12;
 
 type Msg = (ClientId, ToClient<u64, u64>);
 
-struct ChanSink(Sender<Msg>);
-impl ClientSink<u64, u64> for ChanSink {
-    fn deliver(&self, to: ClientId, msg: ToClient<u64, u64>) {
-        let _ = self.0.send((to, msg));
+/// The reference: every worker appends each reply to one shared FIFO.
+struct FifoSink(Sender<Msg>);
+impl ClientSink<u64, u64> for FifoSink {
+    fn attach_worker(&self) -> Box<dyn WorkerSink<u64, u64>> {
+        Box::new(FifoSink(self.0.clone()))
+    }
+}
+impl WorkerSink<u64, u64> for FifoSink {
+    fn deliver_batch(&mut self, msgs: &mut Vec<Msg>) {
+        for m in msgs.drain(..) {
+            let _ = self.0.send(m);
+        }
     }
 }
 
@@ -97,17 +107,17 @@ fn step() -> impl Strategy<Value = Step> {
         })
 }
 
-/// Runs the stream against the channel sink (`ring == false`) or the
+/// Runs the stream against the reference sink (`ring == false`) or the
 /// ring-lane sink (`ring == true`) and returns the merged counters plus
 /// each client's delivered messages in arrival order.
 fn run(steps: &[Step], shards: usize, ring: bool) -> (String, Vec<Vec<String>>) {
-    let (tx, chan_rx) = unbounded();
+    let (tx, fifo_rx) = channel();
     let egress: Egress<u64, u64> = Egress::new(CLIENTS, 1024);
     let mut lane_rxs: Vec<EgressRx<u64, u64>> = (0..CLIENTS).map(|c| egress.rx(c)).collect();
     let sink: Arc<dyn ClientSink<u64, u64>> = if ring {
         Arc::new(EgressSink::new(egress.clone()))
     } else {
-        Arc::new(ChanSink(tx))
+        Arc::new(FifoSink(tx))
     };
     let svc = LeaseService::spawn(
         SvcConfig {
@@ -146,7 +156,7 @@ fn run(steps: &[Step], shards: usize, ring: bool) -> (String, Vec<Vec<String>>) 
             }
         }
     } else {
-        while let Ok((to, m)) = chan_rx.try_recv() {
+        while let Ok((to, m)) = fifo_rx.try_recv() {
             per_client[to.0 as usize].push(format!("{m:?}"));
         }
     }
@@ -158,7 +168,7 @@ proptest! {
     /// paths (cross-shard interleaving is scheduling, not semantics),
     /// with the same counters, kill included.
     #[test]
-    fn ring_egress_matches_the_channel_spec(
+    fn ring_egress_matches_the_fifo_reference(
         steps in proptest::collection::vec(step(), 1..48),
         kill in proptest::option::of((0usize..48, 0usize..3)),
     ) {
@@ -177,7 +187,7 @@ proptest! {
     }
 
     /// Single shard: one producer per client lane, so per-client
-    /// delivery *order* must match the channel path exactly.
+    /// delivery *order* must match the reference exactly.
     #[test]
     fn single_shard_ring_egress_preserves_order(
         steps in proptest::collection::vec(step(), 1..32),

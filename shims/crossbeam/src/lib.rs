@@ -2,17 +2,10 @@
 //!
 //! Implements the `channel` module subset the workspace uses: MPMC
 //! `unbounded`/`bounded` channels over `Mutex` + `Condvar` (bounded `send`
-//! genuinely blocks when full — the lease service's mailbox backpressure
-//! depends on that), and a `select!` macro supporting the
+//! genuinely blocks when full), and a `select!` macro supporting the
 //! two-receivers-plus-`default(timeout)` form. Not lock-free like the real
-//! crate, but semantically equivalent for these uses.
-//!
-//! **Shim extension:** `Sender::send_many`/`try_send_many` and
-//! `Receiver::recv_many` are batch primitives real crossbeam does not
-//! have. The lease service's batched message path needs "many messages,
-//! one lock/futex round" semantics; with the real crate those calls would
-//! be loops over `send`/`try_recv` (still correct, just without the
-//! amortization this Mutex-based shim gets from batching).
+//! crate, but semantically equivalent for these uses — and a strict
+//! subset of its API: nothing here lacks an upstream counterpart.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -139,76 +132,6 @@ pub mod channel {
             }
         }
 
-        /// Queues every value in `values`, taking the channel lock once
-        /// per run of available space instead of once per value — the
-        /// batched-ingress primitive the lease service's `send_batch`
-        /// amortizes its per-message cost through. Blocks while the
-        /// channel is full, like [`Sender::send`]. On disconnection the
-        /// first unsent value comes back in the error; any values already
-        /// queued stay queued (receivers may still drain them).
-        ///
-        /// (Not part of real crossbeam's API; see the shim note below.)
-        pub fn send_many<I>(&self, values: I) -> Result<(), SendError<T>>
-        where
-            I: IntoIterator<Item = T>,
-        {
-            let mut values = values.into_iter();
-            let mut inner = self.chan.inner.lock().unwrap();
-            let mut pushed = false;
-            loop {
-                if inner.receivers == 0 {
-                    if pushed {
-                        self.chan.on_item.notify_all();
-                    }
-                    return match values.next() {
-                        Some(v) => Err(SendError(v)),
-                        None => Ok(()),
-                    };
-                }
-                while inner.cap.is_none_or(|c| inner.queue.len() < c) {
-                    match values.next() {
-                        Some(v) => {
-                            inner.queue.push_back(v);
-                            pushed = true;
-                        }
-                        None => {
-                            if pushed {
-                                self.chan.on_item.notify_all();
-                            }
-                            return Ok(());
-                        }
-                    }
-                }
-                // Full: wake the receiver(s) for what we queued, then wait
-                // for space.
-                self.chan.on_item.notify_all();
-                pushed = false;
-                inner = self.chan.on_space.wait(inner).unwrap();
-            }
-        }
-
-        /// Queues as many leading values of `values` as fit right now,
-        /// under one lock acquisition, draining the accepted prefix from
-        /// the `Vec`. Returns how many were accepted; the refused suffix
-        /// stays in `values` for the caller's backpressure handling.
-        /// `Err(Disconnected)` means no receiver remains (nothing drained).
-        pub fn try_send_many(&self, values: &mut Vec<T>) -> Result<usize, TrySendError<()>> {
-            let mut inner = self.chan.inner.lock().unwrap();
-            if inner.receivers == 0 {
-                return Err(TrySendError::Disconnected(()));
-            }
-            let room = match inner.cap {
-                Some(c) => c.saturating_sub(inner.queue.len()),
-                None => values.len(),
-            };
-            let n = room.min(values.len());
-            if n > 0 {
-                inner.queue.extend(values.drain(..n));
-                self.chan.on_item.notify_all();
-            }
-            Ok(n)
-        }
-
         /// Queues the value only if there is room right now.
         pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
             let mut inner = self.chan.inner.lock().unwrap();
@@ -292,21 +215,6 @@ pub mod channel {
                     .unwrap();
                 inner = guard;
             }
-        }
-
-        /// Moves up to `max` already-queued messages into `buf` under one
-        /// lock acquisition — the batch-drain primitive shard workers use
-        /// so a wakeup costs one lock, not one per message. Returns how
-        /// many were moved (0 when the queue is empty; disconnection is
-        /// surfaced by the next blocking receive).
-        pub fn recv_many(&self, buf: &mut Vec<T>, max: usize) -> usize {
-            let mut inner = self.chan.inner.lock().unwrap();
-            let n = max.min(inner.queue.len());
-            if n > 0 {
-                buf.extend(inner.queue.drain(..n));
-                self.chan.on_space.notify_all();
-            }
-            n
         }
 
         /// Takes a message only if one is already queued.
