@@ -451,22 +451,33 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
         r
     }
 
+    /// The hit fast path (§2): if `resource` is cached under a lease valid
+    /// at `now`, counts the hit and returns the data and its version — no
+    /// server contact, no allocation. `None` means a miss, which goes
+    /// through [`LeaseClient::handle`]. The one implementation of a hit:
+    /// `handle` calls this for every read, and a runtime may call it
+    /// directly to serve a hit on the application's own thread.
+    pub fn read_hit(&mut self, now: Time, resource: R) -> Option<(D, Version)> {
+        let e = self.entries.get_mut(&resource)?;
+        if e.expiry <= now {
+            return None;
+        }
+        e.last_used = now;
+        self.counters.hits += 1;
+        Some((e.data.clone(), e.version))
+    }
+
     fn on_read(&mut self, now: Time, op: OpId, resource: R, out: &mut Vec<ClientOutput<R, D>>) {
-        if let Some(e) = self.entries.get_mut(&resource) {
-            if e.expiry > now {
-                // Fast path: valid lease, no server contact (§2).
-                e.last_used = now;
-                self.counters.hits += 1;
-                out.push(ClientOutput::Done {
-                    op,
-                    result: Ok(OpOutcome::Read {
-                        data: e.data.clone(),
-                        version: e.version,
-                        from_cache: true,
-                    }),
-                });
-                return;
-            }
+        if let Some((data, version)) = self.read_hit(now, resource) {
+            out.push(ClientOutput::Done {
+                op,
+                result: Ok(OpOutcome::Read {
+                    data,
+                    version,
+                    from_cache: true,
+                }),
+            });
+            return;
         }
         if self.entries.contains_key(&resource) {
             self.counters.misses_extend += 1;

@@ -742,9 +742,14 @@ mod tests {
         bell.ring(); // Nobody parked: no futex, no count.
         assert_eq!(bell.wakes(), 0);
         let b2 = Arc::clone(&bell);
+        // A ring that lands between the parker's ticket and its wait sends
+        // it straight back out without being counted, so it parks again
+        // until one is.
         let parker = std::thread::spawn(move || {
-            let t = b2.ticket();
-            b2.wait(t, Duration::from_secs(5));
+            while b2.wakes() == 0 {
+                let t = b2.ticket();
+                b2.wait(t, Duration::from_secs(5));
+            }
         });
         // Ring until the sleeper registers and the wake is counted.
         while bell.wakes() == 0 {

@@ -152,7 +152,6 @@ impl NetServer {
             .next()
             .ok_or_else(|| std::io::Error::new(ErrorKind::InvalidInput, "no address"))?;
         let listener = bind_reuse(sockaddr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(NetCounters::default());
@@ -209,17 +208,18 @@ impl NetServer {
 
     /// Stops accepting, closes writers, and joins every thread.
     /// Connected readers exit at their next poll tick.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for NetServer {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        // The accept loop blocks in `accept`; a connection to ourselves
+        // is what wakes it to see the flag. If the connect fails the
+        // listener is already gone and so is the loop.
+        let _ = TcpStream::connect(self.addr);
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -296,8 +296,12 @@ fn accept_loop<R, D>(
     D: Clone + Send + WireValue + 'static,
 {
     let mut readers: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let conn = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            break; // Shutdown's wake-up connection, or a client racing it.
+        }
+        match conn {
             Ok((stream, _peer)) => {
                 let svc = svc.clone();
                 let slots = slots.clone();
@@ -313,7 +317,7 @@ fn accept_loop<R, D>(
                         .expect("spawn net reader"),
                 );
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
+            // Out of descriptors, say: do not spin on it.
             Err(_) => std::thread::sleep(POLL),
         }
     }

@@ -1,23 +1,23 @@
-//! The client-cache thread and its application-facing handle.
+//! One client cache: the driver behind its lock, the application-facing
+//! handle that serves hits on the caller's own thread, and the IO thread
+//! that keeps what no caller is there for — replies, timers, resends.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 use lease_clock::{Clock, Dur, Time};
-use lease_core::ring::Inbox;
+use lease_core::ring::{Inbox, Lanes};
 use lease_core::{
-    Backoff, ClientCounters, ClientId, ClientInput, ClientOutput, ClientTimer, ErrorReason,
-    LeaseClient, Op, OpError, OpId, OpOutcome, ReqId, ToClient, ToServer, Version,
+    Backoff, ClientConfig, ClientCounters, ClientId, ClientInput, ClientOutput, ClientTimer,
+    ErrorReason, LeaseClient, Op, OpError, OpId, OpOutcome, ReqId, ToClient, ToServer, Version,
 };
-use lease_svc::EgressRx;
-use lease_vsys::HistoryEvent;
 
 use crate::breaker::CircuitBreaker;
-use crate::record::Recorder;
+use crate::record::{OpRecord, Recorder};
 use crate::server::{Port, PortVerdict, Res, RETRY_AFTER};
 
 /// An error from a real-time cache operation.
@@ -46,53 +46,123 @@ impl std::error::Error for RtError {}
 
 type OpReply = Result<(Bytes, Version, bool), RtError>;
 
-pub(crate) enum ClientCmd {
-    Read(Res, Sender<OpReply>),
-    Write(Res, Bytes, Sender<OpReply>),
-    Stats(Sender<ClientCounters>),
-    Shutdown,
+/// Where the caller of a miss or a write parks: filled exactly once, by
+/// whichever thread resolves the op (a reply, a retry timer, shutdown).
+#[derive(Default)]
+struct Completion {
+    reply: Mutex<Option<OpReply>>,
+    filled: Condvar,
+}
+
+impl Completion {
+    // The slot only ever goes from `None` to `Some`, so a poisoned lock
+    // still guards a valid value.
+    fn fill(&self, reply: OpReply) {
+        *self.reply.lock().unwrap_or_else(PoisonError::into_inner) = Some(reply);
+        self.filled.notify_one();
+    }
+
+    fn wait(&self) -> OpReply {
+        let mut slot = self.reply.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if let Some(reply) = slot.take() {
+                return reply;
+            }
+            slot = self
+                .filled
+                .wait(slot)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// What a client's handles and its IO thread share.
+struct Shared {
+    /// The driver lock: cache, port, timers and resend queue change only
+    /// under it, whichever thread is driving.
+    driver: Mutex<Worker>,
+    /// The IO thread parks on this inbox's doorbell.
+    inbox: Arc<Inbox<ToClient<Res, Bytes>>>,
+    /// For the true-time stamp taken before the lock.
+    recorder: Arc<Recorder>,
+}
+
+impl Shared {
+    /// The driver, or `Closed` once the client has shut down or a thread
+    /// died holding the lock.
+    fn lock(&self) -> Result<MutexGuard<'_, Worker>, RtError> {
+        match self.driver.lock() {
+            Ok(w) if !w.closed => Ok(w),
+            _ => Err(RtError::Closed),
+        }
+    }
+
+    /// Fails every parked caller, refuses every later op and sends the
+    /// IO thread home. Also runs when the lock is poisoned: it only sets
+    /// the flag and empties the waiting map, and nothing reads the rest
+    /// afterwards.
+    fn close(&self) {
+        let mut w = self.driver.lock().unwrap_or_else(PoisonError::into_inner);
+        w.closed = true;
+        for (_, waiting) in w.waiting.drain() {
+            waiting.done.fill(Err(RtError::Closed));
+        }
+        drop(w);
+        self.inbox.bell().ring();
+    }
 }
 
 /// The application-facing handle to one client cache.
 ///
-/// Cloneable and cheap; operations block the calling thread until the
-/// cache completes them (immediately on a cache hit).
+/// Cloneable and cheap. A read under a valid lease is served right here,
+/// on the calling thread: take the driver lock, compare the lease's
+/// expiry with this host's clock, stamp the recorder's true time, clone
+/// the bytes, return — no other thread is involved and nothing is
+/// allocated. That stamp, taken under the lock that also serializes
+/// approval handling, is the read's linearization point. A miss or a
+/// write sends its request from the calling thread under the same lock
+/// (so the client's [`Port`] still has one sender at a time) and then
+/// blocks until the IO thread resolves it.
 #[derive(Clone)]
 pub struct RtClientHandle {
-    pub(crate) tx: Sender<ClientCmd>,
-    /// The client thread parks on its egress inbox's one doorbell for
-    /// *all* inputs; every command send must ring it.
-    pub(crate) inbox: Arc<Inbox<ToClient<Res, Bytes>>>,
+    shared: Arc<Shared>,
 }
 
 impl RtClientHandle {
-    fn cmd(&self, cmd: ClientCmd) -> Result<(), RtError> {
-        self.tx.send(cmd).map_err(|_| RtError::Closed)?;
-        self.inbox.bell().ring();
-        Ok(())
+    fn run(&self, resource: Res, data: Option<Bytes>) -> OpReply {
+        let start = self.shared.recorder.now();
+        let mut w = self.shared.lock()?;
+        let now = w.clock.now();
+        if data.is_none() {
+            if let Some((data, version)) = w.cache.read_hit(now, resource) {
+                let op = w.fresh_op();
+                w.record(op, resource, version, start, Some(true));
+                return Ok((data, version, true));
+            }
+        }
+        let done = w.start_op(now, start, resource, data);
+        // The IO thread fires timers and resends; wake it only if this op
+        // left one due before it would wake by itself.
+        if Instant::now() + w.next_wait() < w.io_wake {
+            self.shared.inbox.bell().ring();
+        }
+        drop(w);
+        done.wait()
     }
 
     /// Reads a file through the cache.
     pub fn read(&self, resource: Res) -> Result<Bytes, RtError> {
-        let (tx, rx) = bounded(1);
-        self.cmd(ClientCmd::Read(resource, tx))?;
-        rx.recv()
-            .map_err(|_| RtError::Closed)?
-            .map(|(data, _, _)| data)
+        self.run(resource, None).map(|(data, _, _)| data)
     }
 
     /// Reads and also reports the version and whether the cache served it.
     pub fn read_detailed(&self, resource: Res) -> Result<(Bytes, Version, bool), RtError> {
-        let (tx, rx) = bounded(1);
-        self.cmd(ClientCmd::Read(resource, tx))?;
-        rx.recv().map_err(|_| RtError::Closed)?
+        self.run(resource, None)
     }
 
     /// Write-through write; returns the committed version.
     pub fn write(&self, resource: Res, data: impl Into<Bytes>) -> Result<Version, RtError> {
-        let (tx, rx) = bounded(1);
-        self.cmd(ClientCmd::Write(resource, data.into(), tx))?;
-        rx.recv().map_err(|_| RtError::Closed)?.map(|(_, v, _)| v)
+        self.run(resource, Some(data.into())).map(|(_, v, _)| v)
     }
 
     /// Opens `name` in a leased directory: reads the directory's bindings
@@ -108,9 +178,13 @@ impl RtClientHandle {
 
     /// Snapshot of the cache's counters.
     pub fn stats(&self) -> Result<ClientCounters, RtError> {
-        let (tx, rx) = bounded(1);
-        self.cmd(ClientCmd::Stats(tx))?;
-        rx.recv().map_err(|_| RtError::Closed)
+        Ok(self.shared.lock()?.cache.counters)
+    }
+
+    /// Shuts the client down: parked callers and later ops get
+    /// [`RtError::Closed`], and the IO thread exits.
+    pub(crate) fn close(&self) {
+        self.shared.close();
     }
 }
 
@@ -133,9 +207,10 @@ fn timer_of(k: u64) -> ClientTimer {
 /// What the worker remembers about an operation in flight, so the reply
 /// can be routed and the completion recorded.
 struct Waiting {
-    reply: Sender<OpReply>,
+    done: Arc<Completion>,
     resource: Res,
-    is_write: bool,
+    /// True time at entry to the application's call.
+    start: Time,
 }
 
 /// One backpressure-paced message awaiting resubmission.
@@ -161,15 +236,15 @@ fn req_of(msg: &ToServer<Res, Bytes>) -> Option<ReqId> {
     }
 }
 
-/// One client cache's event loop state.
+/// One client cache's driver: everything behind the driver lock.
 struct Worker {
     id: ClientId,
     cache: LeaseClient<Res, Bytes>,
     port: Box<dyn Port>,
     /// This host's clock — possibly a skewed chaos model.
     clock: Arc<dyn Clock>,
-    /// The perfect observer (true time), if history is being recorded.
-    recorder: Option<Arc<Recorder>>,
+    /// The perfect observer, and the source of true time.
+    recorder: Arc<Recorder>,
     timers: BinaryHeap<Reverse<(Time, u64)>>,
     live_timers: HashMap<u64, Time>,
     waiting: HashMap<OpId, Waiting>,
@@ -190,21 +265,73 @@ struct Worker {
     /// Half-open circuit breaker on this client's path to the server.
     breaker: CircuitBreaker,
     next_op: u64,
+    /// When the IO thread, if parked, wakes by itself.
+    io_wake: Instant,
+    closed: bool,
 }
 
 impl Worker {
-    fn record(&self, ev: HistoryEvent) {
-        if let Some(rec) = &self.recorder {
-            rec.push(ev);
-        }
+    fn new(
+        id: ClientId,
+        cfg: ClientConfig,
+        breaker: Option<(u32, Dur)>,
+        port: Box<dyn Port>,
+        clock: Arc<dyn Clock>,
+        recorder: Arc<Recorder>,
+    ) -> Worker {
+        let mut w = Worker {
+            id,
+            pacing: cfg.backoff,
+            op_deadline: cfg.op_deadline,
+            cache: LeaseClient::new(id, cfg),
+            port,
+            clock,
+            recorder,
+            timers: BinaryHeap::new(),
+            live_timers: HashMap::new(),
+            waiting: HashMap::new(),
+            resend: VecDeque::new(),
+            deadlines: HashMap::new(),
+            breaker: breaker
+                .map_or_else(CircuitBreaker::disabled, |(t, c)| CircuitBreaker::new(t, c)),
+            next_op: 0,
+            io_wake: Instant::now(),
+            closed: false,
+        };
+        let outs = w.cache.start(w.clock.now());
+        w.apply(outs);
+        w
     }
 
-    /// True time for history stamps; falls back to the local clock when
-    /// nothing records (the value is then never read).
+    fn fresh_op(&mut self) -> OpId {
+        let op = OpId(self.next_op);
+        self.next_op += 1;
+        op
+    }
+
+    /// Records a completed op, stamping its completion now — so call it
+    /// at the op's linearization point, under the driver lock.
+    fn record(
+        &self,
+        op: OpId,
+        resource: Res,
+        version: Version,
+        start: Time,
+        read_from_cache: Option<bool>,
+    ) {
+        self.recorder.push_op(OpRecord {
+            client: self.id,
+            op,
+            resource,
+            version,
+            start,
+            done: self.recorder.now(),
+            read_from_cache,
+        });
+    }
+
     fn true_now(&self) -> Time {
-        self.recorder
-            .as_ref()
-            .map_or_else(|| self.clock.now(), |r| r.now())
+        self.recorder.now()
     }
 
     /// The deadline riding with `msg`: the op's first-transmission time
@@ -224,10 +351,6 @@ impl Worker {
         }
         self.deadlines.insert(req.0, d);
         Some(d)
-    }
-
-    fn submit(&mut self, msg: ToServer<Res, Bytes>) {
-        self.submit_paced(msg, 0);
     }
 
     fn submit_paced(&mut self, msg: ToServer<Res, Bytes>, attempt: u32) {
@@ -290,7 +413,7 @@ impl Worker {
     fn apply(&mut self, outs: Vec<ClientOutput<Res, Bytes>>) {
         for o in outs {
             match o {
-                ClientOutput::Send(msg) => self.submit(msg),
+                ClientOutput::Send(msg) => self.submit_paced(msg, 0),
                 ClientOutput::SetTimer { at, timer } => {
                     let k = key(timer);
                     self.live_timers.insert(k, at);
@@ -308,87 +431,59 @@ impl Worker {
                     let Some(w) = self.waiting.remove(&op) else {
                         continue;
                     };
-                    let mapped = match result {
+                    w.done.fill(match result {
                         Ok(OpOutcome::Read {
                             data,
                             version,
                             from_cache,
                         }) => {
-                            self.record(HistoryEvent::ReadDone {
-                                client: self.id,
-                                op,
-                                resource: w.resource,
-                                version,
-                                at: self.true_now(),
-                                from_cache,
-                            });
+                            self.record(op, w.resource, version, w.start, Some(from_cache));
                             Ok((data, version, from_cache))
                         }
                         Ok(OpOutcome::Write { version }) => {
-                            self.record(HistoryEvent::WriteDone {
-                                client: self.id,
-                                op,
-                                resource: w.resource,
-                                version,
-                                at: self.true_now(),
-                            });
+                            self.record(op, w.resource, version, w.start, None);
                             Ok((Bytes::new(), version, false))
                         }
                         Err(OpError::NoSuchResource) => Err(RtError::NoSuchResource),
                         Err(OpError::Timeout) => Err(RtError::Timeout),
-                    };
-                    debug_assert_eq!(
-                        matches!(mapped, Ok((_, _, false)) if w.is_write),
-                        w.is_write && mapped.is_ok()
-                    );
-                    let _ = w.reply.send(mapped);
+                    });
                 }
             }
         }
     }
 
-    fn start_op(&mut self, resource: Res, data: Option<Bytes>, reply: Sender<OpReply>) {
-        let op = OpId(self.next_op);
-        self.next_op += 1;
-        let is_write = data.is_some();
+    /// Starts a miss or a write on the calling thread (which holds the
+    /// driver lock): registers the completion, runs the cache and sends
+    /// what it asks for. `now` is the host-clock reading the caller's hit
+    /// check just failed at; `start` the true time it entered the call.
+    fn start_op(
+        &mut self,
+        now: Time,
+        start: Time,
+        resource: Res,
+        data: Option<Bytes>,
+    ) -> Arc<Completion> {
+        let op = self.fresh_op();
+        let done = Arc::new(Completion::default());
         self.waiting.insert(
             op,
             Waiting {
-                reply,
+                done: Arc::clone(&done),
                 resource,
-                is_write,
+                start,
             },
         );
-        let ev_at = self.true_now();
         let kind = match data {
-            Some(d) => {
-                self.record(HistoryEvent::WriteStart {
-                    client: self.id,
-                    op,
-                    resource,
-                    at: ev_at,
-                });
-                Op::Write(resource, d)
-            }
-            None => {
-                self.record(HistoryEvent::ReadStart {
-                    client: self.id,
-                    op,
-                    resource,
-                    at: ev_at,
-                });
-                Op::Read(resource)
-            }
+            Some(d) => Op::Write(resource, d),
+            None => Op::Read(resource),
         };
-        let outs = self
-            .cache
-            .handle(self.clock.now(), ClientInput::Op { op, kind });
+        let outs = self.cache.handle(now, ClientInput::Op { op, kind });
         self.apply(outs);
+        done
     }
 
-    /// Fires due timers (skipping cancelled ones) and returns how long to
-    /// wait for the next one.
-    fn run_timers(&mut self) -> std::time::Duration {
+    /// Fires due timers, skipping cancelled ones.
+    fn fire_timers(&mut self) {
         let now = self.clock.now();
         while let Some(Reverse((at, k))) = self.timers.peek().copied() {
             if at > now {
@@ -404,13 +499,15 @@ impl Worker {
                 .handle(self.clock.now(), ClientInput::Timer(timer_of(k)));
             self.apply(outs);
         }
+    }
+
+    /// How long until the next timer or paced resubmission is due.
+    fn next_wait(&self) -> Duration {
         let mut wait = self
             .timers
             .peek()
-            .map(|Reverse((at, _))| {
-                std::time::Duration::from(at.saturating_since(self.clock.now()))
-            })
-            .unwrap_or(std::time::Duration::from_millis(20));
+            .map(|Reverse((at, _))| Duration::from(at.saturating_since(self.clock.now())))
+            .unwrap_or(Duration::from_millis(20));
         if let Some(due) = self
             .resend
             .iter()
@@ -419,9 +516,7 @@ impl Worker {
         {
             // Wake in time for the next backpressure resubmission (or the
             // fail-fast instant of an entry whose deadline lands first).
-            wait = wait.min(std::time::Duration::from(
-                due.saturating_since(self.true_now()),
-            ));
+            wait = wait.min(Duration::from(due.saturating_since(self.true_now())));
         }
         wait
     }
@@ -443,125 +538,107 @@ impl Worker {
     }
 }
 
-/// How many lane messages one poll drains before re-checking commands
-/// and timers.
+/// How many lane messages one poll drains before taking the driver lock.
 const LANE_BATCH: usize = 64;
 
-#[allow(clippy::too_many_arguments)]
+/// Closes the client when the IO thread leaves, however it leaves: with
+/// nobody left to resolve them, parked callers must not wait forever.
+struct CloseOnExit(Weak<Shared>);
+
+impl Drop for CloseOnExit {
+    fn drop(&mut self) {
+        if let Some(shared) = self.0.upgrade() {
+            shared.close();
+        }
+    }
+}
+
+/// Starts one client: its driver, the handle applications call, and the
+/// `lease-client-N` IO thread. Every topology's clients come from here.
+/// `cfg.backoff` also paces backpressure resubmissions (base
+/// [`RETRY_AFTER`]), `cfg.op_deadline` also rides with every submission,
+/// and `breaker` is the circuit breaker's `(threshold, cooldown)`.
 pub(crate) fn spawn_client(
-    cache: LeaseClient<Res, Bytes>,
-    cmd_rx: Receiver<ClientCmd>,
-    mut lanes: EgressRx<Res, Bytes>,
+    id: ClientId,
+    cfg: ClientConfig,
+    breaker: Option<(u32, Dur)>,
+    inbox: Arc<Inbox<ToClient<Res, Bytes>>>,
     port: Box<dyn Port>,
     clock: Arc<dyn Clock>,
-    recorder: Option<Arc<Recorder>>,
-    pacing: Backoff,
-    op_deadline: Option<Dur>,
-    breaker: CircuitBreaker,
-) -> JoinHandle<()> {
-    let id = cache.id();
-    std::thread::Builder::new()
+    recorder: Arc<Recorder>,
+) -> (RtClientHandle, JoinHandle<()>) {
+    let lanes = Lanes::new(Arc::clone(&inbox));
+    let worker = Worker::new(id, cfg, breaker, port, clock, Arc::clone(&recorder));
+    let shared = Arc::new(Shared {
+        driver: Mutex::new(worker),
+        inbox,
+        recorder,
+    });
+    // The thread holds no strong reference while parked, so a fleet
+    // dropped without `shutdown` still lets it go.
+    let weak = Arc::downgrade(&shared);
+    let thread = std::thread::Builder::new()
         .name(format!("lease-client-{}", id.0))
-        .spawn(move || {
-            let mut w = Worker {
-                id,
-                cache,
-                port,
-                clock,
-                recorder,
-                timers: BinaryHeap::new(),
-                live_timers: HashMap::new(),
-                waiting: HashMap::new(),
-                resend: VecDeque::new(),
-                pacing,
-                op_deadline,
-                deadlines: HashMap::new(),
-                breaker,
-                next_op: 0,
-            };
-            let outs = w.cache.start(w.clock.now());
-            w.apply(outs);
+        .spawn(move || io_loop(weak, lanes))
+        .expect("spawn client thread");
+    (RtClientHandle { shared }, thread)
+}
 
-            // The client parks on its egress inbox's one doorbell for
-            // both inputs: every command send and every lane publish
-            // rings it. Ticket-before-final-poll makes the
-            // park race-free, and a short spin after a hot iteration
-            // catches back-to-back replies without a futex round trip
-            // (skipped on a single core, where spinning only steals the
-            // producer's timeslice).
-            let spin: u32 = if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
-                128
-            } else {
-                0
-            };
-            let mut net_buf: Vec<ToClient<Res, Bytes>> = Vec::new();
-            let mut hot = false;
-            'main: loop {
-                w.flush_resend();
-                let wait = w.run_timers();
-                let ticket = lanes.bell().ticket();
-                let mut did = false;
-                loop {
-                    match cmd_rx.try_recv() {
-                        Ok(ClientCmd::Read(r, reply)) => {
-                            did = true;
-                            w.start_op(r, None, reply);
-                        }
-                        Ok(ClientCmd::Write(r, data, reply)) => {
-                            did = true;
-                            w.start_op(r, Some(data), reply);
-                        }
-                        Ok(ClientCmd::Stats(reply)) => {
-                            did = true;
-                            let _ = reply.send(w.cache.counters);
-                        }
-                        Ok(ClientCmd::Shutdown) | Err(TryRecvError::Disconnected) => break 'main,
-                        Err(TryRecvError::Empty) => break,
-                    }
+/// The IO thread: feeds server messages to the cache, fires timers and
+/// resubmits what backpressure refused. It takes the driver lock for
+/// each batch and parks without it, on the inbox doorbell: every lane
+/// publish rings it, and so does a caller whose op left something due
+/// before [`Worker::io_wake`]. Ticket-before-final-poll makes the park
+/// race-free, and a short spin after a hot iteration catches
+/// back-to-back replies without a futex round trip (skipped on a single
+/// core, where spinning only steals the producer's timeslice).
+fn io_loop(shared: Weak<Shared>, mut lanes: Lanes<ToClient<Res, Bytes>>) {
+    let _close = CloseOnExit(Weak::clone(&shared));
+    let spin: u32 = if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
+        128
+    } else {
+        0
+    };
+    let mut net_buf: Vec<ToClient<Res, Bytes>> = Vec::new();
+    let mut hot = false;
+    loop {
+        let ticket = lanes.bell().ticket();
+        let mut got = lanes.drain_into(&mut net_buf, LANE_BATCH);
+        if hot {
+            for _ in 0..spin {
+                if got > 0 {
+                    break;
                 }
-                if lanes.drain_into(&mut net_buf, LANE_BATCH) > 0 {
-                    did = true;
-                    for m in net_buf.drain(..) {
-                        w.handle_msg(m);
-                    }
-                }
-                if did {
-                    hot = true;
-                    continue;
-                }
-                if hot && spin > 0 {
-                    let mut found = false;
-                    for _ in 0..spin {
-                        if lanes.drain_into(&mut net_buf, LANE_BATCH) > 0 {
-                            found = true;
-                            break;
-                        }
-                        if !cmd_rx.is_empty() {
-                            found = true;
-                            break;
-                        }
-                        std::hint::spin_loop();
-                    }
-                    if found {
-                        for m in net_buf.drain(..) {
-                            w.handle_msg(m);
-                        }
-                        continue;
-                    }
-                }
-                hot = false;
-                lanes.bell().wait(ticket, wait);
+                std::hint::spin_loop();
+                got = lanes.drain_into(&mut net_buf, LANE_BATCH);
             }
-        })
-        .expect("spawn client thread")
+        }
+        hot = got > 0;
+        let Some(shared) = shared.upgrade() else {
+            return; // Every handle is gone.
+        };
+        let Ok(mut w) = shared.lock() else {
+            return;
+        };
+        for m in net_buf.drain(..) {
+            w.handle_msg(m);
+        }
+        w.flush_resend();
+        w.fire_timers();
+        if hot {
+            continue; // Poll the lanes again before parking.
+        }
+        let wait = w.next_wait();
+        w.io_wake = Instant::now() + wait;
+        drop(w);
+        drop(shared);
+        lanes.bell().wait(ticket, wait);
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Mutex;
-
     use lease_clock::ManualClock;
-    use lease_core::ClientConfig;
 
     use super::*;
 
@@ -596,35 +673,21 @@ mod tests {
             sends: Mutex::new(Vec::new()),
         });
         let deadline = Dur::from_millis(50);
-        let cache = LeaseClient::new(
-            ClientId(0),
-            ClientConfig {
-                op_deadline: Some(deadline),
-                retry_interval: Dur::from_millis(5),
-                ..ClientConfig::default()
-            },
-        );
-        let mut w = Worker {
-            id: ClientId(0),
-            cache,
-            port: Box::new(port.clone()),
-            clock: clock.clone(),
-            recorder: None,
-            timers: BinaryHeap::new(),
-            live_timers: HashMap::new(),
-            waiting: HashMap::new(),
-            resend: VecDeque::new(),
-            pacing: Backoff::default(),
+        let cfg = ClientConfig {
             op_deadline: Some(deadline),
-            deadlines: HashMap::new(),
-            breaker: CircuitBreaker::disabled(),
-            next_op: 0,
+            retry_interval: Dur::from_millis(5),
+            ..ClientConfig::default()
         };
-        let outs = w.cache.start(clock.now());
-        w.apply(outs);
+        let mut w = Worker::new(
+            ClientId(0),
+            cfg,
+            None,
+            Box::new(port.clone()),
+            clock.clone(),
+            Arc::new(Recorder::with_clock(clock.clone())),
+        );
 
-        let (tx, rx) = bounded(1);
-        w.start_op(7, None, tx);
+        let done = w.start_op(clock.now(), clock.now(), 7, None);
         assert_eq!(port.sends.lock().unwrap().len(), 1, "first transmission");
         assert_eq!(w.resend.len(), 1, "refused and parked for pacing");
 
@@ -634,13 +697,14 @@ mod tests {
         w.flush_resend();
         assert_eq!(port.sends.lock().unwrap().len(), 2);
         assert_eq!(w.resend.len(), 1);
+        assert!(done.reply.lock().unwrap().is_none(), "still pending");
 
         // Past the deadline: the parked message must not be resubmitted —
         // the op fails fast instead.
         clock.advance(Dur::from_millis(41));
         w.flush_resend();
         assert_eq!(
-            rx.try_recv().expect("op resolved"),
+            done.reply.lock().unwrap().take().expect("op resolved"),
             Err(RtError::Timeout),
             "fail fast once the deadline passed"
         );

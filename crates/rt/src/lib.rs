@@ -6,10 +6,12 @@
 //! runs under the deterministic simulator runs here under wall clocks: the
 //! server side runs on the sharded `lease-svc` runtime (the lease table
 //! partitioned by file-id hash across worker threads, expirations driven
-//! by its timer wheel), each client cache is an OS thread, the "network"
-//! is the service's SPSC ring lanes in both directions (with the cut,
-//! fence and chaos filters in front of them), and the primary copies
-//! live in a real `lease-store` file store shared by every shard.
+//! by its timer wheel), each client cache is a driver behind one lock —
+//! hits are served on the application's own thread, an IO thread per
+//! client keeps replies, timers and resends — the "network" is the
+//! service's SPSC ring lanes in both directions (with the cut, fence and
+//! chaos filters in front of them), and the primary copies live in a
+//! real `lease-store` file store shared by every shard.
 //!
 //! This is the deployment a downstream user would embed: short leases over
 //! real time, write-through to a durable store, approval callbacks between

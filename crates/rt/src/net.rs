@@ -1,15 +1,18 @@
 //! Real caching clients over real sockets.
 //!
 //! [`NetClient`] runs N of this crate's client workers — the same
-//! `spawn_client` event loop the in-process [`RtSystem`] uses, with its
-//! retransmission backoff, retry budgets, per-op deadlines, circuit
-//! breakers, and Shed handling **unchanged** — against a remote
+//! `spawn_client` driver the in-process [`RtSystem`] uses, with its
+//! inline hits, retransmission backoff, retry budgets, per-op deadlines,
+//! circuit breakers, and Shed handling **unchanged** — against a remote
 //! `lease_net::NetServer` instead of an in-process service handle. The
 //! only moving parts added here are the transport edges:
 //!
 //! * [`TcpPort`] implements the client transport seam ([`Port`]): a
 //!   submission encodes one `lease-wire` frame and writes it to the
-//!   socket. Deadlines cross as *remaining* time-to-live, computed
+//!   socket, on whichever thread holds the client's driver lock — the
+//!   application thread for a miss or a write, the client's IO thread
+//!   for a retransmission or an approval; the lock makes them one
+//!   sender. Deadlines cross as *remaining* time-to-live, computed
 //!   against this client's clock at send time — the T-Lease rule: no
 //!   absolute clock reading of ours means anything to the server.
 //!   An unwritable socket is [`PortVerdict::Dropped`] — exactly the
@@ -33,16 +36,14 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Sender};
 use lease_clock::{Clock, Dur, Time, WallClock};
-use lease_core::{Backoff, ClientConfig, ClientId, LeaseClient, RetryBudget, ToClient, ToServer};
+use lease_core::{Backoff, ClientConfig, ClientId, RetryBudget, ToClient, ToServer};
 use lease_net::connect_as;
 use lease_net::tcp::FrameAccum;
 use lease_svc::{Egress, EgressWorker};
 use lease_wire::{frame_messages, Dir, FrameBuilder, WireError};
 
-use crate::breaker::CircuitBreaker;
-use crate::client::{spawn_client, ClientCmd, RtClientHandle};
+use crate::client::{spawn_client, RtClientHandle};
 use crate::record::Recorder;
 use crate::server::{Port, PortVerdict, Res};
 
@@ -104,7 +105,6 @@ impl NetClientConfig {
 /// N real client workers talking to a remote lease server over TCP.
 pub struct NetClient {
     handles: Vec<RtClientHandle>,
-    cmd_txs: Vec<Sender<ClientCmd>>,
     recorder: Arc<Recorder>,
     stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
@@ -122,12 +122,19 @@ impl NetClient {
         // A local egress registry supplies each worker's lanes+doorbell;
         // each reader thread is the one producer of its client's lane.
         let egress: Egress<Res, Bytes> = Egress::new(cfg.clients as usize, LANE_CAP);
+        let client_cfg = ClientConfig {
+            epsilon: cfg.epsilon,
+            retry_interval: cfg.retry_interval,
+            max_retries: cfg.max_retries,
+            backoff: cfg.backoff,
+            op_deadline: cfg.op_deadline,
+            retry_budget: cfg.retry_budget,
+            ..ClientConfig::default()
+        };
         let mut handles = Vec::new();
-        let mut cmd_txs = Vec::new();
         let mut threads = Vec::new();
 
         for i in 0..cfg.clients {
-            let (cmd_tx, cmd_rx) = unbounded();
             let slot: Arc<Mutex<Option<TcpStream>>> = Arc::new(Mutex::new(None));
 
             threads.push(spawn_reader(
@@ -138,48 +145,27 @@ impl NetClient {
                 Arc::clone(&stop),
             ));
 
-            let cache = LeaseClient::new(
-                ClientId(i),
-                ClientConfig {
-                    epsilon: cfg.epsilon,
-                    retry_interval: cfg.retry_interval,
-                    max_retries: cfg.max_retries,
-                    backoff: cfg.backoff,
-                    op_deadline: cfg.op_deadline,
-                    batch_extensions: true,
-                    anticipatory: None,
-                    capacity: 0,
-                    retry_budget: cfg.retry_budget,
-                },
-            );
             let port = TcpPort {
                 slot,
                 clock: Arc::clone(&clock),
                 buf: Mutex::new(Vec::new()),
                 who: ClientId(i),
             };
-            threads.push(spawn_client(
-                cache,
-                cmd_rx,
-                egress.rx(i as usize),
+            let (handle, thread) = spawn_client(
+                ClientId(i),
+                client_cfg.clone(),
+                cfg.breaker,
+                egress.inbox(i as usize),
                 Box::new(port),
                 Arc::clone(&clock),
-                Some(Arc::clone(&recorder)),
-                cfg.backoff,
-                cfg.op_deadline,
-                cfg.breaker
-                    .map_or_else(CircuitBreaker::disabled, |(t, c)| CircuitBreaker::new(t, c)),
-            ));
-            handles.push(RtClientHandle {
-                tx: cmd_tx.clone(),
-                inbox: egress.inbox(i as usize),
-            });
-            cmd_txs.push(cmd_tx);
+                Arc::clone(&recorder),
+            );
+            handles.push(handle);
+            threads.push(thread);
         }
 
         NetClient {
             handles,
-            cmd_txs,
             recorder,
             stop,
             threads,
@@ -196,13 +182,11 @@ impl NetClient {
         &self.recorder
     }
 
-    /// Stops every worker and reader and joins them.
+    /// Stops every worker and reader and joins them. A caller parked on
+    /// an operation gets [`RtError::Closed`](crate::RtError::Closed).
     pub fn shutdown(mut self) {
-        for tx in &self.cmd_txs {
-            let _ = tx.send(ClientCmd::Shutdown);
-        }
         for h in &self.handles {
-            h.inbox.bell().ring();
+            h.close();
         }
         self.stop.store(true, Ordering::SeqCst);
         for t in self.threads.drain(..) {
@@ -212,12 +196,13 @@ impl NetClient {
 }
 
 /// The TCP-backed client transport: one frame per submission, written
-/// synchronously on the worker thread.
+/// synchronously on the sending thread.
 pub struct TcpPort {
     slot: Arc<Mutex<Option<TcpStream>>>,
     clock: Arc<dyn Clock>,
-    /// Reusable encode buffer (a port is owned by one worker thread; the
-    /// mutex is uncontended and only satisfies `&self`).
+    /// Reusable encode buffer. Senders come one at a time — `send` runs
+    /// only under the owning client's driver lock — so the mutex is
+    /// uncontended and only satisfies `&self`.
     buf: Mutex<Vec<u8>>,
     who: ClientId,
 }

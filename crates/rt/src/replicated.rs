@@ -38,11 +38,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Sender};
+use crossbeam::channel::{bounded, Sender};
 use lease_clock::{Clock, Dur, ModelClock, Time, WallClock};
 use lease_core::{
-    Backoff, ClientConfig, ClientId, LeaseClient, LeaseServer, ServerConfig, Storage, ToServer,
-    Version,
+    Backoff, ClientConfig, ClientId, LeaseServer, ServerConfig, Storage, ToServer, Version,
 };
 use lease_quorum::{GrantorGate, KillHandle, QuorumConfig, QuorumHooks, QuorumRuntime};
 use lease_store::{DirId, FileKind, Perms, Store};
@@ -52,8 +51,7 @@ use lease_svc::{
 };
 use lease_vsys::{History, HistoryEvent};
 
-use crate::breaker::CircuitBreaker;
-use crate::client::{spawn_client, ClientCmd, RtClientHandle};
+use crate::client::{spawn_client, RtClientHandle};
 use crate::record::Recorder;
 use crate::server::{
     lock_backend, ChaosNet, DelayPool, Delayed, Port, PortVerdict, Res, RtFence, RtSink,
@@ -531,45 +529,32 @@ impl ReplicatedSystemBuilder {
             cuts: Arc::new(cuts.clone()),
             delay,
         };
+        let client_cfg = ClientConfig {
+            epsilon: self.epsilon,
+            retry_interval: self.retry_interval,
+            max_retries: self.max_retries,
+            backoff: self.backoff,
+            op_deadline: self.op_deadline,
+            ..ClientConfig::default()
+        };
         let mut client_handles = Vec::new();
-        let mut client_cmd_txs: Vec<Sender<ClientCmd>> = Vec::new();
         for i in 0..self.clients as usize {
-            let (cmd_tx, cmd_rx) = unbounded();
-            let cache = LeaseClient::new(
-                ClientId(i as u32),
-                ClientConfig {
-                    epsilon: self.epsilon,
-                    retry_interval: self.retry_interval,
-                    max_retries: self.max_retries,
-                    backoff: self.backoff,
-                    op_deadline: self.op_deadline,
-                    batch_extensions: true,
-                    anticipatory: None,
-                    capacity: 0,
-                    retry_budget: None,
-                },
-            );
             let client_clock: Arc<dyn Clock> =
                 match self.chaos.as_ref().and_then(|p| p.client_clock(i)) {
                     Some(model) => Arc::new(ModelClock::new(truth.clone(), model)),
                     None => Arc::new(truth.clone()),
                 };
-            threads.push(spawn_client(
-                cache,
-                cmd_rx,
-                egress.rx(i),
+            let (handle, thread) = spawn_client(
+                ClientId(i as u32),
+                client_cfg.clone(),
+                None,
+                egress.inbox(i),
                 Box::new(port.clone()),
                 client_clock,
-                Some(recorder.clone()),
-                self.backoff,
-                self.op_deadline,
-                CircuitBreaker::disabled(),
-            ));
-            client_handles.push(RtClientHandle {
-                tx: cmd_tx.clone(),
-                inbox: egress.inbox(i),
-            });
-            client_cmd_txs.push(cmd_tx);
+                recorder.clone(),
+            );
+            client_handles.push(handle);
+            threads.push(thread);
         }
 
         ReplicatedSystem {
@@ -580,7 +565,6 @@ impl ReplicatedSystemBuilder {
             shards,
             recorder,
             client_handles,
-            client_cmd_txs,
             cuts,
             names,
             dirs,
@@ -601,7 +585,6 @@ pub struct ReplicatedSystem {
     shards: usize,
     recorder: Arc<Recorder>,
     client_handles: Vec<RtClientHandle>,
-    client_cmd_txs: Vec<Sender<ClientCmd>>,
     cuts: Vec<Arc<AtomicBool>>,
     names: HashMap<String, Res>,
     dirs: HashMap<String, Res>,
@@ -680,9 +663,8 @@ impl ReplicatedSystem {
     /// Stops every thread and waits for them.
     pub fn shutdown(mut self) {
         self.chaos_stop.take(); // Dropping it stops the chaos driver.
-        for (tx, h) in self.client_cmd_txs.iter().zip(&self.client_handles) {
-            let _ = tx.send(ClientCmd::Shutdown);
-            h.inbox.bell().ring();
+        for h in &self.client_handles {
+            h.close();
         }
         for t in self.threads.drain(..) {
             let _ = t.join();

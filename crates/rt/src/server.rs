@@ -6,8 +6,8 @@
 //! world — the durable [`StoreBackend`] shared by every shard, the
 //! [`RtSink`] whose per-worker halves filter shard output (cut switches,
 //! replica fence, seeded chaos dice) in front of the per-client ring
-//! lanes, and the [`ServerPort`] client threads use to submit protocol
-//! messages into the service.
+//! lanes, and the [`ServerPort`] clients use to submit protocol messages
+//! into the service.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -527,10 +527,14 @@ pub enum PortVerdict {
 /// [`PortVerdict::Dropped`] (the client's retransmission backoff is the
 /// retry schedule).
 ///
-/// Each client thread **owns** its port (`Box<dyn Port>`): a
-/// [`SvcHandle`] is a per-producer object (one SPSC lane per shard), so
-/// ports are cloned per client rather than shared behind an `Arc` —
-/// which is exactly the thread-per-producer shape the ingress wants.
+/// Each client **owns** its port (`Box<dyn Port>`, inside its driver):
+/// a [`SvcHandle`] is a per-producer object (one SPSC lane per shard),
+/// so ports are cloned per client rather than shared behind an `Arc`.
+/// `send` is called only with that client's driver lock held — by the
+/// application thread starting a miss or a write, or by the client's IO
+/// thread retransmitting or approving, never both at once. The lock, not
+/// thread identity, is what keeps the lanes single-producer; hence
+/// `Send` and not `Sync`.
 pub trait Port: Send {
     /// Submits one client message, unless faults interfere. `deadline` is
     /// the originating op's drop-dead time, propagated so the service can
@@ -543,9 +547,9 @@ pub trait Port: Send {
     ) -> PortVerdict;
 }
 
-/// What client threads hold instead of a channel to a server thread: the
-/// sharded service handle, the cut switches, and the chaos dice (with the
-/// sleeper that serves them) for the inbound direction.
+/// What a client's driver holds instead of a channel to a server thread:
+/// the sharded service handle, the cut switches, and the chaos dice (with
+/// the sleeper that serves them) for the inbound direction.
 #[derive(Clone)]
 pub(crate) struct ServerPort {
     pub svc: SvcHandle<Res, Bytes>,

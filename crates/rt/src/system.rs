@@ -6,10 +6,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Sender};
+use crossbeam::channel::{bounded, Sender};
 use lease_clock::{Clock, Dur, ModelClock, Time, WallClock};
 use lease_core::{
-    Backoff, ClientConfig, ClientId, LeaseClient, LeaseServer, RetryBudget, ServerConfig, Storage,
+    Backoff, ClientConfig, ClientId, LeaseServer, RetryBudget, ServerConfig, Storage,
     TermController,
 };
 use lease_store::{DirId, FileKind, Perms, Store};
@@ -19,8 +19,7 @@ use lease_svc::{
 };
 use lease_vsys::{History, HistoryEvent};
 
-use crate::breaker::CircuitBreaker;
-use crate::client::{spawn_client, ClientCmd, RtClientHandle};
+use crate::client::{spawn_client, RtClientHandle};
 use crate::record::Recorder;
 use crate::server::{
     lock_backend, ChaosNet, DelayPool, Res, RtSink, ServerPort, ServerStats, SharedBackend,
@@ -373,56 +372,43 @@ impl RtSystemBuilder {
             }
         }
 
-        // Client threads submit through the service handle. Each thread
-        // gets its own port (and so its own handle clone — one SPSC lane
-        // per shard): the handle is a per-producer object, not a shared
-        // one.
+        // Clients submit through the service handle. Each client gets
+        // its own port (and so its own handle clone — one SPSC lane per
+        // shard), used only under that client's driver lock: one
+        // producer at a time, whichever thread it is.
         let port = ServerPort {
             svc: svc.clone(),
             cuts: Arc::new(cuts.clone()),
             chaos: chaos_net,
             delay,
         };
+        let client_cfg = ClientConfig {
+            epsilon: self.epsilon,
+            retry_interval: self.retry_interval,
+            max_retries: self.max_retries,
+            backoff: self.backoff,
+            op_deadline: self.op_deadline,
+            retry_budget: self.retry_budget,
+            ..ClientConfig::default()
+        };
         let mut client_handles = Vec::new();
-        let mut client_cmd_txs: Vec<Sender<ClientCmd>> = Vec::new();
         for i in 0..self.clients as usize {
-            let (cmd_tx, cmd_rx) = unbounded();
-            let cache = LeaseClient::new(
-                ClientId(i as u32),
-                ClientConfig {
-                    epsilon: self.epsilon,
-                    retry_interval: self.retry_interval,
-                    max_retries: self.max_retries,
-                    backoff: self.backoff,
-                    op_deadline: self.op_deadline,
-                    batch_extensions: true,
-                    anticipatory: None,
-                    capacity: 0,
-                    retry_budget: self.retry_budget,
-                },
-            );
             let client_clock: Arc<dyn Clock> =
                 match self.chaos.as_ref().and_then(|p| p.client_clock(i)) {
                     Some(model) => Arc::new(ModelClock::new(truth.clone(), model)),
                     None => Arc::new(truth.clone()),
                 };
-            threads.push(spawn_client(
-                cache,
-                cmd_rx,
-                egress.rx(i),
+            let (handle, thread) = spawn_client(
+                ClientId(i as u32),
+                client_cfg.clone(),
+                self.breaker,
+                egress.inbox(i),
                 Box::new(port.clone()),
                 client_clock,
-                Some(recorder.clone()),
-                self.backoff,
-                self.op_deadline,
-                self.breaker
-                    .map_or_else(CircuitBreaker::disabled, |(t, c)| CircuitBreaker::new(t, c)),
-            ));
-            client_handles.push(RtClientHandle {
-                tx: cmd_tx.clone(),
-                inbox: egress.inbox(i),
-            });
-            client_cmd_txs.push(cmd_tx);
+                recorder.clone(),
+            );
+            client_handles.push(handle);
+            threads.push(thread);
         }
 
         RtSystem {
@@ -431,7 +417,6 @@ impl RtSystemBuilder {
             backend,
             recorder,
             client_handles,
-            client_cmd_txs,
             cuts,
             names,
             dirs,
@@ -450,7 +435,6 @@ pub struct RtSystem {
     backend: Arc<Mutex<StoreBackend>>,
     recorder: Arc<Recorder>,
     client_handles: Vec<RtClientHandle>,
-    client_cmd_txs: Vec<Sender<ClientCmd>>,
     cuts: Vec<Arc<AtomicBool>>,
     names: HashMap<String, Res>,
     dirs: HashMap<String, Res>,
@@ -559,9 +543,8 @@ impl RtSystem {
     /// Stops every thread and waits for them.
     pub fn shutdown(mut self) {
         self.chaos_stop.take(); // Dropping it stops the chaos driver.
-        for (tx, h) in self.client_cmd_txs.iter().zip(&self.client_handles) {
-            let _ = tx.send(ClientCmd::Shutdown);
-            h.inbox.bell().ring();
+        for h in &self.client_handles {
+            h.close();
         }
         for t in self.threads.drain(..) {
             let _ = t.join();

@@ -95,9 +95,10 @@ impl<R: Send + 'static, D: Send + 'static> Egress<R, D> {
         Lanes::new(Arc::clone(&self.inboxes[c]))
     }
 
-    /// Client `c`'s inbox — for whoever feeds the client's thread
-    /// something besides replies (application commands, say) and must
-    /// ring the one doorbell that thread parks on.
+    /// Client `c`'s inbox — for whoever builds the client's receiving
+    /// half itself (`Lanes::new`, instead of [`Egress::rx`]) or must ring
+    /// the one doorbell its thread parks on for something besides a
+    /// reply (`lease-rt`: an application thread that armed a timer).
     pub fn inbox(&self, c: usize) -> Arc<Inbox<ToClient<R, D>>> {
         Arc::clone(&self.inboxes[c])
     }
