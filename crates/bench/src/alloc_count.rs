@@ -1,4 +1,4 @@
-//! Heap-allocation counting for the perf-trajectory benchmarks.
+//! Heap-allocation counting for the `zero_alloc_*` tests.
 //!
 //! With the `alloc-count` feature enabled this module installs a global
 //! allocator that wraps [`std::alloc::System`] and counts every

@@ -19,23 +19,6 @@ pub mod sweep;
 
 pub use alloc_count::allocations;
 
-/// Throughput and latency summary for one benchmarked operation, the row
-/// format of the machine-readable `BENCH_*.json` perf-trajectory files.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct OpStats {
-    /// Sustained operations per second over the measured window.
-    pub ops_per_sec: f64,
-    /// Median per-operation latency in nanoseconds.
-    pub p50_ns: u64,
-    /// 95th-percentile per-operation latency in nanoseconds.
-    pub p95_ns: u64,
-    /// 99th-percentile per-operation latency in nanoseconds.
-    pub p99_ns: u64,
-    /// Heap allocations per operation, `None` when the binary was built
-    /// without the `alloc-count` feature (not measured ≠ zero).
-    pub allocs_per_op: Option<f64>,
-}
-
 /// The value at quantile `p` (0.0–1.0) of an ascending-sorted slice;
 /// zero when empty.
 pub fn percentile(sorted: &[u64], p: f64) -> u64 {
@@ -44,19 +27,6 @@ pub fn percentile(sorted: &[u64], p: f64) -> u64 {
     }
     let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
     sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Summarizes a set of per-op latency samples plus an independently
-/// measured throughput and allocation rate into an [`OpStats`] row.
-pub fn op_stats(latencies_ns: &mut [u64], ops_per_sec: f64, allocs_per_op: Option<f64>) -> OpStats {
-    latencies_ns.sort_unstable();
-    OpStats {
-        ops_per_sec,
-        p50_ns: percentile(latencies_ns, 0.50),
-        p95_ns: percentile(latencies_ns, 0.95),
-        p99_ns: percentile(latencies_ns, 0.99),
-        allocs_per_op,
-    }
 }
 
 /// Renders an aligned text table.
@@ -137,22 +107,10 @@ pub fn save_json<T: serde::Serialize>(name: &str, value: &T) {
 /// Runs the simulated system at a fixed term over `trace` with standard
 /// experiment settings (60 s warmup, batched extensions).
 pub fn run_at_term(trace: &Trace, term: Dur, seed: u64) -> RunReport {
-    run_at_term_with(trace, term, seed, lease_sim::QueueKind::default())
-}
-
-/// [`run_at_term`] with an explicit event-queue backend, for the
-/// wheel-vs-heap benchmark comparisons.
-pub fn run_at_term_with(
-    trace: &Trace,
-    term: Dur,
-    seed: u64,
-    queue: lease_sim::QueueKind,
-) -> RunReport {
     let cfg = SystemConfig {
         term: TermSpec::Fixed(term),
         warmup: Dur::from_secs(60),
         seed,
-        queue,
         ..SystemConfig::default()
     };
     run_trace(&cfg, trace)
@@ -212,14 +170,6 @@ pub fn run_sim_sweep(
     })
 }
 
-/// A stable digest of a sweep's rows (via [`lease_core::fx_hash`] over
-/// the serialized JSON), used to assert byte-identical outputs across
-/// thread counts without checking in the whole row set.
-pub fn sweep_digest(rows: &[SimSweepRow]) -> String {
-    let json = serde_json::to_string(rows).unwrap_or_default();
-    format!("{:016x}", lease_core::fx_hash(&json))
-}
-
 /// The standard term grid used by the figures (seconds).
 pub fn figure_terms() -> Vec<f64> {
     let mut v = vec![
@@ -276,17 +226,6 @@ mod tests {
         assert_eq!(percentile(&v, 0.5), 60);
         assert_eq!(percentile(&v, 1.0), 100);
         assert_eq!(percentile(&[], 0.5), 0);
-    }
-
-    #[test]
-    fn op_stats_round_trips_through_json() {
-        let mut lats = vec![5, 1, 3, 2, 4];
-        let s = op_stats(&mut lats, 1000.0, Some(0.5));
-        assert_eq!(s.p50_ns, 3);
-        let json = serde_json::to_string(&s).unwrap();
-        let back: OpStats = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.p99_ns, s.p99_ns);
-        assert_eq!(back.allocs_per_op, Some(0.5));
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! regardless of thread count**. Parallelism changes wall-clock, never
 //! results.
 //!
-//! The `--threads N|auto` flag and the best-effort core-affinity helper
-//! live here too; `svc_load` and all five sweep binaries (`fig1`, `fig2`,
-//! `fig3`, `table2`, `chaos`) share this one implementation.
+//! The `--threads N|auto` flag lives here too; the sweep binaries
+//! (`fig1`, `fig2`, `fig3`, `table2` and the three chaos sweeps) share
+//! this one implementation.
 //!
 //! # Examples
 //!
@@ -24,6 +24,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use lease_core::affinity::pin_to_core;
+
 /// The host's available parallelism (1 when it cannot be determined).
 pub fn available_cores() -> usize {
     std::thread::available_parallelism()
@@ -33,7 +35,7 @@ pub fn available_cores() -> usize {
 
 /// Parses a `--threads` value: a positive integer or `auto` (the host's
 /// available parallelism).
-pub fn parse_threads(v: &str) -> Result<usize, String> {
+fn parse_threads(v: &str) -> Result<usize, String> {
     if v == "auto" {
         return Ok(available_cores());
     }
@@ -61,11 +63,6 @@ pub fn take_threads_arg(args: &mut Vec<String>, default: usize) -> Result<usize,
     args.drain(i..=i + 1);
     Ok(n)
 }
-
-// The affinity helper moved to `lease_core::affinity` so the sharded
-// service can pin shard workers with the same code (`SvcConfig::pin`);
-// re-exported here to keep the sweep binaries' call sites unchanged.
-pub use lease_core::affinity::pin_to_core;
 
 /// Runs `f(index, &task)` for every task, on up to `threads` worker
 /// threads, and returns the results **in task order**.

@@ -7,7 +7,7 @@
 //!
 //! Topology: this test drives a real `lease-rt` [`NetClient`] fleet
 //! (retransmission, deadlines, approvals — unchanged from the
-//! in-process path) against the `svc_load --net-server` role in a child
+//! in-process path) against the `net_server` bin in a child
 //! process. The server persists its maximum granted term to a file
 //! (§5: the restarted server defers writes that long) and appends every
 //! commit to a per-line-flushed log; a `SIGKILL` can lose nothing a
@@ -29,7 +29,7 @@ use lease_faults::check_history;
 use lease_rt::{NetClient, NetClientConfig};
 use lease_vsys::{History, HistoryEvent};
 
-const BIN: &str = env!("CARGO_BIN_EXE_svc_load");
+const BIN: &str = env!("CARGO_BIN_EXE_net_server");
 const TERM_MS: u64 = 300;
 const FILES: u64 = 8;
 const CLIENTS: u32 = 2;
@@ -42,7 +42,6 @@ struct Server {
 fn spawn_server(dir: &std::path::Path, epoch: u64, port: u16) -> Server {
     let mut child = Command::new(BIN)
         .args([
-            "--net-server",
             "--data",
             "bytes",
             "--shards",
@@ -65,7 +64,7 @@ fn spawn_server(dir: &std::path::Path, epoch: u64, port: u16) -> Server {
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .spawn()
-        .expect("spawn --net-server");
+        .expect("spawn net_server");
     let stdout = child.stdout.as_mut().expect("server stdout");
     let mut line = String::new();
     let mut rd = BufReader::new(stdout);

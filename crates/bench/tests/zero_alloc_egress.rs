@@ -61,12 +61,14 @@ fn round(
             ));
         }
     }
+    // The client's park path, in a client's order: ticket first, then the
+    // flush lands, then the final poll — so the wait below sees the count
+    // moved and skips the sleep. (A real client parks only on an empty
+    // poll.)
+    let tickets: [u64; CLIENTS] = std::array::from_fn(|c| rxs[c].bell().ticket());
     worker.deliver_batch(outbox);
     let mut got = 0usize;
-    for rx in rxs.iter_mut() {
-        // The client's park path: take a ticket, observe the publish,
-        // skip the sleep. (A real client parks only on an empty poll.)
-        let ticket = rx.bell().ticket();
+    for (rx, ticket) in rxs.iter_mut().zip(tickets) {
         batch.clear();
         loop {
             let n = rx.drain_into(batch, BURST);
@@ -76,7 +78,7 @@ fn round(
             }
         }
         assert!(
-            !rx.bell().wait(ticket, std::time::Duration::ZERO) || true,
+            rx.bell().wait(ticket, std::time::Duration::ZERO),
             "wait() must return without parking once the seq advanced"
         );
     }

@@ -125,20 +125,10 @@ impl<K: Ord> TimerWheel<K> {
         self.len
     }
 
-    /// The wheel's position: the last tick fully covered by `advance`.
-    /// An entry scheduled at a deadline whose (rounded-up) tick is at or
-    /// before this value would land in the due list and fire on the next
-    /// `advance`; callers layering their own ready-set on top of the wheel
-    /// (the simulator's event queue) use this to route already-due entries
-    /// around the wheel entirely.
-    pub fn position_ticks(&self) -> u64 {
-        self.now_tick
-    }
-
     /// The tick an entry scheduled at `at` occupies (deadline rounded up
     /// to the tick boundary at or after it, the same quantization
     /// [`TimerWheel::schedule`] applies).
-    pub fn tick_of(&self, at: Time) -> u64 {
+    fn tick_of(&self, at: Time) -> u64 {
         at.0.div_ceil(self.tick_ns)
     }
 
@@ -212,12 +202,9 @@ impl<K: Ord> TimerWheel<K> {
         self.advance_ticks_into(now.0 / self.tick_ns, out)
     }
 
-    /// Advances to an exact tick count rather than a time. Time-addressed
-    /// `advance(now)` rounds *down* (a tick only fires once fully covered)
-    /// while `schedule(at)` rounds *up*, so a caller chasing a specific
-    /// entry (`advance(entry.at)`) can stall one tick short of it;
-    /// tick-addressed callers target `tick_of(deadline)` directly.
-    pub fn advance_ticks_into(&mut self, target: u64, out: &mut Vec<(Time, K)>) {
+    /// [`TimerWheel::advance_into`] in ticks: fires everything whose tick
+    /// is at or before `target`.
+    fn advance_ticks_into(&mut self, target: u64, out: &mut Vec<(Time, K)>) {
         debug_assert!(self.fired.is_empty());
         self.fired.append(&mut self.due);
         while self.now_tick < target {
@@ -334,66 +321,6 @@ impl<K: Ord> TimerWheel<K> {
         self.spare = over;
     }
 
-    /// Advances just far enough to fire the next pending batch — the
-    /// level-hop loop of [`TimerWheel::advance_ticks_into`] with
-    /// "something fired" as the stop condition instead of a target tick —
-    /// and collects it sorted by `(at, key, seq)`. Returns `false` (and
-    /// leaves the position unchanged) when nothing is pending. One call
-    /// replaces the [`TimerWheel::next_deadline`]-then-`advance` round
-    /// trip per refill in the simulator's event queue, and lands on
-    /// exactly the tick that round trip converges to.
-    pub fn advance_to_next_into(&mut self, out: &mut Vec<(Time, K)>) -> bool {
-        if self.len == 0 {
-            return false;
-        }
-        debug_assert!(self.fired.is_empty());
-        self.fired.append(&mut self.due);
-        while self.fired.is_empty() {
-            if self.lens[0] > 0 {
-                let cur = self.now_tick % SLOTS as u64;
-                let jump = self
-                    .first_occupied_off(0, cur)
-                    .expect("lens[0] > 0 implies an occupied level-0 slot")
-                    .min(SLOTS as u64 - cur);
-                self.now_tick += jump;
-                let s0 = (self.now_tick % SLOTS as u64) as usize;
-                {
-                    let TimerWheel {
-                        levels,
-                        fired,
-                        lens,
-                        occ,
-                        ..
-                    } = &mut *self;
-                    let slot = &mut levels[0][s0];
-                    lens[0] -= slot.len();
-                    fired.append(slot);
-                    occ[0] &= !(1 << s0);
-                }
-                if s0 == 0 {
-                    self.cascade();
-                }
-                continue;
-            }
-            // Level 0 empty: hop to the next boundary of the innermost
-            // occupied level (or the full wrap when only overflow is
-            // pending) and cascade — the same stride logic as
-            // `advance_ticks_into`, minus the target cap.
-            let shift = match (1..LEVELS).find(|&l| self.lens[l] > 0) {
-                Some(l) => SLOT_BITS * l as u32,
-                None => SLOT_BITS * LEVELS as u32,
-            };
-            let step = 1u64 << shift;
-            self.now_tick = (self.now_tick - self.now_tick % step) + step;
-            self.cascade();
-        }
-        self.len -= self.fired.len();
-        self.fired
-            .sort_unstable_by(|a, b| (a.at, &a.key, a.seq).cmp(&(b.at, &b.key, b.seq)));
-        out.extend(self.fired.drain(..).map(|e| (e.at, e.key)));
-        true
-    }
-
     /// A lower bound on when the next entry fires: exact when every
     /// pending entry sits in the innermost level, otherwise capped at the
     /// first occupied block's cascade boundary (the caller wakes, the
@@ -406,8 +333,7 @@ impl<K: Ord> TimerWheel<K> {
     /// level-0 minimum alone would be too late a wake-up. Bounding at the
     /// first *occupied* block (rather than the next level-0 wrap) is what
     /// lets a wake/re-ask loop cross an idle stretch in block-sized
-    /// strides — the simulator's event queue leans on this to jump
-    /// between events separated by millions of ticks.
+    /// strides.
     pub fn next_deadline(&self) -> Option<Time> {
         if let Some(min) = self.due.iter().map(|e| e.at).min() {
             return Some(min);

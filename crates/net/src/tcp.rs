@@ -30,8 +30,7 @@
 //!   stall shard workers); a reconnect just installs a new stream.
 //!
 //! The client half lives where the clients live: `lease-rt`'s
-//! `NetClient` (real caches over a socket) and `svc_load --net`'s
-//! generator processes (raw open-loop load).
+//! `NetClient` (real caches over a socket).
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};

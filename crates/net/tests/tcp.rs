@@ -177,6 +177,12 @@ fn batched_fetches_coalesce_on_the_wire() {
     c.send(&batch);
     let replies = c.recv(32);
     assert_eq!(replies.len(), 32, "all 32 fetches answered");
+    // The writer bumps its counters after the `write` returns, so the last
+    // reply can be in our hands before it is counted.
+    let t0 = Instant::now();
+    while h.net.counters().snapshot().msgs_out < 32 && t0.elapsed() < Duration::from_secs(2) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let snap = h.net.counters().snapshot();
     assert_eq!(snap.msgs_out, 32);
     assert!(

@@ -1,57 +1,18 @@
 //! The time-ordered event queue.
 //!
-//! Two backends share one contract — pop order is `(at, push order)`,
-//! same-instant events FIFO:
-//!
-//! * [`QueueKind::Heap`] — a `BinaryHeap` of `(at, seq)`-ordered entries.
-//!   Every pop pays `O(log n)` comparisons on the full pending set, and
-//!   the heap is kept as the *executable specification*: small, obviously
-//!   correct, and the reference side of the equivalence property test.
-//! * [`QueueKind::Wheel`] — the default: deadlines live on the
-//!   hierarchical timer wheel from `lease-core` (1 ms ticks), payloads in
-//!   a recycled slab, and events whose tick the wheel has already covered
-//!   in a small `ready` heap. Scheduling is O(1) amortized, and each pop
-//!   only pays heap comparisons on the *ready* set (the events of the
-//!   current instant-neighbourhood), not on every pending timer — which
-//!   is what makes simulations whose pending set is dominated by far-out
-//!   lease expirations cheap per event.
-//!
-//! The wheel backend is exact, not approximate: entries keep their
-//! requested instant, the wheel only buckets *when they surface*, and the
-//! ready heap restores `(at, seq)` order, so both backends pop identical
-//! sequences (`tests/prop.rs` pins this, cancellations included).
+//! One `BinaryHeap` of `(at, seq)`-ordered entries: pop order is
+//! `(at, push order)`, same-instant events FIFO. A simulation's pending
+//! set is a few hundred events (one timer or in-flight message per actor,
+//! plus the lease expirations not yet reached), so the heap's `O(log n)`
+//! sift is a handful of comparisons on cache-resident entries — there is
+//! no log factor for a bucketed scheduler's O(1) to delete (DESIGN.md §2c
+//! records the measurement that retired the timer-wheel backend).
 
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashSet};
 
 use lease_clock::Time;
-use lease_core::TimerWheel;
-
-/// The wheel backend's tick quantum, nanoseconds (1 ms). The tick is a
-/// pure performance knob — it buckets *when entries surface*, never their
-/// pop order, which stays exact `(at, seq)` via the ready heap — so it is
-/// sized for the workload: simulated message hops are ms-scale, so a 1 ms
-/// tick keeps deliveries within level 0 (no cascading on the hot path)
-/// while sub-tick events short-circuit into the ready heap directly. The
-/// four wheel levels then cover ~4.6 simulated hours before overflow.
-const TICK_NS: u64 = 1_000_000;
-
-/// Deadlines at or beyond this instant (2^48 ns ≈ 3.3 simulated days)
-/// bypass the wheel into a plain far-future heap: the wheel would need
-/// millions of level hops to chase an end-of-time timer (e.g. one set by
-/// an infinite-term lease), and everything this side of the horizon
-/// always pops first anyway.
-const FAR_NS: u64 = 1 << 48;
-
-/// Which [`EventQueue`] backend to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// Timer-wheel scheduling (the default).
-    #[default]
-    Wheel,
-    /// Binary-heap scheduling: the executable specification.
-    Heap,
-}
 
 /// Identifies a scheduled event; returned by [`EventQueue::push`] and
 /// accepted by [`EventQueue::cancel`].
@@ -86,149 +47,11 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// A surfaced wheel event: its payload sits in the slab at `slot`.
-struct Ready {
-    at: Time,
-    seq: u64,
-    slot: u32,
-}
-
-impl PartialEq for Ready {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-impl Eq for Ready {}
-
-impl PartialOrd for Ready {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Ready {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: min-heap by (at, seq), the queue's global pop order.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// The wheel backend: deadlines on the core timer wheel, payloads in a
-/// slab recycled through a free list (in-flight messages stop costing an
-/// allocation per hop once the slab is warm).
-struct WheelBackend<E> {
-    wheel: TimerWheel<(u64, u32)>,
-    /// Events whose tick the wheel has covered, sorted *descending* by
-    /// `(at, seq)` so the back is the pop front. Refills only happen when
-    /// this is empty and arrive presorted, so order costs a reversed
-    /// extend — not a sift per event — and the occasional sub-position
-    /// push does one binary-search insert into a near-empty vec. Every
-    /// entry here is strictly earlier than every entry still on the wheel
-    /// (ready: `at <= position·tick`; wheel: `at > position·tick`), so
-    /// popping the back never needs to consult the wheel.
-    ready: Vec<Ready>,
-    /// Deadlines past [`FAR_NS`], in pop order; strictly later than
-    /// everything the wheel side holds, so consulted only when it drains.
-    far: BinaryHeap<Ready>,
-    slots: Vec<Option<E>>,
-    free: Vec<u32>,
-    /// Scratch for `advance_to_next_into`, reused across refills.
-    fired: Vec<(Time, (u64, u32))>,
-    len: usize,
-}
-
-impl<E> WheelBackend<E> {
-    fn new() -> WheelBackend<E> {
-        WheelBackend {
-            wheel: TimerWheel::new(lease_clock::Dur(TICK_NS), Time::ZERO),
-            ready: Vec::new(),
-            far: BinaryHeap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            fired: Vec::new(),
-            len: 0,
-        }
-    }
-
-    fn push(&mut self, at: Time, seq: u64, ev: E) {
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize] = Some(ev);
-                s
-            }
-            None => {
-                self.slots.push(Some(ev));
-                (self.slots.len() - 1) as u32
-            }
-        };
-        self.len += 1;
-        if at.0 >= FAR_NS {
-            self.far.push(Ready { at, seq, slot });
-        } else if self.wheel.tick_of(at) <= self.wheel.position_ticks() {
-            // The wheel already covered this tick; bucketing it would
-            // park it in the wheel's due list until the next advance,
-            // which may come after later-timed pops. Surface it directly,
-            // keeping `ready` descending.
-            let i = self.ready.partition_point(|q| (q.at, q.seq) > (at, seq));
-            self.ready.insert(i, Ready { at, seq, slot });
-        } else {
-            self.wheel.schedule(at, (seq, slot));
-        }
-    }
-
-    /// Surfaces the wheel's next batch into `ready` when `ready` is
-    /// empty: one `advance_to_next_into` call hops the wheel straight to
-    /// its next occupied tick (cascading en route) and fires everything
-    /// due there.
-    fn refill(&mut self) {
-        if !self.ready.is_empty() {
-            return;
-        }
-        debug_assert!(self.fired.is_empty());
-        if self.wheel.advance_to_next_into(&mut self.fired) {
-            // The batch arrives sorted ascending; reverse it in so the
-            // back of `ready` stays the earliest event.
-            self.ready
-                .extend(self.fired.drain(..).rev().map(|(at, (seq, slot))| Ready {
-                    at,
-                    seq,
-                    slot,
-                }));
-        }
-    }
-
-    /// The earliest pending `(at, seq)` without removing it.
-    fn peek(&mut self) -> Option<(Time, u64)> {
-        self.refill();
-        match self.ready.last() {
-            Some(r) => Some((r.at, r.seq)),
-            None => self.far.peek().map(|r| (r.at, r.seq)),
-        }
-    }
-
-    fn pop(&mut self) -> Option<(Time, u64, E)> {
-        self.refill();
-        let r = match self.ready.pop() {
-            Some(r) => r,
-            None => self.far.pop()?,
-        };
-        let ev = self.slots[r.slot as usize]
-            .take()
-            .expect("slab slot holds the scheduled payload");
-        self.free.push(r.slot);
-        self.len -= 1;
-        Some((r.at, r.seq, ev))
-    }
-}
-
 /// A deterministic time-ordered queue of events.
 ///
 /// Events scheduled for the same instant pop in the order they were pushed,
 /// which makes simulation runs reproducible bit-for-bit given the same seed
-/// and inputs. [`EventQueue::new`] runs on the timer-wheel backend;
-/// [`EventQueue::heap`] builds the binary-heap executable spec the wheel is
-/// property-tested against (see [`QueueKind`]). The two are observationally
-/// identical — backend choice changes cost, never a popped sequence.
+/// and inputs.
 ///
 /// # Examples
 ///
@@ -248,39 +71,17 @@ impl<E> WheelBackend<E> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    backend: Backend<E>,
-    /// Lazily cancelled handles, reaped when their entry surfaces (the
-    /// same convention the core wheel documents for its callers).
+    heap: BinaryHeap<Entry<E>>,
+    /// Lazily cancelled handles, reaped when their entry reaches the front.
     cancelled: HashSet<u64>,
     next_seq: u64,
 }
 
-enum Backend<E> {
-    Heap(BinaryHeap<Entry<E>>),
-    // Boxed: the wheel's inline state (levels, slab, scratch) dwarfs the
-    // heap variant, and a queue lives behind one pointer either way.
-    Wheel(Box<WheelBackend<E>>),
-}
-
 impl<E> EventQueue<E> {
-    /// Creates an empty queue on the default (wheel) backend.
+    /// Creates an empty queue.
     pub fn new() -> EventQueue<E> {
-        EventQueue::with_kind(QueueKind::Wheel)
-    }
-
-    /// Creates an empty queue on the binary-heap backend — the executable
-    /// specification the wheel backend is property-tested against.
-    pub fn heap() -> EventQueue<E> {
-        EventQueue::with_kind(QueueKind::Heap)
-    }
-
-    /// Creates an empty queue on the chosen backend.
-    pub fn with_kind(kind: QueueKind) -> EventQueue<E> {
         EventQueue {
-            backend: match kind {
-                QueueKind::Heap => Backend::Heap(BinaryHeap::new()),
-                QueueKind::Wheel => Backend::Wheel(Box::new(WheelBackend::new())),
-            },
+            heap: BinaryHeap::new(),
             cancelled: HashSet::new(),
             next_seq: 0,
         }
@@ -290,10 +91,7 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: Time, ev: E) -> EventHandle {
         let seq = self.next_seq;
         self.next_seq += 1;
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(Entry { at, seq, ev }),
-            Backend::Wheel(w) => w.push(at, seq, ev),
-        }
+        self.heap.push(Entry { at, seq, ev });
         EventHandle(seq)
     }
 
@@ -309,50 +107,32 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest non-cancelled event, if any.
     pub fn pop(&mut self) -> Option<(Time, E)> {
         loop {
-            let (at, seq, ev) = match &mut self.backend {
-                Backend::Heap(h) => h.pop().map(|e| (e.at, e.seq, e.ev))?,
-                Backend::Wheel(w) => w.pop()?,
-            };
-            if !self.cancelled.remove(&seq) {
-                return Some((at, ev));
+            let e = self.heap.pop()?;
+            if !self.cancelled.remove(&e.seq) {
+                return Some((e.at, e.ev));
             }
         }
     }
 
     /// The instant of the earliest non-cancelled pending event.
     ///
-    /// Takes `&mut self`: cancelled entries surfacing at the front are
-    /// reaped, and the wheel backend may advance its wheel to find the
-    /// front. The observable state (every future pop) is unchanged.
+    /// Takes `&mut self`: cancelled entries at the front are reaped. The
+    /// observable state (every future pop) is unchanged.
     pub fn peek_time(&mut self) -> Option<Time> {
-        loop {
-            let (at, seq) = match &mut self.backend {
-                Backend::Heap(h) => h.peek().map(|e| (e.at, e.seq))?,
-                Backend::Wheel(w) => w.peek()?,
-            };
-            if !self.cancelled.contains(&seq) {
-                return Some(at);
+        while let Some(e) = self.heap.peek_mut() {
+            if !self.cancelled.remove(&e.seq) {
+                return Some(e.at);
             }
             // Reap the cancelled front entry and look again.
-            match &mut self.backend {
-                Backend::Heap(h) => {
-                    h.pop();
-                }
-                Backend::Wheel(w) => {
-                    w.pop();
-                }
-            }
-            self.cancelled.remove(&seq);
+            PeekMut::pop(e);
         }
+        None
     }
 
     /// Number of pending events, counting cancelled-but-unreaped ones
     /// (cancellation is lazy; see [`EventQueue::cancel`]).
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(h) => h.len(),
-            Backend::Wheel(w) => w.len,
-        }
+        self.heap.len()
     }
 
     /// Whether no events are pending.
@@ -376,151 +156,115 @@ impl<E> Default for EventQueue<E> {
 mod tests {
     use super::*;
 
-    /// Every behavioural test runs on both backends: the contract is one.
-    fn both(f: impl Fn(EventQueue<i32>)) {
-        f(EventQueue::heap());
-        f(EventQueue::new());
-    }
-
     #[test]
     fn orders_by_time() {
-        both(|mut q| {
-            q.push(Time::from_secs(3), 3);
-            q.push(Time::from_secs(1), 1);
-            q.push(Time::from_secs(2), 2);
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec![1, 2, 3]);
-        });
+        let mut q = EventQueue::new();
+        q.push(Time::from_secs(3), 3);
+        q.push(Time::from_secs(1), 1);
+        q.push(Time::from_secs(2), 2);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![1, 2, 3]);
     }
 
     #[test]
     fn ties_are_fifo() {
-        both(|mut q| {
-            let t = Time::from_secs(1);
-            for i in 0..100 {
-                q.push(t, i);
-            }
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>());
-        });
+        let mut q = EventQueue::new();
+        let t = Time::from_secs(1);
+        for i in 0..100 {
+            q.push(t, i);
+        }
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn sub_tick_instants_keep_exact_times_and_order() {
-        // Distinct instants inside one wheel tick must still pop in time
-        // order at their exact requested times.
-        both(|mut q| {
-            q.push(Time(999), 2);
-            q.push(Time(5), 1);
-            q.push(Time(1_001), 3);
-            assert_eq!(q.pop(), Some((Time(5), 1)));
-            assert_eq!(q.pop(), Some((Time(999), 2)));
-            assert_eq!(q.pop(), Some((Time(1_001), 3)));
-        });
+        // Instants a microsecond apart pop in time order at their exact
+        // requested times: nothing is bucketed.
+        let mut q = EventQueue::new();
+        q.push(Time(999), 2);
+        q.push(Time(5), 1);
+        q.push(Time(1_001), 3);
+        assert_eq!(q.pop(), Some((Time(5), 1)));
+        assert_eq!(q.pop(), Some((Time(999), 2)));
+        assert_eq!(q.pop(), Some((Time(1_001), 3)));
     }
 
     #[test]
     fn peek_does_not_remove() {
-        both(|mut q| {
-            q.push(Time::from_secs(5), 0);
-            assert_eq!(q.peek_time(), Some(Time::from_secs(5)));
-            assert_eq!(q.len(), 1);
-            assert!(!q.is_empty());
-            q.pop();
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-        });
+        let mut q = EventQueue::new();
+        q.push(Time::from_secs(5), 0);
+        assert_eq!(q.peek_time(), Some(Time::from_secs(5)));
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
+        q.pop();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
     fn counts_scheduled() {
-        both(|mut q| {
-            q.push(Time::ZERO, 0);
-            q.push(Time::ZERO, 0);
-            q.pop();
-            assert_eq!(q.scheduled_total(), 2);
-        });
+        let mut q = EventQueue::new();
+        q.push(Time::ZERO, 0);
+        q.push(Time::ZERO, 0);
+        q.pop();
+        assert_eq!(q.scheduled_total(), 2);
     }
 
     #[test]
     fn interleaved_push_pop_stays_ordered() {
-        both(|mut q| {
-            q.push(Time::from_secs(10), 10);
-            q.push(Time::from_secs(1), 1);
-            assert_eq!(q.pop(), Some((Time::from_secs(1), 1)));
-            q.push(Time::from_secs(5), 5);
-            q.push(Time::from_secs(2), 2);
-            assert_eq!(q.pop(), Some((Time::from_secs(2), 2)));
-            assert_eq!(q.pop(), Some((Time::from_secs(5), 5)));
-            assert_eq!(q.pop(), Some((Time::from_secs(10), 10)));
-        });
+        let mut q = EventQueue::new();
+        q.push(Time::from_secs(10), 10);
+        q.push(Time::from_secs(1), 1);
+        assert_eq!(q.pop(), Some((Time::from_secs(1), 1)));
+        q.push(Time::from_secs(5), 5);
+        q.push(Time::from_secs(2), 2);
+        assert_eq!(q.pop(), Some((Time::from_secs(2), 2)));
+        assert_eq!(q.pop(), Some((Time::from_secs(5), 5)));
+        assert_eq!(q.pop(), Some((Time::from_secs(10), 10)));
     }
 
     #[test]
     fn push_earlier_than_already_surfaced_events() {
-        // After popping at t=2s the wheel has advanced past t=1s; a new
-        // event pushed at 1s (time going backwards is the caller's bug,
-        // but same-instant re-push is routine) must still pop before the
-        // pending 3s event.
-        both(|mut q| {
-            q.push(Time::from_secs(2), 2);
-            q.push(Time::from_secs(3), 3);
-            assert_eq!(q.pop(), Some((Time::from_secs(2), 2)));
-            q.push(Time::from_secs(2), 20);
-            assert_eq!(q.pop(), Some((Time::from_secs(2), 20)));
-            assert_eq!(q.pop(), Some((Time::from_secs(3), 3)));
-        });
+        // Re-pushing at the current instant is routine (an actor reacting
+        // to a delivery with a zero-delay timer): it must pop before the
+        // pending later event.
+        let mut q = EventQueue::new();
+        q.push(Time::from_secs(2), 2);
+        q.push(Time::from_secs(3), 3);
+        assert_eq!(q.pop(), Some((Time::from_secs(2), 2)));
+        q.push(Time::from_secs(2), 20);
+        assert_eq!(q.pop(), Some((Time::from_secs(2), 20)));
+        assert_eq!(q.pop(), Some((Time::from_secs(3), 3)));
     }
 
     #[test]
     fn cancelled_events_never_pop() {
-        both(|mut q| {
-            let a = q.push(Time::from_secs(1), 1);
-            q.push(Time::from_secs(1), 2);
-            let c = q.push(Time::from_secs(2), 3);
-            q.cancel(a);
-            q.cancel(c);
-            assert_eq!(q.peek_time(), Some(Time::from_secs(1)));
-            assert_eq!(q.pop(), Some((Time::from_secs(1), 2)));
-            assert_eq!(q.pop(), None);
-        });
+        let mut q = EventQueue::new();
+        let a = q.push(Time::from_secs(1), 1);
+        q.push(Time::from_secs(1), 2);
+        let c = q.push(Time::from_secs(2), 3);
+        q.cancel(a);
+        q.cancel(c);
+        assert_eq!(q.peek_time(), Some(Time::from_secs(1)));
+        assert_eq!(q.pop(), Some((Time::from_secs(1), 2)));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn far_future_events_fire_in_order() {
-        // Past the wheel's far horizon: routed to the far heap, still
-        // popped in exact (at, seq) order after everything nearer.
-        both(|mut q| {
-            q.push(Time(u64::MAX), 9);
-            q.push(Time(FAR_NS + 5), 5);
-            q.push(Time(FAR_NS + 5), 6);
-            q.push(Time::from_secs(1), 1);
-            assert_eq!(q.pop(), Some((Time::from_secs(1), 1)));
-            assert_eq!(q.pop(), Some((Time(FAR_NS + 5), 5)));
-            assert_eq!(q.pop(), Some((Time(FAR_NS + 5), 6)));
-            assert_eq!(q.peek_time(), Some(Time(u64::MAX)));
-            assert_eq!(q.pop(), Some((Time(u64::MAX), 9)));
-        });
-    }
-
-    #[test]
-    fn slab_slots_are_recycled() {
-        // A long run of push/pop at growing times must not grow the slab
-        // beyond the peak in-flight count.
-        let mut q: EventQueue<u64> = EventQueue::new();
-        for i in 0..10_000u64 {
-            q.push(Time(i * 500), i);
-            if i >= 8 {
-                q.pop();
-            }
-        }
-        let Backend::Wheel(w) = &q.backend else {
-            panic!("default backend is the wheel");
-        };
-        assert!(
-            w.slots.len() <= 16,
-            "slab grew to {} slots for 9 in flight",
-            w.slots.len()
-        );
+        // An infinite-term lease sets a timer at the end of time: it pops
+        // in exact (at, seq) order after everything nearer.
+        let mut q = EventQueue::new();
+        let far = 1u64 << 48;
+        q.push(Time(u64::MAX), 9);
+        q.push(Time(far + 5), 5);
+        q.push(Time(far + 5), 6);
+        q.push(Time::from_secs(1), 1);
+        assert_eq!(q.pop(), Some((Time::from_secs(1), 1)));
+        assert_eq!(q.pop(), Some((Time(far + 5), 5)));
+        assert_eq!(q.pop(), Some((Time(far + 5), 6)));
+        assert_eq!(q.peek_time(), Some(Time(u64::MAX)));
+        assert_eq!(q.pop(), Some((Time(u64::MAX), 9)));
     }
 }

@@ -12,9 +12,7 @@
 //! Pieces:
 //!
 //! * [`EventQueue`] — a time-ordered queue with FIFO tie-breaking, the heart
-//!   of the kernel. It runs on the `lease-core` hierarchical timer wheel by
-//!   default, with a binary-heap backend kept as the executable spec
-//!   ([`QueueKind`]).
+//!   of the kernel: one binary heap.
 //! * [`Actor`] / [`World`] — the actor layer: actors receive messages and
 //!   timer callbacks through a [`Ctx`] that lets them send, multicast, set
 //!   timers, and record metrics.
@@ -60,7 +58,7 @@ pub mod rng;
 pub mod world;
 
 pub use actor::{Actor, ActorId, Ctx, TimerId};
-pub use event::{EventHandle, EventQueue, QueueKind};
+pub use event::{EventHandle, EventQueue};
 pub use medium::{Delivery, Dest, Medium, PerfectMedium};
 pub use metrics::{Histogram, HistogramSummary, Metrics};
 pub use rng::SimRng;

@@ -6,7 +6,7 @@ use std::collections::HashSet;
 use lease_clock::Time;
 
 use crate::actor::{Actor, ActorId, Cmd, Ctx, TimerId};
-use crate::event::{EventQueue, QueueKind};
+use crate::event::EventQueue;
 use crate::medium::{Delivery, Dest, Medium};
 use crate::metrics::Metrics;
 use crate::rng::SimRng;
@@ -68,23 +68,11 @@ pub struct World<M> {
 }
 
 impl<M: 'static> World<M> {
-    /// Creates an empty world with the given seed and network medium, on
-    /// the default (timer-wheel) event queue.
+    /// Creates an empty world with the given seed and network medium.
     pub fn new(seed: u64, medium: impl Medium<M> + 'static) -> World<M> {
-        World::with_queue_kind(seed, medium, QueueKind::default())
-    }
-
-    /// Like [`World::new`], with an explicit event-queue backend. The
-    /// backends are observationally equivalent; benchmarks use this to
-    /// compare their cost on identical runs.
-    pub fn with_queue_kind(
-        seed: u64,
-        medium: impl Medium<M> + 'static,
-        queue: QueueKind,
-    ) -> World<M> {
         World {
             now: Time::ZERO,
-            queue: EventQueue::with_kind(queue),
+            queue: EventQueue::new(),
             actors: Vec::new(),
             medium: Box::new(medium),
             next_timer: 0,

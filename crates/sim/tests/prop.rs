@@ -5,80 +5,81 @@ use lease_sim::{Actor, ActorId, Ctx, EventQueue, PerfectMedium, SimRng, World};
 use proptest::prelude::*;
 
 proptest! {
-    /// The event queue pops in non-decreasing time order, FIFO on ties —
-    /// on both backends.
+    /// The event queue pops in non-decreasing time order, FIFO on ties.
     #[test]
     fn queue_pops_sorted_fifo(times in proptest::collection::vec(0u64..1000, 1..200)) {
-        for kind in [lease_sim::QueueKind::Wheel, lease_sim::QueueKind::Heap] {
-            let mut q = EventQueue::with_kind(kind);
-            for (i, t) in times.iter().enumerate() {
-                q.push(Time(*t), i);
-            }
-            let mut last: Option<(Time, usize)> = None;
-            while let Some((at, seq)) = q.pop() {
-                if let Some((lat, lseq)) = last {
-                    prop_assert!(at >= lat);
-                    if at == lat {
-                        prop_assert!(seq > lseq, "ties must pop FIFO");
-                    }
+        let mut q = EventQueue::new();
+        for (i, t) in times.iter().enumerate() {
+            q.push(Time(*t), i);
+        }
+        let mut last: Option<(Time, usize)> = None;
+        while let Some((at, seq)) = q.pop() {
+            if let Some((lat, lseq)) = last {
+                prop_assert!(at >= lat);
+                if at == lat {
+                    prop_assert!(seq > lseq, "ties must pop FIFO");
                 }
-                last = Some((at, seq));
             }
+            last = Some((at, seq));
         }
     }
 
-    /// The wheel-backed queue is observationally equivalent to the
-    /// binary-heap executable spec under arbitrary push/pop/cancel/peek
-    /// interleavings — including same-instant FIFO tie-breaks, sub-tick
-    /// instants, and far-future deadlines (the determinism contract
-    /// documented in `event.rs`).
+    /// The queue is observationally equivalent to the obvious model — a
+    /// `Vec` of `(at, push seq, value)` scanned for its `(at, seq)`-least
+    /// entry — under arbitrary push/pop/cancel/peek interleavings, including
+    /// same-instant FIFO tie-breaks, nanosecond-apart instants, and
+    /// end-of-time deadlines (the determinism contract documented in
+    /// `event.rs`).
     #[test]
-    fn wheel_queue_matches_heap_spec(
+    fn queue_matches_sorted_model(
         ops in proptest::collection::vec((0u8..8, any::<u64>()), 1..400),
     ) {
-        let mut wheel = EventQueue::new();
-        let mut heap = EventQueue::heap();
+        /// Removes and returns the model's `(at, seq)`-least entry.
+        fn pop_min(model: &mut Vec<(Time, u64, u64)>) -> Option<(Time, u64)> {
+            let i = (0..model.len()).min_by_key(|&i| (model[i].0, model[i].1))?;
+            let (at, _, v) = model.remove(i);
+            Some((at, v))
+        }
+        let mut q = EventQueue::new();
+        let mut model: Vec<(Time, u64, u64)> = Vec::new();
         let mut handles = Vec::new();
-        let mut next_val = 0u64;
         for (op, x) in ops {
             match op {
                 // Pushes dominate so the drain below has work to compare.
                 0..=3 => {
-                    // A mix of dense ties, tick-aligned, sub-tick, and
-                    // far-future instants (the wheel's three routing
-                    // regimes plus its quantization boundary).
+                    // A mix of dense ties, microsecond-aligned, scattered,
+                    // and end-of-time instants.
                     let at = match x % 4 {
                         0 => Time(x % 100),
                         1 => Time((x % 50) * 1_000),
                         2 => Time(x % 10_000_000),
                         _ => Time(u64::MAX - (x % 1000)),
                     };
-                    let v = next_val;
-                    next_val += 1;
-                    let hw = wheel.push(at, v);
-                    let hh = heap.push(at, v);
-                    prop_assert_eq!(hw, hh, "handles must mirror");
-                    handles.push(hw);
+                    // A handle's index is its event's push sequence number.
+                    model.push((at, handles.len() as u64, x));
+                    handles.push(q.push(at, x));
                 }
-                4 | 5 => prop_assert_eq!(wheel.pop(), heap.pop()),
+                4 | 5 => prop_assert_eq!(q.pop(), pop_min(&mut model)),
                 6 => {
                     if !handles.is_empty() {
-                        let h = handles[(x as usize) % handles.len()];
-                        wheel.cancel(h);
-                        heap.cancel(h);
+                        // May name an already-popped or already-cancelled
+                        // event: a no-op on both sides.
+                        let i = (x as usize) % handles.len();
+                        q.cancel(handles[i]);
+                        model.retain(|e| e.1 != i as u64);
                     }
                 }
-                _ => prop_assert_eq!(wheel.peek_time(), heap.peek_time()),
+                _ => prop_assert_eq!(q.peek_time(), model.iter().map(|e| e.0).min()),
             }
         }
         loop {
-            let (a, b) = (wheel.pop(), heap.pop());
+            let (a, b) = (q.pop(), pop_min(&mut model));
             prop_assert_eq!(&a, &b, "drain order must match");
             if a.is_none() {
                 break;
             }
         }
-        prop_assert!(wheel.is_empty() && heap.is_empty());
+        prop_assert!(q.is_empty());
     }
 
     /// Forked RNG streams are independent of sibling draw order.

@@ -16,7 +16,7 @@
 //!   **once per flush** — coalesced, not per message. A flush that
 //!   answers a 64-op batch for one client costs one ring; if the client
 //!   is mid-drain or spinning, that ring is two uncontended atomics and
-//!   no futex at all (the wakes-per-op collapse `svc_load` measures).
+//!   no futex at all (the collapse [`Egress::wakes`] per op measures).
 //! * Client threads drain their lanes round-robin through
 //!   [`lease_core::ring::Lanes`] with the same ticket-before-final-poll
 //!   spin-then-park loop shard workers use, so a publish-then-ring can

@@ -113,10 +113,6 @@ pub struct SystemConfig {
     /// Extra time to run after the last trace record, letting in-flight
     /// operations drain.
     pub drain: Dur,
-    /// Event-queue backend for the simulation kernel. The default timer
-    /// wheel and the binary-heap spec are observationally equivalent; the
-    /// knob exists so benchmarks can measure one against the other.
-    pub queue: lease_sim::QueueKind,
 }
 
 impl Default for SystemConfig {
@@ -143,7 +139,6 @@ impl Default for SystemConfig {
             server_clock: ClockModel::perfect(),
             seed: 42,
             drain: Dur::from_secs(120),
-            queue: lease_sim::QueueKind::default(),
         }
     }
 }

@@ -85,7 +85,7 @@ pub fn build_world(cfg: &SystemConfig, trace: &Trace) -> RunHandle {
     for (client, extra) in &cfg.extra_prop {
         net = net.with_extra_prop(ActorId(1 + *client as usize), *extra);
     }
-    let mut world: World<NetMsg> = World::with_queue_kind(cfg.seed, net, cfg.queue);
+    let mut world: World<NetMsg> = World::new(cfg.seed, net);
     let history = history::shared();
     let warmup = Time::ZERO + cfg.warmup;
 
