@@ -19,8 +19,29 @@
 //! This rule needs only bounded clock *drift*, not synchronized clocks
 //! (§5); the one message that does rely on ε-synchronization is the
 //! installed-file multicast, whose term is anchored to a server timestamp.
+//!
+//! # Renewal
+//!
+//! §3.1 has a cache "extend together all leases over all files that it
+//! still holds" whenever it must contact the server anyway. Taken on every
+//! miss that is work proportional to held × miss rate for almost no gain:
+//! a lease extended a millisecond ago gains a millisecond. So each entry
+//! remembers when extension next *gains* something, an eighth of a term
+//! after the anchor its expiry is counted from (`renew_after`), and a
+//! fetch piggybacks exactly the entries that are due. Everything due
+//! still rides in one message (the paper's batch); what is bounded is the
+//! rate, at 8 extensions per lease per term whatever the miss rate. There
+//! is no cap on the list: the rate bound alone keeps a request small, and
+//! a cap would let leases lapse in a cache that holds more than the cap.
+//!
+//! A cache that misses often finds few leases due at any one miss, and
+//! finds them through a due-ordered heap, so a miss costs O(due · log
+//! held) whatever is held. A cache that misses seldom finds nearly all
+//! of them due every time; it keeps no heap and scans, which is what that
+//! costs least. The cache tells the two apart by counting what is due.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 use lease_clock::{Dur, Time};
 
@@ -52,8 +73,9 @@ pub struct ClientConfig {
     /// cannot amplify a server brownout into a retry storm. `None` = no
     /// budget (retries limited only by backoff and `max_retries`).
     pub retry_budget: Option<RetryBudget>,
-    /// Piggyback extension of all held leases on every fetch (§3.1: batch
-    /// extensions).
+    /// Piggyback extension of every held lease that is due on every fetch
+    /// (§3.1: batch extensions; see the module's *Renewal* section for
+    /// "due"). `false` = never piggyback.
     pub batch_extensions: bool,
     /// Renew all held leases every interval without waiting for a miss
     /// (§4 anticipatory extension); `None` = on-demand only.
@@ -309,6 +331,10 @@ pub struct ClientCounters {
     /// Retries deferred by the [`RetryBudget`] (re-attempted later; not
     /// counted against `max_retries`).
     pub budget_deferred: u64,
+    /// Held leases put on fetches for extension (`also_extend` entries
+    /// sent, retransmissions included): at most 8 per lease per term plus
+    /// what retransmissions repeat.
+    pub renewals_piggybacked: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -317,11 +343,30 @@ struct Entry<D> {
     version: Version,
     /// Conservative client-clock expiry of the lease.
     expiry: Time,
+    /// When extending this lease next gains something: a fetch sent at or
+    /// after this instant piggybacks the entry. Set with `expiry` from the
+    /// same grant, and moved to a carrying request's next retry instant
+    /// while that request is in flight. [`Time::MAX`] = never.
+    renew_after: Time,
     last_used: Time,
     /// The server's cookie from the last grant, echoed on renewals so the
     /// server can take its slab fast path. Opaque; NULL when the lease
     /// came without one (e.g. a write completion).
     handle: LeaseHandle,
+}
+
+impl<D> Entry<D> {
+    /// Moves the lease forward to `lease` if that outlasts what the entry
+    /// has, and says whether it did: a grant that does not advance
+    /// `expiry` does not move `renew_after` either.
+    fn extend(&mut self, lease: Lease) -> bool {
+        let advances = lease.expiry > self.expiry;
+        if advances {
+            self.expiry = lease.expiry;
+            self.renew_after = lease.renew_after;
+        }
+        advances
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -362,6 +407,13 @@ pub struct LeaseClient<R: Resource, D: Clone> {
     /// the floor may ever be cached — the defence against delayed,
     /// duplicated, or reordered replies re-installing stale data.
     floor: HashMap<R, Version>,
+    /// The entries ordered by `renew_after`, so a fetch finds what is due
+    /// without scanning what is held. Lazy deletion: an item is live only
+    /// while its entry exists and still has that `renew_after`; every
+    /// entry with a finite `renew_after` has its live item here. `None`
+    /// while fetches find so many entries due that scanning is cheaper
+    /// (see [`LeaseClient::build_fetch`]).
+    due: Option<BinaryHeap<Reverse<(Time, R)>>>,
     next_req: u64,
     /// Retry-budget bucket level; meaningless when `cfg.retry_budget` is
     /// `None`. `budget_at` is the instant of the last refill (`None` =
@@ -382,6 +434,7 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
             fetch_inflight: HashMap::new(),
             requests: HashMap::new(),
             floor: HashMap::new(),
+            due: Some(BinaryHeap::new()),
             next_req: 0,
             budget_tokens: 0.0,
             budget_at: None,
@@ -441,6 +494,7 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
         self.fetch_inflight.clear();
         self.requests.clear();
         self.floor.clear();
+        self.due = Some(BinaryHeap::new());
         self.budget_tokens = 0.0;
         self.budget_at = None;
     }
@@ -491,45 +545,148 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
                 return;
             }
         }
+        self.send_fetch(now, resource, vec![(op, now)], out);
+    }
+
+    /// Sends a fresh fetch for `resource` on behalf of `waiters`, all of
+    /// them original requesters.
+    fn send_fetch(
+        &mut self,
+        now: Time,
+        resource: R,
+        waiters: Vec<(OpId, Time)>,
+        out: &mut Vec<ClientOutput<R, D>>,
+    ) {
         let req = self.fresh_req();
-        let msg = self.build_fetch(req, resource);
+        let retry_at = now + self.cfg.retry_interval;
+        let msg = self.build_fetch(now, retry_at, req, resource);
         self.fetch_inflight.insert(resource, req);
+        let originals = waiters.len();
         self.requests.insert(
             req,
             Pending::Fetch {
                 resource,
-                waiters: vec![(op, now)],
-                originals: 1,
+                waiters,
+                originals,
                 first_sent: now,
                 retries: 0,
             },
         );
         out.push(ClientOutput::Send(msg));
         out.push(ClientOutput::SetTimer {
-            at: now + self.cfg.retry_interval,
+            at: retry_at,
             timer: ClientTimer::Retry(req),
         });
     }
 
-    fn build_fetch(&self, req: ReqId, resource: R) -> ToServer<R, D> {
+    /// Builds the fetch for `resource` sent at `now`, piggybacking every
+    /// other entry that is due (`renew_after <= now`), sorted by resource.
+    /// Each due entry — the target too, which the fetch itself extends —
+    /// then waits until `retry_at`, this transmission's retry instant,
+    /// before it is due again: a concurrent miss does not repeat it, the
+    /// retransmission does.
+    ///
+    /// Through the index that costs O(due · log held). Once more than
+    /// one entry in [`SCAN_SHARE`] turns out due, popping them one by one
+    /// costs more than one pass over the entries would: the index is
+    /// dropped, this fetch and the following ones scan, and the first
+    /// scan to find few entries due builds the index again.
+    fn build_fetch(
+        &mut self,
+        now: Time,
+        retry_at: Time,
+        req: ReqId,
+        resource: R,
+    ) -> ToServer<R, D> {
         let cached = self.entries.get(&resource).map(|e| e.version);
-        let also_extend = if self.cfg.batch_extensions {
-            let mut v: Vec<(R, Version, LeaseHandle)> = self
-                .entries
-                .iter()
-                .filter(|(r, _)| **r != resource)
-                .map(|(r, e)| (*r, e.version, e.handle))
-                .collect();
-            v.sort_unstable_by_key(|(r, _, _)| *r);
-            v
-        } else {
-            Vec::new()
-        };
+        let few = self.entries.len() / SCAN_SHARE;
+        let mut also_extend = Vec::new();
+        let mut target_due = false;
+        if let Some(due) = &mut self.due {
+            while let Some(&Reverse((at, r))) = due.peek() {
+                if at > now {
+                    break;
+                }
+                if also_extend.len() > few {
+                    self.due = None;
+                    break;
+                }
+                due.pop();
+                match self.entries.get_mut(&r) {
+                    Some(e) if e.renew_after == at => {
+                        e.renew_after = retry_at;
+                        if r == resource {
+                            target_due = true;
+                        } else {
+                            also_extend.push((r, e.version, e.handle));
+                        }
+                    }
+                    _ => {} // Dropped or re-timed since: a dead item.
+                }
+            }
+        }
+        match &mut self.due {
+            // Re-queued only now, so a `retry_at` that is not in the
+            // future cannot feed the loop above.
+            Some(due) => {
+                due.extend(also_extend.iter().map(|(r, _, _)| Reverse((retry_at, *r))));
+                if target_due {
+                    due.push(Reverse((retry_at, resource)));
+                }
+            }
+            None => {
+                for (r, e) in &mut self.entries {
+                    if e.renew_after <= now {
+                        e.renew_after = retry_at;
+                        if *r != resource {
+                            also_extend.push((*r, e.version, e.handle));
+                        }
+                    }
+                }
+                if also_extend.len() <= few {
+                    self.due = Some(index_of(&self.entries));
+                }
+            }
+        }
+        also_extend.sort_unstable_by_key(|(r, _, _)| *r);
+        self.counters.renewals_piggybacked += also_extend.len() as u64;
         ToServer::Fetch {
             req,
             resource,
             cached,
             also_extend,
+        }
+    }
+
+    /// The two instants a grant of `term`, anchored at `anchor`, fixes for
+    /// its entry.
+    fn lease(&self, anchor: Time, term: Dur) -> Lease {
+        Lease {
+            expiry: lease_expiry(anchor, term, self.cfg.epsilon),
+            renew_after: if self.cfg.batch_extensions {
+                renew_after(anchor, term)
+            } else {
+                Time::MAX
+            },
+        }
+    }
+
+    /// Puts `resource` in the due index (if there is one) at `at`, the
+    /// `renew_after` its entry was just given. Items that went dead are
+    /// only dropped as time passes them, and a cache that never misses
+    /// (installed files, §4 anticipatory renewal) pops nothing — so past
+    /// twice the entries the index is rebuilt from the entries, which
+    /// keeps it O(held) at amortized O(1) per push.
+    fn queue_renewal(&mut self, resource: R, at: Time) {
+        let Some(due) = &mut self.due else {
+            return;
+        };
+        if at == Time::MAX {
+            return;
+        }
+        due.push(Reverse((at, resource)));
+        if due.len() > 2 * self.entries.len() + DUE_SLACK {
+            *due = index_of(&self.entries);
         }
     }
 
@@ -591,7 +748,7 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
                     return;
                 };
                 out.push(ClientOutput::CancelTimer(ClientTimer::Retry(req)));
-                let expiry = lease_expiry(first_sent, term, self.cfg.epsilon);
+                let lease = self.lease(first_sent, term);
                 // Version-floor check: a delayed (retransmission-replayed)
                 // WriteDone must never re-install data older than anything
                 // this cache has already observed or approved away.
@@ -610,7 +767,7 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
                 if !below_floor && !another_pending {
                     // WriteDone carries no handle; the first renewal takes
                     // the keyed path and picks one up.
-                    self.insert_entry(now, resource, data, version, expiry, LeaseHandle::NULL, out);
+                    self.insert_entry(now, resource, data, version, lease, LeaseHandle::NULL, out);
                 }
                 out.push(ClientOutput::Done {
                     op,
@@ -638,11 +795,13 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
             } => {
                 // Anchored to the server's clock; relies on ε-synchronized
                 // clocks (§5).
-                let expiry = lease_expiry(sent_at, term, self.cfg.epsilon);
+                let lease = self.lease(sent_at, term);
                 for (r, version) in resources {
                     if let Some(e) = self.entries.get_mut(&r) {
                         if e.version == version {
-                            e.expiry = e.expiry.max(expiry);
+                            if e.extend(lease) {
+                                self.queue_renewal(r, lease.renew_after);
+                            }
                         } else if e.version < version {
                             // The datum changed while our lease was lapsed
                             // (delayed update, §4): drop the stale copy.
@@ -754,7 +913,7 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
                             // A no-data grant but our copy is gone (an
                             // approval raced with the reply): start over
                             // with a fresh fetch carrying the same waiters.
-                            self.refetch(now, resource, waiters, out);
+                            self.send_fetch(now, resource, waiters, out);
                             return;
                         }
                     },
@@ -784,7 +943,7 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
                     }
                 }
                 if !refetch.is_empty() {
-                    self.refetch(now, resource, refetch, out);
+                    self.send_fetch(now, resource, refetch, out);
                 }
             }
             (None, _) => {
@@ -798,35 +957,6 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
         }
     }
 
-    /// Issues a fresh fetch for `resource` on behalf of `waiters`.
-    fn refetch(
-        &mut self,
-        now: Time,
-        resource: R,
-        waiters: Vec<(OpId, Time)>,
-        out: &mut Vec<ClientOutput<R, D>>,
-    ) {
-        let req = self.fresh_req();
-        let msg = self.build_fetch(req, resource);
-        self.fetch_inflight.insert(resource, req);
-        let originals = waiters.len();
-        self.requests.insert(
-            req,
-            Pending::Fetch {
-                resource,
-                waiters,
-                originals,
-                first_sent: now,
-                retries: 0,
-            },
-        );
-        out.push(ClientOutput::Send(msg));
-        out.push(ClientOutput::SetTimer {
-            at: now + self.cfg.retry_interval,
-            timer: ClientTimer::Retry(req),
-        });
-    }
-
     fn apply_grant(
         &mut self,
         now: Time,
@@ -834,7 +964,7 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
         g: Grant<R, D>,
         out: &mut Vec<ClientOutput<R, D>>,
     ) {
-        let expiry = lease_expiry(first_sent, g.term, self.cfg.epsilon);
+        let lease = self.lease(first_sent, g.term);
         // Version-floor check: data below anything we have observed (or
         // approved the replacement of) is stale; it may still be served to
         // waiting ops (their intervals overlap its validity) but must
@@ -863,9 +993,11 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
                     e.data = d;
                 }
                 e.version = g.version;
-                e.expiry = e.expiry.max(expiry);
                 e.last_used = now;
                 e.handle = g.handle;
+                if e.extend(lease) {
+                    self.queue_renewal(g.resource, lease.renew_after);
+                }
             }
             None => {
                 // Create an entry only if we actually asked for this
@@ -874,7 +1006,7 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
                 // resurrect a cache entry the server no longer tracks.
                 if self.fetch_inflight.contains_key(&g.resource) {
                     if let Some(d) = g.data {
-                        self.insert_entry(now, g.resource, d, g.version, expiry, g.handle, out);
+                        self.insert_entry(now, g.resource, d, g.version, lease, g.handle, out);
                     }
                 }
                 // A no-data grant for something we no longer hold: useless.
@@ -895,7 +1027,7 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
         resource: R,
         data: D,
         version: Version,
-        expiry: Time,
+        lease: Lease,
         handle: LeaseHandle,
         out: &mut Vec<ClientOutput<R, D>>,
     ) {
@@ -904,11 +1036,13 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
             Entry {
                 data,
                 version,
-                expiry,
+                expiry: lease.expiry,
+                renew_after: lease.renew_after,
                 last_used: now,
                 handle,
             },
         );
+        self.queue_renewal(resource, lease.renew_after);
         if self.cfg.capacity > 0 && self.entries.len() > self.cfg.capacity {
             // Evict the least-recently-used other entry and give the lease
             // back so the server can forget us (§4: relinquish option).
@@ -1051,8 +1185,20 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
             Pending::Renew { .. } => unreachable!("renewals are not retried"),
         };
         self.counters.retries += 1;
+        // The next retry follows the backoff schedule; the salt folds in
+        // the client, request, and attempt so concurrent retriers
+        // desynchronize while each individual schedule stays deterministic.
+        let salt = (u64::from(self.id.0) << 48) ^ (req.0 << 8) ^ u64::from(attempt);
+        let retry_at = now
+            + self
+                .cfg
+                .backoff
+                .interval(self.cfg.retry_interval, attempt, salt);
         let msg = match self.requests.get(&req).expect("still present") {
-            Pending::Fetch { resource, .. } => self.build_fetch(req, *resource),
+            Pending::Fetch { resource, .. } => {
+                let resource = *resource;
+                self.build_fetch(now, retry_at, req, resource)
+            }
             Pending::Write { resource, data, .. } => ToServer::Write {
                 req,
                 resource: *resource,
@@ -1061,16 +1207,8 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
             Pending::Renew { .. } => unreachable!("renewals are not retried"),
         };
         out.push(ClientOutput::Send(msg));
-        // Arm the next retry on the backoff schedule; the salt folds in the
-        // client, request, and attempt so concurrent retriers desynchronize
-        // while each individual schedule stays deterministic.
-        let salt = (u64::from(self.id.0) << 48) ^ (req.0 << 8) ^ u64::from(attempt);
         out.push(ClientOutput::SetTimer {
-            at: now
-                + self
-                    .cfg
-                    .backoff
-                    .interval(self.cfg.retry_interval, attempt, salt),
+            at: retry_at,
             timer: ClientTimer::Retry(req),
         });
     }
@@ -1085,8 +1223,57 @@ fn lease_expiry(anchor: Time, term: Dur, epsilon: Dur) -> Time {
     anchor + term.saturating_sub(epsilon)
 }
 
+/// A lease is worth extending again once this fraction of its term has
+/// run. It bounds renewal work at this many extensions per lease per
+/// term whatever the miss rate, and each extension still gains at least
+/// an eighth of a term. A constant, not an option: 1/2 and 1/8 gave the
+/// same speed, and 1/8 moves the simulated Fig. 1 curve less (a lease
+/// extended early in its term and not again lapses sooner).
+const RENEW_DIVISOR: u64 = 8;
+
+/// Dead items the due index tolerates, beyond one per entry, before it is
+/// rebuilt; only keeps a near-empty cache from rebuilding on every push.
+const DUE_SLACK: usize = 16;
+
+/// A fetch that finds more than one entry in this many due is served by
+/// a scan of the entries, not by the index: a pop and the lookup that
+/// tells a live item from a dead one cost about this many times what
+/// stepping over an entry does. Which side of it a cache sits on follows
+/// from its miss rate: above one miss per `term / 8` few leases are due
+/// at any miss (the wall-clock runtimes), far below it nearly all are
+/// (the simulated V trace, a miss every several seconds).
+const SCAN_SHARE: usize = 8;
+
+/// The due index of `entries`, built in one pass.
+fn index_of<R: Resource, D>(entries: &HashMap<R, Entry<D>>) -> BinaryHeap<Reverse<(Time, R)>> {
+    entries
+        .iter()
+        .filter(|(_, e)| e.renew_after != Time::MAX)
+        .map(|(r, e)| Reverse((e.renew_after, *r)))
+        .collect()
+}
+
+/// When a lease granted for `term` at `anchor` next gains from extension:
+/// `anchor + term / 8`. Never ([`Time::MAX`]) for an infinite term, which
+/// cannot gain, and for a zero term, which is no lease.
+fn renew_after(anchor: Time, term: Dur) -> Time {
+    if term.is_infinite() || term.is_zero() {
+        return Time::MAX;
+    }
+    anchor + term / RENEW_DIVISOR
+}
+
+/// The two instants one grant fixes, both from the same anchor.
+#[derive(Debug, Clone, Copy)]
+struct Lease {
+    expiry: Time,
+    renew_after: Time,
+}
+
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     type C = LeaseClient<u64, String>;
@@ -1378,37 +1565,403 @@ mod tests {
         assert!(out.is_empty());
     }
 
-    #[test]
-    fn batched_fetch_carries_all_held_leases() {
-        let mut c = client();
-        for (i, r) in [(1u64, 10u64), (2, 11)] {
-            let req = start_read(&mut c, t(i), i, r);
-            deliver_grants(&mut c, t(i + 1), req, vec![grant(r, 1, "d", 100)]);
-        }
-        // Both leases now expired; a read of 12 should piggyback 10 and 11.
-        let out = c.handle(
-            t(10_000),
-            ClientInput::Op {
-                op: OpId(9),
-                kind: Op::Read(12),
-            },
-        );
-        let also = out
-            .iter()
+    /// The `also_extend` list of the one fetch in `out`.
+    fn piggybacked(out: &[ClientOutput<u64, String>]) -> Vec<(u64, Version, LeaseHandle)> {
+        out.iter()
             .find_map(|o| match o {
                 ClientOutput::Send(ToServer::Fetch { also_extend, .. }) => {
                     Some(also_extend.clone())
                 }
                 _ => None,
             })
-            .unwrap();
+            .unwrap_or_else(|| panic!("no fetch sent: {out:?}"))
+    }
+
+    fn read(c: &mut C, now: Time, op: u64, resource: u64) -> Vec<ClientOutput<u64, String>> {
+        c.handle(
+            now,
+            ClientInput::Op {
+                op: OpId(op),
+                kind: Op::Read(resource),
+            },
+        )
+    }
+
+    /// Caches `resource` (version 1) under a lease of `term` anchored at
+    /// `at`.
+    fn hold(c: &mut C, at: Time, resource: u64, term: Dur) {
+        let req = start_read(c, at, 1000 + resource, resource);
+        let g = Grant {
+            term,
+            ..grant(resource, 1, "d", 0)
+        };
+        deliver_grants(c, at, req, vec![g]);
+    }
+
+    #[test]
+    fn batched_fetch_carries_the_leases_that_are_due() {
+        let mut c = client();
+        hold(&mut c, t(0), 13, Dur::from_secs(120));
+        hold(&mut c, t(1), 11, Dur::from_millis(100));
+        hold(&mut c, t(2), 10, Dur::from_millis(100));
+        // 10 and 11 have long expired; a read of 12 piggybacks them, in
+        // resource order. 13 is younger than an eighth of its term and
+        // would gain nothing yet: it stays off the list.
+        let out = read(&mut c, t(10_000), 9, 12);
         assert_eq!(
-            also,
+            piggybacked(&out),
             vec![
                 (10, Version(1), LeaseHandle::NULL),
                 (11, Version(1), LeaseHandle::NULL)
             ]
         );
+        assert_eq!(c.counters.renewals_piggybacked, 2);
+        // Once an eighth of 13's term has run it rides too.
+        let out = read(&mut c, t(15_000), 10, 14);
+        assert!(piggybacked(&out).iter().any(|(r, _, _)| *r == 13));
+    }
+
+    #[test]
+    fn without_batching_nothing_is_piggybacked() {
+        let mut c = LeaseClient::<u64, String>::new(
+            ClientId(1),
+            ClientConfig {
+                batch_extensions: false,
+                ..cfg()
+            },
+        );
+        hold(&mut c, t(1), 10, Dur::from_millis(100));
+        assert_eq!(piggybacked(&read(&mut c, t(10_000), 9, 12)), vec![]);
+        assert!(c.due.is_some_and(|due| due.is_empty()));
+    }
+
+    /// Misses every 100 µs for three terms: each held lease is extended
+    /// at most eight times a term, and none lapses.
+    #[test]
+    fn renewals_are_bounded_per_term_whatever_the_miss_rate() {
+        const HELD: u64 = 16;
+        let term = Dur::from_secs(1);
+        let mut c = client();
+        for r in 0..HELD {
+            hold(&mut c, t(0), r, term);
+        }
+        // Resource 99 is granted a zero term, so every read of it misses.
+        let mut listed = [0u32; HELD as usize];
+        let step = Dur::from_micros(100);
+        let mut now = t(0);
+        let mut op = 0;
+        while now < t(3_000) {
+            now += step;
+            op += 1;
+            let out = read(&mut c, now, op, 99);
+            let req = out.iter().find_map(|o| match o {
+                ClientOutput::Send(m) => m.req(),
+                _ => None,
+            });
+            let mut grants = vec![Grant {
+                term: Dur::ZERO,
+                ..grant(99, 1, "d", 0)
+            }];
+            for (r, version, handle) in piggybacked(&out) {
+                listed[r as usize] += 1;
+                grants.push(Grant {
+                    resource: r,
+                    version,
+                    data: None,
+                    term,
+                    handle,
+                });
+            }
+            deliver_grants(&mut c, now + Dur::from_micros(50), req.unwrap(), grants);
+            for r in 0..HELD {
+                assert!(c.lease_valid(r, now), "lease on {r} lapsed at {now:?}");
+            }
+        }
+        for (r, n) in listed.iter().enumerate() {
+            assert!((20..=8 * 3 + 1).contains(n), "resource {r}: {n} extensions");
+        }
+        assert!(c.counters.renewals_piggybacked <= HELD * (8 * 3 + 1));
+    }
+
+    #[test]
+    fn an_entry_on_a_request_in_flight_waits_for_its_retransmission() {
+        let mut c = client();
+        hold(&mut c, t(0), 10, Dur::from_millis(800));
+        let ten = vec![(10, Version(1), LeaseHandle::NULL)];
+        // Due from t = 100 ms: the first miss carries it ...
+        let out = read(&mut c, t(200), 1, 12);
+        assert_eq!(piggybacked(&out), ten);
+        let req = out.iter().find_map(|o| match o {
+            ClientOutput::Send(m) => m.req(),
+            _ => None,
+        });
+        // ... a concurrent miss does not repeat it ...
+        assert_eq!(piggybacked(&read(&mut c, t(201), 2, 13)), vec![]);
+        // ... and the retransmission of the request that carries it does.
+        let out = c.handle(t(700), ClientInput::Timer(ClientTimer::Retry(req.unwrap())));
+        assert_eq!(piggybacked(&out), ten);
+        assert_eq!(c.counters.renewals_piggybacked, 2);
+    }
+
+    #[test]
+    fn zero_and_infinite_terms_are_never_listed() {
+        let mut c = client();
+        hold(&mut c, t(0), 20, Dur::ZERO);
+        hold(&mut c, t(0), 21, Dur::MAX);
+        assert_eq!(piggybacked(&read(&mut c, t(3_600_000), 1, 22)), vec![]);
+        assert!(c.due.is_some_and(|due| due.is_empty()));
+    }
+
+    #[test]
+    fn a_grant_that_does_not_advance_expiry_does_not_move_renew_after() {
+        let mut c = client();
+        hold(&mut c, t(0), 7, Dur::from_secs(10));
+        assert_eq!(c.entries[&7].renew_after, t(1_250));
+        let extend = |c: &mut C, now: Time, term: Dur| {
+            c.handle(
+                now,
+                ClientInput::Msg(ToClient::InstalledExtend {
+                    resources: vec![(7, Version(1))],
+                    term,
+                    sent_at: now,
+                }),
+            );
+        };
+        // A shorter lease from a later anchor ends earlier: ignored whole.
+        extend(&mut c, t(100), Dur::from_secs(5));
+        assert_eq!(c.entries[&7].renew_after, t(1_250));
+        assert_eq!(piggybacked(&read(&mut c, t(1_249), 1, 8)), vec![]);
+        // One that outlasts it moves both instants, from its own anchor.
+        extend(&mut c, t(200), Dur::from_secs(16));
+        assert_eq!(c.entries[&7].renew_after, t(2_200));
+        assert!(c.lease_valid(7, t(16_000)));
+    }
+
+    /// After a long silence nearly everything is due at once: that fetch
+    /// is served by a scan, and the index comes back with the first fetch
+    /// that finds little due.
+    #[test]
+    fn a_fetch_that_finds_most_leases_due_scans_them() {
+        let mut c = client();
+        for r in 0..64 {
+            hold(&mut c, t(r), r, Dur::from_secs(8));
+        }
+        assert!(c.due.is_some());
+        let out = read(&mut c, t(5_000), 1, 99);
+        let all = piggybacked(&out);
+        assert_eq!(all.len(), 64);
+        assert!(
+            all.windows(2).all(|w| w[0].0 < w[1].0),
+            "sorted by resource"
+        );
+        assert!(c.due.is_none());
+        // On the wire, none of them is repeated by the next miss ...
+        assert_eq!(piggybacked(&read(&mut c, t(5_001), 2, 98)), vec![]);
+        assert!(c.due.is_some());
+        // ... and unanswered, all of them are due again at the retry.
+        assert_eq!(piggybacked(&read(&mut c, t(5_500), 3, 97)).len(), 64);
+    }
+
+    /// A cache that never misses pops nothing: extensions that arrive by
+    /// themselves must not grow the index without bound.
+    #[test]
+    fn an_index_nobody_pops_stays_proportional_to_the_cache() {
+        let mut c = client();
+        for r in 0..4 {
+            hold(&mut c, t(0), r, Dur::from_secs(60));
+        }
+        for i in 1..=1_000 {
+            c.handle(
+                t(i),
+                ClientInput::Msg(ToClient::InstalledExtend {
+                    resources: (0..4).map(|r| (r, Version(1))).collect(),
+                    term: Dur::from_secs(60),
+                    sent_at: t(i),
+                }),
+            );
+            let items = c.due.as_ref().expect("nothing was due").len();
+            assert!(items <= 2 * 4 + DUE_SLACK, "{items} items");
+        }
+        // And the rebuilt index still finds everything when it comes due.
+        let out = read(&mut c, t(1_000 + 7_500), 1, 9);
+        assert_eq!(piggybacked(&out).len(), 4);
+    }
+
+    /// What a scan of the whole cache would piggyback on a fetch of
+    /// `target` at `now`.
+    fn naive_due(c: &C, now: Time, target: u64) -> Vec<(u64, Version, LeaseHandle)> {
+        let mut v: Vec<_> = c
+            .entries
+            .iter()
+            .filter(|(r, e)| **r != target && e.renew_after <= now)
+            .map(|(r, e)| (*r, e.version, e.handle))
+            .collect();
+        v.sort_unstable_by_key(|(r, _, _)| *r);
+        v
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Advance(u64),
+        Read(u64),
+        Write(u64),
+        /// Answer the `n`th request still outstanding, every grant at the
+        /// `term`th of [`TERMS`].
+        Reply(usize, usize),
+        /// Fire the `n`th outstanding request's retry timer.
+        Retry(usize),
+        Approval(u64),
+        Installed(u64, usize),
+        Crash,
+    }
+
+    const FILES: u64 = 8;
+    const TERMS: [Dur; 5] = [
+        Dur::ZERO,
+        Dur::from_millis(40),
+        Dur::from_secs(1),
+        Dur::from_secs(8),
+        Dur::MAX,
+    ];
+
+    fn step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            (0u64..2_000).prop_map(Step::Advance),
+            (0u64..2_000).prop_map(Step::Advance),
+            (0..FILES).prop_map(Step::Read),
+            (0..FILES).prop_map(Step::Read),
+            (0..FILES).prop_map(Step::Read),
+            (0..FILES).prop_map(Step::Write),
+            (0usize..8, 0..TERMS.len()).prop_map(|(n, term)| Step::Reply(n, term)),
+            (0usize..8, 0..TERMS.len()).prop_map(|(n, term)| Step::Reply(n, term)),
+            (0usize..8).prop_map(Step::Retry),
+            (0..FILES).prop_map(Step::Approval),
+            (0..FILES, 0..TERMS.len()).prop_map(|(r, term)| Step::Installed(r, term)),
+            (0u64..40).prop_map(|n| if n == 0 {
+                Step::Crash
+            } else {
+                Step::Advance(n)
+            }),
+        ]
+    }
+
+    proptest! {
+        /// The due index is the naive scan: whatever the interleaving of
+        /// grants, misses, approvals, evictions, retries and crashes, a
+        /// fetch piggybacks exactly the entries a filter over the whole
+        /// cache would (never missing a due lease, never naming a dropped
+        /// or not-yet-due one), and the index stays O(held).
+        #[test]
+        fn due_index_matches_a_scan_of_the_cache(
+            steps in proptest::collection::vec(step(), 1..300),
+        ) {
+            let mut c = LeaseClient::<u64, String>::new(
+                ClientId(1),
+                ClientConfig { capacity: 5, ..cfg() },
+            );
+            let mut now = t(0);
+            // Requests on the wire, as the server would see them.
+            let mut outstanding: Vec<ToServer<u64, String>> = Vec::new();
+            let mut next_op = 0;
+            let mut next_version = 1;
+            for s in steps {
+                // `Some(target)` when the step sends its fetch from the
+                // state it starts in, so the scan can be taken beforehand.
+                let (scanned, input) = match s {
+                    Step::Advance(ms) => {
+                        now += Dur::from_millis(ms);
+                        continue;
+                    }
+                    Step::Crash => {
+                        c.crash();
+                        prop_assert!(c.due.as_ref().is_some_and(|due| due.is_empty()));
+                        continue;
+                    }
+                    Step::Read(r) => {
+                        next_op += 1;
+                        let kind = Op::Read(r);
+                        (Some(r), ClientInput::Op { op: OpId(next_op), kind })
+                    }
+                    Step::Write(r) => {
+                        next_op += 1;
+                        let kind = Op::Write(r, "w".into());
+                        (None, ClientInput::Op { op: OpId(next_op), kind })
+                    }
+                    Step::Retry(n) => {
+                        let Some(m) = outstanding.get(n) else { continue };
+                        let target = match m {
+                            ToServer::Fetch { resource, .. } => Some(*resource),
+                            _ => None,
+                        };
+                        let req = m.req().expect("only requests are kept");
+                        (target, ClientInput::Timer(ClientTimer::Retry(req)))
+                    }
+                    Step::Reply(n, term) => {
+                        if n >= outstanding.len() {
+                            continue;
+                        }
+                        let term = TERMS[term];
+                        next_version += 1;
+                        let msg = match outstanding.swap_remove(n) {
+                            ToServer::Fetch { req, resource, also_extend, .. } => {
+                                let mut grants: Vec<_> = also_extend
+                                    .into_iter()
+                                    .map(|(resource, version, handle)| Grant {
+                                        resource, version, data: None, term, handle,
+                                    })
+                                    .collect();
+                                grants.push(Grant {
+                                    term,
+                                    ..grant(resource, next_version, "d", 0)
+                                });
+                                ToClient::Grants { req, grants }
+                            }
+                            ToServer::Write { req, resource, .. } => ToClient::WriteDone {
+                                req, resource, version: Version(next_version), term,
+                            },
+                            other => panic!("not a request: {other:?}"),
+                        };
+                        (None, ClientInput::Msg(msg))
+                    }
+                    Step::Approval(resource) => {
+                        let replaces = c.cached_version(resource).unwrap_or(Version(0));
+                        (None, ClientInput::Msg(ToClient::ApprovalRequest {
+                            write_id: WriteIdT(0), resource, replaces,
+                        }))
+                    }
+                    Step::Installed(r, term) => {
+                        let Some(version) = c.cached_version(r) else { continue };
+                        (None, ClientInput::Msg(ToClient::InstalledExtend {
+                            resources: vec![(r, version)], term: TERMS[term], sent_at: now,
+                        }))
+                    }
+                };
+                let expect = scanned.map(|target| naive_due(&c, now, target));
+                for o in c.handle(now, input) {
+                    let ClientOutput::Send(m) = o else { continue };
+                    if let (ToServer::Fetch { also_extend, .. }, Some(expect)) = (&m, &expect) {
+                        prop_assert_eq!(also_extend, expect, "at {:?}", now);
+                    }
+                    if let Some(req) = m.req() {
+                        outstanding.retain(|o| o.req() != Some(req));
+                        outstanding.push(m);
+                    }
+                }
+                // While there is an index, every entry that can come due
+                // has its live item in it ...
+                let Some(due) = &c.due else { continue };
+                for (r, e) in &c.entries {
+                    prop_assert!(
+                        e.renew_after == Time::MAX
+                            || due.iter().any(|Reverse(i)| *i == (e.renew_after, *r)),
+                        "entry {} (renew_after {:?}) is not in the index", r, e.renew_after
+                    );
+                }
+                // ... and dead items do not pile up: at most `capacity`
+                // + 1 entries are ever held here.
+                prop_assert!(due.len() <= 2 * 6 + DUE_SLACK, "{} items", due.len());
+            }
+        }
     }
 
     #[test]

@@ -11,9 +11,10 @@ pub enum ToServer<R, D> {
     ///
     /// `cached` carries the client's cached version so the server can reply
     /// without data when nothing changed. `also_extend` piggybacks
-    /// extension of every other lease the cache still holds — the batching
-    /// the paper recommends ("a cache should extend together all leases
-    /// over all files that it still holds", §3.1). Each entry echoes the
+    /// extension of every held lease that is due — the batching the paper
+    /// recommends ("a cache should extend together all leases over all
+    /// files that it still holds", §3.1), minus the leases extended so
+    /// recently that doing it again gains nothing. Each entry echoes the
     /// [`LeaseHandle`] from the lease's last grant so the server can renew
     /// with one slab load; [`LeaseHandle::NULL`] means "look it up".
     Fetch {
@@ -23,7 +24,7 @@ pub enum ToServer<R, D> {
         resource: R,
         /// The version the client holds, if any.
         cached: Option<Version>,
-        /// Other held leases to extend opportunistically.
+        /// Other held leases that are due for extension.
         also_extend: Vec<(R, Version, LeaseHandle)>,
     },
     /// Anticipatory renewal of held leases (§4 option); no op waits on it.

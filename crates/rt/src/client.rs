@@ -13,7 +13,7 @@ use lease_clock::{Clock, Dur, Time};
 use lease_core::ring::{Inbox, Lanes};
 use lease_core::{
     Backoff, ClientConfig, ClientCounters, ClientId, ClientInput, ClientOutput, ClientTimer,
-    ErrorReason, LeaseClient, Op, OpError, OpId, OpOutcome, ReqId, ToClient, ToServer, Version,
+    ErrorReason, LeaseClient, Op, OpError, OpId, OpOutcome, ToClient, ToServer, Version,
 };
 
 use crate::breaker::CircuitBreaker;
@@ -226,16 +226,6 @@ struct Resend {
     msg: ToServer<Res, Bytes>,
 }
 
-/// The request id a wire message answers to, if it carries one.
-fn req_of(msg: &ToServer<Res, Bytes>) -> Option<ReqId> {
-    match msg {
-        ToServer::Fetch { req, .. } | ToServer::Renew { req, .. } | ToServer::Write { req, .. } => {
-            Some(*req)
-        }
-        ToServer::Approve { .. } | ToServer::Relinquish { .. } => None,
-    }
-}
-
 /// One client cache's driver: everything behind the driver lock.
 struct Worker {
     id: ClientId,
@@ -338,7 +328,7 @@ impl Worker {
     /// plus the configured per-op deadline, remembered per request id so
     /// retransmissions and paced resubmissions keep the original anchor.
     fn deadline_of(&mut self, msg: &ToServer<Res, Bytes>) -> Option<Time> {
-        let req = req_of(msg)?;
+        let req = msg.req()?;
         if let Some(&d) = self.deadlines.get(&req.0) {
             return Some(d);
         }
@@ -362,7 +352,7 @@ impl Worker {
             // each firing re-probes the breaker.
             return;
         }
-        let salt = (u64::from(self.id.0) << 48) ^ req_of(&msg).map_or(0, |r| r.0 << 8);
+        let salt = (u64::from(self.id.0) << 48) ^ msg.req().map_or(0, |r| r.0 << 8);
         match self.port.send(self.id, msg, deadline) {
             PortVerdict::Sent => self.breaker.on_success(),
             PortVerdict::Dropped => {}
@@ -393,7 +383,7 @@ impl Worker {
             };
             let now = self.true_now();
             if r.deadline.is_some_and(|d| now > d) {
-                if let Some(req) = req_of(&r.msg) {
+                if let Some(req) = r.msg.req() {
                     let outs = self.cache.handle(
                         self.clock.now(),
                         ClientInput::Timer(ClientTimer::Retry(req)),
@@ -493,11 +483,33 @@ impl Worker {
             if self.live_timers.get(&k) != Some(&at) {
                 continue; // Cancelled or superseded.
             }
-            self.live_timers.remove(&k);
-            let outs = self
-                .cache
-                .handle(self.clock.now(), ClientInput::Timer(timer_of(k)));
-            self.apply(outs);
+            self.fire(k);
+        }
+    }
+
+    fn fire(&mut self, k: u64) {
+        self.live_timers.remove(&k);
+        let outs = self
+            .cache
+            .handle(self.clock.now(), ClientInput::Timer(timer_of(k)));
+        self.apply(outs);
+    }
+
+    /// Fires the retry timer of every request still pending, now rather
+    /// than when it is due: the port has a fresh connection, and what was
+    /// submitted while it had none went nowhere. This is the ordinary
+    /// [`ClientTimer::Retry`] path, so the attempt limit, the retry
+    /// budget and the op deadline bound it like any retransmission.
+    fn retry_pending(&mut self) {
+        let mut retries: Vec<u64> = self
+            .live_timers
+            .keys()
+            .copied()
+            .filter(|&k| k != key(ClientTimer::Renewal))
+            .collect();
+        retries.sort_unstable();
+        for k in retries {
+            self.fire(k);
         }
     }
 
@@ -587,8 +599,9 @@ pub(crate) fn spawn_client(
 /// The IO thread: feeds server messages to the cache, fires timers and
 /// resubmits what backpressure refused. It takes the driver lock for
 /// each batch and parks without it, on the inbox doorbell: every lane
-/// publish rings it, and so does a caller whose op left something due
-/// before [`Worker::io_wake`]. Ticket-before-final-poll makes the park
+/// publish rings it, and so do a caller whose op left something due
+/// before [`Worker::io_wake`] and a port whose connection just came up
+/// ([`Port::reconnected`]). Ticket-before-final-poll makes the park
 /// race-free, and a short spin after a hot iteration catches
 /// back-to-back replies without a futex round trip (skipped on a single
 /// core, where spinning only steals the producer's timeslice).
@@ -624,6 +637,9 @@ fn io_loop(shared: Weak<Shared>, mut lanes: Lanes<ToClient<Res, Bytes>>) {
             w.handle_msg(m);
         }
         w.flush_resend();
+        if w.port.reconnected() {
+            w.retry_pending();
+        }
         w.fire_timers();
         if hot {
             continue; // Poll the lanes again before parking.

@@ -23,20 +23,23 @@
 //!   store and one doorbell ring per frame), reconnecting (with the
 //!   hello handshake) whenever the connection dies. A worker slower than
 //!   the socket fills the lane, the reader stalls on it, and TCP flow
-//!   control carries the stall back to the server. Reconnection is invisible to the worker: its
-//!   pending ops simply retransmit into the new connection.
+//!   control carries the stall back to the server. Of a reconnection the
+//!   worker learns one bit ([`Port::reconnected`], with a ring of its
+//!   doorbell): its pending ops retransmit into the new connection at
+//!   once instead of a retry interval later.
 //!
 //! [`RtSystem`]: crate::system::RtSystem
 
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::Bytes;
 use lease_clock::{Clock, Dur, Time, WallClock};
+use lease_core::ring::Inbox;
 use lease_core::{Backoff, ClientConfig, ClientId, RetryBudget, ToClient, ToServer};
 use lease_net::connect_as;
 use lease_net::tcp::FrameAccum;
@@ -84,8 +87,8 @@ pub struct NetClientConfig {
 }
 
 impl NetClientConfig {
-    /// Defaults matching `RtSystemBuilder`'s: 5s epsilon-free clients,
-    /// 100ms retransmission, 10 retries.
+    /// Defaults matching `RtSystemBuilder`'s: 50 ms epsilon, 100 ms
+    /// retransmission, 10 retries.
     pub fn new(addr: SocketAddr, clients: u32) -> NetClientConfig {
         NetClientConfig {
             addr,
@@ -135,18 +138,19 @@ impl NetClient {
         let mut threads = Vec::new();
 
         for i in 0..cfg.clients {
-            let slot: Arc<Mutex<Option<TcpStream>>> = Arc::new(Mutex::new(None));
+            let conn = Arc::new(Conn::default());
 
             threads.push(spawn_reader(
                 cfg.addr,
                 ClientId(i),
-                Arc::clone(&slot),
+                Arc::clone(&conn),
+                egress.inbox(i as usize),
                 egress.worker(),
                 Arc::clone(&stop),
             ));
 
             let port = TcpPort {
-                slot,
+                conn,
                 clock: Arc::clone(&clock),
                 buf: Mutex::new(Vec::new()),
                 who: ClientId(i),
@@ -195,10 +199,26 @@ impl NetClient {
     }
 }
 
+/// What a client's port and its reader thread share.
+#[derive(Default)]
+struct Conn {
+    /// The write half of the live connection; `None` while there is none.
+    stream: Mutex<Option<TcpStream>>,
+    /// Raised by the reader when it installs a (re)connected stream,
+    /// lowered by the driver when it hears of it.
+    fresh: AtomicBool,
+}
+
+impl Conn {
+    fn stream(&self) -> MutexGuard<'_, Option<TcpStream>> {
+        self.stream.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// The TCP-backed client transport: one frame per submission, written
 /// synchronously on the sending thread.
 pub struct TcpPort {
-    slot: Arc<Mutex<Option<TcpStream>>>,
+    conn: Arc<Conn>,
     clock: Arc<dyn Clock>,
     /// Reusable encode buffer. Senders come one at a time — `send` runs
     /// only under the owning client's driver lock — so the mutex is
@@ -225,7 +245,7 @@ impl Port for TcpPort {
         fb.push_c2s(&mut buf, &msg, remaining);
         fb.finish(&mut buf);
 
-        let mut guard = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut guard = self.conn.stream();
         let Some(stream) = guard.as_mut() else {
             return PortVerdict::Dropped; // disconnected: retransmission recovers
         };
@@ -237,6 +257,12 @@ impl Port for TcpPort {
             }
         }
     }
+
+    fn reconnected(&self) -> bool {
+        // Acquire pairs with the reader's Release: whoever sees the flag
+        // finds the stream it announces in the slot.
+        self.conn.fresh.swap(false, Ordering::AcqRel)
+    }
 }
 
 /// The per-client reader: owns the connect/reconnect loop, decodes reply
@@ -244,7 +270,8 @@ impl Port for TcpPort {
 fn spawn_reader(
     addr: SocketAddr,
     who: ClientId,
-    slot: Arc<Mutex<Option<TcpStream>>>,
+    conn: Arc<Conn>,
+    inbox: Arc<Inbox<ToClient<Res, Bytes>>>,
     mut lane: EgressWorker<Res, Bytes>,
     stop: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
@@ -264,7 +291,16 @@ fn spawn_reader(
                 if stream.set_read_timeout(Some(POLL)).is_err() {
                     continue;
                 }
-                *slot.lock().unwrap_or_else(PoisonError::into_inner) = stream.try_clone().ok();
+                let writer = stream.try_clone().ok();
+                let up = writer.is_some();
+                *conn.stream() = writer;
+                if up {
+                    // Whatever was submitted while there was no
+                    // connection went nowhere: tell the driver, so it
+                    // retransmits now.
+                    conn.fresh.store(true, Ordering::Release);
+                    inbox.bell().ring();
+                }
                 // A fresh byte stream gets a fresh accumulator: no stale
                 // prefix from the previous connection.
                 let mut accum = FrameAccum::new();
@@ -283,7 +319,7 @@ fn spawn_reader(
                         Err(_) => break,
                     }
                 }
-                *slot.lock().unwrap_or_else(PoisonError::into_inner) = None;
+                *conn.stream() = None;
                 if !stop.load(Ordering::SeqCst) {
                     std::thread::sleep(RECONNECT_PAUSE);
                 }

@@ -545,6 +545,15 @@ pub trait Port: Send {
         msg: ToServer<Res, Bytes>,
         deadline: Option<Time>,
     ) -> PortVerdict;
+
+    /// Whether the transport came (back) up since the last call. What
+    /// was submitted while it was down was [`PortVerdict::Dropped`], so
+    /// the driver answers `true` by retransmitting every pending request
+    /// at once rather than a retry interval later. A port that is never
+    /// down keeps the default.
+    fn reconnected(&self) -> bool {
+        false
+    }
 }
 
 /// What a client's driver holds instead of a channel to a server thread:

@@ -6,17 +6,19 @@ use std::io::Read;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Barrier, Mutex};
+mod common;
+
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use lease_clock::{Clock, Dur, Time, WallClock};
+use common::{history_with_commits, CommitLog, RecordingStore};
+use lease_clock::{Clock, Dur, WallClock};
 use lease_core::{LeaseServer, MemStorage, ServerConfig, Storage, Version};
 use lease_faults::check_history;
 use lease_net::NetServer;
 use lease_rt::{NetClient, NetClientConfig, RtClientHandle, RtError, RtSystem};
 use lease_svc::{Egress, EgressSink, LeaseService, SvcConfig, SvcHooks};
-use lease_vsys::HistoryEvent;
 use lease_wire::HEADER_LEN;
 
 const READERS: usize = 4;
@@ -99,35 +101,10 @@ fn local_hit_linearizable_on_rtsystem() {
     check_history(&history).expect("inline hits must be linearizable");
 }
 
-/// A store that notes every commit on the clock the clients' recorder
-/// uses, so the oracle sees one timeline.
-struct RecordingStore {
-    inner: MemStorage<u64, Bytes>,
-    clock: Arc<dyn Clock>,
-    commits: Arc<Mutex<Vec<(u64, Version, Time)>>>,
-}
-
-impl Storage<u64, Bytes> for RecordingStore {
-    fn read(&self, resource: &u64) -> Option<(Bytes, Version)> {
-        self.inner.read(resource)
-    }
-
-    fn version(&self, resource: &u64) -> Option<Version> {
-        self.inner.version(resource)
-    }
-
-    fn write(&mut self, resource: &u64, data: Bytes) -> Version {
-        let v = self.inner.write(resource, data);
-        let at = self.clock.now();
-        self.commits.lock().unwrap().push((*resource, v, at));
-        v
-    }
-}
-
 #[test]
 fn local_hit_linearizable_on_netclient() {
     let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
-    let commits: Arc<Mutex<Vec<(u64, Version, Time)>>> = Arc::default();
+    let commits: CommitLog = Arc::default();
     let egress: Egress<u64, Bytes> = Egress::new(2, 1024);
     let service = LeaseService::spawn(
         SvcConfig::default(),
@@ -164,19 +141,11 @@ fn local_hit_linearizable_on_netclient() {
 
     let counted = hammer(fleet.client(0), fleet.client(1), &files);
     let stats = fleet.client(0).stats().expect("stats");
-    let mut history = fleet.recorder().snapshot();
+    let history = history_with_commits(&fleet, &commits);
     fleet.shutdown();
     net.shutdown();
     service.shutdown();
 
-    for &(resource, version, at) in commits.lock().unwrap().iter() {
-        history.push(HistoryEvent::Commit {
-            resource,
-            version,
-            writer: None,
-            at,
-        });
-    }
     assert!(counted > 0, "some reads must have hit");
     assert_eq!(stats.hits, counted, "every hit is counted exactly once");
     check_history(&history).expect("inline hits must be linearizable");

@@ -2,6 +2,7 @@
 //! loop (retransmission, deadlines, approvals) crossing loopback sockets.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use lease_clock::{Clock, Dur, WallClock};
@@ -15,6 +16,15 @@ type R = u64;
 type D = Bytes;
 
 fn start_server(
+    shards: usize,
+    clients: usize,
+    files: u64,
+) -> (LeaseService<R, D>, NetServer, Arc<dyn Clock>) {
+    start_server_at("127.0.0.1:0", shards, clients, files)
+}
+
+fn start_server_at(
+    addr: &str,
     shards: usize,
     clients: usize,
     files: u64,
@@ -43,8 +53,7 @@ fn start_server(
             )
         },
     );
-    let net = NetServer::bind("127.0.0.1:0", service.handle(), &egress, Arc::clone(&clock))
-        .expect("bind");
+    let net = NetServer::bind(addr, service.handle(), &egress, Arc::clone(&clock)).expect("bind");
     (service, net, clock)
 }
 
@@ -105,4 +114,44 @@ fn client_survives_server_silence_by_retransmission() {
     let err = fleet.client(0).read(1);
     assert!(err.is_err(), "no server: the op must fail, got {err:?}");
     fleet.shutdown();
+}
+
+#[test]
+fn an_op_parked_on_a_dead_port_goes_out_when_the_connection_comes_up() {
+    // A port nobody listens on yet: the read's first transmission finds
+    // no connection and is dropped. With a 2 s retry interval only the
+    // reader's news of the connection can bring it out in under a second.
+    let addr = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("a free port");
+    let mut cfg = NetClientConfig::new(addr, 1);
+    cfg.retry_interval = Dur::from_secs(2);
+    let fleet = NetClient::connect(cfg);
+
+    let client = fleet.client(0).clone();
+    let parked = std::thread::spawn(move || {
+        let start = Instant::now();
+        let got = client.read(3);
+        (got, start.elapsed())
+    });
+    // Bind only once the read is parked (its miss is counted under the
+    // same lock that sent it), then a little later still.
+    while fleet.client(0).stats().expect("stats").misses_cold == 0 {
+        std::thread::yield_now();
+    }
+    std::thread::sleep(Duration::from_millis(150));
+    let (service, net, _clock) = start_server_at(&addr.to_string(), 1, 1, 16);
+
+    let (got, took) = parked.join().expect("reader thread");
+    assert_eq!(&got.expect("read file 3")[..], &3u64.to_le_bytes());
+    assert!(
+        took < Duration::from_secs(1),
+        "the read waited {took:?}: a whole retry interval, not the reconnection"
+    );
+    // It went out as a retransmission: the attempt is counted as one.
+    assert_eq!(fleet.client(0).stats().expect("stats").retries, 1);
+
+    fleet.shutdown();
+    net.shutdown();
+    service.shutdown();
 }

@@ -450,9 +450,14 @@ where
                             // piggybacked extensions. Renewals, writes,
                             // approvals, and relinquishes keep flowing
                             // (lease continuity and expiry outrank new
-                            // admissions). Refusing a grant is always
-                            // consistency-safe: no lease comes into
-                            // existence.
+                            // admissions). A client piggybacks only the
+                            // leases that are due, so most of its cold
+                            // fetches are of this class; a shed one has
+                            // put no renewal off, and its retransmission
+                            // builds the list afresh, so whatever came due
+                            // meanwhile rides it and is admitted. Refusing
+                            // a grant is always consistency-safe: no lease
+                            // comes into existence.
                             if let ServerInput::Msg {
                                 from,
                                 msg:
