@@ -34,14 +34,13 @@
 //! is no cap on the list: the rate bound alone keeps a request small, and
 //! a cap would let leases lapse in a cache that holds more than the cap.
 //!
-//! A cache that misses often finds few leases due at any one miss, and
-//! finds them through a due-ordered heap, so a miss costs O(due · log
-//! held) whatever is held. A cache that misses seldom finds nearly all
-//! of them due every time; it keeps no heap and scans, which is what that
-//! costs least. The cache tells the two apart by counting what is due.
+//! What is due is found by one pass over the entries, O(held) on a miss:
+//! beside the round trip that is under a microsecond at 256 entries and
+//! some 20 µs at 4 096. Nothing orders the entries by `renew_after`; an
+//! index that does is only worth its upkeep to a cache of many thousands
+//! (DESIGN.md, "Client-side renewal", has the measurement).
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 use lease_clock::{Dur, Time};
 
@@ -357,15 +356,13 @@ struct Entry<D> {
 
 impl<D> Entry<D> {
     /// Moves the lease forward to `lease` if that outlasts what the entry
-    /// has, and says whether it did: a grant that does not advance
-    /// `expiry` does not move `renew_after` either.
-    fn extend(&mut self, lease: Lease) -> bool {
-        let advances = lease.expiry > self.expiry;
-        if advances {
+    /// has: a grant that does not advance `expiry` does not move
+    /// `renew_after` either.
+    fn extend(&mut self, lease: Lease) {
+        if lease.expiry > self.expiry {
             self.expiry = lease.expiry;
             self.renew_after = lease.renew_after;
         }
-        advances
     }
 }
 
@@ -377,6 +374,9 @@ enum Pending<R, D> {
         originals: usize,
         first_sent: Time,
         retries: u32,
+        /// The retry instant of the last transmission: the entries it
+        /// piggybacked wait until then, or until it is itself repeated.
+        retry_at: Time,
     },
     Write {
         resource: R,
@@ -407,13 +407,6 @@ pub struct LeaseClient<R: Resource, D: Clone> {
     /// the floor may ever be cached — the defence against delayed,
     /// duplicated, or reordered replies re-installing stale data.
     floor: HashMap<R, Version>,
-    /// The entries ordered by `renew_after`, so a fetch finds what is due
-    /// without scanning what is held. Lazy deletion: an item is live only
-    /// while its entry exists and still has that `renew_after`; every
-    /// entry with a finite `renew_after` has its live item here. `None`
-    /// while fetches find so many entries due that scanning is cheaper
-    /// (see [`LeaseClient::build_fetch`]).
-    due: Option<BinaryHeap<Reverse<(Time, R)>>>,
     next_req: u64,
     /// Retry-budget bucket level; meaningless when `cfg.retry_budget` is
     /// `None`. `budget_at` is the instant of the last refill (`None` =
@@ -434,7 +427,6 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
             fetch_inflight: HashMap::new(),
             requests: HashMap::new(),
             floor: HashMap::new(),
-            due: Some(BinaryHeap::new()),
             next_req: 0,
             budget_tokens: 0.0,
             budget_at: None,
@@ -494,7 +486,6 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
         self.fetch_inflight.clear();
         self.requests.clear();
         self.floor.clear();
-        self.due = Some(BinaryHeap::new());
         self.budget_tokens = 0.0;
         self.budget_at = None;
     }
@@ -559,7 +550,7 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
     ) {
         let req = self.fresh_req();
         let retry_at = now + self.cfg.retry_interval;
-        let msg = self.build_fetch(now, retry_at, req, resource);
+        let msg = self.build_fetch(now, retry_at, None, req, resource);
         self.fetch_inflight.insert(resource, req);
         let originals = waiters.len();
         self.requests.insert(
@@ -570,6 +561,7 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
                 originals,
                 first_sent: now,
                 retries: 0,
+                retry_at,
             },
         );
         out.push(ClientOutput::Send(msg));
@@ -584,67 +576,28 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
     /// Each due entry — the target too, which the fetch itself extends —
     /// then waits until `retry_at`, this transmission's retry instant,
     /// before it is due again: a concurrent miss does not repeat it, the
-    /// retransmission does.
-    ///
-    /// Through the index that costs O(due · log held). Once more than
-    /// one entry in [`SCAN_SHARE`] turns out due, popping them one by one
-    /// costs more than one pass over the entries would: the index is
-    /// dropped, this fetch and the following ones scan, and the first
-    /// scan to find few entries due builds the index again.
+    /// retransmission does. `repeats` is the retry instant of the
+    /// transmission this one repeats (`None` for a first one): a retry may
+    /// fire before that instant — a shed reply's pace, a runtime that
+    /// hears its connection came back — and still carries what the
+    /// transmission it replaces carried.
     fn build_fetch(
         &mut self,
         now: Time,
         retry_at: Time,
+        repeats: Option<Time>,
         req: ReqId,
         resource: R,
     ) -> ToServer<R, D> {
         let cached = self.entries.get(&resource).map(|e| e.version);
-        let few = self.entries.len() / SCAN_SHARE;
         let mut also_extend = Vec::new();
-        let mut target_due = false;
-        if let Some(due) = &mut self.due {
-            while let Some(&Reverse((at, r))) = due.peek() {
-                if at > now {
-                    break;
-                }
-                if also_extend.len() > few {
-                    self.due = None;
-                    break;
-                }
-                due.pop();
-                match self.entries.get_mut(&r) {
-                    Some(e) if e.renew_after == at => {
-                        e.renew_after = retry_at;
-                        if r == resource {
-                            target_due = true;
-                        } else {
-                            also_extend.push((r, e.version, e.handle));
-                        }
-                    }
-                    _ => {} // Dropped or re-timed since: a dead item.
-                }
-            }
-        }
-        match &mut self.due {
-            // Re-queued only now, so a `retry_at` that is not in the
-            // future cannot feed the loop above.
-            Some(due) => {
-                due.extend(also_extend.iter().map(|(r, _, _)| Reverse((retry_at, *r))));
-                if target_due {
-                    due.push(Reverse((retry_at, resource)));
-                }
-            }
-            None => {
-                for (r, e) in &mut self.entries {
-                    if e.renew_after <= now {
-                        e.renew_after = retry_at;
-                        if *r != resource {
-                            also_extend.push((*r, e.version, e.handle));
-                        }
-                    }
-                }
-                if also_extend.len() <= few {
-                    self.due = Some(index_of(&self.entries));
+        for (r, e) in &mut self.entries {
+            let at = e.renew_after;
+            // `Time::MAX` is "never", not an instant a retry could repeat.
+            if at <= now || (Some(at) == repeats && at != Time::MAX) {
+                e.renew_after = retry_at;
+                if *r != resource {
+                    also_extend.push((*r, e.version, e.handle));
                 }
             }
         }
@@ -668,25 +621,6 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
             } else {
                 Time::MAX
             },
-        }
-    }
-
-    /// Puts `resource` in the due index (if there is one) at `at`, the
-    /// `renew_after` its entry was just given. Items that went dead are
-    /// only dropped as time passes them, and a cache that never misses
-    /// (installed files, §4 anticipatory renewal) pops nothing — so past
-    /// twice the entries the index is rebuilt from the entries, which
-    /// keeps it O(held) at amortized O(1) per push.
-    fn queue_renewal(&mut self, resource: R, at: Time) {
-        let Some(due) = &mut self.due else {
-            return;
-        };
-        if at == Time::MAX {
-            return;
-        }
-        due.push(Reverse((at, resource)));
-        if due.len() > 2 * self.entries.len() + DUE_SLACK {
-            *due = index_of(&self.entries);
         }
     }
 
@@ -799,9 +733,7 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
                 for (r, version) in resources {
                     if let Some(e) = self.entries.get_mut(&r) {
                         if e.version == version {
-                            if e.extend(lease) {
-                                self.queue_renewal(r, lease.renew_after);
-                            }
+                            e.extend(lease);
                         } else if e.version < version {
                             // The datum changed while our lease was lapsed
                             // (delayed update, §4): drop the stale copy.
@@ -995,9 +927,7 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
                 e.version = g.version;
                 e.last_used = now;
                 e.handle = g.handle;
-                if e.extend(lease) {
-                    self.queue_renewal(g.resource, lease.renew_after);
-                }
+                e.extend(lease);
             }
             None => {
                 // Create an entry only if we actually asked for this
@@ -1042,7 +972,6 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
                 handle,
             },
         );
-        self.queue_renewal(resource, lease.renew_after);
         if self.cfg.capacity > 0 && self.entries.len() > self.cfg.capacity {
             // Evict the least-recently-used other entry and give the lease
             // back so the server can forget us (§4: relinquish option).
@@ -1194,10 +1123,15 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
                 .cfg
                 .backoff
                 .interval(self.cfg.retry_interval, attempt, salt);
-        let msg = match self.requests.get(&req).expect("still present") {
-            Pending::Fetch { resource, .. } => {
+        let msg = match self.requests.get_mut(&req).expect("still present") {
+            Pending::Fetch {
+                resource,
+                retry_at: armed,
+                ..
+            } => {
                 let resource = *resource;
-                self.build_fetch(now, retry_at, req, resource)
+                let repeats = std::mem::replace(armed, retry_at);
+                self.build_fetch(now, retry_at, Some(repeats), req, resource)
             }
             Pending::Write { resource, data, .. } => ToServer::Write {
                 req,
@@ -1230,28 +1164,6 @@ fn lease_expiry(anchor: Time, term: Dur, epsilon: Dur) -> Time {
 /// same speed, and 1/8 moves the simulated Fig. 1 curve less (a lease
 /// extended early in its term and not again lapses sooner).
 const RENEW_DIVISOR: u64 = 8;
-
-/// Dead items the due index tolerates, beyond one per entry, before it is
-/// rebuilt; only keeps a near-empty cache from rebuilding on every push.
-const DUE_SLACK: usize = 16;
-
-/// A fetch that finds more than one entry in this many due is served by
-/// a scan of the entries, not by the index: a pop and the lookup that
-/// tells a live item from a dead one cost about this many times what
-/// stepping over an entry does. Which side of it a cache sits on follows
-/// from its miss rate: above one miss per `term / 8` few leases are due
-/// at any miss (the wall-clock runtimes), far below it nearly all are
-/// (the simulated V trace, a miss every several seconds).
-const SCAN_SHARE: usize = 8;
-
-/// The due index of `entries`, built in one pass.
-fn index_of<R: Resource, D>(entries: &HashMap<R, Entry<D>>) -> BinaryHeap<Reverse<(Time, R)>> {
-    entries
-        .iter()
-        .filter(|(_, e)| e.renew_after != Time::MAX)
-        .map(|(r, e)| Reverse((e.renew_after, *r)))
-        .collect()
-}
 
 /// When a lease granted for `term` at `anchor` next gains from extension:
 /// `anchor + term / 8`. Never ([`Time::MAX`]) for an infinite term, which
@@ -1632,7 +1544,6 @@ mod tests {
         );
         hold(&mut c, t(1), 10, Dur::from_millis(100));
         assert_eq!(piggybacked(&read(&mut c, t(10_000), 9, 12)), vec![]);
-        assert!(c.due.is_some_and(|due| due.is_empty()));
     }
 
     /// Misses every 100 µs for three terms: each held lease is extended
@@ -1709,7 +1620,6 @@ mod tests {
         hold(&mut c, t(0), 20, Dur::ZERO);
         hold(&mut c, t(0), 21, Dur::MAX);
         assert_eq!(piggybacked(&read(&mut c, t(3_600_000), 1, 22)), vec![]);
-        assert!(c.due.is_some_and(|due| due.is_empty()));
     }
 
     #[test]
@@ -1737,63 +1647,77 @@ mod tests {
         assert!(c.lease_valid(7, t(16_000)));
     }
 
-    /// After a long silence nearly everything is due at once: that fetch
-    /// is served by a scan, and the index comes back with the first fetch
-    /// that finds little due.
+    /// A retry may fire before its instant (a shed reply's pace, a runtime
+    /// whose connection just came back): it still repeats what the
+    /// transmission it replaces carried, and the entries then wait for
+    /// the new retry instant.
     #[test]
-    fn a_fetch_that_finds_most_leases_due_scans_them() {
+    fn an_early_retransmission_repeats_the_list() {
         let mut c = client();
-        for r in 0..64 {
-            hold(&mut c, t(r), r, Dur::from_secs(8));
-        }
-        assert!(c.due.is_some());
-        let out = read(&mut c, t(5_000), 1, 99);
-        let all = piggybacked(&out);
-        assert_eq!(all.len(), 64);
-        assert!(
-            all.windows(2).all(|w| w[0].0 < w[1].0),
-            "sorted by resource"
-        );
-        assert!(c.due.is_none());
-        // On the wire, none of them is repeated by the next miss ...
-        assert_eq!(piggybacked(&read(&mut c, t(5_001), 2, 98)), vec![]);
-        assert!(c.due.is_some());
-        // ... and unanswered, all of them are due again at the retry.
-        assert_eq!(piggybacked(&read(&mut c, t(5_500), 3, 97)).len(), 64);
+        hold(&mut c, t(0), 10, Dur::from_millis(800));
+        hold(&mut c, t(0), 11, Dur::MAX);
+        let ten = vec![(10, Version(1), LeaseHandle::NULL)];
+        let out = read(&mut c, t(200), 1, 12);
+        assert_eq!(piggybacked(&out), ten);
+        let req = out.iter().find_map(|o| match o {
+            ClientOutput::Send(m) => m.req(),
+            _ => None,
+        });
+        let retry = ClientInput::Timer(ClientTimer::Retry(req.unwrap()));
+        // Due at 700 ms, fired at 250 ms.
+        assert_eq!(piggybacked(&c.handle(t(250), retry.clone())), ten);
+        assert_eq!(piggybacked(&read(&mut c, t(251), 2, 13)), vec![]);
+        // The second retry is early too, and repeats the first.
+        assert_eq!(piggybacked(&c.handle(t(300), retry)), ten);
+        assert_eq!(c.counters.renewals_piggybacked, 3);
     }
 
-    /// A cache that never misses pops nothing: extensions that arrive by
-    /// themselves must not grow the index without bound.
+    /// After a long silence everything is due at once and rides one
+    /// fetch, each entry once — also when the retry instant is not in the
+    /// future, so that what the fetch lists is due again at once.
     #[test]
-    fn an_index_nobody_pops_stays_proportional_to_the_cache() {
-        let mut c = client();
-        for r in 0..4 {
-            hold(&mut c, t(0), r, Dur::from_secs(60));
-        }
-        for i in 1..=1_000 {
-            c.handle(
-                t(i),
-                ClientInput::Msg(ToClient::InstalledExtend {
-                    resources: (0..4).map(|r| (r, Version(1))).collect(),
-                    term: Dur::from_secs(60),
-                    sent_at: t(i),
-                }),
+    fn everything_due_at_once_rides_one_fetch() {
+        for retry_interval in [Dur::from_millis(500), Dur::ZERO] {
+            let mut c = LeaseClient::<u64, String>::new(
+                ClientId(1),
+                ClientConfig {
+                    retry_interval,
+                    ..cfg()
+                },
             );
-            let items = c.due.as_ref().expect("nothing was due").len();
-            assert!(items <= 2 * 4 + DUE_SLACK, "{items} items");
+            for r in 0..64 {
+                hold(&mut c, t(r), r, Dur::from_secs(8));
+            }
+            let all = piggybacked(&read(&mut c, t(5_000), 1, 99));
+            assert_eq!(all.len(), 64);
+            assert!(
+                all.windows(2).all(|w| w[0].0 < w[1].0),
+                "sorted by resource, none twice"
+            );
+            assert_eq!(c.counters.renewals_piggybacked, 64);
+            // On the wire, none of them is repeated by the next miss ...
+            let next = piggybacked(&read(&mut c, t(5_001), 2, 98)).len();
+            assert_eq!(next, if retry_interval.is_zero() { 64 } else { 0 });
+            // ... and unanswered, all of them are due again at the retry.
+            assert_eq!(piggybacked(&read(&mut c, t(5_500), 3, 97)).len(), 64);
         }
-        // And the rebuilt index still finds everything when it comes due.
-        let out = read(&mut c, t(1_000 + 7_500), 1, 9);
-        assert_eq!(piggybacked(&out).len(), 4);
     }
 
-    /// What a scan of the whole cache would piggyback on a fetch of
-    /// `target` at `now`.
-    fn naive_due(c: &C, now: Time, target: u64) -> Vec<(u64, Version, LeaseHandle)> {
+    /// What the rule says a fetch of `target` sent at `now` piggybacks:
+    /// the entries that are due, and, when it repeats a transmission
+    /// whose retry instant was `repeats`, the entries waiting for that
+    /// instant.
+    fn naive_due(
+        c: &C,
+        now: Time,
+        target: u64,
+        repeats: Option<Time>,
+    ) -> Vec<(u64, Version, LeaseHandle)> {
         let mut v: Vec<_> = c
             .entries
             .iter()
-            .filter(|(r, e)| **r != target && e.renew_after <= now)
+            .filter(|(r, e)| **r != target && e.renew_after != Time::MAX)
+            .filter(|(_, e)| e.renew_after <= now || Some(e.renew_after) == repeats)
             .map(|(r, e)| (*r, e.version, e.handle))
             .collect();
         v.sort_unstable_by_key(|(r, _, _)| *r);
@@ -1846,13 +1770,13 @@ mod tests {
     }
 
     proptest! {
-        /// The due index is the naive scan: whatever the interleaving of
-        /// grants, misses, approvals, evictions, retries and crashes, a
-        /// fetch piggybacks exactly the entries a filter over the whole
-        /// cache would (never missing a due lease, never naming a dropped
-        /// or not-yet-due one), and the index stays O(held).
+        /// Whatever the interleaving of grants, misses, approvals,
+        /// evictions, crashes and retries fired early, on time or late, a
+        /// fetch piggybacks exactly what the rule says (never missing a
+        /// due lease, never naming a dropped or not-yet-due one), and
+        /// what it lists then waits for the retry timer it armed.
         #[test]
-        fn due_index_matches_a_scan_of_the_cache(
+        fn a_fetch_lists_what_is_due_whatever_came_before(
             steps in proptest::collection::vec(step(), 1..300),
         ) {
             let mut c = LeaseClient::<u64, String>::new(
@@ -1860,13 +1784,15 @@ mod tests {
                 ClientConfig { capacity: 5, ..cfg() },
             );
             let mut now = t(0);
-            // Requests on the wire, as the server would see them.
-            let mut outstanding: Vec<ToServer<u64, String>> = Vec::new();
+            // Requests on the wire, as the server would see them, each
+            // with the retry instant its last transmission armed.
+            let mut outstanding: Vec<(ToServer<u64, String>, Time)> = Vec::new();
             let mut next_op = 0;
             let mut next_version = 1;
             for s in steps {
-                // `Some(target)` when the step sends its fetch from the
-                // state it starts in, so the scan can be taken beforehand.
+                // `Some((target, repeats))` when the step sends its fetch
+                // from the state it starts in, so the list it must carry
+                // can be taken beforehand.
                 let (scanned, input) = match s {
                     Step::Advance(ms) => {
                         now += Dur::from_millis(ms);
@@ -1874,13 +1800,13 @@ mod tests {
                     }
                     Step::Crash => {
                         c.crash();
-                        prop_assert!(c.due.as_ref().is_some_and(|due| due.is_empty()));
+                        outstanding.clear();
                         continue;
                     }
                     Step::Read(r) => {
                         next_op += 1;
                         let kind = Op::Read(r);
-                        (Some(r), ClientInput::Op { op: OpId(next_op), kind })
+                        (Some((r, None)), ClientInput::Op { op: OpId(next_op), kind })
                     }
                     Step::Write(r) => {
                         next_op += 1;
@@ -1888,13 +1814,13 @@ mod tests {
                         (None, ClientInput::Op { op: OpId(next_op), kind })
                     }
                     Step::Retry(n) => {
-                        let Some(m) = outstanding.get(n) else { continue };
-                        let target = match m {
-                            ToServer::Fetch { resource, .. } => Some(*resource),
+                        let Some((m, armed)) = outstanding.get(n) else { continue };
+                        let scanned = match m {
+                            ToServer::Fetch { resource, .. } => Some((*resource, Some(*armed))),
                             _ => None,
                         };
                         let req = m.req().expect("only requests are kept");
-                        (target, ClientInput::Timer(ClientTimer::Retry(req)))
+                        (scanned, ClientInput::Timer(ClientTimer::Retry(req)))
                     }
                     Step::Reply(n, term) => {
                         if n >= outstanding.len() {
@@ -1902,7 +1828,7 @@ mod tests {
                         }
                         let term = TERMS[term];
                         next_version += 1;
-                        let msg = match outstanding.swap_remove(n) {
+                        let msg = match outstanding.swap_remove(n).0 {
                             ToServer::Fetch { req, resource, also_extend, .. } => {
                                 let mut grants: Vec<_> = also_extend
                                     .into_iter()
@@ -1936,30 +1862,29 @@ mod tests {
                         }))
                     }
                 };
-                let expect = scanned.map(|target| naive_due(&c, now, target));
-                for o in c.handle(now, input) {
+                let expect = scanned
+                    .map(|(target, repeats)| naive_due(&c, now, target, repeats));
+                let out = c.handle(now, input);
+                for o in &out {
                     let ClientOutput::Send(m) = o else { continue };
-                    if let (ToServer::Fetch { also_extend, .. }, Some(expect)) = (&m, &expect) {
-                        prop_assert_eq!(also_extend, expect, "at {:?}", now);
+                    let Some(req) = m.req() else { continue };
+                    let armed = out.iter().find_map(|o| match o {
+                        ClientOutput::SetTimer { at, timer: ClientTimer::Retry(r) }
+                            if *r == req => Some(*at),
+                        _ => None,
+                    });
+                    let armed = armed.expect("a request goes out with its retry timer");
+                    if let ToServer::Fetch { also_extend, .. } = m {
+                        if let Some(expect) = &expect {
+                            prop_assert_eq!(also_extend, expect, "at {:?}", now);
+                        }
+                        for (r, _, _) in also_extend {
+                            prop_assert_eq!(c.entries[r].renew_after, armed);
+                        }
                     }
-                    if let Some(req) = m.req() {
-                        outstanding.retain(|o| o.req() != Some(req));
-                        outstanding.push(m);
-                    }
+                    outstanding.retain(|(o, _)| o.req() != Some(req));
+                    outstanding.push((m.clone(), armed));
                 }
-                // While there is an index, every entry that can come due
-                // has its live item in it ...
-                let Some(due) = &c.due else { continue };
-                for (r, e) in &c.entries {
-                    prop_assert!(
-                        e.renew_after == Time::MAX
-                            || due.iter().any(|Reverse(i)| *i == (e.renew_after, *r)),
-                        "entry {} (renew_after {:?}) is not in the index", r, e.renew_after
-                    );
-                }
-                // ... and dead items do not pile up: at most `capacity`
-                // + 1 entries are ever held here.
-                prop_assert!(due.len() <= 2 * 6 + DUE_SLACK, "{} items", due.len());
             }
         }
     }

@@ -499,7 +499,12 @@ impl Worker {
     /// than when it is due: the port has a fresh connection, and what was
     /// submitted while it had none went nowhere. This is the ordinary
     /// [`ClientTimer::Retry`] path, so the attempt limit, the retry
-    /// budget and the op deadline bound it like any retransmission.
+    /// budget and the op deadline bound it like any retransmission, and
+    /// the cache repeats on each what the lost transmission piggybacked.
+    /// All the driver hears is that bit: a request that went out on the
+    /// new connection in the microseconds before the bit was read is
+    /// repeated with the rest, at the price of one duplicate the server
+    /// answers and one of that request's attempts.
     fn retry_pending(&mut self) {
         let mut retries: Vec<u64> = self
             .live_timers
