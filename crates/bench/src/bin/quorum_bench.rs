@@ -12,10 +12,10 @@
 //!    quiet simulated run — what keeping the grantor lease alive costs
 //!    when nothing fails. Also deterministic.
 //! 3. **File-grant throughput vs the single-server baseline.** The same
-//!    wall-clock client workload driven against an [`RtSystem`] (one
-//!    server) and a [`ReplicatedSystem`] (3 grantor replicas); the
-//!    reported ratio is replicated/single. Only the ratio ever gates —
-//!    raw ops/s depend on the runner.
+//!    wall-clock client workload driven against an [`RtSystem`] with one
+//!    server and with a quorum of 3 grantor replicas; the reported ratio
+//!    is replicated/single. Only the ratio ever gates — raw ops/s depend
+//!    on the runner.
 //!
 //! Flags: `--quick` (short throughput window; the checked-in baseline's
 //! mode), `--ms N` (override the window), `--json PATH` (write results),
@@ -29,7 +29,7 @@ use bytes::Bytes;
 use lease_clock::Dur;
 use lease_quorum::sim::{run as sim_run, SimConfig};
 use lease_quorum::QuorumConfig;
-use lease_rt::{FaultPlan, ReplicatedSystem, RtClientHandle, RtSystem};
+use lease_rt::{FaultPlan, RtClientHandle, RtSystem};
 use lease_vsys::HistoryEvent;
 
 /// Machine-readable result row; `BENCH_quorum.json` is one of these.
@@ -136,28 +136,21 @@ fn drive(clients: &[RtClientHandle], files: &[lease_rt::server::Res], window: Du
     ops as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Quorum tuning for the wall-clock replicated system: fast enough that
-/// election never eats into the measurement window.
-fn bench_quorum() -> QuorumConfig {
-    QuorumConfig {
-        term: Dur::from_millis(250),
-        max_term: Dur::from_millis(550),
-        op_timeout: Dur::from_millis(60),
-        retry_base: Dur::from_millis(10),
-        stagger: Dur::from_millis(15),
-        ..QuorumConfig::default()
-    }
-}
-
 const FILES: usize = 8;
 
-fn single_ops_per_sec(window: Duration) -> f64 {
+/// Client ops/s over `window` against one server (`None`) or a quorum of
+/// grantor replicas — tuned fast enough that election never eats into
+/// the measurement window.
+fn ops_per_sec(quorum: Option<QuorumConfig>, window: Duration) -> f64 {
     let mut b = RtSystem::builder()
         .term(Dur::from_millis(150))
         .retry_interval(Dur::from_millis(15))
         .max_retries(200)
         .clients(2)
         .shards(2);
+    if let Some(q) = quorum {
+        b = b.quorum(q);
+    }
     for i in 0..FILES {
         b = b.file(&format!("/data/f{i}"), Bytes::from(format!("s{i}")));
     }
@@ -175,34 +168,10 @@ fn single_ops_per_sec(window: Duration) -> f64 {
     ops
 }
 
-fn replicated_ops_per_sec(window: Duration) -> f64 {
-    let mut b = ReplicatedSystem::builder()
-        .term(Dur::from_millis(150))
-        .retry_interval(Dur::from_millis(15))
-        .max_retries(200)
-        .quorum(bench_quorum())
-        .clients(2)
-        .shards(2);
-    for i in 0..FILES {
-        b = b.file(&format!("/data/f{i}"), Bytes::from(format!("s{i}")));
-    }
-    let sys = b.start();
-    let files: Vec<_> = (0..FILES)
-        .map(|i| sys.lookup(&format!("/data/f{i}")).unwrap())
-        .collect();
-    let clients = vec![sys.client(0), sys.client(1)];
-    for f in &files {
-        let _ = clients[0].read(*f);
-    }
-    let ops = drive(&clients, &files, window);
-    sys.shutdown();
-    ops
-}
-
 fn measure(mode: &str, window: Duration) -> QuorumBench {
     let takeovers = takeover_ms(1..=20);
-    let single = single_ops_per_sec(window);
-    let replicated = replicated_ops_per_sec(window);
+    let single = ops_per_sec(None, window);
+    let replicated = ops_per_sec(Some(QuorumConfig::quick()), window);
     QuorumBench {
         schema: SCHEMA.to_string(),
         mode: mode.to_string(),

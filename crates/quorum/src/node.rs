@@ -63,6 +63,20 @@ impl Default for QuorumConfig {
 }
 
 impl QuorumConfig {
+    /// The default quorum on a quarter-second grantor term, for
+    /// wall-clock harnesses: elections and takeovers resolve well inside
+    /// a test's budget or a sweep's window.
+    pub fn quick() -> QuorumConfig {
+        QuorumConfig {
+            term: Dur::from_millis(250),
+            max_term: Dur::from_millis(550),
+            op_timeout: Dur::from_millis(60),
+            retry_base: Dur::from_millis(10),
+            stagger: Dur::from_millis(15),
+            ..QuorumConfig::default()
+        }
+    }
+
     /// Quorum size: a strict majority of the replicas.
     pub fn majority(&self) -> u32 {
         self.replicas / 2 + 1

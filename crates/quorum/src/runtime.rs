@@ -12,11 +12,11 @@
 //! the injectable split-brain bug the oracle sweep must catch.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use lease_clock::{Clock, ClockModel, Time};
 use lease_svc::chaos::{Delivery, FaultPlan, LinkChaos};
 use lease_vsys::HistoryEvent;
@@ -120,7 +120,7 @@ enum Input {
 /// hold so the runtime itself can keep sole ownership of its threads.
 #[derive(Clone)]
 pub struct KillHandle {
-    inputs: Vec<Sender<Input>>,
+    inputs: Vec<SyncSender<Input>>,
 }
 
 impl KillHandle {
@@ -133,7 +133,7 @@ impl KillHandle {
 /// A running quorum of grantor replicas.
 pub struct QuorumRuntime {
     gates: Vec<Arc<GrantorGate>>,
-    inputs: Vec<Sender<Input>>,
+    inputs: Vec<SyncSender<Input>>,
     threads: Vec<thread::JoinHandle<()>>,
 }
 
@@ -155,7 +155,7 @@ impl QuorumRuntime {
         let mut txs = Vec::with_capacity(n);
         let mut rxs = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = bounded::<Input>(1024);
+            let (tx, rx) = sync_channel::<Input>(1024);
             txs.push(tx);
             rxs.push(rx);
         }
@@ -242,7 +242,7 @@ struct Replica {
     id: u32,
     node: GrantorNode,
     rx: Receiver<Input>,
-    peers: Vec<Sender<Input>>,
+    peers: Vec<SyncSender<Input>>,
     links: Vec<LinkChaos>,
     plan: FaultPlan,
     truth: Arc<dyn Clock>,
@@ -361,17 +361,6 @@ mod tests {
     use super::*;
     use lease_clock::{Dur, WallClock};
 
-    fn quick_cfg() -> QuorumConfig {
-        QuorumConfig {
-            term: Dur::from_millis(250),
-            max_term: Dur::from_millis(550),
-            op_timeout: Dur::from_millis(60),
-            retry_base: Dur::from_millis(10),
-            stagger: Dur::from_millis(15),
-            ..QuorumConfig::default()
-        }
-    }
-
     fn wait_for<F: Fn() -> bool>(what: &str, timeout: Duration, f: F) {
         let start = std::time::Instant::now();
         while !f() {
@@ -386,7 +375,7 @@ mod tests {
         let events: Arc<std::sync::Mutex<Vec<HistoryEvent>>> = Arc::default();
         let obs = Arc::clone(&events);
         let rt = QuorumRuntime::spawn(
-            quick_cfg(),
+            QuorumConfig::quick(),
             FaultPlan::new(3),
             truth,
             QuorumHooks {

@@ -43,7 +43,6 @@ pub mod client;
 pub mod naming;
 pub mod net;
 pub mod record;
-pub mod replicated;
 pub mod server;
 pub mod system;
 
@@ -54,6 +53,5 @@ pub use lease_svc::chaos::FaultPlan;
 pub use naming::{Binding, NameOp};
 pub use net::{NetClient, NetClientConfig, TcpPort};
 pub use record::Recorder;
-pub use replicated::{ReplicatedSystem, ReplicatedSystemBuilder};
 pub use server::{Port, PortVerdict, ServerStats, RETRY_AFTER};
 pub use system::{RtSystem, RtSystemBuilder};

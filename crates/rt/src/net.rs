@@ -87,8 +87,9 @@ pub struct NetClientConfig {
 }
 
 impl NetClientConfig {
-    /// Defaults matching `RtSystemBuilder`'s: 50 ms epsilon, 100 ms
-    /// retransmission, 10 retries.
+    /// Defaults for a socket: 50 ms epsilon, 100 ms retransmission, 10
+    /// retries — wider and more patient than `RtSystemBuilder`'s
+    /// in-process 10 ms / 50 ms / 40.
     pub fn new(addr: SocketAddr, clients: u32) -> NetClientConfig {
         NetClientConfig {
             addr,

@@ -6,11 +6,12 @@
 //! world — the durable [`StoreBackend`] shared by every shard, the
 //! [`RtSink`] whose per-worker halves filter shard output (cut switches,
 //! replica fence, seeded chaos dice) in front of the per-client ring
-//! lanes, and the [`ServerPort`] clients use to submit protocol messages
-//! into the service.
+//! lanes, and the [`RtPort`] clients use to submit protocol messages to
+//! whichever replica is serving — the one there is, or under a grantor
+//! quorum the one whose gate is open.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -18,6 +19,7 @@ use std::time::Instant;
 use bytes::Bytes;
 use lease_clock::{Clock, Dur, Time, WallClock};
 use lease_core::{ClientId, ServerCounters, Storage, ToClient, ToServer, Version};
+use lease_quorum::GrantorGate;
 use lease_store::{FileId, Store};
 use lease_svc::{
     chaos::Delivery, ClientSink, Egress, EgressWorker, FaultPlan, LinkChaos, SvcError, SvcHandle,
@@ -104,7 +106,12 @@ impl Storage<Res, Bytes> for StoreBackend {
             // collected every binding-holder's approval.
             let dir = lease_store::DirId(*resource);
             if let Some(op) = crate::naming::NameOp::decode(&data) {
-                let apply = match op {
+                // An op that no longer applies (its name vanished while
+                // the write waited for approvals, say) fails in the store
+                // and changes nothing: the version stays, no `Commit` is
+                // recorded below, and the caches revalidate all the same
+                // through the approvals the write already collected.
+                let _ = match op {
                     crate::naming::NameOp::Rename { from, to } => {
                         self.store.rename(dir, &from, dir, &to, now).map(|_| ())
                     }
@@ -122,12 +129,6 @@ impl Storage<Res, Bytes> for StoreBackend {
                         )
                         .map(|_| ()),
                 };
-                if apply.is_err() {
-                    // The op no longer applies (e.g. name vanished while
-                    // the write waited for approvals): bump the version
-                    // anyway so callers revalidate, by touching and
-                    // undoing nothing.
-                }
             }
             Version(self.store.dir_version(dir).map(|v| v.0).unwrap_or(0))
         };
@@ -177,6 +178,34 @@ impl Storage<Res, Bytes> for SharedBackend {
     }
 }
 
+/// Storage wrapper that refuses commits while the replica's gate is
+/// closed: a stale grantor's deferred write must not mutate the shared
+/// store after its lease lapsed. A refused write returns the current
+/// version; the reply built from it is dropped by the egress fence
+/// anyway, so the client retries against the live grantor.
+pub(crate) struct GatedBackend {
+    pub inner: SharedBackend,
+    pub gate: Arc<GrantorGate>,
+}
+
+impl Storage<Res, Bytes> for GatedBackend {
+    fn read(&self, resource: &Res) -> Option<(Bytes, Version)> {
+        self.inner.read(resource)
+    }
+
+    fn version(&self, resource: &Res) -> Option<Version> {
+        self.inner.version(resource)
+    }
+
+    fn write(&mut self, resource: &Res, data: Bytes) -> Version {
+        if self.gate.is_open() {
+            self.inner.write(resource, data)
+        } else {
+            self.inner.version(resource).unwrap_or(Version(0))
+        }
+    }
+}
+
 /// Seeded chaos applied to the client↔server transport: per-link
 /// deterministic drop/delay/duplicate dice plus plan-relative cut windows,
 /// generalizing the boolean cut switches.
@@ -216,8 +245,8 @@ impl ChaosNet {
         self.plan.cut_active(client, self.elapsed())
     }
 
-    /// Whether a plan cut window covers grantor replica `replica` now
-    /// (host-level partitions in the replicated topology).
+    /// Whether a plan cut window covers server replica `replica` now
+    /// (a host-level partition).
     pub fn replica_cut(&self, replica: usize) -> bool {
         self.plan.replica_cut_active(replica, self.elapsed())
     }
@@ -235,21 +264,15 @@ impl ChaosNet {
 pub(crate) enum Delayed {
     /// Server→client: published into the sleeper's own egress lanes.
     Reply(ClientId, ToClient<Res, Bytes>),
-    /// Client→server: handed to the topology's submission route.
+    /// Client→server: routed, when due, to whichever replica serves then.
     Submission(ClientId, ToServer<Res, Bytes>, Option<Time>),
 }
 
-/// How the sleeper submits a delayed client→server message: one closure
-/// per topology, owning whatever it routes through (the single-server
-/// topology's one handle clone, the replicated topology's failover
-/// core). Must not block: the sleeper serves every link.
-pub(crate) type SubmitRoute = Box<dyn FnMut(ClientId, ToServer<Res, Bytes>, Option<Time>) + Send>;
-
 /// One shared sleeper thread servicing every chaos-delayed (or
-/// duplicated) message of a topology, both directions: entries wait in a
+/// duplicated) message of a system, both directions: entries wait in a
 /// map ordered by deadline, the sleeper parks until the earliest one
 /// is due and then sends it through its *own* sending halves — an
-/// [`EgressWorker`] for replies, the [`SubmitRoute`] for submissions — so
+/// [`EgressWorker`] for replies, a [`Router`] for submissions — so
 /// a delayed message costs a map entry: no thread, no handle clone, no
 /// lane registration. The thread is spawned lazily on the first delayed
 /// message (fault-free runs never pay for it) and is stopped and joined
@@ -270,7 +293,7 @@ struct DelayShared {
 
 struct DelayIo {
     replies: EgressWorker<Res, Bytes>,
-    submit: Option<SubmitRoute>,
+    submit: Option<Router>,
 }
 
 struct DelayState {
@@ -306,8 +329,9 @@ impl DelayPool {
     }
 
     /// Installs the client→server route (the services it needs exist only
-    /// after the sinks holding this pool do).
-    pub fn route_submissions(&self, route: SubmitRoute) {
+    /// after the sinks holding this pool do). [`Router::route`] never
+    /// blocks, which the sleeper — it serves every link — relies on.
+    pub fn route_submissions(&self, route: Router) {
         self.inner
             .io
             .lock()
@@ -394,9 +418,9 @@ impl DelayShared {
                     io.replies.flush_wakes();
                 }
                 Delayed::Submission(from, msg, deadline) => {
-                    if let Some(submit) = io.submit.as_mut() {
+                    if let Some(submit) = &io.submit {
                         for _ in 0..copies {
-                            submit(from, msg.clone(), deadline);
+                            let _ = submit.route(from, msg.clone(), deadline);
                         }
                     }
                 }
@@ -407,16 +431,28 @@ impl DelayShared {
     }
 }
 
-/// Egress fencing for one replica of the replicated topology: which
-/// replica this service is, and the grantor gate its replies must pass.
+/// What stands between one replica and the clients, checked on every
+/// message in both directions: which replica this is, and under a quorum
+/// the grantor gate its traffic must pass.
 #[derive(Clone)]
 pub(crate) struct RtFence {
     /// This service's replica index (for plan-relative cut windows).
     pub replica: usize,
     /// The replica's serving gate: while it is closed — never elected,
-    /// lease lapsed, stale after a partition — every reply is dropped, so
-    /// a stale grantor's grants and approvals cannot reach clients.
-    pub gate: Arc<lease_quorum::GrantorGate>,
+    /// lease lapsed, stale after a partition — nothing is submitted to it
+    /// and every reply is dropped, so a stale grantor's grants and
+    /// approvals cannot reach clients. `None` without a quorum: the one
+    /// server always serves, and nothing is checked.
+    pub gate: Option<Arc<GrantorGate>>,
+}
+
+impl RtFence {
+    /// Whether the replica may exchange a message with a client right
+    /// now: its gate is open and no plan window cuts it off.
+    fn admits(&self, chaos: Option<&ChaosNet>) -> bool {
+        self.gate.as_ref().is_none_or(|g| g.is_open())
+            && !chaos.is_some_and(|c| c.replica_cut(self.replica))
+    }
 }
 
 /// What every shard worker's egress half is built from: the per-client
@@ -428,9 +464,9 @@ pub(crate) struct RtSink {
     /// moment.
     pub cuts: Vec<Arc<AtomicBool>>,
     pub chaos: Option<Arc<ChaosNet>>,
-    /// Present only in the replicated topology.
-    pub fence: Option<RtFence>,
-    /// The topology's shared sleeper for chaos-delayed messages.
+    /// The replica this sink's service is, and its gate.
+    pub fence: RtFence,
+    /// The system's shared sleeper for chaos-delayed messages.
     pub delay: Arc<DelayPool>,
 }
 
@@ -446,17 +482,17 @@ impl ClientSink<Res, Bytes> for RtSink {
     }
 }
 
-/// One shard worker's egress half in every real-time topology: a filter
-/// in front of the worker's ring lanes. Each message passes the replica
-/// fence, the client's cut switch and the chaos dice — all of which can
-/// change between two messages of one flush — and is dropped, handed to
-/// the [`DelayPool`] sleeper, or left in the flush the lanes then publish
-/// one same-client run at a time.
+/// One shard worker's egress half: a filter in front of the worker's
+/// ring lanes. Each message passes the replica fence, the client's cut
+/// switch and the chaos dice — all of which can change between two
+/// messages of one flush — and is dropped, handed to the [`DelayPool`]
+/// sleeper, or left in the flush the lanes then publish one same-client
+/// run at a time.
 struct RtWorkerSink {
     worker: EgressWorker<Res, Bytes>,
     cuts: Vec<Arc<AtomicBool>>,
     chaos: Option<Arc<ChaosNet>>,
-    fence: Option<RtFence>,
+    fence: RtFence,
     delay: Arc<DelayPool>,
 }
 
@@ -465,15 +501,9 @@ impl RtWorkerSink {
     /// or duplicates is handed to the sleeper and refused here.
     fn admit(&self, to: ClientId, msg: &ToClient<Res, Bytes>) -> bool {
         let c = to.0 as usize;
-        if let Some(f) = &self.fence {
-            // The gate can lapse mid-batch: re-check per message.
-            let cut_off = self
-                .chaos
-                .as_ref()
-                .is_some_and(|c| c.replica_cut(f.replica));
-            if !f.gate.is_open() || cut_off {
-                return false;
-            }
+        // The gate can lapse mid-batch: re-check per message.
+        if !self.fence.admits(self.chaos.as_deref()) {
+            return false;
         }
         if self.cuts[c].load(Ordering::Relaxed) {
             return false;
@@ -519,11 +549,10 @@ pub enum PortVerdict {
     RetryAfter(ToServer<Res, Bytes>),
 }
 
-/// Where a client thread submits protocol messages: the single-server
-/// topology's [`ServerPort`], or the replicated topology's failover port
-/// that hunts for the current grantor. Implementations never block on a
-/// saturated shard — backpressure degrades into
-/// [`PortVerdict::RetryAfter`], and unreachability into
+/// Where a client thread submits protocol messages: the in-process
+/// [`RtPort`], or a socket ([`TcpPort`](crate::net::TcpPort)).
+/// Implementations never block on a saturated shard — backpressure
+/// degrades into [`PortVerdict::RetryAfter`], and unreachability into
 /// [`PortVerdict::Dropped`] (the client's retransmission backoff is the
 /// retry schedule).
 ///
@@ -556,18 +585,126 @@ pub trait Port: Send {
     }
 }
 
-/// What a client's driver holds instead of a channel to a server thread:
-/// the sharded service handle, the cut switches, and the chaos dice (with
-/// the sleeper that serves them) for the inbound direction.
+/// One replica as one producer sees it: the producer's own handle clone
+/// (a [`SvcHandle`] is one SPSC lane per shard, single-producer) and the
+/// replica's fence.
 #[derive(Clone)]
-pub(crate) struct ServerPort {
-    pub svc: SvcHandle<Res, Bytes>,
+struct Target {
+    svc: SvcHandle<Res, Bytes>,
+    fence: RtFence,
+}
+
+/// The routing core: finds the replica that is serving and submits to it.
+/// Without a quorum that is a loop of one with nothing to check. Under
+/// one this is **ingress fencing** — a message goes only to a replica
+/// whose gate is open, trying the candidates at most once each; with no
+/// grantor visible it is dropped and the sender's retransmission backoff
+/// is the retry schedule, so failover is free: the next retransmission
+/// simply lands on the new grantor.
+///
+/// Cloning attaches a new producer — fresh lanes into every replica —
+/// so every client's port, the [`DelayPool`] sleeper, the kill driver and
+/// the system's own admin path each hold their own router; all that is
+/// shared is the hint of which replica answered last (grantorship is a
+/// property of the cluster, not of one cache).
+#[derive(Clone)]
+pub(crate) struct Router {
+    targets: Vec<Target>,
+    current: Arc<AtomicUsize>,
+    chaos: Option<Arc<ChaosNet>>,
+}
+
+impl Router {
+    /// A router over `replicas`, in replica order.
+    pub fn new(
+        replicas: impl IntoIterator<Item = (SvcHandle<Res, Bytes>, RtFence)>,
+        chaos: Option<Arc<ChaosNet>>,
+    ) -> Router {
+        Router {
+            targets: replicas
+                .into_iter()
+                .map(|(svc, fence)| Target { svc, fence })
+                .collect(),
+            current: Arc::new(AtomicUsize::new(0)),
+            chaos,
+        }
+    }
+
+    /// Number of replicas.
+    pub fn replicas(&self) -> usize {
+        self.targets.len()
+    }
+
+    /// This router's handle into replica `i`.
+    pub fn svc(&self, i: usize) -> &SvcHandle<Res, Bytes> {
+        &self.targets[i].svc
+    }
+
+    /// The replicas willing to serve right now — gate open, not cut off —
+    /// starting from the last one that answered; one rotation. Lazy, so
+    /// each is checked only when the one before it fell through.
+    fn willing(&self) -> impl Iterator<Item = usize> + '_ {
+        let n = self.targets.len();
+        let start = if n > 1 {
+            self.current.load(Ordering::Relaxed)
+        } else {
+            0
+        };
+        (0..n)
+            .map(move |k| (start + k) % n)
+            .filter(|&i| self.targets[i].fence.admits(self.chaos.as_deref()))
+    }
+
+    /// Remembers that replica `i` answered, for every router of the
+    /// system. Written only when it moves: every client reads the hint on
+    /// every submission.
+    fn prefer(&self, i: usize) {
+        if self.targets.len() > 1 && self.current.load(Ordering::Relaxed) != i {
+            self.current.store(i, Ordering::Relaxed);
+        }
+    }
+
+    /// The replica that would be tried first, if any is willing.
+    pub fn serving(&self) -> Option<usize> {
+        self.willing().next()
+    }
+
+    /// Submits one client message to the first willing replica that takes
+    /// it. Never blocks. A dead shard fails the send and, like a closed
+    /// gate or a cut, moves on to the next candidate.
+    pub fn route(
+        &self,
+        from: ClientId,
+        msg: ToServer<Res, Bytes>,
+        deadline: Option<Time>,
+    ) -> PortVerdict {
+        for i in self.willing() {
+            match self.targets[i].svc.try_send_at(from, msg.clone(), deadline) {
+                Ok(()) => {
+                    self.prefer(i);
+                    return PortVerdict::Sent;
+                }
+                Err(SvcError::Backpressure) => {
+                    self.prefer(i);
+                    return PortVerdict::RetryAfter(msg);
+                }
+                Err(_) => continue,
+            }
+        }
+        PortVerdict::Dropped
+    }
+}
+
+/// What a client's driver holds instead of a channel to a server thread:
+/// its own [`Router`], the cut switches, and — for the inbound direction
+/// of the chaos dice (the router carries them) — the sleeper.
+pub(crate) struct RtPort {
+    pub router: Router,
     pub cuts: Arc<Vec<Arc<AtomicBool>>>,
-    pub chaos: Option<Arc<ChaosNet>>,
     pub delay: Arc<DelayPool>,
 }
 
-impl Port for ServerPort {
+impl Port for RtPort {
     fn send(
         &self,
         from: ClientId,
@@ -577,16 +714,19 @@ impl Port for ServerPort {
         if self.cuts[from.0 as usize].load(Ordering::Relaxed) {
             return PortVerdict::Dropped; // Fault injection: drop inbound too.
         }
-        if let Some(chaos) = &self.chaos {
+        if let Some(chaos) = &self.router.chaos {
             if chaos.cut(from.0 as usize) {
                 return PortVerdict::Dropped;
             }
+            // The uplink dice roll once per submission, not per candidate:
+            // the fault lives on the client's link, not on the rotation.
             match chaos.c2s(from.0 as usize) {
                 Delivery::Drop => return PortVerdict::Dropped,
                 Delivery::Deliver { delay, copies } => {
                     if !delay.is_zero() || copies != 1 {
-                        // Late (or duplicated) submission happens off the
-                        // client thread, on the topology's one sleeper.
+                        // A late (or duplicated) submission leaves off the
+                        // client thread, on the system's one sleeper, which
+                        // resolves the serving replica at delivery time.
                         let held = Delayed::Submission(from, msg, deadline);
                         self.delay.schedule(delay, held, copies);
                         return PortVerdict::Sent;
@@ -594,11 +734,7 @@ impl Port for ServerPort {
                 }
             }
         }
-        match self.svc.try_send_at(from, msg.clone(), deadline) {
-            Ok(()) => PortVerdict::Sent,
-            Err(SvcError::Backpressure) => PortVerdict::RetryAfter(msg),
-            Err(_) => PortVerdict::Dropped,
-        }
+        self.router.route(from, msg, deadline)
     }
 }
 
@@ -633,7 +769,10 @@ mod tests {
             egress: egress.clone(),
             cuts: cut.map(|c| Arc::new(AtomicBool::new(c))).to_vec(),
             chaos: plan.map(|p| Arc::new(ChaosNet::new(p, WallClock::new(), 2))),
-            fence: None,
+            fence: RtFence {
+                replica: 0,
+                gate: None,
+            },
             delay: Arc::new(DelayPool::new(egress)),
         }
     }
@@ -745,19 +884,20 @@ mod tests {
             },
         );
         let delay = Arc::new(DelayPool::new(&egress));
-        delay.route_submissions(Box::new({
-            let svc = service.handle();
-            move |from, msg, deadline| {
-                let _ = svc.try_send_at(from, msg, deadline);
-            }
-        }));
         let slow = FaultPlan::new(5).delay_messages(Dur::from_millis(2));
-        let port = ServerPort {
-            svc: service.handle(),
+        let fence = RtFence {
+            replica: 0,
+            gate: None,
+        };
+        let port = RtPort {
+            router: Router::new(
+                [(service.handle(), fence)],
+                Some(Arc::new(ChaosNet::new(slow, WallClock::new(), 1))),
+            ),
             cuts: Arc::new(vec![Arc::new(AtomicBool::new(false))]),
-            chaos: Some(Arc::new(ChaosNet::new(slow, WallClock::new(), 1))),
             delay: Arc::clone(&delay),
         };
+        delay.route_submissions(port.router.clone());
         let lanes_before = service.stats().expect("stats").gauges.ingress_lanes;
 
         for n in 0..N {

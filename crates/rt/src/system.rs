@@ -1,17 +1,54 @@
 //! Assembling a real-time lease system on the `lease-svc` runtime.
+//!
+//! There is one assembly. The paper's arrangement — *the* server — is its
+//! quorum-less case: one replica, nothing elected, nothing gated. That
+//! server is the availability ceiling of the whole design (§5 rides out
+//! every fault by waiting for it to come back), and
+//! [`RtSystemBuilder::quorum`] removes the ceiling: N replicas each run
+//! their own sharded lease service over the one durable store, a
+//! `lease-quorum` grantor election decides which replica may grant, and
+//! clients fail over to whichever replica currently holds the grantor
+//! lease.
+//!
+//! The safety chain under a quorum, layer by layer:
+//!
+//! * **Ingress fencing** — the `Router` every producer submits through
+//!   (server module) hands a client message only to a replica whose
+//!   [`GrantorGate`](lease_quorum::GrantorGate) is open, trying the
+//!   candidates at most once per submission. With no
+//!   grantor visible the message is dropped and the client's
+//!   retransmission backoff provides the retry schedule (failover is
+//!   *free*: the next retransmission simply lands on the new grantor).
+//! * **Egress fencing** — each replica's sink drops every reply while its
+//!   gate is closed, so a grantor whose lease lapsed mid-batch cannot
+//!   leak grants or write approvals (see `RtFence` in the server module).
+//! * **Commit fencing** — the storage each service writes through is
+//!   gated too: a stale grantor's deferred write is refused at the store,
+//!   not just silenced on the wire.
+//! * **Takeover recovery** — a *fresh* grantor acquisition (not a
+//!   renewal) crash-restarts the new grantor's own service shards, which
+//!   re-enter §5 MaxTerm recovery: grants are deferred and writes held
+//!   until every lease the previous grantor could have granted has
+//!   expired, and the epoch bump fences that incarnation's write-approval
+//!   ids — the exact machinery a single server's restart already uses,
+//!   reused for succession.
+//!
+//! Lease state is never replicated or persisted: the old grantor's grants
+//! die by expiry, exactly as §5 argues for crash recovery.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Sender};
-use lease_clock::{Clock, Dur, ModelClock, Time, WallClock};
+use lease_clock::{Clock, ClockModel, Dur, ModelClock, Time, WallClock};
 use lease_core::{
     Backoff, ClientConfig, ClientId, LeaseServer, RetryBudget, ServerConfig, Storage,
     TermController,
 };
+use lease_quorum::{KillHandle, QuorumConfig, QuorumHooks, QuorumRuntime};
 use lease_store::{DirId, FileKind, Perms, Store};
 use lease_svc::{
     chaos::silence_injected_kills, shard_of, AdmissionControl, Egress, FaultPlan, LeaseService,
@@ -22,8 +59,8 @@ use lease_vsys::{History, HistoryEvent};
 use crate::client::{spawn_client, RtClientHandle};
 use crate::record::Recorder;
 use crate::server::{
-    lock_backend, ChaosNet, DelayPool, Res, RtSink, ServerPort, ServerStats, SharedBackend,
-    StoreBackend,
+    lock_backend, ChaosNet, DelayPool, GatedBackend, Res, Router, RtFence, RtPort, RtSink,
+    ServerStats, SharedBackend, StoreBackend,
 };
 
 /// Builder for an [`RtSystem`].
@@ -41,6 +78,7 @@ pub struct RtSystemBuilder {
     mailbox: Option<usize>,
     clients: u32,
     shards: usize,
+    quorum: Option<QuorumConfig>,
     files: Vec<(String, Bytes, FileKind)>,
     installed_tick: Option<(Dur, Dur)>,
     chaos: Option<FaultPlan>,
@@ -59,7 +97,9 @@ impl RtSystemBuilder {
         self
     }
 
-    /// Client retransmission interval (the backoff base).
+    /// Client retransmission interval (the backoff base) — under a
+    /// quorum also the failover probe cadence while no grantor is
+    /// reachable.
     pub fn retry_interval(mut self, d: Dur) -> Self {
         self.retry_interval = d;
         self
@@ -129,11 +169,20 @@ impl RtSystemBuilder {
         self
     }
 
-    /// Lease-service shard count (default 1). Resources are partitioned
-    /// by file-id hash; the protocol is per-datum, so any count preserves
-    /// semantics.
+    /// Lease-service shard count, per replica (default 1). Resources are
+    /// partitioned by file-id hash; the protocol is per-datum, so any
+    /// count preserves semantics.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n.max(1);
+        self
+    }
+
+    /// Replaces *the* server by `q.replicas` grantor replicas over the
+    /// one store, the right to grant held from a majority of them (see
+    /// the module documentation). Without this there is one server and no
+    /// election.
+    pub fn quorum(mut self, q: QuorumConfig) -> Self {
+        self.quorum = Some(q);
         self
     }
 
@@ -157,23 +206,38 @@ impl RtSystemBuilder {
         self
     }
 
-    /// Installs a seeded chaos plan: shard kills, message drop / delay /
-    /// duplication, cut windows, and skewed clocks, all replayed
-    /// deterministically from the plan's seed.
+    /// Installs a seeded chaos plan: shard and replica kills, message
+    /// drop / delay / duplication, cut windows, and skewed clocks, all
+    /// replayed deterministically from the plan's seed. The server of a
+    /// system without a quorum is replica 0 of the plan.
     pub fn chaos(mut self, plan: FaultPlan) -> Self {
         self.chaos = Some(plan);
         self
     }
 
-    /// Builds and starts every thread.
+    /// Builds and starts every thread: the quorum if one is configured,
+    /// one service per replica, the clients, and the kill driver if the
+    /// plan has kills.
     pub fn start(self) -> RtSystem {
         // One true clock: history timestamps, chaos schedules and every
         // host's (possibly skewed) model clock all derive from it.
         let truth = WallClock::new();
         let recorder = Arc::new(Recorder::new(truth.clone()));
-        if self.chaos.is_some() {
+        // Injected kills panic on purpose — and under a quorum so does
+        // every takeover, which crash-restarts shards as a matter of
+        // course.
+        if self.chaos.is_some() || self.quorum.is_some() {
             silence_injected_kills();
         }
+        let plan = self.chaos.clone().unwrap_or_else(|| FaultPlan::new(0));
+        let replicas = self.quorum.as_ref().map_or(1, |q| q.replicas as usize);
+        // A host's clock: the truth, seen through the plan's model for it.
+        let host_clock = |model: Option<ClockModel>| -> Arc<dyn Clock> {
+            match model {
+                Some(model) => Arc::new(ModelClock::new(truth.clone(), model)),
+                None => Arc::new(truth.clone()),
+            }
+        };
 
         let mut store = Store::new();
         let mut names = HashMap::new();
@@ -207,9 +271,11 @@ impl RtSystemBuilder {
             }
         }
 
-        // The reply path first: the service's sink needs it. Each client
+        // The reply path first: the services' sinks need it. Each client
         // gets an inbox of ring lanes whose doorbell is the one thing its
-        // thread parks on, and a cut switch both directions consult.
+        // thread parks on — every replica's shard workers register their
+        // own lanes into it, behind that replica's fence — and a cut
+        // switch both directions consult.
         let base_cfg = SvcConfig::default();
         let mailbox = self.mailbox.unwrap_or(base_cfg.mailbox);
         let egress: Egress<Res, Bytes> = Egress::new(self.clients as usize, mailbox);
@@ -218,8 +284,9 @@ impl RtSystemBuilder {
             .collect();
         let delay = Arc::new(DelayPool::new(&egress));
 
-        // The sharded lease service, every shard sharing the one durable
-        // backend (resources are partitioned, so writers never collide).
+        // The one durable backend, shared by every shard of every replica
+        // (resources are partitioned, so a replica's writers never
+        // collide, and only the grantor's get through its gate).
         let mut raw_backend = StoreBackend::new(store, truth.clone());
         raw_backend.recorder = Some(recorder.clone());
         let backend = Arc::new(Mutex::new(raw_backend));
@@ -249,139 +316,213 @@ impl RtSystemBuilder {
                 self.clients as usize,
             ))
         });
-        let server_clock: Arc<dyn Clock> =
-            match self.chaos.as_ref().and_then(|p| p.server_clock.clone()) {
-                Some(model) => Arc::new(ModelClock::new(truth.clone(), model)),
-                None => Arc::new(truth.clone()),
-            };
-        let hooks = SvcHooks {
-            persist_max_term: Some(Arc::new({
-                let backend = backend.clone();
-                move |d: Dur| {
-                    lock_backend(&backend)
-                        .store
-                        .put_slot("max_lease_term", d.as_nanos().to_le_bytes().to_vec());
-                }
-            })),
-            recover_max_term: Some(Arc::new({
-                let backend = backend.clone();
-                move || {
-                    lock_backend(&backend)
-                        .store
-                        .get_slot("max_lease_term")
-                        .and_then(|b| <[u8; 8]>::try_from(b).ok())
-                        .map(|b| Dur(u64::from_le_bytes(b)))
-                }
-            })),
-            on_restart: None,
-            clock: Some(server_clock),
-        };
+
+        // The quorum spawns first (services need its gates). Its takeover
+        // hook reads the service registry, filled in below; an acquisition
+        // racing the fill is harmless — a service that has not started yet
+        // has no stale lease state to recover from. The registry's lock is
+        // taken once per fresh acquisition, never per message.
         let shards = self.shards;
+        let takeover: Arc<Mutex<Vec<SvcHandle<Res, Bytes>>>> = Arc::default();
+        let quorum = self.quorum.clone().map(|cfg| {
+            let on_acquire = {
+                let takeover = Arc::clone(&takeover);
+                Arc::new(move |replica: u32, fresh: bool| {
+                    if !fresh {
+                        return;
+                    }
+                    // A fresh grantor session cannot trust any file-lease
+                    // state its service accumulated earlier — and knows
+                    // nothing of what the previous grantor granted. Crash-
+                    // restart every shard so it re-enters §5 MaxTerm
+                    // recovery: grants deferred, writes held, epoch bumped
+                    // (stale write-approval ids fenced).
+                    let services = takeover.lock().unwrap_or_else(PoisonError::into_inner);
+                    if let Some(svc) = services.get(replica as usize) {
+                        for s in 0..shards {
+                            let _ = svc.kill_shard(s);
+                        }
+                    }
+                })
+            };
+            let observer = {
+                let rec = recorder.clone();
+                Arc::new(move |e: HistoryEvent| rec.push(e))
+            };
+            QuorumRuntime::spawn(
+                cfg,
+                plan.clone(),
+                Arc::new(truth.clone()),
+                QuorumHooks {
+                    on_acquire: Some(on_acquire),
+                    observer: Some(observer),
+                },
+            )
+        });
+        let fence_of = |replica: usize| RtFence {
+            replica,
+            gate: quorum.as_ref().map(|q| q.gate(replica)),
+        };
+
+        // §5 MaxTerm recovery reads and writes one slot of the store.
+        let persist_max_term: Arc<dyn Fn(Dur) + Send + Sync> = Arc::new({
+            let backend = backend.clone();
+            move |d: Dur| {
+                lock_backend(&backend)
+                    .store
+                    .put_slot("max_lease_term", d.as_nanos().to_le_bytes().to_vec());
+            }
+        });
+        let recover_max_term: Arc<dyn Fn() -> Option<Dur> + Send + Sync> = Arc::new({
+            let backend = backend.clone();
+            move || {
+                lock_backend(&backend)
+                    .store
+                    .get_slot("max_lease_term")
+                    .and_then(|b| <[u8; 8]>::try_from(b).ok())
+                    .map(|b| Dur(u64::from_le_bytes(b)))
+            }
+        });
+
+        // One sharded lease service per replica, on the replica's own
+        // (possibly skewed) clock — the one its gate reads too — writing
+        // through its (under a quorum, gated) view of the shared store.
         let term = self.term;
         let installed_tick = self.installed_tick;
         let installed_group: Vec<ClientId> = (0..self.clients).map(ClientId).collect();
-        let factory_backend = backend.clone();
         let overload = self.overload;
-        let service = LeaseService::spawn(
-            SvcConfig {
-                shards,
-                mailbox,
-                admission: self.admission,
-                slow_shard: self.chaos.as_ref().and_then(|p| p.slow_shard),
-                ..base_cfg
-            },
-            Arc::new(RtSink {
-                egress: egress.clone(),
-                cuts: cuts.clone(),
-                chaos: chaos_net.clone(),
-                fence: None,
-                delay: Arc::clone(&delay),
-            }),
-            hooks,
-            move |i| {
-                let mut sc: ServerConfig<Res> = ServerConfig::fixed(term);
-                // §5: a restarted server also refuses *grants* until the
-                // recovery window passes, not just writes.
-                sc.defer_grants_in_recovery = true;
-                sc.overload = overload;
-                let mine: Vec<Res> = installed_resources
-                    .iter()
-                    .copied()
-                    .filter(|r| shard_of(r, shards) == i)
-                    .collect();
-                if let Some((tick, iterm)) = installed_tick {
-                    if !mine.is_empty() {
-                        sc.installed_tick = tick;
-                        sc.installed_term = iterm;
-                    }
-                }
-                let mut server: LeaseServer<Res, Bytes> = LeaseServer::new(sc);
-                if installed_tick.is_some() {
-                    for r in &mine {
-                        server.add_installed(*r);
-                    }
-                    server.set_installed_group(installed_group.clone());
-                }
-                (
-                    server,
-                    Box::new(SharedBackend(factory_backend.clone()))
-                        as Box<dyn Storage<Res, Bytes> + Send>,
+        let services: Vec<LeaseService<Res, Bytes>> = (0..replicas)
+            .map(|r| {
+                let fence = fence_of(r);
+                let clock = host_clock(plan.replica_clock(r));
+                let gate = fence.gate.clone();
+                let backend = backend.clone();
+                let installed_resources = installed_resources.clone();
+                let installed_group = installed_group.clone();
+                LeaseService::spawn(
+                    SvcConfig {
+                        shards,
+                        mailbox,
+                        admission: self.admission,
+                        slow_shard: plan.slow_shard,
+                        ..base_cfg
+                    },
+                    Arc::new(RtSink {
+                        egress: egress.clone(),
+                        cuts: cuts.clone(),
+                        chaos: chaos_net.clone(),
+                        fence,
+                        delay: Arc::clone(&delay),
+                    }),
+                    SvcHooks {
+                        persist_max_term: Some(persist_max_term.clone()),
+                        recover_max_term: Some(recover_max_term.clone()),
+                        on_restart: None,
+                        clock: Some(clock),
+                    },
+                    move |i| {
+                        let mut sc: ServerConfig<Res> = ServerConfig::fixed(term);
+                        // §5: a restarted server also refuses *grants* until
+                        // the recovery window passes, not just writes.
+                        sc.defer_grants_in_recovery = true;
+                        sc.overload = overload;
+                        let mine: Vec<Res> = installed_resources
+                            .iter()
+                            .copied()
+                            .filter(|r| shard_of(r, shards) == i)
+                            .collect();
+                        if let Some((tick, iterm)) = installed_tick {
+                            if !mine.is_empty() {
+                                sc.installed_tick = tick;
+                                sc.installed_term = iterm;
+                            }
+                        }
+                        let mut server: LeaseServer<Res, Bytes> = LeaseServer::new(sc);
+                        if installed_tick.is_some() {
+                            for r in &mine {
+                                server.add_installed(*r);
+                            }
+                            server.set_installed_group(installed_group.clone());
+                        }
+                        let inner = SharedBackend(backend.clone());
+                        let storage: Box<dyn Storage<Res, Bytes> + Send> = match &gate {
+                            Some(gate) => Box::new(GatedBackend {
+                                inner,
+                                gate: Arc::clone(gate),
+                            }),
+                            None => Box::new(inner),
+                        };
+                        (server, storage)
+                    },
                 )
-            },
+            })
+            .collect();
+        *takeover.lock().unwrap_or_else(PoisonError::into_inner) =
+            services.iter().map(|s| s.handle()).collect();
+
+        // Every producer gets its own router — its own handle clone, so
+        // its own SPSC lane, per shard per replica: this one stays with
+        // the system (admin writes, kills), and each client's port, the
+        // sleeper and the kill driver clone theirs from it.
+        let router = Router::new(
+            services
+                .iter()
+                .enumerate()
+                .map(|(r, s)| (s.handle(), fence_of(r))),
+            chaos_net,
         );
-        let svc = service.handle();
         if self.chaos.is_some() {
-            // Chaos-delayed submissions leave the sleeper through its one
-            // handle clone; a lane too full to take one drops it, like
-            // any other datagram chaos loses.
-            let svc = svc.clone();
-            delay.route_submissions(Box::new(move |from, msg, deadline| {
-                let _ = svc.try_send_at(from, msg, deadline);
-            }));
+            // What chaos delays leaves the sleeper through the same core,
+            // resolving the serving replica when it is due; a lane too
+            // full to take it drops it, like any other datagram chaos
+            // loses.
+            delay.route_submissions(router.clone());
         }
 
-        // The chaos driver replays the plan's shard kills at their
-        // plan-relative instants on the true clock.
+        // The kill driver replays the plan's shard and replica kills, on
+        // one timeline, at their plan-relative instants on the true clock.
         let mut threads: Vec<JoinHandle<()>> = Vec::new();
         let mut chaos_stop = None;
-        if let Some(plan) = &self.chaos {
-            if !plan.kills.is_empty() {
-                let mut kills = plan.kills.clone();
-                kills.sort_by_key(|(at, _)| *at);
-                let (stop_tx, stop_rx) = bounded::<()>(0);
-                chaos_stop = Some(stop_tx);
-                let svc = svc.clone();
-                let truth = truth.clone();
-                threads.push(
-                    std::thread::Builder::new()
-                        .name("lease-chaos".into())
-                        .spawn(move || {
-                            for (at, shard) in kills {
-                                let elapsed = truth.now().saturating_since(Time::ZERO);
-                                let wait = std::time::Duration::from(at.saturating_sub(elapsed));
-                                match stop_rx.recv_timeout(wait) {
-                                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                                        let _ = svc.kill_shard(shard);
-                                    }
-                                    _ => return, // Shutdown.
+        let mut kills: Vec<(Dur, Crash)> = plan
+            .kills
+            .iter()
+            .map(|&(at, s)| (at, Crash::Shard(s)))
+            .chain(
+                plan.replica_kills
+                    .iter()
+                    .map(|&(at, r)| (at, Crash::Replica(r))),
+            )
+            .collect();
+        if !kills.is_empty() {
+            kills.sort_by_key(|(at, _)| *at);
+            let (stop_tx, stop_rx) = sync_channel::<()>(0);
+            chaos_stop = Some(stop_tx);
+            let router = router.clone();
+            let nodes = quorum.as_ref().map(QuorumRuntime::kill_handle);
+            let truth = truth.clone();
+            threads.push(
+                std::thread::Builder::new()
+                    .name("lease-chaos".into())
+                    .spawn(move || {
+                        for (at, what) in kills {
+                            let elapsed = truth.now().saturating_since(Time::ZERO);
+                            let wait = std::time::Duration::from(at.saturating_sub(elapsed));
+                            match stop_rx.recv_timeout(wait) {
+                                Err(RecvTimeoutError::Timeout) => {
+                                    crash(&router, nodes.as_ref(), what)
                                 }
+                                _ => return, // Shutdown.
                             }
-                        })
-                        .expect("spawn chaos driver"),
-                );
-            }
+                        }
+                    })
+                    .expect("spawn chaos driver"),
+            );
         }
 
-        // Clients submit through the service handle. Each client gets
-        // its own port (and so its own handle clone — one SPSC lane per
-        // shard), used only under that client's driver lock: one
-        // producer at a time, whichever thread it is.
-        let port = ServerPort {
-            svc: svc.clone(),
-            cuts: Arc::new(cuts.clone()),
-            chaos: chaos_net,
-            delay,
-        };
+        // Each client owns its port — its own router — used only under
+        // that client's driver lock: one producer at a time, whichever
+        // thread it is.
+        let port_cuts = Arc::new(cuts.clone());
         let client_cfg = ClientConfig {
             epsilon: self.epsilon,
             retry_interval: self.retry_interval,
@@ -393,18 +534,17 @@ impl RtSystemBuilder {
         };
         let mut client_handles = Vec::new();
         for i in 0..self.clients as usize {
-            let client_clock: Arc<dyn Clock> =
-                match self.chaos.as_ref().and_then(|p| p.client_clock(i)) {
-                    Some(model) => Arc::new(ModelClock::new(truth.clone(), model)),
-                    None => Arc::new(truth.clone()),
-                };
             let (handle, thread) = spawn_client(
                 ClientId(i as u32),
                 client_cfg.clone(),
                 self.breaker,
                 egress.inbox(i),
-                Box::new(port.clone()),
-                client_clock,
+                Box::new(RtPort {
+                    router: router.clone(),
+                    cuts: Arc::clone(&port_cuts),
+                    delay: Arc::clone(&delay),
+                }),
+                host_clock(plan.client_clock(i)),
                 recorder.clone(),
             );
             client_handles.push(handle);
@@ -412,8 +552,9 @@ impl RtSystemBuilder {
         }
 
         RtSystem {
-            service: Some(service),
-            svc,
+            services,
+            router,
+            quorum,
             backend,
             recorder,
             client_handles,
@@ -426,12 +567,49 @@ impl RtSystemBuilder {
     }
 }
 
-/// A running real-time lease system: N shard workers under the
-/// `lease-svc` runtime, M client threads, and (optionally) a chaos driver
-/// replaying a seeded fault plan.
+/// A crash to inject into the server side.
+#[derive(Clone, Copy)]
+enum Crash {
+    /// One shard's worker — on every replica: a non-grantor's restart is
+    /// invisible to clients.
+    Shard(usize),
+    /// A whole host: every service shard of one replica and, under a
+    /// quorum, its grantor node with them.
+    Replica(usize),
+}
+
+/// Crash injection, for the plan's kill driver and for
+/// [`RtSystem::kill_shard`] / [`RtSystem::kill_replica`] alike, each
+/// through its own `router`; `nodes` are the quorum's, if there is one.
+fn crash(router: &Router, nodes: Option<&KillHandle>, what: Crash) {
+    match what {
+        Crash::Shard(s) => {
+            for r in 0..router.replicas() {
+                let _ = router.svc(r).kill_shard(s);
+            }
+        }
+        Crash::Replica(r) if r < router.replicas() => {
+            if let Some(nodes) = nodes {
+                nodes.kill(r);
+            }
+            let svc = router.svc(r);
+            for s in 0..svc.shards() {
+                let _ = svc.kill_shard(s);
+            }
+        }
+        Crash::Replica(_) => {} // The plan names a host this system lacks.
+    }
+}
+
+/// A running real-time lease system: one server — or, under a quorum, N
+/// grantor replicas — of sharded workers under the `lease-svc` runtime
+/// over one durable store, M client threads, and (optionally) a kill
+/// driver replaying a seeded fault plan.
 pub struct RtSystem {
-    service: Option<LeaseService<Res, Bytes>>,
-    svc: SvcHandle<Res, Bytes>,
+    services: Vec<LeaseService<Res, Bytes>>,
+    /// The system's own producer side: admin writes and kills.
+    router: Router,
+    quorum: Option<QuorumRuntime>,
     backend: Arc<Mutex<StoreBackend>>,
     recorder: Arc<Recorder>,
     client_handles: Vec<RtClientHandle>,
@@ -439,7 +617,7 @@ pub struct RtSystem {
     names: HashMap<String, Res>,
     dirs: HashMap<String, Res>,
     threads: Vec<JoinHandle<()>>,
-    chaos_stop: Option<Sender<()>>,
+    chaos_stop: Option<SyncSender<()>>,
 }
 
 impl RtSystem {
@@ -459,6 +637,7 @@ impl RtSystem {
             mailbox: None,
             clients: 1,
             shards: 1,
+            quorum: None,
             files: Vec::new(),
             installed_tick: None,
             chaos: None,
@@ -475,6 +654,15 @@ impl RtSystem {
         self.dirs.get(path).copied()
     }
 
+    /// A write originating at the server, handed to the replica that is
+    /// serving. Like a client's message it is dropped when none is (no
+    /// grantor in sight) — and unlike a client, nothing retransmits it.
+    fn admin_write(&self, resource: Res, data: Bytes) {
+        if let Some(i) = self.router.serving() {
+            let _ = self.router.svc(i).local_write(resource, data);
+        }
+    }
+
     /// Renames an entry within a directory: a write to the name binding,
     /// run through the full lease protocol (§2: "renaming the file would
     /// constitute a write").
@@ -483,19 +671,24 @@ impl RtSystem {
             from: from.into(),
             to: to.into(),
         };
-        let _ = self.svc.local_write(dir, op.encode());
+        self.admin_write(dir, op.encode());
     }
 
     /// Removes a file entry from a directory (a name-binding write).
     pub fn unlink(&self, dir: Res, name: &str) {
         let op = crate::naming::NameOp::Unlink { name: name.into() };
-        let _ = self.svc.local_write(dir, op.encode());
+        self.admin_write(dir, op.encode());
     }
 
     /// Creates an empty regular file in a directory (a name-binding write).
     pub fn create(&self, dir: Res, name: &str) {
         let op = crate::naming::NameOp::Create { name: name.into() };
-        let _ = self.svc.local_write(dir, op.encode());
+        self.admin_write(dir, op.encode());
+    }
+
+    /// Performs an administrative write (installing a new version, §4).
+    pub fn install(&self, resource: Res, data: impl Into<Bytes>) {
+        self.admin_write(resource, data.into());
     }
 
     /// The handle for client `i`.
@@ -509,23 +702,44 @@ impl RtSystem {
         self.cuts[i].store(cut, Ordering::Relaxed);
     }
 
-    /// Kills shard `shard`'s worker (a supervised crash): it restarts
-    /// through §5 MaxTerm recovery, refusing grants and deferring writes
-    /// for the persisted maximum term.
+    /// Number of server replicas: 1 unless a quorum was configured.
+    pub fn replicas(&self) -> usize {
+        self.services.len()
+    }
+
+    /// The replica currently entitled to grant, if any is visible. The
+    /// server of a system without a quorum always is.
+    pub fn current_grantor(&self) -> Option<usize> {
+        match &self.quorum {
+            Some(q) => q.current_grantor().map(|(r, _)| r as usize),
+            None => Some(0),
+        }
+    }
+
+    /// Kills shard `shard`'s worker (a supervised crash) on every
+    /// replica: it restarts through §5 MaxTerm recovery, refusing grants
+    /// and deferring writes for the persisted maximum term.
     pub fn kill_shard(&self, shard: usize) {
         silence_injected_kills();
-        let _ = self.svc.kill_shard(shard);
+        crash(&self.router, None, Crash::Shard(shard));
     }
 
-    /// Performs an administrative write (installing a new version, §4).
-    pub fn install(&self, resource: Res, data: impl Into<Bytes>) {
-        let _ = self.svc.local_write(resource, data.into());
+    /// Crash-restarts replica `i` as one host failure: every service
+    /// shard together — the paper's whole-server crash — and, under a
+    /// quorum, the grantor node in front of them (volatile state lost,
+    /// MaxTerm silence).
+    pub fn kill_replica(&self, i: usize) {
+        silence_injected_kills();
+        let nodes = self.quorum.as_ref().map(QuorumRuntime::kill_handle);
+        crash(&self.router, nodes.as_ref(), Crash::Replica(i));
     }
 
-    /// Server statistics snapshot, merged across shards. `None` when a
-    /// shard is down or unresponsive.
+    /// Statistics snapshot of the serving replica, merged across its
+    /// shards. `None` when no replica is serving, or a shard of the one
+    /// that is is down or unresponsive.
     pub fn server_stats(&self) -> Option<ServerStats> {
-        let stats = self.service.as_ref()?.stats().ok()?;
+        let serving = self.router.serving()?;
+        let stats = self.services[serving].stats().ok()?;
         Some(ServerStats {
             counters: stats.counters,
             writes_committed: lock_backend(&self.backend).store.writes_committed(),
@@ -534,23 +748,27 @@ impl RtSystem {
     }
 
     /// Everything the perfect observer saw so far: operation starts and
-    /// completions from every client, commits from the store, all on one
-    /// true-time axis. Feed it to `lease_faults::check_history`.
+    /// completions from every client, commits from the store and (under a
+    /// quorum) grantor claims, all on one true-time axis. Feed it to
+    /// `lease_faults::check_history`.
     pub fn history(&self) -> History {
         self.recorder.snapshot()
     }
 
     /// Stops every thread and waits for them.
     pub fn shutdown(mut self) {
-        self.chaos_stop.take(); // Dropping it stops the chaos driver.
+        self.chaos_stop.take(); // Dropping it stops the kill driver.
         for h in &self.client_handles {
             h.close();
         }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        if let Some(service) = self.service.take() {
-            service.shutdown();
+        if let Some(q) = self.quorum.take() {
+            q.shutdown();
+        }
+        for s in self.services.drain(..) {
+            s.shutdown();
         }
     }
 }

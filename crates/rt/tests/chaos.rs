@@ -20,6 +20,17 @@ use lease_rt::{FaultPlan, RtSystem};
 /// everything proceeds — with a history the oracle accepts.
 #[test]
 fn shard_crash_recovers_within_max_term_and_history_is_consistent() {
+    crash_recovers_within_max_term(1, |sys| sys.kill_shard(0));
+}
+
+/// The same through the paper's own crash: the whole server at once,
+/// every shard of it.
+#[test]
+fn server_crash_recovers_within_max_term_and_history_is_consistent() {
+    crash_recovers_within_max_term(2, |sys| sys.kill_replica(0));
+}
+
+fn crash_recovers_within_max_term(shards: usize, crash: impl FnOnce(&RtSystem)) {
     let term = 300u64;
     let sys = RtSystem::builder()
         .term(Dur::from_millis(term))
@@ -28,6 +39,7 @@ fn shard_crash_recovers_within_max_term_and_history_is_consistent() {
         .max_retries(200)
         .file("/data/a", b"alpha".as_ref())
         .clients(2)
+        .shards(shards)
         .start();
     let a = sys.lookup("/data/a").unwrap();
     let (c0, c1) = (sys.client(0), sys.client(1));
@@ -37,7 +49,7 @@ fn shard_crash_recovers_within_max_term_and_history_is_consistent() {
     assert_eq!(c0.read(a).unwrap(), Bytes::from_static(b"alpha"));
     c1.read(a).unwrap();
 
-    sys.kill_shard(0);
+    crash(&sys);
     std::thread::sleep(Duration::from_millis(30)); // Let the supervisor restart it.
 
     // A fetch during the recovery window is refused (silently — the
@@ -76,8 +88,8 @@ fn shard_crash_recovers_within_max_term_and_history_is_consistent() {
     let stats = sys.server_stats().expect("restarted shard answers stats");
     assert_eq!(
         stats.shard_restarts,
-        vec![1],
-        "exactly one supervised restart"
+        vec![1; shards],
+        "exactly one supervised restart of each crashed shard"
     );
 
     let history = sys.history();

@@ -17,7 +17,7 @@ use lease_clock::{Clock, Dur, WallClock};
 use lease_core::{LeaseServer, MemStorage, ServerConfig, Storage, Version};
 use lease_faults::check_history;
 use lease_net::NetServer;
-use lease_rt::{NetClient, NetClientConfig, RtClientHandle, RtError, RtSystem};
+use lease_rt::{NetClient, NetClientConfig, QuorumConfig, RtClientHandle, RtError, RtSystem};
 use lease_svc::{Egress, EgressSink, LeaseService, SvcConfig, SvcHooks};
 use lease_wire::HEADER_LEN;
 
@@ -78,27 +78,34 @@ fn hammer(reader: &RtClientHandle, writer: &RtClientHandle, files: &[u64]) -> u6
 
 #[test]
 fn local_hit_linearizable_on_rtsystem() {
-    let mut b = RtSystem::builder()
-        .term(Dur::from_millis(150))
-        .epsilon(Dur::from_millis(5))
-        .clients(2);
-    for f in 0..FILES {
-        b = b.file(&format!("/data/f{f}"), b"v0".as_ref());
+    // One server, then three replicas: a hit is the same local path
+    // whoever granted the lease under it.
+    for quorum in [None, Some(QuorumConfig::quick())] {
+        let mut b = RtSystem::builder()
+            .term(Dur::from_millis(150))
+            .epsilon(Dur::from_millis(5))
+            .clients(2);
+        if let Some(q) = quorum {
+            b = b.quorum(q);
+        }
+        for f in 0..FILES {
+            b = b.file(&format!("/data/f{f}"), b"v0".as_ref());
+        }
+        let sys = b.start();
+        let files: Vec<u64> = (0..FILES)
+            .map(|f| sys.lookup(&format!("/data/f{f}")).expect("file"))
+            .collect();
+        let (reader, writer) = (sys.client(0), sys.client(1));
+
+        let counted = hammer(&reader, &writer, &files);
+        let stats = reader.stats().expect("stats");
+        let history = sys.history();
+        sys.shutdown();
+
+        assert!(counted > 0, "some reads must have hit");
+        assert_eq!(stats.hits, counted, "every hit is counted exactly once");
+        check_history(&history).expect("inline hits must be linearizable");
     }
-    let sys = b.start();
-    let files: Vec<u64> = (0..FILES)
-        .map(|f| sys.lookup(&format!("/data/f{f}")).expect("file"))
-        .collect();
-    let (reader, writer) = (sys.client(0), sys.client(1));
-
-    let counted = hammer(&reader, &writer, &files);
-    let stats = reader.stats().expect("stats");
-    let history = sys.history();
-    sys.shutdown();
-
-    assert!(counted > 0, "some reads must have hit");
-    assert_eq!(stats.hits, counted, "every hit is counted exactly once");
-    check_history(&history).expect("inline hits must be linearizable");
 }
 
 #[test]

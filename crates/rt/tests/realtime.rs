@@ -1,29 +1,55 @@
 //! End-to-end tests of the real-time (threads + wall clock) deployment.
 //!
 //! Terms are hundreds of milliseconds so the suite stays fast while still
-//! exercising genuine timer expiry.
+//! exercising genuine timer expiry. The arrangement is one more input:
+//! what the protocol promises of *the* server it promises of the grantor
+//! of a quorum, so the tests of those promises run under both.
 
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use lease_clock::Dur;
-use lease_rt::RtSystem;
+use lease_rt::{QuorumConfig, RtSystem, RtSystemBuilder};
 
-fn two_client_system(term_ms: u64) -> RtSystem {
-    RtSystem::builder()
+/// One server, and three replicas on the quick quorum.
+fn arrangements() -> [Option<QuorumConfig>; 2] {
+    [None, Some(QuorumConfig::quick())]
+}
+
+/// Starts `b` in the given arrangement. Under a quorum the test is held
+/// until the first grantor is elected and its takeover restart has run: a
+/// request that slips in between the gate opening and that restart is
+/// granted, which makes the term durable and turns the restart into a
+/// full-term §5 stall — safe, but at these terms longer than the test.
+fn start(b: RtSystemBuilder, quorum: Option<QuorumConfig>) -> RtSystem {
+    let Some(q) = quorum else {
+        return b.start();
+    };
+    let sys = b.quorum(q).start();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while sys.current_grantor().is_none() {
+        assert!(Instant::now() < deadline, "no grantor was elected");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    std::thread::sleep(Duration::from_millis(50));
+    sys
+}
+
+fn two_client_system(term_ms: u64, quorum: Option<QuorumConfig>) -> RtSystem {
+    let b = RtSystem::builder()
         .term(Dur::from_millis(term_ms))
         .epsilon(Dur::from_millis(5))
         .retry_interval(Dur::from_millis(30))
         .max_retries(100)
         .file("/data/a", b"alpha".as_ref())
         .file("/data/b", b"beta".as_ref())
-        .clients(2)
-        .start()
+        .clients(2);
+    start(b, quorum)
 }
 
 #[test]
 fn read_write_roundtrip() {
-    let sys = two_client_system(300);
+    let sys = two_client_system(300, None);
     let a = sys.lookup("/data/a").unwrap();
     let c0 = sys.client(0);
     assert_eq!(c0.read(a).unwrap(), Bytes::from_static(b"alpha"));
@@ -35,7 +61,7 @@ fn read_write_roundtrip() {
 
 #[test]
 fn second_read_is_a_cache_hit() {
-    let sys = two_client_system(500);
+    let sys = two_client_system(500, None);
     let a = sys.lookup("/data/a").unwrap();
     let c0 = sys.client(0);
     let (_, _, from_cache) = c0.read_detailed(a).unwrap();
@@ -50,7 +76,7 @@ fn second_read_is_a_cache_hit() {
 
 #[test]
 fn lease_expires_in_real_time() {
-    let sys = two_client_system(150);
+    let sys = two_client_system(150, None);
     let a = sys.lookup("/data/a").unwrap();
     let c0 = sys.client(0);
     c0.read(a).unwrap();
@@ -64,47 +90,52 @@ fn lease_expires_in_real_time() {
 
 #[test]
 fn write_invalidates_the_other_cache() {
-    let sys = two_client_system(5_000);
-    let a = sys.lookup("/data/a").unwrap();
-    let (c0, c1) = (sys.client(0), sys.client(1));
-    assert_eq!(c1.read(a).unwrap(), Bytes::from_static(b"alpha"));
-    // c0 writes; the server collects c1's approval (which invalidates).
-    c0.write(a, b"new".as_ref()).unwrap();
-    let (data, v, _) = c1.read_detailed(a).unwrap();
-    assert_eq!(data, Bytes::from_static(b"new"));
-    assert_eq!(v.0, 2);
-    let stats = c1.stats().unwrap();
-    assert_eq!(stats.approvals, 1);
-    assert_eq!(stats.invalidations, 1);
-    sys.shutdown();
+    for quorum in arrangements() {
+        let sys = two_client_system(5_000, quorum);
+        let a = sys.lookup("/data/a").unwrap();
+        let (c0, c1) = (sys.client(0), sys.client(1));
+        assert_eq!(c1.read(a).unwrap(), Bytes::from_static(b"alpha"));
+        // c0 writes; the server collects c1's approval (which invalidates).
+        c0.write(a, b"new".as_ref()).unwrap();
+        let (data, v, _) = c1.read_detailed(a).unwrap();
+        assert_eq!(data, Bytes::from_static(b"new"));
+        assert_eq!(v.0, 2);
+        let stats = c1.stats().unwrap();
+        assert_eq!(stats.approvals, 1);
+        assert_eq!(stats.invalidations, 1);
+        sys.shutdown();
+    }
 }
 
 #[test]
 fn unreachable_leaseholder_delays_write_by_one_term() {
-    let term = 400u64;
-    let sys = two_client_system(term);
-    let a = sys.lookup("/data/a").unwrap();
-    let (c0, c1) = (sys.client(0), sys.client(1));
-    c1.read(a).unwrap(); // c1 holds a 400 ms lease
-    sys.set_cut(1, true); // c1 vanishes
-    let start = Instant::now();
-    c0.write(a, b"new".as_ref()).unwrap();
-    let waited = start.elapsed();
-    assert!(
-        waited >= Duration::from_millis(150),
-        "write should stall for the remaining term, waited {waited:?}"
-    );
-    assert!(
-        waited < Duration::from_millis(term + 300),
-        "stall must be bounded by the term, waited {waited:?}"
-    );
-    sys.set_cut(1, false);
-    sys.shutdown();
+    // The §5 claim — one term, no more — whoever grants.
+    for quorum in arrangements() {
+        let term = 400u64;
+        let sys = two_client_system(term, quorum);
+        let a = sys.lookup("/data/a").unwrap();
+        let (c0, c1) = (sys.client(0), sys.client(1));
+        c1.read(a).unwrap(); // c1 holds a 400 ms lease
+        sys.set_cut(1, true); // c1 vanishes
+        let start = Instant::now();
+        c0.write(a, b"new".as_ref()).unwrap();
+        let waited = start.elapsed();
+        assert!(
+            waited >= Duration::from_millis(150),
+            "write should stall for the remaining term, waited {waited:?}"
+        );
+        assert!(
+            waited < Duration::from_millis(term + 300),
+            "stall must be bounded by the term, waited {waited:?}"
+        );
+        sys.set_cut(1, false);
+        sys.shutdown();
+    }
 }
 
 #[test]
 fn cut_client_recovers_and_reads_fresh_data() {
-    let sys = two_client_system(200);
+    let sys = two_client_system(200, None);
     let a = sys.lookup("/data/a").unwrap();
     let (c0, c1) = (sys.client(0), sys.client(1));
     c1.read(a).unwrap();
@@ -119,7 +150,7 @@ fn cut_client_recovers_and_reads_fresh_data() {
 
 #[test]
 fn missing_resource_errors() {
-    let sys = two_client_system(300);
+    let sys = two_client_system(300, None);
     let c0 = sys.client(0);
     assert_eq!(
         c0.read(9999).unwrap_err(),
@@ -156,7 +187,7 @@ fn installed_files_stay_fresh_via_multicast() {
 
 #[test]
 fn concurrent_writers_serialize() {
-    let sys = two_client_system(300);
+    let sys = two_client_system(300, None);
     let a = sys.lookup("/data/a").unwrap();
     let mut handles = Vec::new();
     for i in 0..2 {
@@ -187,7 +218,7 @@ fn concurrent_writers_serialize() {
 
 #[test]
 fn stats_reflect_protocol_activity() {
-    let sys = two_client_system(300);
+    let sys = two_client_system(300, None);
     let a = sys.lookup("/data/a").unwrap();
     let c0 = sys.client(0);
     c0.read(a).unwrap();
@@ -234,38 +265,41 @@ fn repeated_opens_hit_the_name_lease() {
 fn rename_invalidates_cached_name_bindings() {
     // §2: "modification of this information, such as renaming the file,
     // would constitute a write" — so it collects the binding-holder's
-    // approval and invalidates its cached listing.
-    let sys = RtSystem::builder()
-        .term(Dur::from_secs(10)) // long leases: only the callback can update
-        .file("/doc/draft.tex", b"x".as_ref())
-        .clients(2)
-        .start();
-    let dir = sys.dir("/doc").unwrap();
-    let (c0, c1) = (sys.client(0), sys.client(1));
+    // approval and invalidates its cached listing. Under a quorum the
+    // rename is an admin write through whichever replica is the grantor.
+    for quorum in arrangements() {
+        let b = RtSystem::builder()
+            .term(Dur::from_secs(10)) // long leases: only the callback can update
+            .file("/doc/draft.tex", b"x".as_ref())
+            .clients(2);
+        let sys = start(b, quorum);
+        let dir = sys.dir("/doc").unwrap();
+        let (c0, c1) = (sys.client(0), sys.client(1));
 
-    assert!(c0.open(dir, "draft.tex").unwrap().is_some());
-    assert!(c1.open(dir, "draft.tex").unwrap().is_some());
+        assert!(c0.open(dir, "draft.tex").unwrap().is_some());
+        assert!(c1.open(dir, "draft.tex").unwrap().is_some());
 
-    sys.rename(dir, "draft.tex", "final.tex");
-    // The rename needs both caches' approvals; once it lands, the old
-    // binding is gone and the new one resolves on the next open.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let old = c0.open(dir, "draft.tex").unwrap();
-        let new = c0.open(dir, "final.tex").unwrap();
-        if old.is_none() && new.is_some() {
-            break;
+        sys.rename(dir, "draft.tex", "final.tex");
+        // The rename needs both caches' approvals; once it lands, the old
+        // binding is gone and the new one resolves on the next open.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let old = c0.open(dir, "draft.tex").unwrap();
+            let new = c0.open(dir, "final.tex").unwrap();
+            if old.is_none() && new.is_some() {
+                break;
+            }
+            assert!(Instant::now() < deadline, "rename did not become visible");
+            std::thread::sleep(Duration::from_millis(20));
         }
-        assert!(Instant::now() < deadline, "rename did not become visible");
-        std::thread::sleep(Duration::from_millis(20));
+        assert!(c1.open(dir, "final.tex").unwrap().is_some());
+        let s = c1.stats().unwrap();
+        assert!(
+            s.invalidations >= 1,
+            "the name lease must have been invalidated"
+        );
+        sys.shutdown();
     }
-    assert!(c1.open(dir, "final.tex").unwrap().is_some());
-    let s = c1.stats().unwrap();
-    assert!(
-        s.invalidations >= 1,
-        "the name lease must have been invalidated"
-    );
-    sys.shutdown();
 }
 
 #[test]

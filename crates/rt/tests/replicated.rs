@@ -1,4 +1,4 @@
-//! End-to-end tests of the replicated topology: N grantor replicas over
+//! End-to-end tests of a system under a grantor quorum: N replicas over
 //! one durable store, clients failing over to the current grantor.
 //!
 //! The acceptance bar is the satellite requirement: killing the grantor
@@ -11,20 +11,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use lease_clock::Dur;
 use lease_faults::check_history;
-use lease_quorum::QuorumConfig;
-use lease_rt::ReplicatedSystem;
-
-/// Fast quorum tuning so takeovers land well inside the test budget.
-fn quick_quorum() -> QuorumConfig {
-    QuorumConfig {
-        term: Dur::from_millis(250),
-        max_term: Dur::from_millis(550),
-        op_timeout: Dur::from_millis(60),
-        retry_base: Dur::from_millis(10),
-        stagger: Dur::from_millis(15),
-        ..QuorumConfig::default()
-    }
-}
+use lease_rt::{FaultPlan, QuorumConfig, RtSystem};
 
 fn wait_for<F: Fn() -> bool>(what: &str, timeout: Duration, f: F) {
     let start = Instant::now();
@@ -38,11 +25,11 @@ fn wait_for<F: Fn() -> bool>(what: &str, timeout: Duration, f: F) {
 /// writes exactly like the single server, cache hits included.
 #[test]
 fn replicated_system_serves_reads_and_writes() {
-    let sys = ReplicatedSystem::builder()
+    let sys = RtSystem::builder()
         .term(Dur::from_millis(200))
         .retry_interval(Dur::from_millis(20))
         .max_retries(100)
-        .quorum(quick_quorum())
+        .quorum(QuorumConfig::quick())
         .clients(2)
         .file("/data/a", b"v0".as_ref())
         .start();
@@ -72,11 +59,11 @@ fn replicated_system_serves_reads_and_writes() {
 /// whole history.
 #[test]
 fn killed_grantor_fails_over_with_no_violations_and_bounded_delay() {
-    let sys = ReplicatedSystem::builder()
+    let sys = RtSystem::builder()
         .term(Dur::from_millis(150))
         .retry_interval(Dur::from_millis(20))
         .max_retries(200)
-        .quorum(quick_quorum())
+        .quorum(QuorumConfig::quick())
         .clients(2)
         .file("/data/a", b"v0".as_ref())
         .start();
@@ -125,11 +112,11 @@ fn killed_grantor_fails_over_with_no_violations_and_bounded_delay() {
 /// dead, and clients just keep retrying.
 #[test]
 fn rolling_grantor_kills_keep_history_consistent() {
-    let sys = ReplicatedSystem::builder()
+    let sys = RtSystem::builder()
         .term(Dur::from_millis(120))
         .retry_interval(Dur::from_millis(15))
         .max_retries(300)
-        .quorum(quick_quorum())
+        .quorum(QuorumConfig::quick())
         .clients(2)
         .file("/data/a", b"r0".as_ref())
         .start();
@@ -145,6 +132,39 @@ fn rolling_grantor_kills_keep_history_consistent() {
         c1.write(a, data.clone().into_bytes()).unwrap();
         assert_eq!(c0.read(a).unwrap(), Bytes::from(data.into_bytes()));
     }
+
+    let history = sys.history();
+    sys.shutdown();
+    let res = check_history(&history);
+    assert!(res.is_ok(), "violations: {:?}", res.err());
+}
+
+/// A plan's shard-level faults act under a quorum too: the kill names a
+/// shard, and that shard restarts on every replica — the grantor's once
+/// more than its takeover recovery alone accounts for.
+#[test]
+fn a_plans_shard_kill_restarts_that_shard_under_a_quorum() {
+    let sys = RtSystem::builder()
+        .term(Dur::from_millis(150))
+        .retry_interval(Dur::from_millis(20))
+        .max_retries(200)
+        .quorum(QuorumConfig::quick())
+        .clients(1)
+        .shards(2)
+        .file("/data/a", b"v0".as_ref())
+        .chaos(FaultPlan::new(1).kill(Dur::from_millis(600), 0))
+        .start();
+    let a = sys.lookup("/data/a").unwrap();
+    let c0 = sys.client(0);
+    assert_eq!(c0.read(a).unwrap(), Bytes::from_static(b"v0"));
+
+    // Takeover recovery restarted both shards of the grantor alike; only
+    // the plan's kill tells them apart.
+    wait_for("the plan's kill of shard 0", Duration::from_secs(5), || {
+        sys.server_stats()
+            .is_some_and(|s| s.shard_restarts[0] > s.shard_restarts[1])
+    });
+    assert_eq!(c0.read(a).unwrap(), Bytes::from_static(b"v0"));
 
     let history = sys.history();
     sys.shutdown();

@@ -33,14 +33,14 @@ use crate::shard::INJECTED_KILL;
 ///
 /// Faults come at two granularities:
 ///
-/// * **shard-level** ([`FaultPlan::kill_shard`]) — panic one shard worker
-///   inside a single server; the supervisor restarts it through §5
-///   MaxTerm recovery.
+/// * **shard-level** ([`FaultPlan::kill_shard`]) — panic the worker that
+///   owns one shard (on every replica, where there are several); the
+///   supervisor restarts it through §5 MaxTerm recovery.
 /// * **host-level** ([`FaultPlan::kill_replica`], [`FaultPlan::cut_replica`],
 ///   [`FaultPlan::with_replica_clock`]) — crash, isolate, or clock-skew a
-///   whole grantor replica in a replicated (`lease-quorum`) topology.
-///   Replica indices live in their own namespace; they are **not** shard
-///   ids.
+///   whole server. A deployment without a grantor quorum has one, and it
+///   is replica 0. Replica indices live in their own namespace; they are
+///   **not** shard ids.
 ///
 /// # Examples
 ///
@@ -72,8 +72,6 @@ pub struct FaultPlan {
     /// `(from, until, client)`: windows in which `client`'s link is cut in
     /// both directions — the generalization of the boolean cut switch.
     pub cuts: Vec<(Dur, Dur, usize)>,
-    /// Clock model the server's shards read through, if any.
-    pub server_clock: Option<ClockModel>,
     /// Per-client clock models as `(client index, model)` pairs.
     pub client_clocks: Vec<(usize, ClockModel)>,
     /// Open-loop overload scenario driving the load generator, if any.
@@ -83,14 +81,15 @@ pub struct FaultPlan {
     /// slow-shard injection behind
     /// [`SvcConfig::slow_shard`](crate::SvcConfig).
     pub slow_shard: Option<(usize, Dur)>,
-    /// `(when, replica)`: crash-restart grantor replica `replica` at
+    /// `(when, replica)`: crash-restart server replica `replica` at
     /// `when`. Host-level — distinct from [`FaultPlan::kills`], whose
-    /// indices name shards *within* one server.
+    /// indices name shards *within* a server.
     pub replica_kills: Vec<(Dur, usize)>,
     /// `(from, until, replica)`: windows in which `replica` is partitioned
     /// from every peer (and from clients routed to it).
     pub replica_cuts: Vec<(Dur, Dur, usize)>,
-    /// Per-replica clock models as `(replica index, model)` pairs.
+    /// Per-replica clock models as `(replica index, model)` pairs; the
+    /// server of a deployment without a quorum is replica 0.
     pub replica_clocks: Vec<(usize, ClockModel)>,
 }
 
@@ -189,23 +188,23 @@ impl FaultPlan {
     /// Adds a shard kill at `when`.
     ///
     /// Alias of [`FaultPlan::kill_shard`], kept for existing plans; the
-    /// index names a *shard within one server*, not a replica.
+    /// index names a *shard within a server*, not a replica.
     pub fn kill(self, when: Dur, shard: usize) -> FaultPlan {
         self.kill_shard(when, shard)
     }
 
     /// Adds a shard-level kill at `when`: panic the worker that owns
-    /// shard `shard` inside a single server. For crashing a whole grantor
-    /// replica, use [`FaultPlan::kill_replica`].
+    /// shard `shard`, on every replica there is. For crashing a whole
+    /// server, use [`FaultPlan::kill_replica`].
     pub fn kill_shard(mut self, when: Dur, shard: usize) -> FaultPlan {
         self.kills.push((when, shard));
         self
     }
 
-    /// Adds a host-level kill at `when`: crash-restart grantor replica
-    /// `replica` (its quorum node forgets all volatile ballot state and
-    /// must wait out MaxTerm before re-promising; its service shards die
-    /// with it).
+    /// Adds a host-level kill at `when`: crash-restart replica `replica`,
+    /// every service shard at once — and, under a grantor quorum, its
+    /// quorum node with them (it forgets all volatile ballot state and
+    /// must wait out MaxTerm before re-promising).
     pub fn kill_replica(mut self, when: Dur, replica: usize) -> FaultPlan {
         self.replica_kills.push((when, replica));
         self
@@ -274,10 +273,10 @@ impl FaultPlan {
         })
     }
 
-    /// Subjects the server's shards to `model`.
-    pub fn with_server_clock(mut self, model: ClockModel) -> FaultPlan {
-        self.server_clock = Some(model);
-        self
+    /// Subjects the server to `model`: the server is replica 0, so this
+    /// is [`FaultPlan::with_replica_clock`]`(0, model)`.
+    pub fn with_server_clock(self, model: ClockModel) -> FaultPlan {
+        self.with_replica_clock(0, model)
     }
 
     /// Subjects client `client` to `model`.
@@ -509,6 +508,10 @@ mod tests {
         assert!(plan.replica_clock(0).is_some());
         assert!(plan.replica_clock(1).is_none());
         assert!(plan.client_clock(0).is_none());
+        // The server is replica 0: its clock fault is that replica's.
+        let fast = FaultPlan::new(1).with_server_clock(ClockModel::drifting(1_000_000.0));
+        assert!(fast.replica_clock(0).is_some());
+        assert!(fast.replica_clock(1).is_none());
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //!   the whole wakeup and leave through a single
 //!   [`WorkerSink::deliver_batch`] call.
 //! * **Adaptive parking** — a loaded shard spins briefly
-//!   (`SvcConfig::spin` polls) for its next batch before falling back to
+//!   (a fixed budget of polls) for its next batch before falling back to
 //!   a timed park on its doorbell, keeping the hot path off the futex
 //!   without burning an idle core.
 //! * **Timer wheel** — lease expirations and write deadlines are driven by

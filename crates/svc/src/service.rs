@@ -99,18 +99,6 @@ pub struct SvcConfig {
     pub mailbox: usize,
     /// Max messages drained per wakeup, amortizing timer/wheel work.
     pub batch: usize,
-    /// Timer-wheel quantum. Timers fire at most one tick late, never
-    /// early.
-    pub wheel_tick: Dur,
-    /// Max sleep when no timer is pending.
-    pub idle_wait: Dur,
-    /// Adaptive-park spin budget: a shard worker whose last drain was
-    /// non-empty polls its lanes up to this many times (`Acquire` loads
-    /// with a spin-loop hint) before falling back to the timed
-    /// park, so shards under sustained load never touch the futex. Idle
-    /// shards (empty last drain) park immediately, exactly as before.
-    /// `0` disables spinning.
-    pub spin: usize,
     /// Watermark-driven admission control; `None` disables it (every
     /// drained input is processed, the pre-existing behaviour).
     pub admission: Option<AdmissionControl>,
@@ -132,9 +120,6 @@ impl Default for SvcConfig {
             shards: 1,
             mailbox: 1024,
             batch: 64,
-            wheel_tick: Dur::from_millis(1),
-            idle_wait: Dur::from_millis(50),
-            spin: 256,
             admission: None,
             slow_shard: None,
             pin: None,
@@ -856,7 +841,7 @@ impl<R: Resource, D: Clone + Send + 'static> LeaseService<R, D> {
         // to whoever has work. Spin only buys latency when another core
         // can publish concurrently.
         let spin = if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
-            cfg.spin
+            crate::shard::SPIN
         } else {
             0
         };
@@ -885,8 +870,6 @@ impl<R: Resource, D: Clone + Send + 'static> LeaseService<R, D> {
                     index: i as u64,
                     nshards: cfg.shards as u64,
                     batch: cfg.batch.max(1),
-                    tick: cfg.wheel_tick,
-                    idle_wait: cfg.idle_wait,
                     spin,
                     mailbox: cfg.mailbox.max(1),
                     ingress: shared.ingress[i].clone(),

@@ -19,7 +19,7 @@
 //! shard from anywhere.
 //!
 //! Between batches the worker parks *adaptively*: after a non-empty drain
-//! it polls its lanes up to `SvcConfig::spin` times (lock-free `Acquire`
+//! it polls its lanes up to [`SPIN`] times (lock-free `Acquire`
 //! loads with a spin-loop hint) before falling back to a timed park on
 //! the shard's [`lease_core::ring::Doorbell`]. The eventcount ticket is
 //! taken before the last poll, so a producer's publish-then-ring can
@@ -72,6 +72,20 @@ use crate::wheel::TimerWheel;
 /// than can be in flight at once.
 pub(crate) const EPOCH_BITS: u32 = 10;
 pub(crate) const EPOCH_MASK: u64 = (1 << EPOCH_BITS) - 1;
+
+/// Timer-wheel quantum. Timers fire at most one tick late, never early.
+const WHEEL_TICK: Dur = Dur::from_millis(1);
+
+/// Max sleep when no timer is pending.
+const IDLE_WAIT: Dur = Dur::from_millis(50);
+
+/// Adaptive-park spin budget: a shard worker whose last drain was
+/// non-empty polls its lanes up to this many times (`Acquire` loads with
+/// a spin-loop hint) before falling back to the timed park, so shards
+/// under sustained load never touch the futex. Idle shards (empty last
+/// drain) park immediately. The service spawns its workers with a budget
+/// of 0 on a single hardware thread, where no poll can see a new publish.
+pub(crate) const SPIN: usize = 256;
 
 /// The panic message used by [`ShardMsg::Kill`]; chaos harnesses install a
 /// panic hook that recognizes it to keep injected-crash logs quiet.
@@ -194,8 +208,7 @@ pub(crate) struct ShardCtx<R: Resource, D> {
     pub index: u64,
     pub nshards: u64,
     pub batch: usize,
-    pub tick: Dur,
-    pub idle_wait: Dur,
+    /// Adaptive-park spin budget: [`SPIN`], or 0 on one hardware thread.
     pub spin: usize,
     /// Mailbox capacity, for computing occupancy (admission pressure).
     pub mailbox: usize,
@@ -316,7 +329,7 @@ where
 {
     let (mut server, mut storage) = (ctx.factory)(ctx.index as usize);
     let now = ctx.clock.now();
-    let mut timers = Timers::new(ctx.tick, now);
+    let mut timers = Timers::new(WHEEL_TICK, now);
     // Fired-entry scratch reused across wakeups.
     let mut fired: Vec<(Time, WheelKey)> = Vec::new();
     let mut outbox: Vec<(ClientId, ToClient<R, D>)> = Vec::new();
@@ -407,7 +420,7 @@ where
                             .wheel
                             .next_fire()
                             .map(|at| at.saturating_since(ctx.clock.now()))
-                            .map_or(ctx.idle_wait, |d| d.min(ctx.idle_wait)),
+                            .map_or(IDLE_WAIT, |d| d.min(IDLE_WAIT)),
                     );
                     ctx.ingress.bell().wait(ticket, wait);
                     // Woken or timed out either way: loop back through
