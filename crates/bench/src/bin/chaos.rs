@@ -83,7 +83,7 @@ static SCENARIOS: [Scenario; 2] = [
     Scenario {
         name: "single",
         plan: |seed, ms| {
-            link_faults(seed).kill(Dur::from_millis(ms / 3), (seed % SHARDS as u64) as usize)
+            link_faults(seed).kill_shard(Dur::from_millis(ms / 3), (seed % SHARDS as u64) as usize)
         },
         quorum: None,
         window_ms: 900,

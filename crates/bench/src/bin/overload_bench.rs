@@ -40,7 +40,7 @@ use lease_core::{
 };
 use lease_svc::{
     AdmissionControl, Egress, EgressRx, EgressSink, FaultPlan, LeaseService, OverloadPlan,
-    SvcConfig, SvcHandle, SvcHooks,
+    SvcConfig, SvcError, SvcHandle, SvcHooks,
 };
 
 type R = u64;
@@ -166,8 +166,13 @@ fn sender(
                 resource,
             };
             let _ = reg.send((req.0, pend));
-            if handle.send(id, msg).is_err() {
-                return;
+            // Blocking: spin on the full lane until it takes the fetch.
+            loop {
+                match handle.try_send_at(id, msg.clone(), None) {
+                    Ok(()) => break,
+                    Err(SvcError::Backpressure) => std::thread::yield_now(),
+                    Err(_) => return,
+                }
             }
         }
     }
@@ -279,7 +284,7 @@ fn receiver(
                     pending.remove(&req.0);
                 }
                 ToClient::ApprovalRequest { write_id, .. } => {
-                    let _ = handle.try_send(id, ToServer::Approve { write_id });
+                    let _ = handle.try_send_at(id, ToServer::Approve { write_id }, None);
                 }
                 _ => {}
             }

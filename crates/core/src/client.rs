@@ -466,6 +466,23 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
         self.entries.len()
     }
 
+    /// The instant request `req` fails at: its first transmission plus
+    /// [`ClientConfig::op_deadline`], on this cache's clock — the instant
+    /// a retry timer firing at or after it ends the op with
+    /// [`OpError::Timeout`] instead of retransmitting. Fixed when the
+    /// request is first sent and unchanged by its retransmissions; `None`
+    /// without an `op_deadline` or once the request has resolved. A
+    /// runtime sends it along with every transmission of `req`, so the
+    /// server can drop work whose caller has given up.
+    pub fn deadline(&self, req: ReqId) -> Option<Time> {
+        let first_sent = match self.requests.get(&req)? {
+            Pending::Fetch { first_sent, .. }
+            | Pending::Write { first_sent, .. }
+            | Pending::Renew { first_sent } => *first_sent,
+        };
+        Some(first_sent + self.cfg.op_deadline?)
+    }
+
     /// Handles one input; returns the effects to apply.
     pub fn handle(&mut self, now: Time, input: ClientInput<R, D>) -> Vec<ClientOutput<R, D>> {
         let mut out = Vec::new();
@@ -2182,6 +2199,31 @@ mod tests {
             }
         )));
         assert!(!out.iter().any(|o| matches!(o, ClientOutput::Send(_))));
+    }
+
+    #[test]
+    fn deadline_is_fixed_at_first_transmission() {
+        let mut c = LeaseClient::<u64, String>::new(
+            ClientId(1),
+            ClientConfig {
+                op_deadline: Some(Dur::from_millis(400)),
+                ..cfg()
+            },
+        );
+        let req = start_read(&mut c, t(100), 1, 7);
+        assert_eq!(c.deadline(req), Some(t(500)));
+        // A retransmission goes out and leaves the deadline where it was.
+        let out = c.handle(t(300), ClientInput::Timer(ClientTimer::Retry(req)));
+        assert!(out.iter().any(|o| matches!(o, ClientOutput::Send(_))));
+        assert_eq!(c.deadline(req), Some(t(500)));
+        // Resolved: no deadline any more.
+        deliver_grants(&mut c, t(310), req, vec![grant(7, 1, "d", 1000)]);
+        assert_eq!(c.deadline(req), None);
+        assert_eq!(c.deadline(ReqId(999)), None, "never sent");
+        // Without an op deadline there is none to report.
+        let mut c = client();
+        let req = start_read(&mut c, t(0), 1, 7);
+        assert_eq!(c.deadline(req), None);
     }
 
     #[test]

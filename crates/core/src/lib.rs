@@ -71,6 +71,11 @@
 //! assert!(client.lease_valid(7, Time::from_secs(5)));
 //! ```
 
+// The reference table (`tests/reference/`), compiled into this crate's
+// unit tests, names its imports the way an integration test does.
+#[cfg(test)]
+extern crate self as lease_core;
+
 pub mod affinity;
 pub mod client;
 pub mod hash;
@@ -98,6 +103,6 @@ pub use server::{
 };
 pub use stats::ResourceStats;
 pub use storage::{MemStorage, Storage};
-pub use table::{LeaseTable, ReferenceTable, SlabTable};
+pub use table::{LeaseTable, SlabTable};
 pub use types::{ClientId, LeaseHandle, OpId, ReqId, Resource, Version, WriteId};
 pub use wheel::TimerWheel;

@@ -13,7 +13,8 @@
 //! expiry. Wheel entries follow live leases, not grants: a continuously
 //! renewed lease costs one re-arm per *term*.
 //!
-//! Costs, compared to [`crate::table::ReferenceTable`]:
+//! Costs, compared to the reference table (the map-plus-`BTreeSet`
+//! specification in `tests/reference/`):
 //!
 //! * grant/extend/release: one hash probe plus a short holder-list walk
 //!   (the sharing set of one resource), versus two hash probes plus a

@@ -1,5 +1,5 @@
 //! Property: the slab lease table is observationally equivalent to the
-//! reference (map + `BTreeSet`) table.
+//! reference (map + `BTreeSet`) table in `reference/`.
 //!
 //! The reference implementation is the executable specification; the slab
 //! is the fast path. Both are driven through the same randomized script of
@@ -26,9 +26,12 @@
 use std::collections::HashMap;
 
 use lease_clock::{Dur, Time};
-use lease_core::table::{LeaseHandle, ReferenceTable, SlabTable};
+use lease_core::table::{LeaseHandle, SlabTable};
 use lease_core::ClientId;
 use proptest::prelude::*;
+
+mod reference;
+use reference::ReferenceTable;
 
 const RESOURCES: u64 = 6;
 const CLIENTS: u32 = 4;

@@ -3,7 +3,7 @@
 //! Retry budgets bound how much *extra* load one client adds under
 //! failure; the breaker bounds how long a client keeps probing a target
 //! that is refusing everything. After `threshold` consecutive failures
-//! (backpressure verdicts and observed `Shed` replies) the circuit opens:
+//! (refused submissions and observed `Shed` replies) the circuit opens:
 //! submissions are dropped locally — costing the server nothing — until
 //! `cooldown` elapses, at which point exactly one probe is let through.
 //! A successful probe closes the circuit; a failed one re-opens it for
@@ -82,7 +82,7 @@ impl CircuitBreaker {
     }
 
     /// Reports a failed submission or an observed overload signal
-    /// (backpressure, `Shed`): in the closed state this counts toward the
+    /// (a refused send, `Shed`): in the closed state this counts toward the
     /// threshold; a failed half-open probe re-opens immediately.
     pub fn on_failure(&mut self, now: Time) {
         if self.threshold == 0 {
@@ -105,12 +105,6 @@ impl CircuitBreaker {
             State::Open { .. } => {}
         }
     }
-
-    /// Whether the circuit is currently refusing submissions outright
-    /// (open and still cooling down).
-    pub fn is_open(&self, now: Time) -> bool {
-        matches!(self.state, State::Open { until } if now < until)
-    }
 }
 
 #[cfg(test)]
@@ -127,7 +121,6 @@ mod tests {
         assert!(b.allow(t0), "below threshold stays closed");
         b.on_failure(t0);
         assert!(!b.allow(t0), "third consecutive failure trips it");
-        assert!(b.is_open(t0));
         assert!(!b.allow(t0 + Dur::from_millis(99)), "still cooling down");
         // Cooldown over: exactly one probe goes through.
         let t1 = t0 + Dur::from_millis(100);
@@ -153,6 +146,5 @@ mod tests {
             b.on_failure(Time::ZERO);
             assert!(b.allow(Time::ZERO));
         }
-        assert!(!b.is_open(Time::ZERO));
     }
 }

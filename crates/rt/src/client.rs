@@ -1,9 +1,9 @@
 //! One client cache: the driver behind its lock, the application-facing
 //! handle that serves hits on the caller's own thread, and the IO thread
-//! that keeps what no caller is there for — replies, timers, resends.
+//! that keeps what no caller is there for — replies and timers.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -12,13 +12,13 @@ use bytes::Bytes;
 use lease_clock::{Clock, Dur, Time};
 use lease_core::ring::{Inbox, Lanes};
 use lease_core::{
-    Backoff, ClientConfig, ClientCounters, ClientId, ClientInput, ClientOutput, ClientTimer,
-    ErrorReason, LeaseClient, Op, OpError, OpId, OpOutcome, ToClient, ToServer, Version,
+    ClientConfig, ClientCounters, ClientId, ClientInput, ClientOutput, ClientTimer, ErrorReason,
+    LeaseClient, Op, OpError, OpId, OpOutcome, ToClient, ToServer, Version,
 };
 
 use crate::breaker::CircuitBreaker;
 use crate::record::{OpRecord, Recorder};
-use crate::server::{Port, PortVerdict, Res, RETRY_AFTER};
+use crate::server::{Port, PortVerdict, Res};
 
 /// An error from a real-time cache operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,8 +78,8 @@ impl Completion {
 
 /// What a client's handles and its IO thread share.
 struct Shared {
-    /// The driver lock: cache, port, timers and resend queue change only
-    /// under it, whichever thread is driving.
+    /// The driver lock: cache, port and timers change only under it,
+    /// whichever thread is driving.
     driver: Mutex<Worker>,
     /// The IO thread parks on this inbox's doorbell.
     inbox: Arc<Inbox<ToClient<Res, Bytes>>>,
@@ -141,8 +141,8 @@ impl RtClientHandle {
             }
         }
         let done = w.start_op(now, start, resource, data);
-        // The IO thread fires timers and resends; wake it only if this op
-        // left one due before it would wake by itself.
+        // The IO thread fires timers; wake it only if this op left one
+        // due before it would wake by itself.
         if Instant::now() + w.next_wait() < w.io_wake {
             self.shared.inbox.bell().ring();
         }
@@ -213,19 +213,6 @@ struct Waiting {
     start: Time,
 }
 
-/// One backpressure-paced message awaiting resubmission.
-struct Resend {
-    /// True time at which to resubmit.
-    due: Time,
-    /// The originating op's deadline; once passed, the message is dropped
-    /// and the op is failed fast instead of resubmitted.
-    deadline: Option<Time>,
-    /// How many times this message has been refused so far (the backoff
-    /// attempt number).
-    attempt: u32,
-    msg: ToServer<Res, Bytes>,
-}
-
 /// One client cache's driver: everything behind the driver lock.
 struct Worker {
     id: ClientId,
@@ -238,20 +225,6 @@ struct Worker {
     timers: BinaryHeap<Reverse<(Time, u64)>>,
     live_timers: HashMap<u64, Time>,
     waiting: HashMap<OpId, Waiting>,
-    /// Messages the service refused under backpressure, awaiting their
-    /// backoff-paced resubmission instants.
-    resend: VecDeque<Resend>,
-    /// Backoff policy pacing those resubmissions (base [`RETRY_AFTER`]) —
-    /// the same `lease_core::Backoff` that paces retransmissions, so
-    /// repeated refusals spread out instead of hammering a fixed cadence.
-    pacing: Backoff,
-    /// Per-op deadline; also propagated with every submission so the
-    /// service can drop work whose caller has already timed out.
-    op_deadline: Option<Dur>,
-    /// First-transmission deadline per request id, anchoring paced
-    /// resubmissions and the propagated deadline to the op's start rather
-    /// than to each retry.
-    deadlines: HashMap<u64, Time>,
     /// Half-open circuit breaker on this client's path to the server.
     breaker: CircuitBreaker,
     next_op: u64,
@@ -271,8 +244,6 @@ impl Worker {
     ) -> Worker {
         let mut w = Worker {
             id,
-            pacing: cfg.backoff,
-            op_deadline: cfg.op_deadline,
             cache: LeaseClient::new(id, cfg),
             port,
             clock,
@@ -280,8 +251,6 @@ impl Worker {
             timers: BinaryHeap::new(),
             live_timers: HashMap::new(),
             waiting: HashMap::new(),
-            resend: VecDeque::new(),
-            deadlines: HashMap::new(),
             breaker: breaker
                 .map_or_else(CircuitBreaker::disabled, |(t, c)| CircuitBreaker::new(t, c)),
             next_op: 0,
@@ -324,97 +293,37 @@ impl Worker {
         self.recorder.now()
     }
 
-    /// The deadline riding with `msg`: the op's first-transmission time
-    /// plus the configured per-op deadline, remembered per request id so
-    /// retransmissions and paced resubmissions keep the original anchor.
-    fn deadline_of(&mut self, msg: &ToServer<Res, Bytes>) -> Option<Time> {
-        let req = msg.req()?;
-        if let Some(&d) = self.deadlines.get(&req.0) {
-            return Some(d);
-        }
-        let d = self.true_now() + self.op_deadline?;
-        if self.deadlines.len() >= 1024 {
-            // Requests that never saw a reply (e.g. abandoned renewals)
-            // leave entries behind; sweep the dead ones.
-            let now = self.true_now();
-            self.deadlines.retain(|_, d| *d > now);
-        }
-        self.deadlines.insert(req.0, d);
-        Some(d)
-    }
-
-    fn submit_paced(&mut self, msg: ToServer<Res, Bytes>, attempt: u32) {
-        let deadline = self.deadline_of(&msg);
+    /// Hands one message to the port, with the deadline of the request it
+    /// belongs to ([`LeaseClient::deadline`]), so the service can drop
+    /// work whose caller has given up. What does not go out — the breaker
+    /// is open, the link dropped it, the lane was full — is lost like a
+    /// datagram: the cache's retransmission timer is the one retry
+    /// schedule, and the op deadline bounds it.
+    fn submit(&mut self, msg: ToServer<Res, Bytes>) {
         let now = self.true_now();
         if !self.breaker.allow(now) {
             // Circuit open: drop locally, costing the server nothing.
-            // The cache's retransmission timer is the retry schedule, and
-            // each firing re-probes the breaker.
+            // Each retransmission re-probes the breaker.
             return;
         }
-        let salt = (u64::from(self.id.0) << 48) ^ msg.req().map_or(0, |r| r.0 << 8);
+        let deadline = msg.req().and_then(|req| self.cache.deadline(req));
         match self.port.send(self.id, msg, deadline) {
             PortVerdict::Sent => self.breaker.on_success(),
             PortVerdict::Dropped => {}
-            PortVerdict::RetryAfter(msg) => {
-                self.breaker.on_failure(now);
-                let attempt = attempt.saturating_add(1);
-                let pause = self
-                    .pacing
-                    .interval(RETRY_AFTER, attempt, salt ^ u64::from(attempt));
-                self.resend.push_back(Resend {
-                    due: now + pause,
-                    deadline,
-                    attempt,
-                    msg,
-                });
-            }
-        }
-    }
-
-    /// Resubmits backpressured messages whose pause has elapsed. A
-    /// message whose op deadline has passed is *never* resubmitted:
-    /// instead its retry timer is fired early so the cache fails the op
-    /// now (`Timeout`) rather than after more dead retries.
-    fn flush_resend(&mut self) {
-        for _ in 0..self.resend.len() {
-            let Some(r) = self.resend.pop_front() else {
-                break;
-            };
-            let now = self.true_now();
-            if r.deadline.is_some_and(|d| now > d) {
-                if let Some(req) = r.msg.req() {
-                    let outs = self.cache.handle(
-                        self.clock.now(),
-                        ClientInput::Timer(ClientTimer::Retry(req)),
-                    );
-                    self.apply(outs);
-                }
-                continue;
-            }
-            if r.due <= now {
-                self.submit_paced(r.msg, r.attempt);
-            } else {
-                self.resend.push_back(r);
-            }
+            PortVerdict::Refused => self.breaker.on_failure(now),
         }
     }
 
     fn apply(&mut self, outs: Vec<ClientOutput<Res, Bytes>>) {
         for o in outs {
             match o {
-                ClientOutput::Send(msg) => self.submit_paced(msg, 0),
+                ClientOutput::Send(msg) => self.submit(msg),
                 ClientOutput::SetTimer { at, timer } => {
                     let k = key(timer);
                     self.live_timers.insert(k, at);
                     self.timers.push(Reverse((at, k)));
                 }
                 ClientOutput::CancelTimer(timer) => {
-                    if let ClientTimer::Retry(r) = timer {
-                        // The request resolved; its deadline anchor dies
-                        // with it.
-                        self.deadlines.remove(&r.0);
-                    }
                     self.live_timers.remove(&key(timer));
                 }
                 ClientOutput::Done { op, result } => {
@@ -518,24 +427,12 @@ impl Worker {
         }
     }
 
-    /// How long until the next timer or paced resubmission is due.
+    /// How long until the next timer is due.
     fn next_wait(&self) -> Duration {
-        let mut wait = self
-            .timers
+        self.timers
             .peek()
             .map(|Reverse((at, _))| Duration::from(at.saturating_since(self.clock.now())))
-            .unwrap_or(Duration::from_millis(20));
-        if let Some(due) = self
-            .resend
-            .iter()
-            .map(|r| r.deadline.map_or(r.due, |d| r.due.min(d)))
-            .min()
-        {
-            // Wake in time for the next backpressure resubmission (or the
-            // fail-fast instant of an entry whose deadline lands first).
-            wait = wait.min(Duration::from(due.saturating_since(self.true_now())));
-        }
-        wait
+            .unwrap_or(Duration::from_millis(20))
     }
 
     /// Feeds one server message to the cache.
@@ -546,7 +443,7 @@ impl Worker {
         } = &m
         {
             // An explicit shed is an overload signal for the breaker,
-            // same as backpressure.
+            // same as a refused send.
             self.breaker.on_failure(self.true_now());
         }
         let now = self.clock.now();
@@ -572,9 +469,7 @@ impl Drop for CloseOnExit {
 
 /// Starts one client: its driver, the handle applications call, and the
 /// `lease-client-N` IO thread. Every topology's clients come from here.
-/// `cfg.backoff` also paces backpressure resubmissions (base
-/// [`RETRY_AFTER`]), `cfg.op_deadline` also rides with every submission,
-/// and `breaker` is the circuit breaker's `(threshold, cooldown)`.
+/// `breaker` is the circuit breaker's `(threshold, cooldown)`.
 pub(crate) fn spawn_client(
     id: ClientId,
     cfg: ClientConfig,
@@ -601,8 +496,8 @@ pub(crate) fn spawn_client(
     (RtClientHandle { shared }, thread)
 }
 
-/// The IO thread: feeds server messages to the cache, fires timers and
-/// resubmits what backpressure refused. It takes the driver lock for
+/// The IO thread: feeds server messages to the cache and fires timers,
+/// retransmissions included. It takes the driver lock for
 /// each batch and parks without it, on the inbox doorbell: every lane
 /// publish rings it, and so do a caller whose op left something due
 /// before [`Worker::io_wake`] and a port whose connection just came up
@@ -641,7 +536,6 @@ fn io_loop(shared: Weak<Shared>, mut lanes: Lanes<ToClient<Res, Bytes>>) {
         for m in net_buf.drain(..) {
             w.handle_msg(m);
         }
-        w.flush_resend();
         if w.port.reconnected() {
             w.retry_pending();
         }
@@ -660,32 +554,38 @@ fn io_loop(shared: Weak<Shared>, mut lanes: Lanes<ToClient<Res, Bytes>>) {
 #[cfg(test)]
 mod tests {
     use lease_clock::ManualClock;
+    use lease_core::Backoff;
 
     use super::*;
 
-    /// A port that refuses every submission with backpressure, recording
-    /// the (manual) clock reading of each attempt.
+    /// A port whose every submission finds a full lane, recording the
+    /// (manual) clock reading and the propagated deadline of each.
     struct JamPort {
         clock: Arc<ManualClock>,
-        sends: Mutex<Vec<Time>>,
+        sends: Mutex<Vec<(Time, Option<Time>)>>,
     }
 
     impl Port for Arc<JamPort> {
         fn send(
             &self,
             _from: ClientId,
-            msg: ToServer<Res, Bytes>,
-            _deadline: Option<Time>,
+            _msg: ToServer<Res, Bytes>,
+            deadline: Option<Time>,
         ) -> PortVerdict {
-            self.sends.lock().unwrap().push(self.clock.now());
-            PortVerdict::RetryAfter(msg)
+            self.sends
+                .lock()
+                .unwrap()
+                .push((self.clock.now(), deadline));
+            PortVerdict::Refused
         }
     }
 
-    /// Pins the backpressure-pacing contract: a message parked for paced
-    /// resubmission is never resubmitted past its op deadline — the op
-    /// fails fast with `Timeout` instead, and no submission reaches the
-    /// port at or after the deadline instant.
+    /// A refused request has no resend path of its own: it goes out again
+    /// exactly when the cache's retransmission timer fires (5 ms, then
+    /// doubling), each time as a counted attempt carrying the deadline
+    /// fixed at first transmission; nothing is sent at or past that
+    /// deadline, and the retry that finds it passed (at 80 ms) ends the
+    /// op.
     #[test]
     fn paced_resubmission_respects_op_deadline() {
         let clock = Arc::new(ManualClock::new(Time::ZERO));
@@ -693,10 +593,15 @@ mod tests {
             clock: clock.clone(),
             sends: Mutex::new(Vec::new()),
         });
-        let deadline = Dur::from_millis(50);
+        let deadline = Time::ZERO + Dur::from_millis(50);
         let cfg = ClientConfig {
-            op_deadline: Some(deadline),
+            op_deadline: Some(Dur::from_millis(50)),
             retry_interval: Dur::from_millis(5),
+            backoff: Backoff {
+                multiplier: 2.0,
+                cap: Dur::from_secs(1),
+                jitter: 0.0,
+            },
             ..ClientConfig::default()
         };
         let mut w = Worker::new(
@@ -709,29 +614,31 @@ mod tests {
         );
 
         let done = w.start_op(clock.now(), clock.now(), 7, None);
-        assert_eq!(port.sends.lock().unwrap().len(), 1, "first transmission");
-        assert_eq!(w.resend.len(), 1, "refused and parked for pacing");
-
-        // Inside the deadline the paced resubmissions keep coming (and
-        // keep being refused).
-        clock.advance(Dur::from_millis(10));
-        w.flush_resend();
-        assert_eq!(port.sends.lock().unwrap().len(), 2);
-        assert_eq!(w.resend.len(), 1);
-        assert!(done.reply.lock().unwrap().is_none(), "still pending");
-
-        // Past the deadline: the parked message must not be resubmitted —
-        // the op fails fast instead.
-        clock.advance(Dur::from_millis(41));
-        w.flush_resend();
+        for _ in 0..100 {
+            clock.advance(Dur::from_millis(1));
+            w.fire_timers();
+        }
         assert_eq!(
             done.reply.lock().unwrap().take().expect("op resolved"),
-            Err(RtError::Timeout),
-            "fail fast once the deadline passed"
+            Err(RtError::Timeout)
         );
-        assert!(w.resend.is_empty(), "nothing left parked");
         let sends = port.sends.lock().unwrap();
-        assert_eq!(sends.len(), 2, "no resubmission past the deadline");
-        assert!(sends.iter().all(|t| *t < Time::ZERO + deadline));
+        let at: Vec<u64> = sends
+            .iter()
+            .map(|(t, _)| t.saturating_since(Time::ZERO).as_nanos() / 1_000_000)
+            .collect();
+        assert_eq!(
+            at,
+            [0, 5, 10, 20, 40],
+            "one send per retransmission instant"
+        );
+        assert!(sends
+            .iter()
+            .all(|&(t, d)| t < deadline && d == Some(deadline)));
+        assert_eq!(
+            w.cache.counters.retries, 4,
+            "each retransmission is an attempt"
+        );
+        assert_eq!(w.cache.counters.timeouts, 1);
     }
 }

@@ -53,5 +53,5 @@ pub use lease_svc::chaos::FaultPlan;
 pub use naming::{Binding, NameOp};
 pub use net::{NetClient, NetClientConfig, TcpPort};
 pub use record::Recorder;
-pub use server::{Port, PortVerdict, ServerStats, RETRY_AFTER};
+pub use server::{Port, PortVerdict, ServerStats};
 pub use system::{RtSystem, RtSystemBuilder};

@@ -32,10 +32,6 @@ use crate::record::Recorder;
 /// The resource key in the real-time system: the store's file id, as u64.
 pub type Res = u64;
 
-/// How long a client thread waits before resubmitting a message the
-/// service refused under backpressure.
-pub const RETRY_AFTER: Dur = Dur::from_millis(2);
-
 /// Observable server statistics.
 #[derive(Debug, Clone)]
 pub struct ServerStats {
@@ -537,24 +533,25 @@ impl WorkerSink<Res, Bytes> for RtWorkerSink {
     }
 }
 
-/// What became of a client's submission attempt.
+/// What became of a client's submission attempt. Only [`PortVerdict::Sent`]
+/// means the message went anywhere; the other two are losses, which the
+/// client's retransmission timer recovers like any lost datagram.
 pub enum PortVerdict {
     /// Handed to the service (or scheduled for chaotic delivery).
     Sent,
     /// Dropped: the link is cut, chaos ate it, or the service is gone.
-    /// The client's retransmission machinery recovers.
     Dropped,
-    /// The service pushed back; resubmit the returned message after
-    /// [`RETRY_AFTER`] instead of surfacing an error.
-    RetryAfter(ToServer<Res, Bytes>),
+    /// The serving replica's lane was full. Lost like `Dropped`, and also
+    /// an overload signal: the circuit breaker counts it as a failure.
+    Refused,
 }
 
 /// Where a client thread submits protocol messages: the in-process
 /// [`RtPort`], or a socket ([`TcpPort`](crate::net::TcpPort)).
-/// Implementations never block on a saturated shard — backpressure
-/// degrades into [`PortVerdict::RetryAfter`], and unreachability into
-/// [`PortVerdict::Dropped`] (the client's retransmission backoff is the
-/// retry schedule).
+/// Implementations never block and never hold a message for later: a
+/// saturated shard is [`PortVerdict::Refused`], unreachability
+/// [`PortVerdict::Dropped`], and the client's retransmission backoff is
+/// the one retry schedule for both.
 ///
 /// Each client **owns** its port (`Box<dyn Port>`, inside its driver):
 /// a [`SvcHandle`] is a per-producer object (one SPSC lane per shard),
@@ -686,7 +683,7 @@ impl Router {
                 }
                 Err(SvcError::Backpressure) => {
                     self.prefer(i);
-                    return PortVerdict::RetryAfter(msg);
+                    return PortVerdict::Refused;
                 }
                 Err(_) => continue,
             }

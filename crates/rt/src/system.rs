@@ -135,7 +135,7 @@ impl RtSystemBuilder {
     }
 
     /// Per-client circuit breaker: after `threshold` consecutive overload
-    /// signals (backpressure, `Shed`) the client stops submitting for
+    /// signals (refused sends, `Shed`) the client stops submitting for
     /// `cooldown`, then probes half-open.
     pub fn breaker(mut self, threshold: u32, cooldown: Dur) -> Self {
         self.breaker = Some((threshold, cooldown));
@@ -157,7 +157,9 @@ impl RtSystemBuilder {
     }
 
     /// Per-shard mailbox capacity — the bound admission control's
-    /// occupancy watermarks are measured against (default 1024).
+    /// occupancy watermarks are measured against (default 1024). A client
+    /// whose lane into a shard is full has its send refused: a lost
+    /// message, which its retransmission timer recovers.
     pub fn mailbox(mut self, n: usize) -> Self {
         self.mailbox = Some(n.max(1));
         self

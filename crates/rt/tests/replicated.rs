@@ -152,7 +152,7 @@ fn a_plans_shard_kill_restarts_that_shard_under_a_quorum() {
         .clients(1)
         .shards(2)
         .file("/data/a", b"v0".as_ref())
-        .chaos(FaultPlan::new(1).kill(Dur::from_millis(600), 0))
+        .chaos(FaultPlan::new(1).kill_shard(Dur::from_millis(600), 0))
         .start();
     let a = sys.lookup("/data/a").unwrap();
     let c0 = sys.client(0);

@@ -49,7 +49,7 @@ use crate::shard::INJECTED_KILL;
 /// use lease_svc::chaos::FaultPlan;
 ///
 /// let plan = FaultPlan::new(42)
-///     .kill(Dur::from_millis(300), 0)
+///     .kill_shard(Dur::from_millis(300), 0)
 ///     .drop_messages(0.05)
 ///     .delay_messages(Dur::from_millis(10));
 /// let link = plan.link(7);
@@ -185,14 +185,6 @@ impl FaultPlan {
         }
     }
 
-    /// Adds a shard kill at `when`.
-    ///
-    /// Alias of [`FaultPlan::kill_shard`], kept for existing plans; the
-    /// index names a *shard within a server*, not a replica.
-    pub fn kill(self, when: Dur, shard: usize) -> FaultPlan {
-        self.kill_shard(when, shard)
-    }
-
     /// Adds a shard-level kill at `when`: panic the worker that owns
     /// shard `shard`, on every replica there is. For crashing a whole
     /// server, use [`FaultPlan::kill_replica`].
@@ -283,12 +275,6 @@ impl FaultPlan {
     pub fn with_client_clock(mut self, client: usize, model: ClockModel) -> FaultPlan {
         self.client_clocks.push((client, model));
         self
-    }
-
-    /// Whether the plan injects any per-message faults at all (fast path
-    /// check for transports).
-    pub fn perturbs_messages(&self) -> bool {
-        self.drop_prob > 0.0 || self.dup_prob > 0.0 || !self.delay_max.is_zero()
     }
 
     /// The deterministic fault decider for one link. `stream` names the

@@ -21,7 +21,7 @@
 //!   The protocol asks its transport for nothing but lossy datagrams plus
 //!   retransmission, so a dropped, delayed or fenced message is a filter
 //!   before a lane, never a second transport.
-//! * **Batching** — batched end to end. Ingress: [`SvcHandle::send_batch`]
+//! * **Batching** — batched end to end. Ingress: [`SvcHandle::try_send_batch`]
 //!   routes a whole [`BatchBuf`] in one pass and publishes one run per
 //!   touched shard with a single `Release` store. Worker: a shard drains
 //!   its lanes in batches, so one wakeup amortizes grant/extend/approval
@@ -41,9 +41,11 @@
 //!   with service-global write ids, and routes each approval back to the
 //!   shard that is collecting it (the §3.1 multicast approval path,
 //!   partitioned).
-//! * **Backpressure** — lanes are bounded (`SvcConfig::mailbox` slots
-//!   each); [`SvcHandle::send`] blocks and [`SvcHandle::try_send`] refuses
-//!   when the handle's lane into a shard is full.
+//! * **Backpressure is loss** — lanes are bounded (`SvcConfig::mailbox`
+//!   slots each) and every send refuses, never blocks, when the handle's
+//!   lane into a shard is full ([`SvcError::Backpressure`]). Nothing is
+//!   queued for the refused message: to the sender it was lost, and the
+//!   client's retransmission is its one retry schedule.
 //! * **Admission control** — beyond transport backpressure, a shard over
 //!   its [`AdmissionControl`] watermark sheds cold fetches with an
 //!   explicit `Shed { retry_after }` reply (renewals, writes, and
@@ -93,9 +95,10 @@
 //!     },
 //! );
 //! let h = svc.handle();
-//! h.send(ClientId(0), ToServer::Fetch {
+//! // An empty lane takes it; a full one would refuse (`Backpressure`).
+//! h.try_send_at(ClientId(0), ToServer::Fetch {
 //!     req: ReqId(1), resource: 7, cached: None, also_extend: vec![],
-//! }).unwrap();
+//! }, None).unwrap();
 //! // Ticket before the poll, so a publish can never slip past the park.
 //! let mut got = Vec::new();
 //! while got.is_empty() {

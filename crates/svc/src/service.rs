@@ -91,11 +91,10 @@ pub struct SvcConfig {
     /// Shard worker count. Resources are partitioned by key hash.
     pub shards: usize,
     /// Capacity of each handle's ring lane into each shard — how much one
-    /// submitter may have in flight per shard. A full lane is the
-    /// service's backpressure signal ([`SvcHandle::send`] blocks,
-    /// [`SvcHandle::try_send`] refuses), and admission control measures
-    /// a shard's occupancy (everything queued across its lanes) against
-    /// this number.
+    /// submitter may have in flight per shard. A full lane refuses the
+    /// send ([`SvcError::Backpressure`]), which to the sender is a lost
+    /// message, and admission control measures a shard's occupancy
+    /// (everything queued across its lanes) against this number.
     pub mailbox: usize,
     /// Max messages drained per wakeup, amortizing timer/wheel work.
     pub batch: usize,
@@ -173,8 +172,9 @@ pub fn shard_of<R: Hash>(resource: &R, shards: usize) -> usize {
 /// Why a call into the service failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SvcError {
-    /// The handle's lane into a shard is full (only from the `try_`
-    /// sends).
+    /// The handle's lane into a shard is full and the message was not
+    /// taken. Nothing is queued for it: to the sender it is a lost
+    /// message, which the client's retransmission recovers.
     Backpressure,
     /// The service has shut down.
     Closed,
@@ -336,24 +336,6 @@ impl<R: Resource, D> SvcHandle<R, D> {
             }
         }
     }
-
-    /// Blocking bulk push of a staged per-shard run: publishes in chunks
-    /// as space frees, one doorbell ring per publish. On `Closed` the
-    /// remainder is dropped (the service is gone and nothing will answer
-    /// it).
-    fn lane_push_all(&self, s: usize, stage: &mut Vec<ShardMsg<R, D>>) -> Result<(), SvcError> {
-        while !stage.is_empty() {
-            if self.lanes[s].push_from(stage) > 0 {
-                self.wake(s);
-            } else if self.lanes[s].is_closed() {
-                stage.clear();
-                return Err(SvcError::Closed);
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        Ok(())
-    }
 }
 
 impl<R: Resource, D> Clone for SvcHandle<R, D> {
@@ -366,7 +348,7 @@ impl<R: Resource, D> Clone for SvcHandle<R, D> {
 }
 
 /// A caller-side, reusable buffer of protocol messages bound for the
-/// service — the unit of [`SvcHandle::send_batch`].
+/// service — the unit of [`SvcHandle::try_send_batch`].
 ///
 /// Callers push `(from, msg)` pairs between submits; the handle routes the
 /// whole buffer in one pass (one [`shard_of`] per message, one lane
@@ -401,7 +383,7 @@ impl<R: Resource, D> BatchBuf<R, D> {
         }
     }
 
-    /// Queues one message for the next [`SvcHandle::send_batch`].
+    /// Queues one message for the next [`SvcHandle::try_send_batch`].
     pub fn push(&mut self, from: ClientId, msg: ToServer<R, D>) {
         self.msgs.push((from, msg, None));
     }
@@ -478,58 +460,17 @@ impl<R: Resource, D: Clone> SvcHandle<R, D> {
         self.shared.ingress.len()
     }
 
-    /// Routes `msg` to its shard(s), blocking while a target lane is
-    /// full — the backpressure path for closed-loop clients. Equivalent
-    /// to a one-element [`SvcHandle::send_batch`]: a single-destination
-    /// message costs one routing hash, one lock-free ring publish, and
-    /// one doorbell ring.
-    pub fn send(&self, from: ClientId, msg: ToServer<R, D>) -> Result<(), SvcError> {
-        self.send_at(from, msg, None)
-    }
-
-    /// [`SvcHandle::send`] with the originating op's deadline attached:
-    /// the owning shard drops the input unprocessed (counting it) if the
-    /// deadline has passed by the time it drains it.
-    pub fn send_at(
-        &self,
-        from: ClientId,
-        msg: ToServer<R, D>,
-        deadline: Option<Time>,
-    ) -> Result<(), SvcError> {
-        let n = self.shards();
-        match route_single(msg, n) {
-            Ok((s, msg)) => self.lane_push(
-                s,
-                ShardMsg::Input {
-                    input: ServerInput::Msg { from, msg },
-                    deadline,
-                },
-            ),
-            Err(msg) => {
-                // A splitting message (batched extension, multi-resource
-                // renew): stage it like a one-element batch.
-                let mut staged: Vec<Vec<ShardMsg<R, D>>> = (0..n).map(|_| Vec::new()).collect();
-                route_into(from, msg, deadline, n, &mut staged);
-                for (s, stage) in staged.iter_mut().enumerate() {
-                    if !stage.is_empty() {
-                        self.lane_push_all(s, stage)?;
-                    }
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Like [`SvcHandle::send`] but refuses instead of blocking when a
-    /// lane is full. A split message may be partially delivered before
-    /// the refusal; that is safe because the client retransmits the whole
-    /// request and the server deduplicates.
-    pub fn try_send(&self, from: ClientId, msg: ToServer<R, D>) -> Result<(), SvcError> {
-        self.try_send_at(from, msg, None)
-    }
-
-    /// [`SvcHandle::try_send`] with the originating op's deadline
-    /// attached (see [`SvcHandle::send_at`]).
+    /// Routes `msg` to its shard(s) with the originating op's deadline
+    /// attached: the owning shard drops the input unprocessed (counting
+    /// it) if the deadline has passed by the time it drains it. A
+    /// single-destination message costs one routing hash, one lock-free
+    /// ring publish and one doorbell ring.
+    ///
+    /// Never blocks: a full lane refuses with [`SvcError::Backpressure`]
+    /// and keeps nothing, so to the sender the message is lost and its
+    /// retransmission is the retry. A split message may be partially
+    /// delivered before the refusal; that is safe because the client
+    /// retransmits the whole request and the server deduplicates.
     pub fn try_send_at(
         &self,
         from: ClientId,
@@ -558,49 +499,21 @@ impl<R: Resource, D: Clone> SvcHandle<R, D> {
         }
     }
 
-    /// Submits every message in `buf`, blocking while target lanes are
-    /// full. One routing pass pre-sorts the batch by destination shard
-    /// (shard-affine batching); each touched shard then receives its
-    /// whole sub-batch as one contiguous pre-routed run — a single ring
-    /// publish and at most one doorbell ring per touched shard — so N
-    /// messages cost `O(touched shards)` wakes instead of `O(N)`.
+    /// Submits every message in `buf` without blocking. One routing pass
+    /// pre-sorts the batch by destination shard (shard-affine batching);
+    /// each touched shard then accepts the prefix of its sub-batch that
+    /// fits this handle's lane right now as one contiguous pre-routed run
+    /// — a single ring publish and at most one doorbell ring per touched
+    /// shard — so N messages cost `O(touched shards)` wakes, not `O(N)`.
     ///
-    /// On success the buffer is left empty (allocations retained). On
-    /// [`SvcError::Closed`] undelivered messages are dropped — the
-    /// service is gone and nothing will answer them.
-    pub fn send_batch(&self, buf: &mut BatchBuf<R, D>) -> Result<(), SvcError> {
-        let n = self.shards();
-        buf.stage(n, None);
-        let mut closed = false;
-        for (s, stage) in buf.staged.iter_mut().enumerate() {
-            if stage.is_empty() {
-                continue;
-            }
-            if self.lane_push_all(s, stage).is_err() {
-                closed = true;
-            }
-        }
-        if closed {
-            Err(SvcError::Closed)
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Like [`SvcHandle::send_batch`] but never blocks: each touched
-    /// shard accepts the prefix of its sub-batch that fits this handle's
-    /// lane right now. Returns how many routed parts were accepted; the
-    /// refused remainder is put **back into `buf`** (as individually
-    /// resubmittable messages, split parts included), so backpressure
-    /// pacing — `lease-rt`'s `RetryAfter` — just resubmits the buffer
-    /// after a delay. `buf.is_empty()` afterwards means everything went
-    /// through.
-    ///
-    /// As with [`SvcHandle::try_send`], a split message may have some
-    /// parts delivered and others refused; refused parts are returned as
-    /// self-contained messages (a per-shard `Renew`/`Relinquish` slice is
-    /// itself a valid request), so resubmitting exactly the refusals is
-    /// sufficient and duplicates nothing.
+    /// Returns how many routed parts were accepted; the refused remainder
+    /// is put **back into `buf`** (as individually resubmittable
+    /// messages, split parts included). `buf.is_empty()` afterwards means
+    /// everything went through. A caller may drop the remainder (a loss
+    /// its client's retransmission recovers) or resubmit it: refused
+    /// parts are self-contained (a per-shard `Renew`/`Relinquish` slice
+    /// is itself a valid request), so resubmitting exactly the refusals
+    /// duplicates nothing.
     pub fn try_send_batch(&self, buf: &mut BatchBuf<R, D>) -> Result<usize, SvcError> {
         self.try_send_batch_at(buf, None)
     }
@@ -609,7 +522,7 @@ impl<R: Resource, D: Clone> SvcHandle<R, D> {
     /// door: given `now`, buffered messages whose
     /// [`BatchBuf::push_deadline`] deadline has already passed are
     /// dropped at staging time (tallied in [`BatchBuf::expired`]) rather
-    /// than submitted — a resubmission loop under backpressure stops
+    /// than submitted — a caller resubmitting under backpressure stops
     /// queueing work whose caller has already timed out.
     pub fn try_send_batch_at(
         &self,
@@ -672,8 +585,8 @@ impl<R: Resource, D: Clone> SvcHandle<R, D> {
 ///
 /// The hot per-op wire messages — a fetch with no piggybacked extensions,
 /// a write, an approval — always have a single destination; resolving
-/// them here keeps the single-message [`SvcHandle::send`] path free of
-/// staging entirely. `Approve` is rewritten from the service-global write
+/// them here keeps the single-message [`SvcHandle::try_send_at`] path
+/// free of staging entirely. `Approve` is rewritten from the service-global write
 /// id back to the owning shard's local id space.
 fn route_single<R: Resource, D>(
     msg: ToServer<R, D>,
@@ -1046,12 +959,28 @@ mod tests {
             .expect("reply")
     }
 
+    /// Submits `msg`, spinning while the lane is full: a closed-loop test
+    /// producer's wait, which the handle itself does not offer.
+    fn send(
+        h: &SvcHandle<u64, String>,
+        from: ClientId,
+        msg: ToServer<u64, String>,
+    ) -> Result<(), SvcError> {
+        loop {
+            match h.try_send_at(from, msg.clone(), None) {
+                Err(SvcError::Backpressure) => std::thread::yield_now(),
+                sent => return sent,
+            }
+        }
+    }
+
     #[test]
     fn fetches_are_granted_across_shards() {
         let (svc, rx) = service(4);
         let h = svc.handle();
         for r in 0..16u64 {
-            h.send(
+            send(
+                &h,
                 ClientId(0),
                 ToServer::Fetch {
                     req: ReqId(r),
@@ -1104,7 +1033,8 @@ mod tests {
         // Take leases on every resource first, remembering versions.
         let mut versions = std::collections::HashMap::new();
         for r in 0..8u64 {
-            h.send(
+            send(
+                &h,
                 ClientId(0),
                 ToServer::Fetch {
                     req: ReqId(r),
@@ -1126,7 +1056,8 @@ mod tests {
         }
         // One fetch piggybacking extension of all the others: the router
         // splits the batch across every shard that holds a piece.
-        h.send(
+        send(
+            &h,
             ClientId(0),
             ToServer::Fetch {
                 req: ReqId(100),
@@ -1164,7 +1095,8 @@ mod tests {
         // Client 1 takes a lease on every resource, so every write below
         // needs its approval — wherever the resource's shard is.
         for r in 0..8u64 {
-            h.send(
+            send(
+                &h,
                 ClientId(1),
                 ToServer::Fetch {
                     req: ReqId(r),
@@ -1177,7 +1109,8 @@ mod tests {
             recv(&rx);
         }
         for r in 0..8u64 {
-            h.send(
+            send(
+                &h,
                 ClientId(0),
                 ToServer::Write {
                     req: ReqId(100 + r),
@@ -1197,7 +1130,7 @@ mod tests {
             };
             assert_eq!(resource, r);
             // ...which routes the approval back to the owning shard.
-            h.send(ClientId(1), ToServer::Approve { write_id }).unwrap();
+            send(&h, ClientId(1), ToServer::Approve { write_id }).unwrap();
             let (to, msg) = recv(&rx);
             assert_eq!(to, ClientId(0));
             let ToClient::WriteDone { resource, .. } = msg else {
@@ -1215,7 +1148,7 @@ mod tests {
     fn backpressure_is_reported_not_dropped() {
         // A 1-slot mailbox feeding a shard whose sink quickly jams: once
         // the worker blocks delivering a reply and the mailbox is full,
-        // try_send must refuse rather than block or drop.
+        // try_send_at must refuse rather than block.
         let (tx, rx) = sync_channel(1);
         let svc = spawn(
             SvcConfig {
@@ -1237,7 +1170,7 @@ mod tests {
         };
         let mut refused = false;
         for r in 0..1000u64 {
-            if h.try_send(ClientId(0), fetch(r)) == Err(SvcError::Backpressure) {
+            if h.try_send_at(ClientId(0), fetch(r), None) == Err(SvcError::Backpressure) {
                 refused = true;
                 break;
             }
@@ -1278,7 +1211,7 @@ mod tests {
     }
 
     #[test]
-    fn send_batch_round_trips_across_shards() {
+    fn try_send_batch_round_trips_across_shards() {
         let (svc, rx) = service(4);
         let h = svc.handle();
         let mut buf = BatchBuf::new();
@@ -1294,8 +1227,8 @@ mod tests {
             );
         }
         assert_eq!(buf.len(), 32);
-        h.send_batch(&mut buf).unwrap();
-        assert!(buf.is_empty(), "send_batch must consume the whole buffer");
+        assert_eq!(h.try_send_batch(&mut buf).unwrap(), 32);
+        assert!(buf.is_empty(), "empty lanes take the whole buffer");
         let mut seen = std::collections::HashSet::new();
         for _ in 0..32 {
             let (_, msg) = recv(&rx);
@@ -1339,7 +1272,8 @@ mod tests {
         );
         let h = svc.handle();
         // Grant one lease while the service is idle (never shed).
-        h.send(
+        send(
+            &h,
             ClientId(0),
             ToServer::Fetch {
                 req: ReqId(0),
@@ -1358,7 +1292,8 @@ mod tests {
         // Now pile on cold fetches faster than the 2ms/input slow shard
         // can drain, with renewals of resource 0 interleaved.
         for r in 1..32u64 {
-            h.send(
+            send(
+                &h,
                 ClientId(0),
                 ToServer::Fetch {
                     req: ReqId(r),
@@ -1368,7 +1303,8 @@ mod tests {
                 },
             )
             .unwrap();
-            h.send(
+            send(
+                &h,
                 ClientId(0),
                 ToServer::Renew {
                     req: ReqId(1000 + r),
@@ -1406,7 +1342,7 @@ mod tests {
         let (svc, rx) = service(1);
         let h = svc.handle();
         // A deadline far in the past: the shard must drop the input.
-        h.send_at(
+        h.try_send_at(
             ClientId(0),
             ToServer::Fetch {
                 req: ReqId(1),
@@ -1418,7 +1354,8 @@ mod tests {
         )
         .unwrap();
         // And one with no deadline right behind it, to order the check.
-        h.send(
+        send(
+            &h,
             ClientId(0),
             ToServer::Fetch {
                 req: ReqId(2),
@@ -1576,7 +1513,7 @@ mod tests {
         let h = svc.handle();
         let mut jammed = false;
         for r in 0..1000u64 {
-            if h.try_send(ClientId(0), fetch(r % 16)) == Err(SvcError::Backpressure) {
+            if h.try_send_at(ClientId(0), fetch(r % 16), None) == Err(SvcError::Backpressure) {
                 jammed = true;
                 break;
             }
@@ -1615,7 +1552,7 @@ mod tests {
         let h = svc.handle();
         h.kill_shard(0).unwrap();
         let t0 = Instant::now();
-        while h.try_send(ClientId(0), fetch(0)) != Err(SvcError::Closed) {
+        while h.try_send_at(ClientId(0), fetch(0), None) != Err(SvcError::Closed) {
             assert!(t0.elapsed() < Duration::from_secs(5), "shard never died");
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -1632,8 +1569,8 @@ mod tests {
         let (a, b) = (svc.handle(), svc.handle());
         for round in 0..20u64 {
             for r in 0..32u64 {
-                a.send(ClientId(0), fetch(r)).unwrap();
-                b.send(ClientId(1), fetch(32 + r)).unwrap();
+                send(&a, ClientId(0), fetch(r)).unwrap();
+                send(&b, ClientId(1), fetch(32 + r)).unwrap();
             }
             let stats = svc.stats().unwrap();
             assert_eq!(stats.counters.fetch_rx, 64 * (round + 1));
@@ -1662,7 +1599,7 @@ mod tests {
                 let (h, stop) = (svc.handle(), stop.clone());
                 std::thread::spawn(move || {
                     let mut r = 0u64;
-                    while !stop.load(Ordering::Relaxed) && h.send(ClientId(c), fetch(r)).is_ok() {
+                    while !stop.load(Ordering::Relaxed) && send(&h, ClientId(c), fetch(r)).is_ok() {
                         r = (r + 1) % 16;
                     }
                 })
@@ -1693,7 +1630,7 @@ mod tests {
         let (svc, rx) = service(2);
         let h = svc.handle();
         for r in 0..64u64 {
-            h.send(ClientId(0), fetch(r)).unwrap();
+            send(&h, ClientId(0), fetch(r)).unwrap();
         }
         drop(h);
         drop(svc);

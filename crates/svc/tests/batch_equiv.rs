@@ -3,7 +3,8 @@
 //! one.
 //!
 //! The same op stream pushed two ways — one-by-one through this handle's
-//! SPSC lanes (`send`), and chunked through shard-affine `send_batch` —
+//! SPSC lanes (`try_send_at`), and chunked through shard-affine
+//! `try_send_batch` —
 //! including with a shard kill/restart injected mid-stream, possibly
 //! mid-batch — must leave the service in the same observable state: the
 //! same merged [`ServerCounters`] and the same multiset of delivered
@@ -29,7 +30,7 @@ use lease_core::{
     ClientId, LeaseHandle, LeaseServer, MemStorage, ReqId, ServerConfig, Storage, ToClient,
     ToServer, Version,
 };
-use lease_svc::{BatchBuf, ClientSink, LeaseService, SvcConfig, SvcHooks, WorkerSink};
+use lease_svc::{BatchBuf, ClientSink, LeaseService, SvcConfig, SvcHandle, SvcHooks, WorkerSink};
 use proptest::prelude::*;
 
 const SHARDS: usize = 3;
@@ -112,9 +113,16 @@ fn step() -> impl Strategy<Value = Step> {
 enum Mode<'a> {
     /// One-by-one over this handle's SPSC ring lanes.
     Lanes,
-    /// Shard-affine `send_batch` over the lanes, cut into buffers of
+    /// Shard-affine `try_send_batch` over the lanes, cut into buffers of
     /// the given sizes (cycled).
     Chunked(&'a [usize]),
+}
+
+/// Submits the whole buffer. A stream is at most 49 steps and a lane
+/// holds 1024, so nothing is ever refused.
+fn submit(h: &SvcHandle<u64, u64>, buf: &mut BatchBuf<u64, u64>) {
+    h.try_send_batch(buf).unwrap();
+    assert!(buf.is_empty(), "refused with room to spare");
 }
 
 /// Runs the stream and returns the observable outcome: the merged
@@ -146,7 +154,7 @@ fn run(steps: &[Step], mode: Mode<'_>) -> (String, Vec<String>) {
         Mode::Lanes => {
             for s in steps {
                 match s {
-                    Step::Msg(from, msg) => h.send(*from, msg.clone()).unwrap(),
+                    Step::Msg(from, msg) => h.try_send_at(*from, msg.clone(), None).unwrap(),
                     Step::Kill(shard) => h.kill_shard(*shard).unwrap(),
                 }
             }
@@ -160,20 +168,20 @@ fn run(steps: &[Step], mode: Mode<'_>) -> (String, Vec<String>) {
                     Step::Msg(from, msg) => {
                         buf.push(*from, msg.clone());
                         if buf.len() >= goal {
-                            h.send_batch(&mut buf).unwrap();
+                            submit(&h, &mut buf);
                             goal = *sizes.next().unwrap();
                         }
                     }
                     Step::Kill(shard) => {
                         if !buf.is_empty() {
-                            h.send_batch(&mut buf).unwrap();
+                            submit(&h, &mut buf);
                         }
                         h.kill_shard(*shard).unwrap();
                     }
                 }
             }
             if !buf.is_empty() {
-                h.send_batch(&mut buf).unwrap();
+                submit(&h, &mut buf);
             }
         }
     }
