@@ -1,6 +1,7 @@
 //! One client cache: the driver behind its lock, the application-facing
 //! handle that serves hits on the caller's own thread, and the IO thread
-//! that keeps what no caller is there for — replies and timers.
+//! that keeps what no caller is there for — timers, and the lanes of an
+//! in-process system. A socket's reader resolves its replies ([`Feed`]).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -76,7 +77,7 @@ impl Completion {
     }
 }
 
-/// What a client's handles and its IO thread share.
+/// What a client's handles, its IO thread and its socket reader share.
 struct Shared {
     /// The driver lock: cache, port and timers change only under it,
     /// whichever thread is driving.
@@ -110,6 +111,13 @@ impl Shared {
         drop(w);
         self.inbox.bell().ring();
     }
+
+    /// Rings the IO thread if a live timer is due before it would wake.
+    fn wake_if_due(&self, w: &mut Worker) {
+        if w.next_due().is_some_and(|d| Instant::now() + d < w.io_wake) {
+            self.inbox.bell().ring();
+        }
+    }
 }
 
 /// The application-facing handle to one client cache.
@@ -122,7 +130,7 @@ impl Shared {
 /// approval handling, is the read's linearization point. A miss or a
 /// write sends its request from the calling thread under the same lock
 /// (so the client's [`Port`] still has one sender at a time) and then
-/// blocks until the IO thread resolves it.
+/// blocks until the reply's reader or a retry timer resolves it.
 #[derive(Clone)]
 pub struct RtClientHandle {
     shared: Arc<Shared>,
@@ -141,11 +149,7 @@ impl RtClientHandle {
             }
         }
         let done = w.start_op(now, start, resource, data);
-        // The IO thread fires timers; wake it only if this op left one
-        // due before it would wake by itself.
-        if Instant::now() + w.next_wait() < w.io_wake {
-            self.shared.inbox.bell().ring();
-        }
+        self.shared.wake_if_due(&mut w);
         drop(w);
         done.wait()
     }
@@ -185,6 +189,40 @@ impl RtClientHandle {
     /// [`RtError::Closed`], and the IO thread exits.
     pub(crate) fn close(&self) {
         self.shared.close();
+    }
+
+    /// What this client's socket reader holds.
+    pub(crate) fn feed(&self) -> Feed {
+        Feed(Arc::downgrade(&self.shared))
+    }
+}
+
+/// A socket reader's hold on its client — a `Weak`, like the IO thread's.
+/// What it decodes is resolved on its own thread, under the driver lock;
+/// lock order is driver, then the port's connection.
+pub(crate) struct Feed(Weak<Shared>);
+
+impl Feed {
+    /// Runs `f` under the driver lock, unless the client is closed or gone.
+    fn drive(&self, f: impl FnOnce(&mut Worker)) {
+        if let Some(shared) = self.0.upgrade() {
+            if let Ok(mut w) = shared.lock() {
+                f(&mut w);
+                shared.wake_if_due(&mut w);
+            }
+        }
+    }
+
+    /// Feeds server messages to the cache, leaving `msgs` empty: replies
+    /// fill their callers' completions and approvals go out from here.
+    pub(crate) fn deliver(&self, msgs: &mut Vec<ToClient<Res, Bytes>>) {
+        self.drive(|w| msgs.drain(..).for_each(|m| w.handle_msg(m)));
+        msgs.clear();
+    }
+
+    /// A fresh connection is installed: retransmit what is pending now.
+    pub(crate) fn connected(&self) {
+        self.drive(Worker::retry_pending);
     }
 }
 
@@ -410,10 +448,10 @@ impl Worker {
     /// [`ClientTimer::Retry`] path, so the attempt limit, the retry
     /// budget and the op deadline bound it like any retransmission, and
     /// the cache repeats on each what the lost transmission piggybacked.
-    /// All the driver hears is that bit: a request that went out on the
-    /// new connection in the microseconds before the bit was read is
-    /// repeated with the rest, at the price of one duplicate the server
-    /// answers and one of that request's attempts.
+    /// A request that went out on the new connection in the microseconds
+    /// between its installation and this call is repeated with the rest,
+    /// at the price of one duplicate the server answers and one of that
+    /// request's attempts.
     fn retry_pending(&mut self) {
         let mut retries: Vec<u64> = self
             .live_timers
@@ -427,12 +465,21 @@ impl Worker {
         }
     }
 
-    /// How long until the next timer is due.
-    fn next_wait(&self) -> Duration {
-        self.timers
-            .peek()
-            .map(|Reverse((at, _))| Duration::from(at.saturating_since(self.clock.now())))
-            .unwrap_or(Duration::from_millis(20))
+    /// How long until the next live timer is due, if any is; cancelled or
+    /// superseded heap tops (`fire_timers`' test) are popped on the way.
+    fn next_due(&mut self) -> Option<Duration> {
+        while let Some(&Reverse((at, k))) = self.timers.peek() {
+            if self.live_timers.get(&k) == Some(&at) {
+                return Some(Duration::from(at.saturating_since(self.clock.now())));
+            }
+            self.timers.pop();
+        }
+        None
+    }
+
+    /// How long the IO thread parks: 20 ms with no live timer.
+    fn next_wait(&mut self) -> Duration {
+        self.next_due().unwrap_or(Duration::from_millis(20))
     }
 
     /// Feeds one server message to the cache.
@@ -469,7 +516,8 @@ impl Drop for CloseOnExit {
 
 /// Starts one client: its driver, the handle applications call, and the
 /// `lease-client-N` IO thread. Every topology's clients come from here.
-/// `breaker` is the circuit breaker's `(threshold, cooldown)`.
+/// `breaker` is the circuit breaker's `(threshold, cooldown)`. A socket
+/// client's `inbox` has no lanes: its reader resolves replies ([`Feed`]).
 pub(crate) fn spawn_client(
     id: ClientId,
     cfg: ClientConfig,
@@ -496,13 +544,13 @@ pub(crate) fn spawn_client(
     (RtClientHandle { shared }, thread)
 }
 
-/// The IO thread: feeds server messages to the cache and fires timers,
-/// retransmissions included. It takes the driver lock for
-/// each batch and parks without it, on the inbox doorbell: every lane
-/// publish rings it, and so do a caller whose op left something due
-/// before [`Worker::io_wake`] and a port whose connection just came up
-/// ([`Port::reconnected`]). Ticket-before-final-poll makes the park
-/// race-free, and a short spin after a hot iteration catches
+/// The IO thread: fires timers, retransmissions included, and feeds the
+/// cache whatever its lanes carry (an in-process system's replies; a
+/// socket client has no lanes). It takes the driver lock for each batch
+/// and parks without it, on the inbox doorbell: every lane publish rings
+/// it, and so does any thread whose work under the lock left a live timer
+/// due before [`Worker::io_wake`]. Ticket-before-final-poll makes the
+/// park race-free, and a short spin after a hot iteration catches
 /// back-to-back replies without a futex round trip (skipped on a single
 /// core, where spinning only steals the producer's timeslice).
 fn io_loop(shared: Weak<Shared>, mut lanes: Lanes<ToClient<Res, Bytes>>) {
@@ -535,9 +583,6 @@ fn io_loop(shared: Weak<Shared>, mut lanes: Lanes<ToClient<Res, Bytes>>) {
         };
         for m in net_buf.drain(..) {
             w.handle_msg(m);
-        }
-        if w.port.reconnected() {
-            w.retry_pending();
         }
         w.fire_timers();
         if hot {
@@ -640,5 +685,92 @@ mod tests {
             "each retransmission is an attempt"
         );
         assert_eq!(w.cache.counters.timeouts, 1);
+    }
+
+    /// A port that takes every submission and keeps it.
+    #[derive(Default)]
+    struct LogPort {
+        sent: Mutex<Vec<ToServer<Res, Bytes>>>,
+    }
+
+    impl Port for Arc<LogPort> {
+        fn send(
+            &self,
+            _from: ClientId,
+            msg: ToServer<Res, Bytes>,
+            _deadline: Option<Time>,
+        ) -> PortVerdict {
+            self.sent.lock().unwrap().push(msg);
+            PortVerdict::Sent
+        }
+    }
+
+    /// A reply cancels its request's retry timer but leaves the heap entry
+    /// behind. After N completed misses the IO thread parks for the idle
+    /// wait — not until the first cancelled retry's instant, once per
+    /// completed op — while a live retry still fires exactly on time.
+    #[test]
+    fn cancelled_retries_wake_nobody() {
+        const N: u64 = 32;
+        let clock = Arc::new(ManualClock::new(Time::ZERO));
+        let port = Arc::new(LogPort::default());
+        let cfg = ClientConfig {
+            retry_interval: Dur::from_millis(100),
+            ..ClientConfig::default()
+        };
+        let mut w = Worker::new(
+            ClientId(0),
+            cfg,
+            None,
+            Box::new(port.clone()),
+            clock.clone(),
+            Arc::new(Recorder::with_clock(clock.clone())),
+        );
+        let last_req = || match port.sent.lock().unwrap().last() {
+            Some(ToServer::Fetch { req, .. }) => *req,
+            other => panic!("expected a fetch, got {other:?}"),
+        };
+
+        for r in 0..N {
+            let done = w.start_op(clock.now(), clock.now(), r, None);
+            let grant = lease_core::Grant {
+                resource: r,
+                version: Version(1),
+                data: Some(Bytes::new()),
+                term: Dur::from_secs(10),
+                handle: lease_core::LeaseHandle::NULL,
+            };
+            w.handle_msg(ToClient::Grants {
+                req: last_req(),
+                grants: vec![grant],
+            });
+            assert!(done.reply.lock().unwrap().take().expect("resolved").is_ok());
+            clock.advance(Dur::from_millis(1));
+        }
+        assert_eq!(
+            w.next_wait(),
+            Duration::from_millis(20),
+            "the idle wait: only cancelled retries are left"
+        );
+        assert!(w.timers.is_empty(), "and they were popped on the way");
+
+        // A miss whose reply never comes: its retry is live and due in
+        // one retry interval, and it goes out at that instant, not before.
+        let _pending = w.start_op(clock.now(), clock.now(), N, None);
+        let first = last_req();
+        assert_eq!(w.next_wait(), Duration::from_millis(100));
+        let sent = port.sent.lock().unwrap().len();
+        clock.advance(Dur::from_millis(99));
+        w.fire_timers();
+        assert_eq!(
+            port.sent.lock().unwrap().len(),
+            sent,
+            "not before it is due"
+        );
+        clock.advance(Dur::from_millis(1));
+        w.fire_timers();
+        assert_eq!(port.sent.lock().unwrap().len(), sent + 1);
+        assert_eq!(last_req(), first, "the same request, sent again");
+        assert_eq!(w.cache.counters.retries, 1);
     }
 }

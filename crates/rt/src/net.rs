@@ -10,23 +10,24 @@
 //! * [`TcpPort`] implements the client transport seam ([`Port`]): a
 //!   submission encodes one `lease-wire` frame and writes it to the
 //!   socket, on whichever thread holds the client's driver lock — the
-//!   application thread for a miss or a write, the client's IO thread
-//!   for a retransmission or an approval; the lock makes them one
-//!   sender. Deadlines cross as *remaining* time-to-live, computed
-//!   against this client's clock at send time — the T-Lease rule: no
-//!   absolute clock reading of ours means anything to the server.
-//!   An unwritable socket is [`PortVerdict::Dropped`] — exactly the
-//!   lost-datagram case §2's retransmission machinery already recovers,
-//!   so a server crash needs no client-side handling at all.
-//! * A reader thread per client decodes reply frames and publishes each
-//!   frame's replies into its own ring lane to the worker (one `Release`
-//!   store and one doorbell ring per frame), reconnecting (with the
-//!   hello handshake) whenever the connection dies. A worker slower than
-//!   the socket fills the lane, the reader stalls on it, and TCP flow
-//!   control carries the stall back to the server. Of a reconnection the
-//!   worker learns one bit ([`Port::reconnected`], with a ring of its
-//!   doorbell): its pending ops retransmit into the new connection at
-//!   once instead of a retry interval later.
+//!   application thread for a miss or a write, the reader for an
+//!   approval, the client's IO thread for a retransmission; the lock
+//!   makes them one sender. Deadlines cross as *remaining* time-to-live,
+//!   computed against this client's clock at send time — the T-Lease
+//!   rule: no absolute clock reading of ours means anything to the
+//!   server. An unwritable socket is [`PortVerdict::Dropped`] — exactly
+//!   the lost-datagram case §2's retransmission machinery already
+//!   recovers, so a server crash needs no client-side handling at all.
+//! * A reader thread per client decodes reply frames and resolves them
+//!   itself: per frame it takes the client's driver lock and feeds the
+//!   cache, so a reply fills its parked caller's completion from the
+//!   reader, with no hand-off to the IO thread (which is left with
+//!   timers alone). A cache slower than the socket holds the reader at
+//!   the lock, and TCP flow control carries the stall back to the
+//!   server. It reconnects (with the hello handshake) whenever the
+//!   connection dies, and once a new one is installed it takes the lock
+//!   and retransmits every pending op into it at once instead of a retry
+//!   interval later.
 //!
 //! [`RtSystem`]: crate::system::RtSystem
 
@@ -43,10 +44,9 @@ use lease_core::ring::Inbox;
 use lease_core::{Backoff, ClientConfig, ClientId, RetryBudget, ToClient, ToServer};
 use lease_net::connect_as;
 use lease_net::tcp::FrameAccum;
-use lease_svc::{Egress, EgressWorker};
 use lease_wire::{frame_messages, Dir, FrameBuilder, WireError};
 
-use crate::client::{spawn_client, RtClientHandle};
+use crate::client::{spawn_client, Feed, RtClientHandle};
 use crate::record::Recorder;
 use crate::server::{Port, PortVerdict, Res};
 
@@ -55,9 +55,6 @@ const POLL: Duration = Duration::from_millis(100);
 
 /// Pause before a reconnection attempt after a refused/dead connection.
 const RECONNECT_PAUSE: Duration = Duration::from_millis(50);
-
-/// Replies a worker's lane holds before its reader stalls.
-const LANE_CAP: usize = 1024;
 
 /// Configuration for a [`NetClient`] fleet.
 pub struct NetClientConfig {
@@ -123,9 +120,6 @@ impl NetClient {
         let clock: Arc<dyn Clock> = cfg.clock.unwrap_or_else(|| Arc::new(WallClock::new()));
         let recorder = Arc::new(Recorder::with_clock(Arc::clone(&clock)));
         let stop = Arc::new(AtomicBool::new(false));
-        // A local egress registry supplies each worker's lanes+doorbell;
-        // each reader thread is the one producer of its client's lane.
-        let egress: Egress<Res, Bytes> = Egress::new(cfg.clients as usize, LANE_CAP);
         let client_cfg = ClientConfig {
             epsilon: cfg.epsilon,
             retry_interval: cfg.retry_interval,
@@ -140,33 +134,32 @@ impl NetClient {
 
         for i in 0..cfg.clients {
             let conn = Arc::new(Conn::default());
-
-            threads.push(spawn_reader(
-                cfg.addr,
-                ClientId(i),
-                Arc::clone(&conn),
-                egress.inbox(i as usize),
-                egress.worker(),
-                Arc::clone(&stop),
-            ));
-
             let port = TcpPort {
-                conn,
+                conn: Arc::clone(&conn),
                 clock: Arc::clone(&clock),
                 buf: Mutex::new(Vec::new()),
                 who: ClientId(i),
             };
+            // No lanes: the reader resolves replies, so the IO thread's
+            // inbox only carries the doorbell for timers.
             let (handle, thread) = spawn_client(
                 ClientId(i),
                 client_cfg.clone(),
                 cfg.breaker,
-                egress.inbox(i as usize),
+                Arc::new(Inbox::new()),
                 Box::new(port),
                 Arc::clone(&clock),
                 Arc::clone(&recorder),
             );
-            handles.push(handle);
             threads.push(thread);
+            threads.push(spawn_reader(
+                cfg.addr,
+                ClientId(i),
+                conn,
+                handle.feed(),
+                Arc::clone(&stop),
+            ));
+            handles.push(handle);
         }
 
         NetClient {
@@ -189,7 +182,14 @@ impl NetClient {
 
     /// Stops every worker and reader and joins them. A caller parked on
     /// an operation gets [`RtError::Closed`](crate::RtError::Closed).
-    pub fn shutdown(mut self) {
+    /// Dropping the fleet does the same.
+    pub fn shutdown(self) {
+        drop(self);
+    }
+}
+
+impl Drop for NetClient {
+    fn drop(&mut self) {
         for h in &self.handles {
             h.close();
         }
@@ -200,20 +200,13 @@ impl NetClient {
     }
 }
 
-/// What a client's port and its reader thread share.
-#[derive(Default)]
-struct Conn {
-    /// The write half of the live connection; `None` while there is none.
-    stream: Mutex<Option<TcpStream>>,
-    /// Raised by the reader when it installs a (re)connected stream,
-    /// lowered by the driver when it hears of it.
-    fresh: AtomicBool,
-}
+/// What a client's port and its reader thread share: the write half of
+/// the live connection, `None` while there is none. Taken after the
+/// driver lock, never before it.
+type Conn = Mutex<Option<TcpStream>>;
 
-impl Conn {
-    fn stream(&self) -> MutexGuard<'_, Option<TcpStream>> {
-        self.stream.lock().unwrap_or_else(PoisonError::into_inner)
-    }
+fn lock(conn: &Conn) -> MutexGuard<'_, Option<TcpStream>> {
+    conn.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The TCP-backed client transport: one frame per submission, written
@@ -246,7 +239,7 @@ impl Port for TcpPort {
         fb.push_c2s(&mut buf, &msg, remaining);
         fb.finish(&mut buf);
 
-        let mut guard = self.conn.stream();
+        let mut guard = lock(&self.conn);
         let Some(stream) = guard.as_mut() else {
             return PortVerdict::Dropped; // disconnected: retransmission recovers
         };
@@ -258,22 +251,15 @@ impl Port for TcpPort {
             }
         }
     }
-
-    fn reconnected(&self) -> bool {
-        // Acquire pairs with the reader's Release: whoever sees the flag
-        // finds the stream it announces in the slot.
-        self.conn.fresh.swap(false, Ordering::AcqRel)
-    }
 }
 
 /// The per-client reader: owns the connect/reconnect loop, decodes reply
-/// frames, and publishes them into its lane to the worker.
+/// frames, and resolves them on its own thread through `feed`.
 fn spawn_reader(
     addr: SocketAddr,
     who: ClientId,
     conn: Arc<Conn>,
-    inbox: Arc<Inbox<ToClient<Res, Bytes>>>,
-    mut lane: EgressWorker<Res, Bytes>,
+    feed: Feed,
     stop: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
@@ -294,13 +280,11 @@ fn spawn_reader(
                 }
                 let writer = stream.try_clone().ok();
                 let up = writer.is_some();
-                *conn.stream() = writer;
+                *lock(&conn) = writer;
                 if up {
-                    // Whatever was submitted while there was no
-                    // connection went nowhere: tell the driver, so it
-                    // retransmits now.
-                    conn.fresh.store(true, Ordering::Release);
-                    inbox.bell().ring();
+                    // Whatever was submitted while there was no connection
+                    // went nowhere: retransmit it now (lock released).
+                    feed.connected();
                 }
                 // A fresh byte stream gets a fresh accumulator: no stale
                 // prefix from the previous connection.
@@ -308,7 +292,7 @@ fn spawn_reader(
 
                 while !stop.load(Ordering::SeqCst) {
                     // A corrupt stream means reconnect.
-                    if publish_frames(&mut accum, &mut lane, who, &mut run).is_err() {
+                    if deliver_frames(&mut accum, &feed, &mut run).is_err() {
                         break;
                     }
                     match accum.fill(&mut stream) {
@@ -320,7 +304,7 @@ fn spawn_reader(
                         Err(_) => break,
                     }
                 }
-                *conn.stream() = None;
+                *lock(&conn) = None;
                 if !stop.load(Ordering::SeqCst) {
                     std::thread::sleep(RECONNECT_PAUSE);
                 }
@@ -329,15 +313,13 @@ fn spawn_reader(
         .expect("spawn net reader")
 }
 
-/// Decodes every complete frame buffered in `accum` and publishes each
-/// reply frame's messages to `who`'s worker as one run: one `Release`
-/// store and one doorbell ring per frame. A full lane blocks here until
-/// the worker drains it (or is gone, which drops the run). `run` is the
-/// caller's reusable scratch, left empty.
-fn publish_frames(
+/// Decodes every complete frame buffered in `accum` and feeds each reply
+/// frame's messages to the cache under one take of the driver lock. A
+/// busy driver holds the reader here. `run` is the caller's reusable
+/// scratch, left empty.
+fn deliver_frames(
     accum: &mut FrameAccum,
-    lane: &mut EgressWorker<Res, Bytes>,
-    who: ClientId,
+    feed: &Feed,
     run: &mut Vec<ToClient<Res, Bytes>>,
 ) -> Result<(), WireError> {
     run.clear();
@@ -350,8 +332,7 @@ fn publish_frames(
             run.push(m);
         }
         if !run.is_empty() {
-            lane.push_run(who, run);
-            lane.flush_wakes();
+            feed.deliver(run);
         }
     }
     Ok(())

@@ -22,8 +22,7 @@ use lease_core::{ClientId, ServerCounters, Storage, ToClient, ToServer, Version}
 use lease_quorum::GrantorGate;
 use lease_store::{FileId, Store};
 use lease_svc::{
-    chaos::Delivery, ClientSink, Egress, EgressWorker, FaultPlan, LinkChaos, SvcError, SvcHandle,
-    WorkerSink,
+    chaos::Delivery, ClientSink, Egress, FaultPlan, LinkChaos, SvcError, SvcHandle, WorkerSink,
 };
 use lease_vsys::HistoryEvent;
 
@@ -268,7 +267,7 @@ pub(crate) enum Delayed {
 /// duplicated) message of a system, both directions: entries wait in a
 /// map ordered by deadline, the sleeper parks until the earliest one
 /// is due and then sends it through its *own* sending halves — an
-/// [`EgressWorker`] for replies, a [`Router`] for submissions — so
+/// [`Egress`] worker for replies, a [`Router`] for submissions — so
 /// a delayed message costs a map entry: no thread, no handle clone, no
 /// lane registration. The thread is spawned lazily on the first delayed
 /// message (fault-free runs never pay for it) and is stopped and joined
@@ -288,7 +287,7 @@ struct DelayShared {
 }
 
 struct DelayIo {
-    replies: EgressWorker<Res, Bytes>,
+    replies: Box<dyn WorkerSink<Res, Bytes>>,
     submit: Option<Router>,
 }
 
@@ -317,7 +316,7 @@ impl DelayPool {
                 }),
                 cvar: Condvar::new(),
                 io: Mutex::new(DelayIo {
-                    replies: egress.worker(),
+                    replies: Box::new(egress.worker()),
                     submit: None,
                 }),
             }),
@@ -383,7 +382,7 @@ impl Drop for DelayPool {
 
 impl DelayShared {
     fn run(&self) {
-        let mut run: Vec<ToClient<Res, Bytes>> = Vec::new();
+        let mut run: Vec<(ClientId, ToClient<Res, Bytes>)> = Vec::new();
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if st.closed {
@@ -409,9 +408,8 @@ impl DelayShared {
             let mut io = self.io.lock().unwrap_or_else(PoisonError::into_inner);
             match what {
                 Delayed::Reply(to, msg) => {
-                    run.extend((0..copies).map(|_| msg.clone()));
-                    io.replies.push_run(to, &mut run);
-                    io.replies.flush_wakes();
+                    run.extend((0..copies).map(|_| (to, msg.clone())));
+                    io.replies.deliver_batch(&mut run);
                 }
                 Delayed::Submission(from, msg, deadline) => {
                     if let Some(submit) = &io.submit {
@@ -469,7 +467,7 @@ pub(crate) struct RtSink {
 impl ClientSink<Res, Bytes> for RtSink {
     fn attach_worker(&self) -> Box<dyn WorkerSink<Res, Bytes>> {
         Box::new(RtWorkerSink {
-            worker: self.egress.worker(),
+            worker: Box::new(self.egress.worker()),
             cuts: self.cuts.clone(),
             chaos: self.chaos.clone(),
             fence: self.fence.clone(),
@@ -485,7 +483,7 @@ impl ClientSink<Res, Bytes> for RtSink {
 /// sleeper, or left in the flush the lanes then publish one same-client
 /// run at a time.
 struct RtWorkerSink {
-    worker: EgressWorker<Res, Bytes>,
+    worker: Box<dyn WorkerSink<Res, Bytes>>,
     cuts: Vec<Arc<AtomicBool>>,
     chaos: Option<Arc<ChaosNet>>,
     fence: RtFence,
@@ -557,10 +555,11 @@ pub enum PortVerdict {
 /// a [`SvcHandle`] is a per-producer object (one SPSC lane per shard),
 /// so ports are cloned per client rather than shared behind an `Arc`.
 /// `send` is called only with that client's driver lock held — by the
-/// application thread starting a miss or a write, or by the client's IO
-/// thread retransmitting or approving, never both at once. The lock, not
-/// thread identity, is what keeps the lanes single-producer; hence
-/// `Send` and not `Sync`.
+/// application thread starting a miss or a write, by the client's IO
+/// thread retransmitting or (in process) approving, or by a socket
+/// client's reader approving or retransmitting into a fresh connection;
+/// never two at once. The lock, not thread identity, is what keeps the
+/// lanes single-producer; hence `Send` and not `Sync`.
 pub trait Port: Send {
     /// Submits one client message, unless faults interfere. `deadline` is
     /// the originating op's drop-dead time, propagated so the service can
@@ -571,15 +570,6 @@ pub trait Port: Send {
         msg: ToServer<Res, Bytes>,
         deadline: Option<Time>,
     ) -> PortVerdict;
-
-    /// Whether the transport came (back) up since the last call. What
-    /// was submitted while it was down was [`PortVerdict::Dropped`], so
-    /// the driver answers `true` by retransmitting every pending request
-    /// at once rather than a retry interval later. A port that is never
-    /// down keeps the default.
-    fn reconnected(&self) -> bool {
-        false
-    }
 }
 
 /// One replica as one producer sees it: the producer's own handle clone

@@ -1,6 +1,8 @@
-//! A reply burst larger than the reader→worker lane: the reader stalls
-//! on the full lane, TCP flow control holds the rest back, and every
-//! reply still reaches the worker, once, in order.
+//! A burst of approval requests in one frame: the socket reader answers
+//! each itself, under the client's driver lock, while the rest of the
+//! burst waits in the socket. A reader held at that lock stops reading,
+//! and TCP flow control carries the stall back to the server. Every
+//! request is still answered, once, in order.
 
 use std::io::{Read, Write};
 use std::net::TcpListener;
@@ -12,13 +14,13 @@ use lease_net::tcp::FrameAccum;
 use lease_rt::{NetClient, NetClientConfig};
 use lease_wire::{frame_messages, Dir, FrameBuilder, HEADER_LEN};
 
-/// Five times the 1024-slot lane.
+/// Far more than one socket buffer's worth of answers.
 const BURST: u64 = 5_000;
 
 #[test]
-fn a_reply_burst_larger_than_the_lane_arrives_complete_and_in_order() {
+fn a_burst_of_approval_requests_is_answered_once_each_in_order() {
     // A stand-in server: takes the hello, then sends one frame of BURST
-    // approval requests. The worker answers each with an `Approve`
+    // approval requests. The client answers each with an `Approve`
     // carrying the same write id, so the order it saw them in is visible
     // from here.
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
