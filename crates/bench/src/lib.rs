@@ -17,7 +17,7 @@ use lease_workload::Trace;
 mod alloc_count;
 pub mod sweep;
 
-pub use alloc_count::allocations;
+pub use alloc_count::{allocations, live_bytes};
 
 /// The value at quantile `p` (0.0–1.0) of an ascending-sorted slice;
 /// zero when empty.

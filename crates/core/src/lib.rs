@@ -15,11 +15,12 @@
 //! The implementation is a pair of sans-IO state machines:
 //!
 //! * [`LeaseServer`] — grants and extends leases (with a pluggable
-//!   [`TermPolicy`]), runs the write-approval protocol with the
+//!   [`TermPolicy`] that keeps whatever access statistics it reads; the
+//!   server keeps none), runs the write-approval protocol with the
 //!   write-starvation guard, manages installed files by periodic multicast
-//!   extension and delayed update (§4), and recovers from crashes either by
-//!   honouring the persisted maximum term or from persistent lease records
-//!   (§2, §5).
+//!   extension and delayed update (§4), and recovers from crashes either
+//!   by honouring the persisted maximum term or from persistent lease
+//!   records (§2, §5).
 //! * [`LeaseClient`] — the write-through cache: read fast path under a
 //!   valid lease, batched extension, conservative effective-term
 //!   accounting (`t_c = t_s − (m_prop + 2·m_proc) − ε`, §3.1), approval
@@ -96,7 +97,7 @@ pub use client::{
 pub use hash::{fx_hash, FxHasher};
 pub use msg::{ErrorReason, Grant, ToClient, ToServer};
 pub use policy::{
-    AdaptiveTerm, ClosurePolicy, CompensatedTerm, FixedTerm, TermController, TermPolicy,
+    AdaptiveTerm, CompensatedTerm, FixedTerm, Observation, TermController, TermPolicy,
 };
 pub use server::{
     LeaseServer, RecoveryMode, ServerConfig, ServerCounters, ServerInput, ServerOutput, ServerTimer,

@@ -6,19 +6,38 @@
 //! file might be given a lease term of zero. [...] In general, a server can
 //! dynamically pick lease terms on a per file and per client cache basis
 //! using the analytic model."
+//!
+//! The server keeps no access statistics: it reports what it sees to the
+//! policy, and a policy that reads statistics ([`AdaptiveTerm`]) keeps them.
 
-use lease_clock::Dur;
+use std::collections::HashMap;
+
+use lease_clock::{Dur, Time};
 
 use crate::stats::ResourceStats;
 use crate::types::{ClientId, Resource};
 
+/// What the server reports to its [`TermPolicy`], where it happens.
+#[derive(Debug, Clone, Copy)]
+pub enum Observation<R> {
+    /// A grant or extension of the resource at this instant, before its term.
+    Read(R, Time),
+    /// A write of the resource arriving while this many caches hold leases.
+    Write(R, Time, usize),
+    /// The server crashed: what it observed was volatile, like its table.
+    Crash,
+}
+
 /// Picks the term for a lease the server is about to grant.
 pub trait TermPolicy<R: Resource>: Send {
-    /// The term for a grant of `resource` to `client`, given the observed
-    /// access statistics. Returning [`Dur::ZERO`] serves the data without
-    /// caching rights; [`Dur::MAX`] is an infinite lease (the revised-Andrew
-    /// configuration, useful as a baseline).
-    fn term(&mut self, resource: &R, client: ClientId, stats: &ResourceStats) -> Dur;
+    /// The term for a grant of `resource` to `client`. Returning
+    /// [`Dur::ZERO`] serves the data without caching rights; [`Dur::MAX`]
+    /// is an infinite lease (the revised-Andrew configuration, useful as a
+    /// baseline).
+    fn term(&mut self, resource: &R, client: ClientId) -> Dur;
+
+    /// One of the server's observations; the default ignores it.
+    fn observe(&mut self, _what: Observation<R>) {}
 }
 
 /// The same term for every grant — the configuration the paper's model
@@ -27,10 +46,13 @@ pub trait TermPolicy<R: Resource>: Send {
 pub struct FixedTerm(pub Dur);
 
 impl<R: Resource> TermPolicy<R> for FixedTerm {
-    fn term(&mut self, _resource: &R, _client: ClientId, _stats: &ResourceStats) -> Dur {
+    fn term(&mut self, _resource: &R, _client: ClientId) -> Dur {
         self.0
     }
 }
+
+/// Smoothing time constant of [`AdaptiveTerm`]'s per-resource statistics.
+const STATS_TAU: Dur = Dur::from_secs(30);
 
 /// The knee rule derived from the paper's model: the shortest term that
 /// already captures a `1 - theta` fraction of the extension-traffic
@@ -41,24 +63,27 @@ impl<R: Resource> TermPolicy<R> for FixedTerm {
 /// With the paper's `R = 0.864/s` and `theta = 0.1`, this yields ≈ 10.4 s —
 /// the "term of (say) 10 seconds" the paper recommends. When the benefit
 /// factor `α ≤ 1` (heavy write sharing), a non-zero term only adds load, so
-/// the rule returns zero (§3.1).
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptiveTerm {
+/// the rule returns zero (§3.1). The rates come from one [`ResourceStats`]
+/// per resource observed, forgotten when the server crashes.
+#[derive(Debug, Clone)]
+pub struct AdaptiveTerm<R> {
     /// Target residual fraction of extension traffic (e.g. 0.1).
     pub theta: f64,
     /// Lower clamp for non-zero terms.
     pub min: Dur,
     /// Upper clamp.
     pub max: Dur,
+    stats: HashMap<R, ResourceStats>,
 }
 
-impl AdaptiveTerm {
-    /// A sensible default: 10% residual traffic, terms clamped to 1–60 s.
-    pub fn new() -> AdaptiveTerm {
+impl<R: Resource> AdaptiveTerm<R> {
+    /// The knee rule for `theta`, terms clamped to `min..=max`.
+    pub fn new(theta: f64, min: Dur, max: Dur) -> AdaptiveTerm<R> {
         AdaptiveTerm {
-            theta: 0.1,
-            min: Dur::from_secs(1),
-            max: Dur::from_secs(60),
+            theta,
+            min,
+            max,
+            stats: HashMap::new(),
         }
     }
 
@@ -70,27 +95,39 @@ impl AdaptiveTerm {
             Dur::from_secs_f64((1.0 / theta - 1.0) / read_rate)
         }
     }
-}
 
-impl Default for AdaptiveTerm {
-    fn default() -> AdaptiveTerm {
-        AdaptiveTerm::new()
+    fn stats(&mut self, resource: R) -> &mut ResourceStats {
+        self.stats
+            .entry(resource)
+            .or_insert_with(|| ResourceStats::new(STATS_TAU))
     }
 }
 
-impl<R: Resource> TermPolicy<R> for AdaptiveTerm {
-    fn term(&mut self, _resource: &R, _client: ClientId, stats: &ResourceStats) -> Dur {
+impl<R: Resource> Default for AdaptiveTerm<R> {
+    /// 10% residual traffic, terms clamped to 1–60 s.
+    fn default() -> AdaptiveTerm<R> {
+        AdaptiveTerm::new(0.1, Dur::from_secs(1), Dur::from_secs(60))
+    }
+}
+
+impl<R: Resource> TermPolicy<R> for AdaptiveTerm<R> {
+    fn observe(&mut self, what: Observation<R>) {
+        match what {
+            Observation::Read(r, now) => self.stats(r).on_read(now),
+            Observation::Write(r, now, holders) => self.stats(r).on_write(now, holders),
+            Observation::Crash => self.stats.clear(),
+        }
+    }
+
+    fn term(&mut self, resource: &R, _client: ClientId) -> Dur {
+        let stats = self.stats(*resource);
         if stats.alpha() <= 1.0 {
             return Dur::ZERO;
         }
         // The per-cache read rate is what amortizes extensions; the stats
         // track the aggregate rate, so divide by the sharing degree.
         let per_cache_rate = stats.read_rate() / stats.sharing();
-        Ord::clamp(
-            AdaptiveTerm::knee(self.theta, per_cache_rate),
-            self.min,
-            self.max,
-        )
+        Ord::clamp(Self::knee(self.theta, per_cache_rate), self.min, self.max)
     }
 }
 
@@ -126,8 +163,12 @@ impl<R: Resource> CompensatedTerm<R> {
 }
 
 impl<R: Resource> TermPolicy<R> for CompensatedTerm<R> {
-    fn term(&mut self, resource: &R, client: ClientId, stats: &ResourceStats) -> Dur {
-        let base = self.inner.term(resource, client, stats);
+    fn observe(&mut self, what: Observation<R>) {
+        self.inner.observe(what);
+    }
+
+    fn term(&mut self, resource: &R, client: ClientId) -> Dur {
+        let base = self.inner.term(resource, client);
         if base.is_zero() || base.is_infinite() {
             return base; // Zero stays zero; infinite needs no help.
         }
@@ -225,77 +266,148 @@ impl TermController {
     }
 }
 
-/// The decision function of a [`ClosurePolicy`].
-pub type TermFn<R> = Box<dyn FnMut(&R, ClientId, &ResourceStats) -> Dur + Send>;
-
-/// An arbitrary policy from a closure, for experiments.
-pub struct ClosurePolicy<R>(
-    /// The decision function.
-    pub TermFn<R>,
-);
-
-impl<R: Resource> TermPolicy<R> for ClosurePolicy<R> {
-    fn term(&mut self, resource: &R, client: ClientId, stats: &ResourceStats) -> Dur {
-        (self.0)(resource, client, stats)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lease_clock::Time;
 
-    fn stats_with(reads_per_sec: f64, writes_per_sec: f64, sharers: usize) -> ResourceStats {
-        let mut s = ResourceStats::new(Dur::from_secs(10));
+    /// Reports 300 reads, then 300 writes seen with `sharers` holders, of
+    /// resource 1 at the given rates.
+    fn observe(
+        p: &mut dyn TermPolicy<u64>,
+        reads_per_sec: f64,
+        writes_per_sec: f64,
+        sharers: usize,
+    ) {
         if reads_per_sec > 0.0 {
             let gap_ms = (1000.0 / reads_per_sec) as u64;
             for i in 1..=300u64 {
-                s.on_read(Time::from_millis(i * gap_ms));
+                p.observe(Observation::Read(1, Time::from_millis(i * gap_ms)));
             }
         }
         if writes_per_sec > 0.0 {
             let gap_ms = (1000.0 / writes_per_sec) as u64;
             for i in 1..=300u64 {
-                s.on_write(Time::from_millis(i * gap_ms), sharers);
+                p.observe(Observation::Write(
+                    1,
+                    Time::from_millis(i * gap_ms),
+                    sharers,
+                ));
             }
         }
-        s
     }
 
     #[test]
     fn fixed_term_is_constant() {
         let mut p = FixedTerm(Dur::from_secs(10));
-        let s = stats_with(1.0, 0.0, 1);
-        let t = TermPolicy::<u64>::term(&mut p, &1, ClientId(0), &s);
+        observe(&mut p, 1.0, 2.0, 8);
+        let t = TermPolicy::<u64>::term(&mut p, &1, ClientId(0));
         assert_eq!(t, Dur::from_secs(10));
     }
 
     #[test]
     fn knee_matches_paper_example() {
         // R = 0.864/s, theta = 0.1 -> about 10.4 s.
-        let t = AdaptiveTerm::knee(0.1, 0.864);
+        let t = AdaptiveTerm::<u64>::knee(0.1, 0.864);
         assert!((t.as_secs_f64() - 10.42).abs() < 0.05, "{t}");
     }
 
     #[test]
     fn adaptive_zeroes_write_shared_resources() {
         // Heavy write sharing: alpha = 2R/(SW) = 2*1/(8*2) < 1.
-        let s = stats_with(1.0, 2.0, 8);
-        assert!(s.alpha() < 1.0, "alpha = {}", s.alpha());
-        let mut p = AdaptiveTerm::new();
-        assert_eq!(
-            TermPolicy::<u64>::term(&mut p, &1, ClientId(0), &s),
-            Dur::ZERO
-        );
+        let mut p = AdaptiveTerm::default();
+        observe(&mut p, 1.0, 2.0, 8);
+        assert!(p.stats(1).alpha() < 1.0, "alpha = {}", p.stats(1).alpha());
+        assert_eq!(p.term(&1, ClientId(0)), Dur::ZERO);
     }
 
     #[test]
     fn adaptive_grants_long_terms_to_read_mostly() {
-        let s = stats_with(2.0, 0.01, 1);
-        let mut p = AdaptiveTerm::new();
-        let t = TermPolicy::<u64>::term(&mut p, &1, ClientId(0), &s);
+        let mut p = AdaptiveTerm::default();
+        observe(&mut p, 2.0, 0.01, 1);
+        let t = p.term(&1, ClientId(0));
         assert!(t >= Dur::from_secs(1) && t <= Dur::from_secs(60));
         assert!(t.as_secs_f64() > 3.0, "expected multi-second term, got {t}");
+    }
+
+    /// The rule as the server applied it when it kept the statistics and
+    /// handed them to the policy: the reference for the parity test.
+    fn term_from(p: &AdaptiveTerm<u64>, stats: &ResourceStats) -> Dur {
+        if stats.alpha() <= 1.0 {
+            return Dur::ZERO;
+        }
+        let rate = stats.read_rate() / stats.sharing();
+        Ord::clamp(AdaptiveTerm::<u64>::knee(p.theta, rate), p.min, p.max)
+    }
+
+    #[test]
+    fn adaptive_terms_match_statistics_kept_beside_the_policy() {
+        let mut p = AdaptiveTerm::default();
+        let mut by_hand: HashMap<u64, ResourceStats> = HashMap::new();
+        let mut got = Vec::new();
+        let mut want = Vec::new();
+        let mut step = |p: &mut AdaptiveTerm<u64>,
+                        by_hand: &mut HashMap<u64, ResourceStats>,
+                        ms: u64,
+                        r: u64,
+                        write: Option<usize>| {
+            let now = Time::from_millis(ms);
+            let s = by_hand
+                .entry(r)
+                .or_insert_with(|| ResourceStats::new(STATS_TAU));
+            match write {
+                None => {
+                    p.observe(Observation::Read(r, now));
+                    s.on_read(now);
+                }
+                Some(holders) => {
+                    p.observe(Observation::Write(r, now, holders));
+                    s.on_write(now, holders);
+                }
+            }
+            got.push(p.term(&r, ClientId(0)));
+            want.push(term_from(p, s));
+        };
+        // Read-mostly, then heavily write-shared (alpha <= 1: zero terms),
+        // then read-mostly again; two resources interleaved, a crash in
+        // the middle of the second phase.
+        for i in 0..400u64 {
+            step(&mut p, &mut by_hand, i * 500, i % 2, None);
+            if i % 50 == 0 {
+                step(&mut p, &mut by_hand, i * 500 + 1, i % 2, Some(1));
+            }
+        }
+        for i in 400..800u64 {
+            step(&mut p, &mut by_hand, i * 500, 0, None);
+            for w in 0..4 {
+                step(&mut p, &mut by_hand, i * 500 + 100 * w, 0, Some(8));
+            }
+            if i == 600 {
+                p.observe(Observation::Crash);
+                by_hand.clear();
+            }
+        }
+        for i in 800..1200u64 {
+            step(&mut p, &mut by_hand, i * 500, 0, None);
+            if i % 20 == 0 {
+                step(&mut p, &mut by_hand, i * 500 + 1, 0, Some(1));
+            }
+        }
+        assert_eq!(got, want);
+        assert!(got.contains(&Dur::ZERO), "no zero-term phase: {got:?}");
+        assert!(got.iter().any(|t| !t.is_zero()));
+    }
+
+    #[test]
+    fn compensation_forwards_observations_to_the_inner_policy() {
+        let mut p: CompensatedTerm<u64> = CompensatedTerm::new(Box::new(AdaptiveTerm::default()))
+            .compensate(ClientId(7), Dur::from_millis(200));
+        observe(&mut p, 1.0, 2.0, 8);
+        assert_eq!(p.term(&1, ClientId(7)), Dur::ZERO);
+        p.observe(Observation::Crash);
+        assert_eq!(
+            p.term(&1, ClientId(7)),
+            Dur::from_secs(60) + Dur::from_millis(200)
+        );
     }
 
     #[test]
@@ -303,10 +415,9 @@ mod tests {
         let mut p: CompensatedTerm<u64> =
             CompensatedTerm::new(Box::new(FixedTerm(Dur::from_secs(10))))
                 .compensate(ClientId(7), Dur::from_millis(200));
-        let s = stats_with(1.0, 0.0, 1);
-        assert_eq!(p.term(&1, ClientId(0), &s), Dur::from_secs(10));
+        assert_eq!(p.term(&1, ClientId(0)), Dur::from_secs(10));
         assert_eq!(
-            p.term(&1, ClientId(7), &s),
+            p.term(&1, ClientId(7)),
             Dur::from_secs(10) + Dur::from_millis(200)
         );
     }
@@ -315,11 +426,10 @@ mod tests {
     fn compensation_preserves_zero_and_infinite() {
         let mut zero: CompensatedTerm<u64> = CompensatedTerm::new(Box::new(FixedTerm(Dur::ZERO)))
             .compensate(ClientId(7), Dur::from_secs(1));
-        let s = stats_with(1.0, 0.0, 1);
-        assert_eq!(zero.term(&1, ClientId(7), &s), Dur::ZERO);
+        assert_eq!(zero.term(&1, ClientId(7)), Dur::ZERO);
         let mut inf: CompensatedTerm<u64> = CompensatedTerm::new(Box::new(FixedTerm(Dur::MAX)))
             .compensate(ClientId(7), Dur::from_secs(1));
-        assert_eq!(inf.term(&1, ClientId(7), &s), Dur::MAX);
+        assert_eq!(inf.term(&1, ClientId(7)), Dur::MAX);
     }
 
     #[test]
@@ -384,19 +494,5 @@ mod tests {
         c.observe(1.0); // level = 0.5
                         // floor + (term - floor) * 0.5 = 1s + 4.5s = 5.5s
         assert_eq!(c.apply(Dur::from_secs(10)), Dur::from_millis(5500));
-    }
-
-    #[test]
-    fn closure_policy_runs() {
-        let mut p: ClosurePolicy<u64> = ClosurePolicy(Box::new(|r, _, _| {
-            if *r == 1 {
-                Dur::ZERO
-            } else {
-                Dur::from_secs(5)
-            }
-        }));
-        let s = stats_with(0.0, 0.0, 1);
-        assert_eq!(p.term(&1, ClientId(0), &s), Dur::ZERO);
-        assert_eq!(p.term(&2, ClientId(0), &s), Dur::from_secs(5));
     }
 }

@@ -16,8 +16,7 @@ use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use lease_clock::{Dur, Time};
 
 use crate::msg::{ErrorReason, Grant, ToClient, ToServer};
-use crate::policy::{TermController, TermPolicy};
-use crate::stats::ResourceStats;
+use crate::policy::{Observation, TermController, TermPolicy};
 use crate::storage::Storage;
 use crate::table::LeaseTable;
 use crate::types::{ClientId, LeaseHandle, ReqId, Resource, Version, WriteId};
@@ -36,7 +35,7 @@ pub enum RecoveryMode {
 
 /// Server configuration.
 pub struct ServerConfig<R: Resource> {
-    /// Term policy for ordinary grants.
+    /// Term policy for ordinary grants, told of every read, write, crash.
     pub policy: Box<dyn TermPolicy<R>>,
     /// Crash-recovery mode.
     pub recovery: RecoveryMode,
@@ -47,8 +46,6 @@ pub struct ServerConfig<R: Resource> {
     /// How many recent write replies to remember per client for
     /// at-most-once retransmission handling.
     pub dedup_capacity: usize,
-    /// Smoothing constant for per-resource statistics.
-    pub stats_tau: Dur,
     /// Refuse new grants (drop Fetch/Renew without reply) while the
     /// post-crash recovery window is open, instead of only stalling writes.
     ///
@@ -73,7 +70,6 @@ impl<R: Resource> ServerConfig<R> {
             installed_tick: Dur::from_secs(30),
             installed_term: Dur::from_secs(60),
             dedup_capacity: 64,
-            stats_tau: Dur::from_secs(30),
             defer_grants_in_recovery: false,
             overload: None,
         }
@@ -254,7 +250,6 @@ struct QueuedFetch {
 pub struct LeaseServer<R: Resource, D> {
     cfg: ServerConfig<R>,
     table: LeaseTable<R>,
-    stats: HashMap<R, ResourceStats>,
     pending: HashMap<R, VecDeque<PendingWrite<D>>>,
     write_index: HashMap<WriteId, R>,
     queued_fetches: HashMap<R, Vec<QueuedFetch>>,
@@ -284,7 +279,6 @@ impl<R: Resource, D: Clone> LeaseServer<R, D> {
         LeaseServer {
             cfg,
             table: LeaseTable::new(),
-            stats: HashMap::new(),
             pending: HashMap::new(),
             write_index: HashMap::new(),
             queued_fetches: HashMap::new(),
@@ -397,7 +391,7 @@ impl<R: Resource, D: Clone> LeaseServer<R, D> {
     /// keep.
     pub fn crash(&mut self) {
         self.table.clear();
-        self.stats.clear();
+        self.cfg.policy.observe(Observation::Crash);
         self.pending.clear();
         self.write_index.clear();
         self.queued_fetches.clear();
@@ -602,11 +596,7 @@ impl<R: Resource, D: Clone> LeaseServer<R, D> {
             return None;
         }
         let (data, version) = store.read(&resource)?;
-        let stats = self
-            .stats
-            .entry(resource)
-            .or_insert_with(|| ResourceStats::new(self.cfg.stats_tau));
-        stats.on_read(now);
+        self.cfg.policy.observe(Observation::Read(resource, now));
         let mut rec_handle = LeaseHandle::NULL;
         let term = if self.installed.contains(&resource) {
             // Installed files: no per-client record; remember only the
@@ -616,8 +606,7 @@ impl<R: Resource, D: Clone> LeaseServer<R, D> {
             *e = (*e).max(exp);
             self.cfg.installed_term
         } else {
-            let stats = self.stats.get(&resource).expect("just inserted");
-            let term = self.cfg.policy.term(&resource, from, stats);
+            let term = self.cfg.policy.term(&resource, from);
             let term = self.degraded(term);
             if !term.is_zero() {
                 let expiry = now.saturating_add(term);
@@ -666,11 +655,10 @@ impl<R: Resource, D: Clone> LeaseServer<R, D> {
     ) {
         let id = WriteId(self.next_write);
         self.next_write += 1;
-        let stats = self
-            .stats
-            .entry(resource)
-            .or_insert_with(|| ResourceStats::new(self.cfg.stats_tau));
-        stats.on_write(now, self.table.holder_count_at(resource, now));
+        let holders = self.table.holder_count_at(resource, now);
+        self.cfg
+            .policy
+            .observe(Observation::Write(resource, now, holders));
         if let Some(w) = writer {
             self.inflight_writes.insert(w);
         }
@@ -739,25 +727,26 @@ impl<R: Resource, D: Clone> LeaseServer<R, D> {
             deadline = deadline.max(rec);
         }
 
+        let to: Vec<ClientId> = awaiting.iter().copied().collect();
         let front = self
             .pending
             .get_mut(&resource)
             .and_then(|q| q.front_mut())
             .expect("front exists");
-        front.awaiting = awaiting.clone();
+        front.awaiting = awaiting;
         front.deadline = deadline;
 
-        if awaiting.is_empty() && deadline <= now {
+        if to.is_empty() && deadline <= now {
             self.counters.writes_immediate += 1;
             self.commit_front(now, resource, store, out);
             return;
         }
         self.counters.writes_deferred += 1;
-        if !awaiting.is_empty() {
+        if !to.is_empty() {
             self.counters.approval_multicasts += 1;
             let replaces = store.version(&resource).unwrap_or(Version(0));
             out.push(ServerOutput::Multicast {
-                to: awaiting.into_iter().collect(),
+                to,
                 msg: ToClient::ApprovalRequest {
                     write_id: id,
                     resource,
@@ -895,11 +884,7 @@ impl<R: Resource, D: Clone> LeaseServer<R, D> {
             let term = if self.installed.contains(&resource) {
                 Dur::ZERO
             } else {
-                let stats = self
-                    .stats
-                    .entry(resource)
-                    .or_insert_with(|| ResourceStats::new(self.cfg.stats_tau));
-                let term = self.cfg.policy.term(&resource, client, stats);
+                let term = self.cfg.policy.term(&resource, client);
                 let term = self.degraded(term);
                 if !term.is_zero() {
                     let expiry = now.saturating_add(term);

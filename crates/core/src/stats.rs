@@ -1,4 +1,5 @@
-//! Per-resource access statistics for adaptive term policies.
+//! Per-resource access statistics, kept by the term policy that reads
+//! them ([`AdaptiveTerm`](crate::policy::AdaptiveTerm)), not by the server.
 
 use lease_clock::{Dur, Time};
 

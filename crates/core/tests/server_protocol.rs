@@ -6,8 +6,9 @@
 
 use lease_clock::{Dur, Time};
 use lease_core::{
-    ClientId, Grant, LeaseHandle, LeaseServer, MemStorage, RecoveryMode, ReqId, ServerConfig,
-    ServerInput, ServerOutput, ServerTimer, Storage, ToClient, ToServer, Version, WriteId,
+    AdaptiveTerm, ClientId, Grant, LeaseHandle, LeaseServer, MemStorage, RecoveryMode, ReqId,
+    ServerConfig, ServerInput, ServerOutput, ServerTimer, Storage, ToClient, ToServer, Version,
+    WriteId,
 };
 
 type Server = LeaseServer<u64, String>;
@@ -427,6 +428,38 @@ fn recovery_max_term_defers_writes_not_reads() {
         &mut store,
     );
     assert_eq!(committed(&out), Some(Version(2)));
+}
+
+fn adaptive() -> Server {
+    let mut cfg = ServerConfig::fixed(Dur::ZERO);
+    cfg.policy = Box::new(AdaptiveTerm::default());
+    LeaseServer::new(cfg)
+}
+
+#[test]
+fn a_crash_leaves_an_adaptive_server_granting_what_a_fresh_one_would() {
+    let (_, mut store) = setup(10);
+    let mut s = adaptive();
+    // Ten reads a second for 100 s: the knee term falls to the 1 s clamp.
+    let mut term = Dur::ZERO;
+    for i in 0..1000 {
+        term = first_grant(&fetch(&mut s, &mut store, t(i * 100), C0, i, 7))
+            .unwrap()
+            .term;
+    }
+    assert_eq!(term, Dur::from_secs(1));
+
+    let max_term = s.max_term_granted();
+    s.crash();
+    s.recover(t(110_000), Some(max_term), vec![], &store);
+    let after = first_grant(&fetch(&mut s, &mut store, t(110_100), C1, 1, 7)).unwrap();
+    let fresh = first_grant(&fetch(&mut adaptive(), &mut store, t(110_100), C1, 1, 7)).unwrap();
+    assert_eq!(after.term, fresh.term);
+    assert_eq!(
+        after.term,
+        Dur::from_secs(60),
+        "nothing observed: the clamp"
+    );
 }
 
 #[test]

@@ -104,11 +104,7 @@ pub fn build_world(cfg: &SystemConfig, trace: &Trace) -> RunHandle {
         TermSpec::Fixed(d) => ServerConfig::fixed(*d),
         TermSpec::Adaptive { theta, min, max } => {
             let mut c = ServerConfig::fixed(Dur::ZERO);
-            c.policy = Box::new(AdaptiveTerm {
-                theta: *theta,
-                min: *min,
-                max: *max,
-            });
+            c.policy = Box::new(AdaptiveTerm::new(*theta, *min, *max));
             c
         }
         TermSpec::Compensated { base, extra } => {
