@@ -12,11 +12,11 @@
 //!
 //! * **controlled** — the overload stack on: admission control (cold
 //!   fetches shed with a server-suggested `retry_after`, which the
-//!   client honours from a token-bucket retry budget), the adaptive term
-//!   controller, and per-op deadlines propagated into the mailbox so the
-//!   shard drops work whose caller has already given up;
+//!   client honours from a token-bucket retry budget) and per-op
+//!   deadlines propagated into the mailbox so the shard drops work whose
+//!   caller has already given up;
 //! * **ablated** — the same service with every protection off: blocking
-//!   sends, no admission, no controller, no deadlines. Past saturation
+//!   sends, no admission, no deadlines. Past saturation
 //!   its queue fills with work that is already dead by the time it is
 //!   drained, and goodput collapses even though raw throughput holds.
 //!
@@ -35,8 +35,8 @@ use std::time::{Duration, Instant};
 use lease_bench::percentile;
 use lease_clock::{Clock, Dur, Time, WallClock};
 use lease_core::{
-    ClientId, ErrorReason, LeaseServer, MemStorage, ReqId, ServerConfig, Storage, TermController,
-    ToClient, ToServer,
+    ClientId, ErrorReason, LeaseServer, MemStorage, ReqId, ServerConfig, Storage, ToClient,
+    ToServer,
 };
 use lease_svc::{
     AdmissionControl, Egress, EgressRx, EgressSink, FaultPlan, LeaseService, OverloadPlan,
@@ -70,10 +70,9 @@ overload_bench: open-loop goodput sweep for the overload stack
 
 Sweeps offered load at 0.5x/1x/2x/4x of a capacity-pinned shard
 (2ms/input slow-shard injection, ~500 ops/s), in two modes: `controlled`
-(admission control + term controller + retry budget + propagated
-deadlines) and `ablated` (blocking sends, no protections). Goodput is
-completions within a 100ms SLO, measured from the *intended* arrival
-instant.
+(admission control + retry budget + propagated deadlines) and `ablated`
+(blocking sends, no protections). Goodput is completions within a 100ms
+SLO, measured from the *intended* arrival instant.
 
   --quick         short measurement windows (CI smoke); recorded in the
                   JSON, and --check refuses to compare across modes
@@ -304,8 +303,6 @@ struct Row {
     goodput_per_sec: f64,
     /// Server-side admission refusals (cold fetches shed).
     shed: u64,
-    /// Grants issued at a controller-degraded term.
-    degraded: u64,
     /// Inputs the shard dropped because their deadline had passed.
     expired_drops: u64,
     /// Client-side drops: transport backpressure + exhausted retry budget.
@@ -352,12 +349,8 @@ fn run_row(offered_x: f64, controlled: bool, window: Duration) -> Row {
             for r in 0..FILES {
                 store.insert(r, r);
             }
-            let mut sc = ServerConfig::fixed(Dur::from_millis(100));
-            if controlled {
-                sc.overload = Some(TermController::new(Dur::from_millis(25), 0.05, 0.15));
-            }
             (
-                LeaseServer::new(sc),
+                LeaseServer::new(ServerConfig::fixed(Dur::from_millis(100))),
                 Box::new(store) as Box<dyn Storage<R, D> + Send>,
             )
         },
@@ -422,14 +415,13 @@ fn run_row(offered_x: f64, controlled: bool, window: Duration) -> Row {
         good,
         goodput_per_sec: good as f64 / window.as_secs_f64(),
         shed: counters.sheds,
-        degraded: counters.degraded_grants,
         expired_drops: counters.expired_drops,
         refused: refused.load(Ordering::Relaxed) + client_refused,
         unanswered,
         p99_ms: percentile(&lats, 0.99) as f64 / 1e6,
     };
     println!(
-        "{:<10} {:>4.1}x ({:>6.0}/s) goodput={:>6.1}/s good={:>5} completed={:>5} shed={:>5} degraded={:>5} expired={:>5} refused={:>5} p99={:>8.1}ms",
+        "{:<10} {:>4.1}x ({:>6.0}/s) goodput={:>6.1}/s good={:>5} completed={:>5} shed={:>5} expired={:>5} refused={:>5} p99={:>8.1}ms",
         row.mode,
         row.offered_x,
         row.offered_per_sec,
@@ -437,7 +429,6 @@ fn run_row(offered_x: f64, controlled: bool, window: Duration) -> Row {
         row.good,
         row.completed,
         row.shed,
-        row.degraded,
         row.expired_drops,
         row.refused,
         row.p99_ms,

@@ -4,20 +4,21 @@
 //! a burst window at several times the slow shard's capacity, optionally
 //! a thundering herd aligning every client's first burst arrival — and
 //! drives it against a *hardened* [`RtSystem`]: server-side admission
-//! control and adaptive term degradation, client-side retry budgets, a
-//! circuit breaker and propagated op deadlines. Two oracles judge every
-//! run on the recorded true-time history:
+//! control (cold fetches shed with a `retry_after` the cache paces its
+//! retransmission by), client-side retry budgets and propagated op
+//! deadlines. Two oracles judge every run on the recorded true-time
+//! history:
 //!
-//! * `lease_faults::check_history` — shed and degraded responses must
-//!   never create a consistency violation;
+//! * `lease_faults::check_history` — shed responses must never create a
+//!   consistency violation;
 //! * `lease_faults::check_goodput` — once the burst ends, goodput must
 //!   recover to a fraction of its pre-burst baseline within a bounded
 //!   number of lease-term windows ([`Violation::GoodputCollapse`]
 //!   otherwise).
 //!
 //! A **negative control** then re-runs the first seeds with every
-//! protection stripped (no admission, no budgets, no breaker, no
-//! deadline propagation) and the drivers retrying failures immediately —
+//! protection stripped (no admission, no budgets, no deadline
+//! propagation) and the drivers retrying failures immediately —
 //! the classic unbudgeted retry storm. Those runs must *fail* the
 //! goodput oracle (while still passing consistency), proving the oracle
 //! bites; the process exits non-zero if the storm somehow recovers.
@@ -35,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use lease_bench::sweep::{self, take_threads_arg};
 use lease_clock::{Dur, Time};
-use lease_core::{Backoff, RetryBudget, TermController};
+use lease_core::{Backoff, RetryBudget};
 use lease_faults::{check_goodput, check_history, GoodputSpec, Violation};
 use lease_rt::{FaultPlan, RtSystem};
 use lease_svc::{AdmissionControl, OverloadPlan};
@@ -74,7 +75,6 @@ struct SeedReport {
     completed: u64,
     failed: u64,
     sheds: u64,
-    degraded: u64,
     consistency: usize,
     collapse: Option<Violation>,
 }
@@ -104,16 +104,11 @@ fn run_seed(seed: u64, hardened: bool) -> SeedReport {
             .mailbox(128)
             .op_deadline(TERM) // Propagated: shards drop already-dead work.
             .retry_budget(RetryBudget::per_sec(20.0))
-            .breaker(20, Dur::from_millis(50))
             .admission(AdmissionControl {
                 shed_watermark: 0.25,
                 stats_watermark: 0.9,
                 retry_after: Dur::from_millis(10),
-            })
-            // Degradation watermarks sit *below* the shed watermark:
-            // shorter terms are the gentle response, shedding the last
-            // resort once the queue keeps growing anyway.
-            .overload_control(TermController::new(Dur::from_millis(25), 0.05, 0.15));
+            });
     } else {
         // The storm configuration: fast fixed-interval retransmissions,
         // give-up by attempt count alone (nothing tells the server which
@@ -128,8 +123,8 @@ fn run_seed(seed: u64, hardened: bool) -> SeedReport {
             });
     }
     // Enough distinct files that the burst cannot be absorbed by warm
-    // client caches alone: cold fetches and post-degradation re-fetches
-    // keep reaching the server. Writes (below) always do.
+    // client caches alone: cold fetches and re-fetches after expiry keep
+    // reaching the server. Writes (below) always do.
     let files: Vec<String> = (0..64).map(|i| format!("/d/f{i}")).collect();
     for f in &files {
         b = b.file(f, b"seed".as_ref());
@@ -209,10 +204,7 @@ fn run_seed(seed: u64, hardened: bool) -> SeedReport {
         }
     });
 
-    let (sheds, degraded) = sys
-        .server_stats()
-        .map(|s| (s.counters.sheds, s.counters.degraded_grants))
-        .unwrap_or_default();
+    let sheds = sys.server_stats().map_or(0, |s| s.counters.sheds);
     let history = sys.history();
     sys.shutdown();
     let consistency = match check_history(&history) {
@@ -240,7 +232,6 @@ fn run_seed(seed: u64, hardened: bool) -> SeedReport {
         completed: completed.load(Ordering::Relaxed),
         failed: failed.load(Ordering::Relaxed),
         sheds,
-        degraded,
         consistency,
         collapse: check_goodput(&history, spec).err(),
     }
@@ -261,8 +252,8 @@ fn print_row(r: &SeedReport, expect_collapse: bool) -> bool {
     };
     let ok = (r.collapse.is_some() == expect_collapse) && r.consistency == 0;
     println!(
-        "| {} | {} | {} | {} | {} | {} | {} | {} |",
-        r.seed, r.arrivals, r.completed, r.failed, r.sheds, r.degraded, r.consistency, goodput
+        "| {} | {} | {} | {} | {} | {} | {} |",
+        r.seed, r.arrivals, r.completed, r.failed, r.sheds, r.consistency, goodput
     );
     ok
 }
@@ -288,8 +279,8 @@ fn main() {
         seeds.len(),
         neg.min(seeds.len()),
     );
-    println!("| seed | arrivals | completed | failed | sheds | degraded | violations | goodput |");
-    println!("|-----:|---------:|----------:|-------:|------:|---------:|-----------:|---------|");
+    println!("| seed | arrivals | completed | failed | sheds | violations | goodput |");
+    println!("|-----:|---------:|----------:|-------:|------:|-----------:|---------|");
 
     let mut failed = false;
     for r in sweep::run(threads, &seeds, |_, &seed| run_seed(seed, true)) {

@@ -18,6 +18,15 @@ pub trait Clock: Send + Sync {
     fn now(&self) -> Time;
 }
 
+/// A shared clock reads like the clock it shares, so an
+/// `Arc<dyn Clock>` can sit wherever a `C: Clock` is asked for (the inner
+/// clock of a [`ModelClock`], say).
+impl<C: Clock + ?Sized> Clock for Arc<C> {
+    fn now(&self) -> Time {
+        (**self).now()
+    }
+}
+
 /// A wall clock: nanoseconds since this clock was created.
 ///
 /// Backed by [`std::time::Instant`], so it is monotone.
@@ -223,5 +232,8 @@ mod tests {
     fn clock_trait_object() {
         let c: Box<dyn Clock> = Box::new(ManualClock::new(Time::from_secs(7)));
         assert_eq!(c.now(), Time::from_secs(7));
+        let shared: Arc<dyn Clock> = Arc::new(ManualClock::new(Time::from_secs(3)));
+        let model = ModelClock::new(shared, crate::ClockModel::perfect());
+        assert_eq!(model.now(), Time::from_secs(3));
     }
 }

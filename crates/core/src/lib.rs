@@ -96,9 +96,7 @@ pub use client::{
 };
 pub use hash::{fx_hash, FxHasher};
 pub use msg::{ErrorReason, Grant, ToClient, ToServer};
-pub use policy::{
-    AdaptiveTerm, CompensatedTerm, FixedTerm, Observation, TermController, TermPolicy,
-};
+pub use policy::{AdaptiveTerm, CompensatedTerm, FixedTerm, Observation, TermPolicy};
 pub use server::{
     LeaseServer, RecoveryMode, ServerConfig, ServerCounters, ServerInput, ServerOutput, ServerTimer,
 };

@@ -176,96 +176,6 @@ impl<R: Resource> TermPolicy<R> for CompensatedTerm<R> {
     }
 }
 
-/// A watermark-driven overload controller that degrades granted terms
-/// toward a floor while the server runs hot, and recovers hysteretically
-/// when calm.
-///
-/// Formula (1) run as a runtime controller: a shorter term trades renewal
-/// traffic for a smaller outstanding-lease population and faster
-/// write-invalidation — exactly what an overloaded server wants, because
-/// its holder table stops growing and misbehaving holders expire sooner.
-/// The controller only ever *shortens* the policy's term, so every bound
-/// the rest of the system relies on still holds: §5 MaxTerm recovery waits
-/// long enough for the *configured* maximum, and the quorum grantor's
-/// drift-discounted usable term is an upper bound the degraded term stays
-/// under.
-///
-/// The level moves with hysteresis: load at or above `high` ratchets it up
-/// by `attack` per observation, load at or below `low` decays it by
-/// `decay`, and the band between holds it steady — so a server oscillating
-/// around the watermark doesn't flap its terms.
-#[derive(Debug, Clone, Copy)]
-pub struct TermController {
-    /// Degraded terms never go below this (zero = allowed to degrade all
-    /// the way to uncached service).
-    pub floor: Dur,
-    /// Load (0..=1) at or below which the level decays toward 0.
-    pub low: f64,
-    /// Load (0..=1) at or above which the level rises toward 1.
-    pub high: f64,
-    /// Level increase per overloaded observation.
-    pub attack: f64,
-    /// Level decrease per calm observation.
-    pub decay: f64,
-    /// Holder-table occupancy is measured against this capacity (0
-    /// disables the table signal; mailbox depth can still drive the
-    /// controller through [`TermController::observe`]).
-    pub table_capacity: usize,
-    level: f64,
-}
-
-impl TermController {
-    /// A controller with the given floor and watermarks; fast attack
-    /// (reacts within a few observations) and slow decay (recovers over
-    /// tens), the usual shape for overload control.
-    pub fn new(floor: Dur, low: f64, high: f64) -> TermController {
-        TermController {
-            floor,
-            low,
-            high,
-            attack: 0.25,
-            decay: 0.02,
-            table_capacity: 0,
-            level: 0.0,
-        }
-    }
-
-    /// Sets the holder-table capacity the occupancy signal is measured
-    /// against.
-    pub fn with_table_capacity(mut self, cap: usize) -> TermController {
-        self.table_capacity = cap;
-        self
-    }
-
-    /// Feeds one load observation (0 = idle, 1 = saturated) into the
-    /// hysteresis loop.
-    pub fn observe(&mut self, load: f64) {
-        let load = load.clamp(0.0, 1.0);
-        if load >= self.high {
-            self.level = (self.level + self.attack).min(1.0);
-        } else if load <= self.low {
-            self.level = (self.level - self.decay).max(0.0);
-        }
-        // Between the watermarks: hold (hysteresis band).
-    }
-
-    /// Current degradation level: 0 = terms untouched, 1 = floored.
-    pub fn level(&self) -> f64 {
-        self.level
-    }
-
-    /// Applies the current level to a policy-chosen term. Zero and
-    /// infinite terms pass through (zero already grants nothing to track;
-    /// infinite is an explicit operator choice the controller must not
-    /// silently revoke), as do terms at or under the floor.
-    pub fn apply(&self, term: Dur) -> Dur {
-        if self.level <= 0.0 || term.is_zero() || term.is_infinite() || term <= self.floor {
-            return term;
-        }
-        self.floor + (term.saturating_sub(self.floor)).mul_f64(1.0 - self.level)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,69 +340,5 @@ mod tests {
         let mut inf: CompensatedTerm<u64> = CompensatedTerm::new(Box::new(FixedTerm(Dur::MAX)))
             .compensate(ClientId(7), Dur::from_secs(1));
         assert_eq!(inf.term(&1, ClientId(7)), Dur::MAX);
-    }
-
-    #[test]
-    fn controller_idle_passes_terms_through() {
-        let c = TermController::new(Dur::from_millis(500), 0.3, 0.8);
-        assert_eq!(c.apply(Dur::from_secs(10)), Dur::from_secs(10));
-        assert_eq!(c.level(), 0.0);
-    }
-
-    #[test]
-    fn controller_degrades_to_floor_under_sustained_overload() {
-        let mut c = TermController::new(Dur::from_millis(500), 0.3, 0.8);
-        for _ in 0..10 {
-            c.observe(0.95);
-        }
-        assert_eq!(c.level(), 1.0);
-        assert_eq!(c.apply(Dur::from_secs(10)), Dur::from_millis(500));
-        // Only ever shortens: the degraded term never exceeds the input.
-        for ms in [100u64, 500, 2000, 60_000] {
-            let t = Dur::from_millis(ms);
-            assert!(c.apply(t) <= t, "degraded above input for {t}");
-        }
-    }
-
-    #[test]
-    fn controller_recovers_hysteretically() {
-        let mut c = TermController::new(Dur::from_millis(500), 0.3, 0.8);
-        for _ in 0..4 {
-            c.observe(1.0);
-        }
-        let hot = c.level();
-        assert!(hot > 0.9, "level = {hot}");
-        // Load inside the hysteresis band holds the level.
-        for _ in 0..50 {
-            c.observe(0.5);
-        }
-        assert_eq!(c.level(), hot);
-        // Calm load decays it slowly to zero.
-        for _ in 0..200 {
-            c.observe(0.1);
-        }
-        assert_eq!(c.level(), 0.0);
-        assert_eq!(c.apply(Dur::from_secs(10)), Dur::from_secs(10));
-    }
-
-    #[test]
-    fn controller_preserves_zero_infinite_and_floor() {
-        let mut c = TermController::new(Dur::from_secs(1), 0.3, 0.8);
-        for _ in 0..10 {
-            c.observe(1.0);
-        }
-        assert_eq!(c.apply(Dur::ZERO), Dur::ZERO);
-        assert_eq!(c.apply(Dur::MAX), Dur::MAX);
-        assert_eq!(c.apply(Dur::from_millis(200)), Dur::from_millis(200));
-        assert_eq!(c.apply(Dur::from_secs(1)), Dur::from_secs(1));
-    }
-
-    #[test]
-    fn controller_partial_level_interpolates() {
-        let mut c = TermController::new(Dur::from_secs(1), 0.3, 0.8);
-        c.attack = 0.5;
-        c.observe(1.0); // level = 0.5
-                        // floor + (term - floor) * 0.5 = 1s + 4.5s = 5.5s
-        assert_eq!(c.apply(Dur::from_secs(10)), Dur::from_millis(5500));
     }
 }

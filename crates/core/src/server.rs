@@ -16,7 +16,7 @@ use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use lease_clock::{Dur, Time};
 
 use crate::msg::{ErrorReason, Grant, ToClient, ToServer};
-use crate::policy::{Observation, TermController, TermPolicy};
+use crate::policy::{Observation, TermPolicy};
 use crate::storage::Storage;
 use crate::table::LeaseTable;
 use crate::types::{ClientId, LeaseHandle, ReqId, Resource, Version, WriteId};
@@ -54,11 +54,6 @@ pub struct ServerConfig<R: Resource> {
     /// freshly restarted shard sheds read load until its lease knowledge is
     /// trustworthy again, letting client backoff spread the re-fetch storm.
     pub defer_grants_in_recovery: bool,
-    /// Overload term controller: degrades granted terms toward a floor
-    /// while load (fed via [`LeaseServer::set_pressure`] and holder-table
-    /// occupancy) runs hot, recovering hysteretically when calm. `None` =
-    /// the policy's term is granted unmodified.
-    pub overload: Option<TermController>,
 }
 
 impl<R: Resource> ServerConfig<R> {
@@ -71,7 +66,6 @@ impl<R: Resource> ServerConfig<R> {
             installed_term: Dur::from_secs(60),
             dedup_capacity: 64,
             defer_grants_in_recovery: false,
-            overload: None,
         }
     }
 }
@@ -188,8 +182,6 @@ pub struct ServerCounters {
     /// was still open (only with
     /// [`ServerConfig::defer_grants_in_recovery`]).
     pub recovery_refusals: u64,
-    /// Grants whose term the overload controller shortened.
-    pub degraded_grants: u64,
     /// Requests refused with `Shed` by admission control (mutated by the
     /// hosting runtime, which owns the admission decision).
     pub sheds: u64,
@@ -217,7 +209,6 @@ impl ServerCounters {
         self.errors += other.errors;
         self.relinquish_rx += other.relinquish_rx;
         self.recovery_refusals += other.recovery_refusals;
-        self.degraded_grants += other.degraded_grants;
         self.sheds += other.sheds;
         self.expired_drops += other.expired_drops;
     }
@@ -329,43 +320,6 @@ impl<R: Resource, D: Clone> LeaseServer<R, D> {
     /// Whether a write is pending on `resource`.
     pub fn write_pending(&self, resource: R) -> bool {
         self.pending.get(&resource).is_some_and(|q| !q.is_empty())
-    }
-
-    /// Feeds one load observation into the overload term controller.
-    ///
-    /// `external` is the hosting runtime's load signal in `[0, 1]` (e.g.
-    /// mailbox occupancy); the server combines it with its own
-    /// holder-table occupancy (against the controller's configured
-    /// capacity) by taking the max — either signal alone can drive
-    /// degradation. A no-op when no controller is configured.
-    pub fn set_pressure(&mut self, external: f64) {
-        let table_len = self.table.len();
-        if let Some(c) = &mut self.cfg.overload {
-            let table_frac = if c.table_capacity > 0 {
-                table_len as f64 / c.table_capacity as f64
-            } else {
-                0.0
-            };
-            c.observe(external.max(table_frac));
-        }
-    }
-
-    /// The overload controller's current degradation level (0 when no
-    /// controller is configured or the server is calm).
-    pub fn term_level(&self) -> f64 {
-        self.cfg.overload.as_ref().map_or(0.0, |c| c.level())
-    }
-
-    /// Applies the overload controller to a policy-chosen term.
-    fn degraded(&mut self, term: Dur) -> Dur {
-        let Some(c) = &self.cfg.overload else {
-            return term;
-        };
-        let d = c.apply(term);
-        if d < term {
-            self.counters.degraded_grants += 1;
-        }
-        d
     }
 
     /// Handles one input; returns the effects to apply.
@@ -607,7 +561,6 @@ impl<R: Resource, D: Clone> LeaseServer<R, D> {
             self.cfg.installed_term
         } else {
             let term = self.cfg.policy.term(&resource, from);
-            let term = self.degraded(term);
             if !term.is_zero() {
                 let expiry = now.saturating_add(term);
                 rec_handle = self.table.extend(handle, resource, from, expiry);
@@ -885,7 +838,6 @@ impl<R: Resource, D: Clone> LeaseServer<R, D> {
                 Dur::ZERO
             } else {
                 let term = self.cfg.policy.term(&resource, client);
-                let term = self.degraded(term);
                 if !term.is_zero() {
                     let expiry = now.saturating_add(term);
                     self.table.grant(resource, client, expiry);

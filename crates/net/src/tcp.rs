@@ -72,7 +72,8 @@ pub struct NetCounters {
     /// count for ops that die later in flight is
     /// `ServerCounters::expired_drops`).
     pub expired_at_door: AtomicU64,
-    /// Frames refused by the decoder (corrupt stream → connection drop).
+    /// Frames refused — corrupt, or out of turn for the connection's
+    /// hello — each of which drops its connection.
     pub bad_frames: AtomicU64,
 }
 
@@ -117,9 +118,12 @@ impl NetCounters {
 /// running `lease-svc` service, and streams its egress back out.
 ///
 /// Client identity is by [`ClientId`], established by the connection's
-/// opening hello frame; ids must be `< egress.clients()`. A client that
-/// reconnects (same id, new socket) resumes exactly where retransmission
-/// puts it — the server keeps no per-connection protocol state.
+/// opening hello frame; ids must be `< egress.clients()`. Every message
+/// on the connection is that client's: a frame naming another sender, or
+/// a second hello, is counted in `bad_frames` and closes the connection,
+/// like a corrupt one. A client that reconnects (same id, new socket)
+/// resumes exactly where retransmission puts it — the server keeps no
+/// per-connection protocol state.
 pub struct NetServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -343,7 +347,7 @@ where
 
     let mut rd = FrameAccum::new();
     let mut batch: BatchBuf<R, D> = BatchBuf::new();
-    let mut who: Option<usize> = None;
+    let mut who: Option<ClientId> = None;
 
     'conn: while !stop.load(Ordering::SeqCst) {
         // Decode every complete frame currently buffered.
@@ -356,25 +360,18 @@ where
                     break 'conn;
                 }
             };
-            match decode_into(frame, clock, &mut batch, counters) {
-                Ok(DecodedFrame::Hello(from)) => {
-                    let c = from.0 as usize;
-                    if c >= slots.len() {
-                        break 'conn; // unknown client id: refuse
-                    }
-                    who = Some(c);
+            match decode_into(frame, who, clock, &mut batch, counters) {
+                Ok(DecodedFrame::Hello(from)) if (from.0 as usize) < slots.len() => {
+                    who = Some(from);
                     // Install the write half with the client's writer
                     // (replacing any stale stream from a prior
                     // connection).
                     let out = stream.try_clone()?;
-                    *slots[c].lock().expect("writer slot poisoned") = Some(out);
+                    *slots[from.0 as usize].lock().expect("writer slot poisoned") = Some(out);
                 }
-                Ok(DecodedFrame::Batch) => {
-                    if who.is_none() {
-                        break 'conn; // messages before hello: refuse
-                    }
-                }
-                Err(_) => {
+                Ok(DecodedFrame::Batch) => {}
+                // An unknown client id, an impostor, or a corrupt frame.
+                _ => {
                     counters.bad_frames.fetch_add(1, Ordering::Relaxed);
                     break 'conn;
                 }
@@ -413,10 +410,14 @@ where
     }
 
     // Drop our installed write half so the writer stops writing into a
-    // dead socket (a reconnect installs a fresh one).
+    // dead socket — unless the client's reconnection already replaced it
+    // with its own, which is not ours to drop. (One whose address cannot
+    // be read is left to the writer, which drops it at its first failed
+    // write.)
     if let Some(c) = who {
-        let mut slot = slots[c].lock().expect("writer slot poisoned");
-        if slot.is_some() {
+        let mut slot = slots[c.0 as usize].lock().expect("writer slot poisoned");
+        let ours = stream.peer_addr().ok();
+        if slot.as_ref().is_some_and(|s| s.peer_addr().ok() == ours) {
             *slot = None;
         }
     }
@@ -424,14 +425,22 @@ where
 }
 
 enum DecodedFrame {
+    /// The connection's hello, naming its client.
     Hello(ClientId),
+    /// Messages staged into the batch.
     Batch,
+    /// Out of turn: messages before the hello, a second hello, or a frame
+    /// from another client than the one the hello named. Nothing staged.
+    Impostor,
 }
 
 /// Decodes one complete frame into `batch`, re-anchoring wire deadlines
-/// (remaining time-to-live) on the server's clock.
+/// (remaining time-to-live) on the server's clock. `who` is the client
+/// the connection said hello as, if it has: its messages are attributed
+/// to that client, never to whatever a frame header claims.
 fn decode_into<R, D>(
     frame: &[u8],
+    who: Option<ClientId>,
     clock: &Arc<dyn Clock>,
     batch: &mut BatchBuf<R, D>,
     counters: &NetCounters,
@@ -441,20 +450,21 @@ where
     D: Clone + Send + WireValue + 'static,
 {
     let (h, mut it) = frame_messages(frame)?;
-    match h.dir {
-        Dir::Hello => Ok(DecodedFrame::Hello(h.from)),
-        Dir::C2s => {
+    match (h.dir, who) {
+        (Dir::Hello, None) => Ok(DecodedFrame::Hello(h.from)),
+        (Dir::C2s, Some(who)) if h.from == who => {
             let now = clock.now();
             let mut n = 0u64;
             while let Some((msg, remaining)) = it.next_c2s::<R, D>()? {
                 let deadline = remaining.map(|rem| now.saturating_add(rem));
-                batch.push_deadline(h.from, msg, deadline);
+                batch.push_deadline(who, msg, deadline);
                 n += 1;
             }
             counters.msgs_in.fetch_add(n, Ordering::Relaxed);
             Ok(DecodedFrame::Batch)
         }
-        Dir::S2c => Err(WireError::BadDir(1)), // servers don't receive replies
+        (Dir::S2c, _) => Err(WireError::BadDir(1)), // servers don't receive replies
+        _ => Ok(DecodedFrame::Impostor),
     }
 }
 

@@ -380,6 +380,50 @@ fn garbage_drops_connection_not_server() {
     h.service.shutdown();
 }
 
+/// A connection speaks for the client its hello named, and only for it:
+/// a frame claiming another sender — a real client, or an id the server
+/// has no lanes for — and a second hello are each counted as one bad
+/// frame and close the connection. Nothing reaches a shard, so no lease
+/// is granted to a holder nobody can reach and no shard trips over one.
+#[test]
+fn a_connection_speaks_only_for_its_hello() {
+    let h = start(1, 2, 8);
+    let fetch = (
+        ToServer::Fetch {
+            req: ReqId(1),
+            resource: 1,
+            cached: None,
+            also_extend: Vec::new(),
+        },
+        None,
+    );
+    for (n, who) in [(1, Some(ClientId(1))), (2, Some(ClientId(99))), (3, None)] {
+        let mut c = WireClient::connect(&h, ClientId(0));
+        match who {
+            Some(who) => {
+                c.who = who;
+                c.send(std::slice::from_ref(&fetch));
+            }
+            None => {
+                let mut hello = Vec::new();
+                lease_wire::hello_frame(&mut hello, ClientId(1));
+                c.stream.write_all(&hello).expect("second hello");
+            }
+        }
+        let t0 = Instant::now();
+        while h.net.counters().snapshot().bad_frames < n && t0.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(h.net.counters().snapshot().bad_frames, n, "case {who:?}");
+        assert!(c.recv(1).is_empty(), "the connection is closed: {who:?}");
+    }
+    let stats = h.service.stats().expect("stats");
+    assert_eq!(stats.counters.fetch_rx, 0);
+    assert_eq!(stats.restarts, [0]);
+    h.net.shutdown();
+    h.service.shutdown();
+}
+
 /// The deadline actually uses the server's clock: a remaining of 30s on
 /// an op that is processed immediately is *not* dropped — guarding
 /// against an accidental absolute-time interpretation of the wire field.

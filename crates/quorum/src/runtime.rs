@@ -17,24 +17,12 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use lease_clock::{Clock, ClockModel, Time};
+use lease_clock::{Clock, ClockModel, ModelClock, Time};
 use lease_svc::chaos::{Delivery, FaultPlan, LinkChaos};
 use lease_vsys::HistoryEvent;
 
 use crate::msg::{Ballot, QuorumMsg};
 use crate::node::{GrantorNode, NodeOut, QuorumConfig};
-
-/// A clock that views shared truth through a per-replica [`ClockModel`].
-struct LocalClock {
-    truth: Arc<dyn Clock>,
-    model: ClockModel,
-}
-
-impl Clock for LocalClock {
-    fn now(&self) -> Time {
-        self.model.local(self.truth.now())
-    }
-}
 
 /// The serving gate: the replicated analogue of "am I the server?".
 ///
@@ -141,9 +129,9 @@ impl QuorumRuntime {
     /// Spawns `cfg.replicas` replica threads. `truth` is the shared true
     /// clock (the same one the recorder stamps with); per-replica skew
     /// comes from `plan.replica_clocks`, chaos from the plan's replica
-    /// links, and `plan.replica_kills` is *not* driven here — hosts call
-    /// [`QuorumRuntime::kill_replica`] so they can coordinate service
-    /// shard kills with quorum restarts.
+    /// links, and `plan.replica_kills` is *not* driven here — hosts kill
+    /// through a [`QuorumRuntime::kill_handle`] so they can coordinate
+    /// service shard kills with quorum restarts.
     pub fn spawn(
         cfg: QuorumConfig,
         plan: FaultPlan,
@@ -163,10 +151,8 @@ impl QuorumRuntime {
         let mut threads = Vec::with_capacity(n);
         for (i, rx) in rxs.into_iter().enumerate() {
             let model = plan.replica_clock(i).unwrap_or_else(ClockModel::perfect);
-            let local: Arc<dyn Clock> = Arc::new(LocalClock {
-                truth: Arc::clone(&truth),
-                model: model.clone(),
-            });
+            let local: Arc<dyn Clock> =
+                Arc::new(ModelClock::new(Arc::clone(&truth), model.clone()));
             let gate = Arc::new(GrantorGate::new(cfg.fence, Arc::clone(&local)));
             gates.push(Arc::clone(&gate));
             let worker = Replica {
@@ -213,11 +199,6 @@ impl QuorumRuntime {
             .iter()
             .enumerate()
             .find_map(|(i, g)| g.serving().map(|b| (i as u32, b)))
-    }
-
-    /// Crash-restarts replica `i` (volatile state lost, MaxTerm silence).
-    pub fn kill_replica(&self, i: usize) {
-        let _ = self.inputs[i].send(Input::Kill);
     }
 
     /// A detached handle for killing replicas (see [`KillHandle`]).
@@ -387,7 +368,7 @@ mod tests {
             rt.current_grantor().is_some()
         });
         let (first, _) = rt.current_grantor().unwrap();
-        rt.kill_replica(first as usize);
+        rt.kill_handle().kill(first as usize);
         wait_for(
             "successor grantor",
             Duration::from_secs(10),

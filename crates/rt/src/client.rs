@@ -10,16 +10,15 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use lease_clock::{Clock, Dur, Time};
+use lease_clock::{Clock, Time};
 use lease_core::ring::{Inbox, Lanes};
 use lease_core::{
-    ClientConfig, ClientCounters, ClientId, ClientInput, ClientOutput, ClientTimer, ErrorReason,
-    LeaseClient, Op, OpError, OpId, OpOutcome, ToClient, ToServer, Version,
+    ClientConfig, ClientCounters, ClientId, ClientInput, ClientOutput, ClientTimer, LeaseClient,
+    Op, OpError, OpId, OpOutcome, ToClient, ToServer, Version,
 };
 
-use crate::breaker::CircuitBreaker;
 use crate::record::{OpRecord, Recorder};
-use crate::server::{Port, PortVerdict, Res};
+use crate::server::{Port, Res};
 
 /// An error from a real-time cache operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -263,8 +262,6 @@ struct Worker {
     timers: BinaryHeap<Reverse<(Time, u64)>>,
     live_timers: HashMap<u64, Time>,
     waiting: HashMap<OpId, Waiting>,
-    /// Half-open circuit breaker on this client's path to the server.
-    breaker: CircuitBreaker,
     next_op: u64,
     /// When the IO thread, if parked, wakes by itself.
     io_wake: Instant,
@@ -275,7 +272,6 @@ impl Worker {
     fn new(
         id: ClientId,
         cfg: ClientConfig,
-        breaker: Option<(u32, Dur)>,
         port: Box<dyn Port>,
         clock: Arc<dyn Clock>,
         recorder: Arc<Recorder>,
@@ -289,8 +285,6 @@ impl Worker {
             timers: BinaryHeap::new(),
             live_timers: HashMap::new(),
             waiting: HashMap::new(),
-            breaker: breaker
-                .map_or_else(CircuitBreaker::disabled, |(t, c)| CircuitBreaker::new(t, c)),
             next_op: 0,
             io_wake: Instant::now(),
             closed: false,
@@ -327,29 +321,15 @@ impl Worker {
         });
     }
 
-    fn true_now(&self) -> Time {
-        self.recorder.now()
-    }
-
     /// Hands one message to the port, with the deadline of the request it
     /// belongs to ([`LeaseClient::deadline`]), so the service can drop
-    /// work whose caller has given up. What does not go out — the breaker
-    /// is open, the link dropped it, the lane was full — is lost like a
-    /// datagram: the cache's retransmission timer is the one retry
-    /// schedule, and the op deadline bounds it.
+    /// work whose caller has given up. What does not go out — the link
+    /// dropped it, the lane was full — is lost like a datagram: the
+    /// cache's retransmission timer is the one retry schedule, and the op
+    /// deadline bounds it.
     fn submit(&mut self, msg: ToServer<Res, Bytes>) {
-        let now = self.true_now();
-        if !self.breaker.allow(now) {
-            // Circuit open: drop locally, costing the server nothing.
-            // Each retransmission re-probes the breaker.
-            return;
-        }
         let deadline = msg.req().and_then(|req| self.cache.deadline(req));
-        match self.port.send(self.id, msg, deadline) {
-            PortVerdict::Sent => self.breaker.on_success(),
-            PortVerdict::Dropped => {}
-            PortVerdict::Refused => self.breaker.on_failure(now),
-        }
+        self.port.send(self.id, msg, deadline);
     }
 
     fn apply(&mut self, outs: Vec<ClientOutput<Res, Bytes>>) {
@@ -482,17 +462,9 @@ impl Worker {
         self.next_due().unwrap_or(Duration::from_millis(20))
     }
 
-    /// Feeds one server message to the cache.
+    /// Feeds one server message to the cache, which is also what paces a
+    /// shed request: its retry timer moves to the reply's `retry_after`.
     fn handle_msg(&mut self, m: ToClient<Res, Bytes>) {
-        if let ToClient::Error {
-            reason: ErrorReason::Shed { .. },
-            ..
-        } = &m
-        {
-            // An explicit shed is an overload signal for the breaker,
-            // same as a refused send.
-            self.breaker.on_failure(self.true_now());
-        }
         let now = self.clock.now();
         let outs = self.cache.handle(now, ClientInput::Msg(m));
         self.apply(outs);
@@ -516,19 +488,18 @@ impl Drop for CloseOnExit {
 
 /// Starts one client: its driver, the handle applications call, and the
 /// `lease-client-N` IO thread. Every topology's clients come from here.
-/// `breaker` is the circuit breaker's `(threshold, cooldown)`. A socket
-/// client's `inbox` has no lanes: its reader resolves replies ([`Feed`]).
+/// A socket client's `inbox` has no lanes: its reader resolves replies
+/// ([`Feed`]).
 pub(crate) fn spawn_client(
     id: ClientId,
     cfg: ClientConfig,
-    breaker: Option<(u32, Dur)>,
     inbox: Arc<Inbox<ToClient<Res, Bytes>>>,
     port: Box<dyn Port>,
     clock: Arc<dyn Clock>,
     recorder: Arc<Recorder>,
 ) -> (RtClientHandle, JoinHandle<()>) {
     let lanes = Lanes::new(Arc::clone(&inbox));
-    let worker = Worker::new(id, cfg, breaker, port, clock, Arc::clone(&recorder));
+    let worker = Worker::new(id, cfg, port, clock, Arc::clone(&recorder));
     let shared = Arc::new(Shared {
         driver: Mutex::new(worker),
         inbox,
@@ -598,7 +569,7 @@ fn io_loop(shared: Weak<Shared>, mut lanes: Lanes<ToClient<Res, Bytes>>) {
 
 #[cfg(test)]
 mod tests {
-    use lease_clock::ManualClock;
+    use lease_clock::{Dur, ManualClock};
     use lease_core::Backoff;
 
     use super::*;
@@ -611,17 +582,11 @@ mod tests {
     }
 
     impl Port for Arc<JamPort> {
-        fn send(
-            &self,
-            _from: ClientId,
-            _msg: ToServer<Res, Bytes>,
-            deadline: Option<Time>,
-        ) -> PortVerdict {
+        fn send(&self, _from: ClientId, _msg: ToServer<Res, Bytes>, deadline: Option<Time>) {
             self.sends
                 .lock()
                 .unwrap()
                 .push((self.clock.now(), deadline));
-            PortVerdict::Refused
         }
     }
 
@@ -652,7 +617,6 @@ mod tests {
         let mut w = Worker::new(
             ClientId(0),
             cfg,
-            None,
             Box::new(port.clone()),
             clock.clone(),
             Arc::new(Recorder::with_clock(clock.clone())),
@@ -694,14 +658,8 @@ mod tests {
     }
 
     impl Port for Arc<LogPort> {
-        fn send(
-            &self,
-            _from: ClientId,
-            msg: ToServer<Res, Bytes>,
-            _deadline: Option<Time>,
-        ) -> PortVerdict {
+        fn send(&self, _from: ClientId, msg: ToServer<Res, Bytes>, _deadline: Option<Time>) {
             self.sent.lock().unwrap().push(msg);
-            PortVerdict::Sent
         }
     }
 
@@ -721,7 +679,6 @@ mod tests {
         let mut w = Worker::new(
             ClientId(0),
             cfg,
-            None,
             Box::new(port.clone()),
             clock.clone(),
             Arc::new(Recorder::with_clock(clock.clone())),

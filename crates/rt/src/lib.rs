@@ -38,7 +38,6 @@
 //! sys.shutdown();
 //! ```
 
-pub mod breaker;
 pub mod client;
 pub mod naming;
 pub mod net;
@@ -46,12 +45,11 @@ pub mod record;
 pub mod server;
 pub mod system;
 
-pub use breaker::CircuitBreaker;
 pub use client::{RtClientHandle, RtError};
 pub use lease_quorum::QuorumConfig;
 pub use lease_svc::chaos::FaultPlan;
 pub use naming::{Binding, NameOp};
 pub use net::{NetClient, NetClientConfig, TcpPort};
 pub use record::Recorder;
-pub use server::{Port, PortVerdict, ServerStats};
+pub use server::{Port, ServerStats};
 pub use system::{RtSystem, RtSystemBuilder};

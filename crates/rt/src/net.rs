@@ -2,8 +2,8 @@
 //!
 //! [`NetClient`] runs N of this crate's client workers — the same
 //! `spawn_client` driver the in-process [`RtSystem`] uses, with its
-//! inline hits, retransmission backoff, retry budgets, per-op deadlines,
-//! circuit breakers, and Shed handling **unchanged** — against a remote
+//! inline hits, retransmission backoff, retry budgets, per-op deadlines
+//! and Shed pacing **unchanged** — against a remote
 //! `lease_net::NetServer` instead of an in-process service handle. The
 //! only moving parts added here are the transport edges:
 //!
@@ -15,8 +15,8 @@
 //!   makes them one sender. Deadlines cross as *remaining* time-to-live,
 //!   computed against this client's clock at send time — the T-Lease
 //!   rule: no absolute clock reading of ours means anything to the
-//!   server. An unwritable socket is [`PortVerdict::Dropped`] — exactly
-//!   the lost-datagram case §2's retransmission machinery already
+//!   server. A write to a dead or absent socket is a lost message —
+//!   exactly the lost-datagram case §2's retransmission machinery already
 //!   recovers, so a server crash needs no client-side handling at all.
 //! * A reader thread per client decodes reply frames and resolves them
 //!   itself: per frame it takes the client's driver lock and feeds the
@@ -48,7 +48,7 @@ use lease_wire::{frame_messages, Dir, FrameBuilder, WireError};
 
 use crate::client::{spawn_client, Feed, RtClientHandle};
 use crate::record::Recorder;
-use crate::server::{Port, PortVerdict, Res};
+use crate::server::{Port, Res};
 
 /// How often parked socket reads re-check the shutdown flag.
 const POLL: Duration = Duration::from_millis(100);
@@ -74,8 +74,6 @@ pub struct NetClientConfig {
     pub op_deadline: Option<Dur>,
     /// Token-bucket retry budget.
     pub retry_budget: Option<RetryBudget>,
-    /// Circuit breaker `(threshold, cooldown)`.
-    pub breaker: Option<(u32, Dur)>,
     /// The true-time clock operations are recorded against (and that
     /// deadlines are computed with). `None` uses a fresh process-local
     /// [`WallClock`]; the multi-process harness passes a
@@ -97,7 +95,6 @@ impl NetClientConfig {
             backoff: Backoff::default(),
             op_deadline: None,
             retry_budget: None,
-            breaker: None,
             clock: None,
         }
     }
@@ -145,7 +142,6 @@ impl NetClient {
             let (handle, thread) = spawn_client(
                 ClientId(i),
                 client_cfg.clone(),
-                cfg.breaker,
                 Arc::new(Inbox::new()),
                 Box::new(port),
                 Arc::clone(&clock),
@@ -222,12 +218,7 @@ pub struct TcpPort {
 }
 
 impl Port for TcpPort {
-    fn send(
-        &self,
-        from: ClientId,
-        msg: ToServer<Res, Bytes>,
-        deadline: Option<Time>,
-    ) -> PortVerdict {
+    fn send(&self, from: ClientId, msg: ToServer<Res, Bytes>, deadline: Option<Time>) {
         debug_assert_eq!(from, self.who);
         // Absolute deadline → remaining time-to-live at this send. An
         // already-dead op still crosses (remaining 0): the server drops
@@ -241,14 +232,10 @@ impl Port for TcpPort {
 
         let mut guard = lock(&self.conn);
         let Some(stream) = guard.as_mut() else {
-            return PortVerdict::Dropped; // disconnected: retransmission recovers
+            return; // disconnected: retransmission recovers
         };
-        match std::io::Write::write_all(stream, &buf) {
-            Ok(()) => PortVerdict::Sent,
-            Err(_) => {
-                *guard = None; // dead socket; the reader reconnects
-                PortVerdict::Dropped
-            }
+        if std::io::Write::write_all(stream, &buf).is_err() {
+            *guard = None; // dead socket; the reader reconnects
         }
     }
 }

@@ -414,7 +414,7 @@ impl DelayShared {
                 Delayed::Submission(from, msg, deadline) => {
                     if let Some(submit) = &io.submit {
                         for _ in 0..copies {
-                            let _ = submit.route(from, msg.clone(), deadline);
+                            submit.route(from, msg.clone(), deadline);
                         }
                     }
                 }
@@ -531,25 +531,12 @@ impl WorkerSink<Res, Bytes> for RtWorkerSink {
     }
 }
 
-/// What became of a client's submission attempt. Only [`PortVerdict::Sent`]
-/// means the message went anywhere; the other two are losses, which the
-/// client's retransmission timer recovers like any lost datagram.
-pub enum PortVerdict {
-    /// Handed to the service (or scheduled for chaotic delivery).
-    Sent,
-    /// Dropped: the link is cut, chaos ate it, or the service is gone.
-    Dropped,
-    /// The serving replica's lane was full. Lost like `Dropped`, and also
-    /// an overload signal: the circuit breaker counts it as a failure.
-    Refused,
-}
-
 /// Where a client thread submits protocol messages: the in-process
 /// [`RtPort`], or a socket ([`TcpPort`](crate::net::TcpPort)).
-/// Implementations never block and never hold a message for later: a
-/// saturated shard is [`PortVerdict::Refused`], unreachability
-/// [`PortVerdict::Dropped`], and the client's retransmission backoff is
-/// the one retry schedule for both.
+/// Implementations never block, never hold a message for later and
+/// report nothing back: a full lane, a cut link or an unreachable server
+/// is a lost message, and the client's retransmission backoff is the one
+/// retry schedule for all of them.
 ///
 /// Each client **owns** its port (`Box<dyn Port>`, inside its driver):
 /// a [`SvcHandle`] is a per-producer object (one SPSC lane per shard),
@@ -564,12 +551,7 @@ pub trait Port: Send {
     /// Submits one client message, unless faults interfere. `deadline` is
     /// the originating op's drop-dead time, propagated so the service can
     /// discard the work if it drains it too late.
-    fn send(
-        &self,
-        from: ClientId,
-        msg: ToServer<Res, Bytes>,
-        deadline: Option<Time>,
-    ) -> PortVerdict;
+    fn send(&self, from: ClientId, msg: ToServer<Res, Bytes>, deadline: Option<Time>);
 }
 
 /// One replica as one producer sees it: the producer's own handle clone
@@ -658,27 +640,18 @@ impl Router {
 
     /// Submits one client message to the first willing replica that takes
     /// it. Never blocks. A dead shard fails the send and, like a closed
-    /// gate or a cut, moves on to the next candidate.
-    pub fn route(
-        &self,
-        from: ClientId,
-        msg: ToServer<Res, Bytes>,
-        deadline: Option<Time>,
-    ) -> PortVerdict {
+    /// gate or a cut, moves on to the next candidate; a full lane is the
+    /// serving replica's answer, and the message is lost.
+    pub fn route(&self, from: ClientId, msg: ToServer<Res, Bytes>, deadline: Option<Time>) {
         for i in self.willing() {
             match self.targets[i].svc.try_send_at(from, msg.clone(), deadline) {
-                Ok(()) => {
+                Ok(()) | Err(SvcError::Backpressure) => {
                     self.prefer(i);
-                    return PortVerdict::Sent;
-                }
-                Err(SvcError::Backpressure) => {
-                    self.prefer(i);
-                    return PortVerdict::Refused;
+                    return;
                 }
                 Err(_) => continue,
             }
         }
-        PortVerdict::Dropped
     }
 }
 
@@ -692,23 +665,18 @@ pub(crate) struct RtPort {
 }
 
 impl Port for RtPort {
-    fn send(
-        &self,
-        from: ClientId,
-        msg: ToServer<Res, Bytes>,
-        deadline: Option<Time>,
-    ) -> PortVerdict {
+    fn send(&self, from: ClientId, msg: ToServer<Res, Bytes>, deadline: Option<Time>) {
         if self.cuts[from.0 as usize].load(Ordering::Relaxed) {
-            return PortVerdict::Dropped; // Fault injection: drop inbound too.
+            return; // Fault injection: drop inbound too.
         }
         if let Some(chaos) = &self.router.chaos {
             if chaos.cut(from.0 as usize) {
-                return PortVerdict::Dropped;
+                return;
             }
             // The uplink dice roll once per submission, not per candidate:
             // the fault lives on the client's link, not on the rotation.
             match chaos.c2s(from.0 as usize) {
-                Delivery::Drop => return PortVerdict::Dropped,
+                Delivery::Drop => return,
                 Delivery::Deliver { delay, copies } => {
                     if !delay.is_zero() || copies != 1 {
                         // A late (or duplicated) submission leaves off the
@@ -716,7 +684,7 @@ impl Port for RtPort {
                         // resolves the serving replica at delivery time.
                         let held = Delayed::Submission(from, msg, deadline);
                         self.delay.schedule(delay, held, copies);
-                        return PortVerdict::Sent;
+                        return;
                     }
                 }
             }
@@ -894,10 +862,7 @@ mod tests {
                 cached: None,
                 also_extend: Vec::new(),
             };
-            assert!(matches!(
-                port.send(ClientId(0), fetch, None),
-                PortVerdict::Sent
-            ));
+            port.send(ClientId(0), fetch, None);
         }
         let t0 = Instant::now();
         loop {

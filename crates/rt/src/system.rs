@@ -46,7 +46,6 @@ use bytes::Bytes;
 use lease_clock::{Clock, ClockModel, Dur, ModelClock, Time, WallClock};
 use lease_core::{
     Backoff, ClientConfig, ClientId, LeaseServer, RetryBudget, ServerConfig, Storage,
-    TermController,
 };
 use lease_quorum::{KillHandle, QuorumConfig, QuorumHooks, QuorumRuntime};
 use lease_store::{DirId, FileKind, Perms, Store};
@@ -72,9 +71,7 @@ pub struct RtSystemBuilder {
     backoff: Backoff,
     op_deadline: Option<Dur>,
     retry_budget: Option<RetryBudget>,
-    breaker: Option<(u32, Dur)>,
     admission: Option<AdmissionControl>,
-    overload: Option<TermController>,
     mailbox: Option<usize>,
     clients: u32,
     shards: usize,
@@ -134,25 +131,10 @@ impl RtSystemBuilder {
         self
     }
 
-    /// Per-client circuit breaker: after `threshold` consecutive overload
-    /// signals (refused sends, `Shed`) the client stops submitting for
-    /// `cooldown`, then probes half-open.
-    pub fn breaker(mut self, threshold: u32, cooldown: Dur) -> Self {
-        self.breaker = Some((threshold, cooldown));
-        self
-    }
-
     /// Server-side admission control: shard occupancy watermarks at which
     /// cold fetches are shed with a `retry_after` hint.
     pub fn admission(mut self, a: AdmissionControl) -> Self {
         self.admission = Some(a);
-        self
-    }
-
-    /// Server-side adaptive term degradation: every shard runs this
-    /// controller, shortening granted terms as pressure rises.
-    pub fn overload_control(mut self, c: TermController) -> Self {
-        self.overload = Some(c);
         self
     }
 
@@ -392,7 +374,6 @@ impl RtSystemBuilder {
         let term = self.term;
         let installed_tick = self.installed_tick;
         let installed_group: Vec<ClientId> = (0..self.clients).map(ClientId).collect();
-        let overload = self.overload;
         let services: Vec<LeaseService<Res, Bytes>> = (0..replicas)
             .map(|r| {
                 let fence = fence_of(r);
@@ -427,7 +408,6 @@ impl RtSystemBuilder {
                         // §5: a restarted server also refuses *grants* until
                         // the recovery window passes, not just writes.
                         sc.defer_grants_in_recovery = true;
-                        sc.overload = overload;
                         let mine: Vec<Res> = installed_resources
                             .iter()
                             .copied()
@@ -539,7 +519,6 @@ impl RtSystemBuilder {
             let (handle, thread) = spawn_client(
                 ClientId(i as u32),
                 client_cfg.clone(),
-                self.breaker,
                 egress.inbox(i),
                 Box::new(RtPort {
                     router: router.clone(),
@@ -633,9 +612,7 @@ impl RtSystem {
             backoff: Backoff::default(),
             op_deadline: None,
             retry_budget: None,
-            breaker: None,
             admission: None,
-            overload: None,
             mailbox: None,
             clients: 1,
             shards: 1,

@@ -1,14 +1,17 @@
-//! A full lane is a loss. Several threads share one client whose lane
-//! into a slow shard holds two messages, so sends find it full and are
-//! refused; nothing queues them for later. The cache's retransmission
-//! timer, the one retry schedule, must bring every op to an answer or a
-//! timeout, never to a stale read.
+//! A refused request is paced by the cache alone. A full lane is a loss:
+//! several threads share one client whose lane into a slow shard holds
+//! two messages, so sends find it full and are refused; nothing queues
+//! them for later. The cache's retransmission timer, the one retry
+//! schedule, must bring every op to an answer or a timeout, never to a
+//! stale read. A shed request is retransmitted no sooner than the
+//! server's `retry_after`, and no later than its op deadline allows.
 
 use std::time::Duration;
 
 use lease_clock::Dur;
 use lease_faults::check_history;
 use lease_rt::{FaultPlan, RtError, RtSystem};
+use lease_svc::AdmissionControl;
 
 const THREADS: usize = 6;
 const OPS: usize = 20;
@@ -80,4 +83,39 @@ fn refused_sends_are_retransmitted_by_the_cache() {
     assert!(ok > 0, "nothing got through");
     assert!(stats.retries > 0, "no request was ever sent twice");
     check_history(&history).expect("refused sends must cost delay, not consistency");
+}
+
+/// Every cold fetch is shed with `retry_after` 10 ms, so a read can only
+/// run out its 200 ms op deadline. The client asks again once per
+/// `retry_after` and not faster: the server sees at most one request per
+/// pause, plus the first and one for slack, and counts exactly the sheds
+/// the client counts.
+#[test]
+fn a_shed_client_is_paced_until_its_deadline() {
+    const RETRY_AFTER: Dur = Dur::from_millis(10);
+    const DEADLINE: Dur = Dur::from_millis(200);
+    let sys = RtSystem::builder()
+        .clients(1)
+        .admission(AdmissionControl {
+            shed_watermark: 0.0,
+            retry_after: RETRY_AFTER,
+            ..AdmissionControl::default()
+        })
+        .op_deadline(DEADLINE)
+        .file("/d/f", b"v0".as_ref())
+        .start();
+    let f = sys.lookup("/d/f").expect("file");
+    let client = sys.client(0);
+
+    assert_eq!(client.read(f), Err(RtError::Timeout));
+    let sheds = client.stats().expect("stats").sheds;
+    let server = sys.server_stats().expect("server stats").counters.sheds;
+    let history = sys.history();
+    sys.shutdown();
+
+    let bound = DEADLINE.as_nanos() / RETRY_AFTER.as_nanos() + 2;
+    assert!(sheds > 0, "nothing was shed");
+    assert!(server <= bound, "{server} sheds in {DEADLINE}: not paced");
+    assert_eq!(server, sheds, "the server shed what the client saw shed");
+    check_history(&history).expect("a shed read is a timeout, not a stale read");
 }

@@ -49,9 +49,9 @@
 //! * **Admission control** — beyond transport backpressure, a shard over
 //!   its [`AdmissionControl`] watermark sheds cold fetches with an
 //!   explicit `Shed { retry_after }` reply (renewals, writes, and
-//!   approvals keep flowing), feeds its occupancy to the core's
-//!   adaptive-term controller, and drops inputs whose propagated op
-//!   deadline has already passed.
+//!   approvals keep flowing), and drops inputs whose propagated op
+//!   deadline has already passed. Granted terms are the policy's, however
+//!   hot the shard runs: pacing is the client's, through `retry_after`.
 //! * **Supervision** — each shard worker runs under a supervisor that
 //!   catches panics and restarts the shard through §5 MaxTerm recovery on
 //!   the *same* lanes; restart epochs are folded into global write ids

@@ -431,13 +431,18 @@ where
         hot = !batch.is_empty();
         // Admission pressure: occupancy *behind* this drain — what is
         // still queued in the adopted lanes after we took our batch,
-        // against the nominal mailbox capacity. Fed to the server's term
-        // controller every wakeup, so sustained overload degrades granted
-        // terms and idle wakeups decay the degradation back out.
-        let occ = lanes.queued() as f64 / ctx.mailbox as f64;
-        server.set_pressure(occ);
-        let shed = ctx.admission.filter(|a| occ >= a.shed_watermark);
-        let stats_skip_flush = ctx.admission.is_some_and(|a| occ >= a.stats_watermark);
+        // against the nominal mailbox capacity. Only admission control
+        // reads it, so without that the lanes are not walked.
+        let (shed, stats_skip_flush) = match ctx.admission {
+            Some(a) => {
+                let occ = lanes.queued() as f64 / ctx.mailbox as f64;
+                (
+                    (occ >= a.shed_watermark).then_some(a),
+                    occ >= a.stats_watermark,
+                )
+            }
+            None => (None, false),
+        };
         {
             // Indexed iteration (with a cheap placeholder swap) so the
             // Kill arm can move the unprocessed tail into the stash. A
