@@ -330,14 +330,27 @@ impl<R: Resource, D: Clone> LeaseServer<R, D> {
         store: &mut dyn Storage<R, D>,
     ) -> Vec<ServerOutput<R, D>> {
         let mut out = Vec::new();
+        self.handle_into(now, input, store, &mut out);
+        out
+    }
+
+    /// Handles one input, appending the effects to apply to `out` — so a
+    /// caller that drains `out` between calls reuses one buffer for every
+    /// input.
+    pub fn handle_into(
+        &mut self,
+        now: Time,
+        input: ServerInput<R, D>,
+        store: &mut dyn Storage<R, D>,
+        out: &mut Vec<ServerOutput<R, D>>,
+    ) {
         match input {
-            ServerInput::Msg { from, msg } => self.on_msg(now, from, msg, store, &mut out),
-            ServerInput::Timer(t) => self.on_timer(now, t, store, &mut out),
+            ServerInput::Msg { from, msg } => self.on_msg(now, from, msg, store, out),
+            ServerInput::Timer(t) => self.on_timer(now, t, store, out),
             ServerInput::LocalWrite { resource, data } => {
-                self.start_write(now, None, resource, data, store, &mut out)
+                self.start_write(now, None, resource, data, store, out)
             }
         }
-        out
     }
 
     /// Wipes volatile state (host crash). Durable state — primary copies

@@ -21,13 +21,15 @@
 //!   shard into `expired_drops` — exactly the in-process contract.
 //! * **Egress** — one *perpetual* writer thread per client id owns that
 //!   client's [`EgressRx`] lanes and parks on its doorbell. A wakeup
-//!   drains every lane, encodes the whole run into one frame batch, and
-//!   issues **one** `write_all` on the (Nagle-off) socket — so write
-//!   syscalls per op track the measured wakes/op of the ring path, not
-//!   the message count. The writer outlives connections: while its
-//!   client is disconnected it keeps draining and discards (clients
-//!   recover by retransmission, and a full lane nobody drains would
-//!   stall shard workers); a reconnect just installs a new stream.
+//!   drains every lane in its lane form ([`Reply`]: a one-grant reply is
+//!   encoded straight from its slot, no `ToClient` rebuilt), encodes the
+//!   whole run into one frame batch, and issues **one** `write_all` on
+//!   the (Nagle-off) socket — so write syscalls per op track the measured
+//!   wakes/op of the ring path, not the message count. The writer
+//!   outlives connections: while its client is disconnected it keeps
+//!   draining and discards (clients recover by retransmission, and a full
+//!   lane nobody drains would stall shard workers); a reconnect just
+//!   installs a new stream.
 //!
 //! The client half lives where the clients live: `lease-rt`'s
 //! `NetClient` (real caches over a socket).
@@ -40,8 +42,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use lease_clock::Clock;
-use lease_core::{ClientId, Resource, ToClient};
-use lease_svc::{BatchBuf, Egress, EgressRx, SvcError, SvcHandle};
+use lease_core::{ClientId, Resource};
+use lease_svc::{BatchBuf, Egress, EgressRx, Reply, SvcError, SvcHandle};
 use lease_wire::{frame_len, frame_messages, Dir, FrameBuilder, WireError, WireValue};
 
 /// How long blocked socket reads and parked writers wait before
@@ -468,9 +470,9 @@ where
     }
 }
 
-/// One client's perpetual writer: drain lanes → encode one frame batch →
-/// one corked write. Runs for the server's lifetime; while the client is
-/// disconnected it drains and discards.
+/// One client's perpetual writer: drain lanes → encode one frame batch
+/// from the lane slots → one corked write. Runs for the server's
+/// lifetime; while the client is disconnected it drains and discards.
 fn writer_loop<R, D>(
     mut rx: EgressRx<R, D>,
     slot: Arc<Mutex<Option<TcpStream>>>,
@@ -480,17 +482,17 @@ fn writer_loop<R, D>(
     R: Resource + WireValue,
     D: Clone + Send + WireValue + 'static,
 {
-    let mut msgs: Vec<ToClient<R, D>> = Vec::new();
+    let mut msgs: Vec<Reply<R, D>> = Vec::new();
     let mut wire: Vec<u8> = Vec::new();
     while !stop.load(Ordering::SeqCst) {
         let ticket = rx.bell().ticket();
-        if rx.drain_into(&mut msgs, usize::MAX) == 0 {
+        if rx.drain_replies_into(&mut msgs, usize::MAX) == 0 {
             rx.bell().wait(ticket, POLL);
             continue;
         }
         // Keep draining until the burst is over: every message that
         // arrives while we're here rides the same write.
-        while rx.drain_into(&mut msgs, usize::MAX) > 0 {}
+        while rx.drain_replies_into(&mut msgs, usize::MAX) > 0 {}
 
         let mut guard = slot.lock().expect("writer slot poisoned");
         let Some(stream) = guard.as_mut() else {
@@ -503,7 +505,12 @@ fn writer_loop<R, D>(
         for chunk in msgs.chunks(u16::MAX as usize) {
             let mut fb = FrameBuilder::begin(&mut wire, Dir::S2c, ClientId(0));
             for m in chunk {
-                fb.push_s2c(&mut wire, m);
+                match m {
+                    Reply::Grant { req, grant } => {
+                        fb.push_grants(&mut wire, *req, std::slice::from_ref(grant))
+                    }
+                    Reply::Msg(m) => fb.push_s2c(&mut wire, m),
+                }
             }
             fb.finish(&mut wire);
         }

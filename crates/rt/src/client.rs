@@ -16,6 +16,7 @@ use lease_core::{
     ClientConfig, ClientCounters, ClientId, ClientInput, ClientOutput, ClientTimer, LeaseClient,
     Op, OpError, OpId, OpOutcome, ToClient, ToServer, Version,
 };
+use lease_svc::Reply;
 
 use crate::record::{OpRecord, Recorder};
 use crate::server::{Port, Res};
@@ -82,7 +83,7 @@ struct Shared {
     /// whichever thread is driving.
     driver: Mutex<Worker>,
     /// The IO thread parks on this inbox's doorbell.
-    inbox: Arc<Inbox<ToClient<Res, Bytes>>>,
+    inbox: Arc<Inbox<Reply<Res, Bytes>>>,
     /// For the true-time stamp taken before the lock.
     recorder: Arc<Recorder>,
 }
@@ -493,7 +494,7 @@ impl Drop for CloseOnExit {
 pub(crate) fn spawn_client(
     id: ClientId,
     cfg: ClientConfig,
-    inbox: Arc<Inbox<ToClient<Res, Bytes>>>,
+    inbox: Arc<Inbox<Reply<Res, Bytes>>>,
     port: Box<dyn Port>,
     clock: Arc<dyn Clock>,
     recorder: Arc<Recorder>,
@@ -516,22 +517,23 @@ pub(crate) fn spawn_client(
 }
 
 /// The IO thread: fires timers, retransmissions included, and feeds the
-/// cache whatever its lanes carry (an in-process system's replies; a
-/// socket client has no lanes). It takes the driver lock for each batch
+/// cache whatever its lanes carry (an in-process system's replies, each
+/// turned from its lane form back into a `ToClient` here, on this thread;
+/// a socket client has no lanes). It takes the driver lock for each batch
 /// and parks without it, on the inbox doorbell: every lane publish rings
 /// it, and so does any thread whose work under the lock left a live timer
 /// due before [`Worker::io_wake`]. Ticket-before-final-poll makes the
 /// park race-free, and a short spin after a hot iteration catches
 /// back-to-back replies without a futex round trip (skipped on a single
 /// core, where spinning only steals the producer's timeslice).
-fn io_loop(shared: Weak<Shared>, mut lanes: Lanes<ToClient<Res, Bytes>>) {
+fn io_loop(shared: Weak<Shared>, mut lanes: Lanes<Reply<Res, Bytes>>) {
     let _close = CloseOnExit(Weak::clone(&shared));
     let spin: u32 = if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
         128
     } else {
         0
     };
-    let mut net_buf: Vec<ToClient<Res, Bytes>> = Vec::new();
+    let mut net_buf: Vec<Reply<Res, Bytes>> = Vec::new();
     let mut hot = false;
     loop {
         let ticket = lanes.bell().ticket();
@@ -553,7 +555,7 @@ fn io_loop(shared: Weak<Shared>, mut lanes: Lanes<ToClient<Res, Bytes>>) {
             return;
         };
         for m in net_buf.drain(..) {
-            w.handle_msg(m);
+            w.handle_msg(m.into_msg());
         }
         w.fire_timers();
         if hot {

@@ -22,6 +22,20 @@
 //!   spin-then-park loop shard workers use, so a publish-then-ring can
 //!   never slip between a client's last look and its sleep.
 //!
+//! **A thread frees what it allocates; a lane carries plain data.** A
+//! lane slot is a [`Reply`], not a [`ToClient`]: the common reply — a
+//! fetch answered with exactly one grant — rides inline as
+//! [`Reply::Grant`], and [`EgressWorker::deliver_batch`] converts each
+//! message on the shard's own thread, so the grant `Vec` the state
+//! machine allocated is freed by the thread that allocated it (a
+//! thread-cache hit) instead of by the consumer (a cross-thread free into
+//! the shard's arena). The consumer either rebuilds the `ToClient`
+//! ([`EgressRx::drain_into`], its own allocation on its own thread) or
+//! takes the lane form as is ([`EgressRx::drain_replies_into`]: a socket
+//! writer encodes it straight into its frame). Rarer replies — several
+//! grants (piggybacked renewals), installed-file extensions — still carry
+//! their `Vec` across as [`Reply::Msg`].
+//!
 //! Lanes are created lazily and adopted through the same
 //! [`Inbox`] registration machinery the ingress direction uses — a
 //! shard's first reply to a client registers a fresh lane the client
@@ -31,14 +45,60 @@
 //! deliberately `!Sync`, so they cannot live behind the shared sink
 //! `Arc`). A transport that must look at each message first — chaos
 //! dice, replica fences, cut switches — wraps an [`EgressWorker`] in its
-//! own [`WorkerSink`] and filters in front of [`EgressWorker::push_run`].
+//! own [`WorkerSink`] and filters in front of
+//! [`EgressWorker::deliver_batch`].
 
 use std::sync::Arc;
 
-use lease_core::ring::{spsc, Inbox, Lanes, Producer};
-use lease_core::{ClientId, ToClient};
+use lease_core::ring::{spsc, Doorbell, Inbox, Lanes, Producer};
+use lease_core::{ClientId, Grant, ReqId, ToClient};
 
 use crate::service::{ClientSink, WorkerSink};
+
+/// A reply as it rides an egress lane: fixed-size, and owning no heap
+/// block the shard allocated for a one-grant fetch reply.
+///
+/// `Reply::from(m).into_msg() == m` for every `m` (a unit test pins it).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Reply<R, D> {
+    /// A [`ToClient::Grants`] holding exactly one grant, carried inline.
+    Grant {
+        /// The request being answered.
+        req: ReqId,
+        /// The one grant.
+        grant: Grant<R, D>,
+    },
+    /// Every other reply, as is.
+    Msg(ToClient<R, D>),
+}
+
+impl<R, D> From<ToClient<R, D>> for Reply<R, D> {
+    /// Takes a one-grant reply's grant out of its `Vec` and frees the
+    /// `Vec` here, on the converting (producing) thread.
+    fn from(m: ToClient<R, D>) -> Reply<R, D> {
+        match m {
+            ToClient::Grants { req, mut grants } if grants.len() == 1 => Reply::Grant {
+                req,
+                grant: grants.pop().expect("one grant"),
+            },
+            m => Reply::Msg(m),
+        }
+    }
+}
+
+impl<R, D> Reply<R, D> {
+    /// The protocol message this reply carries; a [`Reply::Grant`] gets a
+    /// fresh one-grant `Vec`, allocated on the calling (consuming) thread.
+    pub fn into_msg(self) -> ToClient<R, D> {
+        match self {
+            Reply::Grant { req, grant } => ToClient::Grants {
+                req,
+                grants: vec![grant],
+            },
+            Reply::Msg(m) => m,
+        }
+    }
+}
 
 /// The client-side receiving half for one client: its adopted egress
 /// lanes (one per shard worker that has replied to it) plus the
@@ -47,10 +107,45 @@ use crate::service::{ClientSink, WorkerSink};
 /// closes the client's inbox, so shard workers observe `Closed` and
 /// drop further replies instead of stalling on a full lane nobody
 /// drains.
-pub type EgressRx<R, D> = Lanes<ToClient<R, D>>;
+pub struct EgressRx<R, D> {
+    lanes: Lanes<Reply<R, D>>,
+    /// Lane-form scratch for [`EgressRx::drain_into`], reused across
+    /// calls.
+    scratch: Vec<Reply<R, D>>,
+}
+
+impl<R, D> EgressRx<R, D> {
+    /// The doorbell to park on (ticket before the final poll).
+    pub fn bell(&self) -> &Doorbell {
+        self.lanes.bell()
+    }
+
+    /// One round-robin sweep over the lanes, appending at most `max`
+    /// replies to `out` as the [`ToClient`]s the shard produced (a
+    /// one-grant reply's `Vec` is allocated here, on this thread).
+    /// Returns how many were moved.
+    pub fn drain_into(&mut self, out: &mut Vec<ToClient<R, D>>, max: usize) -> usize {
+        let n = self.lanes.drain_into(&mut self.scratch, max);
+        out.extend(self.scratch.drain(..).map(Reply::into_msg));
+        n
+    }
+
+    /// [`EgressRx::drain_into`] without the conversion: the replies in
+    /// their lane form, for a consumer that reads them where they are
+    /// (a socket writer encoding frames).
+    pub fn drain_replies_into(&mut self, out: &mut Vec<Reply<R, D>>, max: usize) -> usize {
+        self.lanes.drain_into(out, max)
+    }
+
+    /// How many lanes — one per shard worker that has replied — are
+    /// adopted right now.
+    pub fn adopted(&self) -> usize {
+        self.lanes.adopted()
+    }
+}
 
 /// One client's registration hub in the shared registry.
-type ClientInbox<R, D> = Arc<Inbox<ToClient<R, D>>>;
+type ClientInbox<R, D> = Arc<Inbox<Reply<R, D>>>;
 
 /// The shared egress registry: one [`Inbox`] per client, handed to the
 /// sink side ([`EgressWorker`]s publish into it) and the client side
@@ -92,14 +187,17 @@ impl<R: Send + 'static, D: Send + 'static> Egress<R, D> {
     /// (two `EgressRx` over one inbox would split its lanes between
     /// them arbitrarily).
     pub fn rx(&self, c: usize) -> EgressRx<R, D> {
-        Lanes::new(Arc::clone(&self.inboxes[c]))
+        EgressRx {
+            lanes: Lanes::new(Arc::clone(&self.inboxes[c])),
+            scratch: Vec::new(),
+        }
     }
 
     /// Client `c`'s inbox — for whoever builds the client's receiving
     /// half itself (`Lanes::new`, instead of [`Egress::rx`]) or must ring
     /// the one doorbell its thread parks on for something besides a
     /// reply (`lease-rt`: an application thread that armed a timer).
-    pub fn inbox(&self, c: usize) -> Arc<Inbox<ToClient<R, D>>> {
+    pub fn inbox(&self, c: usize) -> Arc<Inbox<Reply<R, D>>> {
         Arc::clone(&self.inboxes[c])
     }
 
@@ -131,7 +229,7 @@ impl<R: Send + 'static, D: Send + 'static> Egress<R, D> {
 /// thread owns it.
 pub struct EgressWorker<R, D> {
     egress: Egress<R, D>,
-    producers: Vec<Option<Producer<ToClient<R, D>>>>,
+    producers: Vec<Option<Producer<Reply<R, D>>>>,
     /// Per-client "this flush touched you" flags, cleared by
     /// [`EgressWorker::flush_wakes`].
     touched: Vec<bool>,
@@ -139,7 +237,7 @@ pub struct EgressWorker<R, D> {
     rung: Vec<usize>,
     /// Reusable same-client run buffer for
     /// [`EgressWorker::deliver_batch`].
-    run: Vec<ToClient<R, D>>,
+    run: Vec<Reply<R, D>>,
 }
 
 impl<R: Send + 'static, D: Send + 'static> EgressWorker<R, D> {
@@ -150,7 +248,7 @@ impl<R: Send + 'static, D: Send + 'static> EgressWorker<R, D> {
     /// A full lane rings the client's bell immediately (it may be
     /// parked behind a backlog) and yields until space frees; a closed
     /// lane — the client is gone — drops the run.
-    pub fn push_run(&mut self, to: ClientId, run: &mut Vec<ToClient<R, D>>) {
+    fn push_run(&mut self, to: ClientId, run: &mut Vec<Reply<R, D>>) {
         let c = to.0 as usize;
         if c >= self.producers.len() {
             debug_assert!(false, "egress to unknown client {c}");
@@ -189,27 +287,26 @@ impl<R: Send + 'static, D: Send + 'static> EgressWorker<R, D> {
 
     /// Rings each client touched since the last call — once per client,
     /// however many runs the flush pushed at it.
-    pub fn flush_wakes(&mut self) {
+    fn flush_wakes(&mut self) {
         for c in self.rung.drain(..) {
             self.touched[c] = false;
             self.egress.inboxes[c].bell().ring();
         }
     }
 
-    /// One whole flush: groups consecutive same-client runs, publishes
-    /// each with one `Release` store, then rings each touched client
-    /// once. Allocation-free once the lanes and scratch buffers are
-    /// warm (pinned by `zero_alloc_egress`).
+    /// One whole flush: converts each message to its lane form on this
+    /// (the shard's) thread, groups consecutive same-client runs,
+    /// publishes each with one `Release` store, then rings each touched
+    /// client once. Allocation-free once the lanes and scratch buffers
+    /// are warm, and every one-grant reply's `Vec` is freed here (both
+    /// pinned by `zero_alloc_egress`).
     pub fn deliver_batch(&mut self, msgs: &mut Vec<(ClientId, ToClient<R, D>)>) {
         let mut run = std::mem::take(&mut self.run);
         let mut it = msgs.drain(..).peekable();
         while let Some((to, msg)) = it.next() {
-            run.push(msg);
-            while let Some((next, _)) = it.peek() {
-                if *next != to {
-                    break;
-                }
-                run.push(it.next().expect("peeked").1);
+            run.push(msg.into());
+            while let Some((_, msg)) = it.next_if(|(next, _)| *next == to) {
+                run.push(msg.into());
             }
             self.push_run(to, &mut run);
         }
@@ -242,5 +339,86 @@ impl<R: Send + 'static, D: Send + 'static> EgressSink<R, D> {
 impl<R: Send + 'static, D: Send + 'static> ClientSink<R, D> for EgressSink<R, D> {
     fn attach_worker(&self) -> Box<dyn WorkerSink<R, D>> {
         Box::new(self.egress.worker())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use lease_clock::{Dur, Time};
+    use lease_core::{ErrorReason, LeaseHandle, Version, WriteId};
+
+    use super::*;
+
+    fn grant(resource: u64, data: Option<u64>) -> Grant<u64, u64> {
+        Grant {
+            resource,
+            version: Version(resource + 1),
+            data,
+            term: Dur::from_secs(10),
+            handle: LeaseHandle::from_raw(resource as u32, 3),
+        }
+    }
+
+    /// The lane form loses nothing: every reply comes back out of
+    /// `into_msg` as it went in, and only a one-grant `Grants` changes
+    /// shape on the way.
+    #[test]
+    fn reply_conversion_is_lossless() {
+        let grants = |grants| ToClient::Grants {
+            req: ReqId(9),
+            grants,
+        };
+        let msgs: Vec<(ToClient<u64, u64>, bool)> = vec![
+            (grants(vec![grant(1, Some(5))]), true),
+            (grants(vec![grant(1, None)]), true),
+            (grants(vec![grant(1, Some(5)), grant(2, None)]), false),
+            (grants(vec![]), false),
+            (
+                ToClient::WriteDone {
+                    req: ReqId(2),
+                    resource: 4,
+                    version: Version(7),
+                    term: Dur::from_secs(1),
+                },
+                false,
+            ),
+            (
+                ToClient::ApprovalRequest {
+                    write_id: WriteId(11),
+                    resource: 4,
+                    replaces: Version(6),
+                },
+                false,
+            ),
+            (
+                ToClient::InstalledExtend {
+                    resources: vec![(1, Version(2)), (3, Version(4))],
+                    term: Dur::from_secs(30),
+                    sent_at: Time::from_millis(12),
+                },
+                false,
+            ),
+            (
+                ToClient::Error {
+                    req: ReqId(3),
+                    reason: ErrorReason::NoSuchResource,
+                },
+                false,
+            ),
+            (
+                ToClient::Error {
+                    req: ReqId(4),
+                    reason: ErrorReason::Shed {
+                        retry_after: Dur::from_millis(10),
+                    },
+                },
+                false,
+            ),
+        ];
+        for (m, inline) in msgs {
+            let r = Reply::from(m.clone());
+            assert_eq!(matches!(r, Reply::Grant { .. }), inline, "{m:?}");
+            assert_eq!(r.into_msg(), m);
+        }
     }
 }

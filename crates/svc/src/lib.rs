@@ -21,6 +21,14 @@
 //!   The protocol asks its transport for nothing but lossy datagrams plus
 //!   retransmission, so a dropped, delayed or fenced message is a filter
 //!   before a lane, never a second transport.
+//! * **A thread frees what it allocates; a lane carries plain data** —
+//!   a reply lane's slot is a fixed-size [`Reply`]: a one-grant fetch
+//!   reply rides inline, converted on the shard's thread, so the grant
+//!   `Vec` the state machine allocated is freed where it was allocated
+//!   and the consumer frees nothing of the shard's. [`EgressRx`] hands
+//!   out either the rebuilt [`ToClient`](lease_core::ToClient)s or the
+//!   lane form itself. Inside the shard, one output buffer serves every
+//!   `LeaseServer::handle_into` call.
 //! * **Batching** — batched end to end. Ingress: [`SvcHandle::try_send_batch`]
 //!   routes a whole [`BatchBuf`] in one pass and publishes one run per
 //!   touched shard with a single `Release` store. Worker: a shard drains
@@ -127,7 +135,7 @@ pub use lease_core::wheel;
 pub use chaos::{
     Arrivals, Delivery, FaultPlan, LinkChaos, OverloadPlan, OVERLOAD_STREAM, REPLICA_STREAM,
 };
-pub use egress::{Egress, EgressRx, EgressSink, EgressWorker};
+pub use egress::{Egress, EgressRx, EgressSink, EgressWorker, Reply};
 pub use service::{
     shard_of, AdmissionControl, BatchBuf, ClientSink, LeaseService, ShardGauges, SvcConfig,
     SvcError, SvcHandle, SvcHooks, SvcStats, WorkerSink,

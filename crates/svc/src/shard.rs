@@ -254,8 +254,12 @@ where
     msg
 }
 
+/// Applies (and drains) the effects one input produced. `outs` is the
+/// worker's one output buffer, lent to `LeaseServer::handle_into` for every
+/// input and emptied here, so its capacity is allocated once per
+/// incarnation.
 fn apply<R, D>(
-    outs: Vec<ServerOutput<R, D>>,
+    outs: &mut Vec<ServerOutput<R, D>>,
     timers: &mut Timers,
     outbox: &mut Vec<(ClientId, ToClient<R, D>)>,
     ctx: &ShardCtx<R, D>,
@@ -264,7 +268,7 @@ fn apply<R, D>(
     R: Resource,
     D: Clone,
 {
-    for o in outs {
+    for o in outs.drain(..) {
         match o {
             // Outbound protocol messages accumulate in the worker's
             // outbox and leave in one flush per wakeup, so the sink's
@@ -333,7 +337,7 @@ where
     // Fired-entry scratch reused across wakeups.
     let mut fired: Vec<(Time, WheelKey)> = Vec::new();
     let mut outbox: Vec<(ClientId, ToClient<R, D>)> = Vec::new();
-    let outs = if epoch == 0 {
+    let mut outs = if epoch == 0 {
         server.start(now, &*storage)
     } else {
         // §5 crash recovery: the previous incarnation's lease grants are
@@ -343,7 +347,7 @@ where
         let max_term = ctx.hooks.recover_max_term.as_ref().and_then(|f| f());
         server.recover(now, max_term, Vec::new(), &*storage)
     };
-    apply(outs, &mut timers, &mut outbox, ctx, epoch);
+    apply(&mut outs, &mut timers, &mut outbox, ctx, epoch);
 
     // Start from whatever an injected kill left half-drained: those
     // messages precede everything still in the lanes, so the new
@@ -370,8 +374,9 @@ where
                 WheelKey::InstalledTick => ServerTimer::InstalledTick,
                 WheelKey::WriteDeadline(w) => ServerTimer::WriteDeadline(w),
             };
-            let outs = server.handle(ctx.clock.now(), ServerInput::Timer(timer), &mut *storage);
-            apply(outs, &mut timers, &mut outbox, ctx, epoch);
+            let input = ServerInput::Timer(timer);
+            server.handle_into(ctx.clock.now(), input, &mut *storage, &mut outs);
+            apply(&mut outs, &mut timers, &mut outbox, ctx, epoch);
         }
         timers.arm_prune(server.table().next_expiry());
 
@@ -523,8 +528,8 @@ where
                             }
                             other => other,
                         };
-                        let outs = server.handle(ctx.clock.now(), input, &mut *storage);
-                        apply(outs, &mut timers, &mut outbox, ctx, epoch);
+                        server.handle_into(ctx.clock.now(), input, &mut *storage, &mut outs);
+                        apply(&mut outs, &mut timers, &mut outbox, ctx, epoch);
                         if let Some(d) = ctx.slow {
                             // Injected degradation: bound this worker's
                             // throughput to ~1/d inputs per second.

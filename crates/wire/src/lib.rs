@@ -365,24 +365,7 @@ impl FrameBuilder {
     ) {
         debug_assert_eq!(self.dir, Dir::S2c, "s2c message in a {:?} frame", self.dir);
         match msg {
-            ToClient::Grants { req, grants } => {
-                out.push(0);
-                out.extend_from_slice(&req.0.to_le_bytes());
-                out.extend_from_slice(&(grants.len() as u32).to_le_bytes());
-                for g in grants {
-                    g.resource.encode(out);
-                    out.extend_from_slice(&g.version.0.to_le_bytes());
-                    match &g.data {
-                        None => out.push(0),
-                        Some(d) => {
-                            out.push(1);
-                            d.encode(out);
-                        }
-                    }
-                    out.extend_from_slice(&g.term.as_nanos().to_le_bytes());
-                    encode_handle(out, g.handle);
-                }
-            }
+            ToClient::Grants { req, grants } => return self.push_grants(out, *req, grants),
             ToClient::WriteDone {
                 req,
                 resource,
@@ -430,6 +413,37 @@ impl FrameBuilder {
                     }
                 }
             }
+        }
+        self.count += 1;
+    }
+
+    /// Appends one [`ToClient::Grants`] reply to `req` from its grants
+    /// wherever they are held — the bytes [`FrameBuilder::push_s2c`]
+    /// writes for `Grants { req, grants: grants.to_vec() }`, without the
+    /// `Vec` (a socket writer encodes a lane slot's one inline grant with
+    /// `std::slice::from_ref`).
+    pub fn push_grants<R: WireValue, D: WireValue>(
+        &mut self,
+        out: &mut Vec<u8>,
+        req: ReqId,
+        grants: &[Grant<R, D>],
+    ) {
+        debug_assert_eq!(self.dir, Dir::S2c, "s2c message in a {:?} frame", self.dir);
+        out.push(0);
+        out.extend_from_slice(&req.0.to_le_bytes());
+        out.extend_from_slice(&(grants.len() as u32).to_le_bytes());
+        for g in grants {
+            g.resource.encode(out);
+            out.extend_from_slice(&g.version.0.to_le_bytes());
+            match &g.data {
+                None => out.push(0),
+                Some(d) => {
+                    out.push(1);
+                    d.encode(out);
+                }
+            }
+            out.extend_from_slice(&g.term.as_nanos().to_le_bytes());
+            encode_handle(out, g.handle);
         }
         self.count += 1;
     }

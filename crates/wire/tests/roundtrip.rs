@@ -11,7 +11,7 @@ use lease_core::{
     ClientId, ErrorReason, Grant, LeaseHandle, ReqId, ToClient, ToServer, Version, WriteId,
 };
 use lease_wire::{
-    decode_header, frame_len, frame_messages, Dir, FrameBuilder, WireError, HEADER_LEN,
+    decode_header, frame_len, frame_messages, Dir, FrameBuilder, WireError, WireValue, HEADER_LEN,
 };
 use proptest::prelude::*;
 
@@ -218,6 +218,66 @@ proptest! {
         let (_, mut it) = frame_messages(&buf).unwrap();
         let got = it.next_s2c::<u64, Bytes>().unwrap().unwrap();
         prop_assert_eq!(got, g);
+    }
+}
+
+/// One grant encoded from where a lane slot holds it
+/// (`push_grants(req, slice::from_ref(g))`) is the same frame, byte for
+/// byte, as the one-grant `ToClient::Grants` encoded by `push_s2c`, and
+/// decodes back to that message.
+fn inline_grant_frame_is_the_boxed_one<D>(req: ReqId, g: &Grant<u64, D>) -> TestCaseResult
+where
+    D: WireValue + Clone + PartialEq + std::fmt::Debug,
+{
+    let msg = ToClient::Grants {
+        req,
+        grants: vec![g.clone()],
+    };
+    let mut inline = Vec::new();
+    let mut fb = FrameBuilder::begin(&mut inline, Dir::S2c, ClientId(0));
+    fb.push_grants(&mut inline, req, std::slice::from_ref(g));
+    fb.finish(&mut inline);
+    let mut boxed = Vec::new();
+    let mut fb = FrameBuilder::begin(&mut boxed, Dir::S2c, ClientId(0));
+    fb.push_s2c(&mut boxed, &msg);
+    fb.finish(&mut boxed);
+    prop_assert_eq!(&inline, &boxed);
+    let (h, mut it) = frame_messages(&inline).unwrap();
+    prop_assert_eq!(h.count, 1);
+    prop_assert_eq!(it.next_s2c::<u64, D>().unwrap(), Some(msg));
+    prop_assert_eq!(it.next_s2c::<u64, D>().unwrap(), None);
+    Ok(())
+}
+
+proptest! {
+    /// `push_grants` ≡ `push_s2c` for a one-grant reply, `D = u64`, with
+    /// data and without.
+    #[test]
+    fn push_grants_matches_push_s2c(req in any::<u64>(), g in grant()) {
+        inline_grant_frame_is_the_boxed_one(ReqId(req), &g)?;
+        let bare = Grant { data: None, ..g.clone() };
+        inline_grant_frame_is_the_boxed_one(ReqId(req), &bare)?;
+        let full = Grant { data: Some(g.data.unwrap_or(req)), ..g };
+        inline_grant_frame_is_the_boxed_one(ReqId(req), &full)?;
+    }
+
+    /// The same for `D = Bytes`, with data (empty included) and without.
+    #[test]
+    fn push_grants_matches_push_s2c_bytes(
+        req in any::<u64>(),
+        g in grant(),
+        data in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let with = Grant {
+            resource: g.resource,
+            version: g.version,
+            data: Some(Bytes::from(data)),
+            term: g.term,
+            handle: g.handle,
+        };
+        inline_grant_frame_is_the_boxed_one(ReqId(req), &with)?;
+        let without = Grant { data: None, ..with };
+        inline_grant_frame_is_the_boxed_one(ReqId(req), &without)?;
     }
 }
 
