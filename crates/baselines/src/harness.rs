@@ -1,12 +1,8 @@
 //! Running baselines on the shared harness.
 
 use lease_clock::{Dur, Time};
-use lease_core::MemStorage;
-use lease_net::{FaultPlanNet, SimNet};
-use lease_sim::{ActorId, World};
 use lease_vsys::{
-    add_clients, history, run_trace_with_history, NetMsg, RunReport, SharedHistory, SystemConfig,
-    TermSpec,
+    assemble, run_trace_with_history, RunReport, SharedHistory, SystemConfig, TermSpec,
 };
 use lease_workload::Trace;
 
@@ -88,55 +84,21 @@ enum ServerKind {
 }
 
 fn run_custom(cfg: &SystemConfig, trace: &Trace, kind: ServerKind) -> (RunReport, SharedHistory) {
-    let n = trace.client_count().max(1);
-    let net = SimNet::new(cfg.net)
-        .with_faults(FaultPlanNet {
-            loss_prob: cfg.loss,
-            duplicate_prob: cfg.duplicate,
-            partitions: cfg.partitions.clone(),
-        })
-        .with_jitter(cfg.jitter);
-    let mut world: World<NetMsg> = World::new(cfg.seed, net);
-    let hist = history::shared();
     let warmup = Time::ZERO + cfg.warmup;
-
-    let client_ids: Vec<ActorId> = (0..n).map(|i| ActorId(1 + i as usize)).collect();
-    let mut storage = MemStorage::new();
-    for f in &trace.files {
-        storage.insert(f.id, 0);
-    }
-    let server_id = match kind {
+    let mut h = assemble(cfg, trace, |world, storage, clients, hist| match kind {
         ServerKind::Andrew => world.add_actor(AndrewServerActor::new(
             storage,
-            client_ids.clone(),
+            clients,
             hist.clone(),
             warmup,
         )),
         ServerKind::Nfs(ttl) => world.add_actor(NfsServerActor::new(
             storage,
             ttl,
-            client_ids.clone(),
+            clients,
             hist.clone(),
             warmup,
         )),
-    };
-    debug_assert_eq!(server_id, ActorId(0));
-    let added = add_clients(&mut world, cfg, trace, server_id, &hist);
-    debug_assert_eq!(added, client_ids);
-
-    for crash in &cfg.crashes {
-        let victim = match crash.node {
-            lease_vsys::NodeSel::Server => server_id,
-            lease_vsys::NodeSel::Client(i) => client_ids[i as usize],
-        };
-        world.schedule_crash(crash.at, victim);
-        if let Some(r) = crash.recover_at {
-            world.schedule_recover(r, victim);
-        }
-    }
-
-    let end = Time::ZERO + trace.duration() + cfg.drain;
-    world.run_until(end);
-    let window = end.saturating_since(warmup).as_secs_f64();
-    (RunReport::from_world(&mut world, window), hist)
+    });
+    (h.run(cfg.drain), h.history)
 }

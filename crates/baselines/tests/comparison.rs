@@ -3,9 +3,7 @@
 use lease_baselines::Baseline;
 use lease_clock::{Dur, Time};
 use lease_faults::{check_history, staleness_of, Violation};
-use lease_net::Partition;
-use lease_sim::ActorId;
-use lease_vsys::SystemConfig;
+use lease_vsys::{FaultPlan, SystemConfig};
 use lease_workload::{PoissonWorkload, Trace};
 
 fn cfg() -> SystemConfig {
@@ -136,12 +134,8 @@ fn partition_makes_andrew_stale_but_not_leases() {
     );
 
     let mut c = cfg();
-    // Client 0 (actor 1) is cut off for 60 s.
-    c.partitions = vec![Partition::new(
-        Time::from_secs(100),
-        Time::from_secs(160),
-        [ActorId(1)],
-    )];
+    // Client 0 is cut off for 60 s.
+    c.faults = FaultPlan::default().cut(Dur::from_secs(100), Dur::from_secs(160), 0);
 
     let (_, h) = Baseline::AndrewCallbacks { poll: None }.run(&c, &trace);
     let violations =
@@ -172,11 +166,9 @@ fn partition_makes_andrew_stale_but_not_leases() {
 fn andrew_poll_bounds_staleness() {
     let trace = workload(5);
     let mut c = cfg();
-    c.partitions = vec![Partition::new(
-        Time::from_secs(100),
-        Time::from_secs(160),
-        [ActorId(1), ActorId(2), ActorId(3)],
-    )];
+    c.faults = (0..3).fold(FaultPlan::default(), |p, client| {
+        p.cut(Dur::from_secs(100), Dur::from_secs(160), client)
+    });
     let poll = Dur::from_secs(30);
     let (_, h) = Baseline::AndrewCallbacks { poll: Some(poll) }.run(&c, &trace);
     let outcome = check_history(&h.borrow());
@@ -243,4 +235,26 @@ fn andrew_server_crash_loses_callback_state_and_goes_stale() {
     }
     .run(&c, &trace);
     check_history(&h.borrow()).expect("leases survive the server crash");
+}
+
+/// The custom-server baselines run on the shared network: a distant
+/// client's extra propagation slows an NFS client's reads too.
+#[test]
+fn a_distant_client_slows_the_nfs_baseline() {
+    let trace = workload(9);
+    let nfs = Baseline::NfsTtl {
+        ttl: Dur::from_secs(3),
+    };
+    let (lan, _) = nfs.run(&cfg(), &trace);
+    let far = SystemConfig {
+        extra_prop: vec![(0, Dur::from_millis(400))],
+        ..cfg()
+    };
+    let (wan, _) = nfs.run(&far, &trace);
+    assert!(
+        wan.mean_delay_ms() > lan.mean_delay_ms(),
+        "client 0 at +400 ms: {} ms vs {} ms on the LAN",
+        wan.mean_delay_ms(),
+        lan.mean_delay_ms()
+    );
 }

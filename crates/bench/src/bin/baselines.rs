@@ -3,10 +3,8 @@
 
 use lease_baselines::Baseline;
 use lease_bench::{save_json, table};
-use lease_clock::{Dur, Time};
+use lease_clock::Dur;
 use lease_faults::{check_history, staleness_of};
-use lease_net::Partition;
-use lease_sim::ActorId;
 use lease_vsys::SystemConfig;
 use lease_workload::{PoissonWorkload, Trace};
 use serde::Serialize;
@@ -81,12 +79,9 @@ fn main() {
         ..Default::default()
     };
     let mut faulted_cfg = base_cfg.clone();
-    // Clients 0 and 1 (actors 1-2) unreachable from 100 s to 160 s.
-    faulted_cfg.partitions = vec![Partition::new(
-        Time::from_secs(100),
-        Time::from_secs(160),
-        [ActorId(1), ActorId(2)],
-    )];
+    // Clients 0 and 1 unreachable from 100 s to 160 s.
+    let (from, until) = (Dur::from_secs(100), Dur::from_secs(160));
+    faulted_cfg.faults = faulted_cfg.faults.cut(from, until, 0).cut(from, until, 1);
 
     let mut json = Vec::new();
     for (label, cfg, faulted) in [

@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use lease_bench::sweep::{self, take_threads_arg};
 use lease_clock::{ClockModel, Dur};
-use lease_faults::check_history;
+use lease_faults::{check_history, grantor_claims, Violation};
 use lease_rt::{FaultPlan, QuorumConfig, RtSystem};
 use lease_vsys::{History, HistoryEvent};
 
@@ -197,6 +197,9 @@ fn run_seed(sc: &Scenario, seed: u64, duration: Duration) -> SeedReport {
             for violation in v.iter().take(3) {
                 eprintln!("{} seed {seed}: {violation:?}", sc.name);
             }
+            if sc.quorum.is_some() {
+                print_claim_holders(sc.name, seed, &history, &v);
+            }
             v.len()
         }
     };
@@ -207,6 +210,37 @@ fn run_seed(sc: &Scenario, seed: u64, duration: Duration) -> SeedReport {
         max_write_delay,
         count,
         violations,
+    }
+}
+
+/// Names, for each stale read, the replica whose grantor claim covered
+/// the instant the read's version stopped being current: the grantor
+/// that committed the write the reader missed.
+fn print_claim_holders(name: &str, seed: u64, history: &History, violations: &[Violation]) {
+    let claims = grantor_claims(history);
+    for v in violations {
+        if let Violation::StaleRead {
+            resource,
+            version,
+            valid_until,
+            ..
+        } = v
+        {
+            let holder = claims
+                .iter()
+                .filter(|c| c.from <= *valid_until && *valid_until < c.until)
+                .map(|c| format!("replica {} (ballot {})", c.replica, c.ballot))
+                .collect::<Vec<_>>();
+            eprintln!(
+                "{name} seed {seed}: StaleRead of resource {resource} {version:?}: \
+                 grantor at valid_until {valid_until}: {}",
+                if holder.is_empty() {
+                    "none".to_string()
+                } else {
+                    holder.join(", ")
+                }
+            );
+        }
     }
 }
 

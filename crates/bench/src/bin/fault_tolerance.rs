@@ -4,7 +4,7 @@
 use lease_bench::{save_json, table};
 use lease_clock::{ClockModel, Dur, Time};
 use lease_faults::{check_history, staleness_of};
-use lease_vsys::{run_trace_with_history, CrashEvent, NodeSel, SystemConfig, TermSpec};
+use lease_vsys::{run_trace_with_history, CrashEvent, FaultPlan, NodeSel, SystemConfig, TermSpec};
 use lease_workload::{FileClass, FileSpec, PoissonWorkload, Trace, TraceOp, TraceRecord};
 use serde::Serialize;
 
@@ -161,7 +161,7 @@ fn main() {
     for loss in [0.0, 0.05, 0.15, 0.30] {
         let cfg = SystemConfig {
             term: TermSpec::Fixed(Dur::from_secs(10)),
-            loss,
+            faults: FaultPlan::default().drop_messages(loss),
             retry_interval: Dur::from_millis(300),
             max_retries: 500,
             ..SystemConfig::default()
@@ -194,34 +194,35 @@ fn main() {
     // Experiment D: clock failures — the one hazard.
     println!("Section 5 D: clock failures — the dangerous and the harmless directions\n");
     let mut rows = Vec::new();
-    let cases: Vec<(&str, ClockModel, Vec<ClockModel>)> = vec![
-        ("perfect clocks", ClockModel::perfect(), vec![]),
+    let plan = FaultPlan::default();
+    let cases = [
+        ("perfect clocks", plan.clone()),
         (
             "server 3x fast (dangerous)",
-            ClockModel::drifting(2_000_000.0),
-            vec![],
+            plan.clone()
+                .with_server_clock(ClockModel::drifting(2_000_000.0)),
         ),
         (
             "client 0.4x slow (dangerous)",
-            ClockModel::perfect(),
-            vec![ClockModel::drifting(-600_000.0)],
+            plan.clone()
+                .with_client_clock(0, ClockModel::drifting(-600_000.0)),
         ),
         (
             "server 30% slow (harmless)",
-            ClockModel::drifting(-300_000.0),
-            vec![],
+            plan.clone()
+                .with_server_clock(ClockModel::drifting(-300_000.0)),
         ),
         (
             "clients 30% fast (harmless)",
-            ClockModel::perfect(),
-            (0..6).map(|_| ClockModel::drifting(300_000.0)).collect(),
+            (0..6).fold(plan, |p, c| {
+                p.with_client_clock(c, ClockModel::drifting(300_000.0))
+            }),
         ),
     ];
-    for (label, server_clock, client_clocks) in cases {
+    for (label, faults) in cases {
         let cfg = SystemConfig {
             term: TermSpec::Fixed(Dur::from_secs(10)),
-            server_clock,
-            client_clocks,
+            faults,
             max_retries: 500,
             ..SystemConfig::default()
         };

@@ -4,7 +4,8 @@
 //! Three measurements, matching the satellite's list:
 //!
 //! 1. **Grantor-lease acquisition latency.** From the deterministic
-//!    virtual-time simulation (`lease_quorum::sim`): the cold election
+//!    virtual-time simulation (`lease_quorum::sim`, the replicas as
+//!    actors on `lease-sim`'s `World`): the cold election
 //!    latency from boot, and the takeover latency after the serving
 //!    grantor is killed, swept over seeds with message chaos. Virtual
 //!    time, so the numbers are machine-independent and byte-stable.

@@ -43,4 +43,6 @@
 
 pub mod oracle;
 
-pub use oracle::{check_goodput, check_history, staleness_of, GoodputSpec, Violation};
+pub use oracle::{
+    check_goodput, check_history, grantor_claims, staleness_of, Claim, GoodputSpec, Violation,
+};

@@ -353,68 +353,75 @@ pub fn check_goodput(history: &History, spec: GoodputSpec) -> Result<(), Violati
 }
 
 /// One grantor serving claim: `[from, until)` in true time.
-struct Claim {
-    replica: u32,
-    ballot: u64,
-    from: Time,
-    until: Time,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Claim {
+    /// The replica that held the claim.
+    pub replica: u32,
+    /// Its ballot.
+    pub ballot: u64,
+    /// When the claim was acquired.
+    pub from: Time,
+    /// When it ended; [`Time::MAX`] if it was never ceded in the history.
+    pub until: Time,
 }
 
-/// Collects grantor serving intervals and flags any true-time overlap
-/// between claims of distinct replicas.
-fn check_grantor_claims(history: &History, violations: &mut Vec<Violation>) {
+/// The grantor serving claims of a history, sorted by start: the
+/// half-open intervals `[GrantorAcquired, GrantorCeded)` per `(replica,
+/// ballot)`. A cede is matched to the earliest open claim with its
+/// identity; a cede without one is ignored (a replica may notice expiry
+/// of a claim recorded before the recorder attached); a claim never
+/// ceded stays open to the end of the history.
+pub fn grantor_claims(history: &History) -> Vec<Claim> {
     let mut open: Vec<(u32, u64, Time)> = Vec::new();
     let mut claims: Vec<Claim> = Vec::new();
     for e in &history.events {
-        match e {
+        match *e {
             HistoryEvent::GrantorAcquired {
                 replica,
                 ballot,
                 at,
-            } => {
-                open.push((*replica, *ballot, *at));
-            }
+            } => open.push((replica, ballot, at)),
             HistoryEvent::GrantorCeded {
                 replica,
                 ballot,
                 at,
             } => {
-                // Match the earliest open claim with the same identity;
-                // a cede without a matching acquire is ignored (a replica
-                // may notice expiry of a claim recorded before the
-                // recorder attached).
                 if let Some(pos) = open
                     .iter()
-                    .position(|(r, b, _)| r == replica && b == ballot)
+                    .position(|&(r, b, _)| r == replica && b == ballot)
                 {
                     let (_, _, from) = open.remove(pos);
+                    // Backdated cedes saturate at the acquire instant: an
+                    // empty claim is fine, a negative one is not
+                    // representable.
+                    let until = at.max(from);
                     claims.push(Claim {
-                        replica: *replica,
-                        ballot: *ballot,
-                        // Backdated cedes saturate at the acquire instant:
-                        // an empty claim is fine, a negative one is not
-                        // representable.
-                        until: (*at).max(from),
+                        replica,
+                        ballot,
                         from,
+                        until,
                     });
                 }
             }
             _ => {}
         }
     }
-    // Claims never ceded stay open to the end of the recorded history.
-    for (replica, ballot, from) in open {
-        claims.push(Claim {
-            replica,
-            ballot,
-            from,
-            until: Time::MAX,
-        });
-    }
+    claims.extend(open.into_iter().map(|(replica, ballot, from)| Claim {
+        replica,
+        ballot,
+        from,
+        until: Time::MAX,
+    }));
     claims.sort_by_key(|c| (c.from, c.replica, c.ballot));
-    for i in 0..claims.len() {
-        for j in i + 1..claims.len() {
-            let (a, b) = (&claims[i], &claims[j]);
+    claims
+}
+
+/// Flags any true-time overlap between grantor claims of distinct
+/// replicas.
+fn check_grantor_claims(history: &History, violations: &mut Vec<Violation>) {
+    let claims = grantor_claims(history);
+    for (i, a) in claims.iter().enumerate() {
+        for b in &claims[i + 1..] {
             if a.replica == b.replica {
                 // One host re-acquiring (renewal, or a fresh ballot after
                 // its own claim lapsed) is not a split brain.
@@ -625,6 +632,31 @@ mod tests {
             ballot,
             at: Time::from_secs(at_s),
         });
+    }
+
+    #[test]
+    fn grantor_claims_pair_cedes_with_their_acquires() {
+        let mut h = History::new();
+        acquire(&mut h, 1, 21, 4);
+        acquire(&mut h, 0, 10, 1);
+        cede(&mut h, 2, 99, 2); // no matching acquire: ignored
+        cede(&mut h, 0, 10, 0); // backdated past its acquire: clamped
+        cede(&mut h, 1, 21, 9);
+        acquire(&mut h, 2, 32, 12); // never ceded
+        let claim = |replica, ballot, from, until| Claim {
+            replica,
+            ballot,
+            from: Time::from_secs(from),
+            until,
+        };
+        assert_eq!(
+            grantor_claims(&h),
+            vec![
+                claim(0, 10, 1, Time::from_secs(1)),
+                claim(1, 21, 4, Time::from_secs(9)),
+                claim(2, 32, 12, Time::MAX),
+            ]
+        );
     }
 
     #[test]

@@ -3,9 +3,7 @@
 
 use lease_clock::{ClockModel, Dur, Time};
 use lease_faults::{check_history, staleness_of, Violation};
-use lease_net::Partition;
-use lease_sim::ActorId;
-use lease_vsys::{run_trace_with_history, CrashEvent, NodeSel, SystemConfig, TermSpec};
+use lease_vsys::{run_trace_with_history, CrashEvent, FaultPlan, NodeSel, SystemConfig, TermSpec};
 use lease_workload::{PoissonWorkload, Trace, VTrace};
 
 fn fixed(term_secs: u64) -> SystemConfig {
@@ -53,7 +51,7 @@ fn consistent_across_terms_including_zero_and_infinite() {
 fn message_loss_never_breaks_consistency() {
     for loss in [0.02, 0.10, 0.25] {
         let mut cfg = fixed(10);
-        cfg.loss = loss;
+        cfg.faults = cfg.faults.drop_messages(loss);
         cfg.retry_interval = Dur::from_millis(300);
         let (_, h) = run_trace_with_history(&cfg, &shared_workload(3));
         check_history(&h.history.borrow())
@@ -70,7 +68,7 @@ fn heavy_loss_stress_sweep_stays_consistent() {
     for seed in [31u64, 33, 35, 37] {
         for loss in [0.30, 0.45] {
             let mut cfg = fixed(10);
-            cfg.loss = loss;
+            cfg.faults = cfg.faults.drop_messages(loss);
             cfg.retry_interval = Dur::from_millis(300);
             let (_, h) = run_trace_with_history(&cfg, &shared_workload(seed));
             check_history(&h.history.borrow())
@@ -155,12 +153,10 @@ fn recovery_window_stalls_writes_deterministically() {
 #[test]
 fn partition_never_breaks_consistency() {
     let mut cfg = fixed(10);
-    // Clients 0-2 (actors 1-3) cut off for 60 s.
-    cfg.partitions = vec![Partition::new(
-        Time::from_secs(100),
-        Time::from_secs(160),
-        [ActorId(1), ActorId(2), ActorId(3)],
-    )];
+    // Clients 0-2 cut off for 60 s.
+    cfg.faults = (0..3).fold(cfg.faults, |p, client| {
+        p.cut(Dur::from_secs(100), Dur::from_secs(160), client)
+    });
     cfg.retry_interval = Dur::from_millis(400);
     let (_, h) = run_trace_with_history(&cfg, &shared_workload(6));
     check_history(&h.history.borrow()).expect("partitions are safe");
@@ -170,7 +166,7 @@ fn partition_never_breaks_consistency() {
 fn compile_trace_with_everything_thrown_at_it_is_consistent() {
     let trace = VTrace::calibrated(99).generate();
     let mut cfg = fixed(10);
-    cfg.loss = 0.05;
+    cfg.faults = cfg.faults.drop_messages(0.05);
     cfg.crashes = vec![CrashEvent {
         at: Time::from_secs(300),
         node: NodeSel::Server,
@@ -186,7 +182,9 @@ fn fast_server_clock_breaks_consistency_and_oracle_catches_it() {
     // races ahead, it considers leases expired early, and commits writes
     // while clients still trust their copies.
     let mut cfg = fixed(10);
-    cfg.server_clock = ClockModel::drifting(2_000_000.0); // 3x fast
+    cfg.faults = cfg
+        .faults
+        .with_server_clock(ClockModel::drifting(2_000_000.0)); // 3x fast
     let (_, h) = run_trace_with_history(&cfg, &shared_workload(7));
     let violations = check_history(&h.history.borrow())
         .expect_err("a 3x-fast server clock must produce stale reads");
@@ -202,7 +200,9 @@ fn slow_client_clock_breaks_consistency() {
     // The dual failure: a client whose clock runs slow keeps using leases
     // the server already considers expired.
     let mut cfg = fixed(10);
-    cfg.client_clocks = vec![ClockModel::drifting(-600_000.0)]; // 0.4x speed
+    cfg.faults = cfg
+        .faults
+        .with_client_clock(0, ClockModel::drifting(-600_000.0)); // 0.4x speed
     let (_, h) = run_trace_with_history(&cfg, &shared_workload(8));
     let violations =
         check_history(&h.history.borrow()).expect_err("a slow client clock must go stale");
@@ -216,8 +216,11 @@ fn harmless_clock_errors_slow_server_fast_client() {
     // §5: "The opposite errors — a slow server clock or fast client clock
     // — do not result in inconsistencies, but do generate extra traffic."
     let mut cfg = fixed(10);
-    cfg.server_clock = ClockModel::drifting(-300_000.0); // slow server
-    cfg.client_clocks = (0..6).map(|_| ClockModel::drifting(300_000.0)).collect(); // fast clients
+    cfg.faults = (0..6).fold(
+        cfg.faults
+            .with_server_clock(ClockModel::drifting(-300_000.0)), // slow server
+        |p, c| p.with_client_clock(c, ClockModel::drifting(300_000.0)), // fast clients
+    );
     let (_, h) = run_trace_with_history(&cfg, &shared_workload(9));
     check_history(&h.history.borrow()).expect("conservative clock errors are safe");
 }
@@ -227,9 +230,12 @@ fn small_skew_within_epsilon_is_safe() {
     let mut cfg = fixed(10);
     cfg.epsilon = Dur::from_millis(100);
     // Clients skewed by up to ±50 ms: inside the allowance.
-    cfg.client_clocks = (0..6)
-        .map(|i| ClockModel::skewed(if i % 2 == 0 { 50_000_000 } else { -50_000_000 }))
-        .collect();
+    cfg.faults = (0..6).fold(cfg.faults, |p, i| {
+        p.with_client_clock(
+            i,
+            ClockModel::skewed(if i % 2 == 0 { 50_000_000 } else { -50_000_000 }),
+        )
+    });
     let (_, h) = run_trace_with_history(&cfg, &shared_workload(10));
     check_history(&h.history.borrow()).expect("skew within epsilon is safe");
 }
@@ -345,7 +351,11 @@ fn kitchen_sink_configuration_is_consistent() {
         },
         anticipatory: Some(Dur::from_secs(7)),
         batch_extensions: true,
-        loss: 0.05,
+        faults: FaultPlan::default().drop_messages(0.05).cut(
+            Dur::from_secs(140),
+            Dur::from_secs(170),
+            0,
+        ),
         retry_interval: Dur::from_millis(300),
         max_retries: 1000,
         crashes: vec![CrashEvent {
@@ -353,11 +363,6 @@ fn kitchen_sink_configuration_is_consistent() {
             node: NodeSel::Client(2),
             recover_at: Some(Time::from_secs(120)),
         }],
-        partitions: vec![Partition::new(
-            Time::from_secs(140),
-            Time::from_secs(170),
-            [ActorId(1)],
-        )],
         ..SystemConfig::default()
     };
     let (r, h) = run_trace_with_history(&cfg, &trace);

@@ -3,10 +3,9 @@
 
 use lease_clock::{Dur, Time};
 use lease_faults::{check_history, Violation};
-use lease_net::Partition;
-use lease_sim::ActorId;
 use lease_vsys::{
-    run_trace_with_history, CrashEvent, History, HistoryEvent, NodeSel, SystemConfig, TermSpec,
+    run_trace_with_history, CrashEvent, FaultPlan, History, HistoryEvent, NodeSel, SystemConfig,
+    TermSpec,
 };
 use lease_workload::{BurstyWorkload, PoissonWorkload, Trace};
 use proptest::prelude::*;
@@ -46,7 +45,7 @@ proptest! {
         let trace = poisson(n, s, seed);
         let cfg = SystemConfig {
             term: TermSpec::Fixed(Dur::from_millis(term_ms)),
-            loss,
+            faults: FaultPlan::default().drop_messages(loss),
             retry_interval: Dur::from_millis(250),
             max_retries: 2000,
             seed: seed.wrapping_mul(31),
@@ -93,17 +92,13 @@ proptest! {
         island_bits in 1u32..15u32, // nonempty strict subset of 4 clients
     ) {
         let trace = poisson(4, 2, seed);
-        let island: Vec<ActorId> = (0..4)
+        let (from, until) = (Dur::from_secs(from), Dur::from_secs(from + len));
+        let faults = (0..4)
             .filter(|i| island_bits & (1 << i) != 0)
-            .map(|i| ActorId(1 + i as usize))
-            .collect();
+            .fold(FaultPlan::default(), |p, client| p.cut(from, until, client));
         let cfg = SystemConfig {
             term: TermSpec::Fixed(Dur::from_secs(8)),
-            partitions: vec![Partition::new(
-                Time::from_secs(from),
-                Time::from_secs(from + len),
-                island,
-            )],
+            faults,
             retry_interval: Dur::from_millis(250),
             max_retries: 2000,
             seed,
@@ -135,9 +130,9 @@ proptest! {
         let cfg = SystemConfig {
             term: TermSpec::Fixed(Dur::from_secs(term_s)),
             epsilon: Dur::from_millis(100),
-            client_clocks: (0..4)
-                .map(|i| lease_clock::ClockModel::skewed(skew_ms * 1_000_000 * if i % 2 == 0 { 1 } else { -1 }))
-                .collect(),
+            faults: (0..4).fold(FaultPlan::default(), |p, i| {
+                p.with_client_clock(i, lease_clock::ClockModel::skewed(skew_ms * 1_000_000 * if i % 2 == 0 { 1 } else { -1 }))
+            }),
             max_retries: 2000,
             seed,
             ..SystemConfig::default()
@@ -160,9 +155,10 @@ proptest! {
         let trace = poisson(4, 2, seed);
         let cfg = SystemConfig {
             term: TermSpec::Fixed(Dur::from_secs(term_s)),
-            jitter: Dur::from_millis(jitter_ms),
-            duplicate,
-            loss,
+            faults: FaultPlan::default()
+                .delay_messages(Dur::from_millis(jitter_ms))
+                .duplicate_messages(duplicate)
+                .drop_messages(loss),
             retry_interval: Dur::from_millis(250),
             max_retries: 2000,
             seed,
@@ -252,7 +248,7 @@ proptest! {
                 min: Dur::from_secs(1),
                 max: Dur::from_secs(60),
             },
-            loss,
+            faults: FaultPlan::default().drop_messages(loss),
             retry_interval: Dur::from_millis(250),
             max_retries: 2000,
             seed,

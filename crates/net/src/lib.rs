@@ -10,9 +10,11 @@
 //! serialize through the originator's CPU ("implosion of responses", §4).
 //!
 //! [`SimNet`] reproduces exactly that cost model by giving every host a CPU
-//! that processes one message at a time, and adds the failure modes a
-//! distributed system suffers: message loss, duplication, partitions, and
-//! per-host extra propagation delay for wide-area experiments (§3.3).
+//! that processes one message at a time, plus per-host extra propagation
+//! delay for wide-area experiments (§3.3). Its failure modes — loss,
+//! duplication, delay jitter and cut links — come from the same
+//! [`FaultPlan`](lease_svc::chaos::FaultPlan) the real-time runtime reads,
+//! so one plan describes a fault in both worlds.
 //!
 //! # Examples
 //!
@@ -31,12 +33,10 @@
 //! assert_eq!(d[0].at, Time::from_micros(1500));
 //! ```
 
-pub mod fault;
 pub mod params;
 pub mod simnet;
 pub mod tcp;
 
-pub use fault::{FaultPlanNet, Partition};
 pub use params::NetParams;
 pub use simnet::SimNet;
 pub use tcp::{connect_as, FrameAccum, NetCounters, NetCountersSnapshot, NetServer};

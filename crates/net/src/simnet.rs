@@ -4,8 +4,8 @@ use std::collections::HashMap;
 
 use lease_clock::{Dur, Time};
 use lease_sim::{ActorId, Delivery, Dest, Medium, SimRng};
+use lease_svc::chaos::FaultPlan;
 
-use crate::fault::FaultPlanNet;
 use crate::params::NetParams;
 
 /// A network medium with the paper's `m_prop`/`m_proc` cost model.
@@ -17,13 +17,15 @@ use crate::params::NetParams;
 /// `m_proc` once, which is what makes multicast approval requests cheaper
 /// than per-holder unicasts (§3.1, footnote 6).
 ///
-/// Faults (loss, duplication, partitions) are applied per message at send
-/// time from the attached [`FaultPlanNet`].
+/// Faults are applied per message at send time from the attached
+/// [`FaultPlan`], the plan the real-time runtime reads: its client `cuts`
+/// and replica 0's cuts (actor 0 is the server, actor `1 + i` client
+/// `i`), `drop_prob`, `delay_max` as extra propagation uniform in
+/// `[0, delay_max)`, and `dup_prob`. The draws come from the world's
+/// stream, not the plan's seed.
 pub struct SimNet {
     params: NetParams,
-    faults: FaultPlanNet,
-    /// Uniform extra propagation in `[0, jitter)` per delivery.
-    jitter: Dur,
+    faults: FaultPlan,
     /// Extra one-way propagation applied to any message to or from a host
     /// (models distant clients, §3.3/§4).
     extra_prop: HashMap<ActorId, Dur>,
@@ -42,8 +44,7 @@ impl SimNet {
     pub fn new(params: NetParams) -> SimNet {
         SimNet {
             params,
-            faults: FaultPlanNet::none(),
-            jitter: Dur::ZERO,
+            faults: FaultPlan::default(),
             extra_prop: HashMap::new(),
             cpu_free: HashMap::new(),
             sends: 0,
@@ -52,16 +53,10 @@ impl SimNet {
         }
     }
 
-    /// Attaches a fault plan.
-    pub fn with_faults(mut self, faults: FaultPlanNet) -> SimNet {
+    /// Attaches a fault plan. Jittered deliveries on one link may
+    /// reorder.
+    pub fn with_faults(mut self, faults: FaultPlan) -> SimNet {
         self.faults = faults;
-        self
-    }
-
-    /// Adds uniform random jitter in `[0, jitter)` to every delivery's
-    /// propagation; deliveries on the same link may reorder.
-    pub fn with_jitter(mut self, jitter: Dur) -> SimNet {
-        self.jitter = jitter;
         self
     }
 
@@ -82,6 +77,16 @@ impl SimNet {
         self.params.m_prop + extra
     }
 
+    /// Whether `host`'s link is cut at `now`: the server is replica 0,
+    /// actor `1 + i` is client `i`.
+    fn cut(&self, now: Time, host: ActorId) -> bool {
+        let elapsed = now.saturating_since(Time::ZERO);
+        match host.0 {
+            0 => self.faults.replica_cut_active(0, elapsed),
+            a => self.faults.cut_active(a - 1, elapsed),
+        }
+    }
+
     fn occupy_cpu(&mut self, host: ActorId, ready: Time) -> Time {
         let free = self.cpu_free.entry(host).or_insert(Time::ZERO);
         let start = ready.max(*free);
@@ -90,10 +95,10 @@ impl SimNet {
         done
     }
 
-    /// Routes one recipient's share of a send: loss, timing, duplication.
-    /// The fault dice roll in a fixed order per recipient (loss, then
-    /// jitter, then duplication) so runs are bit-identical whatever the
-    /// message type or copy strategy.
+    /// Routes one recipient's share of a send: cut, loss, timing,
+    /// duplication. The fault dice roll in a fixed order per recipient
+    /// (loss, then jitter, then duplication) so runs are bit-identical
+    /// whatever the message type or copy strategy.
     #[allow(clippy::too_many_arguments)] // private helper: every arg is hot-path state
     fn route_one<M: Clone>(
         &mut self,
@@ -105,7 +110,7 @@ impl SimNet {
         msg: M,
         out: &mut Vec<Delivery<M>>,
     ) {
-        if self.faults.partitioned(now, from, to) || rng.chance(self.faults.loss_prob) {
+        if self.cut(now, from) || self.cut(now, to) || rng.chance(self.faults.drop_prob) {
             self.lost += 1;
             return;
         }
@@ -117,12 +122,12 @@ impl SimNet {
             return;
         }
         let mut arrive = send_done + self.prop_between(from, to);
-        if !self.jitter.is_zero() {
-            arrive += Dur(rng.below(self.jitter.as_nanos().max(1)));
+        if !self.faults.delay_max.is_zero() {
+            arrive += Dur(rng.below(self.faults.delay_max.as_nanos()));
         }
         let at = self.occupy_cpu(to, arrive);
         self.deliveries += 1;
-        if rng.chance(self.faults.duplicate_prob) {
+        if rng.chance(self.faults.dup_prob) {
             // The only unicast case that genuinely needs a copy.
             let dup_at = self.occupy_cpu(to, at);
             self.deliveries += 1;
@@ -179,7 +184,6 @@ impl<M: Clone> Medium<M> for SimNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::Partition;
 
     fn net() -> SimNet {
         SimNet::new(NetParams::v_lan())
@@ -274,7 +278,7 @@ mod tests {
 
     #[test]
     fn total_loss_drops_everything() {
-        let mut n = net().with_faults(FaultPlanNet::with_loss(1.0));
+        let mut n = net().with_faults(FaultPlan::new(0).drop_messages(1.0));
         let d = send(&mut n, Time::ZERO, &mut rng(), A, Dest::One(B), ());
         assert!(d.is_empty());
         assert_eq!(n.lost, 1);
@@ -282,12 +286,13 @@ mod tests {
 
     #[test]
     fn partition_blocks_cross_island_traffic() {
-        let plan =
-            FaultPlanNet::none().partition(Partition::new(Time::ZERO, Time::from_secs(10), [B]));
+        // B is client 0: cutting it isolates it in both directions.
+        let plan = FaultPlan::new(0).cut(Dur::ZERO, Dur::from_secs(10), 0);
         let mut n = net().with_faults(plan);
         let mut r = rng();
         assert!(send(&mut n, Time::from_secs(1), &mut r, A, Dest::One(B), ()).is_empty());
-        // Same-side traffic flows.
+        assert!(send(&mut n, Time::from_secs(1), &mut r, B, Dest::One(A), ()).is_empty());
+        // Traffic of a client outside the cut flows.
         assert_eq!(
             send(&mut n, Time::from_secs(1), &mut r, A, Dest::One(C), ()).len(),
             1
@@ -300,9 +305,24 @@ mod tests {
     }
 
     #[test]
+    fn a_server_cut_is_replica_zeros() {
+        let plan = FaultPlan::new(0).cut_replica(Dur::ZERO, Dur::from_secs(10), 0);
+        let mut n = net().with_faults(plan);
+        let mut r = rng();
+        assert!(send(&mut n, Time::from_secs(1), &mut r, B, Dest::One(A), ()).is_empty());
+        assert_eq!(n.lost, 1);
+        // Another replica's cut is not the server's.
+        let plan = FaultPlan::new(0).cut_replica(Dur::ZERO, Dur::from_secs(10), 1);
+        let mut n = net().with_faults(plan);
+        assert_eq!(
+            send(&mut n, Time::from_secs(1), &mut r, B, Dest::One(A), ()).len(),
+            1
+        );
+    }
+
+    #[test]
     fn duplication_delivers_twice() {
-        let mut n = net();
-        n.faults.duplicate_prob = 1.0;
+        let mut n = net().with_faults(FaultPlan::new(0).duplicate_messages(1.0));
         let d = send(&mut n, Time::ZERO, &mut rng(), A, Dest::One(B), ());
         assert_eq!(d.len(), 2);
         assert!(d[1].at > d[0].at);
@@ -324,7 +344,7 @@ mod tests {
 
     #[test]
     fn jitter_spreads_and_can_reorder_deliveries() {
-        let mut n = net().with_jitter(Dur::from_millis(20));
+        let mut n = net().with_faults(FaultPlan::new(0).delay_messages(Dur::from_millis(20)));
         let mut r = rng();
         let mut times = Vec::new();
         for i in 0..40u64 {
@@ -389,8 +409,7 @@ mod tests {
     #[test]
     fn duplication_fault_costs_exactly_one_clone() {
         let clones = std::rc::Rc::new(std::cell::Cell::new(0));
-        let mut n = net();
-        n.faults.duplicate_prob = 1.0;
+        let mut n = net().with_faults(FaultPlan::new(0).duplicate_messages(1.0));
         let d = send(
             &mut n,
             Time::ZERO,

@@ -36,9 +36,10 @@
 //!   catch.
 //!
 //! The crate is layered like `lease-core`: [`GrantorNode`] is sans-IO
-//! (explicit `now`, messages in/out); [`sim`] drives N nodes through a
-//! deterministic virtual-time event loop under a
-//! [`FaultPlan`](lease_svc::chaos::FaultPlan) for seed sweeps; [`runtime`]
+//! (explicit `now`, messages in/out); [`sim`] runs N nodes as actors on
+//! `lease-sim`'s `World` — the event loop the file-system simulator runs
+//! on — under the same [`FaultPlan`](lease_svc::chaos::FaultPlan) the
+//! runtime reads, for deterministic seed sweeps; [`runtime`]
 //! runs real threads with a [`GrantorGate`](runtime::GrantorGate) for the
 //! service path to consult on every grant (`lease-rt` wires that gate into
 //! its replicated topology).

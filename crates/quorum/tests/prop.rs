@@ -98,7 +98,6 @@ proptest! {
             quorum: QuorumConfig::default(),
             plan,
             duration: Dur::from_secs(6),
-            ..SimConfig::default()
         });
         let res = check_history(&out.history);
         prop_assert!(res.is_ok(), "violations: {:?}", res.err());

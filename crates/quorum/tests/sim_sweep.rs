@@ -111,7 +111,6 @@ fn fencing_disabled_split_brain_is_caught() {
         },
         plan,
         duration: Dur::from_secs(8),
-        ..SimConfig::default()
     });
     let violations = check_history(&out.history).expect_err("split brain must be detected");
     assert!(

@@ -1,15 +1,20 @@
-//! Deterministic, seeded fault plans for chaos-testing the runtime.
+//! Deterministic, seeded fault plans: the one fault vocabulary of the
+//! repo, read by the real-time runtime and by both simulators.
 //!
-//! The simulator (`lease-vsys`) gets determinism for free — one event
-//! queue, one RNG. The real-time runtime does not, so this module makes
-//! its fault *decisions* deterministic even though thread interleavings
-//! are not: every per-link coin flip is a pure function of `(seed, stream,
+//! The simulators get determinism for free — one event queue, one RNG.
+//! The real-time runtime does not, so this module makes its fault
+//! *decisions* deterministic even though thread interleavings are not:
+//! every per-link coin flip is a pure function of `(seed, stream,
 //! counter)`, kills fire at plan-relative instants, and clock faults are
 //! `lease-clock` models applied to whole hosts. Re-running a seed replays
 //! the same fault pattern modulo scheduling noise, and sweeping seeds
-//! explores distinct patterns — the rt analogue of the simulator's seeded
-//! fault plans, generalizing the boolean cut switches the transport
-//! started with.
+//! explores distinct patterns.
+//!
+//! `lease-quorum`'s virtual-time sim replays a plan's replica kills,
+//! cuts, clocks and per-link dice exactly. `lease-net`'s `SimNet` (under
+//! `lease-vsys`) reads its loss, duplication, delay and client / replica-0
+//! cuts, drawing from the world's own stream, and `lease-vsys` refuses
+//! the fields it cannot honour yet rather than ignore them.
 //!
 //! The plan is deliberately transport-agnostic: `lease-rt` consults
 //! [`LinkChaos`] on every client↔server delivery and a driver thread

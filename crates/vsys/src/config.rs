@@ -2,6 +2,7 @@
 
 use lease_clock::{ClockModel, Dur, Time};
 use lease_net::NetParams;
+use lease_svc::chaos::FaultPlan;
 
 /// How the server picks lease terms.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,18 +74,16 @@ pub struct SystemConfig {
     pub epsilon: Dur,
     /// Network timing.
     pub net: NetParams,
-    /// Uniform message-loss probability.
-    pub loss: f64,
-    /// Scheduled network partitions.
-    pub partitions: Vec<lease_net::Partition>,
+    /// Message loss, duplication, delay jitter, cut links and clock
+    /// faults: the plan the real-time runtime reads. The server is
+    /// replica 0. A plan field the simulator cannot honour yet (shard or
+    /// replica kills, a slow shard, overload, another replica's cut or
+    /// clock) is refused by [`build_world`](crate::build_world); its
+    /// random draws come from the world's stream, seeded by `seed`.
+    pub faults: FaultPlan,
     /// Extra one-way propagation per client (distant clients, §3.3/§4):
     /// `(client id, extra delay)`.
     pub extra_prop: Vec<(u32, Dur)>,
-    /// Uniform per-delivery jitter bound (0 = none); jitter reorders
-    /// messages on a link.
-    pub jitter: Dur,
-    /// Probability a delivered message is delivered twice.
-    pub duplicate: f64,
     /// Installed-file handling.
     pub installed: InstalledMode,
     /// Use persistent lease records instead of the max-term rule for
@@ -104,10 +103,6 @@ pub struct SystemConfig {
     pub warmup: Dur,
     /// Scheduled crashes.
     pub crashes: Vec<CrashEvent>,
-    /// Per-client clock models (defaults to perfect; index = client id).
-    pub client_clocks: Vec<ClockModel>,
-    /// Server clock model.
-    pub server_clock: ClockModel,
     /// RNG seed.
     pub seed: u64,
     /// Extra time to run after the last trace record, letting in-flight
@@ -121,11 +116,8 @@ impl Default for SystemConfig {
             term: TermSpec::Fixed(Dur::from_secs(10)),
             epsilon: Dur::from_millis(100),
             net: NetParams::v_lan(),
-            loss: 0.0,
-            partitions: Vec::new(),
+            faults: FaultPlan::default(),
             extra_prop: Vec::new(),
-            jitter: Dur::ZERO,
-            duplicate: 0.0,
             installed: InstalledMode::PerClient,
             persistent_leases: false,
             batch_extensions: true,
@@ -135,8 +127,6 @@ impl Default for SystemConfig {
             max_retries: 40,
             warmup: Dur::ZERO,
             crashes: Vec::new(),
-            client_clocks: Vec::new(),
-            server_clock: ClockModel::perfect(),
             seed: 42,
             drain: Dur::from_secs(120),
         }
@@ -144,9 +134,9 @@ impl Default for SystemConfig {
 }
 
 impl SystemConfig {
-    /// The clock model for client `i`.
+    /// The clock model for client `i` (perfect unless the plan sets one).
     pub fn client_clock(&self, i: usize) -> ClockModel {
-        self.client_clocks.get(i).cloned().unwrap_or_default()
+        self.faults.client_clock(i).unwrap_or_default()
     }
 }
 
@@ -159,14 +149,14 @@ mod tests {
         let c = SystemConfig::default();
         assert_eq!(c.term, TermSpec::Fixed(Dur::from_secs(10)));
         assert_eq!(c.net, NetParams::v_lan());
-        assert_eq!(c.loss, 0.0);
+        assert_eq!(c.faults.drop_prob, 0.0);
     }
 
     #[test]
     fn client_clock_defaults_to_perfect() {
         let mut c = SystemConfig::default();
         assert_eq!(c.client_clock(3), ClockModel::perfect());
-        c.client_clocks = vec![ClockModel::skewed(5)];
+        c.faults = c.faults.with_client_clock(0, ClockModel::skewed(5));
         assert_eq!(c.client_clock(0), ClockModel::skewed(5));
         assert_eq!(c.client_clock(1), ClockModel::perfect());
     }

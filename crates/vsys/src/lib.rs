@@ -13,9 +13,13 @@
 //!
 //! The same harness runs the lease protocol at any term — including zero
 //! (check-on-every-read, the Sprite/Andrew-prototype configuration) and
-//! infinity — and under crash/partition fault plans, and it records a
-//! global [`History`] that the consistency oracle in `lease-faults` checks
-//! against single-copy semantics.
+//! infinity — under scheduled crashes and under a [`FaultPlan`] (loss,
+//! duplication, jitter, cut links, client and server clocks): the plan
+//! type the real-time runtime reads, so one plan describes a fault in
+//! both worlds. It records a global [`History`] that the consistency
+//! oracle in `lease-faults` checks against single-copy semantics.
+//! [`assemble`] is the one builder: the §6 baselines reuse it with their
+//! own server.
 //!
 //! # Examples
 //!
@@ -43,8 +47,9 @@ pub mod types;
 
 pub use client_actor::ClientActor;
 pub use config::{CrashEvent, InstalledMode, NodeSel, SystemConfig, TermSpec};
-pub use harness::{add_clients, build_world, run_trace, run_trace_with_history, RunHandle};
+pub use harness::{assemble, build_world, run_trace, run_trace_with_history, RunHandle};
 pub use history::{History, HistoryEvent, SharedHistory};
+pub use lease_svc::chaos::FaultPlan;
 pub use report::RunReport;
 pub use server_actor::ServerActor;
 pub use types::{Data, NetMsg, Res};

@@ -1,11 +1,10 @@
 //! End-to-end tests of the assembled system.
 
 use lease_clock::{ClockModel, Dur, Time};
-use lease_net::Partition;
-use lease_sim::ActorId;
+use lease_svc::chaos::OverloadPlan;
 use lease_vsys::{
-    run_trace, run_trace_with_history, CrashEvent, HistoryEvent, InstalledMode, NodeSel,
-    SystemConfig, TermSpec,
+    build_world, run_trace, run_trace_with_history, CrashEvent, FaultPlan, HistoryEvent,
+    InstalledMode, NodeSel, SystemConfig, TermSpec,
 };
 use lease_workload::{FileClass, FileSpec, PoissonWorkload, Trace, TraceOp, TraceRecord, VTrace};
 
@@ -257,12 +256,8 @@ fn persistent_lease_records_avoid_the_recovery_stall() {
 fn partition_heals_and_ops_resume() {
     let trace = PoissonWorkload::v_rates(2, 1, Dur::from_secs(120), 9).generate();
     let mut cfg = fixed(5);
-    // Client 1 (actor id 2) is cut off from 20 s to 40 s.
-    cfg.partitions = vec![Partition::new(
-        Time::from_secs(20),
-        Time::from_secs(40),
-        [ActorId(2)],
-    )];
+    // Client 1 is cut off from 20 s to 40 s.
+    cfg.faults = cfg.faults.cut(Dur::from_secs(20), Dur::from_secs(40), 1);
     cfg.max_retries = 200;
     cfg.retry_interval = Dur::from_millis(500);
     let r = run_trace(&cfg, &trace);
@@ -329,7 +324,9 @@ fn fast_server_clock_is_the_dangerous_failure() {
         records,
     );
     let mut cfg = fixed(10);
-    cfg.server_clock = ClockModel::drifting(2_000_000.0); // 3x fast
+    cfg.faults = cfg
+        .faults
+        .with_server_clock(ClockModel::drifting(2_000_000.0)); // 3x fast
     let (r, h) = run_trace_with_history(&cfg, &trace);
     assert_eq!(r.op_failures, 0);
     let history = h.history.borrow();
@@ -346,7 +343,7 @@ fn fast_server_clock_is_the_dangerous_failure() {
 fn message_loss_is_survived_by_retransmission() {
     let trace = PoissonWorkload::v_rates(2, 1, Dur::from_secs(200), 13).generate();
     let mut cfg = fixed(10);
-    cfg.loss = 0.05;
+    cfg.faults = cfg.faults.drop_messages(0.05);
     cfg.max_retries = 50;
     let r = run_trace(&cfg, &trace);
     assert_eq!(r.op_failures, 0, "5% loss must not fail ops");
@@ -478,6 +475,55 @@ fn distant_client_compensation_restores_effective_term() {
     // And it stays consistent, of course.
     lease_faults_check(&h1);
     lease_faults_check(&h2);
+}
+
+/// No plan field is silently left out of a run: each one the simulator
+/// cannot honour yet stops `build_world` with a message naming it.
+#[test]
+fn plan_fields_the_simulator_cannot_honour_are_refused() {
+    let trace = PoissonWorkload::v_rates(1, 1, Dur::from_secs(1), 1).generate();
+    let d = Dur::from_millis(1);
+    let overload = OverloadPlan {
+        base_rate: 1.0,
+        burst_rate: 1.0,
+        burst_at: d,
+        burst_len: d,
+        herd: false,
+    };
+    let plan = FaultPlan::default();
+    for (field, faults) in [
+        ("kills", plan.clone().kill_shard(d, 0)),
+        ("slow_shard", plan.clone().with_slow_shard(0, d)),
+        ("overload", plan.clone().with_overload(overload)),
+        ("replica_kills", plan.clone().kill_replica(d, 0)),
+        ("replica_cuts", plan.clone().cut_replica(d, d, 1)),
+        (
+            "replica_clocks",
+            plan.clone().with_replica_clock(1, ClockModel::perfect()),
+        ),
+    ] {
+        let cfg = SystemConfig {
+            faults,
+            ..SystemConfig::default()
+        };
+        let refused =
+            std::panic::catch_unwind(|| build_world(&cfg, &trace).trace_end).expect_err(field);
+        let message = refused
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert!(
+            message.contains(&format!("FaultPlan::{field} ")),
+            "{field}: {message}"
+        );
+    }
+    // Replica 0 is the server: its cut and clock are honoured.
+    let cfg = SystemConfig {
+        faults: plan
+            .cut_replica(d, d, 0)
+            .with_server_clock(ClockModel::perfect()),
+        ..SystemConfig::default()
+    };
+    build_world(&cfg, &trace);
 }
 
 // Local helper: the faults crate depends on vsys, so the oracle cannot be

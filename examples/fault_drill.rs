@@ -5,9 +5,9 @@
 
 use leases::clock::{ClockModel, Dur, Time};
 use leases::faults::{check_history, staleness_of};
-use leases::net::Partition;
-use leases::sim::ActorId;
-use leases::vsys::{run_trace_with_history, CrashEvent, NodeSel, SystemConfig, TermSpec};
+use leases::vsys::{
+    run_trace_with_history, CrashEvent, FaultPlan, NodeSel, SystemConfig, TermSpec,
+};
 use leases::workload::PoissonWorkload;
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
         (
             "15% message loss",
             SystemConfig {
-                loss: 0.15,
+                faults: FaultPlan::default().drop_messages(0.15),
                 retry_interval: Dur::from_millis(300),
                 ..base.clone()
             },
@@ -62,18 +62,16 @@ fn main() {
         (
             "two clients partitioned for 60 s",
             SystemConfig {
-                partitions: vec![Partition::new(
-                    Time::from_secs(100),
-                    Time::from_secs(160),
-                    [ActorId(1), ActorId(2)],
-                )],
+                faults: FaultPlan::default()
+                    .cut(Dur::from_secs(100), Dur::from_secs(160), 0)
+                    .cut(Dur::from_secs(100), Dur::from_secs(160), 1),
                 ..base.clone()
             },
         ),
         (
             "server clock runs 3x fast (the §5 hazard)",
             SystemConfig {
-                server_clock: ClockModel::drifting(2_000_000.0),
+                faults: FaultPlan::default().with_server_clock(ClockModel::drifting(2_000_000.0)),
                 ..base.clone()
             },
         ),

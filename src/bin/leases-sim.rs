@@ -20,7 +20,7 @@ use leases::analytic::Params;
 use leases::clock::Dur;
 use leases::faults::check_history;
 use leases::net::NetParams;
-use leases::vsys::{run_trace_with_history, InstalledMode, SystemConfig, TermSpec};
+use leases::vsys::{run_trace_with_history, FaultPlan, InstalledMode, SystemConfig, TermSpec};
 use leases::wb::{run_wb_with_history, WbConfig};
 use leases::workload::{BurstyWorkload, PoissonWorkload, Trace, TraceStats, VTrace};
 
@@ -180,7 +180,7 @@ fn sys_config(opts: &Opts) -> Result<SystemConfig, String> {
     let term: f64 = get(opts, "term", 10.0)?;
     let mut cfg = SystemConfig {
         term: TermSpec::Fixed(Dur::from_secs_f64(term)),
-        loss: get(opts, "loss", 0.0)?,
+        faults: FaultPlan::default().drop_messages(get(opts, "loss", 0.0)?),
         warmup: Dur::from_secs(30),
         seed: get(opts, "seed", 1989)?,
         ..SystemConfig::default()
