@@ -70,7 +70,7 @@ impl Baseline {
             }
             Baseline::AndrewCallbacks { poll } => {
                 let mut cfg = cfg.clone();
-                cfg.anticipatory = *poll;
+                cfg.client.anticipatory = *poll;
                 run_custom(&cfg, trace, ServerKind::Andrew)
             }
             Baseline::NfsTtl { ttl } => run_custom(cfg, trace, ServerKind::Nfs(*ttl)),

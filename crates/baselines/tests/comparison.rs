@@ -3,12 +3,15 @@
 use lease_baselines::Baseline;
 use lease_clock::{Dur, Time};
 use lease_faults::{check_history, staleness_of, Violation};
-use lease_vsys::{FaultPlan, SystemConfig};
+use lease_vsys::{ClientConfig, FaultPlan, SystemConfig};
 use lease_workload::{PoissonWorkload, Trace};
 
 fn cfg() -> SystemConfig {
     SystemConfig {
-        max_retries: 500,
+        client: ClientConfig {
+            max_retries: 500,
+            ..ClientConfig::default()
+        },
         ..SystemConfig::default()
     }
 }

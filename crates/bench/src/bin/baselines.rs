@@ -73,11 +73,11 @@ fn main() {
         },
     ];
 
-    let base_cfg = SystemConfig {
-        max_retries: 500,
+    let mut base_cfg = SystemConfig {
         warmup: Dur::from_secs(60),
         ..Default::default()
     };
+    base_cfg.client.max_retries = 500;
     let mut faulted_cfg = base_cfg.clone();
     // Clients 0 and 1 unreachable from 100 s to 160 s.
     let (from, until) = (Dur::from_secs(100), Dur::from_secs(160));

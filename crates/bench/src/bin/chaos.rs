@@ -90,10 +90,7 @@ static SCENARIOS: [Scenario; 2] = [
         term_ms: 200,
         delay_bound_ms: 2 * 200,
         column: "restarts",
-        count: |sys, _| {
-            sys.server_stats()
-                .map_or(0, |s| s.shard_restarts.iter().sum())
-        },
+        count: |sys, _| sys.server_stats().map_or(0, |s| s.restarts.iter().sum()),
     },
     Scenario {
         name: "replicated",
@@ -145,9 +142,11 @@ struct SeedReport {
 fn run_seed(sc: &Scenario, seed: u64, duration: Duration) -> SeedReport {
     let mut b = RtSystem::builder()
         .term(Dur::from_millis(sc.term_ms))
-        .epsilon(Dur::from_millis(5))
-        .retry_interval(Dur::from_millis(15))
-        .max_retries(800)
+        .client(|c| {
+            c.epsilon = Dur::from_millis(5);
+            c.retry_interval = Dur::from_millis(15);
+            c.max_retries = 800;
+        })
         .clients(2)
         .shards(SHARDS)
         .file("/data/a", b"a0".as_ref())

@@ -61,9 +61,9 @@ fn main() {
     for term in [2.0f64, 5.0, 10.0, 20.0, 45.0] {
         let mut cfg = SystemConfig {
             term: TermSpec::Fixed(Dur::from_secs_f64(term)),
-            max_retries: 500,
             ..SystemConfig::default()
         };
+        cfg.client.max_retries = 500;
         cfg.crashes = vec![CrashEvent {
             at: Time::from_secs(60),
             node: NodeSel::Client(1),
@@ -118,9 +118,9 @@ fn main() {
         let mut cfg = SystemConfig {
             term: TermSpec::Fixed(Dur::from_secs(10)),
             persistent_leases: persistent,
-            max_retries: 500,
             ..SystemConfig::default()
         };
+        cfg.client.max_retries = 500;
         cfg.crashes = vec![CrashEvent {
             at: Time::from_secs(12),
             node: NodeSel::Server,
@@ -159,13 +159,13 @@ fn main() {
     println!("Section 5 C: message loss — retransmission keeps every run consistent\n");
     let mut rows = Vec::new();
     for loss in [0.0, 0.05, 0.15, 0.30] {
-        let cfg = SystemConfig {
+        let mut cfg = SystemConfig {
             term: TermSpec::Fixed(Dur::from_secs(10)),
             faults: FaultPlan::default().drop_messages(loss),
-            retry_interval: Dur::from_millis(300),
-            max_retries: 500,
             ..SystemConfig::default()
         };
+        cfg.client.retry_interval = Dur::from_millis(300);
+        cfg.client.max_retries = 500;
         let (r, h) = run_trace_with_history(&cfg, &shared_workload(31));
         let consistent = check_history(&h.history.borrow()).is_ok();
         rows.push(vec![
@@ -220,12 +220,12 @@ fn main() {
         ),
     ];
     for (label, faults) in cases {
-        let cfg = SystemConfig {
+        let mut cfg = SystemConfig {
             term: TermSpec::Fixed(Dur::from_secs(10)),
             faults,
-            max_retries: 500,
             ..SystemConfig::default()
         };
+        cfg.client.max_retries = 500;
         let (_, h) = run_trace_with_history(&cfg, &shared_workload(41));
         let outcome = check_history(&h.history.borrow());
         let (consistent, stale, worst) = match outcome {

@@ -76,14 +76,14 @@ fn main() {
                 false,
             ),
         ] {
-            let cfg = SystemConfig {
+            let mut cfg = SystemConfig {
                 term: TermSpec::Fixed(Dur::from_secs(10)),
                 installed,
-                batch_extensions: batch,
                 warmup: Dur::from_secs(60),
                 seed: 3,
                 ..SystemConfig::default()
             };
+            cfg.client.batch_extensions = batch;
             let r = run_trace(&cfg, &trace);
             rows.push(vec![
                 n.to_string(),
@@ -112,13 +112,13 @@ fn main() {
         ("on-demand", None),
         ("anticipatory 5 s", Some(Dur::from_secs(5))),
     ] {
-        let cfg = SystemConfig {
+        let mut cfg = SystemConfig {
             term: TermSpec::Fixed(Dur::from_secs(10)),
-            anticipatory,
             warmup: Dur::from_secs(60),
             seed: 3,
             ..SystemConfig::default()
         };
+        cfg.client.anticipatory = anticipatory;
         let r = run_trace(&cfg, &trace);
         rows.push(vec![
             label.to_string(),
@@ -172,9 +172,9 @@ fn main() {
                 installed,
                 warmup: Dur::from_secs(60),
                 seed: 3,
-                max_retries: 300,
                 ..SystemConfig::default()
             };
+            cfg.client.max_retries = 300;
             // Client n-1 crashes just before the install and never returns.
             cfg.crashes = vec![lease_vsys::CrashEvent {
                 at: Time::from_secs(295),

@@ -333,7 +333,6 @@ fn run_row(offered_x: f64, controlled: bool, window: Duration) -> Row {
             batch: BATCH,
             admission: controlled.then_some(AdmissionControl {
                 shed_watermark: 0.25,
-                stats_watermark: 0.9,
                 retry_after: Dur::from_millis(10),
             }),
             slow_shard: Some((0, PER_INPUT)),

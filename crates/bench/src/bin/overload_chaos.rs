@@ -93,34 +93,36 @@ fn run_seed(seed: u64, hardened: bool) -> SeedReport {
         .with_slow_shard(0, Dur::from_millis(1));
     let mut b = RtSystem::builder()
         .term(TERM)
-        .epsilon(Dur::from_millis(5))
+        .client(|c| c.epsilon = Dur::from_millis(5))
         .clients(CLIENTS)
         .shards(1)
         .chaos(plan.clone());
     if hardened {
         b = b
-            .retry_interval(Dur::from_millis(10))
-            .max_retries(50)
+            .client(|c| {
+                c.retry_interval = Dur::from_millis(10);
+                c.max_retries = 50;
+                c.op_deadline = Some(TERM); // Propagated: shards drop already-dead work.
+                c.retry_budget = Some(RetryBudget::per_sec(20.0));
+            })
             .mailbox(128)
-            .op_deadline(TERM) // Propagated: shards drop already-dead work.
-            .retry_budget(RetryBudget::per_sec(20.0))
             .admission(AdmissionControl {
                 shed_watermark: 0.25,
-                stats_watermark: 0.9,
                 retry_after: Dur::from_millis(10),
             });
     } else {
         // The storm configuration: fast fixed-interval retransmissions,
         // give-up by attempt count alone (nothing tells the server which
         // queued work is already dead), no shedding, no pacing.
-        b = b
-            .retry_interval(Dur::from_millis(2))
-            .max_retries(25)
-            .backoff(Backoff {
+        b = b.client(|c| {
+            c.retry_interval = Dur::from_millis(2);
+            c.max_retries = 25;
+            c.backoff = Backoff {
                 multiplier: 1.0,
                 cap: Dur::from_millis(2),
                 jitter: 0.0,
-            });
+            };
+        });
     }
     // Enough distinct files that the burst cannot be absorbed by warm
     // client caches alone: cold fetches and re-fetches after expiry keep

@@ -145,8 +145,10 @@ const FILES: usize = 8;
 fn ops_per_sec(quorum: Option<QuorumConfig>, window: Duration) -> f64 {
     let mut b = RtSystem::builder()
         .term(Dur::from_millis(150))
-        .retry_interval(Dur::from_millis(15))
-        .max_retries(200)
+        .client(|c| {
+            c.retry_interval = Dur::from_millis(15);
+            c.max_retries = 200;
+        })
         .clients(2)
         .shards(2);
     if let Some(q) = quorum {

@@ -11,7 +11,7 @@ use lease_bench::{save_json, table};
 use lease_clock::{Dur, Time};
 use lease_faults::check_history;
 use lease_vsys::{run_trace, CrashEvent, HistoryEvent, NodeSel, SystemConfig, TermSpec};
-use lease_wb::{run_wb_with_history, WbConfig};
+use lease_wb::{run_wb_with_history, WbClientConfig, WbConfig};
 use lease_workload::PoissonWorkload;
 use serde::Serialize;
 
@@ -49,7 +49,10 @@ fn main() {
         let (wb, h) = run_wb_with_history(
             &WbConfig {
                 warmup: Dur::from_secs(30),
-                flush_interval: Dur::from_secs(5),
+                client: WbClientConfig {
+                    flush_interval: Dur::from_secs(5),
+                    ..WbClientConfig::default()
+                },
                 ..WbConfig::default()
             },
             &trace,
@@ -111,7 +114,10 @@ fn main() {
                 // A long token so only the background flush bounds the
                 // loss window.
                 term: Dur::from_secs(120),
-                flush_interval: Dur::from_secs(flush_s),
+                client: WbClientConfig {
+                    flush_interval: Dur::from_secs(flush_s),
+                    ..WbClientConfig::default()
+                },
                 crashes: vec![crash],
                 seed: 23,
                 ..WbConfig::default()

@@ -126,8 +126,8 @@ fn sigkill_and_restart_mid_load_keeps_the_oracle_silent() {
     // Tight retransmission and a deep retry budget: the client must ride
     // out a dead server plus the §5 write-deferral window (one max term)
     // on plain resends, not client smarts.
-    cfg.retry_interval = Dur::from_millis(25);
-    cfg.max_retries = 400;
+    cfg.client.retry_interval = Dur::from_millis(25);
+    cfg.client.max_retries = 400;
     cfg.clock = Some(Arc::clone(&clock));
     let fleet = NetClient::connect(cfg);
 

@@ -48,7 +48,7 @@ use crate::msg::{ErrorReason, Grant, ToClient, ToServer};
 use crate::types::{ClientId, LeaseHandle, OpId, ReqId, Resource, Version};
 
 /// Client cache configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClientConfig {
     /// Clock-skew/drift allowance ε subtracted from every term.
     pub epsilon: Dur,
@@ -121,7 +121,7 @@ impl Default for ClientConfig {
 /// assert_eq!(b.nominal(base, 3), Dur::from_millis(400));
 /// assert_eq!(b.nominal(base, 20), Dur::from_secs(1)); // capped
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Backoff {
     /// Growth factor per retry; values ≤ 1.0 mean a fixed interval.
     pub multiplier: f64,
@@ -189,7 +189,7 @@ impl Backoff {
 /// The budget is per client and shared across all its in-flight requests:
 /// it caps the aggregate retransmission load this client can put on a
 /// struggling server.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryBudget {
     /// Tokens added per second.
     pub rate: f64,

@@ -21,6 +21,10 @@ use crate::storage::Storage;
 use crate::table::LeaseTable;
 use crate::types::{ClientId, LeaseHandle, ReqId, Resource, Version, WriteId};
 
+/// How many recent write replies the server remembers, across all
+/// clients, for at-most-once retransmission handling.
+const DEDUP_CAPACITY: usize = 64;
+
 /// How the server survives a crash (§2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryMode {
@@ -43,9 +47,6 @@ pub struct ServerConfig<R: Resource> {
     pub installed_tick: Dur,
     /// Term carried by each multicast extension.
     pub installed_term: Dur,
-    /// How many recent write replies to remember per client for
-    /// at-most-once retransmission handling.
-    pub dedup_capacity: usize,
     /// Refuse new grants (drop Fetch/Renew without reply) while the
     /// post-crash recovery window is open, instead of only stalling writes.
     ///
@@ -64,7 +65,6 @@ impl<R: Resource> ServerConfig<R> {
             recovery: RecoveryMode::MaxTerm,
             installed_tick: Dur::from_secs(30),
             installed_term: Dur::from_secs(60),
-            dedup_capacity: 64,
             defer_grants_in_recovery: false,
         }
     }
@@ -924,10 +924,7 @@ impl<R: Resource, D: Clone> LeaseServer<R, D> {
     }
 
     fn remember_reply(&mut self, client: ClientId, req: ReqId, reply: ToClient<R, D>) {
-        if self.cfg.dedup_capacity == 0 {
-            return;
-        }
-        while self.dedup_order.len() >= self.cfg.dedup_capacity {
+        while self.dedup_order.len() >= DEDUP_CAPACITY {
             if let Some(old) = self.dedup_order.pop_front() {
                 self.dedup.remove(&old);
             }

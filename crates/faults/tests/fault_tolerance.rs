@@ -3,13 +3,18 @@
 
 use lease_clock::{ClockModel, Dur, Time};
 use lease_faults::{check_history, staleness_of, Violation};
-use lease_vsys::{run_trace_with_history, CrashEvent, FaultPlan, NodeSel, SystemConfig, TermSpec};
+use lease_vsys::{
+    run_trace_with_history, ClientConfig, CrashEvent, FaultPlan, NodeSel, SystemConfig, TermSpec,
+};
 use lease_workload::{PoissonWorkload, Trace, VTrace};
 
 fn fixed(term_secs: u64) -> SystemConfig {
     SystemConfig {
         term: TermSpec::Fixed(Dur::from_secs(term_secs)),
-        max_retries: 500,
+        client: ClientConfig {
+            max_retries: 500,
+            ..ClientConfig::default()
+        },
         ..SystemConfig::default()
     }
 }
@@ -38,7 +43,10 @@ fn consistent_across_terms_including_zero_and_infinite() {
     for term in [Dur::ZERO, Dur::from_secs(1), Dur::from_secs(30), Dur::MAX] {
         let cfg = SystemConfig {
             term: TermSpec::Fixed(term),
-            max_retries: 500,
+            client: ClientConfig {
+                max_retries: 500,
+                ..ClientConfig::default()
+            },
             ..Default::default()
         };
         let (_, h) = run_trace_with_history(&cfg, &shared_workload(2));
@@ -52,7 +60,7 @@ fn message_loss_never_breaks_consistency() {
     for loss in [0.02, 0.10, 0.25] {
         let mut cfg = fixed(10);
         cfg.faults = cfg.faults.drop_messages(loss);
-        cfg.retry_interval = Dur::from_millis(300);
+        cfg.client.retry_interval = Dur::from_millis(300);
         let (_, h) = run_trace_with_history(&cfg, &shared_workload(3));
         check_history(&h.history.borrow())
             .unwrap_or_else(|v| panic!("loss {loss}: violations {v:?}"));
@@ -69,7 +77,7 @@ fn heavy_loss_stress_sweep_stays_consistent() {
         for loss in [0.30, 0.45] {
             let mut cfg = fixed(10);
             cfg.faults = cfg.faults.drop_messages(loss);
-            cfg.retry_interval = Dur::from_millis(300);
+            cfg.client.retry_interval = Dur::from_millis(300);
             let (_, h) = run_trace_with_history(&cfg, &shared_workload(seed));
             check_history(&h.history.borrow())
                 .unwrap_or_else(|v| panic!("loss {loss} seed {seed}: violations {v:?}"));
@@ -157,7 +165,7 @@ fn partition_never_breaks_consistency() {
     cfg.faults = (0..3).fold(cfg.faults, |p, client| {
         p.cut(Dur::from_secs(100), Dur::from_secs(160), client)
     });
-    cfg.retry_interval = Dur::from_millis(400);
+    cfg.client.retry_interval = Dur::from_millis(400);
     let (_, h) = run_trace_with_history(&cfg, &shared_workload(6));
     check_history(&h.history.borrow()).expect("partitions are safe");
 }
@@ -228,7 +236,7 @@ fn harmless_clock_errors_slow_server_fast_client() {
 #[test]
 fn small_skew_within_epsilon_is_safe() {
     let mut cfg = fixed(10);
-    cfg.epsilon = Dur::from_millis(100);
+    cfg.client.epsilon = Dur::from_millis(100);
     // Clients skewed by up to ±50 ms: inside the allowance.
     cfg.faults = (0..6).fold(cfg.faults, |p, i| {
         p.with_client_clock(
@@ -349,15 +357,18 @@ fn kitchen_sink_configuration_is_consistent() {
             tick: Dur::from_secs(15),
             term: Dur::from_secs(40),
         },
-        anticipatory: Some(Dur::from_secs(7)),
-        batch_extensions: true,
+        client: ClientConfig {
+            anticipatory: Some(Dur::from_secs(7)),
+            batch_extensions: true,
+            retry_interval: Dur::from_millis(300),
+            max_retries: 1000,
+            ..ClientConfig::default()
+        },
         faults: FaultPlan::default().drop_messages(0.05).cut(
             Dur::from_secs(140),
             Dur::from_secs(170),
             0,
         ),
-        retry_interval: Dur::from_millis(300),
-        max_retries: 1000,
         crashes: vec![CrashEvent {
             at: Time::from_secs(90),
             node: NodeSel::Client(2),

@@ -4,8 +4,8 @@
 use lease_clock::{Dur, Time};
 use lease_faults::{check_history, Violation};
 use lease_vsys::{
-    run_trace_with_history, CrashEvent, FaultPlan, History, HistoryEvent, NodeSel, SystemConfig,
-    TermSpec,
+    run_trace_with_history, ClientConfig, CrashEvent, FaultPlan, History, HistoryEvent, NodeSel,
+    SystemConfig, TermSpec,
 };
 use lease_workload::{BurstyWorkload, PoissonWorkload, Trace};
 use proptest::prelude::*;
@@ -46,8 +46,11 @@ proptest! {
         let cfg = SystemConfig {
             term: TermSpec::Fixed(Dur::from_millis(term_ms)),
             faults: FaultPlan::default().drop_messages(loss),
-            retry_interval: Dur::from_millis(250),
-            max_retries: 2000,
+            client: ClientConfig {
+                retry_interval: Dur::from_millis(250),
+                max_retries: 2000,
+                ..ClientConfig::default()
+            },
             seed: seed.wrapping_mul(31),
             ..SystemConfig::default()
         };
@@ -74,7 +77,10 @@ proptest! {
                 node,
                 recover_at: Some(Time::from_secs(crash_at + down_secs)),
             }],
-            max_retries: 2000,
+            client: ClientConfig {
+                max_retries: 2000,
+                ..ClientConfig::default()
+            },
             seed,
             ..SystemConfig::default()
         };
@@ -99,8 +105,11 @@ proptest! {
         let cfg = SystemConfig {
             term: TermSpec::Fixed(Dur::from_secs(8)),
             faults,
-            retry_interval: Dur::from_millis(250),
-            max_retries: 2000,
+            client: ClientConfig {
+                retry_interval: Dur::from_millis(250),
+                max_retries: 2000,
+                ..ClientConfig::default()
+            },
             seed,
             ..SystemConfig::default()
         };
@@ -129,11 +138,14 @@ proptest! {
         .generate();
         let cfg = SystemConfig {
             term: TermSpec::Fixed(Dur::from_secs(term_s)),
-            epsilon: Dur::from_millis(100),
+            client: ClientConfig {
+                epsilon: Dur::from_millis(100),
+                max_retries: 2000,
+                ..ClientConfig::default()
+            },
             faults: (0..4).fold(FaultPlan::default(), |p, i| {
                 p.with_client_clock(i, lease_clock::ClockModel::skewed(skew_ms * 1_000_000 * if i % 2 == 0 { 1 } else { -1 }))
             }),
-            max_retries: 2000,
             seed,
             ..SystemConfig::default()
         };
@@ -159,8 +171,11 @@ proptest! {
                 .delay_messages(Dur::from_millis(jitter_ms))
                 .duplicate_messages(duplicate)
                 .drop_messages(loss),
-            retry_interval: Dur::from_millis(250),
-            max_retries: 2000,
+            client: ClientConfig {
+                retry_interval: Dur::from_millis(250),
+                max_retries: 2000,
+                ..ClientConfig::default()
+            },
             seed,
             ..SystemConfig::default()
         };
@@ -249,8 +264,11 @@ proptest! {
                 max: Dur::from_secs(60),
             },
             faults: FaultPlan::default().drop_messages(loss),
-            retry_interval: Dur::from_millis(250),
-            max_retries: 2000,
+            client: ClientConfig {
+                retry_interval: Dur::from_millis(250),
+                max_retries: 2000,
+                ..ClientConfig::default()
+            },
             seed,
             ..SystemConfig::default()
         };

@@ -18,6 +18,11 @@
 //! live threads, and fault injection (drop a client's traffic) to watch a
 //! write stall for exactly one lease term and then proceed.
 //!
+//! A client's options are `lease-core`'s [`ClientConfig`], carried whole:
+//! [`RtSystemBuilder::client`] edits the in-process clients' copy in
+//! place, [`NetClientConfig::client`] is the socket clients', and each
+//! is handed to the cache unchanged.
+//!
 //! # Examples
 //!
 //! ```
@@ -27,6 +32,7 @@
 //!
 //! let mut sys = RtSystem::builder()
 //!     .term(Dur::from_millis(200))
+//!     .client(|c| c.epsilon = Dur::from_millis(5))
 //!     .file("/etc/motd", b"hello".as_ref())
 //!     .clients(2)
 //!     .start();
@@ -46,10 +52,11 @@ pub mod server;
 pub mod system;
 
 pub use client::{RtClientHandle, RtError};
+pub use lease_core::ClientConfig;
 pub use lease_quorum::QuorumConfig;
 pub use lease_svc::chaos::FaultPlan;
 pub use naming::{Binding, NameOp};
 pub use net::{NetClient, NetClientConfig, TcpPort};
 pub use record::Recorder;
-pub use server::{Port, ServerStats};
+pub use server::Port;
 pub use system::{RtSystem, RtSystemBuilder};

@@ -41,7 +41,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use lease_clock::{Clock, Dur, Time, WallClock};
 use lease_core::ring::Inbox;
-use lease_core::{Backoff, ClientConfig, ClientId, RetryBudget, ToClient, ToServer};
+use lease_core::{ClientConfig, ClientId, ToClient, ToServer};
 use lease_net::connect_as;
 use lease_net::tcp::FrameAccum;
 use lease_wire::{frame_messages, Dir, FrameBuilder, WireError};
@@ -62,18 +62,9 @@ pub struct NetClientConfig {
     pub addr: SocketAddr,
     /// How many client workers to run ([`ClientId`]s `0..clients`).
     pub clients: u32,
-    /// The client's clock allowance ε.
-    pub epsilon: Dur,
-    /// Retransmission interval (backoff base).
-    pub retry_interval: Dur,
-    /// Retransmission budget per op.
-    pub max_retries: u32,
-    /// Backoff policy on top of the interval.
-    pub backoff: Backoff,
-    /// Per-op deadline, propagated to the server with every submission.
-    pub op_deadline: Option<Dur>,
-    /// Token-bucket retry budget.
-    pub retry_budget: Option<RetryBudget>,
+    /// Every worker's cache configuration, handed to `spawn_client`
+    /// unchanged. Its `op_deadline` also rides with every submission.
+    pub client: ClientConfig,
     /// The true-time clock operations are recorded against (and that
     /// deadlines are computed with). `None` uses a fresh process-local
     /// [`WallClock`]; the multi-process harness passes a
@@ -89,12 +80,12 @@ impl NetClientConfig {
         NetClientConfig {
             addr,
             clients,
-            epsilon: Dur::from_millis(50),
-            retry_interval: Dur::from_millis(100),
-            max_retries: 10,
-            backoff: Backoff::default(),
-            op_deadline: None,
-            retry_budget: None,
+            client: ClientConfig {
+                epsilon: Dur::from_millis(50),
+                retry_interval: Dur::from_millis(100),
+                max_retries: 10,
+                ..ClientConfig::default()
+            },
             clock: None,
         }
     }
@@ -117,15 +108,6 @@ impl NetClient {
         let clock: Arc<dyn Clock> = cfg.clock.unwrap_or_else(|| Arc::new(WallClock::new()));
         let recorder = Arc::new(Recorder::with_clock(Arc::clone(&clock)));
         let stop = Arc::new(AtomicBool::new(false));
-        let client_cfg = ClientConfig {
-            epsilon: cfg.epsilon,
-            retry_interval: cfg.retry_interval,
-            max_retries: cfg.max_retries,
-            backoff: cfg.backoff,
-            op_deadline: cfg.op_deadline,
-            retry_budget: cfg.retry_budget,
-            ..ClientConfig::default()
-        };
         let mut handles = Vec::new();
         let mut threads = Vec::new();
 
@@ -141,7 +123,7 @@ impl NetClient {
             // inbox only carries the doorbell for timers.
             let (handle, thread) = spawn_client(
                 ClientId(i),
-                client_cfg.clone(),
+                cfg.client.clone(),
                 Arc::new(Inbox::new()),
                 Box::new(port),
                 Arc::clone(&clock),
@@ -323,4 +305,24 @@ fn deliver_frames(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_socket_client_defaults_to_50_100_10() {
+        let cfg = NetClientConfig::new("127.0.0.1:1".parse().expect("addr"), 1);
+        assert_eq!(
+            cfg.client,
+            ClientConfig {
+                epsilon: Dur::from_millis(50),
+                retry_interval: Dur::from_millis(100),
+                max_retries: 10,
+                ..ClientConfig::default()
+            },
+            "backoff, deadline and budget at their defaults"
+        );
+    }
 }

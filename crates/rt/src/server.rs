@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use lease_clock::{Clock, Dur, Time, WallClock};
-use lease_core::{ClientId, ServerCounters, Storage, ToClient, ToServer, Version};
+use lease_core::{ClientId, Storage, ToClient, ToServer, Version};
 use lease_quorum::GrantorGate;
 use lease_store::{FileId, Store};
 use lease_svc::{
@@ -30,17 +30,6 @@ use crate::record::Recorder;
 
 /// The resource key in the real-time system: the store's file id, as u64.
 pub type Res = u64;
-
-/// Observable server statistics.
-#[derive(Debug, Clone)]
-pub struct ServerStats {
-    /// Protocol counters, merged across every shard.
-    pub counters: ServerCounters,
-    /// Committed writes in the store.
-    pub writes_committed: u64,
-    /// Crash/restart count per shard.
-    pub shard_restarts: Vec<u64>,
-}
 
 /// Adapts `lease_store::Store` to the protocol's storage interface.
 pub struct StoreBackend {

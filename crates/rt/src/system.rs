@@ -44,14 +44,12 @@ use std::thread::JoinHandle;
 
 use bytes::Bytes;
 use lease_clock::{Clock, ClockModel, Dur, ModelClock, Time, WallClock};
-use lease_core::{
-    Backoff, ClientConfig, ClientId, LeaseServer, RetryBudget, ServerConfig, Storage,
-};
+use lease_core::{ClientConfig, ClientId, LeaseServer, ServerConfig, Storage};
 use lease_quorum::{KillHandle, QuorumConfig, QuorumHooks, QuorumRuntime};
 use lease_store::{DirId, FileKind, Perms, Store};
 use lease_svc::{
     chaos::silence_injected_kills, shard_of, AdmissionControl, Egress, FaultPlan, LeaseService,
-    SvcConfig, SvcHandle, SvcHooks,
+    SvcConfig, SvcHandle, SvcHooks, SvcStats,
 };
 use lease_vsys::{History, HistoryEvent};
 
@@ -59,18 +57,13 @@ use crate::client::{spawn_client, RtClientHandle};
 use crate::record::Recorder;
 use crate::server::{
     lock_backend, ChaosNet, DelayPool, GatedBackend, Res, Router, RtFence, RtPort, RtSink,
-    ServerStats, SharedBackend, StoreBackend,
+    SharedBackend, StoreBackend,
 };
 
 /// Builder for an [`RtSystem`].
 pub struct RtSystemBuilder {
     term: Dur,
-    epsilon: Dur,
-    retry_interval: Dur,
-    max_retries: u32,
-    backoff: Backoff,
-    op_deadline: Option<Dur>,
-    retry_budget: Option<RetryBudget>,
+    client: ClientConfig,
     admission: Option<AdmissionControl>,
     mailbox: Option<usize>,
     clients: u32,
@@ -88,46 +81,15 @@ impl RtSystemBuilder {
         self
     }
 
-    /// The client's clock allowance ε.
-    pub fn epsilon(mut self, epsilon: Dur) -> Self {
-        self.epsilon = epsilon;
-        self
-    }
-
-    /// Client retransmission interval (the backoff base) — under a
-    /// quorum also the failover probe cadence while no grantor is
-    /// reachable.
-    pub fn retry_interval(mut self, d: Dur) -> Self {
-        self.retry_interval = d;
-        self
-    }
-
-    /// Client retry budget.
-    pub fn max_retries(mut self, n: u32) -> Self {
-        self.max_retries = n;
-        self
-    }
-
-    /// Retransmission backoff policy (multiplier, cap, jitter) applied on
-    /// top of [`RtSystemBuilder::retry_interval`].
-    pub fn backoff(mut self, b: Backoff) -> Self {
-        self.backoff = b;
-        self
-    }
-
-    /// Per-operation deadline: a pending op fails with `Timeout` once this
-    /// much has elapsed since its first transmission, even if retries
-    /// remain. The deadline also rides along with every submission so the
-    /// service drops already-dead work instead of processing it.
-    pub fn op_deadline(mut self, d: Dur) -> Self {
-        self.op_deadline = Some(d);
-        self
-    }
-
-    /// Client-side retry budget: a token bucket metering how many *extra*
-    /// (retry) transmissions each client may add per second.
-    pub fn retry_budget(mut self, b: RetryBudget) -> Self {
-        self.retry_budget = Some(b);
+    /// Every client cache's configuration, changed in place by `f` and
+    /// handed to each client unchanged. The builder starts from 10 ms ε,
+    /// a 50 ms retransmission interval and 40 retries, the rest at
+    /// [`ClientConfig::default`]. Under a quorum `retry_interval` is also
+    /// the failover probe cadence while no grantor is reachable, and
+    /// `op_deadline` rides with every submission so the service drops
+    /// already-dead work.
+    pub fn client(mut self, f: impl FnOnce(&mut ClientConfig)) -> Self {
+        f(&mut self.client);
         self
     }
 
@@ -505,20 +467,11 @@ impl RtSystemBuilder {
         // that client's driver lock: one producer at a time, whichever
         // thread it is.
         let port_cuts = Arc::new(cuts.clone());
-        let client_cfg = ClientConfig {
-            epsilon: self.epsilon,
-            retry_interval: self.retry_interval,
-            max_retries: self.max_retries,
-            backoff: self.backoff,
-            op_deadline: self.op_deadline,
-            retry_budget: self.retry_budget,
-            ..ClientConfig::default()
-        };
         let mut client_handles = Vec::new();
         for i in 0..self.clients as usize {
             let (handle, thread) = spawn_client(
                 ClientId(i as u32),
-                client_cfg.clone(),
+                self.client.clone(),
                 egress.inbox(i),
                 Box::new(RtPort {
                     router: router.clone(),
@@ -606,12 +559,12 @@ impl RtSystem {
     pub fn builder() -> RtSystemBuilder {
         RtSystemBuilder {
             term: Dur::from_millis(500),
-            epsilon: Dur::from_millis(10),
-            retry_interval: Dur::from_millis(50),
-            max_retries: 40,
-            backoff: Backoff::default(),
-            op_deadline: None,
-            retry_budget: None,
+            client: ClientConfig {
+                epsilon: Dur::from_millis(10),
+                retry_interval: Dur::from_millis(50),
+                max_retries: 40,
+                ..ClientConfig::default()
+            },
             admission: None,
             mailbox: None,
             clients: 1,
@@ -713,17 +666,17 @@ impl RtSystem {
         crash(&self.router, nodes.as_ref(), Crash::Replica(i));
     }
 
-    /// Statistics snapshot of the serving replica, merged across its
-    /// shards. `None` when no replica is serving, or a shard of the one
-    /// that is is down or unresponsive.
-    pub fn server_stats(&self) -> Option<ServerStats> {
+    /// Statistics snapshot of the serving replica's service. `None` when
+    /// no replica is serving, or a shard of the one that is is down or
+    /// unresponsive.
+    pub fn server_stats(&self) -> Option<SvcStats> {
         let serving = self.router.serving()?;
-        let stats = self.services[serving].stats().ok()?;
-        Some(ServerStats {
-            counters: stats.counters,
-            writes_committed: lock_backend(&self.backend).store.writes_committed(),
-            shard_restarts: stats.restarts,
-        })
+        self.services[serving].stats().ok()
+    }
+
+    /// Writes committed to the one durable store, by any replica.
+    pub fn writes_committed(&self) -> u64 {
+        lock_backend(&self.backend).store.writes_committed()
     }
 
     /// Everything the perfect observer saw so far: operation starts and
@@ -749,5 +702,28 @@ impl RtSystem {
         for s in self.services.drain(..) {
             s.shutdown();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_in_process_client_defaults_to_10_50_40() {
+        let b = RtSystem::builder();
+        assert_eq!(
+            b.client,
+            ClientConfig {
+                epsilon: Dur::from_millis(10),
+                retry_interval: Dur::from_millis(50),
+                max_retries: 40,
+                ..ClientConfig::default()
+            },
+            "backoff, deadline and budget at their defaults"
+        );
+        let b = b.client(|c| c.max_retries = 7);
+        assert_eq!(b.client.max_retries, 7);
+        assert_eq!(b.client.epsilon, Dur::from_millis(10), "other fields kept");
     }
 }

@@ -34,9 +34,11 @@ fn crash_recovers_within_max_term(shards: usize, crash: impl FnOnce(&RtSystem)) 
     let term = 300u64;
     let sys = RtSystem::builder()
         .term(Dur::from_millis(term))
-        .epsilon(Dur::from_millis(5))
-        .retry_interval(Dur::from_millis(20))
-        .max_retries(200)
+        .client(|c| {
+            c.epsilon = Dur::from_millis(5);
+            c.retry_interval = Dur::from_millis(20);
+            c.max_retries = 200;
+        })
         .file("/data/a", b"alpha".as_ref())
         .clients(2)
         .shards(shards)
@@ -87,7 +89,7 @@ fn crash_recovers_within_max_term(shards: usize, crash: impl FnOnce(&RtSystem)) 
 
     let stats = sys.server_stats().expect("restarted shard answers stats");
     assert_eq!(
-        stats.shard_restarts,
+        stats.restarts,
         vec![1; shards],
         "exactly one supervised restart of each crashed shard"
     );
@@ -105,8 +107,10 @@ fn recovery_window_refuses_grants() {
     let term = 250u64;
     let sys = RtSystem::builder()
         .term(Dur::from_millis(term))
-        .retry_interval(Dur::from_millis(15))
-        .max_retries(200)
+        .client(|c| {
+            c.retry_interval = Dur::from_millis(15);
+            c.max_retries = 200;
+        })
         .file("/data/a", b"alpha".as_ref())
         .clients(2)
         .start();
@@ -148,9 +152,11 @@ fn seeded_message_chaos_preserves_consistency() {
         .delay_messages(Dur::from_millis(5));
     let sys = RtSystem::builder()
         .term(Dur::from_millis(250))
-        .epsilon(Dur::from_millis(10))
-        .retry_interval(Dur::from_millis(20))
-        .max_retries(400)
+        .client(|c| {
+            c.epsilon = Dur::from_millis(10);
+            c.retry_interval = Dur::from_millis(20);
+            c.max_retries = 400;
+        })
         .file("/data/a", b"a0".as_ref())
         .file("/data/b", b"b0".as_ref())
         .clients(2)
@@ -185,9 +191,11 @@ fn fast_server_clock_is_caught_by_the_oracle() {
     let plan = FaultPlan::new(7).with_server_clock(ClockModel::drifting(1_000_000.0)); // 2x speed
     let sys = RtSystem::builder()
         .term(Dur::from_millis(term))
-        .epsilon(Dur::from_millis(5))
-        .retry_interval(Dur::from_millis(20))
-        .max_retries(100)
+        .client(|c| {
+            c.epsilon = Dur::from_millis(5);
+            c.retry_interval = Dur::from_millis(20);
+            c.max_retries = 100;
+        })
         .file("/data/a", b"v-old".as_ref())
         .clients(2)
         .chaos(plan)

@@ -83,7 +83,7 @@ fn local_hit_linearizable_on_rtsystem() {
     for quorum in [None, Some(QuorumConfig::quick())] {
         let mut b = RtSystem::builder()
             .term(Dur::from_millis(150))
-            .epsilon(Dur::from_millis(5))
+            .client(|c| c.epsilon = Dur::from_millis(5))
             .clients(2);
         if let Some(q) = quorum {
             b = b.quorum(q);
@@ -141,7 +141,7 @@ fn local_hit_linearizable_on_netclient() {
     let net = NetServer::bind("127.0.0.1:0", service.handle(), &egress, Arc::clone(&clock))
         .expect("bind");
     let mut cfg = NetClientConfig::new(net.local_addr(), 2);
-    cfg.epsilon = Dur::from_millis(5);
+    cfg.client.epsilon = Dur::from_millis(5);
     cfg.clock = Some(Arc::clone(&clock));
     let fleet = NetClient::connect(cfg);
     let files: Vec<u64> = (0..FILES as u64).collect();
@@ -175,7 +175,7 @@ fn a_caller_parked_on_a_silent_server_gets_closed_at_shutdown() {
     // A server that takes the connection and never answers.
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let mut cfg = NetClientConfig::new(listener.local_addr().expect("addr"), 1);
-    cfg.max_retries = 1_000_000;
+    cfg.client.max_retries = 1_000_000;
     let fleet = NetClient::connect(cfg);
     let handle = fleet.client(0).clone();
     let (mut conn, _) = listener.accept().expect("accept");
@@ -206,7 +206,7 @@ fn a_caller_parked_on_a_silent_server_gets_closed_at_shutdown() {
 #[test]
 fn a_caller_parked_behind_a_cut_gets_closed_at_shutdown() {
     let sys = RtSystem::builder()
-        .max_retries(1_000_000)
+        .client(|c| c.max_retries = 1_000_000)
         .file("/data/a", b"a".as_ref())
         .start();
     let a = sys.lookup("/data/a").expect("file");

@@ -107,9 +107,9 @@ fn client_survives_server_silence_by_retransmission() {
     // fails cleanly (Timeout/Unreachable), it does not hang or panic.
     let addr: std::net::SocketAddr = "127.0.0.1:1".parse().expect("addr"); // port 1: refused
     let mut cfg = NetClientConfig::new(addr, 1);
-    cfg.retry_interval = Dur::from_millis(10);
-    cfg.max_retries = 3;
-    cfg.op_deadline = Some(Dur::from_millis(500));
+    cfg.client.retry_interval = Dur::from_millis(10);
+    cfg.client.max_retries = 3;
+    cfg.client.op_deadline = Some(Dur::from_millis(500));
     let fleet = NetClient::connect(cfg);
     let err = fleet.client(0).read(1);
     assert!(err.is_err(), "no server: the op must fail, got {err:?}");
@@ -125,7 +125,7 @@ fn an_op_parked_on_a_dead_port_goes_out_when_the_connection_comes_up() {
         .and_then(|l| l.local_addr())
         .expect("a free port");
     let mut cfg = NetClientConfig::new(addr, 1);
-    cfg.retry_interval = Dur::from_secs(2);
+    cfg.client.retry_interval = Dur::from_secs(2);
     let fleet = NetClient::connect(cfg);
 
     let client = fleet.client(0).clone();

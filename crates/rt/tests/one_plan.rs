@@ -9,14 +9,22 @@ use std::time::{Duration, Instant};
 
 use lease_clock::{ClockModel, Dur, Time};
 use lease_faults::{check_history, Violation};
-use lease_rt::{FaultPlan, RtSystem};
+use lease_rt::{ClientConfig, FaultPlan, RtSystem};
 use lease_vsys::{run_trace_with_history, History, SystemConfig, TermSpec};
 use lease_workload::{FileClass, FileSpec, Trace, TraceOp, TraceRecord};
 
 const TERM: Dur = Dur::from_millis(400);
-const EPSILON: Dur = Dur::from_millis(5);
-const RETRY: Dur = Dur::from_millis(20);
 const FILES: u64 = 2;
+
+/// The one client configuration both worlds run.
+fn client() -> ClientConfig {
+    ClientConfig {
+        epsilon: Dur::from_millis(5),
+        retry_interval: Dur::from_millis(20),
+        max_retries: 400,
+        ..ClientConfig::default()
+    }
+}
 
 /// One step of a script: at `at_ms` after the start, `client` reads or
 /// writes file `file`.
@@ -44,9 +52,7 @@ fn simulate(plan: &FaultPlan, script: &[Step]) -> History {
         .collect();
     let cfg = SystemConfig {
         term: TermSpec::Fixed(TERM),
-        epsilon: EPSILON,
-        retry_interval: RETRY,
-        max_retries: 400,
+        client: client(),
         faults: plan.clone(),
         drain: Dur::from_secs(5),
         ..SystemConfig::default()
@@ -59,9 +65,7 @@ fn simulate(plan: &FaultPlan, script: &[Step]) -> History {
 fn run_real(plan: &FaultPlan, script: &[Step]) -> History {
     let mut b = RtSystem::builder()
         .term(TERM)
-        .epsilon(EPSILON)
-        .retry_interval(RETRY)
-        .max_retries(400)
+        .client(|c| *c = client())
         .clients(2)
         .chaos(plan.clone());
     for f in 0..FILES {

@@ -38,9 +38,11 @@ fn start(b: RtSystemBuilder, quorum: Option<QuorumConfig>) -> RtSystem {
 fn two_client_system(term_ms: u64, quorum: Option<QuorumConfig>) -> RtSystem {
     let b = RtSystem::builder()
         .term(Dur::from_millis(term_ms))
-        .epsilon(Dur::from_millis(5))
-        .retry_interval(Dur::from_millis(30))
-        .max_retries(100)
+        .client(|c| {
+            c.epsilon = Dur::from_millis(5);
+            c.retry_interval = Dur::from_millis(30);
+            c.max_retries = 100;
+        })
         .file("/data/a", b"alpha".as_ref())
         .file("/data/b", b"beta".as_ref())
         .clients(2);
@@ -208,9 +210,9 @@ fn concurrent_writers_serialize() {
     all.sort_unstable();
     // 20 writes, each a distinct version 2..=21: no lost updates.
     assert_eq!(all, (2..=21).collect::<Vec<u64>>());
-    let stats = sys.server_stats().unwrap();
     assert_eq!(
-        stats.writes_committed, 22,
+        sys.writes_committed(),
+        22,
         "20 client writes + 2 initial loads"
     );
     sys.shutdown();
@@ -344,8 +346,10 @@ fn sharded_runtime_preserves_cross_client_consistency() {
     // merged stats must see every shard's traffic.
     let mut b = RtSystem::builder()
         .term(Dur::from_millis(400))
-        .retry_interval(Dur::from_millis(30))
-        .max_retries(100)
+        .client(|c| {
+            c.retry_interval = Dur::from_millis(30);
+            c.max_retries = 100;
+        })
         .clients(2)
         .shards(4);
     for i in 0..12 {
@@ -365,7 +369,7 @@ fn sharded_runtime_preserves_cross_client_consistency() {
     }
     let s = sys.server_stats().unwrap();
     // 12 writes seeding the files at startup plus the 12 written here.
-    assert_eq!(s.writes_committed, 24);
+    assert_eq!(sys.writes_committed(), 24);
     assert!(
         s.counters.fetch_rx >= 12,
         "merged counters cover all shards"

@@ -21,13 +21,15 @@ const FILES: usize = 8;
 fn refused_sends_are_retransmitted_by_the_cache() {
     let mut b = RtSystem::builder()
         .term(Dur::from_millis(50))
-        .epsilon(Dur::from_millis(5))
+        .client(|c| {
+            c.epsilon = Dur::from_millis(5);
+            c.retry_interval = Dur::from_millis(5);
+            c.max_retries = 100;
+            c.op_deadline = Some(Dur::from_millis(500));
+        })
         .clients(2)
         .shards(1)
         .mailbox(2)
-        .retry_interval(Dur::from_millis(5))
-        .max_retries(100)
-        .op_deadline(Dur::from_millis(500))
         .chaos(FaultPlan::new(1).with_slow_shard(0, Dur::from_millis(1)));
     for f in 0..FILES {
         b = b.file(&format!("/d/f{f}"), b"v0".as_ref());
@@ -99,9 +101,8 @@ fn a_shed_client_is_paced_until_its_deadline() {
         .admission(AdmissionControl {
             shed_watermark: 0.0,
             retry_after: RETRY_AFTER,
-            ..AdmissionControl::default()
         })
-        .op_deadline(DEADLINE)
+        .client(|c| c.op_deadline = Some(DEADLINE))
         .file("/d/f", b"v0".as_ref())
         .start();
     let f = sys.lookup("/d/f").expect("file");

@@ -27,8 +27,10 @@ fn wait_for<F: Fn() -> bool>(what: &str, timeout: Duration, f: F) {
 fn replicated_system_serves_reads_and_writes() {
     let sys = RtSystem::builder()
         .term(Dur::from_millis(200))
-        .retry_interval(Dur::from_millis(20))
-        .max_retries(100)
+        .client(|c| {
+            c.retry_interval = Dur::from_millis(20);
+            c.max_retries = 100;
+        })
         .quorum(QuorumConfig::quick())
         .clients(2)
         .file("/data/a", b"v0".as_ref())
@@ -61,8 +63,10 @@ fn replicated_system_serves_reads_and_writes() {
 fn killed_grantor_fails_over_with_no_violations_and_bounded_delay() {
     let sys = RtSystem::builder()
         .term(Dur::from_millis(150))
-        .retry_interval(Dur::from_millis(20))
-        .max_retries(200)
+        .client(|c| {
+            c.retry_interval = Dur::from_millis(20);
+            c.max_retries = 200;
+        })
         .quorum(QuorumConfig::quick())
         .clients(2)
         .file("/data/a", b"v0".as_ref())
@@ -114,8 +118,10 @@ fn killed_grantor_fails_over_with_no_violations_and_bounded_delay() {
 fn rolling_grantor_kills_keep_history_consistent() {
     let sys = RtSystem::builder()
         .term(Dur::from_millis(120))
-        .retry_interval(Dur::from_millis(15))
-        .max_retries(300)
+        .client(|c| {
+            c.retry_interval = Dur::from_millis(15);
+            c.max_retries = 300;
+        })
         .quorum(QuorumConfig::quick())
         .clients(2)
         .file("/data/a", b"r0".as_ref())
@@ -146,8 +152,10 @@ fn rolling_grantor_kills_keep_history_consistent() {
 fn a_plans_shard_kill_restarts_that_shard_under_a_quorum() {
     let sys = RtSystem::builder()
         .term(Dur::from_millis(150))
-        .retry_interval(Dur::from_millis(20))
-        .max_retries(200)
+        .client(|c| {
+            c.retry_interval = Dur::from_millis(20);
+            c.max_retries = 200;
+        })
         .quorum(QuorumConfig::quick())
         .clients(1)
         .shards(2)
@@ -162,7 +170,7 @@ fn a_plans_shard_kill_restarts_that_shard_under_a_quorum() {
     // the plan's kill tells them apart.
     wait_for("the plan's kill of shard 0", Duration::from_secs(5), || {
         sys.server_stats()
-            .is_some_and(|s| s.shard_restarts[0] > s.shard_restarts[1])
+            .is_some_and(|s| s.restarts[0] > s.restarts[1])
     });
     assert_eq!(c0.read(a).unwrap(), Bytes::from_static(b"v0"));
 

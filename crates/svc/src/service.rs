@@ -66,11 +66,6 @@ pub struct AdmissionControl {
     /// Mailbox occupancy in `[0, 1]` at or above which a draining shard
     /// sheds cold fetches instead of granting them.
     pub shed_watermark: f64,
-    /// Occupancy at or above which a `Stats` request is answered *without*
-    /// the egress-flush barrier first (the counters are still exact; only
-    /// the flushed-egress certification is skipped). Stats are the lowest
-    /// priority — under overload the barrier would stall the drain.
-    pub stats_watermark: f64,
     /// The pause suggested to shed clients (`Shed { retry_after }`).
     pub retry_after: Dur,
 }
@@ -79,7 +74,6 @@ impl Default for AdmissionControl {
     fn default() -> AdmissionControl {
         AdmissionControl {
             shed_watermark: 0.75,
-            stats_watermark: 0.9,
             retry_after: Dur::from_millis(10),
         }
     }
@@ -1259,7 +1253,6 @@ mod tests {
                 batch: 2,
                 admission: Some(AdmissionControl {
                     shed_watermark: 0.25, // >= 2 of 8 slots still queued
-                    stats_watermark: 2.0,
                     retry_after: Dur::from_millis(7),
                 }),
                 slow_shard: Some((0, Dur::from_millis(2))),

@@ -79,6 +79,13 @@ const WHEEL_TICK: Dur = Dur::from_millis(1);
 /// Max sleep when no timer is pending.
 const IDLE_WAIT: Dur = Dur::from_millis(50);
 
+/// Under admission control, the occupancy at or above which a `Stats`
+/// request is answered *without* the egress-flush barrier first (the
+/// counters are still exact; only the flushed-egress certification is
+/// skipped). Stats are the lowest priority — under overload the barrier
+/// would stall the drain.
+const STATS_WATERMARK: f64 = 0.9;
+
 /// Adaptive-park spin budget: a shard worker whose last drain was
 /// non-empty polls its lanes up to this many times (`Acquire` loads with
 /// a spin-loop hint) before falling back to the timed park, so shards
@@ -443,7 +450,7 @@ where
                 let occ = lanes.queued() as f64 / ctx.mailbox as f64;
                 (
                     (occ >= a.shed_watermark).then_some(a),
-                    occ >= a.stats_watermark,
+                    occ >= STATS_WATERMARK,
                 )
             }
             None => (None, false),

@@ -1,6 +1,7 @@
 //! System configuration for a simulated run.
 
 use lease_clock::{ClockModel, Dur, Time};
+use lease_core::ClientConfig;
 use lease_net::NetParams;
 use lease_svc::chaos::FaultPlan;
 
@@ -70,8 +71,9 @@ pub struct CrashEvent {
 pub struct SystemConfig {
     /// Lease-term policy.
     pub term: TermSpec,
-    /// Clock allowance ε used by clients.
-    pub epsilon: Dur,
+    /// Every client cache's configuration, handed to each
+    /// [`LeaseClient`](lease_core::LeaseClient) unchanged.
+    pub client: ClientConfig,
     /// Network timing.
     pub net: NetParams,
     /// Message loss, duplication, delay jitter, cut links and clock
@@ -89,16 +91,6 @@ pub struct SystemConfig {
     /// Use persistent lease records instead of the max-term rule for
     /// server recovery.
     pub persistent_leases: bool,
-    /// Batch extension of all held leases on each fetch.
-    pub batch_extensions: bool,
-    /// Anticipatory renewal interval (None = on-demand).
-    pub anticipatory: Option<Dur>,
-    /// Client cache capacity (0 = unbounded).
-    pub cache_capacity: usize,
-    /// Client retransmission interval.
-    pub retry_interval: Dur,
-    /// Client retransmission budget.
-    pub max_retries: u32,
     /// Measurements before this instant are discarded (cold-start).
     pub warmup: Dur,
     /// Scheduled crashes.
@@ -114,17 +106,15 @@ impl Default for SystemConfig {
     fn default() -> SystemConfig {
         SystemConfig {
             term: TermSpec::Fixed(Dur::from_secs(10)),
-            epsilon: Dur::from_millis(100),
+            client: ClientConfig {
+                max_retries: 40,
+                ..ClientConfig::default()
+            },
             net: NetParams::v_lan(),
             faults: FaultPlan::default(),
             extra_prop: Vec::new(),
             installed: InstalledMode::PerClient,
             persistent_leases: false,
-            batch_extensions: true,
-            anticipatory: None,
-            cache_capacity: 0,
-            retry_interval: Dur::from_millis(500),
-            max_retries: 40,
             warmup: Dur::ZERO,
             crashes: Vec::new(),
             seed: 42,
@@ -150,6 +140,20 @@ mod tests {
         assert_eq!(c.term, TermSpec::Fixed(Dur::from_secs(10)));
         assert_eq!(c.net, NetParams::v_lan());
         assert_eq!(c.faults.drop_prob, 0.0);
+    }
+
+    #[test]
+    fn a_simulated_client_defaults_to_100_500_40() {
+        assert_eq!(
+            SystemConfig::default().client,
+            ClientConfig {
+                epsilon: Dur::from_millis(100),
+                retry_interval: Dur::from_millis(500),
+                max_retries: 40,
+                ..ClientConfig::default()
+            },
+            "backoff, deadline and budget at their defaults"
+        );
     }
 
     #[test]

@@ -2,8 +2,8 @@
 
 use lease_clock::{Dur, Time};
 use lease_core::{
-    AdaptiveTerm, ClientConfig, ClientId, CompensatedTerm, LeaseClient, LeaseServer, MemStorage,
-    RecoveryMode, ServerConfig,
+    AdaptiveTerm, ClientId, CompensatedTerm, LeaseClient, LeaseServer, MemStorage, RecoveryMode,
+    ServerConfig,
 };
 use lease_net::SimNet;
 use lease_sim::{ActorId, World};
@@ -100,17 +100,8 @@ pub fn assemble(
     debug_assert_eq!(server_id, ActorId(0));
 
     for i in 0..n {
-        let cc = ClientConfig {
-            epsilon: cfg.epsilon,
-            retry_interval: cfg.retry_interval,
-            max_retries: cfg.max_retries,
-            batch_extensions: cfg.batch_extensions,
-            anticipatory: cfg.anticipatory,
-            capacity: cfg.cache_capacity,
-            ..ClientConfig::default()
-        };
         let id = world.add_actor(ClientActor::new(
-            LeaseClient::new(ClientId(i), cc),
+            LeaseClient::new(ClientId(i), cfg.client.clone()),
             OpDriver::new(trace, i, warmup),
             cfg.client_clock(i as usize),
             server_id,

@@ -19,7 +19,11 @@
 //! both worlds. It records a global [`History`] that the consistency
 //! oracle in `lease-faults` checks against single-copy semantics.
 //! [`assemble`] is the one builder: the §6 baselines reuse it with their
-//! own server.
+//! own server. Every simulated cache is a `lease-core`
+//! [`LeaseClient`](lease_core::LeaseClient) built from
+//! [`SystemConfig::client`], a whole [`ClientConfig`] passed on
+//! unchanged, so the simulator reaches every client option the
+//! real-time runtime does.
 //!
 //! # Examples
 //!
@@ -49,6 +53,7 @@ pub use client_actor::ClientActor;
 pub use config::{CrashEvent, InstalledMode, NodeSel, SystemConfig, TermSpec};
 pub use harness::{assemble, build_world, run_trace, run_trace_with_history, RunHandle};
 pub use history::{History, HistoryEvent, SharedHistory};
+pub use lease_core::ClientConfig;
 pub use lease_svc::chaos::FaultPlan;
 pub use report::RunReport;
 pub use server_actor::ServerActor;

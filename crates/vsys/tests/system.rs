@@ -3,8 +3,8 @@
 use lease_clock::{ClockModel, Dur, Time};
 use lease_svc::chaos::OverloadPlan;
 use lease_vsys::{
-    build_world, run_trace, run_trace_with_history, CrashEvent, FaultPlan, HistoryEvent,
-    InstalledMode, NodeSel, SystemConfig, TermSpec,
+    build_world, run_trace, run_trace_with_history, ClientConfig, CrashEvent, FaultPlan,
+    HistoryEvent, InstalledMode, NodeSel, SystemConfig, TermSpec,
 };
 use lease_workload::{FileClass, FileSpec, PoissonWorkload, Trace, TraceOp, TraceRecord, VTrace};
 
@@ -159,7 +159,7 @@ fn client_crash_delays_writes_by_at_most_the_term() {
         node: NodeSel::Client(1),
         recover_at: None,
     }];
-    cfg.max_retries = 100;
+    cfg.client.max_retries = 100;
     let r = run_trace(&cfg, &trace);
     assert_eq!(r.op_failures, 0);
     // The write waited for the lease granted at ~1 s to expire at ~11 s:
@@ -204,7 +204,7 @@ fn server_crash_recovery_blocks_writes_for_max_term() {
         node: NodeSel::Server,
         recover_at: Some(Time::from_secs(11)),
     }];
-    cfg.max_retries = 100;
+    cfg.client.max_retries = 100;
     let r = run_trace(&cfg, &trace);
     assert_eq!(r.op_failures, 0);
     // The write at 12 s waits until recovery window ends at 11 + 10 = 21 s.
@@ -245,11 +245,37 @@ fn persistent_lease_records_avoid_the_recovery_stall() {
         node: NodeSel::Server,
         recover_at: Some(Time::from_secs(11)),
     }];
-    cfg.max_retries = 100;
+    cfg.client.max_retries = 100;
     let r = run_trace(&cfg, &trace);
     assert_eq!(r.op_failures, 0);
     // No stall: the only lease record expired before the write arrived.
     assert!(r.write_delay.max < 1.0, "write delay {}", r.write_delay.max);
+}
+
+#[test]
+fn an_op_deadline_fails_a_cut_off_read_before_its_retries_run_out() {
+    // Client 0 misses at 2 s while it is cut off from 1 s to 8 s. Forty
+    // retransmissions 500 ms apart outlast the cut, so without a deadline
+    // the read completes once it heals; a 2 s deadline fails it first.
+    let trace = Trace::new(
+        vec![FileSpec {
+            id: 1,
+            class: FileClass::Regular,
+            path: None,
+        }],
+        vec![TraceRecord {
+            at: Time::from_secs(2),
+            client: 0,
+            op: TraceOp::Read { file: 1 },
+        }],
+    );
+    let mut cfg = fixed(10);
+    cfg.faults = cfg.faults.cut(Dur::from_secs(1), Dur::from_secs(8), 0);
+    let patient = run_trace(&cfg, &trace);
+    assert_eq!((patient.op_failures, patient.remote_reads), (0, 1));
+    cfg.client.op_deadline = Some(Dur::from_secs(2));
+    let bounded = run_trace(&cfg, &trace);
+    assert_eq!((bounded.op_failures, bounded.remote_reads), (1, 0));
 }
 
 #[test]
@@ -258,8 +284,8 @@ fn partition_heals_and_ops_resume() {
     let mut cfg = fixed(5);
     // Client 1 is cut off from 20 s to 40 s.
     cfg.faults = cfg.faults.cut(Dur::from_secs(20), Dur::from_secs(40), 1);
-    cfg.max_retries = 200;
-    cfg.retry_interval = Dur::from_millis(500);
+    cfg.client.max_retries = 200;
+    cfg.client.retry_interval = Dur::from_millis(500);
     let r = run_trace(&cfg, &trace);
     // Reads during the partition either hit the local cache, stall until
     // healing, or exhaust retries; nothing hangs forever.
@@ -274,7 +300,7 @@ fn installed_mode_eliminates_per_file_extensions() {
     // periodic messages and keeps their leases from ever expiring.
     let trace = VTrace::calibrated(5).generate();
     let mut base = fixed(10);
-    base.batch_extensions = false;
+    base.client.batch_extensions = false;
     let per_client = run_trace(&base, &trace);
     let mut cfg = base.clone();
     cfg.installed = InstalledMode::Multicast {
@@ -344,7 +370,7 @@ fn message_loss_is_survived_by_retransmission() {
     let trace = PoissonWorkload::v_rates(2, 1, Dur::from_secs(200), 13).generate();
     let mut cfg = fixed(10);
     cfg.faults = cfg.faults.drop_messages(0.05);
-    cfg.max_retries = 50;
+    cfg.client.max_retries = 50;
     let r = run_trace(&cfg, &trace);
     assert_eq!(r.op_failures, 0, "5% loss must not fail ops");
     let done = r.hits + r.remote_reads + r.writes;
@@ -451,7 +477,10 @@ fn distant_client_compensation_restores_effective_term() {
             term,
             extra_prop: extra_prop.clone(),
             warmup: Dur::from_secs(10),
-            max_retries: 200,
+            client: ClientConfig {
+                max_retries: 200,
+                ..ClientConfig::default()
+            },
             ..SystemConfig::default()
         };
         lease_vsys::run_trace_with_history(&cfg, &trace)

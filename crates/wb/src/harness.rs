@@ -17,10 +17,9 @@ use crate::server::{WbServer, WbServerConfig};
 pub struct WbConfig {
     /// Lease term for reads and tokens.
     pub term: Dur,
-    /// Background flush interval.
-    pub flush_interval: Dur,
-    /// Clock allowance ε.
-    pub epsilon: Dur,
+    /// Every client cache's configuration, handed to each [`WbClient`]
+    /// unchanged.
+    pub client: WbClientConfig,
     /// Network timing (the transport is reliable; see the crate docs).
     pub net: NetParams,
     /// Measurements before this instant are discarded.
@@ -37,8 +36,7 @@ impl Default for WbConfig {
     fn default() -> WbConfig {
         WbConfig {
             term: Dur::from_secs(10),
-            flush_interval: Dur::from_secs(2),
-            epsilon: Dur::from_millis(100),
+            client: WbClientConfig::default(),
             net: NetParams::v_lan(),
             warmup: Dur::ZERO,
             crashes: Vec::new(),
@@ -76,13 +74,7 @@ pub fn run_wb_with_history(cfg: &WbConfig, trace: &Trace) -> (RunReport, SharedH
     debug_assert_eq!(sid, ActorId(0));
 
     for i in 0..n {
-        let cache = WbClient::new(
-            ClientId(i),
-            WbClientConfig {
-                epsilon: cfg.epsilon,
-                flush_interval: cfg.flush_interval,
-            },
-        );
+        let cache = WbClient::new(ClientId(i), cfg.client);
         let driver = OpDriver::new(trace, i, warmup);
         let cid = world.add_actor(WbClientActor::new(cache, driver, sid, hist.clone(), warmup));
         debug_assert_eq!(cid, client_ids[i as usize]);
@@ -109,9 +101,4 @@ pub fn run_wb_with_history(cfg: &WbConfig, trace: &Trace) -> (RunReport, SharedH
     world.run_until(end);
     let window = end.saturating_since(warmup).as_secs_f64();
     (RunReport::from_world(&mut world, window), hist)
-}
-
-/// Like [`run_wb_with_history`], returning only the report.
-pub fn run_wb(cfg: &WbConfig, trace: &Trace) -> (RunReport, SharedHistory) {
-    run_wb_with_history(cfg, trace)
 }

@@ -35,18 +35,20 @@
 //! Scope: the write-back harness models host crashes and recalls; message
 //! loss and server recovery are studied on the write-through system in
 //! `lease-vsys` (this crate's transport is reliable), which is also where
-//! the paper's own evaluation lives.
+//! the paper's own evaluation lives. A run's caches are built from
+//! [`WbConfig::client`], one [`WbClientConfig`] handed to every
+//! [`WbClient`] unchanged.
 //!
 //! # Examples
 //!
 //! ```
 //! use lease_clock::Dur;
-//! use lease_wb::{run_wb, WbConfig};
+//! use lease_wb::{run_wb_with_history, WbConfig};
 //! use lease_workload::PoissonWorkload;
 //!
 //! let trace = PoissonWorkload { n: 2, r: 0.5, w: 0.5, s: 2,
 //!     duration: Dur::from_secs(60), seed: 1 }.generate();
-//! let (report, _history) = run_wb(&WbConfig::default(), &trace);
+//! let (report, _history) = run_wb_with_history(&WbConfig::default(), &trace);
 //! assert_eq!(report.op_failures, 0);
 //! ```
 
@@ -57,6 +59,6 @@ pub mod msg;
 pub mod server;
 
 pub use client::{WbClient, WbClientConfig, WbClientOutput, WbClientTimer, WbInput};
-pub use harness::{run_wb, run_wb_with_history, WbConfig};
+pub use harness::{run_wb_with_history, WbConfig};
 pub use msg::{Mode, Reservation, WbToClient, WbToServer};
 pub use server::{WbServer, WbServerConfig, WbServerInput, WbServerOutput};

@@ -4,7 +4,7 @@
 use lease_clock::{Dur, Time};
 use lease_faults::check_history;
 use lease_vsys::{CrashEvent, NodeSel};
-use lease_wb::{run_wb_with_history, WbConfig};
+use lease_wb::{run_wb_with_history, WbClientConfig, WbConfig};
 use lease_workload::PoissonWorkload;
 use proptest::prelude::*;
 
@@ -31,7 +31,10 @@ proptest! {
         .generate();
         let cfg = WbConfig {
             term: Dur::from_secs(term_s),
-            flush_interval: Dur::from_secs(flush_s),
+            client: WbClientConfig {
+                flush_interval: Dur::from_secs(flush_s),
+                ..WbClientConfig::default()
+            },
             seed,
             ..WbConfig::default()
         };

@@ -5,7 +5,7 @@
 use lease_clock::{Dur, Time};
 use lease_faults::check_history;
 use lease_vsys::{run_trace, CrashEvent, HistoryEvent, NodeSel, SystemConfig, TermSpec};
-use lease_wb::{run_wb_with_history, WbConfig};
+use lease_wb::{run_wb_with_history, WbClientConfig, WbConfig};
 use lease_workload::{FileClass, FileSpec, PoissonWorkload, Trace, TraceOp, TraceRecord};
 
 fn shared_workload(seed: u64) -> Trace {
@@ -32,7 +32,10 @@ fn consistent_across_terms_and_flush_intervals() {
     for (term, flush) in [(2u64, 1u64), (10, 2), (10, 30), (30, 5)] {
         let cfg = WbConfig {
             term: Dur::from_secs(term),
-            flush_interval: Dur::from_secs(flush),
+            client: WbClientConfig {
+                flush_interval: Dur::from_secs(flush),
+                ..WbClientConfig::default()
+            },
             ..WbConfig::default()
         };
         let (r, h) = run_wb_with_history(&cfg, &shared_workload(2));
@@ -67,7 +70,10 @@ fn writeback_collapses_write_traffic() {
     let (wb, h) = run_wb_with_history(
         &WbConfig {
             warmup: Dur::from_secs(30),
-            flush_interval: Dur::from_secs(5),
+            client: WbClientConfig {
+                flush_interval: Dur::from_secs(5),
+                ..WbClientConfig::default()
+            },
             ..WbConfig::default()
         },
         &trace,
@@ -119,7 +125,10 @@ fn recall_moves_fresh_data_between_caches() {
     );
     // Long flush interval: only the recall can move the data.
     let cfg = WbConfig {
-        flush_interval: Dur::from_secs(600),
+        client: WbClientConfig {
+            flush_interval: Dur::from_secs(600),
+            ..WbClientConfig::default()
+        },
         ..WbConfig::default()
     };
     let (r, h) = run_wb_with_history(&cfg, &trace);
@@ -162,7 +171,10 @@ fn crash_loses_buffered_writes_but_stays_single_copy() {
         records,
     );
     let cfg = WbConfig {
-        flush_interval: Dur::from_secs(600), // never flushes in time
+        client: WbClientConfig {
+            flush_interval: Dur::from_secs(600), // never flushes in time
+            ..WbClientConfig::default()
+        },
         crashes: vec![CrashEvent {
             at: Time::from_secs(2),
             node: NodeSel::Client(0),
@@ -218,7 +230,10 @@ fn without_discard_accounting_the_lost_write_would_be_flagged() {
         records,
     );
     let cfg = WbConfig {
-        flush_interval: Dur::from_secs(600),
+        client: WbClientConfig {
+            flush_interval: Dur::from_secs(600),
+            ..WbClientConfig::default()
+        },
         crashes: vec![CrashEvent {
             at: Time::from_secs(2),
             node: NodeSel::Client(0),

@@ -112,7 +112,9 @@ fn main() {
     let stats = sys.server_stats().unwrap();
     println!(
         "server: {} grants, {} installed multicasts, {} writes committed",
-        stats.counters.grants, stats.counters.installed_multicasts, stats.writes_committed
+        stats.counters.grants,
+        stats.counters.installed_multicasts,
+        sys.writes_committed()
     );
     sys.shutdown();
 }

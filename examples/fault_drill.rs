@@ -6,7 +6,7 @@
 use leases::clock::{ClockModel, Dur, Time};
 use leases::faults::{check_history, staleness_of};
 use leases::vsys::{
-    run_trace_with_history, CrashEvent, FaultPlan, NodeSel, SystemConfig, TermSpec,
+    run_trace_with_history, ClientConfig, CrashEvent, FaultPlan, NodeSel, SystemConfig, TermSpec,
 };
 use leases::workload::PoissonWorkload;
 
@@ -23,7 +23,10 @@ fn main() {
 
     let base = SystemConfig {
         term: TermSpec::Fixed(Dur::from_secs(10)),
-        max_retries: 500,
+        client: ClientConfig {
+            max_retries: 500,
+            ..ClientConfig::default()
+        },
         ..SystemConfig::default()
     };
 
@@ -33,7 +36,10 @@ fn main() {
             "15% message loss",
             SystemConfig {
                 faults: FaultPlan::default().drop_messages(0.15),
-                retry_interval: Dur::from_millis(300),
+                client: ClientConfig {
+                    retry_interval: Dur::from_millis(300),
+                    ..base.client.clone()
+                },
                 ..base.clone()
             },
         ),

@@ -12,7 +12,7 @@
 use leases::clock::{Dur, Time};
 use leases::faults::check_history;
 use leases::vsys::{run_trace, CrashEvent, HistoryEvent, NodeSel, SystemConfig, TermSpec};
-use leases::wb::{run_wb_with_history, WbConfig};
+use leases::wb::{run_wb_with_history, WbClientConfig, WbConfig};
 use leases::workload::PoissonWorkload;
 
 fn main() {
@@ -38,7 +38,10 @@ fn main() {
     let (wb, h) = run_wb_with_history(
         &WbConfig {
             warmup: Dur::from_secs(20),
-            flush_interval: Dur::from_secs(5),
+            client: WbClientConfig {
+                flush_interval: Dur::from_secs(5),
+                ..WbClientConfig::default()
+            },
             ..WbConfig::default()
         },
         &trace,
@@ -59,7 +62,10 @@ fn main() {
 
     // Now the failure-semantics side: crash the writer mid-run.
     let cfg = WbConfig {
-        flush_interval: Dur::from_secs(5),
+        client: WbClientConfig {
+            flush_interval: Dur::from_secs(5),
+            ..WbClientConfig::default()
+        },
         term: Dur::from_secs(60),
         crashes: vec![CrashEvent {
             at: Time::from_secs(100),
