@@ -39,7 +39,7 @@ use lease_core::{
     ToServer,
 };
 use lease_svc::{
-    AdmissionControl, Egress, EgressRx, EgressSink, FaultPlan, LeaseService, OverloadPlan,
+    AdmissionControl, Arrivals, Egress, EgressRx, EgressSink, LeaseService, OverloadPlan,
     SvcConfig, SvcError, SvcHandle, SvcHooks,
 };
 
@@ -106,7 +106,7 @@ struct Tally {
     unanswered: u64,
 }
 
-/// One open-loop sender: fires fetches at the plan's arrival instants.
+/// One open-loop sender: fires fetches at its arrival instants.
 /// Controlled mode attaches `now + SLO` as the op deadline and treats
 /// transport backpressure as a refusal; ablated mode blocks.
 #[allow(clippy::too_many_arguments)]
@@ -114,14 +114,13 @@ fn sender(
     id: ClientId,
     handle: &SvcHandle<R, D>,
     clock: &WallClock,
-    plan: &FaultPlan,
+    mut arr: Arrivals,
     start: Instant,
     window: Duration,
     controlled: bool,
     reg: &Sender<(u64, Pend)>,
     refused: &AtomicU64,
 ) {
-    let mut arr = plan.arrivals(u64::from(id.0)).expect("overload plan");
     let mut rng = 0x9e37_79b9_7f4a_7c15 ^ u64::from(id.0).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     let mut next_req: u64 = 1;
     loop {
@@ -357,13 +356,14 @@ fn run_row(offered_x: f64, controlled: bool, window: Duration) -> Row {
     let handle = service.handle();
     // A flat plan: the "burst" is the whole window, at the offered rate
     // split across the client streams.
-    let plan = FaultPlan::new(0x0bad_cafe ^ offered_x.to_bits()).with_overload(OverloadPlan {
+    let seed = 0x0bad_cafe ^ offered_x.to_bits();
+    let plan = OverloadPlan {
         base_rate: offered / f64::from(CLIENTS),
         burst_rate: offered / f64::from(CLIENTS),
         burst_at: Dur::ZERO,
         burst_len: Dur::ZERO,
         herd: false,
-    });
+    };
     let stop = Arc::new(AtomicBool::new(false));
     let refused = Arc::new(AtomicU64::new(0));
     let start = Instant::now();
@@ -378,11 +378,11 @@ fn run_row(offered_x: f64, controlled: bool, window: Duration) -> Row {
             drainers.push(
                 s.spawn(move || receiver(id, &handle2, &clock2, rx, &reg_rx, &stop2, controlled)),
             );
-            let (handle2, clock2, plan2, refused2) =
-                (handle.clone(), clock.clone(), plan.clone(), refused.clone());
+            let arr = plan.arrivals(seed, i as u64);
+            let (handle2, clock2, refused2) = (handle.clone(), clock.clone(), refused.clone());
             s.spawn(move || {
                 sender(
-                    id, &handle2, &clock2, &plan2, start, window, controlled, &reg_tx, &refused2,
+                    id, &handle2, &clock2, arr, start, window, controlled, &reg_tx, &refused2,
                 );
                 drop(reg_tx);
             });

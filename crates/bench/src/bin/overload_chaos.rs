@@ -82,21 +82,19 @@ struct SeedReport {
 /// Drives one seed. `hardened` selects the full overload-robustness
 /// stack; `false` is the unprotected negative-control configuration.
 fn run_seed(seed: u64, hardened: bool) -> SeedReport {
-    let plan = FaultPlan::new(seed)
-        .with_overload(OverloadPlan {
-            base_rate: BASE_RATE,
-            burst_rate: BURST_RATE,
-            burst_at: BURST_AT,
-            burst_len: BURST_LEN,
-            herd: seed.is_multiple_of(2),
-        })
-        .with_slow_shard(0, Dur::from_millis(1));
+    let load = OverloadPlan {
+        base_rate: BASE_RATE,
+        burst_rate: BURST_RATE,
+        burst_at: BURST_AT,
+        burst_len: BURST_LEN,
+        herd: seed.is_multiple_of(2),
+    };
     let mut b = RtSystem::builder()
         .term(TERM)
         .client(|c| c.epsilon = Dur::from_millis(5))
         .clients(CLIENTS)
         .shards(1)
-        .chaos(plan.clone());
+        .chaos(FaultPlan::new(seed).with_slow_shard(0, Dur::from_millis(1)));
     if hardened {
         b = b
             .client(|c| {
@@ -140,7 +138,7 @@ fn run_seed(seed: u64, hardened: bool) -> SeedReport {
     let start = Instant::now();
     std::thread::scope(|s| {
         for c in 0..CLIENTS as usize {
-            let mut arr = plan.arrivals(c as u64).unwrap();
+            let mut arr = load.arrivals(seed, c as u64);
             let handle = sys.client(c);
             let resources = resources.clone();
             let (arrivals_n, completed, failed) =

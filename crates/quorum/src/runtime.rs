@@ -2,7 +2,9 @@
 //! serving gate the file-lease path consults.
 //!
 //! The sans-IO [`GrantorNode`] does all protocol reasoning; this module
-//! supplies threads, channels, clocks, and chaos. Its one load-bearing
+//! supplies threads, channels and clocks, and reads the run's faults —
+//! replica cuts, link dice, delays — through the one
+//! [`LiveFaults`] the rest of the run reads. Its one load-bearing
 //! export is [`GrantorGate`]: a lock-free cell each replica keeps up to
 //! date with its current claim, which the *service* side reads on every
 //! file-lease grant/extend to decide whether this replica is allowed to
@@ -18,7 +20,7 @@ use std::thread;
 use std::time::Duration;
 
 use lease_clock::{Clock, ClockModel, ModelClock, Time};
-use lease_svc::chaos::{Delivery, FaultPlan, LinkChaos};
+use lease_svc::chaos::{Delivery, LinkChaos, LiveFaults};
 use lease_vsys::HistoryEvent;
 
 use crate::msg::{Ballot, QuorumMsg};
@@ -126,20 +128,16 @@ pub struct QuorumRuntime {
 }
 
 impl QuorumRuntime {
-    /// Spawns `cfg.replicas` replica threads. `truth` is the shared true
-    /// clock (the same one the recorder stamps with); per-replica skew
-    /// comes from `plan.replica_clocks`, chaos from the plan's replica
-    /// links, and `plan.replica_kills` is *not* driven here — hosts kill
-    /// through a [`QuorumRuntime::kill_handle`] so they can coordinate
-    /// service shard kills with quorum restarts.
-    pub fn spawn(
-        cfg: QuorumConfig,
-        plan: FaultPlan,
-        truth: Arc<dyn Clock>,
-        hooks: QuorumHooks,
-    ) -> QuorumRuntime {
+    /// Spawns `cfg.replicas` replica threads under the run's `faults`:
+    /// their truth clock is the shared true clock (the same one the
+    /// recorder stamps with), per-replica skew comes from the plan's
+    /// replica clocks, cuts and dice from its replica windows and links,
+    /// and a delayed message waits on its sleeper. The plan's replica
+    /// kills are *not* driven here — hosts kill through a
+    /// [`QuorumRuntime::kill_handle`] so they can coordinate service
+    /// shard kills with quorum restarts.
+    pub fn spawn(cfg: QuorumConfig, faults: Arc<LiveFaults>, hooks: QuorumHooks) -> QuorumRuntime {
         let n = cfg.replicas as usize;
-        let start = truth.now();
         let mut txs = Vec::with_capacity(n);
         let mut rxs = Vec::with_capacity(n);
         for _ in 0..n {
@@ -150,9 +148,12 @@ impl QuorumRuntime {
         let mut gates = Vec::with_capacity(n);
         let mut threads = Vec::with_capacity(n);
         for (i, rx) in rxs.into_iter().enumerate() {
-            let model = plan.replica_clock(i).unwrap_or_else(ClockModel::perfect);
+            let model = faults
+                .plan()
+                .replica_clock(i)
+                .unwrap_or_else(ClockModel::perfect);
             let local: Arc<dyn Clock> =
-                Arc::new(ModelClock::new(Arc::clone(&truth), model.clone()));
+                Arc::new(ModelClock::new(Arc::clone(faults.truth()), model.clone()));
             let gate = Arc::new(GrantorGate::new(cfg.fence, Arc::clone(&local)));
             gates.push(Arc::clone(&gate));
             let worker = Replica {
@@ -160,14 +161,11 @@ impl QuorumRuntime {
                 node: GrantorNode::new(i as u32, cfg.clone()),
                 rx,
                 peers: txs.clone(),
-                links: (0..n).map(|j| plan.replica_link(i, j)).collect(),
-                plan: plan.clone(),
-                truth: Arc::clone(&truth),
+                links: (0..n).map(|j| faults.plan().replica_link(i, j)).collect(),
+                faults: Arc::clone(&faults),
                 model,
-                start,
                 gate,
                 hooks: hooks.clone(),
-                pending: Vec::new(),
             };
             threads.push(
                 thread::Builder::new()
@@ -225,15 +223,10 @@ struct Replica {
     rx: Receiver<Input>,
     peers: Vec<SyncSender<Input>>,
     links: Vec<LinkChaos>,
-    plan: FaultPlan,
-    truth: Arc<dyn Clock>,
+    faults: Arc<LiveFaults>,
     model: ClockModel,
-    start: Time,
     gate: Arc<GrantorGate>,
     hooks: QuorumHooks,
-    /// Chaos-delayed sends held back by the sender: `(deliver_at true
-    /// time, to, msg)`.
-    pending: Vec<(Time, u32, QuorumMsg)>,
 }
 
 impl Replica {
@@ -242,51 +235,55 @@ impl Replica {
             match self.rx.recv_timeout(Duration::from_millis(1)) {
                 Ok(Input::Shutdown) => return,
                 Ok(Input::Kill) => {
-                    let local = self.model.local(self.truth.now());
+                    let local = self.model.local(self.now());
                     let outs = self.node.restart(local);
                     self.dispatch(outs);
                 }
                 Ok(Input::Msg(from, msg)) => {
-                    let t = self.truth.now();
                     // A cut replica neither hears nor is heard.
-                    if !self.cut(self.id, t) && !self.cut(from, t) {
-                        let outs = self.node.handle(self.model.local(t), from, msg);
+                    if !cut(&self.faults, self.id, from) {
+                        let outs = self.node.handle(self.model.local(self.now()), from, msg);
                         self.dispatch(outs);
                     }
                 }
                 Err(_) => {}
             }
-            let t = self.truth.now();
-            let outs = self.node.tick(self.model.local(t));
+            let outs = self.node.tick(self.model.local(self.now()));
             self.dispatch(outs);
-            self.flush(t);
         }
     }
 
-    fn cut(&self, replica: u32, t: Time) -> bool {
-        self.plan
-            .replica_cut_active(replica as usize, t.saturating_since(self.start))
+    fn now(&self) -> Time {
+        self.faults.truth().now()
     }
 
     fn dispatch(&mut self, outs: Vec<NodeOut>) {
-        let t = self.truth.now();
+        let t = self.now();
         for o in outs {
             match o {
                 NodeOut::Send { to, msg } => {
-                    if self.cut(self.id, t) || self.cut(to, t) {
+                    if cut(&self.faults, self.id, to) {
                         continue;
                     }
+                    let (from, peer) = (self.id, &self.peers[to as usize]);
                     match self.links[to as usize].next() {
                         Delivery::Drop => {}
-                        Delivery::Deliver { delay, copies } => {
+                        Delivery::Deliver { delay, copies } if delay.is_zero() => {
                             for _ in 0..copies {
-                                if delay.is_zero() {
-                                    let _ =
-                                        self.peers[to as usize].try_send(Input::Msg(self.id, msg));
-                                } else {
-                                    self.pending.push((t + delay, to, msg));
-                                }
+                                let _ = peer.try_send(Input::Msg(from, msg));
                             }
+                        }
+                        Delivery::Deliver { delay, copies } => {
+                            // Held back on the run's sleeper, and cut
+                            // at delivery if either end is cut by then.
+                            let (faults, peer) = (Arc::clone(&self.faults), peer.clone());
+                            self.faults.sleeper().after(delay, move || {
+                                if !cut(&faults, from, to) {
+                                    for _ in 0..copies {
+                                        let _ = peer.try_send(Input::Msg(from, msg));
+                                    }
+                                }
+                            });
                         }
                     }
                 }
@@ -320,27 +317,19 @@ impl Replica {
             }
         }
     }
+}
 
-    /// Delivers chaos-delayed messages whose time has come.
-    fn flush(&mut self, now: Time) {
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].0 <= now {
-                let (_, to, msg) = self.pending.swap_remove(i);
-                if !self.cut(self.id, now) && !self.cut(to, now) {
-                    let _ = self.peers[to as usize].try_send(Input::Msg(self.id, msg));
-                }
-            } else {
-                i += 1;
-            }
-        }
-    }
+/// Whether the link between replicas `a` and `b` is severed right now:
+/// a cut replica neither hears nor is heard.
+fn cut(faults: &LiveFaults, a: u32, b: u32) -> bool {
+    faults.replica_cut(a as usize) || faults.replica_cut(b as usize)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use lease_clock::{Dur, WallClock};
+    use lease_svc::chaos::FaultPlan;
 
     fn wait_for<F: Fn() -> bool>(what: &str, timeout: Duration, f: F) {
         let start = std::time::Instant::now();
@@ -350,15 +339,18 @@ mod tests {
         }
     }
 
+    /// The faults of a run with no clients under `plan`, on `truth`.
+    fn faults(plan: FaultPlan, truth: WallClock) -> Arc<LiveFaults> {
+        Arc::new(LiveFaults::new(plan, Arc::new(truth), 0))
+    }
+
     #[test]
     fn elects_a_grantor_and_survives_killing_it() {
-        let truth: Arc<dyn Clock> = Arc::new(WallClock::new());
         let events: Arc<std::sync::Mutex<Vec<HistoryEvent>>> = Arc::default();
         let obs = Arc::clone(&events);
         let rt = QuorumRuntime::spawn(
             QuorumConfig::quick(),
-            FaultPlan::new(3),
-            truth,
+            faults(FaultPlan::new(3), WallClock::new()),
             QuorumHooks {
                 on_acquire: None,
                 observer: Some(Arc::new(move |e| obs.lock().unwrap().push(e))),
@@ -381,6 +373,31 @@ mod tests {
         };
         let res = lease_faults::check_history(&history);
         assert!(res.is_ok(), "violations: {:?}", res.err());
+    }
+
+    /// A replica cut is a plan window on the truth clock, measured from
+    /// its zero like every other plan instant — not from the quorum's
+    /// spawn. A window that closed before the quorum started cuts
+    /// nothing.
+    #[test]
+    fn replica_cuts_are_measured_from_the_truth_clocks_zero() {
+        let truth = WallClock::new();
+        thread::sleep(Duration::from_secs(1));
+        let window = Dur::from_millis(900);
+        let plan = (0..3).fold(FaultPlan::new(4), |p, r| {
+            p.cut_replica(Dur::ZERO, window, r)
+        });
+        let spawned = std::time::Instant::now();
+        let rt = QuorumRuntime::spawn(
+            QuorumConfig::quick(),
+            faults(plan, truth),
+            QuorumHooks::default(),
+        );
+        wait_for("a grantor", Duration::from_millis(500), || {
+            rt.current_grantor().is_some()
+        });
+        assert!(spawned.elapsed() < Duration::from_millis(500));
+        rt.shutdown();
     }
 
     #[test]

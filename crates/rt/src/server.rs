@@ -4,26 +4,21 @@
 //! one channel. The real-time deployment now runs on the sharded
 //! `lease-svc` runtime instead: the pieces here adapt it to this crate's
 //! world — the durable [`StoreBackend`] shared by every shard, the
-//! [`RtSink`] whose per-worker halves filter shard output (cut switches,
-//! replica fence, seeded chaos dice) in front of the per-client ring
-//! lanes, and the [`RtPort`] clients use to submit protocol messages to
-//! whichever replica is serving — the one there is, or under a grantor
-//! quorum the one whose gate is open.
+//! [`RtSink`] whose per-worker halves filter shard output (replica fence,
+//! and the cuts and dice of the run's one [`LiveFaults`]) in front of the
+//! per-client ring lanes, and the [`RtPort`] clients use to submit
+//! protocol messages to whichever replica is serving — the one there is,
+//! or under a grantor quorum the one whose gate is open.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
-use std::time::Instant;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use bytes::Bytes;
-use lease_clock::{Clock, Dur, Time, WallClock};
+use lease_clock::{Clock, Time, WallClock};
 use lease_core::{ClientId, Storage, ToClient, ToServer, Version};
 use lease_quorum::GrantorGate;
 use lease_store::{FileId, Store};
-use lease_svc::{
-    chaos::Delivery, ClientSink, Egress, FaultPlan, LinkChaos, SvcError, SvcHandle, WorkerSink,
-};
+use lease_svc::{ClientSink, Delivery, Egress, LiveFaults, SvcError, SvcHandle, WorkerSink};
 use lease_vsys::HistoryEvent;
 
 use crate::record::Recorder;
@@ -140,276 +135,39 @@ impl Storage<Res, Bytes> for StoreBackend {
 /// through committed writes, which either complete before a panic or were
 /// never observable, so a holder dying mid-critical-section (a supervised
 /// shard crash) must not cascade into whole-server failure.
-pub(crate) struct SharedBackend(pub Arc<Mutex<StoreBackend>>);
+pub(crate) struct SharedBackend {
+    pub store: Arc<Mutex<StoreBackend>>,
+    /// Under a quorum, the replica's gate: while it is closed a commit is
+    /// refused, so a stale grantor's deferred write cannot mutate the
+    /// shared store after its lease lapsed. A refused write returns the
+    /// current version; the reply built from it is dropped by the egress
+    /// fence anyway, so the client retries against the live grantor.
+    pub gate: Option<Arc<GrantorGate>>,
+}
 
-/// Locks a possibly-poisoned backend mutex, accepting the poison: the
-/// data under it is consistent by construction (see [`SharedBackend`]).
-pub(crate) fn lock_backend(m: &Mutex<StoreBackend>) -> MutexGuard<'_, StoreBackend> {
+/// Locks a possibly-poisoned mutex, accepting the poison: what this
+/// crate keeps under one is consistent between any two calls — the store
+/// (see [`SharedBackend`]), or a producer's lanes shared with the run's
+/// sleeper.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Storage<Res, Bytes> for SharedBackend {
     fn read(&self, resource: &Res) -> Option<(Bytes, Version)> {
-        lock_backend(&self.0).read(resource)
+        lock(&self.store).read(resource)
     }
 
     fn version(&self, resource: &Res) -> Option<Version> {
-        lock_backend(&self.0).version(resource)
+        lock(&self.store).version(resource)
     }
 
     fn write(&mut self, resource: &Res, data: Bytes) -> Version {
-        lock_backend(&self.0).write(resource, data)
-    }
-}
-
-/// Storage wrapper that refuses commits while the replica's gate is
-/// closed: a stale grantor's deferred write must not mutate the shared
-/// store after its lease lapsed. A refused write returns the current
-/// version; the reply built from it is dropped by the egress fence
-/// anyway, so the client retries against the live grantor.
-pub(crate) struct GatedBackend {
-    pub inner: SharedBackend,
-    pub gate: Arc<GrantorGate>,
-}
-
-impl Storage<Res, Bytes> for GatedBackend {
-    fn read(&self, resource: &Res) -> Option<(Bytes, Version)> {
-        self.inner.read(resource)
-    }
-
-    fn version(&self, resource: &Res) -> Option<Version> {
-        self.inner.version(resource)
-    }
-
-    fn write(&mut self, resource: &Res, data: Bytes) -> Version {
-        if self.gate.is_open() {
-            self.inner.write(resource, data)
+        let mut store = lock(&self.store);
+        if self.gate.as_ref().is_none_or(|g| g.is_open()) {
+            store.write(resource, data)
         } else {
-            self.inner.version(resource).unwrap_or(Version(0))
-        }
-    }
-}
-
-/// Seeded chaos applied to the client↔server transport: per-link
-/// deterministic drop/delay/duplicate dice plus plan-relative cut windows,
-/// generalizing the boolean cut switches.
-pub(crate) struct ChaosNet {
-    plan: FaultPlan,
-    truth: WallClock,
-    /// Server→client fault dice, one stream per client.
-    s2c: Vec<LinkChaos>,
-    /// Client→server fault dice, one stream per client.
-    c2s: Vec<LinkChaos>,
-}
-
-/// Stream-id bit distinguishing the client→server direction.
-const C2S_STREAM: u64 = 1 << 32;
-
-impl ChaosNet {
-    pub fn new(plan: FaultPlan, truth: WallClock, clients: usize) -> ChaosNet {
-        let s2c = (0..clients).map(|i| plan.link(i as u64)).collect();
-        let c2s = (0..clients)
-            .map(|i| plan.link(i as u64 | C2S_STREAM))
-            .collect();
-        ChaosNet {
-            plan,
-            truth,
-            s2c,
-            c2s,
-        }
-    }
-
-    /// Elapsed run time on the true clock (plans are start-relative).
-    fn elapsed(&self) -> Dur {
-        self.truth.now().saturating_since(Time::ZERO)
-    }
-
-    /// Whether a plan cut window covers `client` right now.
-    pub fn cut(&self, client: usize) -> bool {
-        self.plan.cut_active(client, self.elapsed())
-    }
-
-    /// Whether a plan cut window covers server replica `replica` now
-    /// (a host-level partition).
-    pub fn replica_cut(&self, replica: usize) -> bool {
-        self.plan.replica_cut_active(replica, self.elapsed())
-    }
-
-    pub fn s2c(&self, client: usize) -> Delivery {
-        self.s2c[client].next()
-    }
-
-    pub fn c2s(&self, client: usize) -> Delivery {
-        self.c2s[client].next()
-    }
-}
-
-/// A protocol message held back by chaos, in either direction.
-pub(crate) enum Delayed {
-    /// Server→client: published into the sleeper's own egress lanes.
-    Reply(ClientId, ToClient<Res, Bytes>),
-    /// Client→server: routed, when due, to whichever replica serves then.
-    Submission(ClientId, ToServer<Res, Bytes>, Option<Time>),
-}
-
-/// One shared sleeper thread servicing every chaos-delayed (or
-/// duplicated) message of a system, both directions: entries wait in a
-/// map ordered by deadline, the sleeper parks until the earliest one
-/// is due and then sends it through its *own* sending halves — an
-/// [`Egress`] worker for replies, a [`Router`] for submissions — so
-/// a delayed message costs a map entry: no thread, no handle clone, no
-/// lane registration. The thread is spawned lazily on the first delayed
-/// message (fault-free runs never pay for it) and is stopped and joined
-/// when the pool drops, discarding whatever is still pending — an
-/// undelivered delayed message is indistinguishable from a dropped one,
-/// which chaos already models.
-pub(crate) struct DelayPool {
-    inner: Arc<DelayShared>,
-}
-
-struct DelayShared {
-    state: Mutex<DelayState>,
-    cvar: Condvar,
-    /// The sleeper's sending halves. Locked by the sleeper per delivery
-    /// and by [`DelayPool::route_submissions`] once, at set-up.
-    io: Mutex<DelayIo>,
-}
-
-struct DelayIo {
-    replies: Box<dyn WorkerSink<Res, Bytes>>,
-    submit: Option<Router>,
-}
-
-struct DelayState {
-    /// Pending messages by `(due, insertion order)`, so the earliest
-    /// deadline comes first and equal deadlines deliver FIFO; the value is
-    /// the message and how many copies of it to send.
-    pending: BTreeMap<(Instant, u64), (Delayed, u32)>,
-    seq: u64,
-    sleeper: Option<JoinHandle<()>>,
-    closed: bool,
-}
-
-impl DelayPool {
-    /// A pool whose delayed replies reach clients through `egress`.
-    /// Delayed submissions are dropped until
-    /// [`DelayPool::route_submissions`] says where they go.
-    pub fn new(egress: &Egress<Res, Bytes>) -> DelayPool {
-        DelayPool {
-            inner: Arc::new(DelayShared {
-                state: Mutex::new(DelayState {
-                    pending: BTreeMap::new(),
-                    seq: 0,
-                    sleeper: None,
-                    closed: false,
-                }),
-                cvar: Condvar::new(),
-                io: Mutex::new(DelayIo {
-                    replies: Box::new(egress.worker()),
-                    submit: None,
-                }),
-            }),
-        }
-    }
-
-    /// Installs the client→server route (the services it needs exist only
-    /// after the sinks holding this pool do). [`Router::route`] never
-    /// blocks, which the sleeper — it serves every link — relies on.
-    pub fn route_submissions(&self, route: Router) {
-        self.inner
-            .io
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .submit = Some(route);
-    }
-
-    /// Queues `copies` of `what` to be sent once `delay` has passed.
-    pub fn schedule(&self, delay: Dur, what: Delayed, copies: u32) {
-        let due = Instant::now() + std::time::Duration::from(delay);
-        let mut st = self
-            .inner
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if st.closed {
-            return;
-        }
-        let seq = st.seq;
-        st.seq += 1;
-        st.pending.insert((due, seq), (what, copies));
-        if st.sleeper.is_none() {
-            let inner = Arc::clone(&self.inner);
-            st.sleeper = Some(
-                std::thread::Builder::new()
-                    .name("rt-chaos-delay".into())
-                    .spawn(move || inner.run())
-                    .expect("spawn chaos delay sleeper"),
-            );
-        }
-        drop(st);
-        self.inner.cvar.notify_one();
-    }
-}
-
-impl Drop for DelayPool {
-    fn drop(&mut self) {
-        let mut st = self
-            .inner
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        st.closed = true;
-        st.pending.clear();
-        let sleeper = st.sleeper.take();
-        drop(st);
-        self.inner.cvar.notify_all();
-        if let Some(t) = sleeper {
-            let _ = t.join();
-        }
-    }
-}
-
-impl DelayShared {
-    fn run(&self) {
-        let mut run: Vec<(ClientId, ToClient<Res, Bytes>)> = Vec::new();
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if st.closed {
-                return;
-            }
-            let Some((&(due, _), _)) = st.pending.first_key_value() else {
-                st = self.cvar.wait(st).unwrap_or_else(PoisonError::into_inner);
-                continue;
-            };
-            let now = Instant::now();
-            if due > now {
-                st = self
-                    .cvar
-                    .wait_timeout(st, due - now)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
-                continue;
-            }
-            let (_, (what, copies)) = st.pending.pop_first().expect("peeked");
-            // Deliver outside the lock: schedulers must never block
-            // behind a slow client's full lane.
-            drop(st);
-            let mut io = self.io.lock().unwrap_or_else(PoisonError::into_inner);
-            match what {
-                Delayed::Reply(to, msg) => {
-                    run.extend((0..copies).map(|_| (to, msg.clone())));
-                    io.replies.deliver_batch(&mut run);
-                }
-                Delayed::Submission(from, msg, deadline) => {
-                    if let Some(submit) = &io.submit {
-                        for _ in 0..copies {
-                            submit.route(from, msg.clone(), deadline);
-                        }
-                    }
-                }
-            }
-            drop(io);
-            st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+            store.version(resource).unwrap_or(Version(0))
         }
     }
 }
@@ -432,51 +190,45 @@ pub(crate) struct RtFence {
 impl RtFence {
     /// Whether the replica may exchange a message with a client right
     /// now: its gate is open and no plan window cuts it off.
-    fn admits(&self, chaos: Option<&ChaosNet>) -> bool {
-        self.gate.as_ref().is_none_or(|g| g.is_open())
-            && !chaos.is_some_and(|c| c.replica_cut(self.replica))
+    fn admits(&self, faults: &LiveFaults) -> bool {
+        self.gate.as_ref().is_none_or(|g| g.is_open()) && !faults.replica_cut(self.replica)
     }
 }
 
 /// What every shard worker's egress half is built from: the per-client
-/// ring-lane registry plus the filters that sit in front of it.
+/// ring-lane registry, the replica's fence, and the run's faults.
 pub(crate) struct RtSink {
     /// The per-client lane registry.
     pub egress: Egress<Res, Bytes>,
-    /// Per-client cut switches, which fault injection can flip at any
-    /// moment.
-    pub cuts: Vec<Arc<AtomicBool>>,
-    pub chaos: Option<Arc<ChaosNet>>,
     /// The replica this sink's service is, and its gate.
     pub fence: RtFence,
-    /// The system's shared sleeper for chaos-delayed messages.
-    pub delay: Arc<DelayPool>,
+    /// Cuts, dice and the sleeper.
+    pub faults: Arc<LiveFaults>,
 }
 
 impl ClientSink<Res, Bytes> for RtSink {
     fn attach_worker(&self) -> Box<dyn WorkerSink<Res, Bytes>> {
         Box::new(RtWorkerSink {
-            worker: Box::new(self.egress.worker()),
-            cuts: self.cuts.clone(),
-            chaos: self.chaos.clone(),
+            worker: Arc::new(Mutex::new(Box::new(self.egress.worker()))),
             fence: self.fence.clone(),
-            delay: Arc::clone(&self.delay),
+            faults: Arc::clone(&self.faults),
         })
     }
 }
 
 /// One shard worker's egress half: a filter in front of the worker's
 /// ring lanes. Each message passes the replica fence, the client's cut
-/// switch and the chaos dice — all of which can change between two
-/// messages of one flush — and is dropped, handed to the [`DelayPool`]
-/// sleeper, or left in the flush the lanes then publish one same-client
-/// run at a time.
+/// and the chaos dice — all of which can change between two messages of
+/// one flush — and is dropped, handed to the sleeper, or left in the
+/// flush the lanes then publish one same-client run at a time.
+///
+/// The lanes are shared with the sleeper: a delayed reply leaves, when
+/// due, through the lanes of the worker that held it back, so delaying
+/// one costs a map entry — no thread, no lane of its own.
 struct RtWorkerSink {
-    worker: Box<dyn WorkerSink<Res, Bytes>>,
-    cuts: Vec<Arc<AtomicBool>>,
-    chaos: Option<Arc<ChaosNet>>,
+    worker: Arc<Mutex<Box<dyn WorkerSink<Res, Bytes>>>>,
     fence: RtFence,
-    delay: Arc<DelayPool>,
+    faults: Arc<LiveFaults>,
 }
 
 impl RtWorkerSink {
@@ -485,25 +237,19 @@ impl RtWorkerSink {
     fn admit(&self, to: ClientId, msg: &ToClient<Res, Bytes>) -> bool {
         let c = to.0 as usize;
         // The gate can lapse mid-batch: re-check per message.
-        if !self.fence.admits(self.chaos.as_deref()) {
+        if !self.fence.admits(&self.faults) || self.faults.cut(c) {
             return false;
         }
-        if self.cuts[c].load(Ordering::Relaxed) {
-            return false;
-        }
-        let Some(chaos) = &self.chaos else {
-            return true;
-        };
-        if chaos.cut(c) {
-            return false;
-        }
-        match chaos.s2c(c) {
+        match self.faults.s2c(c) {
             Delivery::Drop => false,
             Delivery::Deliver { delay, copies } if !delay.is_zero() || copies != 1 => {
-                // Must not block the shard worker: the shared sleeper
-                // publishes it when due.
-                let held = Delayed::Reply(to, msg.clone());
-                self.delay.schedule(delay, held, copies);
+                // Must not block the shard worker: the sleeper publishes
+                // it when due, re-checking nothing.
+                let (worker, msg) = (Arc::clone(&self.worker), msg.clone());
+                self.faults.sleeper().after(delay, move || {
+                    let mut run: Vec<_> = (0..copies).map(|_| (to, msg.clone())).collect();
+                    lock(&worker).deliver_batch(&mut run);
+                });
                 false
             }
             Delivery::Deliver { .. } => true,
@@ -516,7 +262,7 @@ impl WorkerSink<Res, Bytes> for RtWorkerSink {
         // A refused message is discarded here, before anything is staged
         // into a lane.
         msgs.retain(|(to, msg)| self.admit(*to, msg));
-        self.worker.deliver_batch(msgs);
+        lock(&self.worker).deliver_batch(msgs);
     }
 }
 
@@ -561,22 +307,22 @@ struct Target {
 /// simply lands on the new grantor.
 ///
 /// Cloning attaches a new producer — fresh lanes into every replica —
-/// so every client's port, the [`DelayPool`] sleeper, the kill driver and
-/// the system's own admin path each hold their own router; all that is
-/// shared is the hint of which replica answered last (grantorship is a
-/// property of the cluster, not of one cache).
+/// so every client's port, each plan kill and the system's own admin
+/// path hold their own router; all that is shared is the hint of which
+/// replica answered last (grantorship is a property of the cluster, not
+/// of one cache) and the run's faults.
 #[derive(Clone)]
 pub(crate) struct Router {
     targets: Vec<Target>,
     current: Arc<AtomicUsize>,
-    chaos: Option<Arc<ChaosNet>>,
+    faults: Arc<LiveFaults>,
 }
 
 impl Router {
     /// A router over `replicas`, in replica order.
     pub fn new(
         replicas: impl IntoIterator<Item = (SvcHandle<Res, Bytes>, RtFence)>,
-        chaos: Option<Arc<ChaosNet>>,
+        faults: Arc<LiveFaults>,
     ) -> Router {
         Router {
             targets: replicas
@@ -584,7 +330,7 @@ impl Router {
                 .map(|(svc, fence)| Target { svc, fence })
                 .collect(),
             current: Arc::new(AtomicUsize::new(0)),
-            chaos,
+            faults,
         }
     }
 
@@ -610,7 +356,7 @@ impl Router {
         };
         (0..n)
             .map(move |k| (start + k) % n)
-            .filter(|&i| self.targets[i].fence.admits(self.chaos.as_deref()))
+            .filter(|&i| self.targets[i].fence.admits(&self.faults))
     }
 
     /// Remembers that replica `i` answered, for every router of the
@@ -645,49 +391,44 @@ impl Router {
 }
 
 /// What a client's driver holds instead of a channel to a server thread:
-/// its own [`Router`], the cut switches, and — for the inbound direction
-/// of the chaos dice (the router carries them) — the sleeper.
-pub(crate) struct RtPort {
-    pub router: Router,
-    pub cuts: Arc<Vec<Arc<AtomicBool>>>,
-    pub delay: Arc<DelayPool>,
-}
+/// its own [`Router`], shared with the sleeper. A submission chaos delays
+/// or duplicates leaves, when due, through this same router — so it costs
+/// a map entry, no thread and no lane — and goes to whichever replica
+/// serves then.
+pub(crate) struct RtPort(pub Arc<Mutex<Router>>);
 
 impl Port for RtPort {
     fn send(&self, from: ClientId, msg: ToServer<Res, Bytes>, deadline: Option<Time>) {
-        if self.cuts[from.0 as usize].load(Ordering::Relaxed) {
-            return; // Fault injection: drop inbound too.
+        let router = lock(&self.0);
+        let (c, faults) = (from.0 as usize, &router.faults);
+        if faults.cut(c) {
+            return;
         }
-        if let Some(chaos) = &self.router.chaos {
-            if chaos.cut(from.0 as usize) {
-                return;
-            }
-            // The uplink dice roll once per submission, not per candidate:
-            // the fault lives on the client's link, not on the rotation.
-            match chaos.c2s(from.0 as usize) {
-                Delivery::Drop => return,
-                Delivery::Deliver { delay, copies } => {
-                    if !delay.is_zero() || copies != 1 {
-                        // A late (or duplicated) submission leaves off the
-                        // client thread, on the system's one sleeper, which
-                        // resolves the serving replica at delivery time.
-                        let held = Delayed::Submission(from, msg, deadline);
-                        self.delay.schedule(delay, held, copies);
-                        return;
+        // The uplink dice roll once per submission, not per candidate:
+        // the fault lives on the client's link, not on the rotation.
+        match faults.c2s(c) {
+            Delivery::Drop => {}
+            Delivery::Deliver { delay, copies } if !delay.is_zero() || copies != 1 => {
+                let late = Arc::clone(&self.0);
+                faults.sleeper().after(delay, move || {
+                    let router = lock(&late);
+                    for _ in 0..copies {
+                        router.route(from, msg.clone(), deadline);
                     }
-                }
+                });
             }
+            Delivery::Deliver { .. } => router.route(from, msg, deadline),
         }
-        self.router.route(from, msg, deadline)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
+    use lease_clock::Dur;
     use lease_core::{LeaseServer, MemStorage, ReqId, ServerConfig};
-    use lease_svc::{EgressRx, EgressSink, LeaseService, SvcConfig, SvcHooks};
+    use lease_svc::{EgressRx, EgressSink, FaultPlan, LeaseService, SvcConfig, SvcHooks};
 
     use super::*;
 
@@ -707,17 +448,24 @@ mod tests {
         }
     }
 
+    /// The faults of a run over `clients` clients under `plan`.
+    fn faults(plan: FaultPlan, clients: usize) -> Arc<LiveFaults> {
+        Arc::new(LiveFaults::new(plan, Arc::new(WallClock::new()), clients))
+    }
+
     /// A two-client sink with the given cut switches and chaos plan.
-    fn sink(egress: &Egress<Res, Bytes>, cut: [bool; 2], plan: Option<FaultPlan>) -> RtSink {
+    fn sink(egress: &Egress<Res, Bytes>, cut: [bool; 2], plan: FaultPlan) -> RtSink {
+        let faults = faults(plan, 2);
+        for (c, on) in cut.into_iter().enumerate() {
+            faults.set_cut(c, on);
+        }
         RtSink {
             egress: egress.clone(),
-            cuts: cut.map(|c| Arc::new(AtomicBool::new(c))).to_vec(),
-            chaos: plan.map(|p| Arc::new(ChaosNet::new(p, WallClock::new(), 2))),
             fence: RtFence {
                 replica: 0,
                 gate: None,
             },
-            delay: Arc::new(DelayPool::new(egress)),
+            faults,
         }
     }
 
@@ -737,7 +485,7 @@ mod tests {
         let mut batch: Vec<(ClientId, ToClient<Res, Bytes>)> =
             (0..8).map(|n| (ClientId(n as u32 % 2), reply(n))).collect();
 
-        let mut cut0 = sink(&egress, [true, false], None).attach_worker();
+        let mut cut0 = sink(&egress, [true, false], FaultPlan::new(0)).attach_worker();
         cut0.deliver_batch(&mut batch);
         assert!(batch.is_empty());
         assert_eq!(
@@ -753,7 +501,7 @@ mod tests {
         );
 
         let lossy = FaultPlan::new(7).drop_messages(1.0);
-        let mut dropper = sink(&egress, [false, false], Some(lossy)).attach_worker();
+        let mut dropper = sink(&egress, [false, false], lossy).attach_worker();
         batch.extend((8..16).map(|n| (ClientId(0), reply(n))));
         dropper.deliver_batch(&mut batch);
         assert!(drain(&mut rx0).is_empty());
@@ -764,15 +512,15 @@ mod tests {
         );
     }
 
-    /// A chaos-delayed reply leaves through the sleeper's own lane: the
-    /// worker that refused it registers nothing, and however many replies
-    /// are delayed there is one sleeper.
+    /// A chaos-delayed reply leaves on the sleeper, through the lane of
+    /// the worker that refused it: one lane, however many replies are
+    /// delayed, and one sleeper.
     #[test]
     fn delayed_replies_arrive_through_the_one_sleeper() {
         let egress: Egress<Res, Bytes> = Egress::new(2, 16);
         let mut rx0 = egress.rx(0);
         let slow = FaultPlan::new(3).delay_messages(Dur::from_millis(2));
-        let sink = sink(&egress, [false, false], Some(slow));
+        let sink = sink(&egress, [false, false], slow);
         let mut worker = sink.attach_worker();
         let mut batch: Vec<_> = (0..200).map(|n| (ClientId(0), reply(n))).collect();
         worker.deliver_batch(&mut batch);
@@ -794,9 +542,9 @@ mod tests {
         }
         got.sort_unstable();
         assert_eq!(got, (0..200).collect::<Vec<u64>>());
-        assert_eq!(rx0.adopted(), 1, "only the sleeper's lane");
-        // The pool and its one sleeper thread: nothing else holds it.
-        assert_eq!(Arc::strong_count(&sink.delay.inner), 2);
+        assert_eq!(rx0.adopted(), 1, "only the refusing worker's lane");
+        // The faults and their one sleeper thread: nothing else holds it.
+        assert_eq!(Arc::strong_count(sink.faults.sleeper()), 2);
     }
 
     /// The bug this pins: every chaos-delayed submission used to spawn a
@@ -827,21 +575,15 @@ mod tests {
                 )
             },
         );
-        let delay = Arc::new(DelayPool::new(&egress));
-        let slow = FaultPlan::new(5).delay_messages(Dur::from_millis(2));
+        let faults = faults(FaultPlan::new(5).delay_messages(Dur::from_millis(2)), 1);
         let fence = RtFence {
             replica: 0,
             gate: None,
         };
-        let port = RtPort {
-            router: Router::new(
-                [(service.handle(), fence)],
-                Some(Arc::new(ChaosNet::new(slow, WallClock::new(), 1))),
-            ),
-            cuts: Arc::new(vec![Arc::new(AtomicBool::new(false))]),
-            delay: Arc::clone(&delay),
-        };
-        delay.route_submissions(port.router.clone());
+        let port = RtPort(Arc::new(Mutex::new(Router::new(
+            [(service.handle(), fence)],
+            Arc::clone(&faults),
+        ))));
         let lanes_before = service.stats().expect("stats").gauges.ingress_lanes;
 
         for n in 0..N {
@@ -867,8 +609,12 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(2));
         }
-        assert_eq!(Arc::strong_count(&delay.inner), 2, "one sleeper, no more");
-        drop((port, delay));
+        assert_eq!(
+            Arc::strong_count(faults.sleeper()),
+            2,
+            "one sleeper, no more"
+        );
+        drop((port, faults));
         service.shutdown();
     }
 }

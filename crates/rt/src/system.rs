@@ -37,28 +37,23 @@
 //! die by expiry, exactly as §5 argues for crash recovery.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use bytes::Bytes;
-use lease_clock::{Clock, ClockModel, Dur, ModelClock, Time, WallClock};
+use lease_clock::{Clock, ClockModel, Dur, ModelClock, WallClock};
 use lease_core::{ClientConfig, ClientId, LeaseServer, ServerConfig, Storage};
 use lease_quorum::{KillHandle, QuorumConfig, QuorumHooks, QuorumRuntime};
 use lease_store::{DirId, FileKind, Perms, Store};
 use lease_svc::{
     chaos::silence_injected_kills, shard_of, AdmissionControl, Egress, FaultPlan, LeaseService,
-    SvcConfig, SvcHandle, SvcHooks, SvcStats,
+    LiveFaults, SvcConfig, SvcHandle, SvcHooks, SvcStats,
 };
 use lease_vsys::{History, HistoryEvent};
 
 use crate::client::{spawn_client, RtClientHandle};
 use crate::record::Recorder;
-use crate::server::{
-    lock_backend, ChaosNet, DelayPool, GatedBackend, Res, Router, RtFence, RtPort, RtSink,
-    SharedBackend, StoreBackend,
-};
+use crate::server::{lock, Res, Router, RtFence, RtPort, RtSink, SharedBackend, StoreBackend};
 
 /// Builder for an [`RtSystem`].
 pub struct RtSystemBuilder {
@@ -162,8 +157,8 @@ impl RtSystemBuilder {
     }
 
     /// Builds and starts every thread: the quorum if one is configured,
-    /// one service per replica, the clients, and the kill driver if the
-    /// plan has kills.
+    /// one service per replica and the clients; the plan's kills wait on
+    /// the run's sleeper.
     pub fn start(self) -> RtSystem {
         // One true clock: history timestamps, chaos schedules and every
         // host's (possibly skewed) model clock all derive from it.
@@ -175,7 +170,14 @@ impl RtSystemBuilder {
         if self.chaos.is_some() || self.quorum.is_some() {
             silence_injected_kills();
         }
-        let plan = self.chaos.clone().unwrap_or_else(|| FaultPlan::new(0));
+        // The one reader of the plan, shared by every sink, port and
+        // replica; without a plan, a fault-free one.
+        let faults = Arc::new(LiveFaults::new(
+            self.chaos.clone().unwrap_or_else(|| FaultPlan::new(0)),
+            Arc::new(truth.clone()),
+            self.clients as usize,
+        ));
+        let plan = faults.plan();
         let replicas = self.quorum.as_ref().map_or(1, |q| q.replicas as usize);
         // A host's clock: the truth, seen through the plan's model for it.
         let host_clock = |model: Option<ClockModel>| -> Arc<dyn Clock> {
@@ -220,15 +222,10 @@ impl RtSystemBuilder {
         // The reply path first: the services' sinks need it. Each client
         // gets an inbox of ring lanes whose doorbell is the one thing its
         // thread parks on — every replica's shard workers register their
-        // own lanes into it, behind that replica's fence — and a cut
-        // switch both directions consult.
+        // own lanes into it, behind that replica's fence.
         let base_cfg = SvcConfig::default();
         let mailbox = self.mailbox.unwrap_or(base_cfg.mailbox);
         let egress: Egress<Res, Bytes> = Egress::new(self.clients as usize, mailbox);
-        let cuts: Vec<Arc<AtomicBool>> = (0..self.clients)
-            .map(|_| Arc::new(AtomicBool::new(false)))
-            .collect();
-        let delay = Arc::new(DelayPool::new(&egress));
 
         // The one durable backend, shared by every shard of every replica
         // (resources are partitioned, so a replica's writers never
@@ -242,7 +239,7 @@ impl RtSystemBuilder {
         // without a synthetic commit the checker would flag the first read
         // as returning an unknown version.
         {
-            let b = lock_backend(&backend);
+            let b = lock(&backend);
             for r in names.values().chain(dirs.values()) {
                 if let Some(v) = b.version(r) {
                     recorder.push(HistoryEvent::Commit {
@@ -254,14 +251,6 @@ impl RtSystemBuilder {
                 }
             }
         }
-
-        let chaos_net = self.chaos.as_ref().map(|p| {
-            Arc::new(ChaosNet::new(
-                p.clone(),
-                truth.clone(),
-                self.clients as usize,
-            ))
-        });
 
         // The quorum spawns first (services need its gates). Its takeover
         // hook reads the service registry, filled in below; an acquisition
@@ -297,8 +286,7 @@ impl RtSystemBuilder {
             };
             QuorumRuntime::spawn(
                 cfg,
-                plan.clone(),
-                Arc::new(truth.clone()),
+                Arc::clone(&faults),
                 QuorumHooks {
                     on_acquire: Some(on_acquire),
                     observer: Some(observer),
@@ -314,7 +302,7 @@ impl RtSystemBuilder {
         let persist_max_term: Arc<dyn Fn(Dur) + Send + Sync> = Arc::new({
             let backend = backend.clone();
             move |d: Dur| {
-                lock_backend(&backend)
+                lock(&backend)
                     .store
                     .put_slot("max_lease_term", d.as_nanos().to_le_bytes().to_vec());
             }
@@ -322,7 +310,7 @@ impl RtSystemBuilder {
         let recover_max_term: Arc<dyn Fn() -> Option<Dur> + Send + Sync> = Arc::new({
             let backend = backend.clone();
             move || {
-                lock_backend(&backend)
+                lock(&backend)
                     .store
                     .get_slot("max_lease_term")
                     .and_then(|b| <[u8; 8]>::try_from(b).ok())
@@ -354,15 +342,12 @@ impl RtSystemBuilder {
                     },
                     Arc::new(RtSink {
                         egress: egress.clone(),
-                        cuts: cuts.clone(),
-                        chaos: chaos_net.clone(),
                         fence,
-                        delay: Arc::clone(&delay),
+                        faults: Arc::clone(&faults),
                     }),
                     SvcHooks {
                         persist_max_term: Some(persist_max_term.clone()),
                         recover_max_term: Some(recover_max_term.clone()),
-                        on_restart: None,
                         clock: Some(clock),
                     },
                     move |i| {
@@ -388,15 +373,14 @@ impl RtSystemBuilder {
                             }
                             server.set_installed_group(installed_group.clone());
                         }
-                        let inner = SharedBackend(backend.clone());
-                        let storage: Box<dyn Storage<Res, Bytes> + Send> = match &gate {
-                            Some(gate) => Box::new(GatedBackend {
-                                inner,
-                                gate: Arc::clone(gate),
-                            }),
-                            None => Box::new(inner),
+                        let storage = SharedBackend {
+                            store: backend.clone(),
+                            gate: gate.clone(),
                         };
-                        (server, storage)
+                        (
+                            server,
+                            Box::new(storage) as Box<dyn Storage<Res, Bytes> + Send>,
+                        )
                     },
                 )
             })
@@ -406,78 +390,41 @@ impl RtSystemBuilder {
 
         // Every producer gets its own router — its own handle clone, so
         // its own SPSC lane, per shard per replica: this one stays with
-        // the system (admin writes, kills), and each client's port, the
-        // sleeper and the kill driver clone theirs from it.
+        // the system (admin writes, kills), and each client's port and
+        // each plan kill clone theirs from it.
         let router = Router::new(
             services
                 .iter()
                 .enumerate()
                 .map(|(r, s)| (s.handle(), fence_of(r))),
-            chaos_net,
+            Arc::clone(&faults),
         );
-        if self.chaos.is_some() {
-            // What chaos delays leaves the sleeper through the same core,
-            // resolving the serving replica when it is due; a lane too
-            // full to take it drops it, like any other datagram chaos
-            // loses.
-            delay.route_submissions(router.clone());
-        }
 
-        // The kill driver replays the plan's shard and replica kills, on
-        // one timeline, at their plan-relative instants on the true clock.
-        let mut threads: Vec<JoinHandle<()>> = Vec::new();
-        let mut chaos_stop = None;
-        let mut kills: Vec<(Dur, Crash)> = plan
-            .kills
+        // The plan's shard and replica kills wait on the sleeper, at
+        // their plan instants on the true clock.
+        let nodes = quorum.as_ref().map(QuorumRuntime::kill_handle);
+        let kills = plan.kills.iter().map(|&(at, s)| (at, Crash::Shard(s)));
+        let replica_kills = plan
+            .replica_kills
             .iter()
-            .map(|&(at, s)| (at, Crash::Shard(s)))
-            .chain(
-                plan.replica_kills
-                    .iter()
-                    .map(|&(at, r)| (at, Crash::Replica(r))),
-            )
-            .collect();
-        if !kills.is_empty() {
-            kills.sort_by_key(|(at, _)| *at);
-            let (stop_tx, stop_rx) = sync_channel::<()>(0);
-            chaos_stop = Some(stop_tx);
-            let router = router.clone();
-            let nodes = quorum.as_ref().map(QuorumRuntime::kill_handle);
-            let truth = truth.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("lease-chaos".into())
-                    .spawn(move || {
-                        for (at, what) in kills {
-                            let elapsed = truth.now().saturating_since(Time::ZERO);
-                            let wait = std::time::Duration::from(at.saturating_sub(elapsed));
-                            match stop_rx.recv_timeout(wait) {
-                                Err(RecvTimeoutError::Timeout) => {
-                                    crash(&router, nodes.as_ref(), what)
-                                }
-                                _ => return, // Shutdown.
-                            }
-                        }
-                    })
-                    .expect("spawn chaos driver"),
-            );
+            .map(|&(at, r)| (at, Crash::Replica(r)));
+        for (at, what) in kills.chain(replica_kills) {
+            let (router, nodes) = (router.clone(), nodes.clone());
+            faults
+                .sleeper()
+                .at(at, move || crash(&router, nodes.as_ref(), what));
         }
 
         // Each client owns its port — its own router — used only under
-        // that client's driver lock: one producer at a time, whichever
-        // thread it is.
-        let port_cuts = Arc::new(cuts.clone());
+        // that client's driver lock and by the sleeper, one at a time.
+        let mut threads: Vec<JoinHandle<()>> = Vec::new();
         let mut client_handles = Vec::new();
         for i in 0..self.clients as usize {
             let (handle, thread) = spawn_client(
                 ClientId(i as u32),
                 self.client.clone(),
                 egress.inbox(i),
-                Box::new(RtPort {
-                    router: router.clone(),
-                    cuts: Arc::clone(&port_cuts),
-                    delay: Arc::clone(&delay),
-                }),
+                Box::new(RtPort(Arc::new(Mutex::new(router.clone())))),
                 host_clock(plan.client_clock(i)),
                 recorder.clone(),
             );
@@ -492,11 +439,10 @@ impl RtSystemBuilder {
             backend,
             recorder,
             client_handles,
-            cuts,
+            faults,
             names,
             dirs,
             threads,
-            chaos_stop,
         }
     }
 }
@@ -512,7 +458,7 @@ enum Crash {
     Replica(usize),
 }
 
-/// Crash injection, for the plan's kill driver and for
+/// Crash injection, for the plan's kills and for
 /// [`RtSystem::kill_shard`] / [`RtSystem::kill_replica`] alike, each
 /// through its own `router`; `nodes` are the quorum's, if there is one.
 fn crash(router: &Router, nodes: Option<&KillHandle>, what: Crash) {
@@ -537,8 +483,9 @@ fn crash(router: &Router, nodes: Option<&KillHandle>, what: Crash) {
 
 /// A running real-time lease system: one server — or, under a quorum, N
 /// grantor replicas — of sharded workers under the `lease-svc` runtime
-/// over one durable store, M client threads, and (optionally) a kill
-/// driver replaying a seeded fault plan.
+/// over one durable store, M client threads, and the run's faults: a
+/// seeded plan (fault-free without one) whose sleeper replays what it
+/// schedules for later.
 pub struct RtSystem {
     services: Vec<LeaseService<Res, Bytes>>,
     /// The system's own producer side: admin writes and kills.
@@ -547,11 +494,10 @@ pub struct RtSystem {
     backend: Arc<Mutex<StoreBackend>>,
     recorder: Arc<Recorder>,
     client_handles: Vec<RtClientHandle>,
-    cuts: Vec<Arc<AtomicBool>>,
+    faults: Arc<LiveFaults>,
     names: HashMap<String, Res>,
     dirs: HashMap<String, Res>,
     threads: Vec<JoinHandle<()>>,
-    chaos_stop: Option<SyncSender<()>>,
 }
 
 impl RtSystem {
@@ -631,7 +577,7 @@ impl RtSystem {
     /// Cuts (or restores) all traffic to and from client `i` — the
     /// partition / crashed-client fault.
     pub fn set_cut(&self, i: usize, cut: bool) {
-        self.cuts[i].store(cut, Ordering::Relaxed);
+        self.faults.set_cut(i, cut);
     }
 
     /// Number of server replicas: 1 unless a quorum was configured.
@@ -676,7 +622,7 @@ impl RtSystem {
 
     /// Writes committed to the one durable store, by any replica.
     pub fn writes_committed(&self) -> u64 {
-        lock_backend(&self.backend).store.writes_committed()
+        lock(&self.backend).store.writes_committed()
     }
 
     /// Everything the perfect observer saw so far: operation starts and
@@ -687,9 +633,11 @@ impl RtSystem {
         self.recorder.snapshot()
     }
 
-    /// Stops every thread and waits for them.
+    /// Stops every thread and waits for them. What the plan still had
+    /// scheduled — a delayed message, a kill — is discarded with the
+    /// sleeper.
     pub fn shutdown(mut self) {
-        self.chaos_stop.take(); // Dropping it stops the kill driver.
+        self.faults.sleeper().close();
         for h in &self.client_handles {
             h.close();
         }

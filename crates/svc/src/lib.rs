@@ -133,7 +133,8 @@ mod shard;
 pub use lease_core::wheel;
 
 pub use chaos::{
-    Arrivals, Delivery, FaultPlan, LinkChaos, OverloadPlan, OVERLOAD_STREAM, REPLICA_STREAM,
+    Arrivals, Delivery, FaultPlan, LinkChaos, LiveFaults, OverloadPlan, Sleeper, OVERLOAD_STREAM,
+    REPLICA_STREAM,
 };
 pub use egress::{Egress, EgressRx, EgressSink, EgressWorker, Reply};
 pub use service::{

@@ -132,10 +132,6 @@ pub struct SvcHooks {
     /// restarts without a recovery window — only safe if no lease can have
     /// been outstanding.
     pub recover_max_term: Option<Arc<dyn Fn() -> Option<Dur> + Send + Sync>>,
-    /// Observation hook: a shard finished restarting after a crash;
-    /// arguments are the shard index and its new epoch. Chaos harnesses
-    /// record these to correlate fault schedules with history.
-    pub on_restart: Option<Arc<dyn Fn(usize, u64) + Send + Sync>>,
     /// The clock shard workers read. `None` uses a fresh [`WallClock`];
     /// chaos harnesses inject a skewed/drifting model clock here to subject
     /// the *server* to the §5 clock-failure modes.
@@ -892,6 +888,7 @@ mod tests {
     use super::*;
     use lease_core::{Grant, MemStorage, ReqId, ServerConfig};
     use std::sync::mpsc::{channel as unbounded, Receiver};
+    use std::sync::Mutex;
 
     type Msg = (ClientId, ToClient<u64, String>);
 
@@ -1527,23 +1524,36 @@ mod tests {
         drainer.join().unwrap();
     }
 
+    /// A sink whose `attach_worker` panics once the test lets it: the
+    /// supervisor calls it outside the incarnation it restarts, so the
+    /// panic takes the shard's thread down for good.
+    struct DoomedSink(Mutex<Receiver<()>>);
+
+    impl ClientSink<u64, String> for DoomedSink {
+        fn attach_worker(&self) -> Box<dyn WorkerSink<u64, String>> {
+            let _ = self.0.lock().unwrap().recv();
+            panic!("{}: the supervisor dies too", crate::INJECTED_KILL)
+        }
+    }
+
     #[test]
     fn a_dead_shard_reports_shard_down_not_timeout() {
-        // An `on_restart` hook that panics takes the supervisor itself
-        // down with the next injected kill: the thread is gone for good.
         crate::chaos::silence_injected_kills();
-        let svc = spawn(
+        let (doom, doomed) = unbounded();
+        let svc = LeaseService::spawn(
             SvcConfig::default(),
-            SvcHooks {
-                on_restart: Some(Arc::new(|_, _| {
-                    panic!("{}: the supervisor dies too", crate::INJECTED_KILL)
-                })),
-                ..SvcHooks::default()
+            Arc::new(DoomedSink(Mutex::new(doomed))),
+            SvcHooks::default(),
+            |_| {
+                (
+                    LeaseServer::new(ServerConfig::fixed(Dur::from_secs(10))),
+                    Box::new(MemStorage::new()) as Box<dyn Storage<u64, String> + Send>,
+                )
             },
-            |_| {},
         );
         let h = svc.handle();
         h.kill_shard(0).unwrap();
+        drop(doom);
         let t0 = Instant::now();
         while h.try_send_at(ClientId(0), fetch(0), None) != Err(SvcError::Closed) {
             assert!(t0.elapsed() < Duration::from_secs(5), "shard never died");

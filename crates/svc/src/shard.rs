@@ -639,9 +639,6 @@ where
                         // answers them with fresh (post-recovery) state.
                         epoch = epoch.wrapping_add(1);
                         ctx.restarts.fetch_add(1, Ordering::Relaxed);
-                        if let Some(f) = &ctx.hooks.on_restart {
-                            f(ctx.index as usize, epoch);
-                        }
                     }
                 }
             }

@@ -79,8 +79,8 @@ pub struct SystemConfig {
     /// Message loss, duplication, delay jitter, cut links and clock
     /// faults: the plan the real-time runtime reads. The server is
     /// replica 0. A plan field the simulator cannot honour yet (shard or
-    /// replica kills, a slow shard, overload, another replica's cut or
-    /// clock) is refused by [`build_world`](crate::build_world); its
+    /// replica kills, a slow shard, another replica's cut or clock) is
+    /// refused by [`build_world`](crate::build_world); its
     /// random draws come from the world's stream, seeded by `seed`.
     pub faults: FaultPlan,
     /// Extra one-way propagation per client (distant clients, §3.3/§4):

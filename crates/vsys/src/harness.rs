@@ -40,7 +40,6 @@ fn refuse_unsupported(plan: &FaultPlan) {
     let refused = [
         ("kills", !plan.kills.is_empty()),
         ("slow_shard", plan.slow_shard.is_some()),
-        ("overload", plan.overload.is_some()),
         ("replica_kills", !plan.replica_kills.is_empty()),
         ("replica_cuts", plan.replica_cuts.iter().any(|c| c.2 != 0)),
         (
@@ -67,8 +66,8 @@ fn refuse_unsupported(plan: &FaultPlan) {
 /// # Panics
 ///
 /// If `cfg.faults` names a fault the simulator cannot honour yet (shard
-/// or replica kills, a slow shard, overload, or a cut or clock of a
-/// replica other than 0).
+/// or replica kills, a slow shard, or a cut or clock of a replica other
+/// than 0).
 pub fn assemble(
     cfg: &SystemConfig,
     trace: &Trace,

@@ -1,7 +1,6 @@
 //! End-to-end tests of the assembled system.
 
 use lease_clock::{ClockModel, Dur, Time};
-use lease_svc::chaos::OverloadPlan;
 use lease_vsys::{
     build_world, run_trace, run_trace_with_history, ClientConfig, CrashEvent, FaultPlan,
     HistoryEvent, InstalledMode, NodeSel, SystemConfig, TermSpec,
@@ -512,18 +511,10 @@ fn distant_client_compensation_restores_effective_term() {
 fn plan_fields_the_simulator_cannot_honour_are_refused() {
     let trace = PoissonWorkload::v_rates(1, 1, Dur::from_secs(1), 1).generate();
     let d = Dur::from_millis(1);
-    let overload = OverloadPlan {
-        base_rate: 1.0,
-        burst_rate: 1.0,
-        burst_at: d,
-        burst_len: d,
-        herd: false,
-    };
     let plan = FaultPlan::default();
     for (field, faults) in [
         ("kills", plan.clone().kill_shard(d, 0)),
         ("slow_shard", plan.clone().with_slow_shard(0, d)),
-        ("overload", plan.clone().with_overload(overload)),
         ("replica_kills", plan.clone().kill_replica(d, 0)),
         ("replica_cuts", plan.clone().cut_replica(d, d, 1)),
         (
