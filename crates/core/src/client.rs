@@ -40,10 +40,9 @@
 //! index that does is only worth its upkeep to a cache of many thousands
 //! (DESIGN.md, "Client-side renewal", has the measurement).
 
-use std::collections::HashMap;
-
 use lease_clock::{Dur, Time};
 
+use crate::hash::FxMap;
 use crate::msg::{ErrorReason, Grant, ToClient, ToServer};
 use crate::types::{ClientId, LeaseHandle, OpId, ReqId, Resource, Version};
 
@@ -397,16 +396,16 @@ enum Pending<R, D> {
 pub struct LeaseClient<R: Resource, D: Clone> {
     id: ClientId,
     cfg: ClientConfig,
-    entries: HashMap<R, Entry<D>>,
+    entries: FxMap<R, Entry<D>>,
     /// In-flight fetch per resource (ops pile onto it).
-    fetch_inflight: HashMap<R, ReqId>,
-    requests: HashMap<ReqId, Pending<R, D>>,
+    fetch_inflight: FxMap<R, ReqId>,
+    requests: FxMap<ReqId, Pending<R, D>>,
     /// Per-resource version floor: the highest version this cache has
     /// observed (through grants, write completions, installed extensions),
     /// raised past the replaced version on every approval. Nothing below
     /// the floor may ever be cached — the defence against delayed,
     /// duplicated, or reordered replies re-installing stale data.
-    floor: HashMap<R, Version>,
+    floor: FxMap<R, Version>,
     next_req: u64,
     /// Retry-budget bucket level; meaningless when `cfg.retry_budget` is
     /// `None`. `budget_at` is the instant of the last refill (`None` =
@@ -423,10 +422,10 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
         LeaseClient {
             id,
             cfg,
-            entries: HashMap::new(),
-            fetch_inflight: HashMap::new(),
-            requests: HashMap::new(),
-            floor: HashMap::new(),
+            entries: FxMap::default(),
+            fetch_inflight: FxMap::default(),
+            requests: FxMap::default(),
+            floor: FxMap::default(),
             next_req: 0,
             budget_tokens: 0.0,
             budget_at: None,

@@ -1,4 +1,5 @@
-//! A stable, inlineable multiply-xor hash for shard routing.
+//! A stable, inlineable multiply-xor hash for shard routing and for maps
+//! keyed by ids this process picks.
 //!
 //! The service router (`lease_svc::shard_of`) and every embedder that
 //! pre-partitions per-resource state must agree on one hash function —
@@ -19,10 +20,25 @@
 //! output is a pure function of the byte/word stream fed to it — **stable
 //! across releases, platforms, and architectures by construction**, and
 //! pinned by golden-vector tests so it can never drift silently. It is not
-//! collision-resistant against adversarial keys; it routes trusted
-//! resource ids, it does not guard hash tables exposed to attackers.
+//! collision-resistant against adversarial keys.
+//!
+//! That fixes which maps may use it ([`FxMap`], [`FxSet`]): **who picks
+//! the keys decides the hasher.** A map keyed by ids this process minted
+//! (request, op, write and timer ids), by the local application's own
+//! reads, or by a simulated trace uses Fx. A map keyed by values a remote
+//! peer sends — a resource id a client writes, a client's own `ReqId` —
+//! keeps std's `RandomState`: Fx of one word is `w·K`, so keys that agree
+//! in their low bits hash to buckets that agree in their low bits, and a
+//! peer could pick keys that all collide.
 
-use std::hash::Hasher;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A `HashMap` hashed with [`FxHasher`]; only for keys this process picks.
+pub type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// A `HashSet` hashed with [`FxHasher`]; only for keys this process picks.
+pub type FxSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 /// The multiplier (2^64 / golden ratio, as used by rustc's FxHash).
 const K: u64 = 0x517c_c1b7_2722_0a95;
@@ -195,6 +211,18 @@ mod tests {
         b.write(b"a");
         b.write(b"bc");
         assert_ne!(a.finish(), b.finish());
+    }
+
+    /// Why a map keyed by what a peer sends keeps `RandomState`: keys that
+    /// agree in their low n bits get Fx hashes that agree in their low n
+    /// bits, and the table picks a bucket from those bits.
+    #[test]
+    fn fx_collides_on_keys_equal_in_their_low_bits() {
+        let low = |h: u64| h & ((1 << 20) - 1);
+        let first = low(fx_hash(&0u64));
+        for k in 0..1024u64 {
+            assert_eq!(low(fx_hash(&(k << 20))), first, "key {k} << 20");
+        }
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub use client::{
     Backoff, ClientConfig, ClientCounters, ClientInput, ClientOutput, ClientTimer, LeaseClient, Op,
     OpError, OpOutcome, OpResult, RetryBudget,
 };
-pub use hash::{fx_hash, FxHasher};
+pub use hash::{fx_hash, FxHasher, FxMap, FxSet};
 pub use msg::{ErrorReason, Grant, ToClient, ToServer};
 pub use policy::{AdaptiveTerm, CompensatedTerm, FixedTerm, Observation, TermPolicy};
 pub use server::{

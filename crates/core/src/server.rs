@@ -15,6 +15,7 @@ use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 use lease_clock::{Dur, Time};
 
+use crate::hash::FxMap;
 use crate::msg::{ErrorReason, Grant, ToClient, ToServer};
 use crate::policy::{Observation, TermPolicy};
 use crate::storage::Storage;
@@ -241,20 +242,27 @@ struct QueuedFetch {
 pub struct LeaseServer<R: Resource, D> {
     cfg: ServerConfig<R>,
     table: LeaseTable<R>,
+    // RandomState: a client picks the resource ids it writes.
     pending: HashMap<R, VecDeque<PendingWrite<D>>>,
-    write_index: HashMap<WriteId, R>,
+    /// Keyed by the `WriteId`s this server mints.
+    write_index: FxMap<WriteId, R>,
+    // RandomState: a client picks the resource ids it reads and writes.
     queued_fetches: HashMap<R, Vec<QueuedFetch>>,
     /// Resources managed by multicast extension instead of per-client
     /// leases (§4 installed files).
+    // RandomState: a client picks the resource ids it reads and writes.
     installed: HashSet<R>,
     /// Per-installed-resource latest expiry the server must honour.
+    // RandomState: a client picks the resource ids it reads and writes.
     installed_expiry: HashMap<R, Time>,
     /// The host group receiving installed multicasts.
     installed_group: Vec<ClientId>,
     next_write: u64,
     /// Client writes currently queued or awaiting approval, for
     /// at-most-once handling of retransmissions that arrive mid-flight.
+    // RandomState: each client picks its own `ReqId`s.
     inflight_writes: HashSet<(ClientId, ReqId)>,
+    // RandomState: each client picks its own `ReqId`s.
     dedup: HashMap<(ClientId, ReqId), ToClient<R, D>>,
     dedup_order: VecDeque<(ClientId, ReqId)>,
     max_term_granted: Dur,
@@ -271,7 +279,7 @@ impl<R: Resource, D: Clone> LeaseServer<R, D> {
             cfg,
             table: LeaseTable::new(),
             pending: HashMap::new(),
-            write_index: HashMap::new(),
+            write_index: FxMap::default(),
             queued_fetches: HashMap::new(),
             installed: HashSet::new(),
             installed_expiry: HashMap::new(),
@@ -440,7 +448,7 @@ impl<R: Resource, D: Clone> LeaseServer<R, D> {
                 also_extend,
             } => {
                 self.counters.fetch_rx += 1;
-                let mut grants = Vec::new();
+                let mut grants = Vec::with_capacity(also_extend.len() + 1);
                 for (r, v, h) in also_extend {
                     if let Some(g) = self.try_grant(now, from, r, Some(v), h, store, out) {
                         grants.push(g);
@@ -493,7 +501,7 @@ impl<R: Resource, D: Clone> LeaseServer<R, D> {
             }
             ToServer::Renew { req, resources } => {
                 self.counters.renew_rx += 1;
-                let mut grants = Vec::new();
+                let mut grants = Vec::with_capacity(resources.len());
                 for (r, v, h) in resources {
                     if let Some(g) = self.try_grant(now, from, r, Some(v), h, store, out) {
                         grants.push(g);

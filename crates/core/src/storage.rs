@@ -25,6 +25,7 @@ pub trait Storage<R, D> {
 /// A `HashMap`-backed storage for tests and the real-time runtime.
 #[derive(Debug, Clone, Default)]
 pub struct MemStorage<R, D> {
+    // RandomState: `write` inserts any resource id a client writes.
     map: HashMap<R, (D, Version)>,
 }
 

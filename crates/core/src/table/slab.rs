@@ -79,6 +79,7 @@ pub struct SlabTable<R> {
     /// Head of the free list threaded through `Slot::next` (`NIL` = none).
     free_head: u32,
     /// resource -> slot index of the first holder in its intrusive list.
+    // RandomState: a client picks the resource ids it reads.
     heads: HashMap<R, u32>,
     /// Expiry ordering: exactly one `(slot, generation)` entry per live
     /// record, scheduled at or before its expiry. Never cancelled — a

@@ -1,8 +1,7 @@
 //! The simulated network medium.
 
-use std::collections::HashMap;
-
 use lease_clock::{Dur, Time};
+use lease_core::FxMap;
 use lease_sim::{ActorId, Delivery, Dest, Medium, SimRng};
 use lease_svc::chaos::FaultPlan;
 
@@ -28,9 +27,9 @@ pub struct SimNet {
     faults: FaultPlan,
     /// Extra one-way propagation applied to any message to or from a host
     /// (models distant clients, §3.3/§4).
-    extra_prop: HashMap<ActorId, Dur>,
+    extra_prop: FxMap<ActorId, Dur>,
     /// When each host's CPU becomes free.
-    cpu_free: HashMap<ActorId, Time>,
+    cpu_free: FxMap<ActorId, Time>,
     /// Sends routed (unicast counts 1, multicast counts 1).
     pub sends: u64,
     /// Deliveries scheduled.
@@ -45,8 +44,8 @@ impl SimNet {
         SimNet {
             params,
             faults: FaultPlan::default(),
-            extra_prop: HashMap::new(),
-            cpu_free: HashMap::new(),
+            extra_prop: FxMap::default(),
+            cpu_free: FxMap::default(),
             sends: 0,
             deliveries: 0,
             lost: 0,
@@ -363,7 +362,7 @@ mod tests {
             assert!(*t >= Time::from_millis(i as u64 * 100) + NetParams::v_lan().one_way());
         }
         // And the added jitter is not constant.
-        let gaps: std::collections::HashSet<u64> = times
+        let gaps: std::collections::BTreeSet<u64> = times
             .iter()
             .enumerate()
             .map(|(i, t)| t.as_nanos() - (i as u64 * 100_000_000))

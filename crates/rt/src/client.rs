@@ -4,7 +4,7 @@
 //! in-process system. A socket's reader resolves its replies ([`Feed`]).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -13,8 +13,8 @@ use bytes::Bytes;
 use lease_clock::{Clock, Time};
 use lease_core::ring::{Inbox, Lanes};
 use lease_core::{
-    ClientConfig, ClientCounters, ClientId, ClientInput, ClientOutput, ClientTimer, LeaseClient,
-    Op, OpError, OpId, OpOutcome, ToClient, ToServer, Version,
+    ClientConfig, ClientCounters, ClientId, ClientInput, ClientOutput, ClientTimer, FxMap,
+    LeaseClient, Op, OpError, OpId, OpOutcome, ToClient, ToServer, Version,
 };
 use lease_svc::Reply;
 
@@ -261,8 +261,8 @@ struct Worker {
     /// The perfect observer, and the source of true time.
     recorder: Arc<Recorder>,
     timers: BinaryHeap<Reverse<(Time, u64)>>,
-    live_timers: HashMap<u64, Time>,
-    waiting: HashMap<OpId, Waiting>,
+    live_timers: FxMap<u64, Time>,
+    waiting: FxMap<OpId, Waiting>,
     next_op: u64,
     /// When the IO thread, if parked, wakes by itself.
     io_wake: Instant,
@@ -284,8 +284,8 @@ impl Worker {
             clock,
             recorder,
             timers: BinaryHeap::new(),
-            live_timers: HashMap::new(),
-            waiting: HashMap::new(),
+            live_timers: FxMap::default(),
+            waiting: FxMap::default(),
             next_op: 0,
             io_wake: Instant::now(),
             closed: false,

@@ -1,10 +1,8 @@
 //! The client-cache actor: the lease cache plus the workload driver.
 
-use std::collections::HashMap;
-
 use lease_clock::{ClockModel, Time};
 use lease_core::{
-    ClientId, ClientInput, ClientOutput, ClientTimer, LeaseClient, Op, OpId, OpOutcome,
+    ClientId, ClientInput, ClientOutput, ClientTimer, FxMap, LeaseClient, Op, OpId, OpOutcome,
 };
 use lease_sim::{Actor, ActorId, Ctx, TimerId};
 use lease_workload::TraceOp;
@@ -24,8 +22,8 @@ pub struct ClientActor {
     id: ClientId,
     history: SharedHistory,
     /// op -> (resource, is_read), for history completion records.
-    op_meta: HashMap<OpId, (Res, bool)>,
-    timer_ids: HashMap<u64, TimerId>,
+    op_meta: FxMap<OpId, (Res, bool)>,
+    timer_ids: FxMap<u64, TimerId>,
     next_data: u64,
     warmup: Time,
 }
@@ -48,8 +46,8 @@ impl ClientActor {
             server,
             id,
             history,
-            op_meta: HashMap::new(),
-            timer_ids: HashMap::new(),
+            op_meta: FxMap::default(),
+            timer_ids: FxMap::default(),
             next_data: 0,
             warmup,
         }

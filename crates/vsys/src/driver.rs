@@ -7,10 +7,8 @@
 //! operations locally (the V cache's special handling, §2), and records
 //! per-operation delay histograms split by kind.
 
-use std::collections::HashMap;
-
 use lease_clock::Time;
-use lease_core::OpId;
+use lease_core::{FxMap, OpId};
 use lease_sim::Metrics;
 use lease_workload::{FileClass, Trace, TraceOp, TraceRecord};
 
@@ -21,10 +19,10 @@ pub const DRIVER_TIMER_KEY: u64 = 0;
 #[derive(Debug, Clone)]
 pub struct OpDriver {
     records: Vec<TraceRecord>,
-    classes: HashMap<u64, FileClass>,
+    classes: FxMap<u64, FileClass>,
     idx: usize,
     next_op: u64,
-    outstanding: HashMap<OpId, Outstanding>,
+    outstanding: FxMap<OpId, Outstanding>,
     warmup: Time,
 }
 
@@ -47,7 +45,7 @@ impl OpDriver {
             classes: trace.files.iter().map(|f| (f.id, f.class)).collect(),
             idx: 0,
             next_op: 0,
-            outstanding: HashMap::new(),
+            outstanding: FxMap::default(),
             warmup,
         }
     }

@@ -1,10 +1,8 @@
 //! The file-server actor: the lease server wired to the simulator.
 
-use std::collections::HashMap;
-
 use lease_clock::{ClockModel, Time};
 use lease_core::{
-    ClientId, LeaseServer, MemStorage, ServerInput, ServerOutput, ServerTimer, ToServer,
+    ClientId, FxMap, LeaseServer, MemStorage, ServerInput, ServerOutput, ServerTimer, ToServer,
 };
 use lease_sim::{Actor, ActorId, Ctx, TimerId};
 
@@ -28,7 +26,7 @@ pub struct ServerActor {
     durable_max_term: Option<lease_clock::Dur>,
     /// Durable slot: lease records (PersistentRecords recovery).
     durable_leases: Vec<(Res, ClientId, Time)>,
-    timer_ids: HashMap<u64, TimerId>,
+    timer_ids: FxMap<u64, TimerId>,
 }
 
 impl ServerActor {
@@ -50,7 +48,7 @@ impl ServerActor {
             warmup,
             durable_max_term: None,
             durable_leases: Vec::new(),
-            timer_ids: HashMap::new(),
+            timer_ids: FxMap::default(),
         }
     }
 

@@ -1,9 +1,7 @@
 //! The write-back (token) client cache.
 
-use std::collections::HashMap;
-
 use lease_clock::{Dur, Time};
-use lease_core::{ClientId, OpId, ReqId, Resource, Version};
+use lease_core::{ClientId, FxMap, OpId, ReqId, Resource, Version};
 
 use crate::msg::{Mode, Reservation, WbToClient, WbToServer};
 
@@ -175,11 +173,11 @@ pub struct WbCounters {
 pub struct WbClient<R: Resource, D: Clone> {
     id: ClientId,
     cfg: WbClientConfig,
-    entries: HashMap<R, WbEntry<D>>,
-    acquires: HashMap<ReqId, (R, Mode, PendingAcq<D>)>,
+    entries: FxMap<R, WbEntry<D>>,
+    acquires: FxMap<ReqId, (R, Mode, PendingAcq<D>)>,
     /// One outstanding acquire per resource.
-    acq_inflight: HashMap<R, ReqId>,
-    flush_reqs: HashMap<ReqId, FlushRecord<R>>,
+    acq_inflight: FxMap<R, ReqId>,
+    flush_reqs: FxMap<ReqId, FlushRecord<R>>,
     next_req: u64,
     /// Counters for experiments.
     pub counters: WbCounters,
@@ -191,10 +189,10 @@ impl<R: Resource, D: Clone> WbClient<R, D> {
         WbClient {
             id,
             cfg,
-            entries: HashMap::new(),
-            acquires: HashMap::new(),
-            acq_inflight: HashMap::new(),
-            flush_reqs: HashMap::new(),
+            entries: FxMap::default(),
+            acquires: FxMap::default(),
+            acq_inflight: FxMap::default(),
+            flush_reqs: FxMap::default(),
             next_req: 0,
             counters: WbCounters::default(),
         }
