@@ -125,7 +125,7 @@ struct CommitLogStore<D> {
     raw: fn(&D) -> Vec<u8>,
 }
 
-impl<D: Clone> Storage<u64, D> for CommitLogStore<D> {
+impl<D: Clone + Default> Storage<u64, D> for CommitLogStore<D> {
     fn read(&self, resource: &u64) -> Option<(D, Version)> {
         self.inner.read(resource)
     }
@@ -168,7 +168,7 @@ fn unhex(s: &str) -> Vec<u8> {
 
 fn serve<D>(o: &ServerOpts, datum: fn(u64) -> D, raw: fn(&D) -> Vec<u8>, unraw: fn(Vec<u8>) -> D)
 where
-    D: Clone + Send + WireValue + 'static,
+    D: Clone + Default + Send + WireValue + 'static,
 {
     let clock: Arc<dyn Clock> = match o.epoch_unix_ns {
         Some(epoch) => Arc::new(SysClock::new(epoch)),

@@ -27,10 +27,10 @@
 //!   callbacks, anticipatory renewal, LRU relinquish.
 //!
 //! Both are generic over the resource key `R` (file, name binding,
-//! installed-file directory — anything `Copy + Eq + Hash + Ord`) and the
-//! datum `D: Clone`, and perform no I/O: every call takes `now` and returns
-//! the sends, timers, and persistence actions for the harness to apply.
-//! The same machines run under the deterministic simulator (`lease-vsys`)
+//! installed-file directory — anything `Copy + Default + Eq + Hash +
+//! Ord`) and the datum `D: Clone`, and perform no I/O: every call takes
+//! `now` and returns the sends, timers, and persistence actions for the
+//! harness to apply. The same machines run under the deterministic simulator (`lease-vsys`)
 //! and under real threads and wall clocks (`lease-rt`).
 //!
 //! # Examples
@@ -79,6 +79,7 @@ extern crate self as lease_core;
 
 pub mod affinity;
 pub mod client;
+pub mod flat;
 pub mod hash;
 pub mod msg;
 pub mod policy;

@@ -330,6 +330,31 @@ impl<R: Resource, D: Clone> LeaseServer<R, D> {
         self.pending.get(&resource).is_some_and(|q| !q.is_empty())
     }
 
+    /// Starts loading the index buckets `input` will probe first — its
+    /// resource's in the lease table and in `store` — into the cache. A
+    /// pure hint: it changes no state and produces no output. A fetch or
+    /// a write names its primary resource; any other input does nothing,
+    /// and so does a table or store too small to miss the cache.
+    ///
+    /// A batch-draining harness calls it some inputs ahead of
+    /// [`Self::handle_into`], so the misses of a whole batch are in
+    /// flight together instead of one after another.
+    pub fn prefetch(&self, input: &ServerInput<R, D>, store: &dyn Storage<R, D>) {
+        if let Some(r) = primary_resource(input) {
+            self.table.prefetch(r);
+            store.prefetch(&r);
+        }
+    }
+
+    /// Starts loading the lease record of `input`'s first holder into the
+    /// cache: the step after [`Self::prefetch`], worth issuing once its
+    /// index bucket has arrived. A pure hint, like it.
+    pub fn prefetch_holder(&self, input: &ServerInput<R, D>) {
+        if let Some(r) = primary_resource(input) {
+            self.table.prefetch_holder(r);
+        }
+    }
+
     /// Handles one input; returns the effects to apply.
     pub fn handle(
         &mut self,
@@ -473,7 +498,7 @@ impl<R: Resource, D: Clone> LeaseServer<R, D> {
                     }
                     return;
                 }
-                match self.try_grant(now, from, resource, cached, LeaseHandle::NULL, store, out) {
+                match self.grant(now, from, resource, cached, LeaseHandle::NULL, store, out) {
                     Some(g) => {
                         grants.push(g);
                         out.push(ServerOutput::Send {
@@ -570,6 +595,22 @@ impl<R: Resource, D: Clone> LeaseServer<R, D> {
         if self.write_pending(resource) {
             return None;
         }
+        self.grant(now, from, resource, cached, handle, store, out)
+    }
+
+    /// [`Self::try_grant`] for a caller that has already checked that no
+    /// write is pending on `resource` (a fetch's primary resource).
+    #[allow(clippy::too_many_arguments)] // one protocol input per argument
+    fn grant(
+        &mut self,
+        now: Time,
+        from: ClientId,
+        resource: R,
+        cached: Option<Version>,
+        handle: LeaseHandle,
+        store: &mut dyn Storage<R, D>,
+        out: &mut Vec<ServerOutput<R, D>>,
+    ) -> Option<Grant<R, D>> {
         let (data, version) = store.read(&resource)?;
         self.cfg.policy.observe(Observation::Read(resource, now));
         let mut rec_handle = LeaseHandle::NULL;
@@ -945,5 +986,19 @@ impl<R: Resource, D: Clone> LeaseServer<R, D> {
     /// to bound table size (short terms keep it small, §2).
     pub fn prune(&mut self, now: Time) -> usize {
         self.table.prune(now)
+    }
+}
+
+/// The resource a fetch or a write is about: what [`LeaseServer::prefetch`]
+/// warms. Other inputs name none worth warming: a renewal names many, and
+/// an approval's write touched its resource when it arrived.
+fn primary_resource<R: Copy, D>(input: &ServerInput<R, D>) -> Option<R> {
+    match input {
+        ServerInput::Msg {
+            msg: ToServer::Fetch { resource, .. } | ToServer::Write { resource, .. },
+            ..
+        }
+        | ServerInput::LocalWrite { resource, .. } => Some(*resource),
+        _ => None,
     }
 }

@@ -1,8 +1,7 @@
 //! The primary-copy storage interface the server state machine writes
 //! through.
 
-use std::collections::HashMap;
-
+use crate::flat::FlatMap;
 use crate::types::{Resource, Version};
 
 /// Primary storage for leased data.
@@ -20,20 +19,29 @@ pub trait Storage<R, D> {
 
     /// Commits new contents; returns the new version.
     fn write(&mut self, resource: &R, data: D) -> Version;
+
+    /// Starts loading what a lookup of `resource` will touch into the
+    /// cache. A pure hint: it changes nothing, and the default does
+    /// nothing.
+    fn prefetch(&self, resource: &R) {
+        let _ = resource;
+    }
 }
 
-/// A `HashMap`-backed storage for tests and the real-time runtime.
+/// An in-memory storage for tests and the real-time runtime, on a
+/// [`FlatMap`] so a deep store costs one cache miss per lookup and can
+/// be prefetched.
 #[derive(Debug, Clone, Default)]
 pub struct MemStorage<R, D> {
     // RandomState: `write` inserts any resource id a client writes.
-    map: HashMap<R, (D, Version)>,
+    map: FlatMap<R, (D, Version)>,
 }
 
-impl<R: Resource, D: Clone> MemStorage<R, D> {
+impl<R: Resource, D: Clone + Default> MemStorage<R, D> {
     /// An empty storage.
     pub fn new() -> MemStorage<R, D> {
         MemStorage {
-            map: HashMap::new(),
+            map: FlatMap::new(),
         }
     }
 
@@ -66,7 +74,7 @@ impl<R: Resource, D: Clone> MemStorage<R, D> {
     }
 }
 
-impl<R: Resource, D: Clone> Storage<R, D> for MemStorage<R, D> {
+impl<R: Resource, D: Clone + Default> Storage<R, D> for MemStorage<R, D> {
     fn read(&self, resource: &R) -> Option<(D, Version)> {
         self.map.get(resource).cloned()
     }
@@ -76,13 +84,17 @@ impl<R: Resource, D: Clone> Storage<R, D> for MemStorage<R, D> {
     }
 
     fn write(&mut self, resource: &R, data: D) -> Version {
-        let entry = self
-            .map
-            .entry(*resource)
-            .or_insert_with(|| (data.clone(), Version(0)));
-        entry.0 = data;
-        entry.1 = entry.1.next();
-        entry.1
+        if let Some(entry) = self.map.get_mut(resource) {
+            entry.0 = data;
+            entry.1 = entry.1.next();
+            return entry.1;
+        }
+        self.map.insert(*resource, (data, Version(1)));
+        Version(1)
+    }
+
+    fn prefetch(&self, resource: &R) {
+        self.map.prefetch(resource);
     }
 }
 

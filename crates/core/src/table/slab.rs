@@ -4,13 +4,14 @@
 //! (`Vec<Slot>` plus an intrusive free list). A resource's holders form a
 //! doubly-linked list threaded *through* the slab via `prev`/`next` slot
 //! indices, so the per-resource state in the `heads` map is a single
-//! `u32`. Expiry ordering is delegated to the hierarchical
-//! [`TimerWheel`] under the lazy-timer rule: creating a record schedules
-//! its one wheel entry, keyed `(slot, generation)`; extension — the
-//! paper's steady state — overwrites `Slot::expiry` and never touches the
-//! wheel; and when the entry fires, [`SlabTable::prune`] frees the record
-//! if it has lapsed, else puts the entry back at the record's current
-//! expiry. Wheel entries follow live leases, not grants: a continuously
+//! `u32` (a 16 B [`FlatMap`] bucket with its key: one cache miss per
+//! lookup on a deep table, and prefetchable). Expiry ordering is
+//! delegated to the hierarchical [`TimerWheel`] under the lazy-timer
+//! rule: creating a record schedules its one wheel entry, keyed `(slot,
+//! generation)`; extension — the paper's steady state — overwrites
+//! `Slot::expiry` and never touches the wheel; and when the entry fires,
+//! [`SlabTable::prune`] frees the record if it has lapsed, else puts the
+//! entry back at the record's current expiry. Wheel entries follow live leases, not grants: a continuously
 //! renewed lease costs one re-arm per *term*.
 //!
 //! Costs, compared to the reference table (the map-plus-`BTreeSet`
@@ -38,10 +39,9 @@
 //! `Dur(1)` (one nanosecond) makes prune exact; the equivalence property
 //! test runs in that mode to compare against the reference verbatim.
 
-use std::collections::HashMap;
-
 use lease_clock::{Dur, Time};
 
+use crate::flat::{self, FlatMap};
 use crate::types::{ClientId, LeaseHandle, Resource};
 use crate::wheel::TimerWheel;
 
@@ -80,7 +80,7 @@ pub struct SlabTable<R> {
     free_head: u32,
     /// resource -> slot index of the first holder in its intrusive list.
     // RandomState: a client picks the resource ids it reads.
-    heads: HashMap<R, u32>,
+    heads: FlatMap<R, u32>,
     /// Expiry ordering: exactly one `(slot, generation)` entry per live
     /// record, scheduled at or before its expiry. Never cancelled — a
     /// release leaves its tenancy's entry behind, and prune drops it by
@@ -111,7 +111,7 @@ impl<R: Resource> SlabTable<R> {
         SlabTable {
             slots: Vec::new(),
             free_head: NIL,
-            heads: HashMap::new(),
+            heads: FlatMap::new(),
             wheel: TimerWheel::new(tick, Time::ZERO),
             scratch: Vec::new(),
             live: 0,
@@ -221,6 +221,25 @@ impl<R: Resource> SlabTable<R> {
             idx = s.next;
         }
         max
+    }
+
+    /// Starts loading `resource`'s `heads` bucket into the cache (see
+    /// [`FlatMap::prefetch`]). A pure hint; a no-op on a shallow table.
+    pub(crate) fn prefetch(&self, resource: R) {
+        self.heads.prefetch(&resource);
+    }
+
+    /// Starts loading the slot of `resource`'s first holder into the
+    /// cache. It probes `heads`, so it pays off once that bucket is
+    /// cached — after [`SlabTable::prefetch`] has had time to land. A
+    /// pure hint; a no-op on a shallow table.
+    pub(crate) fn prefetch_holder(&self, resource: R) {
+        if !self.heads.is_deep() {
+            return;
+        }
+        if let Some(&idx) = self.heads.get(&resource) {
+            flat::prefetch(&self.slots[idx as usize]);
+        }
     }
 
     /// The handle currently naming `client`'s lease on `resource`, if the

@@ -99,10 +99,11 @@ impl fmt::Display for Version {
 /// The paper leases file contents, but also name-to-file bindings and
 /// permission information (§2), and whole directories of installed files
 /// (§4) — so the protocol core is generic over the resource key. Anything
-/// cheap to copy, hash, and order qualifies.
-pub trait Resource: Copy + Eq + Hash + Ord + fmt::Debug + Send + 'static {}
+/// cheap to copy, hash, and order qualifies; `Default` fills the empty
+/// buckets of the server's flat indexes ([`crate::flat::FlatMap`]).
+pub trait Resource: Copy + Default + Eq + Hash + Ord + fmt::Debug + Send + 'static {}
 
-impl<T: Copy + Eq + Hash + Ord + fmt::Debug + Send + 'static> Resource for T {}
+impl<T: Copy + Default + Eq + Hash + Ord + fmt::Debug + Send + 'static> Resource for T {}
 
 #[cfg(test)]
 mod tests {

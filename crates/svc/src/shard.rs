@@ -94,6 +94,15 @@ const STATS_WATERMARK: f64 = 0.9;
 /// of 0 on a single hardware thread, where no poll can see a new publish.
 pub(crate) const SPIN: usize = 256;
 
+/// Look-ahead distances of the batch loop: before handling input `i` the
+/// worker prefetches the index buckets (lease table and store) of input
+/// `i + INDEX_AHEAD` and the first holder's lease record of input
+/// `i + HOLDER_AHEAD`, whose index bucket the first hint has brought in
+/// by then. On a table past the cache this keeps a batch's misses in
+/// flight together; on a small one both hints return before hashing.
+const INDEX_AHEAD: usize = 16;
+const HOLDER_AHEAD: usize = 8;
+
 /// The panic message used by [`ShardMsg::Kill`]; chaos harnesses install a
 /// panic hook that recognizes it to keep injected-crash logs quiet.
 pub const INJECTED_KILL: &str = "injected shard kill (chaos)";
@@ -455,6 +464,12 @@ where
             }
             None => (None, false),
         };
+        // The look-ahead's prologue: the first inputs' index buckets.
+        for m in batch.iter().take(INDEX_AHEAD) {
+            if let ShardMsg::Input { input, .. } = m {
+                server.prefetch(input, &*storage);
+            }
+        }
         {
             // Indexed iteration (with a cheap placeholder swap) so the
             // Kill arm can move the unprocessed tail into the stash. A
@@ -463,6 +478,12 @@ where
             // mid-iteration.
             let mut i = 0;
             while i < batch.len() {
+                if let Some(ShardMsg::Input { input, .. }) = batch.get(i + INDEX_AHEAD) {
+                    server.prefetch(input, &*storage);
+                }
+                if let Some(ShardMsg::Input { input, .. }) = batch.get(i + HOLDER_AHEAD) {
+                    server.prefetch_holder(input);
+                }
                 let m = std::mem::replace(&mut batch[i], ShardMsg::Kill);
                 i += 1;
                 match m {

@@ -105,7 +105,7 @@ pub struct WbServer<R: Resource, D: Clone> {
     _data: std::marker::PhantomData<D>,
 }
 
-impl<R: Resource, D: Clone> WbServer<R, D> {
+impl<R: Resource, D: Clone + Default> WbServer<R, D> {
     /// Creates a server.
     pub fn new(cfg: WbServerConfig) -> WbServer<R, D> {
         WbServer {
