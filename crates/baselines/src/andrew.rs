@@ -222,7 +222,7 @@ impl Actor<NetMsg> for AndrewServerActor {
         }
     }
 
-    fn on_crash(&mut self) {
+    fn on_crash(&mut self, _at: Time) {
         // Callback state is volatile — the real Andrew server rebuilt it by
         // breaking all promises on recovery; we simply lose it, which is
         // the unsafe direction and shows up as staleness under the oracle.

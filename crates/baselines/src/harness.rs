@@ -1,6 +1,7 @@
 //! Running baselines on the shared harness.
 
 use lease_clock::{Dur, Time};
+use lease_core::LeaseClient;
 use lease_vsys::{
     assemble, run_trace_with_history, RunReport, SharedHistory, SystemConfig, TermSpec,
 };
@@ -85,20 +86,26 @@ enum ServerKind {
 
 fn run_custom(cfg: &SystemConfig, trace: &Trace, kind: ServerKind) -> (RunReport, SharedHistory) {
     let warmup = Time::ZERO + cfg.warmup;
-    let mut h = assemble(cfg, trace, |world, storage, clients, hist| match kind {
-        ServerKind::Andrew => world.add_actor(AndrewServerActor::new(
-            storage,
-            clients,
-            hist.clone(),
-            warmup,
-        )),
-        ServerKind::Nfs(ttl) => world.add_actor(NfsServerActor::new(
-            storage,
-            ttl,
-            clients,
-            hist.clone(),
-            warmup,
-        )),
-    });
+    let new_cache = |id| LeaseClient::new(id, cfg.client.clone());
+    let mut h = assemble(
+        cfg,
+        trace,
+        new_cache,
+        |world, storage, clients, hist| match kind {
+            ServerKind::Andrew => world.add_actor(AndrewServerActor::new(
+                storage,
+                clients,
+                hist.clone(),
+                warmup,
+            )),
+            ServerKind::Nfs(ttl) => world.add_actor(NfsServerActor::new(
+                storage,
+                ttl,
+                clients,
+                hist.clone(),
+                warmup,
+            )),
+        },
+    );
     (h.run(cfg.drain), h.history)
 }

@@ -94,13 +94,13 @@ fn refused_sends_are_retransmitted_by_the_cache() {
 /// the client counts.
 #[test]
 fn a_shed_client_is_paced_until_its_deadline() {
-    const RETRY_AFTER: Dur = Dur::from_millis(10);
+    const PAUSE: Dur = Dur::from_millis(10);
     const DEADLINE: Dur = Dur::from_millis(200);
     let sys = RtSystem::builder()
         .clients(1)
         .admission(AdmissionControl {
             shed_watermark: 0.0,
-            retry_after: RETRY_AFTER,
+            retry_after: PAUSE,
         })
         .client(|c| c.op_deadline = Some(DEADLINE))
         .file("/d/f", b"v0".as_ref())
@@ -114,7 +114,7 @@ fn a_shed_client_is_paced_until_its_deadline() {
     let history = sys.history();
     sys.shutdown();
 
-    let bound = DEADLINE.as_nanos() / RETRY_AFTER.as_nanos() + 2;
+    let bound = DEADLINE.as_nanos() / PAUSE.as_nanos() + 2;
     assert!(sheds > 0, "nothing was shed");
     assert!(server <= bound, "{server} sheds in {DEADLINE}: not paced");
     assert_eq!(server, sheds, "the server shed what the client saw shed");

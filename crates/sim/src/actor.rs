@@ -34,9 +34,10 @@ pub trait Actor<M>: Any {
     /// caller-chosen discriminator passed at [`Ctx::set_timer_at`].
     fn on_timer(&mut self, _ctx: &mut Ctx<'_, M>, _timer: TimerId, _key: u64) {}
 
-    /// Called when the harness crashes this actor. Volatile state should be
-    /// discarded here; anything modelling durable storage may be kept.
-    fn on_crash(&mut self) {}
+    /// Called when the harness crashes this actor at true time `at`.
+    /// Volatile state should be discarded here; anything modelling durable
+    /// storage may be kept.
+    fn on_crash(&mut self, _at: Time) {}
 
     /// Called when the harness restarts this actor after a crash.
     fn on_recover(&mut self, _ctx: &mut Ctx<'_, M>) {}

@@ -198,7 +198,7 @@ impl<M: 'static> World<M> {
                     if !slot.crashed {
                         slot.crashed = true;
                         slot.epoch += 1;
-                        slot.actor.on_crash();
+                        slot.actor.on_crash(at);
                         self.metrics.inc("sim.crashes");
                     }
                 }
@@ -396,7 +396,7 @@ mod tests {
 
     struct Crashable {
         timers_fired: u32,
-        crashes: u32,
+        crashed_at: Vec<Time>,
         recoveries: u32,
     }
     impl Actor<()> for Crashable {
@@ -409,8 +409,8 @@ mod tests {
         fn on_timer(&mut self, _: &mut Ctx<'_, ()>, _: TimerId, _: u64) {
             self.timers_fired += 1;
         }
-        fn on_crash(&mut self) {
-            self.crashes += 1;
+        fn on_crash(&mut self, at: Time) {
+            self.crashed_at.push(at);
         }
         fn on_recover(&mut self, ctx: &mut Ctx<'_, ()>) {
             self.recoveries += 1;
@@ -423,7 +423,7 @@ mod tests {
         let mut w = World::new(1, PerfectMedium);
         let id = w.add_actor(Crashable {
             timers_fired: 0,
-            crashes: 0,
+            crashed_at: Vec::new(),
             recoveries: 0,
         });
         // Crash at 2.5 s: timers at 1 s and 2 s fire, 3/4/5 s die.
@@ -431,7 +431,7 @@ mod tests {
         w.schedule_recover(Time::from_secs(4), id);
         w.run_until(Time::from_secs(20));
         let a: &Crashable = w.actor(id).unwrap();
-        assert_eq!(a.crashes, 1);
+        assert_eq!(a.crashed_at, vec![Time::from_millis(2500)]);
         assert_eq!(a.recoveries, 1);
         // 2 before the crash + 1 set by on_recover.
         assert_eq!(a.timers_fired, 3);

@@ -29,7 +29,7 @@ pub struct OpDriver {
 #[derive(Debug, Clone, Copy)]
 struct Outstanding {
     issued: Time,
-    is_read: bool,
+    op: TraceOp,
 }
 
 impl OpDriver {
@@ -84,7 +84,7 @@ impl OpDriver {
                 op,
                 Outstanding {
                     issued: rec.at,
-                    is_read: rec.op.is_read(),
+                    op: rec.op,
                 },
             );
             out.push((op, rec.op));
@@ -93,24 +93,23 @@ impl OpDriver {
     }
 
     /// Records the completion of `op`, observing its delay (unless it was
-    /// issued before the warmup cutoff).
-    pub fn complete(&mut self, now: Time, op: OpId, metrics: &mut Metrics) {
-        let Some(o) = self.outstanding.remove(&op) else {
-            return;
-        };
-        if o.issued < self.warmup {
-            return;
+    /// issued before the warmup cutoff), and returns the file it was on,
+    /// or `None` if `op` is not outstanding.
+    pub fn complete(&mut self, now: Time, op: OpId, metrics: &mut Metrics) -> Option<u64> {
+        let o = self.outstanding.remove(&op)?;
+        if o.issued >= self.warmup {
+            let delay = now.saturating_since(o.issued).as_secs_f64();
+            metrics.observe("delay.all", delay);
+            metrics.observe(
+                if o.op.is_read() {
+                    "delay.read"
+                } else {
+                    "delay.write"
+                },
+                delay,
+            );
         }
-        let delay = now.saturating_since(o.issued).as_secs_f64();
-        metrics.observe("delay.all", delay);
-        metrics.observe(
-            if o.is_read {
-                "delay.read"
-            } else {
-                "delay.write"
-            },
-            delay,
-        );
+        Some(o.op.file())
     }
 
     /// Marks `op` failed (timeout / missing resource); its delay is not

@@ -10,7 +10,7 @@ use lease_sim::{ActorId, World};
 use lease_svc::chaos::FaultPlan;
 use lease_workload::{FileClass, Trace};
 
-use crate::client_actor::ClientActor;
+use crate::client_actor::{ClientActor, SimCache};
 use crate::config::{InstalledMode, NodeSel, SystemConfig, TermSpec};
 use crate::driver::OpDriver;
 use crate::history::{self, SharedHistory};
@@ -18,10 +18,10 @@ use crate::report::RunReport;
 use crate::server_actor::ServerActor;
 use crate::types::{Data, NetMsg, Res};
 
-/// A built, ready-to-run system.
-pub struct RunHandle {
+/// A built, ready-to-run system whose network carries `M`.
+pub struct RunHandle<M = NetMsg> {
     /// The world (server is actor 0, client `i` is actor `i + 1`).
-    pub world: World<NetMsg>,
+    pub world: World<M>,
     /// The server's actor id.
     pub server: ActorId,
     /// Client actor ids, indexed by client id.
@@ -57,34 +57,36 @@ fn refuse_unsupported(plan: &FaultPlan) {
 
 /// Builds the world every simulated system shares: the [`SimNet`] over
 /// `cfg.faults` and `cfg.extra_prop`, the server that `add_server` adds
-/// (actor 0, given the primary storage and the client ids), the
-/// lease-cache client actors (client `i` is actor `i + 1`) and the crash
-/// schedule. [`build_world`] adds the lease server; the baseline
-/// protocols add their own against the same caches, driver and
-/// measurements.
+/// (actor 0, given the primary storage and the client ids), one
+/// [`ClientActor`] per trace client driving the cache `new_cache` builds
+/// (client `i` is actor `i + 1`) and the crash schedule. [`build_world`]
+/// adds the lease server over lease caches; the baseline protocols add
+/// their own server against the same caches, and `lease-wb` runs its
+/// token server and caches, all on the same driver and measurements.
 ///
 /// # Panics
 ///
 /// If `cfg.faults` names a fault the simulator cannot honour yet (shard
 /// or replica kills, a slow shard, or a cut or clock of a replica other
 /// than 0).
-pub fn assemble(
+pub fn assemble<C: SimCache>(
     cfg: &SystemConfig,
     trace: &Trace,
+    mut new_cache: impl FnMut(ClientId) -> C,
     add_server: impl FnOnce(
-        &mut World<NetMsg>,
+        &mut World<NetMsg<C::Up, C::Down>>,
         MemStorage<Res, Data>,
         Vec<ActorId>,
         &SharedHistory,
     ) -> ActorId,
-) -> RunHandle {
+) -> RunHandle<NetMsg<C::Up, C::Down>> {
     refuse_unsupported(&cfg.faults);
     let n = trace.client_count().max(1);
     let mut net = SimNet::new(cfg.net).with_faults(cfg.faults.clone());
     for (client, extra) in &cfg.extra_prop {
         net = net.with_extra_prop(ActorId(1 + *client as usize), *extra);
     }
-    let mut world: World<NetMsg> = World::new(cfg.seed, net);
+    let mut world = World::new(cfg.seed, net);
     let history = history::shared();
     let warmup = Time::ZERO + cfg.warmup;
 
@@ -100,7 +102,8 @@ pub fn assemble(
 
     for i in 0..n {
         let id = world.add_actor(ClientActor::new(
-            LeaseClient::new(ClientId(i), cfg.client.clone()),
+            ClientId(i),
+            new_cache(ClientId(i)),
             OpDriver::new(trace, i, warmup),
             cfg.client_clock(i as usize),
             server_id,
@@ -172,7 +175,8 @@ pub fn build_world(cfg: &SystemConfig, trace: &Trace) -> RunHandle {
     }
     let clock = cfg.faults.replica_clock(0).unwrap_or_default();
     let warmup = Time::ZERO + cfg.warmup;
-    assemble(cfg, trace, |world, storage, clients, history| {
+    let new_cache = |id| LeaseClient::new(id, cfg.client.clone());
+    assemble(cfg, trace, new_cache, |world, storage, clients, history| {
         world.add_actor(ServerActor::new(
             server,
             storage,
@@ -184,7 +188,7 @@ pub fn build_world(cfg: &SystemConfig, trace: &Trace) -> RunHandle {
     })
 }
 
-impl RunHandle {
+impl<M: 'static> RunHandle<M> {
     /// Runs to the trace end plus `drain` and reports on the window after
     /// the warm-up.
     pub fn run(&mut self, drain: Dur) -> RunReport {

@@ -18,8 +18,10 @@
 //! type the real-time runtime reads, so one plan describes a fault in
 //! both worlds. It records a global [`History`] that the consistency
 //! oracle in `lease-faults` checks against single-copy semantics.
-//! [`assemble`] is the one builder: the §6 baselines reuse it with their
-//! own server. Every simulated cache is a `lease-core`
+//! [`assemble`] is the one builder and [`ClientActor`] the one client
+//! actor: the §6 baselines reuse them with their own server, and
+//! `lease-wb` runs its write-back tokens on them through [`SimCache`] and
+//! [`SimServer`]. Here every cache is a `lease-core`
 //! [`LeaseClient`](lease_core::LeaseClient) built from
 //! [`SystemConfig::client`], a whole [`ClientConfig`] passed on
 //! unchanged, so the simulator reaches every client option the
@@ -49,12 +51,12 @@ pub mod report;
 pub mod server_actor;
 pub mod types;
 
-pub use client_actor::ClientActor;
+pub use client_actor::{CacheEffect, CacheEvent, ClientActor, SimCache};
 pub use config::{CrashEvent, InstalledMode, NodeSel, SystemConfig, TermSpec};
 pub use harness::{assemble, build_world, run_trace, run_trace_with_history, RunHandle};
 pub use history::{History, HistoryEvent, SharedHistory};
 pub use lease_core::ClientConfig;
 pub use lease_svc::chaos::FaultPlan;
 pub use report::RunReport;
-pub use server_actor::ServerActor;
+pub use server_actor::{ServerActor, ServerEffect, ServerEvent, SimServer};
 pub use types::{Data, NetMsg, Res};

@@ -12,13 +12,16 @@ pub type Res = u64;
 /// tokens are unique per (client, sequence) so the oracle can correlate.
 pub type Data = u64;
 
-/// Everything that crosses the simulated network.
+/// Everything that crosses the simulated network: one protocol's
+/// client-to-server messages `U` and server-to-client messages `D`. The
+/// defaults are the lease protocol's; the write-back tokens of `lease-wb`
+/// fill in their own.
 #[derive(Debug, Clone, PartialEq)]
-pub enum NetMsg {
+pub enum NetMsg<U = ToServer<Res, Data>, D = ToClient<Res, Data>> {
     /// Client-to-server protocol messages.
-    ToServer(ToServer<Res, Data>),
+    ToServer(U),
     /// Server-to-client protocol messages.
-    ToClient(ToClient<Res, Data>),
+    ToClient(D),
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The write-back (token) client cache.
 
 use lease_clock::{Dur, Time};
-use lease_core::{ClientId, FxMap, OpId, ReqId, Resource, Version};
+use lease_core::{ClientId, FxMap, OpId, OpOutcome, ReqId, Resource, Version};
 
 use crate::msg::{Mode, Reservation, WbToClient, WbToServer};
 
@@ -55,28 +55,6 @@ pub enum WbInput<R, D> {
     Timer(WbClientTimer),
 }
 
-/// The outcome of a completed operation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WbOutcome<D> {
-    /// Read data at a version; `local` = served without server contact.
-    Read {
-        /// The data.
-        data: D,
-        /// Its version.
-        version: Version,
-        /// Served from the local cache.
-        local: bool,
-    },
-    /// A write was applied (locally, under the token); `local` says
-    /// whether it needed server contact first.
-    Write {
-        /// The locally-assigned version.
-        version: Version,
-        /// Applied without server contact.
-        local: bool,
-    },
-}
-
 /// Effects the harness applies.
 #[derive(Debug, Clone)]
 pub enum WbClientOutput<R, D> {
@@ -93,8 +71,9 @@ pub enum WbClientOutput<R, D> {
     Done {
         /// The operation.
         op: OpId,
-        /// Its result (None = resource unknown).
-        result: Option<WbOutcome<D>>,
+        /// Its result (None = resource unknown). A read is `from_cache`
+        /// when served without server contact.
+        result: Option<OpOutcome<D>>,
     },
     /// A buffered write became visible (the history's Commit event): with
     /// an exclusive token, the local apply is the linearization point.
@@ -130,6 +109,13 @@ struct WbEntry<D> {
     flushing: bool,
 }
 
+impl<D> WbEntry<D> {
+    /// Dirty under a token, and no write-back in flight.
+    fn needs_flush(&self) -> bool {
+        self.dirty && !self.flushing && self.mode == Mode::Write
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Resv {
     id: u64,
@@ -144,14 +130,14 @@ struct FlushRecord<R> {
     durable_before: Version,
 }
 
+/// An acquire in flight and the ops waiting for its grant; writes carry
+/// their payloads.
 #[derive(Debug, Clone)]
-enum PendingAcq<D> {
-    /// Ops waiting for a grant; writes carry their payloads.
-    Waiting {
-        reads: Vec<OpId>,
-        writes: Vec<(OpId, D)>,
-        first_sent: Time,
-    },
+struct Acquire<R, D> {
+    resource: R,
+    reads: Vec<OpId>,
+    writes: Vec<(OpId, D)>,
+    first_sent: Time,
 }
 
 /// Per-client counters.
@@ -174,7 +160,7 @@ pub struct WbClient<R: Resource, D: Clone> {
     id: ClientId,
     cfg: WbClientConfig,
     entries: FxMap<R, WbEntry<D>>,
-    acquires: FxMap<ReqId, (R, Mode, PendingAcq<D>)>,
+    acquires: FxMap<ReqId, Acquire<R, D>>,
     /// One outstanding acquire per resource.
     acq_inflight: FxMap<R, ReqId>,
     flush_reqs: FxMap<ReqId, FlushRecord<R>>,
@@ -250,7 +236,7 @@ impl<R: Resource, D: Clone> WbClient<R, D> {
             }
             WbInput::Msg(m) => self.on_msg(now, m, &mut out),
             WbInput::Timer(WbClientTimer::Flush) => {
-                self.flush_dirty(now, &mut out);
+                self.flush_dirty(&mut out);
                 out.push(WbClientOutput::SetTimer {
                     at: now + self.cfg.flush_interval,
                     timer: WbClientTimer::Flush,
@@ -266,10 +252,10 @@ impl<R: Resource, D: Clone> WbClient<R, D> {
             self.counters.local_reads += 1;
             out.push(WbClientOutput::Done {
                 op,
-                result: Some(WbOutcome::Read {
+                result: Some(OpOutcome::Read {
                     data,
                     version,
-                    local: true,
+                    from_cache: true,
                 }),
             });
             return;
@@ -299,10 +285,7 @@ impl<R: Resource, D: Clone> WbClient<R, D> {
                         out.push(WbClientOutput::LocalCommit { resource, version });
                         out.push(WbClientOutput::Done {
                             op,
-                            result: Some(WbOutcome::Write {
-                                version,
-                                local: true,
-                            }),
+                            result: Some(OpOutcome::Write { version }),
                         });
                         return;
                     }
@@ -322,48 +305,24 @@ impl<R: Resource, D: Clone> WbClient<R, D> {
         write: Option<(OpId, D)>,
         out: &mut Vec<WbClientOutput<R, D>>,
     ) {
-        if let Some(req) = self.acq_inflight.get(&resource) {
-            if let Some((_, pending_mode, PendingAcq::Waiting { reads, writes, .. })) =
-                self.acquires.get_mut(req)
-            {
-                // A write needs Write mode; upgrade the pending request's
-                // mode marker so the grant handler re-acquires if needed.
-                let _ = pending_mode;
-                if let Some(op) = read {
-                    reads.push(op);
-                }
-                if let Some(w) = write {
-                    writes.push(w);
-                }
-                return;
-            }
+        let inflight = self.acq_inflight.get(&resource);
+        if let Some(acq) = inflight.and_then(|req| self.acquires.get_mut(req)) {
+            // A write queued behind a read acquire re-acquires in Write
+            // mode once the grant lands (see the grant handler).
+            acq.reads.extend(read);
+            acq.writes.extend(write);
+            return;
         }
         // A dirty tail under a lapsed token is flushed *before* the new
         // acquire: the server still honours our reservation unless someone
         // else has taken the resource over (in which case the flush
         // bounces and the writes are genuinely lost).
-        if let Some(e) = self.entries.get_mut(&resource) {
-            if e.dirty && !e.flushing && e.mode == Mode::Write {
-                let flush_req = ReqId(self.next_req);
-                self.next_req += 1;
-                e.flushing = true;
-                self.counters.flushes += 1;
-                self.flush_reqs.insert(
-                    flush_req,
-                    FlushRecord {
-                        resource,
-                        version: e.version,
-                        durable_before: e.durable,
-                    },
-                );
-                out.push(WbClientOutput::Send(WbToServer::WriteBack {
-                    req: flush_req,
-                    resource,
-                    reservation: e.resv.expect("write lease").id,
-                    version: e.version,
-                    data: e.data.clone(),
-                }));
-            }
+        if self
+            .entries
+            .get(&resource)
+            .is_some_and(WbEntry::needs_flush)
+        {
+            self.flush(resource, out);
         }
         let req = self.fresh_req();
         let mode = if write.is_some() { Mode::Write } else { mode };
@@ -371,15 +330,12 @@ impl<R: Resource, D: Clone> WbClient<R, D> {
         self.acq_inflight.insert(resource, req);
         self.acquires.insert(
             req,
-            (
+            Acquire {
                 resource,
-                mode,
-                PendingAcq::Waiting {
-                    reads: read.into_iter().collect(),
-                    writes: write.into_iter().collect(),
-                    first_sent: now,
-                },
-            ),
+                reads: read.into_iter().collect(),
+                writes: write.into_iter().collect(),
+                first_sent: now,
+            },
         );
         out.push(WbClientOutput::Send(WbToServer::Acquire {
             req,
@@ -400,26 +356,20 @@ impl<R: Resource, D: Clone> WbClient<R, D> {
                 term,
                 reservation,
             } => {
-                let Some((
-                    _,
-                    _,
-                    PendingAcq::Waiting {
-                        reads,
-                        writes,
-                        first_sent,
-                    },
-                )) = self.acquires.remove(&req)
+                let Some(Acquire {
+                    reads,
+                    writes,
+                    first_sent,
+                    ..
+                }) = self.acquires.remove(&req)
                 else {
                     return;
                 };
                 self.acq_inflight.remove(&resource);
                 let expiry = first_sent + term.saturating_sub(self.cfg.epsilon);
-                let data = match data {
-                    Some(d) => d,
-                    None => match self.entries.get(&resource) {
-                        Some(e) => e.data.clone(),
-                        None => return, // Cannot happen: we sent `cached`.
-                    },
+                let cached = || self.entries.get(&resource).map(|e| e.data.clone());
+                let Some(data) = data.or_else(cached) else {
+                    return; // Cannot happen: we sent `cached`.
                 };
                 // A dirty tail buffered under an expired token that never
                 // made it back is lost the moment we accept fresher state.
@@ -454,39 +404,17 @@ impl<R: Resource, D: Clone> WbClient<R, D> {
                 for op in reads {
                     out.push(WbClientOutput::Done {
                         op,
-                        result: Some(WbOutcome::Read {
+                        result: Some(OpOutcome::Read {
                             data: data.clone(),
                             version,
-                            local: false,
+                            from_cache: false,
                         }),
                     });
                 }
                 // Apply the queued writes locally (we may have been granted
                 // Read while writes queued later; re-enter to upgrade).
                 for (op, d) in writes {
-                    if self
-                        .entries
-                        .get(&resource)
-                        .is_some_and(|e| e.mode == Mode::Write)
-                    {
-                        let mut sub = Vec::new();
-                        self.on_write(now, op, resource, d, &mut sub);
-                        // Local applies, no counter for the first one.
-                        for o in &mut sub {
-                            if let WbClientOutput::Done {
-                                result: Some(WbOutcome::Write { local, .. }),
-                                ..
-                            } = o
-                            {
-                                *local = false; // It did cost a round trip.
-                            }
-                        }
-                        out.append(&mut sub);
-                    } else {
-                        let mut sub = Vec::new();
-                        self.on_write(now, op, resource, d, &mut sub);
-                        out.append(&mut sub);
-                    }
+                    self.on_write(now, op, resource, d, out);
                 }
             }
             WbToClient::Flushed { req, resource } => {
@@ -517,6 +445,8 @@ impl<R: Resource, D: Clone> WbClient<R, D> {
             }
             WbToClient::Recall { resource } => {
                 self.counters.recalls += 1;
+                // Nothing held (already released or expired): the server's
+                // deadline covers it; no reply needed.
                 if let Some(e) = self.entries.remove(&resource) {
                     let req = self.fresh_req();
                     let dirty = if e.dirty {
@@ -538,20 +468,19 @@ impl<R: Resource, D: Clone> WbClient<R, D> {
                         reservation: e.resv.map(|r| r.id),
                         dirty,
                     }));
-                } else {
-                    // Nothing held (already released or expired): the
-                    // server's deadline covers it; no reply needed.
                 }
             }
             WbToClient::Error { req } => {
-                if let Some((resource, _, PendingAcq::Waiting { reads, writes, .. })) =
-                    self.acquires.remove(&req)
+                if let Some(Acquire {
+                    resource,
+                    reads,
+                    writes,
+                    ..
+                }) = self.acquires.remove(&req)
                 {
                     self.acq_inflight.remove(&resource);
-                    for op in reads {
-                        out.push(WbClientOutput::Done { op, result: None });
-                    }
-                    for (op, _) in writes {
+                    let writes = writes.into_iter().map(|(op, _)| op);
+                    for op in reads.into_iter().chain(writes) {
                         out.push(WbClientOutput::Done { op, result: None });
                     }
                 }
@@ -559,38 +488,42 @@ impl<R: Resource, D: Clone> WbClient<R, D> {
         }
     }
 
-    fn flush_dirty(&mut self, now: Time, out: &mut Vec<WbClientOutput<R, D>>) {
+    fn flush_dirty(&mut self, out: &mut Vec<WbClientOutput<R, D>>) {
         // Expired entries are flushed too: the server accepts a write-back
         // for as long as our reservation has not been superseded, and
         // rejects it (-> Lost) otherwise.
-        let _ = now;
         let dirty: Vec<R> = self
             .entries
             .iter()
-            .filter(|(_, e)| e.dirty && !e.flushing && e.mode == Mode::Write)
+            .filter(|(_, e)| e.needs_flush())
             .map(|(r, _)| *r)
             .collect();
         for resource in dirty {
-            let req = self.fresh_req();
-            let e = self.entries.get_mut(&resource).expect("present");
-            e.flushing = true;
-            self.counters.flushes += 1;
-            self.flush_reqs.insert(
-                req,
-                FlushRecord {
-                    resource,
-                    version: e.version,
-                    durable_before: e.durable,
-                },
-            );
-            out.push(WbClientOutput::Send(WbToServer::WriteBack {
-                req,
-                resource,
-                reservation: e.resv.expect("write lease").id,
-                version: e.version,
-                data: e.data.clone(),
-            }));
+            self.flush(resource, out);
         }
+    }
+
+    /// Writes `resource`'s dirty tail back, keeping the token.
+    fn flush(&mut self, resource: R, out: &mut Vec<WbClientOutput<R, D>>) {
+        let req = self.fresh_req();
+        let e = self.entries.get_mut(&resource).expect("present");
+        e.flushing = true;
+        self.counters.flushes += 1;
+        self.flush_reqs.insert(
+            req,
+            FlushRecord {
+                resource,
+                version: e.version,
+                durable_before: e.durable,
+            },
+        );
+        out.push(WbClientOutput::Send(WbToServer::WriteBack {
+            req,
+            resource,
+            reservation: e.resv.expect("write lease").id,
+            version: e.version,
+            data: e.data.clone(),
+        }));
     }
 }
 
@@ -661,7 +594,10 @@ mod tests {
         assert!(out.iter().any(|o| matches!(
             o,
             WbClientOutput::Done {
-                result: Some(WbOutcome::Read { local: false, .. }),
+                result: Some(OpOutcome::Read {
+                    from_cache: false,
+                    ..
+                }),
                 ..
             }
         )));
@@ -675,7 +611,10 @@ mod tests {
         assert!(matches!(
             &out[0],
             WbClientOutput::Done {
-                result: Some(WbOutcome::Read { local: true, .. }),
+                result: Some(OpOutcome::Read {
+                    from_cache: true,
+                    ..
+                }),
                 ..
             }
         ));
@@ -731,10 +670,13 @@ mod tests {
         assert!(matches!(
             &out[1],
             WbClientOutput::Done {
-                result: Some(WbOutcome::Write { local: true, .. }),
+                result: Some(OpOutcome::Write {
+                    version: Version(3)
+                }),
                 ..
             }
         ));
+        assert_eq!(out.len(), 2, "no server contact");
         assert_eq!(c.counters.local_writes, 2);
         // Reading our own buffered data is a local hit at the new version.
         let out = c.handle(
@@ -747,10 +689,10 @@ mod tests {
         assert!(matches!(
             &out[0],
             WbClientOutput::Done {
-                result: Some(WbOutcome::Read {
+                result: Some(OpOutcome::Read {
                     data: 11,
                     version: Version(3),
-                    local: true
+                    from_cache: true
                 }),
                 ..
             }

@@ -1,16 +1,19 @@
-//! Building and running a write-back system on the simulator.
+//! Running the write-back system on `lease-vsys`'s simulator: the token
+//! cache and server plug into its client and server actors, and the world
+//! is built by [`lease_vsys::assemble`].
 
-use lease_clock::{Dur, Time};
-use lease_core::{ClientId, MemStorage};
-use lease_net::{NetParams, SimNet};
-use lease_sim::{ActorId, World};
-use lease_vsys::driver::OpDriver;
-use lease_vsys::{history, CrashEvent, NodeSel, RunReport, SharedHistory};
+use lease_clock::{ClockModel, Dur, Time};
+use lease_core::{MemStorage, Version};
+use lease_net::NetParams;
+use lease_vsys::{
+    assemble, CacheEffect, CacheEvent, CrashEvent, Data, NodeSel, Res, RunReport, ServerActor,
+    ServerEffect, ServerEvent, SharedHistory, SimCache, SimServer, SystemConfig,
+};
 use lease_workload::Trace;
 
-use crate::actors::{WbClientActor, WbNetMsg, WbServerActor};
-use crate::client::{WbClient, WbClientConfig};
-use crate::server::{WbServer, WbServerConfig};
+use crate::client::{WbClient, WbClientConfig, WbClientOutput, WbClientTimer, WbInput};
+use crate::msg::{WbToClient, WbToServer};
+use crate::server::{WbServer, WbServerConfig, WbServerInput, WbServerOutput};
 
 /// Configuration of a write-back run.
 #[derive(Debug, Clone)]
@@ -20,11 +23,11 @@ pub struct WbConfig {
     /// Every client cache's configuration, handed to each [`WbClient`]
     /// unchanged.
     pub client: WbClientConfig,
-    /// Network timing (the transport is reliable; see the crate docs).
+    /// Network timing (the plan is fault-free; see the crate docs).
     pub net: NetParams,
     /// Measurements before this instant are discarded.
     pub warmup: Dur,
-    /// Scheduled crashes.
+    /// Scheduled client crashes (a server crash is refused).
     pub crashes: Vec<CrashEvent>,
     /// Extra run time after the last record.
     pub drain: Dur,
@@ -49,56 +52,135 @@ impl Default for WbConfig {
 /// Builds and runs a write-back system over `trace`; returns the standard
 /// run report plus the execution history (with Commit and Discard events)
 /// for the oracle.
+///
+/// # Panics
+///
+/// If `cfg.crashes` crashes the server: [`WbServer`] has no §5 MaxTerm
+/// recovery yet, so a restart would keep its whole token table.
 pub fn run_wb_with_history(cfg: &WbConfig, trace: &Trace) -> (RunReport, SharedHistory) {
-    let n = trace.client_count().max(1);
-    let net = SimNet::new(cfg.net);
-    let mut world: World<WbNetMsg> = World::new(cfg.seed, net);
-    let hist = history::shared();
-    let warmup = Time::ZERO + cfg.warmup;
-
-    let client_ids: Vec<ActorId> = (0..n).map(|i| ActorId(1 + i as usize)).collect();
-    let mut storage = MemStorage::new();
-    for f in &trace.files {
-        storage.insert(f.id, 0);
+    if cfg.crashes.iter().any(|c| c.node == NodeSel::Server) {
+        panic!(
+            "the write-back simulator cannot crash its server: WbServer has no \
+             §5 MaxTerm recovery yet"
+        );
     }
+    // The lease server's term and cache options stay at their defaults:
+    // `assemble` reads neither.
+    let sys = SystemConfig {
+        net: cfg.net,
+        warmup: cfg.warmup,
+        crashes: cfg.crashes.clone(),
+        seed: cfg.seed,
+        drain: cfg.drain,
+        ..SystemConfig::default()
+    };
     let server = WbServer::new(WbServerConfig {
         term: cfg.term,
         reservation_range: 1 << 20,
     });
-    let sid = world.add_actor(WbServerActor::new(
-        server,
-        storage,
-        client_ids.clone(),
-        warmup,
-    ));
-    debug_assert_eq!(sid, ActorId(0));
+    let warmup = Time::ZERO + cfg.warmup;
+    let new_cache = |id| WbClient::new(id, cfg.client);
+    let mut h = assemble(
+        &sys,
+        trace,
+        new_cache,
+        |world, storage, clients, history| {
+            world.add_actor(ServerActor::new(
+                server,
+                storage,
+                ClockModel::perfect(),
+                clients,
+                history.clone(),
+                warmup,
+            ))
+        },
+    );
+    (h.run(cfg.drain), h.history)
+}
 
-    for i in 0..n {
-        let cache = WbClient::new(ClientId(i), cfg.client);
-        let driver = OpDriver::new(trace, i, warmup);
-        let cid = world.add_actor(WbClientActor::new(cache, driver, sid, hist.clone(), warmup));
-        debug_assert_eq!(cid, client_ids[i as usize]);
+impl SimCache for WbClient<Res, Data> {
+    type Up = WbToServer<Res, Data>;
+    type Down = WbToClient<Res, Data>;
+    type Output = WbClientOutput<Res, Data>;
+
+    fn start(&mut self, now: Time) -> Vec<Self::Output> {
+        WbClient::start(self, now)
     }
 
-    for crash in &cfg.crashes {
-        let victim = match crash.node {
-            NodeSel::Server => sid,
-            NodeSel::Client(i) => client_ids[i as usize],
+    fn handle(&mut self, now: Time, event: CacheEvent<Self::Down>) -> Vec<Self::Output> {
+        let input = match event {
+            CacheEvent::Read(op, resource) => WbInput::Read { op, resource },
+            CacheEvent::Write(op, resource, data) => WbInput::Write { op, resource, data },
+            CacheEvent::Msg(msg) => WbInput::Msg(msg),
+            CacheEvent::Timer(_) => WbInput::Timer(WbClientTimer::Flush),
         };
-        if let NodeSel::Client(i) = crash.node {
-            // Stamp the crash instant so Discard events carry real times.
-            if let Some(actor) = world.actor_mut::<WbClientActor>(client_ids[i as usize]) {
-                actor.set_crash_stamp(crash.at);
+        WbClient::handle(self, now, input)
+    }
+
+    fn crash(&mut self) -> Vec<(Res, Version, Version)> {
+        let lost = self.dirty_state();
+        WbClient::crash(self);
+        lost
+    }
+
+    fn effect(out: Self::Output) -> CacheEffect<Self::Up> {
+        match out {
+            WbClientOutput::Send(msg) => CacheEffect::Send(msg),
+            WbClientOutput::SetTimer { at, .. } => CacheEffect::SetTimer(at, 1),
+            WbClientOutput::Done { op, result } => CacheEffect::Done(op, result),
+            WbClientOutput::LocalCommit { resource, version } => {
+                CacheEffect::Commit(resource, version)
             }
+            WbClientOutput::Lost {
+                resource,
+                last_durable,
+                last_lost,
+            } => CacheEffect::Discard(resource, last_durable, last_lost),
         }
-        world.schedule_crash(crash.at, victim);
-        if let Some(r) = crash.recover_at {
-            world.schedule_recover(r, victim);
+    }
+}
+
+impl SimServer for WbServer<Res, Data> {
+    type Up = WbToServer<Res, Data>;
+    type Down = WbToClient<Res, Data>;
+    type Output = WbServerOutput<Res, Data>;
+
+    fn handle(
+        &mut self,
+        now: Time,
+        event: ServerEvent<Self::Up>,
+        storage: &mut MemStorage<Res, Data>,
+    ) -> Vec<Self::Output> {
+        let input = match event {
+            ServerEvent::Msg(from, msg) => WbServerInput::Msg { from, msg },
+            ServerEvent::Timer(resource) => WbServerInput::RecallTimer(resource),
+        };
+        WbServer::handle(self, now, input, storage)
+    }
+
+    fn rx_metric(msg: &Self::Up) -> &'static str {
+        match msg {
+            WbToServer::Acquire { .. } => "srv.rx.fetch",
+            WbToServer::WriteBack { .. } => "srv.rx.write",
+            WbToServer::Release { .. } => "srv.rx.approve",
         }
     }
 
-    let end = Time::ZERO + trace.duration() + cfg.drain;
-    world.run_until(end);
-    let window = end.saturating_since(warmup).as_secs_f64();
-    (RunReport::from_world(&mut world, window), hist)
+    fn tx_metric(msg: &Self::Down) -> &'static str {
+        match msg {
+            WbToClient::Granted { .. } => "srv.tx.grants",
+            WbToClient::Flushed { .. } | WbToClient::FlushRejected { .. } => "srv.tx.write_done",
+            WbToClient::Recall { .. } => "srv.tx.approval_req",
+            WbToClient::Error { .. } => "srv.tx.error",
+        }
+    }
+
+    fn effect(out: Self::Output) -> ServerEffect<Self::Down> {
+        match out {
+            WbServerOutput::Send { to, msg } => ServerEffect::Send(to, msg),
+            WbServerOutput::SetRecallTimer { at, resource } => ServerEffect::SetTimer(at, resource),
+            // Durability only; visibility was logged at the client.
+            WbServerOutput::Durable { .. } => ServerEffect::Nothing,
+        }
+    }
 }

@@ -32,12 +32,12 @@
 //! token is held, so buffering preserves single-copy semantics for all
 //! *surviving* data.
 //!
-//! Scope: the write-back harness models host crashes and recalls; message
-//! loss and server recovery are studied on the write-through system in
-//! `lease-vsys` (this crate's transport is reliable), which is also where
-//! the paper's own evaluation lives. A run's caches are built from
-//! [`WbConfig::client`], one [`WbClientConfig`] handed to every
-//! [`WbClient`] unchanged.
+//! Scope: [`run_wb_with_history`] runs the cache and server on
+//! `lease-vsys`'s one client actor and server actor, over its `SimNet`
+//! with a fault-free plan; it models host crashes and recalls. The cache
+//! does not retransmit and the server has no §5 recovery yet, so message
+//! loss and server crashes are left out (a server crash is refused).
+//! Every cache is built from [`WbConfig::client`], unchanged.
 //!
 //! # Examples
 //!
@@ -52,7 +52,6 @@
 //! assert_eq!(report.op_failures, 0);
 //! ```
 
-pub mod actors;
 pub mod client;
 pub mod harness;
 pub mod msg;

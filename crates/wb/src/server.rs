@@ -16,19 +16,6 @@ pub struct WbServerConfig {
     pub reservation_range: u64,
 }
 
-impl Default for WbServerConfig {
-    fn default() -> WbServerConfig {
-        WbServerConfig {
-            term: Dur::from_secs(10),
-            reservation_range: 1 << 20,
-        }
-    }
-}
-
-/// Timers the server asks its harness to arm (one per recalled resource).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RecallDeadline<R>(pub R);
-
 /// Inputs to the server.
 #[derive(Debug, Clone)]
 pub enum WbServerInput<R, D> {
@@ -98,8 +85,6 @@ pub struct WbServer<R: Resource, D: Clone> {
     /// Clients a recall is still waiting on, per resource.
     recalling: HashMap<R, BTreeSet<ClientId>>,
     next_resv: u64,
-    /// Recall callbacks sent (for experiments).
-    pub recalls_sent: u64,
     /// Write-backs rejected as stale (lost writes).
     pub flushes_rejected: u64,
     _data: std::marker::PhantomData<D>,
@@ -116,7 +101,6 @@ impl<R: Resource, D: Clone + Default> WbServer<R, D> {
             queue: HashMap::new(),
             recalling: HashMap::new(),
             next_resv: 0,
-            recalls_sent: 0,
             flushes_rejected: 0,
             _data: std::marker::PhantomData,
         }
@@ -156,23 +140,16 @@ impl<R: Resource, D: Clone + Default> WbServer<R, D> {
                     version,
                     data,
                 } => {
-                    let live = self
-                        .writers
-                        .get(&resource)
-                        .is_some_and(|w| w.client == from && w.resv_id == reservation);
-                    if live {
-                        self.commit(resource, data, version, store, &mut out);
-                        out.push(WbServerOutput::Send {
-                            to: from,
-                            msg: WbToClient::Flushed { req, resource },
-                        });
-                    } else {
-                        self.flushes_rejected += 1;
-                        out.push(WbServerOutput::Send {
-                            to: from,
-                            msg: WbToClient::FlushRejected { req, resource },
-                        });
-                    }
+                    let dirty = (version, data);
+                    self.write_back(
+                        from,
+                        req,
+                        resource,
+                        Some(reservation),
+                        dirty,
+                        store,
+                        &mut out,
+                    );
                 }
                 WbToServer::Release {
                     req,
@@ -183,24 +160,8 @@ impl<R: Resource, D: Clone + Default> WbServer<R, D> {
                     // Commit the dirty tail if the reservation is current;
                     // the outcome is acknowledged so the client can account
                     // for lost writes.
-                    if let Some((version, data)) = dirty {
-                        let live = self
-                            .writers
-                            .get(&resource)
-                            .is_some_and(|w| w.client == from && Some(w.resv_id) == reservation);
-                        if live {
-                            self.commit(resource, data, version, store, &mut out);
-                            out.push(WbServerOutput::Send {
-                                to: from,
-                                msg: WbToClient::Flushed { req, resource },
-                            });
-                        } else {
-                            self.flushes_rejected += 1;
-                            out.push(WbServerOutput::Send {
-                                to: from,
-                                msg: WbToClient::FlushRejected { req, resource },
-                            });
-                        }
+                    if let Some(dirty) = dirty {
+                        self.write_back(from, req, resource, reservation, dirty, store, &mut out);
                     }
                     if self
                         .writers
@@ -221,6 +182,33 @@ impl<R: Resource, D: Clone + Default> WbServer<R, D> {
             }
         }
         out
+    }
+
+    /// Commits `from`'s write-back if it holds the write lease under
+    /// `reservation`, and acknowledges it either way.
+    #[allow(clippy::too_many_arguments)] // private helper: one flush's fields
+    fn write_back(
+        &mut self,
+        from: ClientId,
+        req: ReqId,
+        resource: R,
+        reservation: Option<u64>,
+        (version, data): (Version, D),
+        store: &mut MemStorage<R, D>,
+        out: &mut Vec<WbServerOutput<R, D>>,
+    ) {
+        let live = self
+            .writers
+            .get(&resource)
+            .is_some_and(|w| w.client == from && Some(w.resv_id) == reservation);
+        let msg = if live {
+            self.commit(resource, data, version, store, out);
+            WbToClient::Flushed { req, resource }
+        } else {
+            self.flushes_rejected += 1;
+            WbToClient::FlushRejected { req, resource }
+        };
+        out.push(WbServerOutput::Send { to: from, msg });
     }
 
     /// Commits a write-back idempotently: a flush and the release-time
@@ -263,28 +251,11 @@ impl<R: Resource, D: Clone + Default> WbServer<R, D> {
                 .get(&resource)
                 .filter(|w| w.expiry > now)
                 .map(|w| w.client);
-            let mut conflicts: BTreeSet<ClientId> = BTreeSet::new();
-            match head.mode {
-                Mode::Read => {
-                    if let Some(w) = writer {
-                        if w != head.client {
-                            conflicts.insert(w);
-                        }
-                    }
-                }
-                Mode::Write => {
-                    if let Some(w) = writer {
-                        if w != head.client {
-                            conflicts.insert(w);
-                        }
-                    }
-                    for r in self.readers.holders_at(resource, now) {
-                        if r != head.client {
-                            conflicts.insert(r);
-                        }
-                    }
-                }
+            let mut conflicts: BTreeSet<ClientId> = writer.into_iter().collect();
+            if head.mode == Mode::Write {
+                conflicts.extend(self.readers.holders_at(resource, now));
             }
+            conflicts.remove(&head.client);
             if conflicts.is_empty() {
                 let head = self
                     .queue
@@ -296,22 +267,20 @@ impl<R: Resource, D: Clone + Default> WbServer<R, D> {
             }
             // Recall whoever we have not asked yet; wait for the rest.
             let asked = self.recalling.entry(resource).or_default();
-            let mut deadline = now;
             for c in &conflicts {
                 if asked.insert(*c) {
-                    self.recalls_sent += 1;
                     out.push(WbServerOutput::Send {
                         to: *c,
                         msg: WbToClient::Recall { resource },
                     });
                 }
             }
-            if let Some(w) = self.writers.get(&resource) {
-                deadline = deadline.max(w.expiry);
-            }
-            if let Some(e) = self.readers.max_expiry(resource, now) {
-                deadline = deadline.max(e);
-            }
+            // The recall deadline: when the last conflicting lease lapses.
+            let writer_expiry = self.writers.get(&resource).map(|w| w.expiry);
+            let deadline = [writer_expiry, self.readers.max_expiry(resource, now)]
+                .into_iter()
+                .flatten()
+                .fold(now, Time::max);
             out.push(WbServerOutput::SetRecallTimer {
                 at: deadline,
                 resource,
@@ -336,11 +305,7 @@ impl<R: Resource, D: Clone + Default> WbServer<R, D> {
             });
             return;
         };
-        let data = if head.cached == Some(version) {
-            None
-        } else {
-            Some(data)
-        };
+        let data = (head.cached != Some(version)).then_some(data);
         // Any grant supersedes a lapsed write token: kill its reservation
         // so late flushes from the old holder bounce instead of resurfacing
         // data the resource has moved past.

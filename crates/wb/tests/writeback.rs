@@ -299,3 +299,70 @@ fn deterministic_runs() {
     assert_eq!(a.consistency_msgs, b.consistency_msgs);
     assert_eq!(a.hits, b.hits);
 }
+
+/// One file, written by client 0 at each instant in `writes`.
+fn writes_by_client_0(writes: &[u64]) -> Trace {
+    let records = writes
+        .iter()
+        .map(|s| TraceRecord {
+            at: Time::from_secs(*s),
+            client: 0,
+            op: TraceOp::Write { file: 1 },
+        })
+        .collect();
+    Trace::new(
+        vec![FileSpec {
+            id: 1,
+            class: FileClass::Regular,
+            path: None,
+        }],
+        records,
+    )
+}
+
+#[test]
+fn each_lost_write_is_stamped_with_its_own_crash() {
+    // Client 0 buffers a write and crashes at 2 s, recovers at 10 s,
+    // buffers another under a fresh token and crashes again at 40 s. The
+    // oracle judges each loss over the window its Discard opens, so each
+    // must carry the instant of the crash that lost it.
+    let crash = |at: u64, recover_at: Option<u64>| CrashEvent {
+        at: Time::from_secs(at),
+        node: NodeSel::Client(0),
+        recover_at: recover_at.map(Time::from_secs),
+    };
+    let cfg = WbConfig {
+        client: WbClientConfig {
+            flush_interval: Dur::from_secs(600),
+            ..WbClientConfig::default()
+        },
+        crashes: vec![crash(2, Some(10)), crash(40, None)],
+        ..WbConfig::default()
+    };
+    let (_, h) = run_wb_with_history(&cfg, &writes_by_client_0(&[1, 20]));
+    let hist = h.borrow();
+    let discarded_at: Vec<Time> = hist
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            HistoryEvent::Discard { at, .. } => Some(*at),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(discarded_at, vec![Time::from_secs(2), Time::from_secs(40)]);
+    check_history(&hist).expect("consistent");
+}
+
+#[test]
+#[should_panic(expected = "MaxTerm recovery")]
+fn a_server_crash_is_refused() {
+    let cfg = WbConfig {
+        crashes: vec![CrashEvent {
+            at: Time::from_secs(2),
+            node: NodeSel::Server,
+            recover_at: Some(Time::from_secs(3)),
+        }],
+        ..WbConfig::default()
+    };
+    run_wb_with_history(&cfg, &writes_by_client_0(&[1]));
+}
