@@ -11,7 +11,7 @@
 //! results.
 //!
 //! The `--threads N|auto` flag lives here too; the sweep binaries
-//! (`fig1`, `fig2`, `fig3`, `table2`, `chaos` and `overload_chaos`) share
+//! (`fig1`, `fig2`, `fig3`, `table2`, `chaos` and `overload burst`) share
 //! this one implementation.
 //!
 //! # Examples

@@ -167,6 +167,23 @@ const RULES: &[Rule] = &[
         },
     },
     Rule {
+        name: "One client under load (the overload judges drive RtSystem's clients)",
+        reason: "Both overload scenarios offer their load through RtClientHandle, so \
+                 what they judge is the traffic a shipped client sends; a SvcHandle, \
+                 an EgressRx, a LeaseService or a try_send_at there means a \
+                 hand-rolled client, with its own pacing, crept back in.",
+        check: Check::Grep {
+            paths: &["crates/bench/src/bin/overload.rs"],
+            code_only: false,
+            forbidden: &[
+                Lit("SvcHandle"),
+                Lit("EgressRx"),
+                Lit("LeaseService"),
+                Lit("try_send_at"),
+            ],
+        },
+    },
+    Rule {
         name: "A hit is local (no command channel under the client runtime)",
         reason: "Applications reach a client's cache through its driver lock, on their \
                  own thread; a ClientCmd anywhere under crates/rt means the application \
