@@ -12,11 +12,12 @@ use std::collections::HashMap;
 use std::io::Write as _;
 use std::sync::{Arc, Mutex, PoisonError};
 
+use bytes::Bytes;
+
 use lease_clock::{Clock, Dur, SysClock, WallClock};
 use lease_core::{LeaseServer, MemStorage, ServerConfig, Storage, Version};
 use lease_net::NetServer;
 use lease_svc::{Egress, EgressSink, LeaseService, SvcConfig, SvcHooks};
-use lease_wire::WireValue;
 
 const HELP: &str = "\
 net_server: one lease server process on 127.0.0.1; prints `PORT <n>`,
@@ -25,11 +26,8 @@ serves until stdin closes
   --shards N          shard workers (default 1)
   --clients N         client ids served, 0..N (default 4)
   --files N           resources 0..N preloaded into the store (default 256)
-  --batch N           largest client batch expected; sizes the shard drain
-                      (default 32)
   --port N            port to bind, 0 = any (default 0)
   --term-ms N         lease term in ms (default 5000)
-  --data u64|bytes    payload type on the wire (default u64)
   --term-file PATH    persist the max granted term here and honour it on
                       restart (paper §5)
   --commit-log PATH   append `resource version at_ns xHEX` per commit,
@@ -41,10 +39,8 @@ struct ServerOpts {
     shards: usize,
     clients: usize,
     files: u64,
-    batch: usize,
     port: u16,
     term: Dur,
-    data: String,
     term_file: Option<String>,
     commit_log: Option<String>,
     epoch_unix_ns: Option<u64>,
@@ -55,10 +51,8 @@ fn parse_args(args: &[String]) -> Result<ServerOpts, String> {
         shards: 1,
         clients: 4,
         files: 256,
-        batch: 32,
         port: 0,
         term: Dur::from_millis(5_000),
-        data: "u64".into(),
         term_file: None,
         commit_log: None,
         epoch_unix_ns: None,
@@ -71,10 +65,8 @@ fn parse_args(args: &[String]) -> Result<ServerOpts, String> {
             "--shards" => o.shards = v.parse().map_err(bad)?,
             "--clients" => o.clients = v.parse().map_err(bad)?,
             "--files" => o.files = v.parse().map_err(bad)?,
-            "--batch" => o.batch = v.parse().map_err(bad)?,
             "--port" => o.port = v.parse().map_err(bad)?,
             "--term-ms" => o.term = Dur::from_millis(v.parse().map_err(bad)?),
-            "--data" => o.data = v.clone(),
             "--term-file" => o.term_file = Some(v.clone()),
             "--commit-log" => o.commit_log = Some(v.clone()),
             "--epoch-unix-ns" => o.epoch_unix_ns = Some(v.parse().map_err(bad)?),
@@ -94,39 +86,21 @@ fn main() {
         eprintln!("net_server: {e} (see --help)");
         std::process::exit(2);
     });
-    match o.data.as_str() {
-        "u64" => serve::<u64>(
-            &o,
-            |r| r,
-            |d| d.to_le_bytes().to_vec(),
-            |b| u64::from_le_bytes(b.try_into().unwrap_or_default()),
-        ),
-        "bytes" => serve::<bytes::Bytes>(
-            &o,
-            |r| bytes::Bytes::from(r.to_le_bytes().to_vec()),
-            |d| d.to_vec(),
-            bytes::Bytes::from,
-        ),
-        other => {
-            eprintln!("net_server: --data must be u64 or bytes, got {other}");
-            std::process::exit(2);
-        }
-    }
+    serve(&o);
 }
 
 /// Wraps a shard's storage to append every commit (resource, version,
 /// true time, payload) to a shared log file, flushed per line so a
 /// `kill -9` loses nothing the client may have been told about. The
 /// multi-process oracle merges these lines into the recorded history.
-struct CommitLogStore<D> {
-    inner: MemStorage<u64, D>,
+struct CommitLogStore {
+    inner: MemStorage<u64, Bytes>,
     log: Arc<Mutex<std::io::BufWriter<std::fs::File>>>,
     clock: Arc<dyn Clock>,
-    raw: fn(&D) -> Vec<u8>,
 }
 
-impl<D: Clone + Default> Storage<u64, D> for CommitLogStore<D> {
-    fn read(&self, resource: &u64) -> Option<(D, Version)> {
+impl Storage<u64, Bytes> for CommitLogStore {
+    fn read(&self, resource: &u64) -> Option<(Bytes, Version)> {
         self.inner.read(resource)
     }
 
@@ -134,17 +108,12 @@ impl<D: Clone + Default> Storage<u64, D> for CommitLogStore<D> {
         self.inner.version(resource)
     }
 
-    fn write(&mut self, resource: &u64, data: D) -> Version {
+    fn write(&mut self, resource: &u64, data: Bytes) -> Version {
+        let payload = hex(&data);
         let v = self.inner.write(resource, data);
-        let (payload, at) = {
-            let d = self.inner.read(resource).map(|(d, _)| d);
-            (
-                d.map(|d| (self.raw)(&d)).unwrap_or_default(),
-                self.clock.now(),
-            )
-        };
+        let at = self.clock.now();
         let mut log = self.log.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = writeln!(log, "{} {} {} {}", resource, v.0, at.0, hex(&payload));
+        let _ = writeln!(log, "{} {} {} {}", resource, v.0, at.0, payload);
         let _ = log.flush();
         v
     }
@@ -166,10 +135,8 @@ fn unhex(s: &str) -> Vec<u8> {
         .collect()
 }
 
-fn serve<D>(o: &ServerOpts, datum: fn(u64) -> D, raw: fn(&D) -> Vec<u8>, unraw: fn(Vec<u8>) -> D)
-where
-    D: Clone + Default + Send + WireValue + 'static,
-{
+/// Serves byte payloads: resource `r` starts as its little-endian bytes.
+fn serve(o: &ServerOpts) {
     let clock: Arc<dyn Clock> = match o.epoch_unix_ns {
         Some(epoch) => Arc::new(SysClock::new(epoch)),
         None => Arc::new(WallClock::new()),
@@ -225,37 +192,34 @@ where
         Arc::new(Mutex::new(std::io::BufWriter::new(file)))
     });
 
-    let egress: Egress<u64, D> = Egress::new(o.clients, 1024);
+    let egress: Egress<u64, Bytes> = Egress::new(o.clients, 1024);
     let sink = Arc::new(EgressSink::new(egress.clone()));
     let files = o.files;
     let term = o.term;
     let store_clock = Arc::clone(&clock);
     let replay = Arc::new(replay);
-    let base = SvcConfig::default();
     let service = LeaseService::spawn(
         SvcConfig {
             shards: o.shards,
-            batch: base.batch.max(o.batch * 2),
-            ..base
+            ..SvcConfig::default()
         },
         sink,
         hooks,
         move |_| {
-            let mut store: MemStorage<u64, D> = MemStorage::new();
+            let mut store: MemStorage<u64, Bytes> = MemStorage::new();
             for r in 0..files {
-                store.insert(r, datum(r));
+                store.insert(r, Bytes::from(r.to_le_bytes().to_vec()));
             }
             for (&r, (v, payload)) in replay.iter() {
                 if v.0 > 1 {
-                    store.set(r, unraw(payload.clone()), *v);
+                    store.set(r, Bytes::from(payload.clone()), *v);
                 }
             }
-            let storage: Box<dyn Storage<u64, D> + Send> = match &log {
+            let storage: Box<dyn Storage<u64, Bytes> + Send> = match &log {
                 Some(log) => Box::new(CommitLogStore {
                     inner: store,
                     log: Arc::clone(log),
                     clock: Arc::clone(&store_clock),
-                    raw,
                 }),
                 None => Box::new(store),
             };

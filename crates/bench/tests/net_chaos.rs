@@ -42,8 +42,6 @@ struct Server {
 fn spawn_server(dir: &std::path::Path, epoch: u64, port: u16) -> Server {
     let mut child = Command::new(BIN)
         .args([
-            "--data",
-            "bytes",
             "--shards",
             "1",
             "--clients",

@@ -149,6 +149,12 @@ fn fetch_over_tcp_grants() {
         }
         other => panic!("expected one grant, got {other:?}"),
     }
+    // The writer counts a reply after its `write` returns, so the reply
+    // can be in our hands first.
+    let t0 = Instant::now();
+    while h.net.counters().snapshot().msgs_out < 1 && t0.elapsed() < Duration::from_secs(2) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let snap = h.net.counters().snapshot();
     assert!(snap.msgs_in >= 1 && snap.msgs_out >= 1);
     h.net.shutdown();

@@ -31,12 +31,19 @@ use crate::node::{GrantorNode, NodeOut, QuorumConfig};
 /// Writers are the replica's quorum thread (claim open/close); readers are
 /// the service ingress/egress on every request. Reads are two relaxed
 /// atomic loads plus a clock read — cheap enough for the hot grant path.
+///
+/// Every fresh acquisition (not a renewal) bumps the gate's
+/// [`session`](GrantorGate::session) before the gate opens, so whoever
+/// sees the gate open also sees the session that opened it; the service's
+/// shards read it to know when to restart into §5 recovery.
 pub struct GrantorGate {
     /// `ballot.as_u64() + 1` while a claim is held, `0` otherwise (real
     /// ballots have `round >= 1`, so the offset never collides).
     serving: AtomicU64,
     /// Local-clock expiry of the claim, nanoseconds.
     expires: AtomicU64,
+    /// Fresh acquisitions so far: the serving session.
+    session: AtomicU64,
     /// Whether expiry closes the gate (false = the injected bug).
     fence: bool,
     /// The replica's own clock, skew included.
@@ -48,12 +55,18 @@ impl GrantorGate {
         GrantorGate {
             serving: AtomicU64::new(0),
             expires: AtomicU64::new(0),
+            session: AtomicU64::new(0),
             fence,
             clock,
         }
     }
 
-    fn open(&self, b: Ballot, expires: Time) {
+    /// Opens the gate under `b` until `expires`, a `fresh` claim in a new
+    /// session.
+    fn open(&self, b: Ballot, expires: Time, fresh: bool) {
+        if fresh {
+            self.session.fetch_add(1, Ordering::Release);
+        }
         self.expires.store(expires.as_nanos(), Ordering::Release);
         self.serving.store(b.as_u64() + 1, Ordering::Release);
     }
@@ -84,17 +97,16 @@ impl GrantorGate {
     pub fn is_open(&self) -> bool {
         self.serving().is_some()
     }
+
+    /// How many fresh acquisitions this replica has made (renewals keep it).
+    pub fn session(&self) -> u64 {
+        self.session.load(Ordering::Acquire)
+    }
 }
 
 /// Host-side hooks into the quorum runtime.
 #[derive(Clone, Default)]
 pub struct QuorumHooks {
-    /// Called (from the replica's thread) right after its gate opens,
-    /// with `(replica, fresh)` — `fresh` is false for seamless renewals.
-    /// The replicated topology uses a fresh acquisition to push the
-    /// replica's service shards through §5 MaxTerm recovery before they
-    /// answer anything.
-    pub on_acquire: Option<Arc<dyn Fn(u32, bool) + Send + Sync>>,
     /// Observer of grantor claim events, stamped on the *true* timeline
     /// (cede overshoots already backdated through the clock model).
     pub observer: Option<Arc<dyn Fn(HistoryEvent) + Send + Sync>>,
@@ -184,11 +196,6 @@ impl QuorumRuntime {
     /// The serving gate of replica `i`.
     pub fn gate(&self, i: usize) -> Arc<GrantorGate> {
         Arc::clone(&self.gates[i])
-    }
-
-    /// Number of replicas.
-    pub fn replicas(&self) -> usize {
-        self.gates.len()
     }
 
     /// The replica currently claiming grantorship, if any is visible.
@@ -292,16 +299,13 @@ impl Replica {
                         .node
                         .claim_expires()
                         .expect("acquired claim has an expiry");
-                    self.gate.open(ballot, expires);
+                    self.gate.open(ballot, expires, fresh);
                     if let Some(obs) = &self.hooks.observer {
                         obs(HistoryEvent::GrantorAcquired {
                             replica: self.id,
                             ballot: ballot.as_u64(),
                             at: t,
                         });
-                    }
-                    if let Some(f) = &self.hooks.on_acquire {
-                        f(self.id, fresh);
                     }
                 }
                 NodeOut::Ceded { ballot, overshoot } => {
@@ -352,7 +356,6 @@ mod tests {
             QuorumConfig::quick(),
             faults(FaultPlan::new(3), WallClock::new()),
             QuorumHooks {
-                on_acquire: None,
                 observer: Some(Arc::new(move |e| obs.lock().unwrap().push(e))),
             },
         );
@@ -373,6 +376,45 @@ mod tests {
         };
         let res = lease_faults::check_history(&history);
         assert!(res.is_ok(), "violations: {:?}", res.err());
+    }
+
+    /// The session counts fresh acquisitions: the first grantor opens
+    /// session 1 and its renewals (new ballots, same replica) keep it;
+    /// the successor of a killed grantor opens its own first session.
+    #[test]
+    fn a_fresh_acquisition_bumps_the_session_and_a_renewal_does_not() {
+        let rt = QuorumRuntime::spawn(
+            QuorumConfig::default(),
+            faults(FaultPlan::new(3), WallClock::new()),
+            QuorumHooks::default(),
+        );
+        let claim = |pred: &dyn Fn(u32, Ballot) -> bool| {
+            let start = std::time::Instant::now();
+            loop {
+                match rt.current_grantor() {
+                    Some((id, b)) if pred(id, b) => return (id, b),
+                    _ => {}
+                }
+                assert!(start.elapsed() < Duration::from_secs(10), "timed out");
+                thread::sleep(Duration::from_millis(2));
+            }
+        };
+        let (first, mut ballot) = claim(&|_, _| true);
+        let sessions = || (0..3).map(|i| rt.gate(i).session()).collect::<Vec<u64>>();
+        let mut want = vec![0; 3];
+        want[first as usize] = 1;
+        assert_eq!(sessions(), want);
+        for _ in 0..2 {
+            let (id, b) = claim(&|_, b| b != ballot);
+            assert_eq!(id, first, "leadership moved in a quiet cluster");
+            assert_eq!(sessions(), want, "a renewal opened a session");
+            ballot = b;
+        }
+        rt.kill_handle().kill(first as usize);
+        let (next, _) = claim(&|id, _| id != first);
+        want[next as usize] = 1;
+        assert_eq!(sessions(), want);
+        rt.shutdown();
     }
 
     /// A replica cut is a plan window on the truth clock, measured from
@@ -405,7 +447,7 @@ mod tests {
         let clock = Arc::new(lease_clock::ManualClock::new(Time::ZERO));
         let gate = GrantorGate::new(true, clock.clone() as Arc<dyn Clock>);
         let b = Ballot::new(1, 0);
-        gate.open(b, Time::from_millis(100));
+        gate.open(b, Time::from_millis(100), true);
         assert_eq!(gate.serving(), Some(b));
         clock.advance(Dur::from_millis(99));
         assert!(gate.is_open());
@@ -414,7 +456,7 @@ mod tests {
         // Without fencing the stale claim stays visible — the bug the
         // oracle exists to catch.
         let unfenced = GrantorGate::new(false, clock as Arc<dyn Clock>);
-        unfenced.open(b, Time::from_millis(150));
+        unfenced.open(b, Time::from_millis(150), true);
         clock_independent_check(&unfenced, b);
     }
 
@@ -428,8 +470,8 @@ mod tests {
         let gate = GrantorGate::new(true, clock as Arc<dyn Clock>);
         let old = Ballot::new(1, 0);
         let new = Ballot::new(2, 0);
-        gate.open(old, Time::from_millis(100));
-        gate.open(new, Time::from_millis(200)); // renewal replaced it
+        gate.open(old, Time::from_millis(100), true);
+        gate.open(new, Time::from_millis(200), false); // renewal replaced it
         gate.close(old); // late close of the old claim must not shut the new one
         assert_eq!(gate.serving(), Some(new));
         gate.close(new);

@@ -345,9 +345,10 @@ impl Router {
     }
 
     /// The replicas willing to serve right now — gate open, not cut off —
-    /// starting from the last one that answered; one rotation. Lazy, so
-    /// each is checked only when the one before it fell through.
-    fn willing(&self) -> impl Iterator<Item = usize> + '_ {
+    /// starting from the last one that answered; one rotation, each with
+    /// whether it is the rotation's last. Lazy, so each is checked only
+    /// when the one before it fell through.
+    fn willing(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
         let n = self.targets.len();
         let start = if n > 1 {
             self.current.load(Ordering::Relaxed)
@@ -355,8 +356,8 @@ impl Router {
             0
         };
         (0..n)
-            .map(move |k| (start + k) % n)
-            .filter(|&i| self.targets[i].fence.admits(&self.faults))
+            .map(move |k| ((start + k) % n, k + 1 == n))
+            .filter(|&(i, _)| self.targets[i].fence.admits(&self.faults))
     }
 
     /// Remembers that replica `i` answered, for every router of the
@@ -370,16 +371,20 @@ impl Router {
 
     /// The replica that would be tried first, if any is willing.
     pub fn serving(&self) -> Option<usize> {
-        self.willing().next()
+        self.willing().next().map(|(i, _)| i)
     }
 
     /// Submits one client message to the first willing replica that takes
     /// it. Never blocks. A dead shard fails the send and, like a closed
     /// gate or a cut, moves on to the next candidate; a full lane is the
-    /// serving replica's answer, and the message is lost.
+    /// serving replica's answer, and the message is lost. Only the
+    /// rotation's last candidate (the only one, without a quorum) is not
+    /// given a copy.
     pub fn route(&self, from: ClientId, msg: ToServer<Res, Bytes>, deadline: Option<Time>) {
-        for i in self.willing() {
-            match self.targets[i].svc.try_send_at(from, msg.clone(), deadline) {
+        let mut msg = Some(msg);
+        for (i, last) in self.willing() {
+            let this = if last { msg.take() } else { msg.clone() }.expect("taken last");
+            match self.targets[i].svc.try_send_at(from, this, deadline) {
                 Ok(()) | Err(SvcError::Backpressure) => {
                     self.prefer(i);
                     return;

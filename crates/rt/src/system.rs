@@ -10,34 +10,32 @@
 //! clients fail over to whichever replica currently holds the grantor
 //! lease.
 //!
-//! The safety chain under a quorum, layer by layer:
+//! The safety chain under a quorum, each layer kept for a fault only it
+//! stops (DESIGN.md §2d):
 //!
 //! * **Ingress fencing** — the `Router` every producer submits through
 //!   (server module) hands a client message only to a replica whose
-//!   [`GrantorGate`](lease_quorum::GrantorGate) is open, trying the
-//!   candidates at most once per submission. With no
-//!   grantor visible the message is dropped and the client's
-//!   retransmission backoff provides the retry schedule (failover is
-//!   *free*: the next retransmission simply lands on the new grantor).
+//!   [`GrantorGate`](lease_quorum::GrantorGate) is open; with none open
+//!   the message is dropped and the client's retransmission is the retry,
+//!   so failover is free: the next one lands on the new grantor.
 //! * **Egress fencing** — each replica's sink drops every reply while its
-//!   gate is closed, so a grantor whose lease lapsed mid-batch cannot
-//!   leak grants or write approvals (see `RtFence` in the server module).
-//! * **Commit fencing** — the storage each service writes through is
-//!   gated too: a stale grantor's deferred write is refused at the store,
-//!   not just silenced on the wire.
-//! * **Takeover recovery** — a *fresh* grantor acquisition (not a
-//!   renewal) crash-restarts the new grantor's own service shards, which
-//!   re-enter §5 MaxTerm recovery: grants are deferred and writes held
-//!   until every lease the previous grantor could have granted has
-//!   expired, and the epoch bump fences that incarnation's write-approval
-//!   ids — the exact machinery a single server's restart already uses,
-//!   reused for succession.
+//!   gate is closed: a lapsed grantor's mid-batch replies, and the §4
+//!   installed-file multicasts every non-grantor's shards keep ticking.
+//! * **Commit fencing** — the store refuses a write while the gate is
+//!   closed: a deposed grantor's deferred write comes due too late.
+//! * **Takeover recovery** — a *fresh* acquisition (not a renewal) bumps
+//!   the gate's session before the gate opens, and each of the replica's
+//!   shards, reading it after every gather, restarts into §5 MaxTerm
+//!   recovery before it fires a timer or answers an input of the new
+//!   session: grants deferred and writes held until every lease the
+//!   previous grantor could have granted has expired, old write-approval
+//!   ids fenced by the epoch bump — a single server's restart, reused.
 //!
 //! Lease state is never replicated or persisted: the old grantor's grants
 //! die by expiry, exactly as §5 argues for crash recovery.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use bytes::Bytes;
@@ -47,7 +45,7 @@ use lease_quorum::{KillHandle, QuorumConfig, QuorumHooks, QuorumRuntime};
 use lease_store::{DirId, FileKind, Perms, Store};
 use lease_svc::{
     chaos::silence_injected_kills, shard_of, AdmissionControl, Egress, FaultPlan, LeaseService,
-    LiveFaults, SvcConfig, SvcHandle, SvcHooks, SvcStats,
+    LiveFaults, SvcConfig, SvcHooks, SvcStats,
 };
 use lease_vsys::{History, HistoryEvent};
 
@@ -164,10 +162,8 @@ impl RtSystemBuilder {
         // host's (possibly skewed) model clock all derive from it.
         let truth = WallClock::new();
         let recorder = Arc::new(Recorder::new(truth.clone()));
-        // Injected kills panic on purpose — and under a quorum so does
-        // every takeover, which crash-restarts shards as a matter of
-        // course.
-        if self.chaos.is_some() || self.quorum.is_some() {
+        // Injected kills panic on purpose.
+        if self.chaos.is_some() {
             silence_injected_kills();
         }
         // The one reader of the plan, shared by every sink, port and
@@ -252,44 +248,14 @@ impl RtSystemBuilder {
             }
         }
 
-        // The quorum spawns first (services need its gates). Its takeover
-        // hook reads the service registry, filled in below; an acquisition
-        // racing the fill is harmless — a service that has not started yet
-        // has no stale lease state to recover from. The registry's lock is
-        // taken once per fresh acquisition, never per message.
-        let shards = self.shards;
-        let takeover: Arc<Mutex<Vec<SvcHandle<Res, Bytes>>>> = Arc::default();
+        // The quorum spawns first: the services need its gates.
         let quorum = self.quorum.clone().map(|cfg| {
-            let on_acquire = {
-                let takeover = Arc::clone(&takeover);
-                Arc::new(move |replica: u32, fresh: bool| {
-                    if !fresh {
-                        return;
-                    }
-                    // A fresh grantor session cannot trust any file-lease
-                    // state its service accumulated earlier — and knows
-                    // nothing of what the previous grantor granted. Crash-
-                    // restart every shard so it re-enters §5 MaxTerm
-                    // recovery: grants deferred, writes held, epoch bumped
-                    // (stale write-approval ids fenced).
-                    let services = takeover.lock().unwrap_or_else(PoisonError::into_inner);
-                    if let Some(svc) = services.get(replica as usize) {
-                        for s in 0..shards {
-                            let _ = svc.kill_shard(s);
-                        }
-                    }
-                })
-            };
-            let observer = {
-                let rec = recorder.clone();
-                Arc::new(move |e: HistoryEvent| rec.push(e))
-            };
+            let rec = recorder.clone();
             QuorumRuntime::spawn(
                 cfg,
                 Arc::clone(&faults),
                 QuorumHooks {
-                    on_acquire: Some(on_acquire),
-                    observer: Some(observer),
+                    observer: Some(Arc::new(move |e: HistoryEvent| rec.push(e))),
                 },
             )
         });
@@ -321,7 +287,7 @@ impl RtSystemBuilder {
         // One sharded lease service per replica, on the replica's own
         // (possibly skewed) clock — the one its gate reads too — writing
         // through its (under a quorum, gated) view of the shared store.
-        let term = self.term;
+        let (term, shards) = (self.term, self.shards);
         let installed_tick = self.installed_tick;
         let installed_group: Vec<ClientId> = (0..self.clients).map(ClientId).collect();
         let services: Vec<LeaseService<Res, Bytes>> = (0..replicas)
@@ -349,6 +315,11 @@ impl RtSystemBuilder {
                         persist_max_term: Some(persist_max_term.clone()),
                         recover_max_term: Some(recover_max_term.clone()),
                         clock: Some(clock),
+                        // A fresh acquisition restarts every shard into §5
+                        // recovery before it answers for the new grantor.
+                        session: gate.clone().map(|g| {
+                            Arc::new(move || g.session()) as Arc<dyn Fn() -> u64 + Send + Sync>
+                        }),
                     },
                     move |i| {
                         let mut sc: ServerConfig<Res> = ServerConfig::fixed(term);
@@ -385,8 +356,6 @@ impl RtSystemBuilder {
                 )
             })
             .collect();
-        *takeover.lock().unwrap_or_else(PoisonError::into_inner) =
-            services.iter().map(|s| s.handle()).collect();
 
         // Every producer gets its own router — its own handle clone, so
         // its own SPSC lane, per shard per replica: this one stays with
@@ -462,22 +431,20 @@ enum Crash {
 /// [`RtSystem::kill_shard`] / [`RtSystem::kill_replica`] alike, each
 /// through its own `router`; `nodes` are the quorum's, if there is one.
 fn crash(router: &Router, nodes: Option<&KillHandle>, what: Crash) {
-    match what {
-        Crash::Shard(s) => {
-            for r in 0..router.replicas() {
-                let _ = router.svc(r).kill_shard(s);
-            }
-        }
+    let (replicas, shards) = match what {
+        Crash::Shard(s) => (0..router.replicas(), s..s + 1),
         Crash::Replica(r) if r < router.replicas() => {
             if let Some(nodes) = nodes {
                 nodes.kill(r);
             }
-            let svc = router.svc(r);
-            for s in 0..svc.shards() {
-                let _ = svc.kill_shard(s);
-            }
+            (r..r + 1, 0..router.svc(r).shards())
         }
-        Crash::Replica(_) => {} // The plan names a host this system lacks.
+        Crash::Replica(_) => return, // The plan names a host this system lacks.
+    };
+    for r in replicas {
+        for s in shards.clone() {
+            let _ = router.svc(r).kill_shard(s);
+        }
     }
 }
 

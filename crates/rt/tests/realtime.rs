@@ -17,10 +17,9 @@ fn arrangements() -> [Option<QuorumConfig>; 2] {
 }
 
 /// Starts `b` in the given arrangement. Under a quorum the test is held
-/// until the first grantor is elected and its takeover restart has run: a
-/// request that slips in between the gate opening and that restart is
-/// granted, which makes the term durable and turns the restart into a
-/// full-term §5 stall — safe, but at these terms longer than the test.
+/// until the first grantor is elected, and no longer: its shards enter
+/// §5 recovery before they answer anything for it, so the first request
+/// meets a shard that has granted nothing yet.
 fn start(b: RtSystemBuilder, quorum: Option<QuorumConfig>) -> RtSystem {
     let Some(q) = quorum else {
         return b.start();
@@ -31,7 +30,6 @@ fn start(b: RtSystemBuilder, quorum: Option<QuorumConfig>) -> RtSystem {
         assert!(Instant::now() < deadline, "no grantor was elected");
         std::thread::sleep(Duration::from_millis(5));
     }
-    std::thread::sleep(Duration::from_millis(50));
     sys
 }
 

@@ -145,6 +145,129 @@ fn rolling_grantor_kills_keep_history_consistent() {
     assert!(res.is_ok(), "violations: {:?}", res.err());
 }
 
+/// A new grantor's shards restart into §5 recovery themselves, before
+/// they answer anything for it, so no request can be granted by the
+/// incarnation from before the election and then wait behind that
+/// incarnation's restart. Twenty systems, each used the moment a
+/// grantor is visible (polled without sleeping, so the first request
+/// races the acquisition): both clients' first opens answer in well
+/// under half a (10 s) term.
+#[test]
+fn first_ops_after_an_election_never_wait_out_a_term() {
+    let term = Dur::from_secs(10);
+    let half = Duration::from(term) / 2;
+    for start in 0..20 {
+        let sys = RtSystem::builder()
+            .term(term)
+            .quorum(QuorumConfig::quick())
+            .clients(2)
+            .file("/doc/draft.tex", b"x".as_ref())
+            .start();
+        let t0 = Instant::now();
+        while sys.current_grantor().is_none() {
+            assert!(t0.elapsed() < Duration::from_secs(5), "no grantor");
+            std::thread::yield_now();
+        }
+        let dir = sys.dir("/doc").unwrap();
+        for c in 0..2 {
+            let t0 = Instant::now();
+            assert!(sys.client(c).open(dir, "draft.tex").unwrap().is_some());
+            let took = t0.elapsed();
+            assert!(
+                took < half,
+                "start {start}: client {c}'s first open took {took:?}"
+            );
+        }
+        sys.shutdown();
+    }
+}
+
+/// Only the grantor extends installed-file leases. Every replica's shards
+/// tick the §4 multicast, but a non-grantor's is dropped at its egress
+/// fence: otherwise it would go on extending the old version up to the
+/// grantor's delayed commit of an install, and a cached read between
+/// that commit and the next tick would be stale.
+#[test]
+fn only_the_grantor_extends_installed_leases() {
+    let sys = RtSystem::builder()
+        .term(Dur::from_millis(200))
+        .quorum(QuorumConfig::quick())
+        .installed_file("/bin/latex", b"v1".as_ref())
+        .installed_multicast(Dur::from_millis(20), Dur::from_millis(200))
+        .start();
+    wait_for("a grantor", Duration::from_secs(5), || {
+        sys.current_grantor().is_some()
+    });
+    let latex = sys.lookup("/bin/latex").unwrap();
+    let c0 = sys.client(0);
+    // The grant is anchored at the op's first send, before the grantor's
+    // recovery: the multicast is what makes the copy a hit.
+    wait_for("an installed lease", Duration::from_secs(5), || {
+        c0.read_detailed(latex).unwrap().2
+    });
+    sys.install(latex, b"v2".as_ref());
+    // Read as the cache answers, well inside every tick, until v2 shows.
+    let t0 = Instant::now();
+    while c0.read(latex).unwrap() != Bytes::from_static(b"v2") {
+        assert!(t0.elapsed() < Duration::from_secs(5), "v2 never arrived");
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    let history = sys.history();
+    sys.shutdown();
+    let res = check_history(&history);
+    assert!(res.is_ok(), "violations: {:?}", res.err());
+}
+
+/// A deposed grantor commits nothing. Replica 0 is cut off just after an
+/// install reached it, so the install's delayed commit comes due after
+/// its gate has closed — and after its successor, opening its own
+/// session, has multicast the old version's installed lease from its
+/// recovery start. A commit then would make cached reads stale until the
+/// successor's next tick; the store fence refuses it, and the install is
+/// lost like any other message of a deposed server.
+#[test]
+fn a_deposed_grantor_commits_nothing() {
+    const CUT_AT: Duration = Duration::from_secs(2);
+    for _ in 0..10 {
+        let started = Instant::now();
+        let cut = FaultPlan::new(1).cut_replica(CUT_AT.into(), (CUT_AT * 2).into(), 0);
+        let sys = RtSystem::builder()
+            .term(Dur::from_millis(200))
+            .client(|c| c.max_retries = 200)
+            .quorum(QuorumConfig::quick())
+            .installed_file("/bin/latex", b"v1".as_ref())
+            .installed_multicast(Dur::from_millis(20), Dur::from_secs(1))
+            .chaos(cut)
+            .start();
+        wait_for("a grantor", Duration::from_secs(5), || {
+            sys.current_grantor().is_some()
+        });
+        if sys.current_grantor() != Some(0) {
+            sys.shutdown(); // The plan cuts replica 0: try again.
+            continue;
+        }
+        let latex = sys.lookup("/bin/latex").unwrap();
+        let c0 = sys.client(0);
+        // Granted once the grantor's recovery (the 1 s installed term)
+        // is over.
+        assert_eq!(c0.read(latex).unwrap(), Bytes::from_static(b"v1"));
+        let install_at = started + CUT_AT - Duration::from_millis(50);
+        std::thread::sleep(install_at.saturating_duration_since(Instant::now()));
+        sys.install(latex, b"v2".as_ref());
+        // Through the cut, the succession and the deposed deadline.
+        while started.elapsed() < CUT_AT + Duration::from_millis(1_500) {
+            let _ = c0.read(latex);
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        let history = sys.history();
+        sys.shutdown();
+        let res = check_history(&history);
+        assert!(res.is_ok(), "violations: {:?}", res.err());
+        return;
+    }
+    panic!("replica 0 never won the first election");
+}
+
 /// A plan's shard-level faults act under a quorum too: the kill names a
 /// shard, and that shard restarts on every replica — the grantor's once
 /// more than its takeover recovery alone accounts for.

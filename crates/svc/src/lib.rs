@@ -61,11 +61,11 @@
 //!   deadline has already passed. Granted terms are the policy's, however
 //!   hot the shard runs: pacing is the client's, through `retry_after`.
 //! * **Supervision** — each shard worker runs under a supervisor that
-//!   catches panics and restarts the shard through §5 MaxTerm recovery on
-//!   the *same* lanes; restart epochs are folded into global write ids
-//!   so approvals addressed to a dead incarnation are dropped, not
-//!   misapplied ([`SvcHandle::kill_shard`] injects such a crash on
-//!   purpose).
+//!   restarts the shard through §5 MaxTerm recovery on the *same* lanes
+//!   after a panic ([`SvcHandle::kill_shard`] injects one) or a move of
+//!   the serving session ([`SvcHooks::session`]); restart epochs are
+//!   folded into global write ids so approvals addressed to a dead
+//!   incarnation are dropped, not misapplied.
 //! * **Chaos** — seeded, deterministic fault plans ([`chaos::FaultPlan`])
 //!   describe shard kills, message drop/delay/duplication, link cuts, and
 //!   clock faults for transports and harnesses to replay.

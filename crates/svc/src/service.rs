@@ -136,6 +136,13 @@ pub struct SvcHooks {
     /// chaos harnesses inject a skewed/drifting model clock here to subject
     /// the *server* to the §5 clock-failure modes.
     pub clock: Option<Arc<dyn Clock>>,
+    /// The serving session the shards answer for (a replicated grantor's
+    /// count of fresh acquisitions), read after every gather: once it has
+    /// moved, the shard restarts through the crash path — factory, §5
+    /// recovery from [`SvcHooks::recover_max_term`], epoch bump — before it
+    /// fires a timer or handles an input. A session must be published
+    /// before traffic for it is let in. `None`: one session, ever.
+    pub session: Option<Arc<dyn Fn() -> u64 + Send + Sync>>,
 }
 
 /// The shard that owns `resource`: a stable hash of the key, mod `shards`.
@@ -1623,6 +1630,146 @@ mod tests {
         for p in producers {
             p.join().unwrap();
         }
+    }
+
+    const SESSION_TERM: Dur = Dur::from_millis(300);
+
+    /// A service over resource 7 on `SESSION_TERM` leases whose shards
+    /// answer for the returned session, with the max term persisted in
+    /// memory, and whose workers hand every reply to a clone of `send`.
+    fn session_service<F>(shards: usize, send: F) -> (LeaseService<u64, String>, Arc<AtomicU64>)
+    where
+        F: Fn(Msg) + Clone + Send + Sync + 'static,
+    {
+        let session = Arc::new(AtomicU64::new(0));
+        let persisted = Arc::new(AtomicU64::new(0));
+        let hooks = SvcHooks {
+            persist_max_term: Some(Arc::new({
+                let persisted = Arc::clone(&persisted);
+                move |d: Dur| persisted.store(d.as_nanos(), Ordering::SeqCst)
+            })),
+            recover_max_term: Some(Arc::new(move || {
+                Some(Dur(persisted.load(Ordering::SeqCst))).filter(|d| !d.is_zero())
+            })),
+            session: Some(Arc::new({
+                let session = Arc::clone(&session);
+                move || session.load(Ordering::SeqCst)
+            })),
+            ..SvcHooks::default()
+        };
+        let cfg = SvcConfig {
+            shards,
+            ..SvcConfig::default()
+        };
+        let svc = LeaseService::spawn(cfg, Arc::new(FifoSink(send)), hooks, |_| {
+            let mut store = MemStorage::new();
+            store.insert(7u64, "v7".to_string());
+            (
+                LeaseServer::new(ServerConfig::fixed(SESSION_TERM)),
+                Box::new(store) as Box<dyn Storage<u64, String> + Send>,
+            )
+        });
+        (svc, session)
+    }
+
+    fn write7(req: u64) -> ToServer<u64, String> {
+        ToServer::Write {
+            req: ReqId(req),
+            resource: 7,
+            data: format!("w{req}"),
+        }
+    }
+
+    /// A moved session restarts each shard into §5 recovery before it
+    /// handles the batch that carried the move — even when the move
+    /// lands after the wakeup began, while the shard sits in its flush.
+    /// Client A holds a lease and approves whatever it is asked at once,
+    /// so only recovery can hold B's write: the new incarnation knows
+    /// nothing of A's lease and waits out the persisted term instead.
+    /// Each shard restarts once per session, and not again while the
+    /// session stands.
+    #[test]
+    fn a_moved_session_sends_every_shard_into_recovery_before_its_batch() {
+        let (tx, rx) = unbounded();
+        // The sink blocks while the test holds `hold`, and says so.
+        let hold = Arc::new(Mutex::new(()));
+        let blocked = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let sink = {
+            let (hold, blocked) = (Arc::clone(&hold), Arc::clone(&blocked));
+            move |m| {
+                blocked.store(true, Ordering::SeqCst);
+                let _held = hold.lock().unwrap();
+                let _ = tx.send(m);
+            }
+        };
+        let (svc, session) = session_service(2, sink);
+        let h = svc.handle();
+        let (a, b) = (ClientId(0), ClientId(1));
+
+        let held = hold.lock().unwrap();
+        send(&h, a, fetch(7)).unwrap();
+        while !blocked.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        // The shard is flushing A's grant: its wakeup began in session 0.
+        session.store(1, Ordering::SeqCst);
+        let moved = Instant::now();
+        send(&h, b, write7(100)).unwrap();
+        drop(held);
+
+        assert!(matches!(recv(&rx), (to, ToClient::Grants { .. }) if to == a));
+        let mut asked = 0;
+        loop {
+            match recv(&rx) {
+                (to, ToClient::ApprovalRequest { write_id, .. }) => {
+                    assert_eq!(to, a);
+                    asked += 1;
+                    send(&h, a, ToServer::Approve { write_id }).unwrap();
+                }
+                (to, ToClient::WriteDone { .. }) => {
+                    assert_eq!(to, b);
+                    break;
+                }
+                other => panic!("unexpected reply {other:?}"),
+            }
+        }
+        let waited = moved.elapsed();
+        assert_eq!(asked, 0, "the old incarnation handled the write");
+        assert!(
+            waited >= Duration::from(SESSION_TERM),
+            "the write committed {waited:?} after the session moved, inside the {SESSION_TERM} term"
+        );
+        assert_eq!(svc.stats().unwrap().restarts, vec![1, 1]);
+        assert_eq!(svc.stats().unwrap().restarts, vec![1, 1]);
+        session.store(2, Ordering::SeqCst);
+        assert_eq!(svc.stats().unwrap().restarts, vec![2, 2]);
+        svc.shutdown();
+    }
+
+    /// A timer the old session armed does not fire in the new one: a
+    /// write deferred behind A's lease (A never answers) dies with the
+    /// old incarnation instead of committing at A's expiry. Its writer's
+    /// retransmission would meet the new incarnation's recovery.
+    #[test]
+    fn a_timer_armed_before_the_session_moved_never_fires() {
+        let (tx, rx) = unbounded();
+        let (svc, session) = session_service(1, move |m| {
+            let _ = tx.send(m);
+        });
+        let h = svc.handle();
+        let (a, b) = (ClientId(0), ClientId(1));
+        send(&h, a, fetch(7)).unwrap();
+        assert!(matches!(recv(&rx), (to, ToClient::Grants { .. }) if to == a));
+        send(&h, b, write7(100)).unwrap();
+        assert!(matches!(recv(&rx), (to, ToClient::ApprovalRequest { .. }) if to == a));
+        session.store(1, Ordering::SeqCst);
+        let quiet = rx.recv_timeout(Duration::from(SESSION_TERM) * 2);
+        assert!(
+            quiet.is_err(),
+            "the old session's write deadline fired: {quiet:?}"
+        );
+        assert_eq!(svc.stats().unwrap().restarts, vec![1]);
+        svc.shutdown();
     }
 
     #[test]

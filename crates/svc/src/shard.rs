@@ -30,7 +30,8 @@
 //!
 //! The thread is a *supervisor loop*: the worker proper runs inside
 //! [`std::panic::catch_unwind`], and a panic — organic or injected via
-//! [`ShardMsg::Kill`] — is treated as a §5 server crash. The supervisor
+//! [`ShardMsg::Kill`] — is a §5 server crash, and so, with no panic, is
+//! a move of [`SvcHooks::session`] seen after a gather. The supervisor
 //! rebuilds the state machine from the shard factory, replays MaxTerm
 //! recovery from whatever [`SvcHooks::recover_max_term`] persisted, and
 //! resumes on the *same* lanes, so [`crate::SvcHandle`]s held by clients
@@ -317,6 +318,8 @@ enum Exit {
     Shutdown,
     /// Every handle is gone and the lanes are dry.
     Disconnected,
+    /// The serving session moved: restart as after a crash.
+    Succession,
 }
 
 /// One egress flush: everything the wakeup accumulated leaves through
@@ -347,6 +350,9 @@ where
     R: Resource,
     D: Clone + Send + 'static,
 {
+    // The session this incarnation answers for, read before it is built.
+    let session = || ctx.hooks.session.as_ref().map_or(0, |f| f());
+    let mine = session();
     let (mut server, mut storage) = (ctx.factory)(ctx.index as usize);
     let now = ctx.clock.now();
     let mut timers = Timers::new(WHEEL_TICK, now);
@@ -375,29 +381,8 @@ where
     // park on the condvar exactly as before.
     let mut hot = false;
     loop {
-        // Fire due wheel entries, skipping superseded ones.
-        fired.clear();
-        timers.wheel.advance_into(ctx.clock.now(), &mut fired);
-        for &(at, k) in &fired {
-            if !timers.claim(at, k) {
-                continue;
-            }
-            let timer = match k {
-                WheelKey::Prune => {
-                    server.prune(ctx.clock.now());
-                    continue;
-                }
-                WheelKey::InstalledTick => ServerTimer::InstalledTick,
-                WheelKey::WriteDeadline(w) => ServerTimer::WriteDeadline(w),
-            };
-            let input = ServerInput::Timer(timer);
-            server.handle_into(ctx.clock.now(), input, &mut *storage, &mut outs);
-            apply(&mut outs, &mut timers, &mut outbox, ctx, epoch);
-        }
-        timers.arm_prune(server.table().next_expiry());
-
-        // One egress flush per wakeup: everything the drained batch and
-        // the wheel advance produced leaves in a single sink call.
+        // One egress flush per wakeup: everything the last batch and wheel
+        // advance produced leaves in a single sink call.
         flush_outbox(wsink, &mut outbox);
 
         // Gather input (unless a replayed stash is already pending).
@@ -448,6 +433,32 @@ where
                     // the wheel advance and re-gather.
                 }
             }
+        }
+        // The session, before any timer fires or input is handled: input a
+        // new session let in carries its number (published before the gate
+        // opened, read after the drain). The batch goes to the next one.
+        if session() != mine {
+            *ctx.stash.lock().expect("never held across a panic") = std::mem::take(&mut batch);
+            return Exit::Succession;
+        }
+        // Fire due wheel entries, skipping superseded ones.
+        fired.clear();
+        timers.wheel.advance_into(ctx.clock.now(), &mut fired);
+        for &(at, k) in &fired {
+            if !timers.claim(at, k) {
+                continue;
+            }
+            let timer = match k {
+                WheelKey::Prune => {
+                    server.prune(ctx.clock.now());
+                    continue;
+                }
+                WheelKey::InstalledTick => ServerTimer::InstalledTick,
+                WheelKey::WriteDeadline(w) => ServerTimer::WriteDeadline(w),
+            };
+            let input = ServerInput::Timer(timer);
+            server.handle_into(ctx.clock.now(), input, &mut *storage, &mut outs);
+            apply(&mut outs, &mut timers, &mut outbox, ctx, epoch);
         }
         hot = !batch.is_empty();
         // Admission pressure: occupancy *behind* this drain — what is
@@ -624,6 +635,7 @@ where
             }
             batch.clear();
         }
+        timers.arm_prune(server.table().next_expiry());
     }
 }
 
@@ -653,11 +665,11 @@ where
                     run(&ctx, &mut lanes, &mut *wsink, epoch)
                 })) {
                     Ok(Exit::Shutdown) | Ok(Exit::Disconnected) => break,
-                    Err(_) => {
-                        // Crash: restart on the same lanes with the next
-                        // epoch. Unprocessed inputs queued behind the
-                        // panic are handled by the new incarnation, which
-                        // answers them with fresh (post-recovery) state.
+                    Ok(Exit::Succession) | Err(_) => {
+                        // Restart on the same lanes with the next epoch.
+                        // Unprocessed inputs queued behind the crash are
+                        // handled by the new incarnation, which answers
+                        // them with fresh (post-recovery) state.
                         epoch = epoch.wrapping_add(1);
                         ctx.restarts.fetch_add(1, Ordering::Relaxed);
                     }

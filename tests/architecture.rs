@@ -380,6 +380,26 @@ const RULES: &[Rule] = &[
         ]),
     },
     Rule {
+        name: "One succession step (a shard enters §5 recovery itself)",
+        reason: "A fresh acquisition bumps the GrantorGate's session, and each shard, \
+                 reading it through SvcHooks::session at every wakeup, restarts before \
+                 it answers for the new grantor. An acquisition hook, a registry of \
+                 service handles, or a shard kill through a bare service handle (the \
+                 plan's kill schedule goes through router.svc(r)) means the restart is \
+                 pushed from outside again, after the gate has opened.",
+        check: Check::Grep {
+            paths: &["crates/rt/src", "crates/quorum/src"],
+            code_only: false,
+            forbidden: &[
+                Lit("on_acquire"),
+                Lit("QuorumHooks { on_acquire"),
+                Lit("Mutex<Vec<SvcHandle"),
+                Lit("svc.kill_shard("),
+                Lit("handle().kill_shard("),
+            ],
+        },
+    },
+    Rule {
         name: "One simulated client (the write-back tokens run on lease-vsys's actors)",
         reason: "lease-wb's cache and server run on lease-vsys's ClientActor and \
                  ServerActor in a world lease_vsys::assemble builds; an actor or a \
