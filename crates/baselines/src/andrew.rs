@@ -17,13 +17,13 @@
 use std::collections::{HashMap, HashSet};
 
 use lease_clock::{Dur, Time};
-use lease_core::{ClientId, Grant, LeaseHandle, MemStorage, Storage, ToClient, ToServer, WriteId};
+use lease_core::{ClientId, Grant, LeaseHandle, Storage, ToClient, ToServer, WriteId};
 use lease_sim::{Actor, ActorId, Ctx};
-use lease_vsys::{HistoryEvent, NetMsg, Res, SharedHistory};
+use lease_vsys::{HistoryEvent, NetMsg, Res, SharedHistory, Store};
 
 /// The Andrew-style callback server.
 pub struct AndrewServerActor {
-    storage: MemStorage<Res, u64>,
+    storage: Store,
     /// Callback promises: resource -> clients to notify on write.
     callbacks: HashMap<Res, HashSet<ClientId>>,
     clients: Vec<ActorId>,
@@ -35,7 +35,7 @@ pub struct AndrewServerActor {
 impl AndrewServerActor {
     /// Creates the server. `clients[i]` is client `i`'s actor id.
     pub fn new(
-        storage: MemStorage<Res, u64>,
+        storage: Store,
         clients: Vec<ActorId>,
         history: SharedHistory,
         warmup: Time,

@@ -10,13 +10,13 @@
 use std::collections::HashMap;
 
 use lease_clock::{Dur, Time};
-use lease_core::{ClientId, Grant, LeaseHandle, MemStorage, Storage, ToClient, ToServer, Version};
+use lease_core::{ClientId, Grant, LeaseHandle, Storage, ToClient, ToServer, Version};
 use lease_sim::{Actor, ActorId, Ctx};
-use lease_vsys::{HistoryEvent, NetMsg, Res, SharedHistory};
+use lease_vsys::{HistoryEvent, NetMsg, Res, SharedHistory, Store};
 
 /// The stateless TTL server.
 pub struct NfsServerActor {
-    storage: MemStorage<Res, u64>,
+    storage: Store,
     ttl: Dur,
     clients: Vec<ActorId>,
     history: SharedHistory,
@@ -28,7 +28,7 @@ pub struct NfsServerActor {
 impl NfsServerActor {
     /// Creates the server with the given time-to-live.
     pub fn new(
-        storage: MemStorage<Res, u64>,
+        storage: Store,
         ttl: Dur,
         clients: Vec<ActorId>,
         history: SharedHistory,

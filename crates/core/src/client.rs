@@ -588,7 +588,7 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
     }
 
     /// Builds the fetch for `resource` sent at `now`, piggybacking every
-    /// other entry that is due (`renew_after <= now`), sorted by resource.
+    /// other entry that is due (`renew_after <= now`), in `entries` order.
     /// Each due entry — the target too, which the fetch itself extends —
     /// then waits until `retry_at`, this transmission's retry instant,
     /// before it is due again: a concurrent miss does not repeat it, the
@@ -617,7 +617,6 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
                 }
             }
         }
-        also_extend.sort_unstable_by_key(|(r, _, _)| *r);
         self.counters.renewals_piggybacked += also_extend.len() as u64;
         ToServer::Fetch {
             req,
@@ -702,7 +701,7 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
                 // Version-floor check: a delayed (retransmission-replayed)
                 // WriteDone must never re-install data older than anything
                 // this cache has already observed or approved away.
-                let below_floor = self.floor.get(&resource).is_some_and(|f| version < *f);
+                let fresh = self.observe(resource, version);
                 // While ANY other of our writes to this resource is still
                 // in flight, nothing may be cached: retransmissions can
                 // commit in arbitrary order at the server, so any pending
@@ -711,10 +710,7 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
                     .requests
                     .values()
                     .any(|p| matches!(p, Pending::Write { resource: r, .. } if *r == resource));
-                if !below_floor {
-                    self.observe(resource, version);
-                }
-                if !below_floor && !another_pending {
+                if fresh && !another_pending {
                     // WriteDone carries no handle; the first renewal takes
                     // the keyed path and picks one up.
                     self.insert_entry(now, resource, data, version, lease, LeaseHandle::NULL, out);
@@ -917,10 +913,9 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
         // approved the replacement of) is stale; it may still be served to
         // waiting ops (their intervals overlap its validity) but must
         // never be cached.
-        if self.floor.get(&g.resource).is_some_and(|f| g.version < *f) {
+        if !self.observe(g.resource, g.version) {
             return;
         }
-        self.observe(g.resource, g.version);
         // Our own in-flight write carries our implicit approval: the
         // server may commit it at any moment without asking us, so no
         // grant may (re)establish a cached copy until the write resolves
@@ -960,10 +955,16 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
         }
     }
 
-    /// Raises the version floor for `resource` to at least `version`.
-    fn observe(&mut self, resource: R, version: Version) {
+    /// Raises the version floor for `resource` to at least `version`, in
+    /// one probe. Returns whether `version` was at or above the floor: a
+    /// version below it is stale and leaves the floor where it was.
+    fn observe(&mut self, resource: R, version: Version) -> bool {
         let f = self.floor.entry(resource).or_insert(version);
-        *f = (*f).max(version);
+        if version < *f {
+            return false;
+        }
+        *f = version;
+        true
     }
 
     #[allow(clippy::too_many_arguments)] // the fields of one new Entry
@@ -1014,12 +1015,11 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
                 if let Some(interval) = self.cfg.anticipatory {
                     if !self.entries.is_empty() {
                         let req = self.fresh_req();
-                        let mut resources: Vec<(R, Version, LeaseHandle)> = self
+                        let resources: Vec<(R, Version, LeaseHandle)> = self
                             .entries
                             .iter()
                             .map(|(r, e)| (*r, e.version, e.handle))
                             .collect();
-                        resources.sort_unstable_by_key(|(r, _, _)| *r);
                         self.requests
                             .insert(req, Pending::Renew { first_sent: now });
                         out.push(ClientOutput::Send(ToServer::Renew { req, resources }));
@@ -1706,10 +1706,9 @@ mod tests {
             }
             let all = piggybacked(&read(&mut c, t(5_000), 1, 99));
             assert_eq!(all.len(), 64);
-            assert!(
-                all.windows(2).all(|w| w[0].0 < w[1].0),
-                "sorted by resource, none twice"
-            );
+            let distinct: std::collections::BTreeSet<u64> =
+                all.iter().map(|(r, _, _)| *r).collect();
+            assert_eq!(distinct.len(), 64, "none twice");
             assert_eq!(c.counters.renewals_piggybacked, 64);
             // On the wire, none of them is repeated by the next miss ...
             let next = piggybacked(&read(&mut c, t(5_001), 2, 98)).len();
@@ -1722,7 +1721,7 @@ mod tests {
     /// What the rule says a fetch of `target` sent at `now` piggybacks:
     /// the entries that are due, and, when it repeats a transmission
     /// whose retry instant was `repeats`, the entries waiting for that
-    /// instant.
+    /// instant. Sorted by resource; nothing reads the order on the wire.
     fn naive_due(
         c: &C,
         now: Time,
@@ -1892,7 +1891,9 @@ mod tests {
                     let armed = armed.expect("a request goes out with its retry timer");
                     if let ToServer::Fetch { also_extend, .. } = m {
                         if let Some(expect) = &expect {
-                            prop_assert_eq!(also_extend, expect, "at {:?}", now);
+                            let mut sent = also_extend.clone();
+                            sent.sort_unstable_by_key(|(r, _, _)| *r);
+                            prop_assert_eq!(&sent, expect, "at {:?}", now);
                         }
                         for (r, _, _) in also_extend {
                             prop_assert_eq!(c.entries[r].renew_after, armed);

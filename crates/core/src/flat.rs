@@ -17,10 +17,11 @@
 //! a `FlatMap<u64, u32>` bucket is 16 B, against hashbrown's 16 B plus a
 //! control byte.
 //!
-//! The hasher stays `RandomState`: a client picks these keys, and a
+//! The default hasher is `RandomState`: a client picks these keys, and a
 //! linear-probing table is exactly where keys that collide in their low
 //! bits turn into one long chain (`hash.rs`,
-//! `fx_collides_on_keys_equal_in_their_low_bits`).
+//! `fx_collides_on_keys_equal_in_their_low_bits`). Only an owner that
+//! picks every key itself names another hasher: the simulator's store.
 
 use std::collections::hash_map::RandomState;
 use std::fmt;

@@ -30,6 +30,12 @@
 //! keeps std's `RandomState`: Fx of one word is `w·K`, so keys that agree
 //! in their low bits hash to buckets that agree in their low bits, and a
 //! peer could pick keys that all collide.
+//!
+//! The rule follows the keys, not the type that holds them. One type can
+//! serve both sides through a hasher parameter: [`crate::MemStorage`]'s
+//! `new` is the `RandomState` store every real server builds, and the
+//! simulator, which picks every resource id itself, names its store
+//! under [`FxHasher`] (`lease_vsys::Store`).
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

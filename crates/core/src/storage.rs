@@ -1,5 +1,16 @@
 //! The primary-copy storage interface the server state machine writes
 //! through.
+//!
+//! [`MemStorage`]'s hasher follows the rule in `hash.rs`: who picks the
+//! keys decides. A store a peer writes into — every real server's — keys
+//! its map by resource ids a client sends, so [`MemStorage::new`] gives
+//! it std's `RandomState`. The simulator picks every key itself (the
+//! trace's file ids), so its store takes lease-core's Fx hasher through
+//! the hasher parameter (`lease_vsys::Store`), and a renewal there costs
+//! a multiply instead of a SipHash.
+
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 
 use crate::flat::FlatMap;
 use crate::types::{Resource, Version};
@@ -28,23 +39,26 @@ pub trait Storage<R, D> {
     }
 }
 
-/// An in-memory storage for tests and the real-time runtime, on a
-/// [`FlatMap`] so a deep store costs one cache miss per lookup and can
-/// be prefetched.
+/// An in-memory storage for tests, the real-time runtime and the
+/// simulator, on a [`FlatMap`] so a deep store costs one cache miss per
+/// lookup and can be prefetched. `S` hashes its keys (see the module
+/// docs); `Default` builds a store under any `S: Default`.
 #[derive(Debug, Clone, Default)]
-pub struct MemStorage<R, D> {
-    // RandomState: `write` inserts any resource id a client writes.
-    map: FlatMap<R, (D, Version)>,
+pub struct MemStorage<R, D, S = RandomState> {
+    map: FlatMap<R, (D, Version), S>,
 }
 
-impl<R: Resource, D: Clone + Default> MemStorage<R, D> {
-    /// An empty storage.
-    pub fn new() -> MemStorage<R, D> {
+impl<R: Resource, D: Clone + Default> MemStorage<R, D, RandomState> {
+    /// An empty storage under `RandomState`, for a store a peer writes
+    /// into: `write` inserts any resource id a client writes.
+    pub fn new() -> MemStorage<R, D, RandomState> {
         MemStorage {
             map: FlatMap::new(),
         }
     }
+}
 
+impl<R: Resource, D: Clone + Default, S: BuildHasher> MemStorage<R, D, S> {
     /// Creates a resource with initial contents at version 1.
     pub fn insert(&mut self, resource: R, data: D) {
         self.map.insert(resource, (data, Version(1)));
@@ -74,7 +88,7 @@ impl<R: Resource, D: Clone + Default> MemStorage<R, D> {
     }
 }
 
-impl<R: Resource, D: Clone + Default> Storage<R, D> for MemStorage<R, D> {
+impl<R: Resource, D: Clone + Default, S: BuildHasher> Storage<R, D> for MemStorage<R, D, S> {
     fn read(&self, resource: &R) -> Option<(D, Version)> {
         self.map.get(resource).cloned()
     }

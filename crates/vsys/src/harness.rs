@@ -2,8 +2,7 @@
 
 use lease_clock::{Dur, Time};
 use lease_core::{
-    AdaptiveTerm, ClientId, CompensatedTerm, LeaseClient, LeaseServer, MemStorage, RecoveryMode,
-    ServerConfig,
+    AdaptiveTerm, ClientId, CompensatedTerm, LeaseClient, LeaseServer, RecoveryMode, ServerConfig,
 };
 use lease_net::SimNet;
 use lease_sim::{ActorId, World};
@@ -16,7 +15,7 @@ use crate::driver::OpDriver;
 use crate::history::{self, SharedHistory};
 use crate::report::RunReport;
 use crate::server_actor::ServerActor;
-use crate::types::{Data, NetMsg, Res};
+use crate::types::{NetMsg, Store};
 
 /// A built, ready-to-run system whose network carries `M`.
 pub struct RunHandle<M = NetMsg> {
@@ -75,7 +74,7 @@ pub fn assemble<C: SimCache>(
     mut new_cache: impl FnMut(ClientId) -> C,
     add_server: impl FnOnce(
         &mut World<NetMsg<C::Up, C::Down>>,
-        MemStorage<Res, Data>,
+        Store,
         Vec<ActorId>,
         &SharedHistory,
     ) -> ActorId,
@@ -93,7 +92,7 @@ pub fn assemble<C: SimCache>(
     // Ids are deterministic: server first, then clients.
     let client_ids: Vec<ActorId> = (0..n).map(|i| ActorId(1 + i as usize)).collect();
     // Primary storage: every trace file exists at version 1.
-    let mut storage = MemStorage::new();
+    let mut storage = Store::default();
     for f in &trace.files {
         storage.insert(f.id, 0);
     }

@@ -59,4 +59,4 @@ pub use lease_core::ClientConfig;
 pub use lease_svc::chaos::FaultPlan;
 pub use report::RunReport;
 pub use server_actor::{ServerActor, ServerEffect, ServerEvent, SimServer};
-pub use types::{Data, NetMsg, Res};
+pub use types::{Data, NetMsg, Res, Store};

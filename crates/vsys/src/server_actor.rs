@@ -2,13 +2,13 @@
 
 use lease_clock::{ClockModel, Dur, Time};
 use lease_core::{
-    ClientId, FxMap, LeaseServer, MemStorage, ServerInput, ServerOutput, ServerTimer, ToClient,
-    ToServer, Version, WriteId,
+    ClientId, FxMap, LeaseServer, ServerInput, ServerOutput, ServerTimer, ToClient, ToServer,
+    Version, WriteId,
 };
 use lease_sim::{Actor, ActorId, Ctx, TimerId};
 
 use crate::history::{HistoryEvent, SharedHistory};
-use crate::types::{Data, NetMsg, Res};
+use crate::types::{Data, NetMsg, Res, Store};
 
 /// A sans-IO file server the [`ServerActor`] can drive: the lease server
 /// of `lease-core` and the write-back token server of `lease-wb`.
@@ -24,7 +24,7 @@ pub trait SimServer: 'static {
     type Output;
 
     /// Starts at local time `now` over the primary storage.
-    fn start(&mut self, _now: Time, _storage: &MemStorage<Res, Data>) -> Vec<Self::Output> {
+    fn start(&mut self, _now: Time, _storage: &Store) -> Vec<Self::Output> {
         Vec::new()
     }
     /// Handles one event at local time `now`.
@@ -32,7 +32,7 @@ pub trait SimServer: 'static {
         &mut self,
         now: Time,
         event: ServerEvent<Self::Up>,
-        storage: &mut MemStorage<Res, Data>,
+        storage: &mut Store,
     ) -> Vec<Self::Output>;
     /// Wipes the volatile state. A server without §5 recovery refuses.
     fn crash(&mut self) {
@@ -44,7 +44,7 @@ pub trait SimServer: 'static {
         _now: Time,
         _max_term: Option<Dur>,
         _leases: Vec<(Res, ClientId, Time)>,
-        _storage: &MemStorage<Res, Data>,
+        _storage: &Store,
     ) -> Vec<Self::Output> {
         panic!("this server has no §5 crash recovery");
     }
@@ -91,7 +91,7 @@ impl SimServer for LeaseServer<Res, Data> {
     type Down = ToClient<Res, Data>;
     type Output = ServerOutput<Res, Data>;
 
-    fn start(&mut self, now: Time, storage: &MemStorage<Res, Data>) -> Vec<Self::Output> {
+    fn start(&mut self, now: Time, storage: &Store) -> Vec<Self::Output> {
         LeaseServer::start(self, now, storage)
     }
 
@@ -99,7 +99,7 @@ impl SimServer for LeaseServer<Res, Data> {
         &mut self,
         now: Time,
         event: ServerEvent<Self::Up>,
-        storage: &mut MemStorage<Res, Data>,
+        storage: &mut Store,
     ) -> Vec<Self::Output> {
         let input = match event {
             ServerEvent::Msg(from, msg) => ServerInput::Msg { from, msg },
@@ -120,7 +120,7 @@ impl SimServer for LeaseServer<Res, Data> {
         now: Time,
         max_term: Option<Dur>,
         leases: Vec<(Res, ClientId, Time)>,
-        storage: &MemStorage<Res, Data>,
+        storage: &Store,
     ) -> Vec<Self::Output> {
         LeaseServer::recover(self, now, max_term, leases, storage)
     }
@@ -181,7 +181,7 @@ pub struct ServerActor<S: SimServer = LeaseServer<Res, Data>> {
     /// The protocol state machine.
     pub server: S,
     /// Primary storage: models the disk, so it survives crashes.
-    pub storage: MemStorage<Res, Data>,
+    pub storage: Store,
     clock: ClockModel,
     /// ClientId -> ActorId mapping (dense).
     clients: Vec<ActorId>,
@@ -198,7 +198,7 @@ impl<S: SimServer> ServerActor<S> {
     /// Creates the actor. `clients[i]` must be the ActorId of client `i`.
     pub fn new(
         server: S,
-        storage: MemStorage<Res, Data>,
+        storage: Store,
         clock: ClockModel,
         clients: Vec<ActorId>,
         history: SharedHistory,

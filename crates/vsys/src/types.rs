@@ -1,6 +1,8 @@
 //! Shared type aliases and the wire message enum.
 
-use lease_core::{ToClient, ToServer};
+use std::hash::BuildHasherDefault;
+
+use lease_core::{FxHasher, MemStorage, ToClient, ToServer};
 
 /// The leased resource key: the trace's file id (regular files, installed
 /// files, and directories alike — a directory read models the name lookup
@@ -11,6 +13,14 @@ pub type Res = u64;
 /// message counts and delays, which do not depend on payload bytes. Write
 /// tokens are unique per (client, sequence) so the oracle can correlate.
 pub type Data = u64;
+
+/// The simulated server's primary storage. Fx-hashed: the simulator picks
+/// every key (the trace's file ids), so no peer can aim keys at one
+/// bucket, and a piggybacked renewal's store lookup costs a multiply
+/// instead of a SipHash (`lease_core::hash`, "who picks the keys decides
+/// the hasher"). A real server's store keeps `MemStorage`'s default,
+/// `RandomState`.
+pub type Store = MemStorage<Res, Data, BuildHasherDefault<FxHasher>>;
 
 /// Everything that crosses the simulated network: one protocol's
 /// client-to-server messages `U` and server-to-client messages `D`. The

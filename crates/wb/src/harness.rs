@@ -3,11 +3,11 @@
 //! is built by [`lease_vsys::assemble`].
 
 use lease_clock::{ClockModel, Dur, Time};
-use lease_core::{MemStorage, Version};
+use lease_core::Version;
 use lease_net::NetParams;
 use lease_vsys::{
     assemble, CacheEffect, CacheEvent, CrashEvent, Data, NodeSel, Res, RunReport, ServerActor,
-    ServerEffect, ServerEvent, SharedHistory, SimCache, SimServer, SystemConfig,
+    ServerEffect, ServerEvent, SharedHistory, SimCache, SimServer, Store, SystemConfig,
 };
 use lease_workload::Trace;
 
@@ -149,7 +149,7 @@ impl SimServer for WbServer<Res, Data> {
         &mut self,
         now: Time,
         event: ServerEvent<Self::Up>,
-        storage: &mut MemStorage<Res, Data>,
+        storage: &mut Store,
     ) -> Vec<Self::Output> {
         let input = match event {
             ServerEvent::Msg(from, msg) => WbServerInput::Msg { from, msg },

@@ -1,6 +1,7 @@
 //! The write-back lease (token) server.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::hash::BuildHasher;
 
 use lease_clock::{Dur, Time};
 use lease_core::{ClientId, LeaseTable, MemStorage, ReqId, Resource, Version};
@@ -107,11 +108,11 @@ impl<R: Resource, D: Clone + Default> WbServer<R, D> {
     }
 
     /// Handles one input against the primary storage.
-    pub fn handle(
+    pub fn handle<H: BuildHasher>(
         &mut self,
         now: Time,
         input: WbServerInput<R, D>,
-        store: &mut MemStorage<R, D>,
+        store: &mut MemStorage<R, D, H>,
     ) -> Vec<WbServerOutput<R, D>> {
         let mut out = Vec::new();
         match input {
@@ -187,14 +188,14 @@ impl<R: Resource, D: Clone + Default> WbServer<R, D> {
     /// Commits `from`'s write-back if it holds the write lease under
     /// `reservation`, and acknowledges it either way.
     #[allow(clippy::too_many_arguments)] // private helper: one flush's fields
-    fn write_back(
+    fn write_back<H: BuildHasher>(
         &mut self,
         from: ClientId,
         req: ReqId,
         resource: R,
         reservation: Option<u64>,
         (version, data): (Version, D),
-        store: &mut MemStorage<R, D>,
+        store: &mut MemStorage<R, D, H>,
         out: &mut Vec<WbServerOutput<R, D>>,
     ) {
         let live = self
@@ -213,12 +214,12 @@ impl<R: Resource, D: Clone + Default> WbServer<R, D> {
 
     /// Commits a write-back idempotently: a flush and the release-time
     /// flush of the same version may both arrive.
-    fn commit(
+    fn commit<H: BuildHasher>(
         &mut self,
         resource: R,
         data: D,
         version: Version,
-        store: &mut MemStorage<R, D>,
+        store: &mut MemStorage<R, D, H>,
         out: &mut Vec<WbServerOutput<R, D>>,
     ) {
         use lease_core::Storage;
@@ -233,11 +234,11 @@ impl<R: Resource, D: Clone + Default> WbServer<R, D> {
 
     /// Tries to grant the head of `resource`'s queue, recalling conflicting
     /// holders if needed.
-    fn pump(
+    fn pump<H: BuildHasher>(
         &mut self,
         now: Time,
         resource: R,
-        store: &mut MemStorage<R, D>,
+        store: &mut MemStorage<R, D, H>,
         out: &mut Vec<WbServerOutput<R, D>>,
     ) {
         loop {
@@ -289,12 +290,12 @@ impl<R: Resource, D: Clone + Default> WbServer<R, D> {
         }
     }
 
-    fn grant(
+    fn grant<H: BuildHasher>(
         &mut self,
         now: Time,
         resource: R,
         head: PendingAcquire,
-        store: &mut MemStorage<R, D>,
+        store: &mut MemStorage<R, D, H>,
         out: &mut Vec<WbServerOutput<R, D>>,
     ) {
         use lease_core::Storage;

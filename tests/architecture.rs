@@ -322,11 +322,12 @@ const RULES: &[Rule] = &[
     },
     Rule {
         name: "One hasher rule (std maps stay off the renewal path)",
-        reason: "Maps keyed by ids this process minted, by the local application's \
-                 reads or by a simulated trace use lease-core's FxMap / FxSet; a std \
-                 HashMap or HashSet imported into the client caches, the client \
-                 runtime, the file-system simulator or its network model means SipHash \
-                 crept back onto the renewal path.",
+        reason: "Maps and stores keyed by ids this process minted, by the local \
+                 application's reads or by a simulated trace use lease-core's Fx hasher \
+                 (FxMap / FxSet, and lease_vsys::Store for the simulated server's \
+                 store); a std HashMap or HashSet imported into the client caches, the \
+                 client runtime, the file-system simulator or its network model means \
+                 SipHash crept back onto the renewal path.",
         check: Check::Grep {
             paths: &[
                 "crates/core/src/client.rs",
@@ -358,6 +359,26 @@ const RULES: &[Rule] = &[
             ],
             code_only: false,
             forbidden: &[Lit("FxMap"), Lit("FxSet"), Lit("FxHasher")],
+        },
+    },
+    Rule {
+        name: "The simulator's store follows the hasher rule",
+        reason: "The simulator picks every key of its store (the trace's file ids), \
+                 so its servers take lease_vsys::Store, a MemStorage under the Fx \
+                 hasher. A default-hasher store built or named in the simulator or the \
+                 §6 baselines puts a SipHash back on every piggybacked renewal.",
+        check: Check::Grep {
+            paths: &[
+                "crates/vsys/src",
+                "crates/baselines/src",
+                "crates/wb/src/harness.rs",
+            ],
+            code_only: false,
+            forbidden: &[
+                Lit("MemStorage::new("),
+                Lit("MemStorage<Res, Data>"),
+                Lit("MemStorage<Res, u64>"),
+            ],
         },
     },
     Rule {
