@@ -18,8 +18,9 @@ use std::collections::{HashMap, HashSet};
 
 use lease_clock::{Dur, Time};
 use lease_core::{ClientId, Grant, LeaseHandle, Storage, ToClient, ToServer, WriteId};
+use lease_faults::{HistoryEvent, SharedHistory};
 use lease_sim::{Actor, ActorId, Ctx};
-use lease_vsys::{HistoryEvent, NetMsg, Res, SharedHistory, Store};
+use lease_vsys::{NetMsg, Res, Store};
 
 /// The Andrew-style callback server.
 pub struct AndrewServerActor {

@@ -2,9 +2,8 @@
 
 use lease_clock::{Dur, Time};
 use lease_core::LeaseClient;
-use lease_vsys::{
-    assemble, run_trace_with_history, RunReport, SharedHistory, SystemConfig, TermSpec,
-};
+use lease_faults::SharedHistory;
+use lease_vsys::{assemble, run_trace_with_history, RunReport, SystemConfig, TermSpec};
 use lease_workload::Trace;
 
 use crate::andrew::AndrewServerActor;

@@ -11,8 +11,9 @@ use std::collections::HashMap;
 
 use lease_clock::{Dur, Time};
 use lease_core::{ClientId, Grant, LeaseHandle, Storage, ToClient, ToServer, Version};
+use lease_faults::{HistoryEvent, SharedHistory};
 use lease_sim::{Actor, ActorId, Ctx};
-use lease_vsys::{HistoryEvent, NetMsg, Res, SharedHistory, Store};
+use lease_vsys::{NetMsg, Res, Store};
 
 /// The stateless TTL server.
 pub struct NfsServerActor {

@@ -2,8 +2,8 @@
 
 use lease_baselines::Baseline;
 use lease_clock::{Dur, Time};
-use lease_faults::{check_history, staleness_of, Violation};
-use lease_vsys::{ClientConfig, FaultPlan, SystemConfig};
+use lease_faults::{check_history, staleness_of, FaultPlan, Violation};
+use lease_vsys::{ClientConfig, SystemConfig};
 use lease_workload::{PoissonWorkload, Trace};
 
 fn cfg() -> SystemConfig {

@@ -36,9 +36,8 @@ use std::time::{Duration, Instant};
 
 use lease_bench::sweep::{self, take_threads_arg};
 use lease_clock::{ClockModel, Dur};
-use lease_faults::{check_history, grantor_claims, Violation};
-use lease_rt::{FaultPlan, QuorumConfig, RtSystem};
-use lease_vsys::{History, HistoryEvent};
+use lease_faults::{check_history, grantor_claims, FaultPlan, History, HistoryEvent, Violation};
+use lease_rt::{QuorumConfig, RtSystem};
 
 fn env_seeds() -> Vec<u64> {
     std::env::var("LEASE_CHAOS_SEEDS")

@@ -3,8 +3,8 @@
 
 use lease_bench::{save_json, table};
 use lease_clock::{ClockModel, Dur, Time};
-use lease_faults::{check_history, staleness_of};
-use lease_vsys::{run_trace_with_history, CrashEvent, FaultPlan, NodeSel, SystemConfig, TermSpec};
+use lease_faults::{check_history, staleness_of, FaultPlan};
+use lease_vsys::{run_trace_with_history, CrashEvent, NodeSel, SystemConfig, TermSpec};
 use lease_workload::{FileClass, FileSpec, PoissonWorkload, Trace, TraceOp, TraceRecord};
 use serde::Serialize;
 

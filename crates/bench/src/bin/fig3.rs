@@ -9,8 +9,7 @@ use lease_analytic::Params;
 use lease_bench::sweep::{self, available_cores, take_threads_arg};
 use lease_bench::{figure_terms, pct, save_json, spark, table};
 use lease_clock::Dur;
-use lease_net::NetParams;
-use lease_vsys::{run_trace, SystemConfig, TermSpec};
+use lease_vsys::{run_trace, NetParams, SystemConfig, TermSpec};
 use lease_workload::VTrace;
 use serde::Serialize;
 

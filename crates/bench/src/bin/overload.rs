@@ -33,9 +33,9 @@ use lease_bench::percentile;
 use lease_bench::sweep::{self, take_threads_arg};
 use lease_clock::{Dur, Time};
 use lease_core::RetryBudget;
-use lease_faults::{check_goodput, check_history, GoodputSpec, Violation};
-use lease_rt::{FaultPlan, RtClientHandle, RtSystem, RtSystemBuilder};
-use lease_svc::{AdmissionControl, OverloadPlan};
+use lease_faults::{check_goodput, check_history, FaultPlan, GoodputSpec, OverloadPlan, Violation};
+use lease_rt::{RtClientHandle, RtSystem, RtSystemBuilder};
+use lease_svc::AdmissionControl;
 
 /// The lease term in both scenarios, and the hardened op deadline.
 const TERM: Dur = Dur::from_millis(100);

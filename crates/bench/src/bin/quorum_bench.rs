@@ -28,10 +28,10 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use lease_clock::Dur;
+use lease_faults::{FaultPlan, History, HistoryEvent};
 use lease_quorum::sim::{run as sim_run, SimConfig};
 use lease_quorum::QuorumConfig;
-use lease_rt::{FaultPlan, RtClientHandle, RtSystem};
-use lease_vsys::HistoryEvent;
+use lease_rt::{RtClientHandle, RtSystem};
 
 /// Machine-readable result row; `BENCH_quorum.json` is one of these.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -63,11 +63,7 @@ struct QuorumBench {
 const SCHEMA: &str = "lease-bench/BENCH_quorum/v1";
 
 /// Virtual time of the first `GrantorAcquired` in `h`, if any.
-fn first_acquire_ms(
-    h: &lease_vsys::History,
-    after_ms: u64,
-    not_replica: Option<u32>,
-) -> Option<f64> {
+fn first_acquire_ms(h: &History, after_ms: u64, not_replica: Option<u32>) -> Option<f64> {
     h.events.iter().find_map(|e| match e {
         HistoryEvent::GrantorAcquired { replica, at, .. }
             if at.as_nanos() > after_ms * 1_000_000

@@ -9,8 +9,8 @@
 
 use lease_bench::{save_json, table};
 use lease_clock::{Dur, Time};
-use lease_faults::check_history;
-use lease_vsys::{run_trace, CrashEvent, HistoryEvent, NodeSel, SystemConfig, TermSpec};
+use lease_faults::{check_history, HistoryEvent};
+use lease_vsys::{run_trace, CrashEvent, NodeSel, SystemConfig, TermSpec};
 use lease_wb::{run_wb_with_history, WbClientConfig, WbConfig};
 use lease_workload::PoissonWorkload;
 use serde::Serialize;

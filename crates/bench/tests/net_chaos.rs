@@ -25,9 +25,8 @@ use std::time::{Duration, Instant, SystemTime};
 use bytes::Bytes;
 use lease_clock::{Clock, Dur, SysClock, Time};
 use lease_core::Version;
-use lease_faults::check_history;
+use lease_faults::{check_history, History, HistoryEvent};
 use lease_rt::{NetClient, NetClientConfig};
-use lease_vsys::{History, HistoryEvent};
 
 const BIN: &str = env!("CARGO_BIN_EXE_net_server");
 const TERM_MS: u64 = 300;

@@ -12,7 +12,10 @@ use std::rc::Rc;
 use lease_clock::Time;
 use lease_core::{ClientId, OpId, Version};
 
-use crate::types::Res;
+/// The resource key a history names: the trace's file id (regular files,
+/// installed files, and directories alike). `lease_vsys::Res` is this
+/// alias.
+pub type Res = u64;
 
 /// One observed event.
 #[derive(Debug, Clone, Copy, PartialEq)]

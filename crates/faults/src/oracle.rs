@@ -4,7 +4,8 @@ use std::collections::HashMap;
 
 use lease_clock::{Dur, Time};
 use lease_core::{ClientId, OpId, Version};
-use lease_vsys::{History, HistoryEvent, Res};
+
+use crate::history::{History, HistoryEvent, Res};
 
 /// A consistency violation found by the oracle.
 #[derive(Debug, Clone, PartialEq)]

@@ -12,8 +12,7 @@
 
 use lease_clock::Time;
 use lease_core::{ClientId, OpId, Version};
-use lease_faults::{check_history, Violation};
-use lease_vsys::{History, HistoryEvent};
+use lease_faults::{check_history, History, HistoryEvent, Violation};
 use proptest::prelude::*;
 
 const RES: u64 = 1;

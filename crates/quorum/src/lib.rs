@@ -38,7 +38,7 @@
 //! The crate is layered like `lease-core`: [`GrantorNode`] is sans-IO
 //! (explicit `now`, messages in/out); [`sim`] runs N nodes as actors on
 //! `lease-sim`'s `World` — the event loop the file-system simulator runs
-//! on — under the same [`FaultPlan`](lease_svc::chaos::FaultPlan) the
+//! on — under the same [`FaultPlan`](lease_faults::FaultPlan) the
 //! runtime reads, for deterministic seed sweeps; [`runtime`]
 //! runs real threads with a [`GrantorGate`](runtime::GrantorGate) for the
 //! service path to consult on every grant (`lease-rt` wires that gate into

@@ -20,8 +20,8 @@ use std::thread;
 use std::time::Duration;
 
 use lease_clock::{Clock, ClockModel, ModelClock, Time};
-use lease_svc::chaos::{Delivery, LinkChaos, LiveFaults};
-use lease_vsys::HistoryEvent;
+use lease_faults::{Delivery, HistoryEvent, LinkChaos};
+use lease_svc::chaos::LiveFaults;
 
 use crate::msg::{Ballot, QuorumMsg};
 use crate::node::{GrantorNode, NodeOut, QuorumConfig};
@@ -248,7 +248,7 @@ impl Replica {
                 }
                 Ok(Input::Msg(from, msg)) => {
                     // A cut replica neither hears nor is heard.
-                    if !cut(&self.faults, self.id, from) {
+                    if !self.faults.replica_cut(self.id as usize, from as usize) {
                         let outs = self.node.handle(self.model.local(self.now()), from, msg);
                         self.dispatch(outs);
                     }
@@ -269,7 +269,7 @@ impl Replica {
         for o in outs {
             match o {
                 NodeOut::Send { to, msg } => {
-                    if cut(&self.faults, self.id, to) {
+                    if self.faults.replica_cut(self.id as usize, to as usize) {
                         continue;
                     }
                     let (from, peer) = (self.id, &self.peers[to as usize]);
@@ -285,7 +285,7 @@ impl Replica {
                             // at delivery if either end is cut by then.
                             let (faults, peer) = (Arc::clone(&self.faults), peer.clone());
                             self.faults.sleeper().after(delay, move || {
-                                if !cut(&faults, from, to) {
+                                if !faults.replica_cut(from as usize, to as usize) {
                                     for _ in 0..copies {
                                         let _ = peer.try_send(Input::Msg(from, msg));
                                     }
@@ -323,17 +323,11 @@ impl Replica {
     }
 }
 
-/// Whether the link between replicas `a` and `b` is severed right now:
-/// a cut replica neither hears nor is heard.
-fn cut(faults: &LiveFaults, a: u32, b: u32) -> bool {
-    faults.replica_cut(a as usize) || faults.replica_cut(b as usize)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lease_clock::{Dur, WallClock};
-    use lease_svc::chaos::FaultPlan;
+    use lease_faults::FaultPlan;
 
     fn wait_for<F: Fn() -> bool>(what: &str, timeout: Duration, f: F) {
         let start = std::time::Instant::now();
@@ -371,7 +365,7 @@ mod tests {
         );
         rt.shutdown();
         // The recorded claims satisfy the at-most-one-grantor invariant.
-        let history = lease_vsys::History {
+        let history = lease_faults::History {
             events: events.lock().unwrap().clone(),
         };
         let res = lease_faults::check_history(&history);

@@ -12,9 +12,8 @@
 //! replayed under a debugger.
 
 use lease_clock::{ClockModel, Dur, Time};
+use lease_faults::{history, Delivery, FaultPlan, History, HistoryEvent, LinkChaos, SharedHistory};
 use lease_sim::{Actor, ActorId, Ctx, Dest, Medium, SimRng, TimerId, World};
-use lease_svc::chaos::{Delivery, FaultPlan, LinkChaos};
-use lease_vsys::{history, History, HistoryEvent, SharedHistory};
 
 use crate::msg::QuorumMsg;
 use crate::node::{GrantorNode, NodeOut, QuorumConfig};
@@ -57,13 +56,6 @@ pub struct SimOutcome {
     pub acquisitions: u32,
 }
 
-/// Whether the link between replicas `a` and `b` is severed at `now`:
-/// a replica cut isolates its replica in both directions.
-fn cut(plan: &FaultPlan, a: ActorId, b: ActorId, now: Time) -> bool {
-    let elapsed = now.saturating_since(Time::ZERO);
-    plan.replica_cut_active(a.0, elapsed) || plan.replica_cut_active(b.0, elapsed)
-}
-
 /// The replica network: send-time cuts, the plan's per-directed-pair
 /// dice, then the wire.
 struct ReplicaNet {
@@ -84,7 +76,8 @@ impl Medium<QuorumMsg> for ReplicaNet {
         let Dest::One(to) = dest else {
             unreachable!("replicas only unicast")
         };
-        if cut(&self.plan, from, to, now) {
+        let elapsed = now.saturating_since(Time::ZERO);
+        if self.plan.replica_link_cut(from.0, to.0, elapsed) {
             return;
         }
         if let Delivery::Deliver { delay, copies } = self.links[from.0][to.0].next() {
@@ -157,7 +150,8 @@ impl Actor<QuorumMsg> for Replica {
     fn on_message(&mut self, ctx: &mut Ctx<'_, QuorumMsg>, from: ActorId, msg: QuorumMsg) {
         // A cut severs delivery too: messages in flight when the
         // partition drops are lost at the cut endpoint.
-        if cut(&self.plan, from, ctx.me(), ctx.now()) {
+        let elapsed = ctx.now().saturating_since(Time::ZERO);
+        if self.plan.replica_link_cut(from.0, ctx.me().0, elapsed) {
             return;
         }
         let local = self.clock.local(ctx.now());

@@ -2,10 +2,9 @@
 //! and the adversarial two-proposer race under clock skew.
 
 use lease_clock::{ClockModel, Dur, Time};
-use lease_faults::check_history;
+use lease_faults::{check_history, FaultPlan};
 use lease_quorum::sim::{run, SimConfig};
 use lease_quorum::{Acceptor, Ballot, QuorumConfig, QuorumMsg};
-use lease_svc::chaos::FaultPlan;
 use proptest::prelude::*;
 
 /// Case count: 24 by default (CI-friendly), override with LEASE_PROP_CASES.

@@ -6,11 +6,9 @@
 //! here is a complete reproducer.
 
 use lease_clock::{ClockModel, Dur, Time};
-use lease_faults::{check_history, staleness_of, Violation};
+use lease_faults::{check_history, staleness_of, FaultPlan, HistoryEvent, Violation};
 use lease_quorum::sim::{run, SimConfig};
 use lease_quorum::QuorumConfig;
-use lease_svc::chaos::FaultPlan;
-use lease_vsys::HistoryEvent;
 
 fn mix(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);

@@ -54,7 +54,6 @@ pub mod system;
 pub use client::{RtClientHandle, RtError};
 pub use lease_core::ClientConfig;
 pub use lease_quorum::QuorumConfig;
-pub use lease_svc::chaos::FaultPlan;
 pub use naming::{Binding, NameOp};
 pub use net::{NetClient, NetClientConfig, TcpPort};
 pub use record::Recorder;

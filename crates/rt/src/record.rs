@@ -1,7 +1,7 @@
 //! History recording: the real-time runtime's perfect observer.
 //!
 //! The simulator gets its consistency verdicts by logging every operation
-//! into a `lease_vsys::History` and handing it to
+//! into a `lease_faults::History` and handing it to
 //! `lease_faults::check_history`. This module closes the same loop for
 //! real-time runs: clients log each completed operation and the storage
 //! backend logs commits, all timestamped by one shared *true* wall clock —
@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use lease_clock::{Clock, Time, WallClock};
 use lease_core::{ClientId, OpId, Version};
-use lease_vsys::{History, HistoryEvent};
+use lease_faults::{History, HistoryEvent};
 
 use crate::server::Res;
 

@@ -16,10 +16,10 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use bytes::Bytes;
 use lease_clock::{Clock, Time, WallClock};
 use lease_core::{ClientId, Storage, ToClient, ToServer, Version};
+use lease_faults::{Delivery, HistoryEvent};
 use lease_quorum::GrantorGate;
 use lease_store::{FileId, Store};
-use lease_svc::{ClientSink, Delivery, Egress, LiveFaults, SvcError, SvcHandle, WorkerSink};
-use lease_vsys::HistoryEvent;
+use lease_svc::{ClientSink, Egress, LiveFaults, SvcError, SvcHandle, WorkerSink};
 
 use crate::record::Recorder;
 
@@ -191,7 +191,8 @@ impl RtFence {
     /// Whether the replica may exchange a message with a client right
     /// now: its gate is open and no plan window cuts it off.
     fn admits(&self, faults: &LiveFaults) -> bool {
-        self.gate.as_ref().is_none_or(|g| g.is_open()) && !faults.replica_cut(self.replica)
+        self.gate.as_ref().is_none_or(|g| g.is_open())
+            && !faults.replica_cut(self.replica, self.replica)
     }
 }
 
@@ -433,7 +434,8 @@ mod tests {
 
     use lease_clock::Dur;
     use lease_core::{LeaseServer, MemStorage, ReqId, ServerConfig};
-    use lease_svc::{EgressRx, EgressSink, FaultPlan, LeaseService, SvcConfig, SvcHooks};
+    use lease_faults::FaultPlan;
+    use lease_svc::{EgressRx, EgressSink, LeaseService, SvcConfig, SvcHooks};
 
     use super::*;
 

@@ -41,13 +41,13 @@ use std::thread::JoinHandle;
 use bytes::Bytes;
 use lease_clock::{Clock, ClockModel, Dur, ModelClock, WallClock};
 use lease_core::{ClientConfig, ClientId, LeaseServer, ServerConfig, Storage};
+use lease_faults::{FaultPlan, History, HistoryEvent};
 use lease_quorum::{KillHandle, QuorumConfig, QuorumHooks, QuorumRuntime};
 use lease_store::{DirId, FileKind, Perms, Store};
 use lease_svc::{
-    chaos::silence_injected_kills, shard_of, AdmissionControl, Egress, FaultPlan, LeaseService,
-    LiveFaults, SvcConfig, SvcHooks, SvcStats,
+    chaos::silence_injected_kills, shard_of, AdmissionControl, Egress, LeaseService, LiveFaults,
+    SvcConfig, SvcHooks, SvcStats,
 };
-use lease_vsys::{History, HistoryEvent};
 
 use crate::client::{spawn_client, RtClientHandle};
 use crate::record::Recorder;

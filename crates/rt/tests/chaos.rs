@@ -11,8 +11,8 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use lease_clock::{ClockModel, Dur};
-use lease_faults::{check_history, Violation};
-use lease_rt::{FaultPlan, RtSystem};
+use lease_faults::{check_history, FaultPlan, Violation};
+use lease_rt::RtSystem;
 
 /// Tentpole acceptance: kill the (only) shard mid-workload. The
 /// supervisor restarts it through §5 MaxTerm recovery; during the

@@ -7,8 +7,8 @@ use std::sync::{Arc, Mutex};
 use bytes::Bytes;
 use lease_clock::{Clock, Time};
 use lease_core::{MemStorage, Storage, Version};
+use lease_faults::{History, HistoryEvent};
 use lease_rt::NetClient;
-use lease_vsys::{History, HistoryEvent};
 
 pub type CommitLog = Arc<Mutex<Vec<(u64, Version, Time)>>>;
 

@@ -7,10 +7,10 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use lease_clock::{Clock, Dur, WallClock};
 use lease_core::{LeaseServer, MemStorage, ServerConfig, Storage};
+use lease_faults::HistoryEvent;
 use lease_net::NetServer;
 use lease_rt::{NetClient, NetClientConfig};
 use lease_svc::{Egress, EgressSink, LeaseService, SvcConfig, SvcHooks};
-use lease_vsys::HistoryEvent;
 
 type R = u64;
 type D = Bytes;

@@ -8,9 +8,9 @@
 use std::time::{Duration, Instant};
 
 use lease_clock::{ClockModel, Dur, Time};
-use lease_faults::{check_history, Violation};
-use lease_rt::{ClientConfig, FaultPlan, RtSystem};
-use lease_vsys::{run_trace_with_history, History, SystemConfig, TermSpec};
+use lease_faults::{check_history, FaultPlan, History, Violation};
+use lease_rt::{ClientConfig, RtSystem};
+use lease_vsys::{run_trace_with_history, SystemConfig, TermSpec};
 use lease_workload::{FileClass, FileSpec, Trace, TraceOp, TraceRecord};
 
 const TERM: Dur = Dur::from_millis(400);

@@ -8,7 +8,8 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use lease_clock::Dur;
-use lease_rt::{FaultPlan, QuorumConfig, RtSystem};
+use lease_faults::FaultPlan;
+use lease_rt::{QuorumConfig, RtSystem};
 
 /// Names of this process's threads (truncated by the kernel to 15 bytes).
 fn thread_names() -> Vec<String> {

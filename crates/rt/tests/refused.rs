@@ -9,8 +9,8 @@
 use std::time::Duration;
 
 use lease_clock::Dur;
-use lease_faults::check_history;
-use lease_rt::{FaultPlan, RtError, RtSystem};
+use lease_faults::{check_history, FaultPlan};
+use lease_rt::{RtError, RtSystem};
 use lease_svc::AdmissionControl;
 
 const THREADS: usize = 6;

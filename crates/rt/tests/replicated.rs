@@ -11,7 +11,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use lease_clock::Dur;
 use lease_faults::check_history;
-use lease_rt::{FaultPlan, QuorumConfig, RtSystem};
+use lease_faults::FaultPlan;
+use lease_rt::{QuorumConfig, RtSystem};
 
 fn wait_for<F: Fn() -> bool>(what: &str, timeout: Duration, f: F) {
     let start = Instant::now();

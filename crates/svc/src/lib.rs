@@ -66,9 +66,9 @@
 //!   the serving session ([`SvcHooks::session`]); restart epochs are
 //!   folded into global write ids so approvals addressed to a dead
 //!   incarnation are dropped, not misapplied.
-//! * **Chaos** — seeded, deterministic fault plans ([`chaos::FaultPlan`])
-//!   describe shard kills, message drop/delay/duplication, link cuts, and
-//!   clock faults for transports and harnesses to replay.
+//! * **Chaos** — a `lease-faults` plan (shard kills, message
+//!   drop/delay/duplication, link cuts, clock faults) replays on the wall
+//!   clock through one [`chaos::LiveFaults`] and its one sleeper thread.
 //!
 //! Protocol semantics are untouched: each shard runs the same
 //! `LeaseServer` the simulator and `lease-rt` run, so every consistency
@@ -132,10 +132,7 @@ mod shard;
 /// wheel property tests) working unchanged.
 pub use lease_core::wheel;
 
-pub use chaos::{
-    Arrivals, Delivery, FaultPlan, LinkChaos, LiveFaults, OverloadPlan, Sleeper, OVERLOAD_STREAM,
-    REPLICA_STREAM,
-};
+pub use chaos::{LiveFaults, Sleeper};
 pub use egress::{Egress, EgressRx, EgressSink, EgressWorker, Reply};
 pub use service::{
     shard_of, AdmissionControl, BatchBuf, ClientSink, LeaseService, ShardGauges, SvcConfig,

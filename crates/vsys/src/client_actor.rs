@@ -5,11 +5,11 @@ use lease_core::{
     ClientId, ClientInput, ClientOutput, ClientTimer, FxMap, LeaseClient, Op, OpId, OpOutcome,
     ReqId, ToClient, ToServer, Version,
 };
+use lease_faults::{HistoryEvent, SharedHistory};
 use lease_sim::{Actor, ActorId, Ctx, TimerId};
 use lease_workload::TraceOp;
 
 use crate::driver::{OpDriver, DRIVER_TIMER_KEY};
-use crate::history::{HistoryEvent, SharedHistory};
 use crate::types::{Data, NetMsg, Res};
 
 /// A sans-IO client cache the [`ClientActor`] can drive: the lease cache

@@ -2,8 +2,9 @@
 
 use lease_clock::{ClockModel, Dur, Time};
 use lease_core::ClientConfig;
-use lease_net::NetParams;
-use lease_svc::chaos::FaultPlan;
+use lease_faults::FaultPlan;
+
+use crate::params::NetParams;
 
 /// How the server picks lease terms.
 #[derive(Debug, Clone, PartialEq)]

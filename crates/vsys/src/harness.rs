@@ -4,17 +4,16 @@ use lease_clock::{Dur, Time};
 use lease_core::{
     AdaptiveTerm, ClientId, CompensatedTerm, LeaseClient, LeaseServer, RecoveryMode, ServerConfig,
 };
-use lease_net::SimNet;
+use lease_faults::{history, FaultPlan, SharedHistory};
 use lease_sim::{ActorId, World};
-use lease_svc::chaos::FaultPlan;
 use lease_workload::{FileClass, Trace};
 
 use crate::client_actor::{ClientActor, SimCache};
 use crate::config::{InstalledMode, NodeSel, SystemConfig, TermSpec};
 use crate::driver::OpDriver;
-use crate::history::{self, SharedHistory};
 use crate::report::RunReport;
 use crate::server_actor::ServerActor;
+use crate::simnet::SimNet;
 use crate::types::{NetMsg, Store};
 
 /// A built, ready-to-run system whose network carries `M`.

@@ -4,7 +4,7 @@
 //!
 //! This crate wires the pieces together the way the paper's evaluation did
 //! (§3.2): a file server running the lease protocol, `N` client caches, a
-//! simulated V-style network (`lease-net`), per-host clocks, and a workload
+//! simulated V-style network ([`SimNet`]), per-host clocks, and a workload
 //! driver that replays a trace open-loop into the caches, measuring
 //!
 //! * the server's consistency message load (extension requests and replies,
@@ -13,11 +13,12 @@
 //!
 //! The same harness runs the lease protocol at any term — including zero
 //! (check-on-every-read, the Sprite/Andrew-prototype configuration) and
-//! infinity — under scheduled crashes and under a [`FaultPlan`] (loss,
-//! duplication, jitter, cut links, client and server clocks): the plan
-//! type the real-time runtime reads, so one plan describes a fault in
-//! both worlds. It records a global [`History`] that the consistency
-//! oracle in `lease-faults` checks against single-copy semantics.
+//! infinity — under scheduled crashes and under a `lease-faults`
+//! [`FaultPlan`](lease_faults::FaultPlan) (loss, duplication, jitter, cut
+//! links, client and server clocks): the plan type the real-time runtime
+//! reads, so one plan describes a fault in both worlds. It records a
+//! global [`History`] that the consistency oracle in `lease-faults`
+//! checks against single-copy semantics.
 //! [`assemble`] is the one builder and [`ClientActor`] the one client
 //! actor: the §6 baselines reuse them with their own server, and
 //! `lease-wb` runs its write-back tokens on them through [`SimCache`] and
@@ -46,17 +47,23 @@ pub mod client_actor;
 pub mod config;
 pub mod driver;
 pub mod harness;
-pub mod history;
+pub mod params;
 pub mod report;
 pub mod server_actor;
+pub mod simnet;
 pub mod types;
 
 pub use client_actor::{CacheEffect, CacheEvent, ClientActor, SimCache};
 pub use config::{CrashEvent, InstalledMode, NodeSel, SystemConfig, TermSpec};
 pub use harness::{assemble, build_world, run_trace, run_trace_with_history, RunHandle};
-pub use history::{History, HistoryEvent, SharedHistory};
 pub use lease_core::ClientConfig;
-pub use lease_svc::chaos::FaultPlan;
+/// `lease-faults`' history types, re-exported only because the benchmark
+/// (`benchmark/src/cache_mix.rs`, which does not change) names
+/// `lease_vsys::HistoryEvent`; everything else imports them from
+/// `lease_faults`.
+pub use lease_faults::{History, HistoryEvent};
+pub use params::NetParams;
 pub use report::RunReport;
 pub use server_actor::{ServerActor, ServerEffect, ServerEvent, SimServer};
+pub use simnet::SimNet;
 pub use types::{Data, NetMsg, Res, Store};

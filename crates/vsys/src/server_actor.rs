@@ -5,9 +5,9 @@ use lease_core::{
     ClientId, FxMap, LeaseServer, ServerInput, ServerOutput, ServerTimer, ToClient, ToServer,
     Version, WriteId,
 };
+use lease_faults::{HistoryEvent, SharedHistory};
 use lease_sim::{Actor, ActorId, Ctx, TimerId};
 
-use crate::history::{HistoryEvent, SharedHistory};
 use crate::types::{Data, NetMsg, Res, Store};
 
 /// A sans-IO file server the [`ServerActor`] can drive: the lease server

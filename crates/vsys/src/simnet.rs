@@ -1,9 +1,23 @@
 //! The simulated network medium.
+//!
+//! The paper (Gray & Cheriton, SOSP 1989, §3.1) charges communication with
+//! two parameters: a propagation delay `m_prop` and a per-message processing
+//! time `m_proc` spent on the critical path at both sender and receiver, so
+//! that a unicast request–response costs `2·m_prop + 4·m_proc` and a
+//! multicast with `n` replies costs `2·m_prop + (n+3)·m_proc` — the replies
+//! serialize through the originator's CPU ("implosion of responses", §4).
+//!
+//! [`SimNet`] reproduces exactly that cost model by giving every host a CPU
+//! that processes one message at a time, plus per-host extra propagation
+//! delay for wide-area experiments (§3.3). Its failure modes — loss,
+//! duplication, delay jitter and cut links — come from the same
+//! [`FaultPlan`] the real-time runtime reads, so one plan describes a fault
+//! in both worlds.
 
 use lease_clock::{Dur, Time};
 use lease_core::FxMap;
+use lease_faults::FaultPlan;
 use lease_sim::{ActorId, Delivery, Dest, Medium, SimRng};
-use lease_svc::chaos::FaultPlan;
 
 use crate::params::NetParams;
 
@@ -22,6 +36,23 @@ use crate::params::NetParams;
 /// `i`), `drop_prob`, `delay_max` as extra propagation uniform in
 /// `[0, delay_max)`, and `dup_prob`. The draws come from the world's
 /// stream, not the plan's seed.
+///
+/// # Examples
+///
+/// ```
+/// use lease_clock::{Dur, Time};
+/// use lease_vsys::{NetParams, SimNet};
+/// use lease_sim::{Dest, Medium, SimRng};
+/// use lease_sim::ActorId;
+///
+/// let params = NetParams { m_prop: Dur::from_micros(500), m_proc: Dur::from_micros(500) };
+/// let mut net = SimNet::new(params);
+/// let mut rng = SimRng::seed(0);
+/// let mut d = Vec::new();
+/// net.route(Time::ZERO, &mut rng, ActorId(0), Dest::One(ActorId(1)), (), &mut d);
+/// // One m_proc at the sender, m_prop on the wire, one m_proc at the receiver.
+/// assert_eq!(d[0].at, Time::from_micros(1500));
+/// ```
 pub struct SimNet {
     params: NetParams,
     faults: FaultPlan,
@@ -81,7 +112,7 @@ impl SimNet {
     fn cut(&self, now: Time, host: ActorId) -> bool {
         let elapsed = now.saturating_since(Time::ZERO);
         match host.0 {
-            0 => self.faults.replica_cut_active(0, elapsed),
+            0 => self.faults.replica_link_cut(0, 0, elapsed),
             a => self.faults.cut_active(a - 1, elapsed),
         }
     }

@@ -6,8 +6,8 @@ use lease_core::{FxHasher, MemStorage, ToClient, ToServer};
 
 /// The leased resource key: the trace's file id (regular files, installed
 /// files, and directories alike — a directory read models the name lookup
-/// an `open` needs, §2).
-pub type Res = u64;
+/// an `open` needs, §2). The history's own alias, not a second one.
+pub use lease_faults::Res;
 
 /// File contents, reduced to an opaque token: the experiments measure
 /// message counts and delays, which do not depend on payload bytes. Write

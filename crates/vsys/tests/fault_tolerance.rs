@@ -2,9 +2,9 @@
 //! consistency; broken clocks break consistency — and the oracle sees it.
 
 use lease_clock::{ClockModel, Dur, Time};
-use lease_faults::{check_history, staleness_of, Violation};
+use lease_faults::{check_history, staleness_of, FaultPlan, Violation};
 use lease_vsys::{
-    run_trace_with_history, ClientConfig, CrashEvent, FaultPlan, NodeSel, SystemConfig, TermSpec,
+    run_trace_with_history, ClientConfig, CrashEvent, NodeSel, SystemConfig, TermSpec,
 };
 use lease_workload::{PoissonWorkload, Trace, VTrace};
 

@@ -2,10 +2,9 @@
 //! random terms — every execution must satisfy single-copy semantics.
 
 use lease_clock::{Dur, Time};
-use lease_faults::{check_history, Violation};
+use lease_faults::{check_history, FaultPlan, History, HistoryEvent, Violation};
 use lease_vsys::{
-    run_trace_with_history, ClientConfig, CrashEvent, FaultPlan, History, HistoryEvent, NodeSel,
-    SystemConfig, TermSpec,
+    run_trace_with_history, ClientConfig, CrashEvent, NodeSel, SystemConfig, TermSpec,
 };
 use lease_workload::{BurstyWorkload, PoissonWorkload, Trace};
 use proptest::prelude::*;

@@ -1,9 +1,10 @@
 //! End-to-end tests of the assembled system.
 
 use lease_clock::{ClockModel, Dur, Time};
+use lease_faults::{check_history, FaultPlan, HistoryEvent};
 use lease_vsys::{
-    build_world, run_trace, run_trace_with_history, ClientConfig, CrashEvent, FaultPlan,
-    HistoryEvent, InstalledMode, NodeSel, SystemConfig, TermSpec,
+    build_world, run_trace, run_trace_with_history, ClientConfig, CrashEvent, InstalledMode,
+    NodeSel, SystemConfig, TermSpec,
 };
 use lease_workload::{FileClass, FileSpec, PoissonWorkload, Trace, TraceOp, TraceRecord, VTrace};
 
@@ -507,8 +508,10 @@ fn distant_client_compensation_restores_effective_term() {
     );
     assert!(comp.mean_delay_ms() < plain.mean_delay_ms());
     // And it stays consistent, of course.
-    lease_faults_check(&h1);
-    lease_faults_check(&h2);
+    for h in [&h1, &h2] {
+        let res = check_history(&h.history.borrow());
+        assert!(res.is_ok(), "violations: {:?}", res.err());
+    }
 }
 
 /// No plan field is silently left out of a run: each one the simulator
@@ -550,23 +553,4 @@ fn plan_fields_the_simulator_cannot_honour_are_refused() {
         ..SystemConfig::default()
     };
     build_world(&cfg, &trace);
-}
-
-// Local helper: the faults crate depends on vsys, so the oracle cannot be
-// called from vsys tests; assert the cheap invariant directly instead —
-// every read's version is never above the storage's final version and
-// commits are monotone.
-fn lease_faults_check(h: &lease_vsys::RunHandle) {
-    let hist = h.history.borrow();
-    let mut last_per_resource: std::collections::HashMap<u64, u64> = Default::default();
-    for e in &hist.events {
-        if let HistoryEvent::Commit {
-            resource, version, ..
-        } = e
-        {
-            let last = last_per_resource.entry(*resource).or_insert(0);
-            assert!(version.0 > *last, "non-monotone commit");
-            *last = version.0;
-        }
-    }
 }

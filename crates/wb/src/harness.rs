@@ -4,10 +4,10 @@
 
 use lease_clock::{ClockModel, Dur, Time};
 use lease_core::Version;
-use lease_net::NetParams;
+use lease_faults::SharedHistory;
 use lease_vsys::{
-    assemble, CacheEffect, CacheEvent, CrashEvent, Data, NodeSel, Res, RunReport, ServerActor,
-    ServerEffect, ServerEvent, SharedHistory, SimCache, SimServer, Store, SystemConfig,
+    assemble, CacheEffect, CacheEvent, CrashEvent, Data, NetParams, NodeSel, Res, RunReport,
+    ServerActor, ServerEffect, ServerEvent, SimCache, SimServer, Store, SystemConfig,
 };
 use lease_workload::Trace;
 

@@ -23,7 +23,7 @@
 //!   has been made visible to any client can be lost; applications must
 //!   otherwise be prepared to recover from lost writes"). The execution
 //!   history records these as
-//!   [`Discard`](lease_vsys::HistoryEvent::Discard) events, and the
+//!   [`Discard`](lease_faults::HistoryEvent::Discard) events, and the
 //!   consistency oracle verifies that *only* the crashed writer ever saw
 //!   the lost versions.
 //!

@@ -3,8 +3,8 @@
 //! accounting for crash-lost buffered writes.
 
 use lease_clock::{Dur, Time};
-use lease_faults::check_history;
-use lease_vsys::{run_trace, CrashEvent, HistoryEvent, NodeSel, SystemConfig, TermSpec};
+use lease_faults::{check_history, HistoryEvent};
+use lease_vsys::{run_trace, CrashEvent, NodeSel, SystemConfig, TermSpec};
 use lease_wb::{run_wb_with_history, WbClientConfig, WbConfig};
 use lease_workload::{FileClass, FileSpec, PoissonWorkload, Trace, TraceOp, TraceRecord};
 
@@ -242,7 +242,7 @@ fn without_discard_accounting_the_lost_write_would_be_flagged() {
         ..WbConfig::default()
     };
     let (_, h) = run_wb_with_history(&cfg, &trace);
-    let mut stripped = lease_vsys::History::new();
+    let mut stripped = lease_faults::History::new();
     for e in &h.borrow().events {
         if !matches!(e, HistoryEvent::Discard { .. }) {
             stripped.push(*e);

@@ -4,9 +4,9 @@
 //! Run with: `cargo run --release --example fault_drill`
 
 use leases::clock::{ClockModel, Dur, Time};
-use leases::faults::{check_history, staleness_of};
+use leases::faults::{check_history, staleness_of, FaultPlan};
 use leases::vsys::{
-    run_trace_with_history, ClientConfig, CrashEvent, FaultPlan, NodeSel, SystemConfig, TermSpec,
+    run_trace_with_history, ClientConfig, CrashEvent, NodeSel, SystemConfig, TermSpec,
 };
 use leases::workload::PoissonWorkload;
 

@@ -9,8 +9,7 @@
 
 use leases::analytic::Params;
 use leases::clock::Dur;
-use leases::net::NetParams;
-use leases::vsys::{run_trace, SystemConfig, TermSpec};
+use leases::vsys::{run_trace, NetParams, SystemConfig, TermSpec};
 use leases::workload::VTrace;
 
 fn main() {

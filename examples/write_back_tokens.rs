@@ -10,8 +10,8 @@
 //! Run with: `cargo run --release --example write_back_tokens`
 
 use leases::clock::{Dur, Time};
-use leases::faults::check_history;
-use leases::vsys::{run_trace, CrashEvent, HistoryEvent, NodeSel, SystemConfig, TermSpec};
+use leases::faults::{check_history, HistoryEvent};
+use leases::vsys::{run_trace, CrashEvent, NodeSel, SystemConfig, TermSpec};
 use leases::wb::{run_wb_with_history, WbClientConfig, WbConfig};
 use leases::workload::PoissonWorkload;
 

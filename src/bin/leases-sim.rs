@@ -18,9 +18,8 @@ use std::process::ExitCode;
 
 use leases::analytic::Params;
 use leases::clock::Dur;
-use leases::faults::check_history;
-use leases::net::NetParams;
-use leases::vsys::{run_trace_with_history, FaultPlan, InstalledMode, SystemConfig, TermSpec};
+use leases::faults::{check_history, FaultPlan};
+use leases::vsys::{run_trace_with_history, InstalledMode, NetParams, SystemConfig, TermSpec};
 use leases::wb::{run_wb_with_history, WbConfig};
 use leases::workload::{BurstyWorkload, PoissonWorkload, Trace, TraceStats, VTrace};
 

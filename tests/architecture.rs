@@ -5,9 +5,9 @@
 //! Most rules forbid literal strings in a set of paths, searched line by
 //! line through every file under them (as `grep -rn` would). One needle,
 //! [`Needle::InBraces`], stands for the pattern
-//! `collections::\{[^}]*Hash(Map|Set)`. Two rules are not text searches:
-//! one walks `lease-sim`'s normal dependency closure, one checks that the
-//! retired benchmark baselines stay deleted. This file names every
+//! `collections::\{[^}]*Hash(Map|Set)`. Three rules are not text
+//! searches: two walk crates' normal dependency closures, one checks that
+//! the retired benchmark baselines stay deleted. This file names every
 //! forbidden string, so the searches skip it.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -69,12 +69,9 @@ enum Check {
         code_only: bool,
         forbidden: &'static [Needle],
     },
-    /// The normal dependency closure of the crate at `manifest` does not
-    /// reach the package `dep`.
-    NoDependency {
-        manifest: &'static str,
-        dep: &'static str,
-    },
+    /// For each `(manifest, dep)`: the normal dependency closure of the
+    /// crate at `manifest` does not reach the package `dep`.
+    NoDependency(&'static [(&'static str, &'static str)]),
     /// None of these files exists.
     Absent(&'static [&'static str]),
 }
@@ -231,13 +228,12 @@ const RULES: &[Rule] = &[
     Rule {
         name: "One simulator, one fault plan",
         reason: "The grantor quorum's sim runs on lease-sim's World and the file-system \
-                 simulator reads lease-svc's FaultPlan; an event loop of lease-quorum's \
-                 own or a second fault vocabulary in lease-net means the fork crept \
-                 back in.",
+                 simulator's SimNet (in lease-vsys) reads lease-faults' FaultPlan; an \
+                 event loop of lease-quorum's own or a second fault vocabulary beside \
+                 the simulated network means the fork crept back in.",
         check: Check::Grep {
             paths: &[
                 "crates/quorum/src",
-                "crates/net/src",
                 "crates/vsys",
                 "crates/baselines",
                 "crates/faults",
@@ -333,7 +329,6 @@ const RULES: &[Rule] = &[
                 "crates/core/src/client.rs",
                 "crates/rt/src/client.rs",
                 "crates/vsys/src",
-                "crates/net/src/simnet.rs",
                 "crates/wb/src/client.rs",
             ],
             code_only: false,
@@ -384,9 +379,44 @@ const RULES: &[Rule] = &[
     Rule {
         name: "The simulation kernel is protocol-independent",
         reason: "lease-sim needed lease-core only for the wheel backend.",
-        check: Check::NoDependency {
-            manifest: "crates/sim/Cargo.toml",
-            dep: "lease-core",
+        check: Check::NoDependency(&[("crates/sim/Cargo.toml", "lease-core")]),
+    },
+    Rule {
+        name: "One failure model below both worlds",
+        reason: "lease-faults owns the fault plan, the history and the oracle, and \
+                 lease-vsys owns the simulated network, so the simulator links no \
+                 threaded service or socket code and the wall-clock runtime and the \
+                 quorum link no simulator of the file system. An edge here means a \
+                 type moved back into the wrong world (and lease-quorum -> lease-vsys \
+                 is a cycle once the grantor runs as a lease-vsys actor).",
+        check: Check::NoDependency(&[
+            ("crates/faults/Cargo.toml", "lease-vsys"),
+            ("crates/faults/Cargo.toml", "lease-svc"),
+            ("crates/faults/Cargo.toml", "lease-sim"),
+            ("crates/vsys/Cargo.toml", "lease-svc"),
+            ("crates/vsys/Cargo.toml", "lease-net"),
+            ("crates/vsys/Cargo.toml", "lease-wire"),
+            ("crates/rt/Cargo.toml", "lease-vsys"),
+            ("crates/rt/Cargo.toml", "lease-workload"),
+            ("crates/quorum/Cargo.toml", "lease-vsys"),
+            ("crates/net/Cargo.toml", "lease-sim"),
+        ]),
+    },
+    Rule {
+        name: "One failure model below both worlds (one import path)",
+        reason: "FaultPlan is lease_faults::FaultPlan and SimNet is \
+                 lease_vsys::SimNet; an alias in the threaded service, the simulator, \
+                 the runtime or the socket crate is a second home for the same type.",
+        check: Check::Grep {
+            paths: EVERYWHERE,
+            code_only: false,
+            forbidden: &[
+                Lit("chaos::FaultPlan"),
+                Lit("lease_svc::FaultPlan"),
+                Lit("lease_vsys::FaultPlan"),
+                Lit("lease_rt::FaultPlan"),
+                Lit("lease_net::SimNet"),
+            ],
         },
     },
     Rule {
@@ -522,17 +552,23 @@ fn path_of(line: &str) -> Option<String> {
     Some(rest[..rest.find('"')?].to_string())
 }
 
-/// The packages reachable from `manifest` over normal dependency edges,
-/// following path dependencies (workspace ones through the root manifest).
-fn dependency_closure(manifest: &str) -> BTreeSet<String> {
+/// Each `[workspace.dependencies]` package of the root manifest, with its
+/// path.
+fn workspace_paths() -> BTreeMap<String, String> {
     let root_manifest = fs::read_to_string(root().join("Cargo.toml")).expect("root manifest");
-    let workspace: BTreeMap<String, String> = root_manifest
+    root_manifest
         .lines()
         .skip_while(|l| l.trim() != "[workspace.dependencies]")
         .skip(1)
         .take_while(|l| !l.trim().starts_with('['))
         .filter_map(|l| Some((l.split('=').next()?.trim().to_string(), path_of(l)?)))
-        .collect();
+        .collect()
+}
+
+/// The packages reachable from `manifest` over normal dependency edges,
+/// following path dependencies (workspace ones through the root manifest).
+fn dependency_closure(manifest: &str) -> BTreeSet<String> {
+    let workspace = workspace_paths();
     let mut seen = BTreeSet::new();
     let mut todo = vec![root().join(manifest)];
     while let Some(m) = todo.pop() {
@@ -560,13 +596,11 @@ fn violations(rule: &Rule, cache: &mut BTreeMap<PathBuf, String>) -> Vec<String>
             code_only,
             forbidden,
         } => grep(paths, code_only, forbidden, cache),
-        Check::NoDependency { manifest, dep } => {
-            if dependency_closure(manifest).contains(dep) {
-                vec![format!("{manifest}: depends on {dep}")]
-            } else {
-                Vec::new()
-            }
-        }
+        Check::NoDependency(pairs) => pairs
+            .iter()
+            .filter(|(manifest, dep)| dependency_closure(manifest).contains(*dep))
+            .map(|(manifest, dep)| format!("{manifest}: depends on {dep}"))
+            .collect(),
         Check::Absent(files) => absent_violations(root(), files),
     }
 }
@@ -611,18 +645,27 @@ fn every_rule_flags_its_own_forbidden_strings() {
                     );
                 }
             }
-            Check::NoDependency { dep, .. } => {
-                let normal = format!("[dependencies]\n{dep}.workspace = true\n");
-                let dev = format!("[dev-dependencies]\n{dep}.workspace = true\n");
-                let names = |m: &str| -> Vec<String> {
-                    normal_deps(m).into_iter().map(|(n, _)| n).collect()
-                };
-                assert_eq!(names(&normal), vec![dep.to_string()], "{}", rule.name);
-                assert!(
-                    names(&dev).is_empty(),
-                    "{}: dev edges are not normal",
-                    rule.name
-                );
+            Check::NoDependency(pairs) => {
+                let workspace = workspace_paths();
+                for (_, dep) in pairs {
+                    // A misspelt package would make the rule pass vacuously.
+                    assert!(
+                        workspace.contains_key(*dep),
+                        "{}: {dep} is no workspace package",
+                        rule.name
+                    );
+                    let normal = format!("[dependencies]\n{dep}.workspace = true\n");
+                    let dev = format!("[dev-dependencies]\n{dep}.workspace = true\n");
+                    let names = |m: &str| -> Vec<String> {
+                        normal_deps(m).into_iter().map(|(n, _)| n).collect()
+                    };
+                    assert_eq!(names(&normal), vec![dep.to_string()], "{}", rule.name);
+                    assert!(
+                        names(&dev).is_empty(),
+                        "{}: dev edges are not normal",
+                        rule.name
+                    );
+                }
             }
             Check::Absent(files) => {
                 let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("architecture");
