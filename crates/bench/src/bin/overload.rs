@@ -5,10 +5,10 @@
 //! slow-shard knob) and drive its clients **open loop**: client `c` issues
 //! op `k` at the `k`-th arrival of an [`OverloadPlan`] stream, finished or
 //! not, as a blocking [`RtClientHandle`] call on a thread of its own (at
-//! most [`OUTSTANDING`] per client; an arrival past that fails at the
+//! most `OUTSTANDING` per client; an arrival past that fails at the
 //! generator). A full lane is a lost message, the cache's retransmission
 //! timer the only resend path, and a `Shed` reply paces that timer.
-//! [`stack`] builds each configuration: **hardened** (admission control,
+//! `stack` builds each configuration: **hardened** (admission control,
 //! a retry budget, an op deadline the shard drops dead work by),
 //! **unprotected** (the builder's client defaults) and **storm** (2 ms
 //! fixed-interval retransmission, drivers that retry a failed op at once).
@@ -17,7 +17,7 @@
 //!   (reads done within a 100 ms SLO of their *intended* arrival) at
 //!   0.5/1/2/4× a 500 ops/s shard, hardened (`controlled`) and unprotected
 //!   (`ablated`), written to `BENCH_overload.json` or gated against it
-//!   ([`check`]).
+//!   (`check`).
 //! * `overload burst [--threads N|auto]` — seeded Poisson bursts over a
 //!   1000 inputs/s shard, herds on even seeds, a quarter of the ops
 //!   writes, each history judged by the consistency and goodput-collapse

@@ -406,6 +406,9 @@ pub struct LeaseClient<R: Resource, D: Clone> {
     /// the floor may ever be cached — the defence against delayed,
     /// duplicated, or reordered replies re-installing stale data.
     floor: FxMap<R, Version>,
+    /// Scratch for [`Self::build_fetch`]'s due list, empty between calls:
+    /// the list is gathered here, then copied out at its final length.
+    due: Vec<(R, Version, LeaseHandle)>,
     next_req: u64,
     /// Retry-budget bucket level; meaningless when `cfg.retry_budget` is
     /// `None`. `budget_at` is the instant of the last refill (`None` =
@@ -426,6 +429,7 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
             fetch_inflight: FxMap::default(),
             requests: FxMap::default(),
             floor: FxMap::default(),
+            due: Vec::new(),
             next_req: 0,
             budget_tokens: 0.0,
             budget_at: None,
@@ -485,15 +489,27 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
     /// Handles one input; returns the effects to apply.
     pub fn handle(&mut self, now: Time, input: ClientInput<R, D>) -> Vec<ClientOutput<R, D>> {
         let mut out = Vec::new();
+        self.handle_into(now, input, &mut out);
+        out
+    }
+
+    /// Handles one input, appending the effects to apply to `out` — so a
+    /// caller that drains `out` between calls reuses one buffer for every
+    /// input.
+    pub fn handle_into(
+        &mut self,
+        now: Time,
+        input: ClientInput<R, D>,
+        out: &mut Vec<ClientOutput<R, D>>,
+    ) {
         match input {
             ClientInput::Op { op, kind } => match kind {
-                Op::Read(r) => self.on_read(now, op, r, &mut out),
-                Op::Write(r, d) => self.on_write(now, op, r, d, &mut out),
+                Op::Read(r) => self.on_read(now, op, r, out),
+                Op::Write(r, d) => self.on_write(now, op, r, d, out),
             },
-            ClientInput::Msg(msg) => self.on_msg(now, msg, &mut out),
-            ClientInput::Timer(t) => self.on_timer(now, t, &mut out),
+            ClientInput::Msg(msg) => self.on_msg(now, msg, out),
+            ClientInput::Timer(t) => self.on_timer(now, t, out),
         }
-        out
     }
 
     /// Wipes all volatile state (host crash). A restarted cache is empty.
@@ -606,17 +622,19 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
         resource: R,
     ) -> ToServer<R, D> {
         let cached = self.entries.get(&resource).map(|e| e.version);
-        let mut also_extend = Vec::new();
         for (r, e) in &mut self.entries {
             let at = e.renew_after;
             // `Time::MAX` is "never", not an instant a retry could repeat.
             if at <= now || (Some(at) == repeats && at != Time::MAX) {
                 e.renew_after = retry_at;
                 if *r != resource {
-                    also_extend.push((*r, e.version, e.handle));
+                    self.due.push((*r, e.version, e.handle));
                 }
             }
         }
+        // One allocation of the exact size, not a doubling series.
+        let also_extend = self.due.to_vec();
+        self.due.clear();
         self.counters.renewals_piggybacked += also_extend.len() as u64;
         ToServer::Fetch {
             req,
@@ -831,12 +849,21 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
             Pending::Renew { first_sent } => (*first_sent, None),
             Pending::Write { .. } => return,
         };
+        // Our own in-flight writes, gathered once for the whole reply.
+        let own_writes: Vec<R> = self
+            .requests
+            .values()
+            .filter_map(|p| match p {
+                Pending::Write { resource, .. } => Some(*resource),
+                _ => None,
+            })
+            .collect();
         let mut target_grant: Option<Grant<R, D>> = None;
         for g in grants {
             if Some(g.resource) == target {
                 target_grant = Some(g.clone());
             }
-            self.apply_grant(now, first_sent, g, out);
+            self.apply_grant(now, first_sent, g, &own_writes, out);
         }
         match (target, target_grant) {
             (Some(resource), Some(g)) => {
@@ -901,14 +928,39 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
         }
     }
 
+    /// Applies one grant of a reply; `own_writes` are the resources our
+    /// own in-flight writes name.
     fn apply_grant(
         &mut self,
         now: Time,
         first_sent: Time,
         g: Grant<R, D>,
+        own_writes: &[R],
         out: &mut Vec<ClientOutput<R, D>>,
     ) {
         let lease = self.lease(first_sent, g.term);
+        if let Some(e) = self.entries.get_mut(&g.resource) {
+            // A held copy's version is its floor — every raise of the floor
+            // past a held copy drops the copy — and no write of ours to it
+            // is in flight, for a write drops the copy when it is
+            // submitted. So the floor check below is a comparison with
+            // `e.version`, and the floor moves only if the version does.
+            debug_assert_eq!(self.floor.get(&g.resource), Some(&e.version));
+            if g.version < e.version {
+                return; // Regressive grant (reordered network); drop.
+            }
+            if g.version > e.version {
+                self.floor.insert(g.resource, g.version);
+            }
+            if let Some(d) = g.data {
+                e.data = d;
+            }
+            e.version = g.version;
+            e.last_used = now;
+            e.handle = g.handle;
+            e.extend(lease);
+            return;
+        }
         // Version-floor check: data below anything we have observed (or
         // approved the replacement of) is stale; it may still be served to
         // waiting ops (their intervals overlap its validity) but must
@@ -920,37 +972,17 @@ impl<R: Resource, D: Clone> LeaseClient<R, D> {
         // server may commit it at any moment without asking us, so no
         // grant may (re)establish a cached copy until the write resolves
         // — the submit-time invalidation, extended to in-flight grants.
-        let own_write_pending = self
-            .requests
-            .values()
-            .any(|p| matches!(p, Pending::Write { resource: r, .. } if *r == g.resource));
-        if own_write_pending {
+        if own_writes.contains(&g.resource) {
             return;
         }
-        match self.entries.get_mut(&g.resource) {
-            Some(e) => {
-                if g.version < e.version {
-                    return; // Regressive grant (reordered network); drop.
-                }
-                if let Some(d) = g.data {
-                    e.data = d;
-                }
-                e.version = g.version;
-                e.last_used = now;
-                e.handle = g.handle;
-                e.extend(lease);
-            }
-            None => {
-                // Create an entry only if we actually asked for this
-                // resource: an unsolicited or stale-request grant (e.g.
-                // one racing our own eviction/relinquish) must not
-                // resurrect a cache entry the server no longer tracks.
-                if self.fetch_inflight.contains_key(&g.resource) {
-                    if let Some(d) = g.data {
-                        self.insert_entry(now, g.resource, d, g.version, lease, g.handle, out);
-                    }
-                }
-                // A no-data grant for something we no longer hold: useless.
+        // Create an entry only if we actually asked for this resource: an
+        // unsolicited or stale-request grant (e.g. one racing our own
+        // eviction/relinquish) must not resurrect a cache entry the server
+        // no longer tracks. A no-data grant for something we no longer
+        // hold is useless.
+        if self.fetch_inflight.contains_key(&g.resource) {
+            if let Some(d) = g.data {
+                self.insert_entry(now, g.resource, d, g.version, lease, g.handle, out);
             }
         }
     }
@@ -1901,6 +1933,147 @@ mod tests {
                     }
                     outstanding.retain(|(o, _)| o.req() != Some(req));
                     outstanding.push((m.clone(), armed));
+                }
+            }
+        }
+    }
+
+    /// A step of [`a_held_copys_version_is_its_floor`]'s script.
+    #[derive(Debug, Clone)]
+    enum FloorStep {
+        Advance(u64),
+        Read(u64),
+        Write(u64),
+        /// Answer the `n`th request ever sent (answered before or not) at
+        /// version `.1`, with data or without; the renewals it carries
+        /// come back at the version they named, or one past it.
+        Reply(usize, u64, bool, bool),
+        /// Deliver the `n`th reply again: duplicated, late, reordered.
+        Replay(usize),
+        /// Fire the retry timer of the `n`th request ever sent.
+        Retry(usize),
+        Approval(u64, u64),
+        Installed(u64, u64),
+        Crash,
+    }
+
+    fn floor_step() -> impl Strategy<Value = FloorStep> {
+        const VERSIONS: u64 = 6;
+        prop_oneof![
+            (0u64..2_000).prop_map(FloorStep::Advance),
+            (0..FILES).prop_map(FloorStep::Read),
+            (0..FILES).prop_map(FloorStep::Read),
+            (0..FILES).prop_map(FloorStep::Write),
+            (0usize..64, 0..VERSIONS, any::<bool>(), any::<bool>())
+                .prop_map(|(n, v, data, bump)| FloorStep::Reply(n, v, data, bump)),
+            (0usize..64, 0..VERSIONS, any::<bool>(), any::<bool>())
+                .prop_map(|(n, v, data, bump)| FloorStep::Reply(n, v, data, bump)),
+            (0usize..64).prop_map(FloorStep::Replay),
+            (0usize..64).prop_map(FloorStep::Retry),
+            (0..FILES, 0..VERSIONS).prop_map(|(r, v)| FloorStep::Approval(r, v)),
+            (0..FILES, 0..VERSIONS).prop_map(|(r, v)| FloorStep::Installed(r, v)),
+            (0u64..30).prop_map(|n| if n == 0 {
+                FloorStep::Crash
+            } else {
+                FloorStep::Advance(n)
+            }),
+        ]
+    }
+
+    proptest! {
+        /// A cached copy's version is its resource's floor, after every
+        /// input: grants with and without data, duplicated, reordered and
+        /// late, approvals, write completions, installed-file extensions
+        /// and crashes. `apply_grant` relies on it to extend a held copy
+        /// without probing the floor.
+        #[test]
+        fn a_held_copys_version_is_its_floor(
+            steps in proptest::collection::vec(floor_step(), 1..300),
+        ) {
+            let mut c = LeaseClient::<u64, String>::new(
+                ClientId(1),
+                ClientConfig { capacity: 5, ..cfg() },
+            );
+            let mut now = t(0);
+            // Every request sent and every reply made, kept for answering,
+            // retransmitting and replaying at any later step.
+            let mut sent: Vec<ToServer<u64, String>> = Vec::new();
+            let mut replies: Vec<ToClient<u64, String>> = Vec::new();
+            for (op, s) in steps.into_iter().enumerate() {
+                let op = OpId(op as u64);
+                let input = match s {
+                    FloorStep::Advance(ms) => {
+                        now += Dur::from_millis(ms);
+                        continue;
+                    }
+                    FloorStep::Crash => {
+                        c.crash();
+                        continue;
+                    }
+                    FloorStep::Read(r) => ClientInput::Op { op, kind: Op::Read(r) },
+                    FloorStep::Write(r) => ClientInput::Op {
+                        op,
+                        kind: Op::Write(r, format!("w{}", op.0)),
+                    },
+                    FloorStep::Retry(n) => {
+                        let Some(m) = sent.get(n % sent.len().max(1)) else { continue };
+                        let req = m.req().expect("only requests are kept");
+                        ClientInput::Timer(ClientTimer::Retry(req))
+                    }
+                    FloorStep::Reply(n, v, data, bump) => {
+                        let Some(m) = sent.get(n % sent.len().max(1)) else { continue };
+                        let version = Version(v);
+                        let term = Dur::from_secs(8);
+                        let reply = match m.clone() {
+                            ToServer::Fetch { req, resource, also_extend, .. } => {
+                                let mut grants: Vec<_> = also_extend
+                                    .into_iter()
+                                    .map(|(resource, v, handle)| Grant {
+                                        resource,
+                                        version: if bump { v.next() } else { v },
+                                        data: None,
+                                        term,
+                                        handle,
+                                    })
+                                    .collect();
+                                grants.push(Grant {
+                                    resource,
+                                    version,
+                                    data: data.then(|| format!("v{v}")),
+                                    term,
+                                    handle: LeaseHandle::NULL,
+                                });
+                                ToClient::Grants { req, grants }
+                            }
+                            ToServer::Write { req, resource, .. } => ToClient::WriteDone {
+                                req, resource, version, term,
+                            },
+                            other => panic!("not a request: {other:?}"),
+                        };
+                        replies.push(reply.clone());
+                        ClientInput::Msg(reply)
+                    }
+                    FloorStep::Replay(n) => {
+                        let Some(m) = replies.get(n % replies.len().max(1)) else { continue };
+                        ClientInput::Msg(m.clone())
+                    }
+                    FloorStep::Approval(r, v) => ClientInput::Msg(ToClient::ApprovalRequest {
+                        write_id: WriteIdT(0),
+                        resource: r,
+                        replaces: Version(v),
+                    }),
+                    FloorStep::Installed(r, v) => ClientInput::Msg(ToClient::InstalledExtend {
+                        resources: vec![(r, Version(v))],
+                        term: Dur::from_secs(8),
+                        sent_at: now,
+                    }),
+                };
+                sent.extend(c.handle(now, input).into_iter().filter_map(|o| match o {
+                    ClientOutput::Send(m) if m.req().is_some() => Some(m),
+                    _ => None,
+                }));
+                for (r, e) in &c.entries {
+                    prop_assert_eq!(c.floor.get(r), Some(&e.version), "resource {}", r);
                 }
             }
         }

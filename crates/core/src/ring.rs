@@ -170,7 +170,7 @@ impl<T> Producer<T> {
     }
 
     /// Occupied slots (refreshes the cached head — one `Acquire` load;
-    /// the publish fast path uses [`free`](Self::free), which refreshes
+    /// the publish fast path uses `free`, which refreshes
     /// only when the cached view looks too full).
     pub fn len(&self) -> usize {
         self.head.set(self.ring.head.0.load(Ordering::Acquire));

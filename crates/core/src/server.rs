@@ -475,9 +475,7 @@ impl<R: Resource, D: Clone> LeaseServer<R, D> {
                 self.counters.fetch_rx += 1;
                 let mut grants = Vec::with_capacity(also_extend.len() + 1);
                 for (r, v, h) in also_extend {
-                    if let Some(g) = self.try_grant(now, from, r, Some(v), h, store, out) {
-                        grants.push(g);
-                    }
+                    self.try_grant(now, from, r, Some(v), h, store, &mut grants, out);
                 }
                 if self.write_pending(resource) {
                     // Write-starvation guard (footnote 1): park the fetch
@@ -498,39 +496,43 @@ impl<R: Resource, D: Clone> LeaseServer<R, D> {
                     }
                     return;
                 }
-                match self.grant(now, from, resource, cached, LeaseHandle::NULL, store, out) {
-                    Some(g) => {
-                        grants.push(g);
+                let granted = self.grant(
+                    now,
+                    from,
+                    resource,
+                    cached,
+                    LeaseHandle::NULL,
+                    store,
+                    &mut grants,
+                    out,
+                );
+                if granted {
+                    out.push(ServerOutput::Send {
+                        to: from,
+                        msg: ToClient::Grants { req, grants },
+                    });
+                } else {
+                    if !grants.is_empty() {
                         out.push(ServerOutput::Send {
                             to: from,
                             msg: ToClient::Grants { req, grants },
                         });
                     }
-                    None => {
-                        if !grants.is_empty() {
-                            out.push(ServerOutput::Send {
-                                to: from,
-                                msg: ToClient::Grants { req, grants },
-                            });
-                        }
-                        self.counters.errors += 1;
-                        out.push(ServerOutput::Send {
-                            to: from,
-                            msg: ToClient::Error {
-                                req,
-                                reason: ErrorReason::NoSuchResource,
-                            },
-                        });
-                    }
+                    self.counters.errors += 1;
+                    out.push(ServerOutput::Send {
+                        to: from,
+                        msg: ToClient::Error {
+                            req,
+                            reason: ErrorReason::NoSuchResource,
+                        },
+                    });
                 }
             }
             ToServer::Renew { req, resources } => {
                 self.counters.renew_rx += 1;
                 let mut grants = Vec::with_capacity(resources.len());
                 for (r, v, h) in resources {
-                    if let Some(g) = self.try_grant(now, from, r, Some(v), h, store, out) {
-                        grants.push(g);
-                    }
+                    self.try_grant(now, from, r, Some(v), h, store, &mut grants, out);
                 }
                 if !grants.is_empty() {
                     out.push(ServerOutput::Send {
@@ -574,7 +576,8 @@ impl<R: Resource, D: Clone> LeaseServer<R, D> {
         }
     }
 
-    /// Grants a lease on `resource` to `from`, or returns `None` if the
+    /// Grants a lease on `resource` to `from`, pushing the grant onto the
+    /// reply's `grants`; returns `false`, and pushes nothing, if the
     /// resource is unknown or blocked by a pending write.
     ///
     /// `handle` is the client-echoed hint from the lease's last grant
@@ -590,16 +593,22 @@ impl<R: Resource, D: Clone> LeaseServer<R, D> {
         cached: Option<Version>,
         handle: LeaseHandle,
         store: &mut dyn Storage<R, D>,
+        grants: &mut Vec<Grant<R, D>>,
         out: &mut Vec<ServerOutput<R, D>>,
-    ) -> Option<Grant<R, D>> {
+    ) -> bool {
         if self.write_pending(resource) {
-            return None;
+            return false;
         }
-        self.grant(now, from, resource, cached, handle, store, out)
+        self.grant(now, from, resource, cached, handle, store, grants, out)
     }
 
     /// [`Self::try_grant`] for a caller that has already checked that no
     /// write is pending on `resource` (a fetch's primary resource).
+    ///
+    /// The grant is built in place in `grants` rather than returned by
+    /// value: copying a just-returned 48-byte grant into the reply reloads
+    /// bytes still in the store buffer, a store-forwarding stall on every
+    /// renewal.
     #[allow(clippy::too_many_arguments)] // one protocol input per argument
     fn grant(
         &mut self,
@@ -609,9 +618,12 @@ impl<R: Resource, D: Clone> LeaseServer<R, D> {
         cached: Option<Version>,
         handle: LeaseHandle,
         store: &mut dyn Storage<R, D>,
+        grants: &mut Vec<Grant<R, D>>,
         out: &mut Vec<ServerOutput<R, D>>,
-    ) -> Option<Grant<R, D>> {
-        let (data, version) = store.read(&resource)?;
+    ) -> bool {
+        let Some((data, version)) = store.read(&resource) else {
+            return false;
+        };
         self.cfg.policy.observe(Observation::Read(resource, now));
         let mut rec_handle = LeaseHandle::NULL;
         let term = if self.installed.contains(&resource) {
@@ -650,13 +662,14 @@ impl<R: Resource, D: Clone> LeaseServer<R, D> {
             self.counters.grants_with_data += 1;
             Some(data)
         };
-        Some(Grant {
+        grants.push(Grant {
             resource,
             version,
             data,
             term,
             handle: rec_handle,
-        })
+        });
+        true
     }
 
     fn start_write(
@@ -941,33 +954,28 @@ impl<R: Resource, D: Clone> LeaseServer<R, D> {
         // The starvation guard lifts: serve parked fetches.
         if let Some(parked) = self.queued_fetches.remove(&resource) {
             for qf in parked {
-                match self.try_grant(
+                let (to, req) = (qf.client, qf.req);
+                let mut grants = Vec::with_capacity(1);
+                let granted = self.try_grant(
                     now,
-                    qf.client,
+                    to,
                     resource,
                     qf.cached,
                     LeaseHandle::NULL,
                     store,
+                    &mut grants,
                     out,
-                ) {
-                    Some(g) => out.push(ServerOutput::Send {
-                        to: qf.client,
-                        msg: ToClient::Grants {
-                            req: qf.req,
-                            grants: vec![g],
-                        },
-                    }),
-                    None => {
-                        self.counters.errors += 1;
-                        out.push(ServerOutput::Send {
-                            to: qf.client,
-                            msg: ToClient::Error {
-                                req: qf.req,
-                                reason: ErrorReason::NoSuchResource,
-                            },
-                        });
+                );
+                let msg = if granted {
+                    ToClient::Grants { req, grants }
+                } else {
+                    self.counters.errors += 1;
+                    ToClient::Error {
+                        req,
+                        reason: ErrorReason::NoSuchResource,
                     }
-                }
+                };
+                out.push(ServerOutput::Send { to, msg });
             }
         }
     }

@@ -1,7 +1,7 @@
 //! One client cache: the driver behind its lock, the application-facing
 //! handle that serves hits on the caller's own thread, and the IO thread
 //! that keeps what no caller is there for — timers, and the lanes of an
-//! in-process system. A socket's reader resolves its replies ([`Feed`]).
+//! in-process system. A socket's reader resolves its replies (`Feed`).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -4,9 +4,9 @@
 //! one channel. The real-time deployment now runs on the sharded
 //! `lease-svc` runtime instead: the pieces here adapt it to this crate's
 //! world — the durable [`StoreBackend`] shared by every shard, the
-//! [`RtSink`] whose per-worker halves filter shard output (replica fence,
+//! `RtSink` whose per-worker halves filter shard output (replica fence,
 //! and the cuts and dice of the run's one [`LiveFaults`]) in front of the
-//! per-client ring lanes, and the [`RtPort`] clients use to submit
+//! per-client ring lanes, and the `RtPort` clients use to submit
 //! protocol messages to whichever replica is serving — the one there is,
 //! or under a grantor quorum the one whose gate is open.
 
@@ -268,7 +268,7 @@ impl WorkerSink<Res, Bytes> for RtWorkerSink {
 }
 
 /// Where a client thread submits protocol messages: the in-process
-/// [`RtPort`], or a socket ([`TcpPort`](crate::net::TcpPort)).
+/// `RtPort`, or a socket ([`TcpPort`](crate::net::TcpPort)).
 /// Implementations never block, never hold a message for later and
 /// report nothing back: a full lane, a cut link or an unreachable server
 /// is a lost message, and the client's retransmission backoff is the one

@@ -14,9 +14,39 @@ use crate::rng::SimRng;
 pub struct ActorId(pub usize);
 
 /// Identifies a pending timer; returned by [`Ctx::set_timer_at`] and
-/// accepted by [`Ctx::cancel_timer`].
+/// accepted by [`Ctx::cancel_timer`]: a slot of the world's timer slab and
+/// the slot's generation when the timer was set. The timer's firing or
+/// cancellation moves the generation on, so an id that outlived its timer
+/// cancels nothing, even once the slot holds a newer timer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerId(pub u64);
+pub struct TimerId(u32, u64);
+
+/// The world's timer slab: each slot's generation, and the free slots. A
+/// slot is held from [`Ctx::set_timer_at`] until its timer fires or is
+/// cancelled, so the slab grows to the most timers pending at once.
+#[derive(Debug, Default)]
+pub(crate) struct Timers {
+    gens: Vec<u64>,
+    free: Vec<u32>,
+}
+
+impl Timers {
+    /// Frees `id`'s slot if `id` is still pending; returns whether it was.
+    pub(crate) fn release(&mut self, TimerId(slot, gen): TimerId) -> bool {
+        let pending = self.gens[slot as usize] == gen;
+        if pending {
+            self.gens[slot as usize] += 1;
+            self.free.push(slot);
+        }
+        pending
+    }
+
+    /// Slots ever allocated: the high-water mark of pending timers.
+    #[cfg(test)]
+    pub(crate) fn slots(&self) -> usize {
+        self.gens.len()
+    }
+}
 
 /// A simulated process: receives messages and timer callbacks.
 ///
@@ -50,7 +80,6 @@ pub(crate) enum Cmd<M> {
     Send { to: ActorId, msg: M },
     Multicast { to: Vec<ActorId>, msg: M },
     SetTimer { id: TimerId, at: Time, key: u64 },
-    CancelTimer { id: TimerId },
     Stop,
 }
 
@@ -62,7 +91,7 @@ pub(crate) enum Cmd<M> {
 pub struct Ctx<'a, M> {
     pub(crate) now: Time,
     pub(crate) me: ActorId,
-    pub(crate) next_timer: &'a mut u64,
+    pub(crate) timers: &'a mut Timers,
     pub(crate) cmds: Vec<Cmd<M>>,
     pub(crate) rng: &'a mut SimRng,
     pub(crate) metrics: &'a mut Metrics,
@@ -96,8 +125,12 @@ impl<'a, M> Ctx<'a, M> {
     /// Timers set in the past fire at the current instant (after the
     /// current handler completes).
     pub fn set_timer_at(&mut self, at: Time, key: u64) -> TimerId {
-        let id = TimerId(*self.next_timer);
-        *self.next_timer += 1;
+        let t = &mut *self.timers;
+        let slot = t.free.pop().unwrap_or_else(|| {
+            t.gens.push(0);
+            (t.gens.len() - 1) as u32
+        });
+        let id = TimerId(slot, t.gens[slot as usize]);
         self.cmds.push(Cmd::SetTimer {
             id,
             at: at.max(self.now),
@@ -111,10 +144,10 @@ impl<'a, M> Ctx<'a, M> {
         self.set_timer_at(self.now + d, key)
     }
 
-    /// Cancels a pending timer. Cancelling an already-fired or unknown
-    /// timer is a no-op.
+    /// Cancels a pending timer: it will not fire. Cancelling a timer that
+    /// already fired or was already cancelled is a no-op.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        self.cmds.push(Cmd::CancelTimer { id });
+        self.timers.release(id);
     }
 
     /// Stops the world after this handler returns.

@@ -7,17 +7,14 @@
 //! sift is a handful of comparisons on cache-resident entries — there is
 //! no log factor for a bucketed scheduler's O(1) to delete (DESIGN.md §2c
 //! records the measurement that retired the timer-wheel backend).
+//!
+//! The queue cannot cancel: a pushed event pops. The [`World`](crate::World)
+//! cancels a timer in its timer slab, so no pop probes a cancelled set.
 
 use std::cmp::Ordering;
-use std::collections::binary_heap::PeekMut;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use lease_clock::Time;
-
-/// Identifies a scheduled event; returned by [`EventQueue::push`] and
-/// accepted by [`EventQueue::cancel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventHandle(u64);
 
 /// A pending event: payload `E` scheduled at an instant.
 struct Entry<E> {
@@ -62,18 +59,14 @@ impl<E> Ord for Entry<E> {
 /// let mut q = EventQueue::new();
 /// q.push(Time::from_secs(2), "later");
 /// q.push(Time::from_secs(1), "sooner");
-/// let cancel_me = q.push(Time::from_secs(1), "sooner-but-second");
-/// q.push(Time::from_secs(1), "third");
-/// q.cancel(cancel_me);
+/// q.push(Time::from_secs(1), "sooner-but-second");
 /// assert_eq!(q.pop(), Some((Time::from_secs(1), "sooner")));
-/// assert_eq!(q.pop(), Some((Time::from_secs(1), "third")));
+/// assert_eq!(q.pop(), Some((Time::from_secs(1), "sooner-but-second")));
 /// assert_eq!(q.pop(), Some((Time::from_secs(2), "later")));
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    /// Lazily cancelled handles, reaped when their entry reaches the front.
-    cancelled: HashSet<u64>,
     next_seq: u64,
 }
 
@@ -82,55 +75,28 @@ impl<E> EventQueue<E> {
     pub fn new() -> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
             next_seq: 0,
         }
     }
 
-    /// Schedules `ev` at instant `at`; the returned handle can cancel it.
-    pub fn push(&mut self, at: Time, ev: E) -> EventHandle {
+    /// Schedules `ev` at instant `at`.
+    pub fn push(&mut self, at: Time, ev: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Entry { at, seq, ev });
-        EventHandle(seq)
     }
 
-    /// Cancels a scheduled event: it will never pop. Lazy — the entry is
-    /// reaped when it would have surfaced, so until then it still counts
-    /// in [`EventQueue::len`]. Cancelling an already-popped handle is the
-    /// caller's error and quietly leaks one `HashSet` entry; the world
-    /// keeps its own live-timer bookkeeping for exactly that reason.
-    pub fn cancel(&mut self, h: EventHandle) {
-        self.cancelled.insert(h.0);
-    }
-
-    /// Removes and returns the earliest non-cancelled event, if any.
+    /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        loop {
-            let e = self.heap.pop()?;
-            if !self.cancelled.remove(&e.seq) {
-                return Some((e.at, e.ev));
-            }
-        }
+        self.heap.pop().map(|e| (e.at, e.ev))
     }
 
-    /// The instant of the earliest non-cancelled pending event.
-    ///
-    /// Takes `&mut self`: cancelled entries at the front are reaped. The
-    /// observable state (every future pop) is unchanged.
-    pub fn peek_time(&mut self) -> Option<Time> {
-        while let Some(e) = self.heap.peek_mut() {
-            if !self.cancelled.remove(&e.seq) {
-                return Some(e.at);
-            }
-            // Reap the cancelled front entry and look again.
-            PeekMut::pop(e);
-        }
-        None
+    /// The instant of the earliest pending event.
+    pub fn peek_time(&self) -> Option<Time> {
+        self.heap.peek().map(|e| e.at)
     }
 
-    /// Number of pending events, counting cancelled-but-unreaped ones
-    /// (cancellation is lazy; see [`EventQueue::cancel`]).
+    /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
     }
@@ -236,19 +202,6 @@ mod tests {
         q.push(Time::from_secs(2), 20);
         assert_eq!(q.pop(), Some((Time::from_secs(2), 20)));
         assert_eq!(q.pop(), Some((Time::from_secs(3), 3)));
-    }
-
-    #[test]
-    fn cancelled_events_never_pop() {
-        let mut q = EventQueue::new();
-        let a = q.push(Time::from_secs(1), 1);
-        q.push(Time::from_secs(1), 2);
-        let c = q.push(Time::from_secs(2), 3);
-        q.cancel(a);
-        q.cancel(c);
-        assert_eq!(q.peek_time(), Some(Time::from_secs(1)));
-        assert_eq!(q.pop(), Some((Time::from_secs(1), 2)));
-        assert_eq!(q.pop(), None);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! * [`Actor`] / [`World`] — the actor layer: actors receive messages and
 //!   timer callbacks through a [`Ctx`] that lets them send, multicast, set
 //!   timers, and record metrics.
-//! * [`Medium`] — the pluggable network model; `lease-net` supplies the
+//! * [`Medium`] — the pluggable network model; `lease-vsys` supplies the
 //!   realistic implementation, and [`PerfectMedium`] delivers instantly for
 //!   unit tests.
 //! * [`SimRng`] — seeded, forkable randomness so every run is reproducible.
@@ -58,7 +58,7 @@ pub mod rng;
 pub mod world;
 
 pub use actor::{Actor, ActorId, Ctx, TimerId};
-pub use event::{EventHandle, EventQueue};
+pub use event::EventQueue;
 pub use medium::{Delivery, Dest, Medium, PerfectMedium};
 pub use metrics::{Histogram, HistogramSummary, Metrics};
 pub use rng::SimRng;

@@ -1,11 +1,10 @@
 //! The world: actors, the event loop, and fault scheduling.
 
 use std::any::Any;
-use std::collections::HashSet;
 
 use lease_clock::Time;
 
-use crate::actor::{Actor, ActorId, Cmd, Ctx, TimerId};
+use crate::actor::{Actor, ActorId, Cmd, Ctx, TimerId, Timers};
 use crate::event::EventQueue;
 use crate::medium::{Delivery, Dest, Medium};
 use crate::metrics::Metrics;
@@ -51,8 +50,9 @@ pub struct World<M> {
     queue: EventQueue<WorldEvent<M>>,
     actors: Vec<Option<Slot<M>>>,
     medium: Box<dyn Medium<M>>,
-    next_timer: u64,
-    cancelled: HashSet<u64>,
+    /// Every pending timer's slot. The one place a timer is cancelled:
+    /// the queue entry of a freed slot still pops, and is dropped.
+    timers: Timers,
     /// The medium's stream (the historical root stream, so network draws
     /// are unchanged by the introduction of per-actor streams).
     rng: SimRng,
@@ -75,8 +75,7 @@ impl<M: 'static> World<M> {
             queue: EventQueue::new(),
             actors: Vec::new(),
             medium: Box::new(medium),
-            next_timer: 0,
-            cancelled: HashSet::new(),
+            timers: Timers::default(),
             rng: SimRng::seed(seed),
             metrics: Metrics::new(),
             stopped: false,
@@ -185,11 +184,13 @@ impl<M: 'static> World<M> {
                 key,
                 epoch,
             } => {
-                if self.cancelled.remove(&id.0) {
-                    // Cancelled before firing.
-                } else if let Some(slot) = self.actors.get(actor.0).and_then(|s| s.as_ref()) {
-                    if !slot.crashed && slot.epoch == epoch {
-                        self.with_actor(actor, |a, ctx| a.on_timer(ctx, id, key));
+                // A cancelled timer's slot was freed already; a pending
+                // one's is freed now, fired or not.
+                if self.timers.release(id) {
+                    if let Some(slot) = self.actors.get(actor.0).and_then(|s| s.as_ref()) {
+                        if !slot.crashed && slot.epoch == epoch {
+                            self.with_actor(actor, |a, ctx| a.on_timer(ctx, id, key));
+                        }
                     }
                 }
             }
@@ -258,7 +259,7 @@ impl<M: 'static> World<M> {
         let mut ctx = Ctx {
             now: self.now,
             me: id,
-            next_timer: &mut self.next_timer,
+            timers: &mut self.timers,
             cmds: std::mem::take(&mut self.cmd_buf),
             rng: &mut slot.rng,
             metrics: &mut self.metrics,
@@ -286,9 +287,6 @@ impl<M: 'static> World<M> {
                         },
                     );
                 }
-                Cmd::CancelTimer { id } => {
-                    self.cancelled.insert(id.0);
-                }
                 Cmd::Stop => self.stopped = true,
             }
         }
@@ -314,6 +312,7 @@ mod tests {
     use super::*;
     use crate::medium::PerfectMedium;
     use lease_clock::Dur;
+    use proptest::prelude::*;
 
     /// Echoes every message back and counts what it saw.
     struct Echo {
@@ -480,6 +479,113 @@ mod tests {
         let echo = w.add_actor(Echo { seen: 0 });
         assert!(w.actor::<Kickoff>(echo).is_none());
         assert!(w.actor::<Echo>(ActorId(99)).is_none());
+    }
+
+    /// One step of [`Scripted`]'s script.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// Set a timer this many milliseconds out.
+        Set(u64),
+        /// Cancel the timer set `.0`-th (modulo those set so far): pending,
+        /// fired or cancelled already.
+        Cancel(usize),
+    }
+
+    /// Runs one burst of its script at start and at every timer, and keeps
+    /// the model of what must fire: the pending timers, `(at, key, id)`.
+    struct Scripted {
+        bursts: std::collections::VecDeque<Vec<Step>>,
+        set: Vec<TimerId>,
+        pending: Vec<(Time, u64, TimerId)>,
+        most_pending: usize,
+        wrong: Vec<String>,
+    }
+
+    impl Scripted {
+        fn burst(&mut self, ctx: &mut Ctx<'_, ()>) {
+            for step in self.bursts.pop_front().unwrap_or_default() {
+                match step {
+                    Step::Set(ms) => {
+                        let key = self.set.len() as u64;
+                        let id = ctx.set_timer_in(Dur::from_millis(ms), key);
+                        self.set.push(id);
+                        self.pending
+                            .push((ctx.now() + Dur::from_millis(ms), key, id));
+                        self.most_pending = self.most_pending.max(self.pending.len());
+                    }
+                    Step::Cancel(i) if !self.set.is_empty() => {
+                        let id = self.set[i % self.set.len()];
+                        ctx.cancel_timer(id);
+                        self.pending.retain(|p| p.2 != id);
+                    }
+                    Step::Cancel(_) => {}
+                }
+            }
+        }
+    }
+
+    impl Actor<()> for Scripted {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+            self.burst(ctx);
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, ()>, _: ActorId, _: ()) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, id: TimerId, key: u64) {
+            // The earliest pending timer, ties in the order they were set.
+            let next =
+                (0..self.pending.len()).min_by_key(|&i| (self.pending[i].0, self.pending[i].1));
+            match next {
+                Some(i) if self.pending[i] == (ctx.now(), key, id) => {
+                    self.pending.remove(i);
+                }
+                _ => self.wrong.push(format!(
+                    "timer {key} fired at {:?}; the model expected {:?}",
+                    ctx.now(),
+                    next.map(|i| self.pending[i])
+                )),
+            }
+            self.burst(ctx);
+        }
+    }
+
+    /// Three sets to two cancels; delays of 0–4 ms, so ties are common.
+    fn step() -> impl Strategy<Value = Step> {
+        (0u8..5, any::<u64>()).prop_map(|(kind, x)| match kind {
+            0..=2 => Step::Set(x % 5),
+            _ => Step::Cancel(x as usize),
+        })
+    }
+
+    proptest! {
+        /// Under random set / cancel / fire interleavings, exactly the
+        /// timers never cancelled fire, in `(at, set order)`; a cancel of a
+        /// fired or already-cancelled id — its slot perhaps holding a newer
+        /// timer — changes nothing; and the slab never has more slots than
+        /// timers were ever pending at once.
+        #[test]
+        fn timer_slab_fires_exactly_the_uncancelled(
+            bursts in proptest::collection::vec(proptest::collection::vec(step(), 0..6), 1..60),
+        ) {
+            let mut w = World::new(1, PerfectMedium);
+            let id = w.add_actor(Scripted {
+                bursts: bursts.into(),
+                set: Vec::new(),
+                pending: Vec::new(),
+                most_pending: 0,
+                wrong: Vec::new(),
+            });
+            while w.step() {
+                let a = w.actor::<Scripted>(id).unwrap();
+                prop_assert!(
+                    w.timers.slots() <= a.most_pending,
+                    "{} slots for at most {} pending timers",
+                    w.timers.slots(),
+                    a.most_pending
+                );
+            }
+            let a = w.actor::<Scripted>(id).unwrap();
+            prop_assert!(a.wrong.is_empty(), "{:?}", a.wrong);
+            prop_assert!(a.pending.is_empty(), "never fired: {:?}", a.pending);
+        }
     }
 
     #[test]

@@ -26,13 +26,13 @@ proptest! {
 
     /// The queue is observationally equivalent to the obvious model — a
     /// `Vec` of `(at, push seq, value)` scanned for its `(at, seq)`-least
-    /// entry — under arbitrary push/pop/cancel/peek interleavings, including
+    /// entry — under arbitrary push/pop/peek interleavings, including
     /// same-instant FIFO tie-breaks, nanosecond-apart instants, and
     /// end-of-time deadlines (the determinism contract documented in
     /// `event.rs`).
     #[test]
     fn queue_matches_sorted_model(
-        ops in proptest::collection::vec((0u8..8, any::<u64>()), 1..400),
+        ops in proptest::collection::vec((0u8..7, any::<u64>()), 1..400),
     ) {
         /// Removes and returns the model's `(at, seq)`-least entry.
         fn pop_min(model: &mut Vec<(Time, u64, u64)>) -> Option<(Time, u64)> {
@@ -42,7 +42,7 @@ proptest! {
         }
         let mut q = EventQueue::new();
         let mut model: Vec<(Time, u64, u64)> = Vec::new();
-        let mut handles = Vec::new();
+        let mut pushed = 0;
         for (op, x) in ops {
             match op {
                 // Pushes dominate so the drain below has work to compare.
@@ -55,20 +55,11 @@ proptest! {
                         2 => Time(x % 10_000_000),
                         _ => Time(u64::MAX - (x % 1000)),
                     };
-                    // A handle's index is its event's push sequence number.
-                    model.push((at, handles.len() as u64, x));
-                    handles.push(q.push(at, x));
+                    model.push((at, pushed, x));
+                    pushed += 1;
+                    q.push(at, x);
                 }
                 4 | 5 => prop_assert_eq!(q.pop(), pop_min(&mut model)),
-                6 => {
-                    if !handles.is_empty() {
-                        // May name an already-popped or already-cancelled
-                        // event: a no-op on both sides.
-                        let i = (x as usize) % handles.len();
-                        q.cancel(handles[i]);
-                        model.retain(|e| e.1 != i as u64);
-                    }
-                }
                 _ => prop_assert_eq!(q.peek_time(), model.iter().map(|e| e.0).min()),
             }
         }

@@ -104,8 +104,10 @@ pub(crate) const SPIN: usize = 256;
 const INDEX_AHEAD: usize = 16;
 const HOLDER_AHEAD: usize = 8;
 
-/// The panic message used by [`ShardMsg::Kill`]; chaos harnesses install a
-/// panic hook that recognizes it to keep injected-crash logs quiet.
+/// The panic message of a shard killed on purpose
+/// ([`SvcHandle::kill_shard`](crate::SvcHandle::kill_shard)); chaos
+/// harnesses install a panic hook that recognizes it to keep
+/// injected-crash logs quiet.
 pub const INJECTED_KILL: &str = "injected shard kill (chaos)";
 
 /// Messages into one shard worker.

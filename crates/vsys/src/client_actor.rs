@@ -28,8 +28,15 @@ pub trait SimCache: 'static {
 
     /// Starts (or restarts after a crash) at local time `now`.
     fn start(&mut self, now: Time) -> Vec<Self::Output>;
-    /// Handles one event at local time `now`.
-    fn handle(&mut self, now: Time, event: CacheEvent<Self::Down>) -> Vec<Self::Output>;
+    /// Handles one event at local time `now`, appending what it asks for
+    /// to `out`: the actor drains `out` after each call, so one buffer
+    /// serves every event.
+    fn handle_into(
+        &mut self,
+        now: Time,
+        event: CacheEvent<Self::Down>,
+        out: &mut Vec<Self::Output>,
+    );
     /// Wipes the volatile state and returns the buffered writes lost
     /// with it, each as `(resource, last_durable, last_lost)`.
     fn crash(&mut self) -> Vec<(Res, Version, Version)>;
@@ -79,7 +86,12 @@ impl SimCache for LeaseClient<Res, Data> {
         LeaseClient::start(self, now)
     }
 
-    fn handle(&mut self, now: Time, event: CacheEvent<Self::Down>) -> Vec<Self::Output> {
+    fn handle_into(
+        &mut self,
+        now: Time,
+        event: CacheEvent<Self::Down>,
+        out: &mut Vec<Self::Output>,
+    ) {
         let input = match event {
             CacheEvent::Read(op, resource) => ClientInput::Op {
                 op,
@@ -93,7 +105,7 @@ impl SimCache for LeaseClient<Res, Data> {
             CacheEvent::Timer(1) => ClientInput::Timer(ClientTimer::Renewal),
             CacheEvent::Timer(key) => ClientInput::Timer(ClientTimer::Retry(ReqId(key - 2))),
         };
-        LeaseClient::handle(self, now, input)
+        LeaseClient::handle_into(self, now, input, out)
     }
 
     fn crash(&mut self) -> Vec<(Res, Version, Version)> {
@@ -132,6 +144,8 @@ pub struct ClientActor<C: SimCache = LeaseClient<Res, Data>> {
     timer_ids: FxMap<u64, TimerId>,
     next_data: u64,
     warmup: Time,
+    /// The cache's outputs for the event at hand; empty between events.
+    out: Vec<C::Output>,
 }
 
 impl<C: SimCache> ClientActor<C> {
@@ -155,6 +169,7 @@ impl<C: SimCache> ClientActor<C> {
             timer_ids: FxMap::default(),
             next_data: 0,
             warmup,
+            out: Vec::new(),
         }
     }
 
@@ -190,15 +205,23 @@ impl<C: SimCache> ClientActor<C> {
                     CacheEvent::Write(op, file, token)
                 }
             };
-            let local = self.clock.local(ctx.now());
-            let out = self.cache.handle(local, input);
-            self.apply(ctx, out);
+            self.handle(ctx, input);
         }
         self.schedule_driver(ctx);
     }
 
-    fn apply(&mut self, ctx: &mut Ctx<'_, Wire<C>>, outputs: Vec<C::Output>) {
-        for o in outputs {
+    /// Hands the cache one event at this host's local time and applies
+    /// what it asks for.
+    fn handle(&mut self, ctx: &mut Ctx<'_, Wire<C>>, event: CacheEvent<C::Down>) {
+        let local = self.clock.local(ctx.now());
+        let mut out = std::mem::take(&mut self.out);
+        self.cache.handle_into(local, event, &mut out);
+        self.apply(ctx, &mut out);
+        self.out = out;
+    }
+
+    fn apply(&mut self, ctx: &mut Ctx<'_, Wire<C>>, outputs: &mut Vec<C::Output>) {
+        for o in outputs.drain(..) {
             match C::effect(o) {
                 CacheEffect::Send(msg) => ctx.send(self.server, NetMsg::ToServer(msg)),
                 CacheEffect::SetTimer(at, key) => {
@@ -287,8 +310,8 @@ impl<C: SimCache> ClientActor<C> {
 impl<C: SimCache> Actor<Wire<C>> for ClientActor<C> {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Wire<C>>) {
         let local = self.clock.local(ctx.now());
-        let out = self.cache.start(local);
-        self.apply(ctx, out);
+        let mut out = self.cache.start(local);
+        self.apply(ctx, &mut out);
         self.schedule_driver(ctx);
     }
 
@@ -296,9 +319,7 @@ impl<C: SimCache> Actor<Wire<C>> for ClientActor<C> {
         let NetMsg::ToClient(msg) = msg else {
             return;
         };
-        let local = self.clock.local(ctx.now());
-        let out = self.cache.handle(local, CacheEvent::Msg(msg));
-        self.apply(ctx, out);
+        self.handle(ctx, CacheEvent::Msg(msg));
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire<C>>, _timer: TimerId, key: u64) {
@@ -307,9 +328,7 @@ impl<C: SimCache> Actor<Wire<C>> for ClientActor<C> {
             return;
         }
         self.timer_ids.remove(&key);
-        let local = self.clock.local(ctx.now());
-        let out = self.cache.handle(local, CacheEvent::Timer(key));
-        self.apply(ctx, out);
+        self.handle(ctx, CacheEvent::Timer(key));
     }
 
     fn on_crash(&mut self, at: Time) {
@@ -325,8 +344,8 @@ impl<C: SimCache> Actor<Wire<C>> for ClientActor<C> {
         // Operations that should have run while down are lost, not replayed.
         self.driver.skip_until(ctx.now());
         let local = self.clock.local(ctx.now());
-        let out = self.cache.start(local);
-        self.apply(ctx, out);
+        let mut out = self.cache.start(local);
+        self.apply(ctx, &mut out);
         self.schedule_driver(ctx);
     }
 }

@@ -27,13 +27,16 @@ pub trait SimServer: 'static {
     fn start(&mut self, _now: Time, _storage: &Store) -> Vec<Self::Output> {
         Vec::new()
     }
-    /// Handles one event at local time `now`.
-    fn handle(
+    /// Handles one event at local time `now`, appending what it asks for
+    /// to `out`: the actor drains `out` after each call, so one buffer
+    /// serves every event.
+    fn handle_into(
         &mut self,
         now: Time,
         event: ServerEvent<Self::Up>,
         storage: &mut Store,
-    ) -> Vec<Self::Output>;
+        out: &mut Vec<Self::Output>,
+    );
     /// Wipes the volatile state. A server without §5 recovery refuses.
     fn crash(&mut self) {
         panic!("this server has no §5 crash recovery");
@@ -95,12 +98,13 @@ impl SimServer for LeaseServer<Res, Data> {
         LeaseServer::start(self, now, storage)
     }
 
-    fn handle(
+    fn handle_into(
         &mut self,
         now: Time,
         event: ServerEvent<Self::Up>,
         storage: &mut Store,
-    ) -> Vec<Self::Output> {
+        out: &mut Vec<Self::Output>,
+    ) {
         let input = match event {
             ServerEvent::Msg(from, msg) => ServerInput::Msg { from, msg },
             ServerEvent::Timer(0) => ServerInput::Timer(ServerTimer::InstalledTick),
@@ -108,7 +112,7 @@ impl SimServer for LeaseServer<Res, Data> {
                 ServerInput::Timer(ServerTimer::WriteDeadline(WriteId(key - 1)))
             }
         };
-        LeaseServer::handle(self, now, input, storage)
+        LeaseServer::handle_into(self, now, input, storage, out)
     }
 
     fn crash(&mut self) {
@@ -192,6 +196,8 @@ pub struct ServerActor<S: SimServer = LeaseServer<Res, Data>> {
     /// Durable slot: lease records (PersistentRecords recovery).
     durable_leases: Vec<(Res, ClientId, Time)>,
     timer_ids: FxMap<u64, TimerId>,
+    /// The server's outputs for the event at hand; empty between events.
+    out: Vec<S::Output>,
 }
 
 impl<S: SimServer> ServerActor<S> {
@@ -214,6 +220,7 @@ impl<S: SimServer> ServerActor<S> {
             durable_max_term: None,
             durable_leases: Vec::new(),
             timer_ids: FxMap::default(),
+            out: Vec::new(),
         }
     }
 
@@ -228,9 +235,20 @@ impl<S: SimServer> ServerActor<S> {
             .map(|i| ClientId(i as u32))
     }
 
-    fn apply(&mut self, ctx: &mut Ctx<'_, Wire<S>>, outputs: Vec<S::Output>) {
+    /// Hands the server one event at its local time and applies what it
+    /// asks for.
+    fn handle(&mut self, ctx: &mut Ctx<'_, Wire<S>>, event: ServerEvent<S::Up>) {
+        let local = self.clock.local(ctx.now());
+        let mut out = std::mem::take(&mut self.out);
+        self.server
+            .handle_into(local, event, &mut self.storage, &mut out);
+        self.apply(ctx, &mut out);
+        self.out = out;
+    }
+
+    fn apply(&mut self, ctx: &mut Ctx<'_, Wire<S>>, outputs: &mut Vec<S::Output>) {
         let measuring = ctx.now() >= self.warmup;
-        for o in outputs {
+        for o in outputs.drain(..) {
             match S::effect(o) {
                 ServerEffect::Send(to, msg) => {
                     if measuring {
@@ -281,8 +299,8 @@ impl<S: SimServer> ServerActor<S> {
 impl<S: SimServer> Actor<Wire<S>> for ServerActor<S> {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Wire<S>>) {
         let local = self.clock.local(ctx.now());
-        let out = self.server.start(local, &self.storage);
-        self.apply(ctx, out);
+        let mut out = self.server.start(local, &self.storage);
+        self.apply(ctx, &mut out);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Wire<S>>, from: ActorId, msg: Wire<S>) {
@@ -295,20 +313,12 @@ impl<S: SimServer> Actor<Wire<S>> for ServerActor<S> {
         if ctx.now() >= self.warmup {
             ctx.metrics().inc(S::rx_metric(&msg));
         }
-        let local = self.clock.local(ctx.now());
-        let out = self
-            .server
-            .handle(local, ServerEvent::Msg(client, msg), &mut self.storage);
-        self.apply(ctx, out);
+        self.handle(ctx, ServerEvent::Msg(client, msg));
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire<S>>, _timer: TimerId, key: u64) {
         self.timer_ids.remove(&key);
-        let local = self.clock.local(ctx.now());
-        let out = self
-            .server
-            .handle(local, ServerEvent::Timer(key), &mut self.storage);
-        self.apply(ctx, out);
+        self.handle(ctx, ServerEvent::Timer(key));
     }
 
     fn on_crash(&mut self, _at: Time) {
@@ -320,9 +330,9 @@ impl<S: SimServer> Actor<Wire<S>> for ServerActor<S> {
     fn on_recover(&mut self, ctx: &mut Ctx<'_, Wire<S>>) {
         let local = self.clock.local(ctx.now());
         let leases = self.durable_leases.clone();
-        let out = self
+        let mut out = self
             .server
             .recover(local, self.durable_max_term, leases, &self.storage);
-        self.apply(ctx, out);
+        self.apply(ctx, &mut out);
     }
 }

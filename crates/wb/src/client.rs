@@ -229,21 +229,29 @@ impl<R: Resource, D: Clone> WbClient<R, D> {
     /// Handles one input.
     pub fn handle(&mut self, now: Time, input: WbInput<R, D>) -> Vec<WbClientOutput<R, D>> {
         let mut out = Vec::new();
+        self.handle_into(now, input, &mut out);
+        out
+    }
+
+    /// Handles one input, appending the effects to apply to `out`.
+    pub fn handle_into(
+        &mut self,
+        now: Time,
+        input: WbInput<R, D>,
+        out: &mut Vec<WbClientOutput<R, D>>,
+    ) {
         match input {
-            WbInput::Read { op, resource } => self.on_read(now, op, resource, &mut out),
-            WbInput::Write { op, resource, data } => {
-                self.on_write(now, op, resource, data, &mut out)
-            }
-            WbInput::Msg(m) => self.on_msg(now, m, &mut out),
+            WbInput::Read { op, resource } => self.on_read(now, op, resource, out),
+            WbInput::Write { op, resource, data } => self.on_write(now, op, resource, data, out),
+            WbInput::Msg(m) => self.on_msg(now, m, out),
             WbInput::Timer(WbClientTimer::Flush) => {
-                self.flush_dirty(&mut out);
+                self.flush_dirty(out);
                 out.push(WbClientOutput::SetTimer {
                     at: now + self.cfg.flush_interval,
                     timer: WbClientTimer::Flush,
                 });
             }
         }
-        out
     }
 
     fn on_read(&mut self, now: Time, op: OpId, resource: R, out: &mut Vec<WbClientOutput<R, D>>) {

@@ -107,14 +107,19 @@ impl SimCache for WbClient<Res, Data> {
         WbClient::start(self, now)
     }
 
-    fn handle(&mut self, now: Time, event: CacheEvent<Self::Down>) -> Vec<Self::Output> {
+    fn handle_into(
+        &mut self,
+        now: Time,
+        event: CacheEvent<Self::Down>,
+        out: &mut Vec<Self::Output>,
+    ) {
         let input = match event {
             CacheEvent::Read(op, resource) => WbInput::Read { op, resource },
             CacheEvent::Write(op, resource, data) => WbInput::Write { op, resource, data },
             CacheEvent::Msg(msg) => WbInput::Msg(msg),
             CacheEvent::Timer(_) => WbInput::Timer(WbClientTimer::Flush),
         };
-        WbClient::handle(self, now, input)
+        WbClient::handle_into(self, now, input, out)
     }
 
     fn crash(&mut self) -> Vec<(Res, Version, Version)> {
@@ -145,17 +150,18 @@ impl SimServer for WbServer<Res, Data> {
     type Down = WbToClient<Res, Data>;
     type Output = WbServerOutput<Res, Data>;
 
-    fn handle(
+    fn handle_into(
         &mut self,
         now: Time,
         event: ServerEvent<Self::Up>,
         storage: &mut Store,
-    ) -> Vec<Self::Output> {
+        out: &mut Vec<Self::Output>,
+    ) {
         let input = match event {
             ServerEvent::Msg(from, msg) => WbServerInput::Msg { from, msg },
             ServerEvent::Timer(resource) => WbServerInput::RecallTimer(resource),
         };
-        WbServer::handle(self, now, input, storage)
+        WbServer::handle_into(self, now, input, storage, out)
     }
 
     fn rx_metric(msg: &Self::Up) -> &'static str {

@@ -115,6 +115,19 @@ impl<R: Resource, D: Clone + Default> WbServer<R, D> {
         store: &mut MemStorage<R, D, H>,
     ) -> Vec<WbServerOutput<R, D>> {
         let mut out = Vec::new();
+        self.handle_into(now, input, store, &mut out);
+        out
+    }
+
+    /// Handles one input against the primary storage, appending the
+    /// effects to apply to `out`.
+    pub fn handle_into<H: BuildHasher>(
+        &mut self,
+        now: Time,
+        input: WbServerInput<R, D>,
+        store: &mut MemStorage<R, D, H>,
+        out: &mut Vec<WbServerOutput<R, D>>,
+    ) {
         match input {
             WbServerInput::Msg { from, msg } => match msg {
                 WbToServer::Acquire {
@@ -132,7 +145,7 @@ impl<R: Resource, D: Clone + Default> WbServer<R, D> {
                             mode,
                             cached,
                         });
-                    self.pump(now, resource, store, &mut out);
+                    self.pump(now, resource, store, out);
                 }
                 WbToServer::WriteBack {
                     req,
@@ -142,15 +155,7 @@ impl<R: Resource, D: Clone + Default> WbServer<R, D> {
                     data,
                 } => {
                     let dirty = (version, data);
-                    self.write_back(
-                        from,
-                        req,
-                        resource,
-                        Some(reservation),
-                        dirty,
-                        store,
-                        &mut out,
-                    );
+                    self.write_back(from, req, resource, Some(reservation), dirty, store, out);
                 }
                 WbToServer::Release {
                     req,
@@ -162,7 +167,7 @@ impl<R: Resource, D: Clone + Default> WbServer<R, D> {
                     // the outcome is acknowledged so the client can account
                     // for lost writes.
                     if let Some(dirty) = dirty {
-                        self.write_back(from, req, resource, reservation, dirty, store, &mut out);
+                        self.write_back(from, req, resource, reservation, dirty, store, out);
                     }
                     if self
                         .writers
@@ -175,14 +180,13 @@ impl<R: Resource, D: Clone + Default> WbServer<R, D> {
                     if let Some(waiting) = self.recalling.get_mut(&resource) {
                         waiting.remove(&from);
                     }
-                    self.pump(now, resource, store, &mut out);
+                    self.pump(now, resource, store, out);
                 }
             },
             WbServerInput::RecallTimer(resource) => {
-                self.pump(now, resource, store, &mut out);
+                self.pump(now, resource, store, out);
             }
         }
-        out
     }
 
     /// Commits `from`'s write-back if it holds the write lease under
