@@ -4,10 +4,10 @@
 //! and applies what comes back; the outputs land in a buffer the actor
 //! keeps, a cancelled timer is a freed slot in the world's slab, and a
 //! reply's grants are built in place. What allocates is what the
-//! protocol sends: the messages' own grant and renewal lists. So the
-//! 120-module V compile trace (`sim_vtrace`'s reference run) must cost at
-//! most one allocation per simulated event; a buffer returned per handler
-//! call puts it near two.
+//! protocol sends: the messages' own grant and renewal lists. So the V
+//! compile trace at `sim_vtrace`'s size (120 modules, seed 1, 10 s terms)
+//! must cost at most one allocation per simulated event; a buffer
+//! returned per handler call puts it near two.
 //!
 //! ```text
 //! cargo test -p lease-bench --features alloc-count --test sim_allocs
