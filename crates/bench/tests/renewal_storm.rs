@@ -5,6 +5,13 @@
 //! past every superseded deadline each round, so it cannot see growth
 //! that only shows between prunes.)
 //!
+//! The same holds for the approval path's churn: the same leases released
+//! and re-granted 200 000 times, still with no prune, orphan one entry
+//! each. The table compacts them away in place whenever they outnumber
+//! the live records, so the wheel stays within twice the leases plus
+//! `ORPHAN_SLACK` — and, once warm, without a single allocation: neither
+//! the compaction nor its capacity give-back touches the allocator.
+//!
 //! ```text
 //! cargo test -p lease-bench --features alloc-count --test renewal_storm
 //! ```
@@ -15,16 +22,17 @@
 
 use lease_bench::allocations;
 use lease_clock::Time;
-use lease_core::table::{LeaseHandle, SlabTable};
+use lease_core::table::{LeaseHandle, SlabTable, ORPHAN_SLACK};
 use lease_core::ClientId;
 
 const RESOURCES: u64 = 256;
 const CLIENTS: u32 = 2;
 const LEASES: usize = (RESOURCES * CLIENTS as u64) as usize;
 const EXTENSIONS: u64 = 2_000_000;
+const CHURNS: u64 = 200_000;
 
 #[test]
-fn renewal_storm_without_prune_is_allocation_free_and_wheel_stays_flat() {
+fn renewal_and_release_storms_without_prune_are_allocation_free_and_wheel_stays_flat() {
     let mut table: SlabTable<u64> = SlabTable::new();
     let key = |i: usize| (i as u64 / u64::from(CLIENTS), ClientId(i as u32 % CLIENTS));
     let base = Time::from_secs(10).0;
@@ -51,4 +59,35 @@ fn renewal_storm_without_prune_is_allocation_free_and_wheel_stays_flat() {
     assert_eq!(table.timer_entries(), LEASES);
     assert_eq!(table.len(), LEASES);
     assert_eq!(table.granted_total(), LEASES as u64 * 2 + EXTENSIONS);
+
+    // Release and re-grant, round-robin over the leases: one orphan each.
+    let mut at = base + 2 + EXTENSIONS;
+    let mut churn = |table: &mut SlabTable<u64>, n: u64| {
+        let i = n as usize % LEASES;
+        table.release(key(i).0, key(i).1);
+        at += 1;
+        handles[i] = table.grant(key(i).0, key(i).1, Time(at));
+        table.timer_entries()
+    };
+    // Warm-up: a few compactions, so the wheel slot has reached its
+    // high-water capacity.
+    for n in 0..4 * LEASES as u64 {
+        churn(&mut table, n);
+    }
+    let before = allocations().expect("alloc-count feature is on");
+    let mut most = 0;
+    for n in 0..CHURNS {
+        most = most.max(churn(&mut table, n));
+    }
+    let allocs = allocations().expect("alloc-count feature is on") - before;
+
+    assert_eq!(allocs, 0, "release churn allocated");
+    assert!(
+        most <= 2 * LEASES + ORPHAN_SLACK,
+        "{most} wheel entries for {LEASES} leases"
+    );
+    // More than one entry per lease at the peak: the orphans really were
+    // kept until a compaction took them.
+    assert!(most > LEASES + ORPHAN_SLACK);
+    assert_eq!(table.len(), LEASES);
 }

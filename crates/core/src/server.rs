@@ -330,6 +330,18 @@ impl<R: Resource, D: Clone> LeaseServer<R, D> {
         self.pending.get(&resource).is_some_and(|q| !q.is_empty())
     }
 
+    /// Whether write `id` is still queued or awaiting approval — whether
+    /// its [`ServerTimer::WriteDeadline`] can still do anything.
+    pub fn holds_write(&self, id: WriteId) -> bool {
+        self.write_index.contains_key(&id)
+    }
+
+    /// Writes queued or awaiting approval: an upper bound on the
+    /// [`ServerTimer::WriteDeadline`]s still live.
+    pub fn writes_in_flight(&self) -> usize {
+        self.write_index.len()
+    }
+
     /// Starts loading the index buckets `input` will probe first — its
     /// resource's in the lease table and in `store` — into the cache. A
     /// pure hint: it changes no state and produces no output. A fetch or

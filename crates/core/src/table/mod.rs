@@ -25,7 +25,7 @@ pub mod slab;
 mod reference;
 
 pub use crate::types::LeaseHandle;
-pub use slab::SlabTable;
+pub use slab::{SlabTable, ORPHAN_SLACK};
 
 /// The lease table the server uses: the slab implementation.
 pub type LeaseTable<R> = SlabTable<R>;

@@ -11,8 +11,14 @@
 //! generation)`; extension — the paper's steady state — overwrites
 //! `Slot::expiry` and never touches the wheel; and when the entry fires,
 //! [`SlabTable::prune`] frees the record if it has lapsed, else puts the
-//! entry back at the record's current expiry. Wheel entries follow live leases, not grants: a continuously
-//! renewed lease costs one re-arm per *term*.
+//! entry back at the record's current expiry. Wheel entries follow live
+//! leases, not grants: a continuously renewed lease costs one re-arm per
+//! *term*. A release orphans its tenancy's entry; the table counts its
+//! orphans and, once they outnumber its live records plus
+//! [`ORPHAN_SLACK`], retains only the entries whose generation still
+//! matches their slot ([`TimerWheel::retain`]). So the wheel holds at
+//! most `2 × len() + ORPHAN_SLACK` entries of 16 bytes each, whatever the
+//! approval rate, and memory follows live leases.
 //!
 //! Costs, compared to the reference table (the map-plus-`BTreeSet`
 //! specification in `tests/reference/`):
@@ -53,6 +59,10 @@ const NIL: u32 = u32::MAX;
 /// noise, and it keeps the wheel's tick arithmetic far from overflow.
 const DEFAULT_TICK: Dur = Dur::from_millis(1);
 
+/// Orphaned wheel entries the table tolerates beyond one per live record
+/// before it compacts its wheel.
+pub const ORPHAN_SLACK: usize = 64;
+
 /// One lease record: §2's "couple of pointers worth of storage".
 #[derive(Debug, Clone)]
 struct Slot<R> {
@@ -82,10 +92,14 @@ pub struct SlabTable<R> {
     // RandomState: a client picks the resource ids it reads.
     heads: FlatMap<R, u32>,
     /// Expiry ordering: exactly one `(slot, generation)` entry per live
-    /// record, scheduled at or before its expiry. Never cancelled — a
-    /// release leaves its tenancy's entry behind, and prune drops it by
-    /// generation when it fires; extension leaves the wheel alone.
+    /// record, scheduled at or before its expiry, plus the `orphans`. A
+    /// release leaves its tenancy's entry behind; prune drops it by
+    /// generation when it fires, and a compaction drops every orphan at
+    /// once when they outnumber the live records. Extension leaves the
+    /// wheel alone.
     wheel: TimerWheel<(u32, u32)>,
+    /// Wheel entries whose tenancy is over: `wheel.len() - live`.
+    orphans: usize,
     /// Fired-entry scratch reused across prunes.
     scratch: Vec<(Time, (u32, u32))>,
     /// Occupied slots.
@@ -114,6 +128,7 @@ impl<R: Resource> SlabTable<R> {
             heads: FlatMap::new(),
             wheel: TimerWheel::new(tick, Time::ZERO),
             scratch: Vec::new(),
+            orphans: 0,
             live: 0,
             granted_total: 0,
         }
@@ -164,11 +179,14 @@ impl<R: Resource> SlabTable<R> {
     }
 
     /// Removes `client`'s lease on `resource` (approval or relinquish).
-    /// Any handle to the record is invalidated.
+    /// Any handle to the record is invalidated, and its wheel entry
+    /// becomes an orphan.
     pub fn release(&mut self, resource: R, client: ClientId) {
         if let Some(idx) = self.find(resource, client) {
             self.unlink(idx);
             self.free(idx);
+            self.orphans += 1;
+            self.compact_if_due();
         }
     }
 
@@ -266,6 +284,7 @@ impl<R: Resource> SlabTable<R> {
         for &(_, (idx, gen)) in &fired {
             let s = &self.slots[idx as usize];
             if s.gen != gen {
+                self.orphans -= 1;
                 continue;
             }
             if s.expiry <= now {
@@ -277,7 +296,23 @@ impl<R: Resource> SlabTable<R> {
             }
         }
         self.scratch = fired;
+        self.compact_if_due();
         removed
+    }
+
+    /// Drops every orphaned wheel entry once they outnumber the live
+    /// records by more than [`ORPHAN_SLACK`]. Each compaction removes
+    /// more entries than it keeps, so its cost is paid for by the releases
+    /// that made them.
+    fn compact_if_due(&mut self) {
+        if self.orphans <= self.live + ORPHAN_SLACK {
+            return;
+        }
+        let slots = &self.slots;
+        self.wheel
+            .retain(|_, &(idx, gen)| slots[idx as usize].gen == gen);
+        self.orphans = 0;
+        debug_assert_eq!(self.wheel.len(), self.live);
     }
 
     /// A lower bound on the earliest instant at which
@@ -285,9 +320,9 @@ impl<R: Resource> SlabTable<R> {
     /// wake-up timer (wake, prune, ask again). Unlike the reference
     /// table's exact answer this may be early (an extended record's entry
     /// sits at the expiry it was last armed for, a released tenancy's
-    /// lingers, wheel cascade boundaries), never late; each prune re-arms
-    /// strictly past its `now`, so the loop converges. `None` when no
-    /// records are live.
+    /// lingers until it fires or a compaction drops it, wheel cascade
+    /// boundaries), never late; each prune re-arms strictly past its
+    /// `now`, so the loop converges. `None` when no records are live.
     pub fn next_expiry(&self) -> Option<Time> {
         if self.live == 0 {
             return None;
@@ -302,6 +337,7 @@ impl<R: Resource> SlabTable<R> {
         self.free_head = NIL;
         self.heads.clear();
         self.wheel.clear();
+        self.orphans = 0;
         self.live = 0;
     }
 
@@ -316,7 +352,8 @@ impl<R: Resource> SlabTable<R> {
     }
 
     /// Entries on the expiry wheel: one per live record, plus one per
-    /// released tenancy whose entry has not fired yet. Never grows with
+    /// released tenancy whose entry has neither fired nor been compacted
+    /// away — at most `2 × len() + ORPHAN_SLACK`. Never grows with
     /// extensions.
     pub fn timer_entries(&self) -> usize {
         self.wheel.len()
@@ -621,17 +658,96 @@ mod tests {
         assert_eq!(tab.prune(t(10)), 0);
         assert_eq!(tab.timer_entries(), 1);
         assert_eq!(tab.expiry_of(2, C2, t(10)), Some(t(50)));
-        // Churn the slot through many tenancies: entries stay bounded by
-        // live + unfired releases, and one prune past them all leaves one.
-        for i in 0..100 {
+        // Churn the slot through many tenancies with no prune at all: the
+        // orphans are compacted away each time they outnumber the live
+        // record by `ORPHAN_SLACK`, so entries stay within the bound
+        // however long it goes on — and a prune past them all leaves none.
+        const CHURNS: usize = 1000;
+        for i in 0..CHURNS {
             tab.release(2, C2);
-            tab.grant(2, C2, t(60 + i));
-            assert_eq!(tab.timer_entries(), 2 + i as usize);
+            assert!(tab.timer_entries() <= ORPHAN_SLACK);
+            tab.grant(2, C2, t(60 + i as u64));
+            assert!(tab.timer_entries() <= 2 * tab.len() + ORPHAN_SLACK);
         }
-        assert_eq!(tab.prune(t(64)), 0);
-        assert_eq!((tab.len(), tab.timer_entries()), (1, 95));
-        assert_eq!(tab.prune(t(159)), 1);
+        let unfired = CHURNS % (ORPHAN_SLACK + 1);
+        assert_eq!((tab.len(), tab.timer_entries()), (1, 1 + unfired));
+        // The orphans a prune drops leave the count in step: the next
+        // compaction still comes exactly when the bound needs it.
+        assert_eq!(tab.prune(t(60 + CHURNS as u64 - 3)), 0);
+        assert_eq!((tab.len(), tab.timer_entries()), (1, 2));
+        assert_eq!(tab.prune(t(60 + CHURNS as u64)), 1);
         assert_eq!((tab.len(), tab.timer_entries()), (0, 0));
+    }
+
+    #[derive(Debug, Clone)]
+    enum Churn {
+        Grant(u64, u32, u64),
+        Extend(u64, u32, u64),
+        Release(u64, u32),
+        Prune(u64),
+    }
+
+    fn churn() -> impl proptest::strategy::Strategy<Value = Churn> {
+        use proptest::prelude::*;
+        // Releases weigh three times a grant and terms run long against
+        // the prune steps, so orphans pile up past the compaction
+        // threshold in about half the cases.
+        prop_oneof![
+            (0u64..8, 0u32..4, 1u64..2000).prop_map(|(r, c, dt)| Churn::Grant(r, c, dt)),
+            (0u64..8, 0u32..4, 1u64..2000).prop_map(|(r, c, dt)| Churn::Extend(r, c, dt)),
+            (0u64..8, 0u32..4).prop_map(|(r, c)| Churn::Release(r, c)),
+            (0u64..8, 0u32..4).prop_map(|(r, c)| Churn::Release(r, c)),
+            (0u64..8, 0u32..4).prop_map(|(r, c)| Churn::Release(r, c)),
+            (1u64..10).prop_map(Churn::Prune),
+        ]
+    }
+
+    proptest::proptest! {
+        /// Whatever mix of grants, extensions, releases and prunes, the
+        /// wheel never holds more than twice the live records plus the
+        /// slack — and after a compaction exactly one entry per record.
+        #[test]
+        fn timer_entries_stay_within_twice_live_plus_slack(
+            steps in proptest::collection::vec(churn(), 1..600)
+        ) {
+            let mut tab = exact();
+            let mut handles = std::collections::HashMap::new();
+            let mut now = Time::ZERO;
+            for step in steps {
+                match step {
+                    Churn::Grant(r, c, dt) => {
+                        let h = tab.grant(r, ClientId(c), Time(now.0 + dt));
+                        handles.insert((r, c), h);
+                    }
+                    Churn::Extend(r, c, dt) => {
+                        let h = handles.get(&(r, c)).copied().unwrap_or(LeaseHandle::NULL);
+                        let h = tab.extend(h, r, ClientId(c), Time(now.0 + dt));
+                        handles.insert((r, c), h);
+                    }
+                    Churn::Release(r, c) => {
+                        // Keep the churn going: a release of a lease not
+                        // held grants it instead, so every other release
+                        // lands.
+                        if tab.handle_of(r, ClientId(c)).is_some() {
+                            tab.release(r, ClientId(c));
+                        } else {
+                            tab.grant(r, ClientId(c), Time(now.0 + 1000));
+                        }
+                    }
+                    Churn::Prune(by) => {
+                        now = Time(now.0 + by);
+                        tab.prune(now);
+                    }
+                }
+                proptest::prop_assert!(
+                    tab.timer_entries() <= 2 * tab.len() + ORPHAN_SLACK,
+                    "{} entries for {} records",
+                    tab.timer_entries(),
+                    tab.len()
+                );
+                proptest::prop_assert!(tab.timer_entries() >= tab.len());
+            }
+        }
     }
 
     #[test]

@@ -23,22 +23,30 @@
 //!   exactly the order a naive scan of an expiry-ordered index produces
 //!   (the property test in `lease-svc/tests/wheel_prop.rs` pins this
 //!   down).
-//! * The wheel does not cancel; callers cancel lazily, when an entry
-//!   fires. A caller whose deadlines only move *later* keeps one entry
-//!   per object and never re-schedules on extension: the fired entry is
-//!   checked against the object's current deadline and put back if that
-//!   has not passed (the lazy-timer rule — the slab table, one entry per
-//!   lease however often it is renewed). A caller whose deadlines move
-//!   either way re-schedules and keeps a `key -> latest deadline` map,
-//!   dropping fired entries that no longer match (the shard's `Prune` and
-//!   `InstalledTick` keys), at the price of one entry per re-schedule.
+//! * The wheel has no per-entry cancel; callers cancel lazily, when an
+//!   entry fires. A caller whose deadlines only move *later* keeps one
+//!   entry per object and never re-schedules on extension: the fired
+//!   entry is checked against the object's current deadline and put back
+//!   if that has not passed (the lazy-timer rule — the slab table, one
+//!   entry per lease however often it is renewed). A caller whose
+//!   deadlines move either way re-schedules and keeps a `key -> latest
+//!   deadline` map, dropping fired entries that no longer match (the
+//!   shard's `Prune` and `InstalledTick` keys).
+//! * An entry whose object is gone before its deadline (a released lease,
+//!   a committed write) is an *orphan*. Its owner counts the orphans it
+//!   makes and, once they outnumber its live entries plus a small
+//!   constant, calls [`TimerWheel::retain`] with its liveness rule. That
+//!   is amortized O(1) per orphan and keeps the wheel at most twice its
+//!   live entries plus the constant, so timer memory follows live
+//!   objects, not the rate they die at.
 //!
 //! Steady-state behaviour: redistribution buffers are recycled between
 //! cascades and [`TimerWheel::advance_into`] reuses a caller-owned output
 //! vector, so a warmed wheel schedules and fires without touching the
-//! allocator; empty stretches of time are skipped level-by-level instead
-//! of tick-by-tick, so advancing an idle wheel across hours costs a
-//! handful of boundary hops.
+//! allocator; `retain` filters in place and gives back only a buffer far
+//! above its length; empty stretches of time are skipped level-by-level
+//! instead of tick-by-tick, so advancing an idle wheel across hours costs
+//! a handful of boundary hops.
 
 use lease_clock::{Dur, Time};
 
@@ -50,14 +58,21 @@ const LEVELS: usize = 4;
 /// log2(SLOTS), for slot arithmetic.
 const SLOT_BITS: u32 = 6;
 
+/// Capacity a slot may keep beyond four times its length before
+/// [`TimerWheel::retain`] gives the excess back: 4 KiB of 16-byte
+/// entries, so a slot that merely breathes between compactions keeps its
+/// buffer and only one a burst inflated is shrunk.
+const RETAIN_SLACK: usize = 256;
+
+/// One pending timer: 16 bytes for an 8-byte key. The tick it occupies
+/// is `at` rounded up to the quantum and is recomputed once per
+/// placement rather than stored; entries equal in `(at, key)` are
+/// indistinguishable in [`TimerWheel::advance`]'s output, so no
+/// insertion counter breaks their ties.
 #[derive(Debug, Clone)]
 struct Entry<K> {
     /// The requested deadline (not quantized; used for ordering).
     at: Time,
-    /// Deadline rounded up to a tick count.
-    tick: u64,
-    /// Insertion order, the final tie-break.
-    seq: u64,
     key: K,
 }
 
@@ -89,7 +104,6 @@ pub struct TimerWheel<K> {
     /// and the level-0 advance — is a rotate plus `trailing_zeros`
     /// instead of a 64-slot scan.
     occ: [u64; LEVELS],
-    seq: u64,
     /// Fired-entry scratch reused across `advance_into` calls.
     fired: Vec<Entry<K>>,
     /// Redistribution scratch reused across cascades, so a warmed wheel
@@ -114,7 +128,6 @@ impl<K: Ord> TimerWheel<K> {
             len: 0,
             lens: [0; LEVELS],
             occ: [0; LEVELS],
-            seq: 0,
             fired: Vec::new(),
             spare: Vec::new(),
         }
@@ -156,20 +169,56 @@ impl<K: Ord> TimerWheel<K> {
     /// Schedules `key` to fire once `advance` is called with a time at or
     /// after `at`. Scheduling in the past fires on the next `advance`.
     pub fn schedule(&mut self, at: Time, key: K) {
-        let tick = at.0.div_ceil(self.tick_ns);
-        let e = Entry {
-            at,
-            tick,
-            seq: self.seq,
-            key,
-        };
-        self.seq += 1;
         self.len += 1;
-        self.place(e);
+        self.place(Entry { at, key }, self.tick_of(at));
     }
 
-    fn place(&mut self, e: Entry<K>) {
-        let delta = e.tick.saturating_sub(self.now_tick);
+    /// Keeps only the pending entries for which `keep(at, &key)` holds and
+    /// drops the rest, in place: the one way an owner whose objects die
+    /// before their deadlines (a released lease, a committed write) takes
+    /// their entries off the wheel. Costs one pass over the pending
+    /// entries and the slots; an owner that calls it once its orphans
+    /// outnumber its live entries pays amortized O(1) per orphan. A slot
+    /// whose buffer is far above its remaining length (a burst's
+    /// high-water mark) gives the excess back; one that only breathes
+    /// between compactions keeps it, so a steady state stays
+    /// allocation-free.
+    pub fn retain(&mut self, mut keep: impl FnMut(Time, &K) -> bool) {
+        let mut kept = |v: &mut Vec<Entry<K>>| {
+            v.retain(|e| keep(e.at, &e.key));
+            if v.capacity() > 4 * v.len() + RETAIN_SLACK {
+                v.shrink_to(2 * v.len());
+            }
+            v.len()
+        };
+        let mut len = 0;
+        for (l, level) in self.levels.iter_mut().enumerate() {
+            self.lens[l] = 0;
+            self.occ[l] = 0;
+            for (s, slot) in level.iter_mut().enumerate() {
+                let n = kept(slot);
+                if n > 0 {
+                    self.lens[l] += n;
+                    self.occ[l] |= 1 << s;
+                }
+            }
+            len += self.lens[l];
+        }
+        len += kept(&mut self.overflow) + kept(&mut self.due);
+        self.len = len;
+        // The scratch buffers are empty between advances; each needs at
+        // most one slot's worth (`spare`) or one due batch (`fired`).
+        for v in [&mut self.spare, &mut self.fired] {
+            if v.capacity() > 4 * len + RETAIN_SLACK {
+                v.shrink_to(0);
+            }
+        }
+    }
+
+    /// Files `e`, whose deadline rounds up to `tick`, into the slot that
+    /// tick falls in from the current position.
+    fn place(&mut self, e: Entry<K>, tick: u64) {
+        let delta = tick.saturating_sub(self.now_tick);
         if delta == 0 {
             self.due.push(e);
             return;
@@ -177,7 +226,7 @@ impl<K: Ord> TimerWheel<K> {
         for l in 0..LEVELS {
             // Level `l` covers deadlines up to `64^(l+1)` ticks out.
             if delta < 1u64 << (SLOT_BITS * (l as u32 + 1)) {
-                let slot = ((e.tick >> (SLOT_BITS * l as u32)) % SLOTS as u64) as usize;
+                let slot = ((tick >> (SLOT_BITS * l as u32)) % SLOTS as u64) as usize;
                 self.levels[l][slot].push(e);
                 self.lens[l] += 1;
                 self.occ[l] |= 1 << slot;
@@ -187,8 +236,7 @@ impl<K: Ord> TimerWheel<K> {
         self.overflow.push(e);
     }
 
-    /// Collects every entry due at or before `now`, sorted by
-    /// `(at, key, seq)`.
+    /// Collects every entry due at or before `now`, sorted by `(at, key)`.
     pub fn advance(&mut self, now: Time) -> Vec<(Time, K)> {
         let mut out = Vec::new();
         self.advance_into(now, &mut out);
@@ -261,11 +309,12 @@ impl<K: Ord> TimerWheel<K> {
             self.cascade();
         }
         self.len -= self.fired.len();
-        // Unstable sort: `seq` is unique, so the key is a total order and
-        // stability buys nothing — and sort_unstable never allocates,
-        // which keeps the steady-state fire path allocation-free.
+        // Unstable sort: entries equal in `(at, key)` are indistinguishable
+        // in the output, so stability buys nothing — and sort_unstable
+        // never allocates, which keeps the steady-state fire path
+        // allocation-free.
         self.fired
-            .sort_unstable_by(|a, b| (a.at, &a.key, a.seq).cmp(&(b.at, &b.key, b.seq)));
+            .sort_unstable_by(|a, b| (a.at, &a.key).cmp(&(b.at, &b.key)));
         out.extend(self.fired.drain(..).map(|e| (e.at, e.key)));
     }
 
@@ -298,11 +347,7 @@ impl<K: Ord> TimerWheel<K> {
             self.lens[l] -= block.len();
             self.occ[l] &= !(1 << slot);
             for e in block.drain(..) {
-                if e.tick <= self.now_tick {
-                    self.fired.push(e);
-                } else {
-                    self.place(e);
-                }
+                self.refile(e);
             }
             // Recycle the drained block's capacity for the next cascade.
             // (An entry can never re-place into the slot it came from: it
@@ -312,13 +357,21 @@ impl<K: Ord> TimerWheel<K> {
         // Every level wrapped: overflow entries may now be in range.
         let mut over = std::mem::replace(&mut self.overflow, std::mem::take(&mut self.spare));
         for e in over.drain(..) {
-            if e.tick <= self.now_tick {
-                self.fired.push(e);
-            } else {
-                self.place(e);
-            }
+            self.refile(e);
         }
         self.spare = over;
+    }
+
+    /// Re-files an entry a cascade took out of its slot: fired if its tick
+    /// is now covered, else placed inward. The tick is computed once here
+    /// and handed to [`TimerWheel::place`].
+    fn refile(&mut self, e: Entry<K>) {
+        let tick = self.tick_of(e.at);
+        if tick <= self.now_tick {
+            self.fired.push(e);
+        } else {
+            self.place(e, tick);
+        }
     }
 
     /// A lower bound on when the next entry fires: exact when every
@@ -556,6 +609,57 @@ mod tests {
         // Position survived: an old deadline is still "past".
         w.schedule(Time(1_000), 2);
         assert_eq!(w.advance(Time(2_000)), vec![(Time(1_000), 2)]);
+    }
+
+    #[test]
+    fn retain_drops_orphans_everywhere_and_keeps_order() {
+        let mut w = wheel();
+        let _ = w.advance(Time(5_000));
+        // Due, level 0, level 1, level 3 and overflow.
+        let ats = [
+            1_000,
+            9_000,
+            300_000,
+            300_000_000,
+            64u64.pow(4) * 1000 + 9_000,
+        ];
+        for (i, &at) in ats.iter().enumerate() {
+            w.schedule(Time(at), 2 * i as u32); // kept
+            w.schedule(Time(at), 2 * i as u32 + 1); // orphan
+        }
+        w.retain(|_, k| k % 2 == 0);
+        assert_eq!(w.len(), ats.len());
+        let mut fired = Vec::new();
+        while !w.is_empty() {
+            let now = w.next_fire().expect("pending");
+            fired.extend(w.advance(now));
+        }
+        let want: Vec<_> = ats
+            .iter()
+            .enumerate()
+            .map(|(i, &at)| (Time(at), 2 * i as u32))
+            .collect();
+        assert_eq!(fired, want);
+    }
+
+    #[test]
+    fn retain_gives_back_a_burst_but_not_a_breath() {
+        let mut w = wheel();
+        for i in 0..10_000u32 {
+            w.schedule(Time(50_000), i);
+        }
+        let cap = |w: &TimerWheel<u32>| w.levels[0][50].capacity();
+        assert!(cap(&w) >= 10_000);
+        w.retain(|_, &k| k < 10);
+        assert_eq!(w.len(), 10);
+        assert!(cap(&w) <= 4 * 10 + RETAIN_SLACK, "burst kept {}", cap(&w));
+        // A slot that only doubles between compactions keeps its buffer.
+        for i in 10..1_000u32 {
+            w.schedule(Time(50_000), i);
+        }
+        let before = cap(&w);
+        w.retain(|_, &k| k < 500);
+        assert_eq!((w.len(), cap(&w)), (500, before));
     }
 
     #[test]

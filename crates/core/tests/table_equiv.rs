@@ -21,12 +21,16 @@
 //!
 //! The slab's memory invariant rides along: after every step its wheel
 //! holds at most one entry per live record plus one per release whose
-//! old entry cannot have fired yet — extensions never add one.
+//! old entry cannot have fired yet — extensions never add one — and at
+//! most twice the live records plus `ORPHAN_SLACK`. A churn step releases
+//! and re-grants one lease past the compaction threshold in one go, so
+//! compactions land between every other kind of step and the prunes
+//! after them must still match the reference.
 
 use std::collections::HashMap;
 
 use lease_clock::{Dur, Time};
-use lease_core::table::{LeaseHandle, SlabTable};
+use lease_core::table::{LeaseHandle, SlabTable, ORPHAN_SLACK};
 use lease_core::ClientId;
 use proptest::prelude::*;
 
@@ -45,6 +49,14 @@ enum Step {
     Extend { resource: u64, client: u32, dt: u64 },
     /// Voluntary release.
     Release { resource: u64, client: u32 },
+    /// Release and re-grant one lease `times` times over, `dt` past
+    /// current time: enough orphans for the slab to compact its wheel.
+    Churn {
+        resource: u64,
+        client: u32,
+        dt: u64,
+        times: u64,
+    },
     /// Advance time and physically prune.
     Prune { by: u64 },
     /// Advance time without pruning (lets grants land behind the slab
@@ -68,6 +80,14 @@ fn step() -> impl Strategy<Value = Step> {
         }),
         (0..RESOURCES, 0..CLIENTS)
             .prop_map(|(resource, client)| Step::Release { resource, client }),
+        (0..RESOURCES, 0..CLIENTS, 1u64..400, 40u64..150).prop_map(
+            |(resource, client, dt, times)| Step::Churn {
+                resource,
+                client,
+                dt,
+                times
+            }
+        ),
         (1u64..150).prop_map(|by| Step::Prune { by }),
         (1u64..150).prop_map(|by| Step::Advance { by }),
         (0u32..1).prop_map(|_| Step::Crash),
@@ -154,6 +174,18 @@ proptest! {
                     reference.release(resource, client);
                     // The stale handle stays in `handles` on purpose.
                 }
+                Step::Churn { resource, client, dt, times } => {
+                    let client = ClientId(client);
+                    for k in 0..times {
+                        released.extend(reference.expiry_of(resource, client, Time::ZERO));
+                        slab.release(resource, client);
+                        reference.release(resource, client);
+                        let expiry = Time(now.0 + dt + k);
+                        let h = slab.grant(resource, client, expiry);
+                        reference.grant(resource, client, expiry);
+                        handles.insert((resource, client), h);
+                    }
+                }
                 Step::Prune { by } => {
                     now = Time(now.0 + by);
                     let slab_removed = slab.prune(now);
@@ -174,6 +206,7 @@ proptest! {
             }
             assert_same_view(&slab, &reference, now)?;
             prop_assert!(slab.timer_entries() <= slab.len() + released.len());
+            prop_assert!(slab.timer_entries() <= 2 * slab.len() + ORPHAN_SLACK);
         }
 
         // Drain: after pruning far past every expiry the tables are empty.

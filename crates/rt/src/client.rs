@@ -263,6 +263,9 @@ struct Worker {
     timers: BinaryHeap<Reverse<(Time, u64)>>,
     live_timers: FxMap<u64, Time>,
     waiting: FxMap<OpId, Waiting>,
+    /// The one buffer every `LeaseClient::handle_into` call appends to and
+    /// [`Worker::apply`] drains, so an input costs no output `Vec`.
+    outs: Vec<ClientOutput<Res, Bytes>>,
     next_op: u64,
     /// When the IO thread, if parked, wakes by itself.
     io_wake: Instant,
@@ -286,12 +289,13 @@ impl Worker {
             timers: BinaryHeap::new(),
             live_timers: FxMap::default(),
             waiting: FxMap::default(),
+            outs: Vec::new(),
             next_op: 0,
             io_wake: Instant::now(),
             closed: false,
         };
-        let outs = w.cache.start(w.clock.now());
-        w.apply(outs);
+        w.outs = w.cache.start(w.clock.now());
+        w.apply();
         w
     }
 
@@ -333,8 +337,10 @@ impl Worker {
         self.port.send(self.id, msg, deadline);
     }
 
-    fn apply(&mut self, outs: Vec<ClientOutput<Res, Bytes>>) {
-        for o in outs {
+    /// Carries out, and empties, what the cache left in `self.outs`.
+    fn apply(&mut self) {
+        let mut outs = std::mem::take(&mut self.outs);
+        for o in outs.drain(..) {
             match o {
                 ClientOutput::Send(msg) => self.submit(msg),
                 ClientOutput::SetTimer { at, timer } => {
@@ -368,6 +374,7 @@ impl Worker {
                 }
             }
         }
+        self.outs = outs;
     }
 
     /// Starts a miss or a write on the calling thread (which holds the
@@ -395,8 +402,9 @@ impl Worker {
             Some(d) => Op::Write(resource, d),
             None => Op::Read(resource),
         };
-        let outs = self.cache.handle(now, ClientInput::Op { op, kind });
-        self.apply(outs);
+        self.cache
+            .handle_into(now, ClientInput::Op { op, kind }, &mut self.outs);
+        self.apply();
         done
     }
 
@@ -417,10 +425,10 @@ impl Worker {
 
     fn fire(&mut self, k: u64) {
         self.live_timers.remove(&k);
-        let outs = self
-            .cache
-            .handle(self.clock.now(), ClientInput::Timer(timer_of(k)));
-        self.apply(outs);
+        let input = ClientInput::Timer(timer_of(k));
+        self.cache
+            .handle_into(self.clock.now(), input, &mut self.outs);
+        self.apply();
     }
 
     /// Fires the retry timer of every request still pending, now rather
@@ -467,8 +475,9 @@ impl Worker {
     /// shed request: its retry timer moves to the reply's `retry_after`.
     fn handle_msg(&mut self, m: ToClient<Res, Bytes>) {
         let now = self.clock.now();
-        let outs = self.cache.handle(now, ClientInput::Msg(m));
-        self.apply(outs);
+        self.cache
+            .handle_into(now, ClientInput::Msg(m), &mut self.outs);
+        self.apply();
     }
 }
 

@@ -203,8 +203,11 @@ pub struct ShardGauges {
     /// Lease records in the table, expired-but-unpruned included.
     pub leases_live: u64,
     /// Pending timer-wheel entries: the table's (one per live record, plus
-    /// released tenancies whose entry has not fired yet) and the shard's
-    /// own (prune, installed tick, one per deferred write for a term).
+    /// released tenancies whose entry has neither fired nor been compacted
+    /// away — at most twice the records plus
+    /// [`ORPHAN_SLACK`](lease_core::table::ORPHAN_SLACK)) and the shard's
+    /// own (prune, installed tick, one deadline per deferred write — at
+    /// most twice the writes in flight plus the same slack).
     pub timer_entries: u64,
     /// Ingress lanes the worker has adopted: one per live handle (the
     /// service's own included). A producer that clones a handle per

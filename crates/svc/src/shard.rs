@@ -56,6 +56,7 @@ use std::thread::JoinHandle;
 
 use lease_clock::{Clock, Dur, Time};
 use lease_core::ring::{Inbox, Lanes};
+use lease_core::table::ORPHAN_SLACK;
 use lease_core::{
     ClientId, ErrorReason, LeaseServer, Resource, ServerCounters, ServerInput, ServerOutput,
     ServerTimer, Storage, ToClient, ToServer, WriteId,
@@ -159,14 +160,19 @@ enum WheelKey {
 
 /// The shard's timers: the wheel, plus the latest armed deadline of the
 /// two keys that re-arm (a fired `Prune` or `InstalledTick` entry that no
-/// longer matches was superseded and is dropped). Write deadlines are not
-/// tracked: a write id is armed once, and `LeaseServer::on_timer` ignores
-/// the deadline of a write that already committed. The known residual is
-/// that write's wheel entry itself: 40 B per deferred write, for one term.
+/// longer matches was superseded and is dropped). A write id is armed
+/// once, and `LeaseServer::on_timer` ignores the deadline of a write that
+/// already committed; a write committed by its approvals therefore
+/// orphans its 24-byte entry. Only their number is kept: once the armed
+/// deadlines outnumber twice the server's writes in flight plus
+/// [`ORPHAN_SLACK`], the wheel keeps the deadlines of writes the server
+/// still holds and drops the rest ([`Timers::compact_if_due`]).
 struct Timers {
     wheel: TimerWheel<WheelKey>,
     prune_at: Option<Time>,
     installed_at: Option<Time>,
+    /// `WriteDeadline` entries on the wheel, live or orphaned.
+    deadlines: usize,
 }
 
 impl Timers {
@@ -175,6 +181,7 @@ impl Timers {
             wheel: TimerWheel::new(tick, now),
             prune_at: None,
             installed_at: None,
+            deadlines: 0,
         }
     }
 
@@ -184,7 +191,10 @@ impl Timers {
                 self.installed_at = Some(at);
                 WheelKey::InstalledTick
             }
-            ServerTimer::WriteDeadline(w) => WheelKey::WriteDeadline(w),
+            ServerTimer::WriteDeadline(w) => {
+                self.deadlines += 1;
+                WheelKey::WriteDeadline(w)
+            }
         };
         self.wheel.schedule(at, k);
     }
@@ -207,13 +217,40 @@ impl Timers {
         let armed = match k {
             WheelKey::Prune => &mut self.prune_at,
             WheelKey::InstalledTick => &mut self.installed_at,
-            WheelKey::WriteDeadline(_) => return true,
+            WheelKey::WriteDeadline(_) => {
+                self.deadlines -= 1;
+                return true;
+            }
         };
         let current = *armed == Some(at);
         if current {
             *armed = None;
         }
         current
+    }
+
+    /// Drops the wheel's dead entries once the armed write deadlines
+    /// outnumber twice the writes `server` holds plus [`ORPHAN_SLACK`]:
+    /// each such compaction removes more entries than it keeps, so it is
+    /// paid for by the commits that orphaned them. A dead entry is a
+    /// deadline of a write the server no longer holds, or a superseded
+    /// `Prune` / `InstalledTick`.
+    fn compact_if_due<R: Resource, D: Clone>(&mut self, server: &LeaseServer<R, D>) {
+        if self.deadlines <= 2 * server.writes_in_flight() + ORPHAN_SLACK {
+            return;
+        }
+        let (prune_at, installed_at) = (self.prune_at, self.installed_at);
+        let mut deadlines = 0;
+        self.wheel.retain(|at, k| match *k {
+            WheelKey::Prune => prune_at == Some(at),
+            WheelKey::InstalledTick => installed_at == Some(at),
+            WheelKey::WriteDeadline(w) => {
+                let held = server.holds_write(w);
+                deadlines += usize::from(held);
+                held
+            }
+        });
+        self.deadlines = deadlines;
     }
 }
 
@@ -462,6 +499,7 @@ where
             server.handle_into(ctx.clock.now(), input, &mut *storage, &mut outs);
             apply(&mut outs, &mut timers, &mut outbox, ctx, epoch);
         }
+        timers.compact_if_due(&server);
         hot = !batch.is_empty();
         // Admission pressure: occupancy *behind* this drain — what is
         // still queued in the adopted lanes after we took our batch,
@@ -571,6 +609,7 @@ where
                         };
                         server.handle_into(ctx.clock.now(), input, &mut *storage, &mut outs);
                         apply(&mut outs, &mut timers, &mut outbox, ctx, epoch);
+                        timers.compact_if_due(&server);
                         if let Some(d) = ctx.slow {
                             // Injected degradation: bound this worker's
                             // throughput to ~1/d inputs per second.
@@ -691,12 +730,13 @@ mod tests {
     use super::*;
     use lease_core::{MemStorage, ReqId, ServerConfig, Version};
 
-    /// Write deadlines are armed once and never tracked, so a run of
+    /// Write deadlines are armed once and only counted, so a run of
     /// deferred writes, each committed by its approval long before its
-    /// deadline, leaves nothing behind but one wheel entry per write (for
-    /// a term) — and firing those late changes nothing.
+    /// deadline, orphans one wheel entry per write — and the compaction
+    /// keeps those under the slack however many writes there are. Firing
+    /// the ones left late changes nothing.
     #[test]
-    fn committed_deferred_writes_leave_only_their_wheel_entries() {
+    fn committed_deferred_writes_leave_at_most_the_slack_on_the_wheel() {
         const WRITES: u64 = 1000;
         let (reader, writer) = (ClientId(1), ClientId(2));
         let mut server: LeaseServer<u64, u64> =
@@ -716,6 +756,7 @@ mod tests {
                     _ => {}
                 }
             }
+            timers.compact_if_due(server);
             timers.arm_prune(server.table().next_expiry());
             approve
         };
@@ -738,8 +779,11 @@ mod tests {
         }
         assert_eq!(server.counters.writes_deferred, WRITES);
         assert_eq!(store.version(&7), Some(Version(WRITES + 1)));
-        // The known residual: the deadlines plus at most one armed prune.
-        assert!((WRITES..=WRITES + 1).contains(&(timers.wheel.len() as u64)));
+        // No write is in flight, so at most the slack of orphaned
+        // deadlines is left, plus at most one armed prune.
+        assert_eq!(server.writes_in_flight(), 0);
+        assert!(timers.deadlines <= ORPHAN_SLACK);
+        assert!(timers.wheel.len() <= ORPHAN_SLACK + 1);
         let late = Time::from_secs(60);
         let mut deadlines = 0;
         for (at, k) in timers.wheel.advance(late) {
@@ -750,7 +794,10 @@ mod tests {
                 deadlines += 1;
             }
         }
-        assert_eq!(deadlines, WRITES);
+        assert_eq!(
+            (deadlines, timers.deadlines),
+            (WRITES as usize % (ORPHAN_SLACK + 1), 0)
+        );
         assert_eq!(store.version(&7), Some(Version(WRITES + 1)));
     }
 }

@@ -11,6 +11,10 @@
 //! quantization cannot blur the comparison; lazy cancellation (extend
 //! supersedes, relinquish orphans) is exercised by keeping the
 //! caller-side `armed` map the shard workers use.
+//!
+//! A second property covers `TimerWheel::retain`, the compaction both
+//! wheel owners run once orphans outnumber their live entries: what
+//! survives it fires exactly as the filtered model says.
 
 use std::collections::HashMap;
 
@@ -112,6 +116,63 @@ proptest! {
         }
         prop_assert_eq!(fired, remaining_by_scan);
         prop_assert!(armed.is_empty());
+        prop_assert!(wheel.is_empty());
+    }
+}
+
+/// Drains `wheel` by wake-ups at [`TimerWheel::next_fire`], the way a
+/// shard worker sleeps between them.
+fn drain(wheel: &mut TimerWheel<u32>) -> Vec<(Time, u32)> {
+    let mut out = Vec::new();
+    while let Some(at) = wheel.next_fire() {
+        wheel.advance_into(at, &mut out);
+    }
+    out
+}
+
+proptest! {
+    /// `retain` drops exactly the entries its predicate rejects, wherever
+    /// they sit (due, level 0, outer levels, overflow), and leaves a wheel
+    /// that fires the survivors — and whatever is scheduled after — in
+    /// `(at, key)` order, as the filtered model does.
+    #[test]
+    fn retain_matches_filtered_model(
+        ats in proptest::collection::vec(0u64..300_000_000, 1..300),
+        more in proptest::collection::vec(0u64..300_000_000, 0..100),
+        split in 0u64..300_000_000,
+        modulus in 1u32..5,
+    ) {
+        let tick = 1000;
+        let mut wheel: TimerWheel<u32> = TimerWheel::new(Dur(tick), Time::ZERO);
+        // Keys repeat, so some entries are equal in `(at, key)`.
+        let mut model: Vec<(Time, u32)> = ats
+            .iter()
+            .enumerate()
+            .map(|(i, &at)| (Time(at), i as u32 % 64))
+            .collect();
+        for &(at, key) in &model {
+            wheel.schedule(at, key);
+        }
+        // Part-way first, so the survivors straddle every level.
+        let fired = wheel.advance(Time(split));
+        let (mut early, rest): (Vec<_>, Vec<_>) = model
+            .drain(..)
+            .partition(|(at, _)| at.0.div_ceil(tick) <= split / tick);
+        early.sort();
+        prop_assert_eq!(fired, early);
+
+        let keep = |at: Time, key: &u32| !key.is_multiple_of(modulus) || at.0.is_multiple_of(2);
+        wheel.retain(keep);
+        let mut model: Vec<(Time, u32)> =
+            rest.into_iter().filter(|(at, key)| keep(*at, key)).collect();
+        prop_assert_eq!(wheel.len(), model.len());
+        for (i, &at) in more.iter().enumerate() {
+            let (at, key) = (Time(at.max(split)), 1000 + i as u32);
+            wheel.schedule(at, key);
+            model.push((at, key));
+        }
+        model.sort();
+        prop_assert_eq!(drain(&mut wheel), model);
         prop_assert!(wheel.is_empty());
     }
 }
