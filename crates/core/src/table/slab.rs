@@ -305,9 +305,14 @@ impl<R: Resource> SlabTable<R> {
     /// more entries than it keeps, so its cost is paid for by the releases
     /// that made them.
     fn compact_if_due(&mut self) {
-        if self.orphans <= self.live + ORPHAN_SLACK {
-            return;
+        if self.orphans > self.live + ORPHAN_SLACK {
+            self.compact();
         }
+    }
+
+    /// The compaction itself: rare, so kept out of the release path.
+    #[cold]
+    fn compact(&mut self) {
         let slots = &self.slots;
         self.wheel
             .retain(|_, &(idx, gen)| slots[idx as usize].gen == gen);

@@ -236,9 +236,14 @@ impl Timers {
     /// deadline of a write the server no longer holds, or a superseded
     /// `Prune` / `InstalledTick`.
     fn compact_if_due<R: Resource, D: Clone>(&mut self, server: &LeaseServer<R, D>) {
-        if self.deadlines <= 2 * server.writes_in_flight() + ORPHAN_SLACK {
-            return;
+        if self.deadlines > 2 * server.writes_in_flight() + ORPHAN_SLACK {
+            self.compact(server);
         }
+    }
+
+    /// The compaction itself: rare, so kept out of the input loop.
+    #[cold]
+    fn compact<R: Resource, D: Clone>(&mut self, server: &LeaseServer<R, D>) {
         let (prune_at, installed_at) = (self.prune_at, self.installed_at);
         let mut deadlines = 0;
         self.wheel.retain(|at, k| match *k {
