@@ -14,83 +14,61 @@
 //! reply is ignored), and the Andrew poll is the client's anticipatory
 //! renewal timer.
 
-use std::collections::{HashMap, HashSet};
-
 use lease_clock::{Dur, Time};
-use lease_core::{ClientId, Grant, LeaseHandle, Storage, ToClient, ToServer, WriteId};
-use lease_faults::{HistoryEvent, SharedHistory};
-use lease_sim::{Actor, ActorId, Ctx};
-use lease_vsys::{NetMsg, Res, Store};
+use lease_core::{
+    ClientId, ErrorReason, FxMap, FxSet, Grant, Storage, ToClient, ToServer, Version, WriteId,
+};
+use lease_vsys::{Data, Res, ServerEffect, ServerEvent, SimServer, Store};
 
-/// The Andrew-style callback server.
-pub struct AndrewServerActor {
-    storage: Store,
-    /// Callback promises: resource -> clients to notify on write.
-    callbacks: HashMap<Res, HashSet<ClientId>>,
-    clients: Vec<ActorId>,
-    history: SharedHistory,
-    warmup: Time,
+/// The Andrew-style callback server, sans-IO: `lease-vsys`'s
+/// `ServerActor` drives it.
+#[derive(Debug, Default)]
+pub struct AndrewServer {
+    /// Callback promises: resource -> clients to notify on write. Keyed
+    /// by the trace's file ids, so Fx-hashed, and the multicast's
+    /// recipient order is the same in every process.
+    callbacks: FxMap<Res, FxSet<ClientId>>,
     next_write: u64,
 }
 
-impl AndrewServerActor {
-    /// Creates the server. `clients[i]` is client `i`'s actor id.
-    pub fn new(
-        storage: Store,
-        clients: Vec<ActorId>,
-        history: SharedHistory,
-        warmup: Time,
-    ) -> AndrewServerActor {
-        AndrewServerActor {
-            storage,
-            callbacks: HashMap::new(),
-            clients,
-            history,
-            warmup,
-            next_write: 0,
-        }
+impl AndrewServer {
+    /// A server that has promised nothing yet.
+    pub fn new() -> AndrewServer {
+        AndrewServer::default()
     }
 
-    fn client_of(&self, a: ActorId) -> Option<ClientId> {
-        self.clients
-            .iter()
-            .position(|x| *x == a)
-            .map(|i| ClientId(i as u32))
-    }
-
+    /// Grants `resource` to `client` with a callback promise, or `None`
+    /// if no such file exists.
     fn grant(
         &mut self,
+        storage: &Store,
         client: ClientId,
         resource: Res,
-        cached: Option<lease_core::Version>,
-    ) -> Option<Grant<Res, u64>> {
-        let (data, version) = self.storage.read(&resource)?;
-        self.callbacks.entry(resource).or_default().insert(client);
-        let data = if cached == Some(version) {
-            None
-        } else {
-            Some(data)
-        };
+        cached: Option<Version>,
+    ) -> Option<Grant<Res, Data>> {
         // A callback promise is an infinite-term lease.
-        Some(Grant {
-            resource,
-            version,
-            data,
-            term: Dur::MAX,
-            handle: LeaseHandle::NULL,
-        })
+        let g = crate::grant(storage, resource, cached, Dur::MAX)?;
+        self.callbacks.entry(resource).or_default().insert(client);
+        Some(g)
     }
 }
 
-impl Actor<NetMsg> for AndrewServerActor {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, NetMsg>, from: ActorId, msg: NetMsg) {
-        let NetMsg::ToServer(msg) = msg else {
+impl SimServer for AndrewServer {
+    type Up = ToServer<Res, Data>;
+    type Down = ToClient<Res, Data>;
+    type Output = ServerEffect<Self::Down>;
+
+    fn handle_into(
+        &mut self,
+        _now: Time,
+        event: ServerEvent<Self::Up>,
+        storage: &mut Store,
+        out: &mut Vec<Self::Output>,
+    ) {
+        // The callback server sets no timers.
+        let ServerEvent::Msg(client, msg) = event else {
             return;
         };
-        let Some(client) = self.client_of(from) else {
-            return;
-        };
-        let measuring = ctx.now() >= self.warmup;
         match msg {
             ToServer::Fetch {
                 req,
@@ -98,52 +76,34 @@ impl Actor<NetMsg> for AndrewServerActor {
                 cached,
                 also_extend,
             } => {
-                if measuring {
-                    ctx.metrics().inc("srv.rx.fetch");
-                }
                 let mut grants = Vec::new();
                 for (r, v, _) in also_extend {
-                    if let Some(g) = self.grant(client, r, Some(v)) {
+                    if let Some(g) = self.grant(storage, client, r, Some(v)) {
                         grants.push(g);
                     }
                 }
-                match self.grant(client, resource, cached) {
-                    Some(g) => grants.push(g),
-                    None => {
-                        if measuring {
-                            ctx.metrics().inc("srv.tx.error");
-                        }
-                        ctx.send(
-                            from,
-                            NetMsg::ToClient(ToClient::Error {
-                                req,
-                                reason: lease_core::ErrorReason::NoSuchResource,
-                            }),
-                        );
-                        return;
+                let reply = match self.grant(storage, client, resource, cached) {
+                    Some(g) => {
+                        grants.push(g);
+                        ToClient::Grants { req, grants }
                     }
-                }
-                if measuring {
-                    ctx.metrics().inc("srv.tx.grants");
-                }
-                ctx.send(from, NetMsg::ToClient(ToClient::Grants { req, grants }));
+                    None => ToClient::Error {
+                        req,
+                        reason: ErrorReason::NoSuchResource,
+                    },
+                };
+                out.push(ServerEffect::Send(client, reply));
             }
             ToServer::Renew { req, resources } => {
                 // The Andrew poll: revalidate everything the client holds.
-                if measuring {
-                    ctx.metrics().inc("srv.rx.renew");
-                }
                 let mut grants = Vec::new();
                 for (r, v, _) in resources {
-                    if let Some(g) = self.grant(client, r, Some(v)) {
+                    if let Some(g) = self.grant(storage, client, r, Some(v)) {
                         grants.push(g);
                     }
                 }
                 if !grants.is_empty() {
-                    if measuring {
-                        ctx.metrics().inc("srv.tx.grants");
-                    }
-                    ctx.send(from, NetMsg::ToClient(ToClient::Grants { req, grants }));
+                    out.push(ServerEffect::Send(client, ToClient::Grants { req, grants }));
                 }
             }
             ToServer::Write {
@@ -151,69 +111,42 @@ impl Actor<NetMsg> for AndrewServerActor {
                 resource,
                 data,
             } => {
-                if measuring {
-                    ctx.metrics().inc("srv.rx.write");
-                }
                 // Commit immediately: the server never waits for anyone.
-                let replaced = self
-                    .storage
-                    .version(&resource)
-                    .unwrap_or(lease_core::Version(0));
-                let version = self.storage.write(&resource, data);
-                self.history.borrow_mut().push(HistoryEvent::Commit {
-                    resource,
-                    version,
-                    writer: Some(client),
-                    at: ctx.now(),
-                });
+                let replaces = storage.version(&resource).unwrap_or(Version(0));
+                let version = storage.write(&resource, data);
+                out.push(ServerEffect::Commit(resource, version, Some(client)));
                 // Break callbacks best-effort; a lost message = stale cache.
                 let write_id = WriteId(self.next_write);
                 self.next_write += 1;
                 if let Some(holders) = self.callbacks.remove(&resource) {
-                    let others: Vec<ActorId> = holders
-                        .into_iter()
-                        .filter(|c| *c != client)
-                        .map(|c| self.clients[c.0 as usize])
-                        .collect();
+                    let others: Vec<ClientId> =
+                        holders.into_iter().filter(|c| *c != client).collect();
                     if !others.is_empty() {
-                        if measuring {
-                            ctx.metrics().inc("srv.tx.approval_req");
-                        }
-                        ctx.multicast(
+                        out.push(ServerEffect::Multicast(
                             others,
-                            NetMsg::ToClient(ToClient::ApprovalRequest {
+                            ToClient::ApprovalRequest {
                                 write_id,
                                 resource,
-                                replaces: replaced,
-                            }),
-                        );
+                                replaces,
+                            },
+                        ));
                     }
                 }
                 // The writer keeps a (new) callback promise on its copy.
                 self.callbacks.entry(resource).or_default().insert(client);
-                if measuring {
-                    ctx.metrics().inc("srv.tx.write_done");
-                }
-                ctx.send(
-                    from,
-                    NetMsg::ToClient(ToClient::WriteDone {
+                out.push(ServerEffect::Send(
+                    client,
+                    ToClient::WriteDone {
                         req,
                         resource,
                         version,
                         term: Dur::MAX,
-                    }),
-                );
+                    },
+                ));
             }
-            ToServer::Approve { .. } => {
-                // Invalidations need no acknowledgement here.
-                if measuring {
-                    ctx.metrics().inc("srv.rx.approve");
-                }
-            }
+            // Invalidations need no acknowledgement here.
+            ToServer::Approve { .. } => {}
             ToServer::Relinquish { resources } => {
-                if measuring {
-                    ctx.metrics().inc("srv.rx.relinquish");
-                }
                 for r in resources {
                     if let Some(set) = self.callbacks.get_mut(&r) {
                         set.remove(&client);
@@ -223,10 +156,111 @@ impl Actor<NetMsg> for AndrewServerActor {
         }
     }
 
-    fn on_crash(&mut self, _at: Time) {
+    fn crash(&mut self) {
         // Callback state is volatile — the real Andrew server rebuilt it by
         // breaking all promises on recovery; we simply lose it, which is
         // the unsafe direction and shows up as staleness under the oracle.
         self.callbacks.clear();
+    }
+
+    fn recover(
+        &mut self,
+        _now: Time,
+        _max_term: Option<Dur>,
+        _leases: Vec<(Res, ClientId, Time)>,
+        _storage: &Store,
+    ) -> Vec<Self::Output> {
+        Vec::new()
+    }
+
+    fn effect(out: Self::Output) -> ServerEffect<Self::Down> {
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lease_core::ReqId;
+
+    fn store() -> Store {
+        let mut s = Store::default();
+        s.insert(1, 0);
+        s
+    }
+
+    fn msg(
+        s: &mut AndrewServer,
+        storage: &mut Store,
+        from: u32,
+        m: ToServer<Res, Data>,
+    ) -> Vec<ServerEffect<ToClient<Res, Data>>> {
+        let mut out = Vec::new();
+        s.handle_into(
+            Time::ZERO,
+            ServerEvent::Msg(ClientId(from), m),
+            storage,
+            &mut out,
+        );
+        out
+    }
+
+    fn fetch(req: u64) -> ToServer<Res, Data> {
+        ToServer::Fetch {
+            req: ReqId(req),
+            resource: 1,
+            cached: None,
+            also_extend: Vec::new(),
+        }
+    }
+
+    fn write(req: u64) -> ToServer<Res, Data> {
+        ToServer::Write {
+            req: ReqId(req),
+            resource: 1,
+            data: 9,
+        }
+    }
+
+    #[test]
+    fn a_write_commits_then_invalidates_only_the_other_holders() {
+        let (mut s, mut storage) = (AndrewServer::new(), store());
+        for c in 0..3 {
+            msg(&mut s, &mut storage, c, fetch(1));
+        }
+        let out = msg(&mut s, &mut storage, 1, write(2));
+        let v = Version(2);
+        assert_eq!(out.len(), 3, "{out:?}");
+        assert_eq!(out[0], ServerEffect::Commit(1, v, Some(ClientId(1))));
+        let ServerEffect::Multicast(mut to, ToClient::ApprovalRequest { replaces, .. }) =
+            out[1].clone()
+        else {
+            panic!("expected the invalidation second: {out:?}");
+        };
+        to.sort();
+        assert_eq!(to, vec![ClientId(0), ClientId(2)]);
+        assert_eq!(replaces, Version(1));
+        assert!(matches!(
+            out[2],
+            ServerEffect::Send(ClientId(1), ToClient::WriteDone { version, term: Dur::MAX, .. })
+                if version == v
+        ));
+        // Only the writer's promise survives: its next write invalidates
+        // nobody.
+        let out = msg(&mut s, &mut storage, 1, write(3));
+        assert!(!out.iter().any(|e| matches!(e, ServerEffect::Multicast(..))));
+    }
+
+    #[test]
+    fn crash_forgets_every_promise() {
+        let (mut s, mut storage) = (AndrewServer::new(), store());
+        msg(&mut s, &mut storage, 0, fetch(1));
+        s.crash();
+        assert!(s.recover(Time::ZERO, None, Vec::new(), &storage).is_empty());
+        let out = msg(&mut s, &mut storage, 1, write(2));
+        assert!(
+            !out.iter().any(|e| matches!(e, ServerEffect::Multicast(..))),
+            "client 0's promise was volatile: {out:?}"
+        );
     }
 }

@@ -1,13 +1,15 @@
 //! Running baselines on the shared harness.
 
-use lease_clock::{Dur, Time};
-use lease_core::LeaseClient;
+use lease_clock::Dur;
+use lease_core::{LeaseClient, ToClient, ToServer};
 use lease_faults::SharedHistory;
-use lease_vsys::{assemble, run_trace_with_history, RunReport, SystemConfig, TermSpec};
+use lease_vsys::{
+    assemble, run_trace_with_history, Data, Res, RunReport, SimServer, SystemConfig, TermSpec,
+};
 use lease_workload::Trace;
 
-use crate::andrew::AndrewServerActor;
-use crate::nfs::NfsServerActor;
+use crate::andrew::AndrewServer;
+use crate::nfs::NfsServer;
 
 /// A consistency protocol to compare against leases (§6).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,60 +53,34 @@ impl Baseline {
     /// the lease system produces plus the execution history for the
     /// oracle.
     pub fn run(&self, cfg: &SystemConfig, trace: &Trace) -> (RunReport, SharedHistory) {
+        let leases = |term| {
+            let cfg = SystemConfig {
+                term: TermSpec::Fixed(term),
+                ..cfg.clone()
+            };
+            let (report, handle) = run_trace_with_history(&cfg, trace);
+            (report, handle.history)
+        };
         match self {
-            Baseline::Leases { term } => {
-                let cfg = SystemConfig {
-                    term: TermSpec::Fixed(*term),
-                    ..cfg.clone()
-                };
-                let (report, handle) = run_trace_with_history(&cfg, trace);
-                (report, handle.history)
-            }
-            Baseline::CheckOnEveryRead => {
-                let cfg = SystemConfig {
-                    term: TermSpec::Fixed(Dur::ZERO),
-                    ..cfg.clone()
-                };
-                let (report, handle) = run_trace_with_history(&cfg, trace);
-                (report, handle.history)
-            }
+            Baseline::Leases { term } => leases(*term),
+            Baseline::CheckOnEveryRead => leases(Dur::ZERO),
             Baseline::AndrewCallbacks { poll } => {
                 let mut cfg = cfg.clone();
                 cfg.client.anticipatory = *poll;
-                run_custom(&cfg, trace, ServerKind::Andrew)
+                run_custom(&cfg, trace, AndrewServer::new())
             }
-            Baseline::NfsTtl { ttl } => run_custom(cfg, trace, ServerKind::Nfs(*ttl)),
+            Baseline::NfsTtl { ttl } => run_custom(cfg, trace, NfsServer::new(*ttl)),
         }
     }
 }
 
-enum ServerKind {
-    Andrew,
-    Nfs(Dur),
-}
-
-fn run_custom(cfg: &SystemConfig, trace: &Trace, kind: ServerKind) -> (RunReport, SharedHistory) {
-    let warmup = Time::ZERO + cfg.warmup;
+/// Runs `server` against the lease caches on `lease-vsys`'s actors.
+fn run_custom(
+    cfg: &SystemConfig,
+    trace: &Trace,
+    server: impl SimServer<Up = ToServer<Res, Data>, Down = ToClient<Res, Data>>,
+) -> (RunReport, SharedHistory) {
     let new_cache = |id| LeaseClient::new(id, cfg.client.clone());
-    let mut h = assemble(
-        cfg,
-        trace,
-        new_cache,
-        |world, storage, clients, hist| match kind {
-            ServerKind::Andrew => world.add_actor(AndrewServerActor::new(
-                storage,
-                clients,
-                hist.clone(),
-                warmup,
-            )),
-            ServerKind::Nfs(ttl) => world.add_actor(NfsServerActor::new(
-                storage,
-                ttl,
-                clients,
-                hist.clone(),
-                warmup,
-            )),
-        },
-    );
+    let mut h = assemble(cfg, trace, new_cache, server);
     (h.run(cfg.drain), h.history)
 }

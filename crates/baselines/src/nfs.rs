@@ -7,77 +7,46 @@
 //! without invalidating anyone. A client may therefore serve data up to a
 //! TTL stale — which the consistency oracle duly reports.
 
-use std::collections::HashMap;
-
 use lease_clock::{Dur, Time};
-use lease_core::{ClientId, Grant, LeaseHandle, Storage, ToClient, ToServer, Version};
-use lease_faults::{HistoryEvent, SharedHistory};
-use lease_sim::{Actor, ActorId, Ctx};
-use lease_vsys::{NetMsg, Res, Store};
+use lease_core::{ClientId, ErrorReason, FxMap, ReqId, Storage, ToClient, ToServer, Version};
+use lease_vsys::{Data, Res, ServerEffect, ServerEvent, SimServer, Store};
 
-/// The stateless TTL server.
-pub struct NfsServerActor {
-    storage: Store,
+/// The stateless TTL server, sans-IO: `lease-vsys`'s `ServerActor`
+/// drives it.
+#[derive(Debug)]
+pub struct NfsServer {
     ttl: Dur,
-    clients: Vec<ActorId>,
-    history: SharedHistory,
-    warmup: Time,
-    /// Duplicate-write suppression (NFS servers kept a reply cache too).
-    recent_writes: HashMap<(ClientId, lease_core::ReqId), Version>,
+    /// Duplicate-write suppression (NFS servers kept a reply cache too),
+    /// keyed by the simulated clients' own request ids.
+    recent_writes: FxMap<(ClientId, ReqId), Version>,
 }
 
-impl NfsServerActor {
-    /// Creates the server with the given time-to-live.
-    pub fn new(
-        storage: Store,
-        ttl: Dur,
-        clients: Vec<ActorId>,
-        history: SharedHistory,
-        warmup: Time,
-    ) -> NfsServerActor {
-        NfsServerActor {
-            storage,
+impl NfsServer {
+    /// A server that grants every read for `ttl`.
+    pub fn new(ttl: Dur) -> NfsServer {
+        NfsServer {
             ttl,
-            clients,
-            history,
-            warmup,
-            recent_writes: HashMap::new(),
+            recent_writes: FxMap::default(),
         }
     }
-
-    fn client_of(&self, a: ActorId) -> Option<ClientId> {
-        self.clients
-            .iter()
-            .position(|x| *x == a)
-            .map(|i| ClientId(i as u32))
-    }
-
-    fn grant(&self, resource: Res, cached: Option<Version>) -> Option<Grant<Res, u64>> {
-        let (data, version) = self.storage.read(&resource)?;
-        let data = if cached == Some(version) {
-            None
-        } else {
-            Some(data)
-        };
-        Some(Grant {
-            resource,
-            version,
-            data,
-            term: self.ttl,
-            handle: LeaseHandle::NULL,
-        })
-    }
 }
 
-impl Actor<NetMsg> for NfsServerActor {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, NetMsg>, from: ActorId, msg: NetMsg) {
-        let NetMsg::ToServer(msg) = msg else {
+impl SimServer for NfsServer {
+    type Up = ToServer<Res, Data>;
+    type Down = ToClient<Res, Data>;
+    type Output = ServerEffect<Self::Down>;
+
+    fn handle_into(
+        &mut self,
+        _now: Time,
+        event: ServerEvent<Self::Up>,
+        storage: &mut Store,
+        out: &mut Vec<Self::Output>,
+    ) {
+        // The TTL server sets no timers.
+        let ServerEvent::Msg(client, msg) = event else {
             return;
         };
-        let Some(client) = self.client_of(from) else {
-            return;
-        };
-        let measuring = ctx.now() >= self.warmup;
         match msg {
             ToServer::Fetch {
                 req,
@@ -85,50 +54,29 @@ impl Actor<NetMsg> for NfsServerActor {
                 cached,
                 also_extend,
             } => {
-                if measuring {
-                    ctx.metrics().inc("srv.rx.fetch");
-                }
-                let mut grants = Vec::new();
-                for (r, v, _) in also_extend {
-                    if let Some(g) = self.grant(r, Some(v)) {
-                        grants.push(g);
-                    }
-                }
-                match self.grant(resource, cached) {
+                let mut grants: Vec<_> = also_extend
+                    .into_iter()
+                    .filter_map(|(r, v, _)| crate::grant(storage, r, Some(v), self.ttl))
+                    .collect();
+                let reply = match crate::grant(storage, resource, cached, self.ttl) {
                     Some(g) => {
                         grants.push(g);
-                        if measuring {
-                            ctx.metrics().inc("srv.tx.grants");
-                        }
-                        ctx.send(from, NetMsg::ToClient(ToClient::Grants { req, grants }));
+                        ToClient::Grants { req, grants }
                     }
-                    None => {
-                        if measuring {
-                            ctx.metrics().inc("srv.tx.error");
-                        }
-                        ctx.send(
-                            from,
-                            NetMsg::ToClient(ToClient::Error {
-                                req,
-                                reason: lease_core::ErrorReason::NoSuchResource,
-                            }),
-                        );
-                    }
-                }
+                    None => ToClient::Error {
+                        req,
+                        reason: ErrorReason::NoSuchResource,
+                    },
+                };
+                out.push(ServerEffect::Send(client, reply));
             }
             ToServer::Renew { req, resources } => {
-                if measuring {
-                    ctx.metrics().inc("srv.rx.renew");
-                }
                 let grants: Vec<_> = resources
                     .into_iter()
-                    .filter_map(|(r, v, _)| self.grant(r, Some(v)))
+                    .filter_map(|(r, v, _)| crate::grant(storage, r, Some(v), self.ttl))
                     .collect();
                 if !grants.is_empty() {
-                    if measuring {
-                        ctx.metrics().inc("srv.tx.grants");
-                    }
-                    ctx.send(from, NetMsg::ToClient(ToClient::Grants { req, grants }));
+                    out.push(ServerEffect::Send(client, ToClient::Grants { req, grants }));
                 }
             }
             ToServer::Write {
@@ -136,37 +84,131 @@ impl Actor<NetMsg> for NfsServerActor {
                 resource,
                 data,
             } => {
-                let version = if let Some(v) = self.recent_writes.get(&(client, req)) {
-                    *v
-                } else {
-                    if measuring {
-                        ctx.metrics().inc("srv.rx.write");
+                let version = match self.recent_writes.get(&(client, req)) {
+                    Some(v) => *v,
+                    None => {
+                        let v = storage.write(&resource, data);
+                        out.push(ServerEffect::Commit(resource, v, Some(client)));
+                        self.recent_writes.insert((client, req), v);
+                        v
                     }
-                    let v = self.storage.write(&resource, data);
-                    self.history.borrow_mut().push(HistoryEvent::Commit {
-                        resource,
-                        version: v,
-                        writer: Some(client),
-                        at: ctx.now(),
-                    });
-                    self.recent_writes.insert((client, req), v);
-                    v
                 };
-                if measuring {
-                    ctx.metrics().inc("srv.tx.write_done");
-                }
-                ctx.send(
-                    from,
-                    NetMsg::ToClient(ToClient::WriteDone {
+                out.push(ServerEffect::Send(
+                    client,
+                    ToClient::WriteDone {
                         req,
                         resource,
                         version,
                         term: self.ttl,
-                    }),
-                );
+                    },
+                ));
             }
             // No state, nothing to approve or relinquish.
             ToServer::Approve { .. } | ToServer::Relinquish { .. } => {}
         }
+    }
+
+    /// Stateless: a crash loses nothing, and the reply cache is kept.
+    fn crash(&mut self) {}
+
+    fn recover(
+        &mut self,
+        _now: Time,
+        _max_term: Option<Dur>,
+        _leases: Vec<(Res, ClientId, Time)>,
+        _storage: &Store,
+    ) -> Vec<Self::Output> {
+        Vec::new()
+    }
+
+    fn effect(out: Self::Output) -> ServerEffect<Self::Down> {
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const TTL: Dur = Dur::from_secs(30);
+
+    fn store() -> Store {
+        let mut s = Store::default();
+        s.insert(1, 0);
+        s
+    }
+
+    fn msg(
+        s: &mut NfsServer,
+        storage: &mut Store,
+        from: u32,
+        m: ToServer<Res, Data>,
+    ) -> Vec<ServerEffect<ToClient<Res, Data>>> {
+        let mut out = Vec::new();
+        s.handle_into(
+            Time::ZERO,
+            ServerEvent::Msg(ClientId(from), m),
+            storage,
+            &mut out,
+        );
+        out
+    }
+
+    fn write(req: u64) -> ToServer<Res, Data> {
+        ToServer::Write {
+            req: ReqId(req),
+            resource: 1,
+            data: 9,
+        }
+    }
+
+    #[test]
+    fn answers_with_its_ttl_and_never_invalidates() {
+        let (mut s, mut storage) = (NfsServer::new(TTL), store());
+        for c in 0..2 {
+            let out = msg(
+                &mut s,
+                &mut storage,
+                c,
+                ToServer::Fetch {
+                    req: ReqId(1),
+                    resource: 1,
+                    cached: None,
+                    also_extend: Vec::new(),
+                },
+            );
+            let [ServerEffect::Send(to, ToClient::Grants { grants, .. })] = &out[..] else {
+                panic!("one grant reply expected: {out:?}");
+            };
+            assert_eq!(*to, ClientId(c));
+            assert_eq!(grants.len(), 1);
+            assert_eq!(grants[0].term, TTL);
+        }
+        let out = msg(&mut s, &mut storage, 1, write(2));
+        assert_eq!(out.len(), 2, "{out:?}");
+        assert_eq!(
+            out[0],
+            ServerEffect::Commit(1, Version(2), Some(ClientId(1)))
+        );
+        assert!(matches!(
+            out[1],
+            ServerEffect::Send(ClientId(1), ToClient::WriteDone { term: TTL, .. })
+        ));
+    }
+
+    #[test]
+    fn a_retransmitted_write_commits_once() {
+        let (mut s, mut storage) = (NfsServer::new(TTL), store());
+        let first = msg(&mut s, &mut storage, 0, write(7));
+        let again = msg(&mut s, &mut storage, 0, write(7));
+        assert!(matches!(first[0], ServerEffect::Commit(1, Version(2), _)));
+        // The retransmission is answered with the first write's version
+        // and commits nothing.
+        assert_eq!(again.len(), 1, "{again:?}");
+        assert_eq!(again[0], first[1]);
+        assert_eq!(storage.version(&1), Some(Version(2)));
+        // Another client's request with the same id is another write.
+        let other = msg(&mut s, &mut storage, 1, write(7));
+        assert!(matches!(other[0], ServerEffect::Commit(1, Version(3), _)));
     }
 }

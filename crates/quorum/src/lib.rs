@@ -40,7 +40,7 @@
 //! `lease-sim`'s `World` — the event loop the file-system simulator runs
 //! on — under the same [`FaultPlan`](lease_faults::FaultPlan) the
 //! runtime reads, for deterministic seed sweeps; [`runtime`]
-//! runs real threads with a [`GrantorGate`](runtime::GrantorGate) for the
+//! runs real threads with a [`GrantorGate`] for the
 //! service path to consult on every grant (`lease-rt` wires that gate into
 //! its replicated topology).
 

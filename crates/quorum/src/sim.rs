@@ -98,10 +98,9 @@ struct Replica {
     clock: ClockModel,
     plan: FaultPlan,
     history: SharedHistory,
+    /// Protocol messages this replica sent, crashes included.
+    sent: u64,
 }
-
-/// The world metric counting protocol messages sent.
-const SENT: &str = "quorum.messages_sent";
 
 impl Replica {
     fn tick(&mut self, ctx: &mut Ctx<'_, QuorumMsg>) {
@@ -115,7 +114,7 @@ impl Replica {
         for o in outs {
             let event = match o {
                 NodeOut::Send { to, msg } => {
-                    ctx.metrics().inc(SENT);
+                    self.sent += 1;
                     ctx.send(ActorId(to as usize), msg);
                     continue;
                 }
@@ -184,6 +183,7 @@ pub fn run(cfg: &SimConfig) -> SimOutcome {
             clock: cfg.plan.replica_clock(i).unwrap_or_default(),
             plan: cfg.plan.clone(),
             history: history.clone(),
+            sent: 0,
         });
     }
     // A kill is a crash and a restart at one instant.
@@ -199,8 +199,9 @@ pub fn run(cfg: &SimConfig) -> SimOutcome {
         .iter()
         .filter(|e| matches!(e, HistoryEvent::GrantorAcquired { .. }))
         .count() as u32;
+    let sent = |i| world.actor::<Replica>(ActorId(i)).map_or(0, |r| r.sent);
     SimOutcome {
-        messages_sent: world.metrics().counter(SENT),
+        messages_sent: (0..n).map(sent).sum(),
         acquisitions,
         history,
     }

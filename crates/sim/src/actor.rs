@@ -4,7 +4,6 @@ use std::any::Any;
 
 use lease_clock::{Dur, Time};
 
-use crate::metrics::Metrics;
 use crate::rng::SimRng;
 
 /// Identifies an actor within a [`World`](crate::World).
@@ -94,7 +93,6 @@ pub struct Ctx<'a, M> {
     pub(crate) timers: &'a mut Timers,
     pub(crate) cmds: Vec<Cmd<M>>,
     pub(crate) rng: &'a mut SimRng,
-    pub(crate) metrics: &'a mut Metrics,
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -158,10 +156,5 @@ impl<'a, M> Ctx<'a, M> {
     /// The world's deterministic randomness.
     pub fn rng(&mut self) -> &mut SimRng {
         self.rng
-    }
-
-    /// The shared metrics registry.
-    pub fn metrics(&mut self) -> &mut Metrics {
-        self.metrics
     }
 }

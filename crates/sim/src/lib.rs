@@ -14,13 +14,13 @@
 //! * [`EventQueue`] — a time-ordered queue with FIFO tie-breaking, the heart
 //!   of the kernel: one binary heap.
 //! * [`Actor`] / [`World`] — the actor layer: actors receive messages and
-//!   timer callbacks through a [`Ctx`] that lets them send, multicast, set
-//!   timers, and record metrics.
+//!   timer callbacks through a [`Ctx`] that lets them send, multicast and set
+//!   timers; what an experiment counts, its actors count themselves.
 //! * [`Medium`] — the pluggable network model; `lease-vsys` supplies the
 //!   realistic implementation, and [`PerfectMedium`] delivers instantly for
 //!   unit tests.
 //! * [`SimRng`] — seeded, forkable randomness so every run is reproducible.
-//! * [`Metrics`] — counters and sample histograms harvested by experiments.
+//! * [`Histogram`] — the sample histograms experiments summarise delays with.
 //!
 //! # Examples
 //!
@@ -60,7 +60,7 @@ pub mod world;
 pub use actor::{Actor, ActorId, Ctx, TimerId};
 pub use event::EventQueue;
 pub use medium::{Delivery, Dest, Medium, PerfectMedium};
-pub use metrics::{Histogram, HistogramSummary, Metrics};
+pub use metrics::{Histogram, HistogramSummary};
 pub use rng::SimRng;
 pub use world::World;
 

@@ -1,6 +1,4 @@
-//! Counters and sample histograms harvested by the experiments.
-
-use std::collections::BTreeMap;
+//! Sample histograms harvested by the experiments.
 
 use serde::{Deserialize, Serialize};
 
@@ -139,92 +137,9 @@ pub struct HistogramSummary {
     pub p99: f64,
 }
 
-/// A registry of named counters and histograms.
-///
-/// Names are `&'static str` because every metric in this codebase is known
-/// at compile time; the `BTreeMap` keeps report output deterministic.
-#[derive(Debug, Clone, Default)]
-pub struct Metrics {
-    counters: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, Histogram>,
-}
-
-impl Metrics {
-    /// Creates an empty registry.
-    pub fn new() -> Metrics {
-        Metrics::default()
-    }
-
-    /// Adds `n` to the named counter.
-    pub fn add(&mut self, name: &'static str, n: u64) {
-        *self.counters.entry(name).or_insert(0) += n;
-    }
-
-    /// Increments the named counter by one.
-    pub fn inc(&mut self, name: &'static str) {
-        self.add(name, 1);
-    }
-
-    /// Current value of a counter (0 if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Records a sample into the named histogram.
-    pub fn observe(&mut self, name: &'static str, v: f64) {
-        self.histograms.entry(name).or_default().record(v);
-    }
-
-    /// Mutable access to a histogram (creates it if missing).
-    pub fn histogram_mut(&mut self, name: &'static str) -> &mut Histogram {
-        self.histograms.entry(name).or_default()
-    }
-
-    /// Read access to a histogram, if it exists.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Iterates counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Sum of all counters whose name starts with `prefix`.
-    pub fn counter_sum_prefix(&self, prefix: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(_, v)| *v)
-            .sum()
-    }
-
-    /// Merges another registry into this one (counters add, samples append).
-    pub fn merge(&mut self, other: &Metrics) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
-        }
-        for (k, h) in &other.histograms {
-            let dst = self.histograms.entry(k).or_default();
-            for s in &h.samples {
-                dst.record(*s);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_accumulate() {
-        let mut m = Metrics::new();
-        m.inc("msgs");
-        m.add("msgs", 4);
-        assert_eq!(m.counter("msgs"), 5);
-        assert_eq!(m.counter("absent"), 0);
-    }
 
     #[test]
     fn histogram_quantiles_exact() {
@@ -258,28 +173,5 @@ mod tests {
         assert_eq!(h.quantile(0.5), 5.0);
         h.record(1.0);
         assert_eq!(h.quantile(0.0), 1.0);
-    }
-
-    #[test]
-    fn prefix_sum() {
-        let mut m = Metrics::new();
-        m.add("server.msg.extend", 3);
-        m.add("server.msg.approve", 2);
-        m.add("client.msg.read", 7);
-        assert_eq!(m.counter_sum_prefix("server.msg."), 5);
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = Metrics::new();
-        a.inc("x");
-        a.observe("h", 1.0);
-        let mut b = Metrics::new();
-        b.add("x", 2);
-        b.observe("h", 3.0);
-        a.merge(&b);
-        assert_eq!(a.counter("x"), 3);
-        assert_eq!(a.histogram_mut("h").count(), 2);
-        assert_eq!(a.histogram_mut("h").mean(), 2.0);
     }
 }

@@ -7,7 +7,6 @@ use lease_clock::Time;
 use crate::actor::{Actor, ActorId, Cmd, Ctx, TimerId, Timers};
 use crate::event::EventQueue;
 use crate::medium::{Delivery, Dest, Medium};
-use crate::metrics::Metrics;
 use crate::rng::SimRng;
 
 enum WorldEvent<M> {
@@ -40,7 +39,7 @@ struct Slot<M> {
 }
 
 /// The simulation world: owns the actors, the clock, the event queue, the
-/// network medium, randomness, and metrics.
+/// network medium and randomness.
 ///
 /// Construction order fixes actor ids: the first [`World::add_actor`] call
 /// returns `ActorId(0)`, the next `ActorId(1)`, and so on. Runs are
@@ -56,7 +55,6 @@ pub struct World<M> {
     /// The medium's stream (the historical root stream, so network draws
     /// are unchanged by the introduction of per-actor streams).
     rng: SimRng,
-    metrics: Metrics,
     stopped: bool,
     events_processed: u64,
     /// Scratch reused across [`World::route`] calls so steady-state
@@ -77,7 +75,6 @@ impl<M: 'static> World<M> {
             medium: Box::new(medium),
             timers: Timers::default(),
             rng: SimRng::seed(seed),
-            metrics: Metrics::new(),
             stopped: false,
             events_processed: 0,
             route_buf: Vec::new(),
@@ -102,16 +99,6 @@ impl<M: 'static> World<M> {
     /// The current simulation time.
     pub fn now(&self) -> Time {
         self.now
-    }
-
-    /// The shared metrics registry.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// Mutable access to the metrics registry (for harness bookkeeping).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
     }
 
     /// Number of events the loop has processed so far.
@@ -172,9 +159,8 @@ impl<M: 'static> World<M> {
         match ev {
             WorldEvent::Start(id) => self.with_actor(id, |actor, ctx| actor.on_start(ctx)),
             WorldEvent::Deliver { from, to, msg } => {
-                if self.is_crashed(to) {
-                    self.metrics.inc("sim.dropped_to_crashed");
-                } else {
+                // A message delivered to a crashed actor is lost.
+                if !self.is_crashed(to) {
                     self.with_actor(to, |actor, ctx| actor.on_message(ctx, from, msg));
                 }
             }
@@ -200,7 +186,6 @@ impl<M: 'static> World<M> {
                         slot.crashed = true;
                         slot.epoch += 1;
                         slot.actor.on_crash(at);
-                        self.metrics.inc("sim.crashes");
                     }
                 }
             }
@@ -213,7 +198,6 @@ impl<M: 'static> World<M> {
                     _ => false,
                 };
                 if recovered {
-                    self.metrics.inc("sim.recoveries");
                     self.with_actor(id, |a, ctx| a.on_recover(ctx));
                 }
             }
@@ -262,7 +246,6 @@ impl<M: 'static> World<M> {
             timers: &mut self.timers,
             cmds: std::mem::take(&mut self.cmd_buf),
             rng: &mut slot.rng,
-            metrics: &mut self.metrics,
         };
         f(slot.actor.as_mut(), &mut ctx);
         let cmds = ctx.cmds;
@@ -454,7 +437,8 @@ mod tests {
         let _s = w.add_actor(Sender { to: echo });
         w.run(1000);
         assert_eq!(w.actor::<Echo>(echo).unwrap().seen, 0);
-        assert_eq!(w.metrics().counter("sim.dropped_to_crashed"), 1);
+        // Two starts and the one delivery, which found the echo crashed.
+        assert_eq!(w.events_processed(), 4);
     }
 
     #[test]

@@ -10,6 +10,7 @@ use lease_sim::{Actor, ActorId, Ctx, TimerId};
 use lease_workload::TraceOp;
 
 use crate::driver::{OpDriver, DRIVER_TIMER_KEY};
+use crate::report::SharedTally;
 use crate::types::{Data, NetMsg, Res};
 
 /// A sans-IO client cache the [`ClientActor`] can drive: the lease cache
@@ -141,15 +142,15 @@ pub struct ClientActor<C: SimCache = LeaseClient<Res, Data>> {
     server: ActorId,
     id: ClientId,
     history: SharedHistory,
+    tally: SharedTally,
     timer_ids: FxMap<u64, TimerId>,
     next_data: u64,
-    warmup: Time,
     /// The cache's outputs for the event at hand; empty between events.
     out: Vec<C::Output>,
 }
 
 impl<C: SimCache> ClientActor<C> {
-    /// Creates the actor for client `id`.
+    /// Creates the actor for client `id`; its driver counts into `tally`.
     pub fn new(
         id: ClientId,
         cache: C,
@@ -157,7 +158,7 @@ impl<C: SimCache> ClientActor<C> {
         clock: ClockModel,
         server: ActorId,
         history: SharedHistory,
-        warmup: Time,
+        tally: SharedTally,
     ) -> ClientActor<C> {
         ClientActor {
             cache,
@@ -166,9 +167,9 @@ impl<C: SimCache> ClientActor<C> {
             server,
             id,
             history,
+            tally,
             timer_ids: FxMap::default(),
             next_data: 0,
-            warmup,
             out: Vec::new(),
         }
     }
@@ -180,7 +181,9 @@ impl<C: SimCache> ClientActor<C> {
     }
 
     fn issue_due(&mut self, ctx: &mut Ctx<'_, Wire<C>>) {
-        let due = self.driver.take_due(ctx.now(), ctx.metrics());
+        let due = self
+            .driver
+            .take_due(ctx.now(), &mut self.tally.borrow_mut());
         for (op, trace_op) in due {
             let now = ctx.now();
             let input = match trace_op {
@@ -240,7 +243,7 @@ impl<C: SimCache> ClientActor<C> {
                     }
                 }
                 CacheEffect::Done(op, None) => {
-                    self.driver.fail(op, ctx.metrics());
+                    self.driver.fail(op, &mut self.tally.borrow_mut());
                 }
                 CacheEffect::Done(op, Some(outcome)) => self.done(ctx, op, outcome),
                 CacheEffect::Commit(resource, version) => {
@@ -259,17 +262,9 @@ impl<C: SimCache> ClientActor<C> {
     }
 
     fn done(&mut self, ctx: &mut Ctx<'_, Wire<C>>, op: OpId, outcome: OpOutcome<Data>) {
-        let resource = self.driver.complete(ctx.now(), op, ctx.metrics());
-        if ctx.now() >= self.warmup {
-            let name = match &outcome {
-                OpOutcome::Read {
-                    from_cache: true, ..
-                } => "client.hit",
-                OpOutcome::Read { .. } => "client.remote_read",
-                OpOutcome::Write { .. } => "client.write_done",
-            };
-            ctx.metrics().inc(name);
-        }
+        let resource = self
+            .driver
+            .complete(ctx.now(), op, &outcome, &mut self.tally.borrow_mut());
         let Some(resource) = resource else {
             return;
         };

@@ -4,18 +4,19 @@
 //! regardless of how long earlier ones take, and consistency's contribution
 //! is the extra delay each operation experiences. The driver replays one
 //! client's slice of the trace on that schedule, completes temporary-file
-//! operations locally (the V cache's special handling, §2), and records
-//! per-operation delay histograms split by kind.
+//! operations locally (the V cache's special handling, §2), and counts
+//! each operation's outcome and delay into the run's [`Tally`].
 
 use lease_clock::Time;
-use lease_core::{FxMap, OpId};
-use lease_sim::Metrics;
+use lease_core::{FxMap, OpId, OpOutcome};
 use lease_workload::{FileClass, Trace, TraceOp, TraceRecord};
+
+use crate::report::Tally;
 
 /// The timer key the driver uses for "issue the next operation".
 pub const DRIVER_TIMER_KEY: u64 = 0;
 
-/// One client's trace replayer and latency recorder.
+/// One client's trace replayer and operation counter.
 #[derive(Debug, Clone)]
 pub struct OpDriver {
     records: Vec<TraceRecord>,
@@ -66,7 +67,7 @@ impl OpDriver {
     /// Takes all protocol-relevant operations due at `now`, assigning op
     /// ids and starting their latency clocks. Temporary-file operations
     /// are absorbed locally and only counted.
-    pub fn take_due(&mut self, now: Time, metrics: &mut Metrics) -> Vec<(OpId, TraceOp)> {
+    pub fn take_due(&mut self, now: Time, tally: &mut Tally) -> Vec<(OpId, TraceOp)> {
         let mut out = Vec::new();
         while let Some(r) = self.records.get(self.idx) {
             if r.at > now {
@@ -75,7 +76,7 @@ impl OpDriver {
             let rec = *r;
             self.idx += 1;
             if self.class_of(rec.op.file()) == FileClass::Temporary {
-                metrics.inc("client.temp_ops");
+                tally.temp_ops += 1;
                 continue;
             }
             let op = OpId(self.next_op);
@@ -92,31 +93,32 @@ impl OpDriver {
         out
     }
 
-    /// Records the completion of `op`, observing its delay (unless it was
-    /// issued before the warmup cutoff), and returns the file it was on,
-    /// or `None` if `op` is not outstanding.
-    pub fn complete(&mut self, now: Time, op: OpId, metrics: &mut Metrics) -> Option<u64> {
+    /// Records the completion of `op` with `outcome`: counts the outcome
+    /// if it came after the warmup cutoff, and the delay if `op` was
+    /// issued after it. Returns the file `op` was on, or `None` if `op` is
+    /// not outstanding.
+    pub fn complete<D>(
+        &mut self,
+        now: Time,
+        op: OpId,
+        outcome: &OpOutcome<D>,
+        tally: &mut Tally,
+    ) -> Option<u64> {
+        if now >= self.warmup {
+            tally.done(outcome);
+        }
         let o = self.outstanding.remove(&op)?;
         if o.issued >= self.warmup {
-            let delay = now.saturating_since(o.issued).as_secs_f64();
-            metrics.observe("delay.all", delay);
-            metrics.observe(
-                if o.op.is_read() {
-                    "delay.read"
-                } else {
-                    "delay.write"
-                },
-                delay,
-            );
+            tally.delay(o.op.is_read(), now.saturating_since(o.issued).as_secs_f64());
         }
         Some(o.op.file())
     }
 
     /// Marks `op` failed (timeout / missing resource); its delay is not
     /// recorded.
-    pub fn fail(&mut self, op: OpId, metrics: &mut Metrics) {
+    pub fn fail(&mut self, op: OpId, tally: &mut Tally) {
         if self.outstanding.remove(&op).is_some() {
-            metrics.inc("client.op_failures");
+            tally.op_failures += 1;
         }
     }
 
@@ -149,7 +151,17 @@ impl OpDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lease_core::Version;
     use lease_workload::FileSpec;
+
+    const READ: OpOutcome<u64> = OpOutcome::Read {
+        data: 0,
+        version: Version(1),
+        from_cache: false,
+    };
+    const WRITE: OpOutcome<u64> = OpOutcome::Write {
+        version: Version(2),
+    };
 
     fn trace() -> Trace {
         Trace::new(
@@ -201,50 +213,54 @@ mod tests {
     #[test]
     fn temp_ops_absorbed_locally() {
         let mut d = OpDriver::new(&trace(), 0, Time::ZERO);
-        let mut m = Metrics::new();
-        let due = d.take_due(Time::from_secs(2), &mut m);
+        let mut t = Tally::default();
+        let due = d.take_due(Time::from_secs(2), &mut t);
         // Read of 1 is issued; temp write of 2 is absorbed.
         assert_eq!(due.len(), 1);
         assert!(due[0].1.is_read());
-        assert_eq!(m.counter("client.temp_ops"), 1);
+        assert_eq!(t.temp_ops, 1);
         assert_eq!(d.next_due(), Some(Time::from_secs(3)));
     }
 
     #[test]
     fn delay_measured_from_trace_time() {
         let mut d = OpDriver::new(&trace(), 0, Time::ZERO);
-        let mut m = Metrics::new();
-        let due = d.take_due(Time::from_secs(1), &mut m);
+        let mut t = Tally::default();
+        let due = d.take_due(Time::from_secs(1), &mut t);
         let (op, _) = due[0];
-        d.complete(Time::from_millis(1003), op, &mut m);
-        let h = m.histogram_mut("delay.read");
-        assert_eq!(h.count(), 1);
-        assert!((h.mean() - 0.003).abs() < 1e-9);
+        assert_eq!(
+            d.complete(Time::from_millis(1003), op, &READ, &mut t),
+            Some(1)
+        );
+        assert_eq!(t.remote_reads, 1);
+        assert_eq!((t.read_delay.count(), t.write_delay.count()), (1, 0));
+        assert!((t.read_delay.mean() - 0.003).abs() < 1e-9);
+        assert_eq!(t.all_delay.count(), 1);
     }
 
     #[test]
     fn warmup_suppresses_early_samples() {
         let mut d = OpDriver::new(&trace(), 0, Time::from_secs(2));
-        let mut m = Metrics::new();
-        let due = d.take_due(Time::from_secs(1), &mut m);
-        d.complete(Time::from_millis(1003), due[0].0, &mut m);
-        assert!(m.histogram("delay.read").is_none());
+        let mut t = Tally::default();
+        let due = d.take_due(Time::from_secs(1), &mut t);
+        d.complete(Time::from_millis(1003), due[0].0, &READ, &mut t);
+        assert_eq!((t.remote_reads, t.all_delay.count()), (0, 0));
         // The later write (at 3 s) is recorded.
-        let due = d.take_due(Time::from_secs(3), &mut m);
-        d.complete(Time::from_millis(3009), due[0].0, &mut m);
-        assert_eq!(m.histogram_mut("delay.write").count(), 1);
+        let due = d.take_due(Time::from_secs(3), &mut t);
+        d.complete(Time::from_millis(3009), due[0].0, &WRITE, &mut t);
+        assert_eq!((t.writes, t.write_delay.count()), (1, 1));
     }
 
     #[test]
     fn finish_and_fail_bookkeeping() {
         let mut d = OpDriver::new(&trace(), 1, Time::ZERO);
-        let mut m = Metrics::new();
+        let mut t = Tally::default();
         assert!(!d.finished());
-        let due = d.take_due(Time::from_secs(10), &mut m);
+        let due = d.take_due(Time::from_secs(10), &mut t);
         assert!(!d.finished());
-        d.fail(due[0].0, &mut m);
+        d.fail(due[0].0, &mut t);
         assert!(d.finished());
-        assert_eq!(m.counter("client.op_failures"), 1);
+        assert_eq!(t.op_failures, 1);
     }
 
     #[test]

@@ -11,8 +11,8 @@ use lease_workload::{FileClass, Trace};
 use crate::client_actor::{ClientActor, SimCache};
 use crate::config::{InstalledMode, NodeSel, SystemConfig, TermSpec};
 use crate::driver::OpDriver;
-use crate::report::RunReport;
-use crate::server_actor::ServerActor;
+use crate::report::{RunReport, SharedTally, Tally};
+use crate::server_actor::{ServerActor, SimServer};
 use crate::simnet::SimNet;
 use crate::types::{NetMsg, Store};
 
@@ -26,6 +26,8 @@ pub struct RunHandle<M = NetMsg> {
     pub clients: Vec<ActorId>,
     /// The shared execution history for the oracle.
     pub history: SharedHistory,
+    /// What the actors count, read by [`RunHandle::run`].
+    pub tally: SharedTally,
     /// Time of the last trace record.
     pub trace_end: Time,
     /// Measurements before this instant are discarded.
@@ -54,29 +56,26 @@ fn refuse_unsupported(plan: &FaultPlan) {
 }
 
 /// Builds the world every simulated system shares: the [`SimNet`] over
-/// `cfg.faults` and `cfg.extra_prop`, the server that `add_server` adds
-/// (actor 0, given the primary storage and the client ids), one
-/// [`ClientActor`] per trace client driving the cache `new_cache` builds
-/// (client `i` is actor `i + 1`) and the crash schedule. [`build_world`]
-/// adds the lease server over lease caches; the baseline protocols add
-/// their own server against the same caches, and `lease-wb` runs its
-/// token server and caches, all on the same driver and measurements.
+/// `cfg.faults` and `cfg.extra_prop`, one [`ServerActor`] (actor 0)
+/// driving `server` over the primary storage on the plan's replica 0
+/// clock, one [`ClientActor`] per trace client
+/// driving the cache `new_cache` builds (client `i` is actor `i + 1`) on
+/// [`SystemConfig::client_clock`], and the crash schedule. Every actor
+/// counts into one [`Tally`]. [`build_world`] passes the lease server and
+/// lease caches; the §6 baselines pass their callback or TTL server with
+/// the same caches, and `lease-wb` its token server and caches, so all
+/// run on the same actors, driver and measurements.
 ///
 /// # Panics
 ///
 /// If `cfg.faults` names a fault the simulator cannot honour yet (shard
 /// or replica kills, a slow shard, or a cut or clock of a replica other
 /// than 0).
-pub fn assemble<C: SimCache>(
+pub fn assemble<C: SimCache, S: SimServer<Up = C::Up, Down = C::Down>>(
     cfg: &SystemConfig,
     trace: &Trace,
     mut new_cache: impl FnMut(ClientId) -> C,
-    add_server: impl FnOnce(
-        &mut World<NetMsg<C::Up, C::Down>>,
-        Store,
-        Vec<ActorId>,
-        &SharedHistory,
-    ) -> ActorId,
+    server: S,
 ) -> RunHandle<NetMsg<C::Up, C::Down>> {
     refuse_unsupported(&cfg.faults);
     let n = trace.client_count().max(1);
@@ -86,6 +85,7 @@ pub fn assemble<C: SimCache>(
     }
     let mut world = World::new(cfg.seed, net);
     let history = history::shared();
+    let tally = Tally::shared();
     let warmup = Time::ZERO + cfg.warmup;
 
     // Ids are deterministic: server first, then clients.
@@ -95,7 +95,15 @@ pub fn assemble<C: SimCache>(
     for f in &trace.files {
         storage.insert(f.id, 0);
     }
-    let server_id = add_server(&mut world, storage, client_ids.clone(), &history);
+    let server_id = world.add_actor(ServerActor::new(
+        server,
+        storage,
+        cfg.faults.replica_clock(0).unwrap_or_default(),
+        client_ids.clone(),
+        history.clone(),
+        tally.clone(),
+        warmup,
+    ));
     debug_assert_eq!(server_id, ActorId(0));
 
     for i in 0..n {
@@ -106,7 +114,7 @@ pub fn assemble<C: SimCache>(
             cfg.client_clock(i as usize),
             server_id,
             history.clone(),
-            warmup,
+            tally.clone(),
         ));
         debug_assert_eq!(id, client_ids[i as usize]);
     }
@@ -127,6 +135,7 @@ pub fn assemble<C: SimCache>(
         server: server_id,
         clients: client_ids,
         history,
+        tally,
         trace_end: Time::ZERO + trace.duration(),
         warmup,
     }
@@ -171,19 +180,8 @@ pub fn build_world(cfg: &SystemConfig, trace: &Trace) -> RunHandle {
         }
         server.set_installed_group((0..n).map(ClientId).collect());
     }
-    let clock = cfg.faults.replica_clock(0).unwrap_or_default();
-    let warmup = Time::ZERO + cfg.warmup;
     let new_cache = |id| LeaseClient::new(id, cfg.client.clone());
-    assemble(cfg, trace, new_cache, |world, storage, clients, history| {
-        world.add_actor(ServerActor::new(
-            server,
-            storage,
-            clock,
-            clients,
-            history.clone(),
-            warmup,
-        ))
-    })
+    assemble(cfg, trace, new_cache, server)
 }
 
 impl<M: 'static> RunHandle<M> {
@@ -193,7 +191,8 @@ impl<M: 'static> RunHandle<M> {
         let end = self.trace_end + drain;
         self.world.run_until(end);
         let window = end.saturating_since(self.warmup).as_secs_f64();
-        RunReport::from_world(&mut self.world, window)
+        let events = self.world.events_processed();
+        RunReport::from_tally(&mut self.tally.borrow_mut(), window, events)
     }
 }
 

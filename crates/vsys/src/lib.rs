@@ -19,10 +19,13 @@
 //! reads, so one plan describes a fault in both worlds. It records a
 //! global [`History`] that the consistency oracle in `lease-faults`
 //! checks against single-copy semantics.
-//! [`assemble`] is the one builder and [`ClientActor`] the one client
-//! actor: the §6 baselines reuse them with their own server, and
-//! `lease-wb` runs its write-back tokens on them through [`SimCache`] and
-//! [`SimServer`]. Here every cache is a `lease-core`
+//! [`assemble`] is the one builder, and [`ClientActor`] and
+//! [`ServerActor`] are the one client and the one server actor: the §6
+//! baselines run their callback and TTL servers on them through
+//! [`SimServer`], and `lease-wb` its write-back tokens through
+//! [`SimCache`] and [`SimServer`]. The actors count what a [`RunReport`]
+//! reports into one typed [`Tally`], classifying each server message by
+//! its [`TrafficClass`]. Here every cache is a `lease-core`
 //! [`LeaseClient`](lease_core::LeaseClient) built from
 //! [`SystemConfig::client`], a whole [`ClientConfig`] passed on
 //! unchanged, so the simulator reaches every client option the
@@ -63,7 +66,7 @@ pub use lease_core::ClientConfig;
 /// `lease_faults`.
 pub use lease_faults::{History, HistoryEvent};
 pub use params::NetParams;
-pub use report::RunReport;
+pub use report::{RunReport, SharedTally, Tally, Traffic, TrafficClass};
 pub use server_actor::{ServerActor, ServerEffect, ServerEvent, SimServer};
 pub use simnet::SimNet;
 pub use types::{Data, NetMsg, Res, Store};

@@ -1,7 +1,133 @@
-//! Run measurements: what the experiments read off a finished simulation.
+//! Run measurements: the one tally a simulated run counts into, and the
+//! report the experiments read off it.
 
-use lease_sim::{HistogramSummary, Metrics, World};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use lease_core::{OpOutcome, ToClient, ToServer};
+use lease_sim::{Histogram, HistogramSummary};
 use serde::{Deserialize, Serialize};
+
+/// Which of the server's three kinds of traffic a message is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Traffic {
+    /// Consistency traffic other than approvals: lease requests and
+    /// grants, relinquishes, installed-file multicasts, errors.
+    Consistency,
+    /// An approval callback or an approval: consistency traffic that
+    /// [`RunReport::approval_msgs`] also counts on its own.
+    Approval,
+    /// A write or its reply: a write-through write contacts the server
+    /// under any protocol.
+    Data,
+}
+
+/// A protocol message the server actor counts: says which kind of
+/// traffic it is. Every server that speaks a protocol shares its
+/// classification, so the §6 baselines count exactly as the lease
+/// server does.
+pub trait TrafficClass {
+    /// This message's kind of traffic.
+    fn traffic(&self) -> Traffic;
+}
+
+impl<R, D> TrafficClass for ToServer<R, D> {
+    fn traffic(&self) -> Traffic {
+        match self {
+            ToServer::Write { .. } => Traffic::Data,
+            ToServer::Approve { .. } => Traffic::Approval,
+            ToServer::Fetch { .. } | ToServer::Renew { .. } | ToServer::Relinquish { .. } => {
+                Traffic::Consistency
+            }
+        }
+    }
+}
+
+impl<R, D> TrafficClass for ToClient<R, D> {
+    fn traffic(&self) -> Traffic {
+        match self {
+            ToClient::WriteDone { .. } => Traffic::Data,
+            ToClient::ApprovalRequest { .. } => Traffic::Approval,
+            ToClient::Grants { .. } | ToClient::InstalledExtend { .. } | ToClient::Error { .. } => {
+                Traffic::Consistency
+            }
+        }
+    }
+}
+
+/// What a simulated run counts, as the [`ServerActor`](crate::ServerActor),
+/// the [`ClientActor`](crate::ClientActor)s and their
+/// [`OpDriver`](crate::driver::OpDriver)s add to it. The fields mean what
+/// [`RunReport`]'s of the same name do.
+#[derive(Debug, Clone, Default)]
+pub struct Tally {
+    /// Consistency messages, approvals included.
+    pub consistency_msgs: u64,
+    /// Data messages.
+    pub data_msgs: u64,
+    /// Approval callbacks and approvals.
+    pub approval_msgs: u64,
+    /// Reads served from cache.
+    pub hits: u64,
+    /// Reads that contacted the server.
+    pub remote_reads: u64,
+    /// Writes completed.
+    pub writes: u64,
+    /// Temporary-file operations absorbed locally.
+    pub temp_ops: u64,
+    /// Operations that failed.
+    pub op_failures: u64,
+    /// Per-read delay (seconds).
+    pub read_delay: Histogram,
+    /// Per-write delay (seconds).
+    pub write_delay: Histogram,
+    /// Per-operation delay over reads and writes (seconds).
+    pub all_delay: Histogram,
+}
+
+/// The tally one world's actors share.
+pub type SharedTally = Rc<RefCell<Tally>>;
+
+impl Tally {
+    /// A fresh tally to share among one world's actors.
+    pub fn shared() -> SharedTally {
+        Rc::default()
+    }
+
+    /// Counts one message the server sent or received.
+    pub fn message(&mut self, traffic: Traffic) {
+        match traffic {
+            Traffic::Consistency => self.consistency_msgs += 1,
+            Traffic::Approval => {
+                self.consistency_msgs += 1;
+                self.approval_msgs += 1;
+            }
+            Traffic::Data => self.data_msgs += 1,
+        }
+    }
+
+    /// Counts one completed operation by its outcome.
+    pub fn done<D>(&mut self, outcome: &OpOutcome<D>) {
+        match outcome {
+            OpOutcome::Read {
+                from_cache: true, ..
+            } => self.hits += 1,
+            OpOutcome::Read { .. } => self.remote_reads += 1,
+            OpOutcome::Write { .. } => self.writes += 1,
+        }
+    }
+
+    /// Records one operation's delay, in seconds.
+    pub fn delay(&mut self, read: bool, secs: f64) {
+        self.all_delay.record(secs);
+        let h = if read {
+            &mut self.read_delay
+        } else {
+            &mut self.write_delay
+        };
+        h.record(secs);
+    }
+}
 
 /// Aggregate measurements of one simulated run.
 ///
@@ -41,37 +167,22 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Extracts a report from a finished world (any message type: the
-    /// write-back harness reuses the same counter names).
-    pub fn from_world<M: 'static>(world: &mut World<M>, window_secs: f64) -> RunReport {
-        let sim_events = world.events_processed();
-        let m: &mut Metrics = world.metrics_mut();
-        let consistency = [
-            "srv.rx.fetch",
-            "srv.rx.renew",
-            "srv.rx.approve",
-            "srv.rx.relinquish",
-            "srv.tx.grants",
-            "srv.tx.approval_req",
-            "srv.tx.installed",
-            "srv.tx.error",
-        ]
-        .iter()
-        .map(|n| m.counter(n))
-        .sum();
-        let data = m.counter("srv.rx.write") + m.counter("srv.tx.write_done");
+    /// The report of a finished run: what its actors counted into
+    /// `tally`, over a measured window of `window_secs`, with the
+    /// simulator's event count.
+    pub fn from_tally(tally: &mut Tally, window_secs: f64, sim_events: u64) -> RunReport {
         RunReport {
-            consistency_msgs: consistency,
-            data_msgs: data,
-            approval_msgs: m.counter("srv.tx.approval_req") + m.counter("srv.rx.approve"),
-            hits: m.counter("client.hit"),
-            remote_reads: m.counter("client.remote_read"),
-            writes: m.counter("client.write_done"),
-            temp_ops: m.counter("client.temp_ops"),
-            op_failures: m.counter("client.op_failures"),
-            read_delay: m.histogram_mut("delay.read").summary(),
-            write_delay: m.histogram_mut("delay.write").summary(),
-            all_delay: m.histogram_mut("delay.all").summary(),
+            consistency_msgs: tally.consistency_msgs,
+            data_msgs: tally.data_msgs,
+            approval_msgs: tally.approval_msgs,
+            hits: tally.hits,
+            remote_reads: tally.remote_reads,
+            writes: tally.writes,
+            temp_ops: tally.temp_ops,
+            op_failures: tally.op_failures,
+            read_delay: tally.read_delay.summary(),
+            write_delay: tally.write_delay.summary(),
+            all_delay: tally.all_delay.summary(),
             window_secs,
             sim_events,
         }
@@ -101,32 +212,68 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::NetMsg;
-    use lease_sim::{PerfectMedium, World};
+    use lease_clock::Dur;
+    use lease_core::{ReqId, Version};
+    use lease_workload::Trace;
 
     #[test]
     fn report_reads_counters() {
-        let mut w: World<NetMsg> = World::new(0, PerfectMedium);
-        w.metrics_mut().add("srv.rx.fetch", 10);
-        w.metrics_mut().add("srv.tx.grants", 10);
-        w.metrics_mut().add("srv.rx.write", 2);
-        w.metrics_mut().add("srv.tx.write_done", 2);
-        w.metrics_mut().add("client.hit", 30);
-        w.metrics_mut().add("client.remote_read", 10);
-        w.metrics_mut().observe("delay.all", 0.002);
-        let r = RunReport::from_world(&mut w, 10.0);
-        assert_eq!(r.consistency_msgs, 20);
-        assert_eq!(r.data_msgs, 4);
-        assert_eq!(r.consistency_per_sec(), 2.0);
+        let mut t = Tally::default();
+        let fetch = ToServer::<u64, u64>::Fetch {
+            req: ReqId(1),
+            resource: 1,
+            cached: None,
+            also_extend: Vec::new(),
+        };
+        let grants = ToClient::<u64, u64>::Grants {
+            req: ReqId(1),
+            grants: Vec::new(),
+        };
+        let write = ToServer::<u64, u64>::Write {
+            req: ReqId(2),
+            resource: 1,
+            data: 7,
+        };
+        for _ in 0..10 {
+            t.message(fetch.traffic());
+            t.message(grants.traffic());
+        }
+        t.message(write.traffic());
+        t.message(Traffic::Data);
+        t.message(Traffic::Approval);
+        let hit = OpOutcome::Read {
+            data: 7u64,
+            version: Version(1),
+            from_cache: true,
+        };
+        for _ in 0..30 {
+            t.done(&hit);
+        }
+        for _ in 0..10 {
+            t.done(&OpOutcome::Read {
+                data: 7u64,
+                version: Version(1),
+                from_cache: false,
+            });
+        }
+        t.delay(true, 0.002);
+        let r = RunReport::from_tally(&mut t, 10.0, 5);
+        assert_eq!(r.consistency_msgs, 21);
+        assert_eq!(r.approval_msgs, 1);
+        assert_eq!(r.data_msgs, 2);
+        assert_eq!(r.consistency_per_sec(), 2.1);
         assert!((r.hit_rate() - 0.75).abs() < 1e-12);
         assert!((r.mean_delay_ms() - 2.0).abs() < 1e-9);
+        assert_eq!((r.read_delay.count, r.write_delay.count), (1, 0));
+        assert_eq!(r.sim_events, 5);
     }
 
     #[test]
     fn empty_world_is_zeroes() {
-        let mut w: World<NetMsg> = World::new(0, PerfectMedium);
-        let r = RunReport::from_world(&mut w, 1.0);
-        assert_eq!(r.consistency_msgs, 0);
+        let empty = Trace::new(Vec::new(), Vec::new());
+        let r = crate::build_world(&crate::SystemConfig::default(), &empty).run(Dur::ZERO);
+        assert_eq!(r.consistency_msgs + r.data_msgs + r.hits + r.op_failures, 0);
         assert_eq!(r.hit_rate(), 0.0);
+        assert_eq!(r.all_delay.count, 0);
     }
 }

@@ -8,18 +8,22 @@ use lease_core::{
 use lease_faults::{HistoryEvent, SharedHistory};
 use lease_sim::{Actor, ActorId, Ctx, TimerId};
 
+use crate::report::{SharedTally, TrafficClass};
 use crate::types::{Data, NetMsg, Res, Store};
 
 /// A sans-IO file server the [`ServerActor`] can drive: the lease server
-/// of `lease-core` and the write-back token server of `lease-wb`.
+/// of `lease-core`, the write-back token server of `lease-wb` and the §6
+/// baselines' callback and TTL servers.
 ///
 /// As with [`SimCache`](crate::SimCache), the actor hands the server
 /// [`ServerEvent`]s and maps each output, by value, to a [`ServerEffect`].
+/// The actor counts every message the server receives and sends by its
+/// [`TrafficClass`].
 pub trait SimServer: 'static {
     /// Client-to-server message.
-    type Up: Clone + 'static;
+    type Up: Clone + TrafficClass + 'static;
     /// Server-to-client message.
-    type Down: Clone + 'static;
+    type Down: Clone + TrafficClass + 'static;
     /// What the server asks for.
     type Output;
 
@@ -51,10 +55,6 @@ pub trait SimServer: 'static {
     ) -> Vec<Self::Output> {
         panic!("this server has no §5 crash recovery");
     }
-    /// The counter a received message bumps.
-    fn rx_metric(msg: &Self::Up) -> &'static str;
-    /// The counter a sent message bumps.
-    fn tx_metric(msg: &Self::Down) -> &'static str;
     /// What the simulator does with one output.
     fn effect(out: Self::Output) -> ServerEffect<Self::Down>;
 }
@@ -129,26 +129,6 @@ impl SimServer for LeaseServer<Res, Data> {
         LeaseServer::recover(self, now, max_term, leases, storage)
     }
 
-    fn rx_metric(msg: &Self::Up) -> &'static str {
-        match msg {
-            ToServer::Fetch { .. } => "srv.rx.fetch",
-            ToServer::Renew { .. } => "srv.rx.renew",
-            ToServer::Write { .. } => "srv.rx.write",
-            ToServer::Approve { .. } => "srv.rx.approve",
-            ToServer::Relinquish { .. } => "srv.rx.relinquish",
-        }
-    }
-
-    fn tx_metric(msg: &Self::Down) -> &'static str {
-        match msg {
-            ToClient::Grants { .. } => "srv.tx.grants",
-            ToClient::WriteDone { .. } => "srv.tx.write_done",
-            ToClient::ApprovalRequest { .. } => "srv.tx.approval_req",
-            ToClient::InstalledExtend { .. } => "srv.tx.installed",
-            ToClient::Error { .. } => "srv.tx.error",
-        }
-    }
-
     fn effect(out: Self::Output) -> ServerEffect<Self::Down> {
         match out {
             ServerOutput::Send { to, msg } => ServerEffect::Send(to, msg),
@@ -180,7 +160,8 @@ type Wire<S> = NetMsg<<S as SimServer>::Up, <S as SimServer>::Down>;
 
 /// The server actor: owns the server state machine, the primary storage
 /// (durable across crashes), the server's clock model, and the durable
-/// recovery slots.
+/// recovery slots; counts the server's traffic after the warm-up into the
+/// run's tally.
 pub struct ServerActor<S: SimServer = LeaseServer<Res, Data>> {
     /// The protocol state machine.
     pub server: S,
@@ -190,6 +171,7 @@ pub struct ServerActor<S: SimServer = LeaseServer<Res, Data>> {
     /// ClientId -> ActorId mapping (dense).
     clients: Vec<ActorId>,
     history: SharedHistory,
+    tally: SharedTally,
     warmup: Time,
     /// Durable slot: the maximum granted term (MaxTerm recovery, §2).
     durable_max_term: Option<Dur>,
@@ -208,6 +190,7 @@ impl<S: SimServer> ServerActor<S> {
         clock: ClockModel,
         clients: Vec<ActorId>,
         history: SharedHistory,
+        tally: SharedTally,
         warmup: Time,
     ) -> ServerActor<S> {
         ServerActor {
@@ -216,6 +199,7 @@ impl<S: SimServer> ServerActor<S> {
             clock,
             clients,
             history,
+            tally,
             warmup,
             durable_max_term: None,
             durable_leases: Vec::new(),
@@ -252,13 +236,13 @@ impl<S: SimServer> ServerActor<S> {
             match S::effect(o) {
                 ServerEffect::Send(to, msg) => {
                     if measuring {
-                        ctx.metrics().inc(S::tx_metric(&msg));
+                        self.tally.borrow_mut().message(msg.traffic());
                     }
                     ctx.send(self.actor_of(to), NetMsg::ToClient(msg));
                 }
                 ServerEffect::Multicast(to, msg) => {
                     if measuring {
-                        ctx.metrics().inc(S::tx_metric(&msg));
+                        self.tally.borrow_mut().message(msg.traffic());
                     }
                     let actors: Vec<ActorId> = to.iter().map(|c| self.actor_of(*c)).collect();
                     ctx.multicast(actors, NetMsg::ToClient(msg));
@@ -274,13 +258,9 @@ impl<S: SimServer> ServerActor<S> {
                     let id = ctx.set_timer_at(true_at, key);
                     self.timer_ids.insert(key, id);
                 }
-                ServerEffect::PersistMaxTerm(d) => {
-                    self.durable_max_term = Some(d);
-                    ctx.metrics().inc("srv.persist.max_term");
-                }
+                ServerEffect::PersistMaxTerm(d) => self.durable_max_term = Some(d),
                 ServerEffect::PersistLease(resource, client, expiry) => {
                     self.durable_leases.push((resource, client, expiry));
-                    ctx.metrics().inc("srv.persist.lease");
                 }
                 ServerEffect::Commit(resource, version, writer) => {
                     self.history.borrow_mut().push(HistoryEvent::Commit {
@@ -311,7 +291,7 @@ impl<S: SimServer> Actor<Wire<S>> for ServerActor<S> {
             return;
         };
         if ctx.now() >= self.warmup {
-            ctx.metrics().inc(S::rx_metric(&msg));
+            self.tally.borrow_mut().message(msg.traffic());
         }
         self.handle(ctx, ServerEvent::Msg(client, msg));
     }

@@ -2,12 +2,12 @@
 //! cache and server plug into its client and server actors, and the world
 //! is built by [`lease_vsys::assemble`].
 
-use lease_clock::{ClockModel, Dur, Time};
+use lease_clock::{Dur, Time};
 use lease_core::Version;
 use lease_faults::SharedHistory;
 use lease_vsys::{
     assemble, CacheEffect, CacheEvent, CrashEvent, Data, NetParams, NodeSel, Res, RunReport,
-    ServerActor, ServerEffect, ServerEvent, SimCache, SimServer, Store, SystemConfig,
+    ServerEffect, ServerEvent, SimCache, SimServer, Store, SystemConfig, Traffic, TrafficClass,
 };
 use lease_workload::Trace;
 
@@ -78,23 +78,8 @@ pub fn run_wb_with_history(cfg: &WbConfig, trace: &Trace) -> (RunReport, SharedH
         term: cfg.term,
         reservation_range: 1 << 20,
     });
-    let warmup = Time::ZERO + cfg.warmup;
     let new_cache = |id| WbClient::new(id, cfg.client);
-    let mut h = assemble(
-        &sys,
-        trace,
-        new_cache,
-        |world, storage, clients, history| {
-            world.add_actor(ServerActor::new(
-                server,
-                storage,
-                ClockModel::perfect(),
-                clients,
-                history.clone(),
-                warmup,
-            ))
-        },
-    );
+    let mut h = assemble(&sys, trace, new_cache, server);
     (h.run(cfg.drain), h.history)
 }
 
@@ -164,29 +149,36 @@ impl SimServer for WbServer<Res, Data> {
         WbServer::handle_into(self, now, input, storage, out)
     }
 
-    fn rx_metric(msg: &Self::Up) -> &'static str {
-        match msg {
-            WbToServer::Acquire { .. } => "srv.rx.fetch",
-            WbToServer::WriteBack { .. } => "srv.rx.write",
-            WbToServer::Release { .. } => "srv.rx.approve",
-        }
-    }
-
-    fn tx_metric(msg: &Self::Down) -> &'static str {
-        match msg {
-            WbToClient::Granted { .. } => "srv.tx.grants",
-            WbToClient::Flushed { .. } | WbToClient::FlushRejected { .. } => "srv.tx.write_done",
-            WbToClient::Recall { .. } => "srv.tx.approval_req",
-            WbToClient::Error { .. } => "srv.tx.error",
-        }
-    }
-
     fn effect(out: Self::Output) -> ServerEffect<Self::Down> {
         match out {
             WbServerOutput::Send { to, msg } => ServerEffect::Send(to, msg),
             WbServerOutput::SetRecallTimer { at, resource } => ServerEffect::SetTimer(at, resource),
             // Durability only; visibility was logged at the client.
             WbServerOutput::Durable { .. } => ServerEffect::Nothing,
+        }
+    }
+}
+
+/// A token request is a lease request, a write-back a write and a release
+/// an approval: each counts as the lease message it stands for.
+impl<R, D> TrafficClass for WbToServer<R, D> {
+    fn traffic(&self) -> Traffic {
+        match self {
+            WbToServer::Acquire { .. } => Traffic::Consistency,
+            WbToServer::WriteBack { .. } => Traffic::Data,
+            WbToServer::Release { .. } => Traffic::Approval,
+        }
+    }
+}
+
+/// A grant and an error are consistency traffic, a flush reply is a
+/// write's reply and a recall an approval callback.
+impl<R, D> TrafficClass for WbToClient<R, D> {
+    fn traffic(&self) -> Traffic {
+        match self {
+            WbToClient::Granted { .. } | WbToClient::Error { .. } => Traffic::Consistency,
+            WbToClient::Flushed { .. } | WbToClient::FlushRejected { .. } => Traffic::Data,
+            WbToClient::Recall { .. } => Traffic::Approval,
         }
     }
 }

@@ -14,7 +14,7 @@
 //! |---|---|---|
 //! | [`core`] | `lease-core` | the lease protocol: sans-IO server and client-cache state machines, term policies, installed-file optimization, crash recovery |
 //! | [`analytic`] | `lease-analytic` | the §3 model: consistency load, added delay, benefit factor α, term selection |
-//! | [`sim`] | `lease-sim` | deterministic discrete-event kernel (actors, timers, metrics) |
+//! | [`sim`] | `lease-sim` | deterministic discrete-event kernel (actors, timers, histograms) |
 //! | [`net`] | `lease-net` | simulated V-style network: `m_prop`/`m_proc` cost model, multicast, loss, partitions |
 //! | [`clock`] | `lease-clock` | time types and per-host clock models, including the §5 failure modes |
 //! | [`store`] | `lease-store` | file-server substrate: versioned files, directories, durable slots |

@@ -322,14 +322,17 @@ const RULES: &[Rule] = &[
                  application's reads or by a simulated trace use lease-core's Fx hasher \
                  (FxMap / FxSet, and lease_vsys::Store for the simulated server's \
                  store); a std HashMap or HashSet imported into the client caches, the \
-                 client runtime, the file-system simulator or its network model means \
-                 SipHash crept back onto the renewal path.",
+                 client runtime, the file-system simulator, its network model or the §6 \
+                 baselines' servers means SipHash crept back onto the renewal path (and, \
+                 in a baseline, a per-process random seed picks the order a multicast \
+                 walks its recipients in).",
         check: Check::Grep {
             paths: &[
                 "crates/core/src/client.rs",
                 "crates/rt/src/client.rs",
                 "crates/vsys/src",
                 "crates/wb/src/client.rs",
+                "crates/baselines/src",
             ],
             code_only: false,
             forbidden: &[
@@ -451,14 +454,40 @@ const RULES: &[Rule] = &[
         },
     },
     Rule {
-        name: "One simulated client (the write-back tokens run on lease-vsys's actors)",
-        reason: "lease-wb's cache and server run on lease-vsys's ClientActor and \
+        name: "One simulated client and server (the write-back tokens and the §6 \
+               baselines run on lease-vsys's actors)",
+        reason: "lease-wb's cache and server and the §6 baselines' callback and TTL \
+                 servers are sans-IO machines run by lease-vsys's ClientActor and \
                  ServerActor in a world lease_vsys::assemble builds; an actor or a \
-                 world of lease-wb's own means the copy crept back in.",
+                 world of their own means the copy (its routing, warm-up gate, history \
+                 commits and counting) crept back in.",
         check: Check::Grep {
-            paths: &["crates/wb/src"],
+            paths: &["crates/wb/src", "crates/baselines/src"],
             code_only: false,
             forbidden: &[Lit("lease_sim"), Lit("World::new"), Lit("impl Actor")],
+        },
+    },
+    Rule {
+        name: "The simulator counts in types",
+        reason: "A simulated run counts into lease_vsys::Tally's fields, each server \
+                 message by its TrafficClass, and the quorum simulation in its \
+                 replicas; a registry of counters named by strings reads a misspelt \
+                 name as 0 without any error.",
+        check: Check::Grep {
+            paths: &[
+                "crates/sim/src",
+                "crates/vsys/src",
+                "crates/baselines/src",
+                "crates/wb/src",
+                "crates/quorum/src",
+            ],
+            code_only: false,
+            forbidden: &[
+                Lit("Metrics"),
+                Lit("metrics()"),
+                Lit("\"srv."),
+                Lit("\"client."),
+            ],
         },
     },
 ];
