@@ -1,7 +1,7 @@
 //! Running baselines on the shared harness.
 
 use lease_clock::Dur;
-use lease_core::{LeaseClient, ToClient, ToServer};
+use lease_core::{ClientConfig, LeaseClient, ToClient, ToServer};
 use lease_faults::SharedHistory;
 use lease_vsys::{
     assemble, run_trace_with_history, Data, Res, RunReport, SimServer, SystemConfig, TermSpec,
@@ -67,20 +67,35 @@ impl Baseline {
             Baseline::AndrewCallbacks { poll } => {
                 let mut cfg = cfg.clone();
                 cfg.client.anticipatory = *poll;
-                run_custom(&cfg, trace, AndrewServer::new())
+                run_custom(&cfg, trace, AndrewServer::new)
             }
-            Baseline::NfsTtl { ttl } => run_custom(cfg, trace, NfsServer::new(*ttl)),
+            Baseline::NfsTtl { ttl } => {
+                let window = retransmission_window(&cfg.client);
+                run_custom(cfg, trace, || NfsServer::new(*ttl, window))
+            }
         }
     }
 }
 
-/// Runs `server` against the lease caches on `lease-vsys`'s actors.
-fn run_custom(
+/// How long after its first send a client configured by `c` may still
+/// retransmit a request: its nominal retry intervals summed over its
+/// retries, capped by its op deadline. (A retry budget's deferrals could
+/// stretch it; the §6 baselines run without one.)
+fn retransmission_window(c: &ClientConfig) -> Dur {
+    let retries = (1..=c.max_retries).fold(Dur::ZERO, |sum, attempt| {
+        sum + c.backoff.nominal(c.retry_interval, attempt)
+    });
+    c.op_deadline.map_or(retries, |d| retries.min(d))
+}
+
+/// Runs the server `new_server` builds against the lease caches on
+/// `lease-vsys`'s actors.
+fn run_custom<S: SimServer<Up = ToServer<Res, Data>, Down = ToClient<Res, Data>>>(
     cfg: &SystemConfig,
     trace: &Trace,
-    server: impl SimServer<Up = ToServer<Res, Data>, Down = ToClient<Res, Data>>,
+    new_server: impl FnMut() -> S,
 ) -> (RunReport, SharedHistory) {
     let new_cache = |id| LeaseClient::new(id, cfg.client.clone());
-    let mut h = assemble(cfg, trace, new_cache, server);
+    let mut h = assemble(cfg, trace, new_cache, new_server);
     (h.run(cfg.drain), h.history)
 }

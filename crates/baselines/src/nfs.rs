@@ -7,6 +7,8 @@
 //! without invalidating anyone. A client may therefore serve data up to a
 //! TTL stale — which the consistency oracle duly reports.
 
+use std::collections::VecDeque;
+
 use lease_clock::{Dur, Time};
 use lease_core::{ClientId, ErrorReason, FxMap, ReqId, Storage, ToClient, ToServer, Version};
 use lease_vsys::{Data, Res, ServerEffect, ServerEvent, SimServer, Store};
@@ -16,17 +18,37 @@ use lease_vsys::{Data, Res, ServerEffect, ServerEvent, SimServer, Store};
 #[derive(Debug)]
 pub struct NfsServer {
     ttl: Dur,
+    /// How long a client may go on retransmitting a write after it sent
+    /// it first: how long the reply cache keeps a write's reply.
+    window: Dur,
     /// Duplicate-write suppression (NFS servers kept a reply cache too),
-    /// keyed by the simulated clients' own request ids.
+    /// keyed by the simulated clients' own request ids. Volatile, and
+    /// bounded to the writes of the last `window`.
     recent_writes: FxMap<(ClientId, ReqId), Version>,
+    /// The cached writes in commit order, with their commit instants.
+    order: VecDeque<(Time, (ClientId, ReqId))>,
 }
 
 impl NfsServer {
-    /// A server that grants every read for `ttl`.
-    pub fn new(ttl: Dur) -> NfsServer {
+    /// A server that grants every read for `ttl` and remembers a write's
+    /// reply for `window`, the time its client may retransmit it.
+    pub fn new(ttl: Dur, window: Dur) -> NfsServer {
         NfsServer {
             ttl,
+            window,
             recent_writes: FxMap::default(),
+            order: VecDeque::new(),
+        }
+    }
+
+    /// Forgets the replies to writes no client can retransmit any more.
+    fn expire(&mut self, now: Time) {
+        while let Some(&(at, key)) = self.order.front() {
+            if now.saturating_since(at) < self.window {
+                break;
+            }
+            self.order.pop_front();
+            self.recent_writes.remove(&key);
         }
     }
 }
@@ -38,7 +60,7 @@ impl SimServer for NfsServer {
 
     fn handle_into(
         &mut self,
-        _now: Time,
+        now: Time,
         event: ServerEvent<Self::Up>,
         storage: &mut Store,
         out: &mut Vec<Self::Output>,
@@ -84,12 +106,14 @@ impl SimServer for NfsServer {
                 resource,
                 data,
             } => {
+                self.expire(now);
                 let version = match self.recent_writes.get(&(client, req)) {
                     Some(v) => *v,
                     None => {
                         let v = storage.write(&resource, data);
                         out.push(ServerEffect::Commit(resource, v, Some(client)));
                         self.recent_writes.insert((client, req), v);
+                        self.order.push_back((now, (client, req)));
                         v
                     }
                 };
@@ -108,8 +132,12 @@ impl SimServer for NfsServer {
         }
     }
 
-    /// Stateless: a crash loses nothing, and the reply cache is kept.
-    fn crash(&mut self) {}
+    /// Stateless but for the reply cache, which is volatile: a crash
+    /// loses it.
+    fn crash(&mut self) {
+        self.recent_writes.clear();
+        self.order.clear();
+    }
 
     fn recover(
         &mut self,
@@ -131,6 +159,8 @@ mod tests {
     use super::*;
 
     const TTL: Dur = Dur::from_secs(30);
+    /// The reply cache's window.
+    const WINDOW: Dur = Dur::from_secs(20);
 
     fn store() -> Store {
         let mut s = Store::default();
@@ -144,14 +174,23 @@ mod tests {
         from: u32,
         m: ToServer<Res, Data>,
     ) -> Vec<ServerEffect<ToClient<Res, Data>>> {
+        msg_at(s, storage, Time::ZERO, from, m)
+    }
+
+    fn msg_at(
+        s: &mut NfsServer,
+        storage: &mut Store,
+        now: Time,
+        from: u32,
+        m: ToServer<Res, Data>,
+    ) -> Vec<ServerEffect<ToClient<Res, Data>>> {
         let mut out = Vec::new();
-        s.handle_into(
-            Time::ZERO,
-            ServerEvent::Msg(ClientId(from), m),
-            storage,
-            &mut out,
-        );
+        s.handle_into(now, ServerEvent::Msg(ClientId(from), m), storage, &mut out);
         out
+    }
+
+    fn server() -> NfsServer {
+        NfsServer::new(TTL, WINDOW)
     }
 
     fn write(req: u64) -> ToServer<Res, Data> {
@@ -164,7 +203,7 @@ mod tests {
 
     #[test]
     fn answers_with_its_ttl_and_never_invalidates() {
-        let (mut s, mut storage) = (NfsServer::new(TTL), store());
+        let (mut s, mut storage) = (server(), store());
         for c in 0..2 {
             let out = msg(
                 &mut s,
@@ -198,7 +237,7 @@ mod tests {
 
     #[test]
     fn a_retransmitted_write_commits_once() {
-        let (mut s, mut storage) = (NfsServer::new(TTL), store());
+        let (mut s, mut storage) = (server(), store());
         let first = msg(&mut s, &mut storage, 0, write(7));
         let again = msg(&mut s, &mut storage, 0, write(7));
         assert!(matches!(first[0], ServerEffect::Commit(1, Version(2), _)));
@@ -210,5 +249,40 @@ mod tests {
         // Another client's request with the same id is another write.
         let other = msg(&mut s, &mut storage, 1, write(7));
         assert!(matches!(other[0], ServerEffect::Commit(1, Version(3), _)));
+    }
+
+    /// The reply cache holds what a client can still retransmit: a
+    /// write's reply lives for the window after its commit, and the
+    /// cache does not grow with the run.
+    #[test]
+    fn the_reply_cache_forgets_a_write_after_its_window() {
+        let (mut s, mut storage) = (server(), store());
+        let t = |ms| Time::ZERO + Dur::from_millis(ms);
+        for req in 0..100 {
+            msg_at(&mut s, &mut storage, t(req * 1_000), 0, write(req));
+        }
+        assert_eq!(s.recent_writes.len(), 20, "one window of writes");
+        assert_eq!(s.order.len(), 20);
+        // A copy inside the window is answered from the cache.
+        let late = msg_at(&mut s, &mut storage, t(99_999), 0, write(80));
+        assert_eq!(late.len(), 1, "{late:?}");
+        // One past it is a new write.
+        let stale = msg_at(&mut s, &mut storage, t(100_000), 0, write(80));
+        assert!(
+            matches!(stale[0], ServerEffect::Commit(1, _, _)),
+            "{stale:?}"
+        );
+    }
+
+    /// The reply cache is volatile: after a crash a retransmitted write
+    /// commits again.
+    #[test]
+    fn a_crash_loses_the_reply_cache() {
+        let (mut s, mut storage) = (server(), store());
+        msg(&mut s, &mut storage, 0, write(7));
+        s.crash();
+        assert!(s.recent_writes.is_empty() && s.order.is_empty());
+        let again = msg(&mut s, &mut storage, 0, write(7));
+        assert!(matches!(again[0], ServerEffect::Commit(1, Version(3), _)));
     }
 }

@@ -261,3 +261,29 @@ fn a_distant_client_slows_the_nfs_baseline() {
         lan.mean_delay_ms()
     );
 }
+
+/// Only the lease server can be a grantor replica: a quorum of callback or
+/// TTL servers is refused, not run down a second path.
+#[test]
+fn a_quorum_of_baseline_servers_is_refused() {
+    let trace = workload(1);
+    let quorum = SystemConfig {
+        quorum: Some(lease_quorum::QuorumConfig::default()),
+        ..cfg()
+    };
+    for b in [
+        Baseline::AndrewCallbacks { poll: None },
+        Baseline::NfsTtl {
+            ttl: Dur::from_secs(30),
+        },
+    ] {
+        let refused =
+            std::panic::catch_unwind(|| b.run(&quorum, &trace).0.writes).expect_err(&b.label());
+        let message = refused.downcast_ref::<&str>().expect("a static message");
+        assert!(
+            message.contains("lease servers"),
+            "{}: {message}",
+            b.label()
+        );
+    }
+}

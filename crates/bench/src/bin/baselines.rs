@@ -119,9 +119,28 @@ fn main() {
             )
         );
     }
-    println!("reading: check-on-read buys consistency with maximal traffic; leases get");
-    println!("within a few percent of the callback scheme's traffic while staying");
-    println!("consistent under the partition, where callbacks go stale (bounded only by");
-    println!("Andrew's poll) and TTL caching is stale even fault-free (section 6).");
+    // Leases' consistency messages against the callback scheme's, read
+    // off the rows.
+    let versus = |faulted: bool| {
+        let msgs = |p: &str| {
+            json.iter()
+                .find(|r| r.faulted == faulted && r.protocol.starts_with(p))
+                .map_or(0, |r| r.consistency_msgs)
+        };
+        let (leases, andrew) = (msgs("leases"), msgs("andrew"));
+        let extra = 100.0 * (leases as f64 / andrew.max(1) as f64 - 1.0);
+        format!("{extra:+.0}% ({leases} vs {andrew})")
+    };
+    println!("reading: check-on-read buys consistency with maximal traffic; leases cost");
+    println!(
+        "{} consistency messages over the callback scheme fault-free",
+        versus(false)
+    );
+    println!(
+        "and {} under the partition, and stay consistent there, where",
+        versus(true)
+    );
+    println!("callbacks go stale (bounded only by Andrew's poll); TTL caching is stale");
+    println!("even fault-free (section 6).");
     save_json("baselines", &json);
 }

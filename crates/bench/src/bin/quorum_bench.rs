@@ -4,14 +4,17 @@
 //! Three measurements, matching the satellite's list:
 //!
 //! 1. **Grantor-lease acquisition latency.** From the deterministic
-//!    virtual-time simulation (`lease_quorum::sim`, the replicas as
-//!    actors on `lease-sim`'s `World`): the cold election
-//!    latency from boot, and the takeover latency after the serving
-//!    grantor is killed, swept over seeds with message chaos. Virtual
-//!    time, so the numbers are machine-independent and byte-stable.
-//! 2. **Steady-state renewal cost.** Protocol messages per second of a
+//!    virtual-time simulation (the file-system simulator,
+//!    `lease_vsys`, serving as a quorum of three grantor replicas over
+//!    its one simulated network, with one idle client): the cold
+//!    election latency from boot, and the takeover latency after the
+//!    serving grantor is killed, swept over seeds with message chaos.
+//!    Virtual time, so the numbers are machine-independent and
+//!    byte-stable.
+//! 2. **Steady-state renewal cost.** Election messages per second of a
 //!    quiet simulated run — what keeping the grantor lease alive costs
-//!    when nothing fails. Also deterministic.
+//!    when nothing fails, counted apart from the file-lease traffic.
+//!    Also deterministic.
 //! 3. **File-grant throughput vs the single-server baseline.** The same
 //!    wall-clock client workload driven against an [`RtSystem`] with one
 //!    server and with a quorum of 3 grantor replicas; the reported ratio
@@ -29,9 +32,10 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use lease_clock::Dur;
 use lease_faults::{FaultPlan, History, HistoryEvent};
-use lease_quorum::sim::{run as sim_run, SimConfig};
 use lease_quorum::QuorumConfig;
 use lease_rt::{RtClientHandle, RtSystem};
+use lease_vsys::{build_world, SystemConfig};
+use lease_workload::Trace;
 
 /// Machine-readable result row; `BENCH_quorum.json` is one of these.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -75,10 +79,31 @@ fn first_acquire_ms(h: &History, after_ms: u64, not_replica: Option<u32>) -> Opt
     })
 }
 
+/// One simulated run of the default quorum under `plan` for `duration`,
+/// the world seeded by the plan: its history and the election messages
+/// the replicas sent.
+fn sim_run(plan: FaultPlan, duration: Dur) -> (History, u64) {
+    let cfg = SystemConfig {
+        quorum: Some(QuorumConfig::default()),
+        seed: plan.seed,
+        faults: plan,
+        drain: duration,
+        ..SystemConfig::default()
+    };
+    let mut h = build_world(&cfg, &Trace::new(Vec::new(), Vec::new()));
+    h.run(cfg.drain);
+    let sent = h.tally.borrow().quorum_msgs;
+    let history = h.history.borrow().clone();
+    (history, sent)
+}
+
+/// The quiet run: ten seconds, no faults.
+const QUIET: Dur = Dur::from_secs(10);
+
 /// Cold election latency: a quiet run from boot, deterministic.
 fn cold_election_ms() -> f64 {
-    let out = sim_run(&SimConfig::default());
-    first_acquire_ms(&out.history, 0, None).expect("quiet run elects a grantor")
+    let (history, _) = sim_run(FaultPlan::new(0), QUIET);
+    first_acquire_ms(&history, 0, None).expect("quiet run elects a grantor")
 }
 
 /// Takeover latency sweep: kill the serving leader at 1 s under light
@@ -87,17 +112,13 @@ fn takeover_ms(seeds: std::ops::RangeInclusive<u64>) -> Vec<u64> {
     let kill_ms = 1_000u64;
     let mut lats: Vec<u64> = seeds
         .map(|seed| {
-            let cfg = SimConfig {
-                plan: FaultPlan::new(seed)
-                    .kill_replica(Dur::from_millis(kill_ms), 0)
-                    .drop_messages(0.02 + (seed % 5) as f64 * 0.01)
-                    .duplicate_messages(0.02)
-                    .delay_messages(Dur::from_millis(1 + seed % 4)),
-                duration: Dur::from_secs(6),
-                ..SimConfig::default()
-            };
-            let out = sim_run(&cfg);
-            let at = first_acquire_ms(&out.history, kill_ms, Some(0))
+            let plan = FaultPlan::new(seed)
+                .kill_replica(Dur::from_millis(kill_ms), 0)
+                .drop_messages(0.02 + (seed % 5) as f64 * 0.01)
+                .duplicate_messages(0.02)
+                .delay_messages(Dur::from_millis(1 + seed % 4));
+            let (history, _) = sim_run(plan, Dur::from_secs(6));
+            let at = first_acquire_ms(&history, kill_ms, Some(0))
                 .expect("a successor takes over after the kill");
             (at - kill_ms as f64).max(0.0) as u64
         })
@@ -106,11 +127,10 @@ fn takeover_ms(seeds: std::ops::RangeInclusive<u64>) -> Vec<u64> {
     lats
 }
 
-/// Messages/s of a quiet 10 s run — election amortized in, no faults.
+/// Election messages/s of the quiet run — election amortized in.
 fn steady_msgs_per_sec() -> f64 {
-    let cfg = SimConfig::default();
-    let out = sim_run(&cfg);
-    out.messages_sent as f64 / cfg.duration.as_secs_f64()
+    let (_, sent) = sim_run(FaultPlan::new(0), QUIET);
+    sent as f64 / QUIET.as_secs_f64()
 }
 
 /// Drives the shared closed-loop workload: round-robin reads over the

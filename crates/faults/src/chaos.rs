@@ -1,7 +1,7 @@
 //! Deterministic, seeded fault plans: the one fault vocabulary of the
-//! repo, read by the real-time runtime and by both simulators.
+//! repo, read by the real-time runtime and by the simulator.
 //!
-//! The simulators get determinism for free — one event queue, one RNG.
+//! The simulator gets determinism for free — one event queue, one RNG.
 //! The real-time runtime does not, so this module makes its fault
 //! *decisions* deterministic even though thread interleavings are not:
 //! every per-link coin flip is a pure function of `(seed, stream,
@@ -10,18 +10,18 @@
 //! the same fault pattern modulo scheduling noise, and sweeping seeds
 //! explores distinct patterns.
 //!
-//! The plan is read in three places, and every one measures its instants
+//! The plan is read in two worlds, and every one measures its instants
 //! from the same zero:
 //!
-//! * `lease-quorum`'s virtual-time sim replays a plan's replica kills,
-//!   cuts, clocks and per-link dice exactly.
-//! * `lease-vsys`'s `SimNet` reads its loss, duplication, delay and
-//!   client / replica-0 cuts, drawing from the world's own stream, and
-//!   `lease-vsys` refuses the fields it cannot honour yet rather than
-//!   ignore them.
+//! * The file-system simulator, `lease-vsys`, replays a plan's replica
+//!   kills and clocks exactly, and its `SimNet` reads the loss,
+//!   duplication, delay and the client and replica cuts, drawing from the
+//!   world's own stream, for the file leases and a grantor quorum's
+//!   election alike; `lease-vsys` refuses the fields it cannot honour yet
+//!   rather than ignore them.
 //! * A wall-clock run reads it through one `lease_svc::chaos::LiveFaults`:
 //!   `lease-rt`'s sinks and ports ask it for cuts and dice on every
-//!   client↔server delivery, `lease-quorum`'s runtime for replica cuts,
+//!   client↔server delivery, its quorum runtime for replica cuts,
 //!   and both hand what a plan schedules for later — delayed and
 //!   duplicated messages, shard and replica kills — to its one sleeper
 //!   thread. Clock models ride into the service via `SvcHooks::clock` and

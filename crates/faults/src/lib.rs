@@ -9,8 +9,8 @@
 //! only delay, while a fast server clock or slow client clock can produce
 //! genuinely stale reads. This crate holds what makes those claims
 //! checkable, below every world that runs the protocol (the
-//! simulators in `lease-vsys` and `lease-quorum`, the threaded service in
-//! `lease-svc` and its runtimes):
+//! simulator in `lease-vsys`, the threaded service in `lease-svc` and its
+//! runtimes):
 //!
 //! * [`FaultPlan`] — the one fault vocabulary: a seeded schedule of
 //!   kills, message loss, duplication and delay, cut links and clock

@@ -35,24 +35,21 @@
 //!   `lease-faults` oracle's at-most-one-grantor invariant is built to
 //!   catch.
 //!
-//! The crate is layered like `lease-core`: [`GrantorNode`] is sans-IO
-//! (explicit `now`, messages in/out); [`sim`] runs N nodes as actors on
-//! `lease-sim`'s `World` — the event loop the file-system simulator runs
-//! on — under the same [`FaultPlan`](lease_faults::FaultPlan) the
-//! runtime reads, for deterministic seed sweeps; [`runtime`]
-//! runs real threads with a [`GrantorGate`] for the
-//! service path to consult on every grant (`lease-rt` wires that gate into
-//! its replicated topology).
+//! The crate is sans-IO, like `lease-core`, and links only `lease-clock`
+//! and `lease-core`: [`GrantorNode`] takes an explicit `now`, messages in
+//! and messages out, and each world hosts it. `lease-rt` runs one thread
+//! per replica behind a serving gate its lease service consults on every
+//! grant; `lease-vsys` runs each replica's node beside its simulated lease
+//! server, over the one simulated network and the one fault plan the file
+//! leases see, so one deterministic run covers the election and the file
+//! leases together.
 
 mod acceptor;
 mod msg;
 mod node;
 mod proposer;
-pub mod runtime;
-pub mod sim;
 
 pub use acceptor::Acceptor;
 pub use msg::{Ballot, QuorumMsg};
 pub use node::{GrantorNode, NodeOut, QuorumConfig};
 pub use proposer::{PropAction, Proposer};
-pub use runtime::{GrantorGate, KillHandle, QuorumHooks, QuorumRuntime};

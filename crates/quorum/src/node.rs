@@ -193,24 +193,9 @@ impl GrantorNode {
         }
     }
 
-    /// This replica's id.
-    pub fn id(&self) -> u32 {
-        self.id
-    }
-
-    /// The config the node runs under.
-    pub fn config(&self) -> &QuorumConfig {
-        &self.cfg
-    }
-
     /// Whether this replica currently claims grantorship at local `now`.
     pub fn is_serving(&self, now: Time) -> bool {
         self.proposer.is_serving(now)
-    }
-
-    /// The ballot of the live claim at `now`, if any.
-    pub fn serving_ballot(&self, now: Time) -> Option<Ballot> {
-        self.proposer.serving_ballot(now)
     }
 
     /// The local expiry of the current claim, if one is held.
@@ -335,10 +320,8 @@ mod tests {
     }
 
     fn serving(mesh: &Mesh, now: Time) -> Vec<u32> {
-        mesh.nodes
-            .iter()
-            .filter(|n| n.is_serving(now))
-            .map(|n| n.id())
+        (0..mesh.nodes.len() as u32)
+            .filter(|&i| mesh.nodes[i as usize].is_serving(now))
             .collect()
     }
 

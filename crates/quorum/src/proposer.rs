@@ -98,14 +98,8 @@ impl Proposer {
     /// With fencing disabled (the injectable bug) an expired claim is
     /// still asserted.
     pub fn is_serving(&self, now: Time) -> bool {
-        self.serving_ballot(now).is_some()
-    }
-
-    /// The ballot of the live claim at `now`, if any.
-    pub fn serving_ballot(&self, now: Time) -> Option<Ballot> {
         self.claim
-            .filter(|c| !self.cfg.fence || now < c.expires)
-            .map(|c| c.b)
+            .is_some_and(|c| !self.cfg.fence || now < c.expires)
     }
 
     /// The local expiry of the current claim, if one is held.

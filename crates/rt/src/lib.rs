@@ -48,6 +48,7 @@ pub mod client;
 pub mod naming;
 pub mod net;
 pub mod record;
+pub mod runtime;
 pub mod server;
 pub mod system;
 

@@ -21,10 +21,8 @@ use std::time::Duration;
 
 use lease_clock::{Clock, ClockModel, ModelClock, Time};
 use lease_faults::{Delivery, HistoryEvent, LinkChaos};
+use lease_quorum::{Ballot, GrantorNode, NodeOut, QuorumConfig, QuorumMsg};
 use lease_svc::chaos::LiveFaults;
-
-use crate::msg::{Ballot, QuorumMsg};
-use crate::node::{GrantorNode, NodeOut, QuorumConfig};
 
 /// The serving gate: the replicated analogue of "am I the server?".
 ///

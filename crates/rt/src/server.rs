@@ -17,11 +17,11 @@ use bytes::Bytes;
 use lease_clock::{Clock, Time, WallClock};
 use lease_core::{ClientId, Storage, ToClient, ToServer, Version};
 use lease_faults::{Delivery, HistoryEvent};
-use lease_quorum::GrantorGate;
 use lease_store::{FileId, Store};
 use lease_svc::{ClientSink, Egress, LiveFaults, SvcError, SvcHandle, WorkerSink};
 
 use crate::record::Recorder;
+use crate::runtime::GrantorGate;
 
 /// The resource key in the real-time system: the store's file id, as u64.
 pub type Res = u64;
@@ -261,9 +261,13 @@ impl RtWorkerSink {
 impl WorkerSink<Res, Bytes> for RtWorkerSink {
     fn deliver_batch(&mut self, msgs: &mut Vec<(ClientId, ToClient<Res, Bytes>)>) {
         // A refused message is discarded here, before anything is staged
-        // into a lane.
+        // into a lane. With nothing left the lanes' lock is not taken: the
+        // sleeper may hold it, publishing a delayed reply into a full lane
+        // whose reader is this flush's caller.
         msgs.retain(|(to, msg)| self.admit(*to, msg));
-        lock(&self.worker).deliver_batch(msgs);
+        if !msgs.is_empty() {
+            lock(&self.worker).deliver_batch(msgs);
+        }
     }
 }
 

@@ -15,7 +15,7 @@
 //!
 //! * **Ingress fencing** — the `Router` every producer submits through
 //!   (server module) hands a client message only to a replica whose
-//!   [`GrantorGate`](lease_quorum::GrantorGate) is open; with none open
+//!   [`GrantorGate`](crate::runtime::GrantorGate) is open; with none open
 //!   the message is dropped and the client's retransmission is the retry,
 //!   so failover is free: the next one lands on the new grantor.
 //! * **Egress fencing** — each replica's sink drops every reply while its
@@ -42,7 +42,7 @@ use bytes::Bytes;
 use lease_clock::{Clock, ClockModel, Dur, ModelClock, WallClock};
 use lease_core::{ClientConfig, ClientId, LeaseServer, ServerConfig, Storage};
 use lease_faults::{FaultPlan, History, HistoryEvent};
-use lease_quorum::{KillHandle, QuorumConfig, QuorumHooks, QuorumRuntime};
+use lease_quorum::QuorumConfig;
 use lease_store::{DirId, FileKind, Perms, Store};
 use lease_svc::{
     chaos::silence_injected_kills, shard_of, AdmissionControl, Egress, LeaseService, LiveFaults,
@@ -51,6 +51,7 @@ use lease_svc::{
 
 use crate::client::{spawn_client, RtClientHandle};
 use crate::record::Recorder;
+use crate::runtime::{KillHandle, QuorumHooks, QuorumRuntime};
 use crate::server::{lock, Res, Router, RtFence, RtPort, RtSink, SharedBackend, StoreBackend};
 
 /// Builder for an [`RtSystem`].

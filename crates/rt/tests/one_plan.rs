@@ -1,15 +1,16 @@
-//! One `FaultPlan`, both arrangements: the same plan values and the same
-//! script of reads and writes run through the simulator
+//! One `FaultPlan`, both worlds: the same plan values and the same script
+//! of reads and writes run through the simulator
 //! (`lease_vsys::run_trace_with_history`) and through a real-time
-//! `RtSystem`, and the consistency oracle reaches the same verdict on
-//! both. A plan the protocol masks is clean on both; a 2x-fast server
-//! clock, the §5 fault it cannot mask, ends in a `StaleRead` on both.
+//! `RtSystem`, one server or a quorum of grantor replicas in each, and
+//! the consistency oracle reaches the same verdict on both. A plan the
+//! protocol masks is clean on both; a 2x-fast server clock, the §5 fault
+//! it cannot mask, ends in a `StaleRead` on both.
 
 use std::time::{Duration, Instant};
 
 use lease_clock::{ClockModel, Dur, Time};
-use lease_faults::{check_history, FaultPlan, History, Violation};
-use lease_rt::{ClientConfig, RtSystem};
+use lease_faults::{check_history, grantor_claims, FaultPlan, History, Violation};
+use lease_rt::{ClientConfig, QuorumConfig, RtSystem};
 use lease_vsys::{run_trace_with_history, SystemConfig, TermSpec};
 use lease_workload::{FileClass, FileSpec, Trace, TraceOp, TraceRecord};
 
@@ -30,7 +31,7 @@ fn client() -> ClientConfig {
 /// writes file `file`.
 type Step = (u64, u32, bool, u64);
 
-fn simulate(plan: &FaultPlan, script: &[Step]) -> History {
+fn simulate(plan: &FaultPlan, quorum: Option<QuorumConfig>, script: &[Step]) -> History {
     let files = (0..FILES)
         .map(|id| FileSpec {
             id,
@@ -54,6 +55,7 @@ fn simulate(plan: &FaultPlan, script: &[Step]) -> History {
         term: TermSpec::Fixed(TERM),
         client: client(),
         faults: plan.clone(),
+        quorum,
         drain: Dur::from_secs(5),
         ..SystemConfig::default()
     };
@@ -62,7 +64,7 @@ fn simulate(plan: &FaultPlan, script: &[Step]) -> History {
     history
 }
 
-fn run_real(plan: &FaultPlan, script: &[Step]) -> History {
+fn run_real(plan: &FaultPlan, quorum: Option<QuorumConfig>, script: &[Step]) -> History {
     let mut b = RtSystem::builder()
         .term(TERM)
         .client(|c| *c = client())
@@ -71,7 +73,13 @@ fn run_real(plan: &FaultPlan, script: &[Step]) -> History {
     for f in 0..FILES {
         b = b.file(&format!("/data/f{f}"), format!("f{f}").into_bytes());
     }
+    if let Some(q) = quorum {
+        b = b.quorum(q);
+    }
     let sys = b.start();
+    while sys.current_grantor().is_none() {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let res: Vec<_> = (0..FILES)
         .map(|f| sys.lookup(&format!("/data/f{f}")).unwrap())
         .collect();
@@ -116,8 +124,8 @@ fn shared_script() -> Vec<Step> {
 fn a_fast_server_clock_is_a_stale_read_in_both() {
     let plan = FaultPlan::new(7).with_server_clock(ClockModel::drifting(1_000_000.0)); // 2x
     for (world, history) in [
-        ("simulator", simulate(&plan, &stale_script())),
-        ("runtime", run_real(&plan, &stale_script())),
+        ("simulator", simulate(&plan, None, &stale_script())),
+        ("runtime", run_real(&plan, None, &stale_script())),
     ] {
         let violations = check_history(&history)
             .expect_err(&format!("{world}: the oracle must flag the stale read"));
@@ -130,6 +138,25 @@ fn a_fast_server_clock_is_a_stale_read_in_both() {
     }
 }
 
+/// Runs the shared script under `plan` in both worlds and expects the
+/// oracle to find nothing in either. Under a quorum, the plan must also
+/// have moved the grantor claim off replica 0 in both.
+fn clean_in_both(plan: &FaultPlan, quorum: Option<QuorumConfig>) {
+    let replicated = quorum.is_some();
+    for (world, history) in [
+        (
+            "simulator",
+            simulate(plan, quorum.clone(), &shared_script()),
+        ),
+        ("runtime", run_real(plan, quorum.clone(), &shared_script())),
+    ] {
+        assert!(!history.events.is_empty(), "{world}: nothing recorded");
+        check_history(&history).unwrap_or_else(|v| panic!("{world}: violations {v:?}"));
+        let successor = grantor_claims(&history).iter().any(|c| c.replica != 0);
+        assert_eq!(successor, replicated, "{world}: a successor grantor");
+    }
+}
+
 #[test]
 fn a_maskable_plan_is_clean_in_both() {
     let plan = FaultPlan::new(11)
@@ -137,11 +164,25 @@ fn a_maskable_plan_is_clean_in_both() {
         .duplicate_messages(0.05)
         .delay_messages(Dur::from_millis(4))
         .cut(Dur::from_millis(500), Dur::from_millis(700), 1);
-    for (world, history) in [
-        ("simulator", simulate(&plan, &shared_script())),
-        ("runtime", run_real(&plan, &shared_script())),
-    ] {
-        assert!(!history.events.is_empty(), "{world}: nothing recorded");
-        check_history(&history).unwrap_or_else(|v| panic!("{world}: violations {v:?}"));
-    }
+    clean_in_both(&plan, None);
+}
+
+/// The grantor is killed mid-script: a successor takes over, and its §5
+/// recovery waits out the leases its predecessor granted.
+#[test]
+fn a_grantor_kill_is_clean_in_both() {
+    let plan = FaultPlan::new(12).kill_replica(Dur::from_millis(600), 0);
+    clean_in_both(&plan, Some(QuorumConfig::quick()));
+}
+
+/// The grantor is cut off mid-script under message chaos: it fences
+/// itself at its claim's end, and the other two elect a successor.
+#[test]
+fn a_grantor_cut_under_message_chaos_is_clean_in_both() {
+    let plan = FaultPlan::new(13)
+        .drop_messages(0.02)
+        .duplicate_messages(0.05)
+        .delay_messages(Dur::from_millis(4))
+        .cut_replica(Dur::from_millis(500), Dur::from_millis(1100), 0);
+    clean_in_both(&plan, Some(QuorumConfig::quick()));
 }

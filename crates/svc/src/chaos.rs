@@ -2,14 +2,14 @@
 //! [`FaultPlan`] through.
 //!
 //! The plan itself — its vocabulary, its seeded per-link dice and the
-//! open-loop load schedule beside it — is `lease-faults`'; the simulators
-//! read it on their own virtual clocks. A wall-clock run reads it through
+//! open-loop load schedule beside it — is `lease-faults`'; the simulator
+//! reads it on its own virtual clock. A wall-clock run reads it through
 //! one [`LiveFaults`]: `lease-rt`'s sinks and ports ask it for cuts and
-//! dice on every client↔server delivery, `lease-quorum`'s runtime for
-//! replica cuts, and both hand what a plan schedules for later — delayed
+//! dice on every client↔server delivery, its quorum runtime for replica
+//! cuts, and both hand what a plan schedules for later — delayed
 //! and duplicated messages, shard and replica kills — to its one
 //! [`Sleeper`]. Every plan instant is an offset from the truth clock's
-//! zero, as the simulators measure from theirs. Clock models ride into the
+//! zero, as the simulator measures from its own. Clock models ride into the
 //! service via [`SvcHooks::clock`](crate::SvcHooks) and into clients via
 //! their clock parameter.
 
@@ -29,12 +29,12 @@ const C2S_STREAM: u64 = 1 << 32;
 
 /// A [`FaultPlan`] as a wall-clock run reads it: the plan, the truth
 /// clock every plan instant is measured on (from its zero, as the
-/// simulators measure from theirs), the per-client cut switches a test
+/// simulator measures from its own), the per-client cut switches a test
 /// flips at run time, the client links' dice, and the one [`Sleeper`]
 /// that runs whatever the plan schedules for later.
 ///
 /// Every reader of a live run's faults holds the same `Arc<LiveFaults>`:
-/// `lease-rt`'s sinks, ports and kill schedule, and `lease-quorum`'s
+/// `lease-rt`'s sinks, ports and kill schedule, and its quorum runtime's
 /// replicas. A run without a plan gets a fault-free one, whose checks
 /// roll no dice.
 ///

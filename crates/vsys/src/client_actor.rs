@@ -1,5 +1,7 @@
 //! The client-cache actor: a sans-IO cache plus the workload driver.
 
+use std::rc::Rc;
+
 use lease_clock::{ClockModel, Time};
 use lease_core::{
     ClientId, ClientInput, ClientOutput, ClientTimer, FxMap, LeaseClient, Op, OpId, OpOutcome,
@@ -10,6 +12,7 @@ use lease_sim::{Actor, ActorId, Ctx, TimerId};
 use lease_workload::TraceOp;
 
 use crate::driver::{OpDriver, DRIVER_TIMER_KEY};
+use crate::replica::Grantors;
 use crate::report::SharedTally;
 use crate::types::{Data, NetMsg, Res};
 
@@ -139,7 +142,8 @@ pub struct ClientActor<C: SimCache = LeaseClient<Res, Data>> {
     /// The workload driver.
     pub driver: OpDriver,
     clock: ClockModel,
-    server: ActorId,
+    /// Under a quorum, the replicas; without one, the server is actor 0.
+    grantors: Option<Rc<Grantors>>,
     id: ClientId,
     history: SharedHistory,
     tally: SharedTally,
@@ -150,13 +154,15 @@ pub struct ClientActor<C: SimCache = LeaseClient<Res, Data>> {
 }
 
 impl<C: SimCache> ClientActor<C> {
-    /// Creates the actor for client `id`; its driver counts into `tally`.
+    /// Creates the actor for client `id`, sending to the server (actor 0)
+    /// or under a quorum to the replica `grantors` routes to; its driver
+    /// counts into `tally`.
     pub fn new(
         id: ClientId,
         cache: C,
         driver: OpDriver,
         clock: ClockModel,
-        server: ActorId,
+        grantors: Option<Rc<Grantors>>,
         history: SharedHistory,
         tally: SharedTally,
     ) -> ClientActor<C> {
@@ -164,7 +170,7 @@ impl<C: SimCache> ClientActor<C> {
             cache,
             driver,
             clock,
-            server,
+            grantors,
             id,
             history,
             tally,
@@ -226,7 +232,11 @@ impl<C: SimCache> ClientActor<C> {
     fn apply(&mut self, ctx: &mut Ctx<'_, Wire<C>>, outputs: &mut Vec<C::Output>) {
         for o in outputs.drain(..) {
             match C::effect(o) {
-                CacheEffect::Send(msg) => ctx.send(self.server, NetMsg::ToServer(msg)),
+                CacheEffect::Send(msg) => {
+                    if let Some(to) = Grantors::route(&self.grantors, ctx.now()) {
+                        ctx.send(to, NetMsg::ToServer(msg));
+                    }
+                }
                 CacheEffect::SetTimer(at, key) => {
                     if let Some(old) = self.timer_ids.remove(&key) {
                         ctx.cancel_timer(old);

@@ -3,6 +3,7 @@
 use lease_clock::{ClockModel, Dur, Time};
 use lease_core::ClientConfig;
 use lease_faults::FaultPlan;
+use lease_quorum::QuorumConfig;
 
 use crate::params::NetParams;
 
@@ -77,13 +78,19 @@ pub struct SystemConfig {
     pub client: ClientConfig,
     /// Network timing.
     pub net: NetParams,
-    /// Message loss, duplication, delay jitter, cut links and clock
-    /// faults: the plan the real-time runtime reads. The server is
-    /// replica 0. A plan field the simulator cannot honour yet (shard or
-    /// replica kills, a slow shard, another replica's cut or clock) is
-    /// refused by [`build_world`](crate::build_world); its
-    /// random draws come from the world's stream, seeded by `seed`.
+    /// Message loss, duplication, delay jitter, cut links, clock faults
+    /// and replica kills: the plan the real-time runtime reads. The server
+    /// is replica 0. A plan field the simulator cannot honour yet (shard
+    /// kills, a slow shard, and without a quorum another replica's kill,
+    /// cut or clock) is refused by
+    /// [`assemble`](crate::assemble); its random draws come from the
+    /// world's stream, seeded by `seed`.
     pub faults: FaultPlan,
+    /// Replaces *the* server by `replicas` grantor replicas over the one
+    /// primary storage, the right to grant held from a majority of them,
+    /// as `RtSystemBuilder::quorum` does in the real-time runtime. `None`
+    /// is the paper's single server.
+    pub quorum: Option<QuorumConfig>,
     /// Extra one-way propagation per client (distant clients, §3.3/§4):
     /// `(client id, extra delay)`.
     pub extra_prop: Vec<(u32, Dur)>,
@@ -113,6 +120,7 @@ impl Default for SystemConfig {
             },
             net: NetParams::v_lan(),
             faults: FaultPlan::default(),
+            quorum: None,
             extra_prop: Vec::new(),
             installed: InstalledMode::PerClient,
             persistent_leases: false,

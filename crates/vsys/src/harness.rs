@@ -5,22 +5,25 @@ use lease_core::{
     AdaptiveTerm, ClientId, CompensatedTerm, LeaseClient, LeaseServer, RecoveryMode, ServerConfig,
 };
 use lease_faults::{history, FaultPlan, SharedHistory};
+use lease_quorum::GrantorNode;
 use lease_sim::{ActorId, World};
 use lease_workload::{FileClass, Trace};
 
 use crate::client_actor::{ClientActor, SimCache};
 use crate::config::{InstalledMode, NodeSel, SystemConfig, TermSpec};
 use crate::driver::OpDriver;
+use crate::replica::Grantors;
 use crate::report::{RunReport, SharedTally, Tally};
-use crate::server_actor::{ServerActor, SimServer};
+use crate::server_actor::{ServerActor, SharedDisk, SimServer};
 use crate::simnet::SimNet;
-use crate::types::{NetMsg, Store};
+use crate::types::NetMsg;
 
 /// A built, ready-to-run system whose network carries `M`.
 pub struct RunHandle<M = NetMsg> {
-    /// The world (server is actor 0, client `i` is actor `i + 1`).
+    /// The world (the server, or under a quorum its replicas, first, then
+    /// the clients).
     pub world: World<M>,
-    /// The server's actor id.
+    /// The server's actor id (replica 0's under a quorum).
     pub server: ActorId,
     /// Client actor ids, indexed by client id.
     pub clients: Vec<ActorId>,
@@ -35,76 +38,98 @@ pub struct RunHandle<M = NetMsg> {
 }
 
 /// The plan fields the simulator cannot honour yet, checked so that no
-/// fault is silently left out of a run.
-fn refuse_unsupported(plan: &FaultPlan) {
+/// fault is silently left out of a run: it has no shards, and without a
+/// quorum one server, replica 0 (whose kill, cut and clock it honours).
+fn refuse_unsupported(plan: &FaultPlan, replicated: bool) {
+    let other = |replica| !replicated && replica != 0;
     let refused = [
         ("kills", !plan.kills.is_empty()),
         ("slow_shard", plan.slow_shard.is_some()),
-        ("replica_kills", !plan.replica_kills.is_empty()),
-        ("replica_cuts", plan.replica_cuts.iter().any(|c| c.2 != 0)),
+        (
+            "replica_kills",
+            plan.replica_kills.iter().any(|k| other(k.1)),
+        ),
+        ("replica_cuts", plan.replica_cuts.iter().any(|c| other(c.2))),
         (
             "replica_clocks",
-            plan.replica_clocks.iter().any(|c| c.0 != 0),
+            plan.replica_clocks.iter().any(|c| other(c.0)),
         ),
     ];
     if let Some((field, _)) = refused.iter().find(|r| r.1) {
         panic!(
             "the simulator cannot honour FaultPlan::{field} yet \
-             (it has one server, replica 0, and no shards)"
+             (no shards; without a quorum one server, replica 0)"
         );
     }
 }
 
 /// Builds the world every simulated system shares: the [`SimNet`] over
-/// `cfg.faults` and `cfg.extra_prop`, one [`ServerActor`] (actor 0)
-/// driving `server` over the primary storage on the plan's replica 0
-/// clock, one [`ClientActor`] per trace client
-/// driving the cache `new_cache` builds (client `i` is actor `i + 1`) on
-/// [`SystemConfig::client_clock`], and the crash schedule. Every actor
-/// counts into one [`Tally`]. [`build_world`] passes the lease server and
-/// lease caches; the §6 baselines pass their callback or TTL server with
-/// the same caches, and `lease-wb` its token server and caches, so all
-/// run on the same actors, driver and measurements.
+/// `cfg.faults` and `cfg.extra_prop`; one [`ServerActor`] (actor 0)
+/// driving the server `new_server` builds over the primary storage on the
+/// plan's replica 0 clock, or under [`SystemConfig::quorum`] one per
+/// replica `r` (actor `r`) on replica `r`'s clock, all over one
+/// [`Disk`](crate::Disk);
+/// one [`ClientActor`] per trace client driving the cache `new_cache`
+/// builds (client `i` is the actor after the replicas, `i` on) on
+/// [`SystemConfig::client_clock`], sending to the server or to the
+/// replica that serves; and the crash schedule, the plan's replica kills
+/// among it. Every actor counts into one [`Tally`]. [`build_world`]
+/// passes the lease server and lease caches; the §6 baselines pass their
+/// callback or TTL server with the same caches, and `lease-wb` its token
+/// server and caches, so all run on the same actors, driver and
+/// measurements.
 ///
 /// # Panics
 ///
 /// If `cfg.faults` names a fault the simulator cannot honour yet (shard
-/// or replica kills, a slow shard, or a cut or clock of a replica other
-/// than 0).
+/// kills, a slow shard, and without a quorum a kill, cut or clock of a
+/// replica other than 0), or if a quorum's server is not the lease server
+/// ([`SimServer::REPLICA`]).
 pub fn assemble<C: SimCache, S: SimServer<Up = C::Up, Down = C::Down>>(
     cfg: &SystemConfig,
     trace: &Trace,
     mut new_cache: impl FnMut(ClientId) -> C,
-    server: S,
+    mut new_server: impl FnMut() -> S,
 ) -> RunHandle<NetMsg<C::Up, C::Down>> {
-    refuse_unsupported(&cfg.faults);
+    let replicated = cfg.quorum.is_some();
+    refuse_unsupported(&cfg.faults, replicated);
+    assert!(!replicated || S::REPLICA, "replicas are lease servers");
+    let replicas = cfg.quorum.as_ref().map_or(1, |q| q.replicas as usize);
     let n = trace.client_count().max(1);
-    let mut net = SimNet::new(cfg.net).with_faults(cfg.faults.clone());
+    let mut net = SimNet::new(cfg.net).with_faults(cfg.faults.clone(), replicas);
     for (client, extra) in &cfg.extra_prop {
-        net = net.with_extra_prop(ActorId(1 + *client as usize), *extra);
+        net = net.with_extra_prop(ActorId(replicas + *client as usize), *extra);
     }
     let mut world = World::new(cfg.seed, net);
     let history = history::shared();
     let tally = Tally::shared();
     let warmup = Time::ZERO + cfg.warmup;
 
-    // Ids are deterministic: server first, then clients.
-    let client_ids: Vec<ActorId> = (0..n).map(|i| ActorId(1 + i as usize)).collect();
+    // Ids are deterministic: server replicas first, then clients.
+    let client_ids: Vec<ActorId> = (0..n).map(|i| ActorId(replicas + i as usize)).collect();
     // Primary storage: every trace file exists at version 1.
-    let mut storage = Store::default();
+    let disk = SharedDisk::default();
     for f in &trace.files {
-        storage.insert(f.id, 0);
+        disk.borrow_mut().storage.insert(f.id, 0);
     }
-    let server_id = world.add_actor(ServerActor::new(
-        server,
-        storage,
-        cfg.faults.replica_clock(0).unwrap_or_default(),
-        client_ids.clone(),
-        history.clone(),
-        tally.clone(),
-        warmup,
-    ));
-    debug_assert_eq!(server_id, ActorId(0));
+    let grantors = Grantors::new(cfg);
+    for r in 0..replicas {
+        let mut server = ServerActor::new(
+            new_server(),
+            disk.clone(),
+            cfg.faults.replica_clock(r).unwrap_or_default(),
+            client_ids.clone(),
+            history.clone(),
+            tally.clone(),
+            warmup,
+        );
+        if let Some(g) = &grantors {
+            let node = GrantorNode::new(r as u32, g.quorum.clone());
+            server.grantor = Some((node, g.clone()));
+        }
+        let id = world.add_actor(server);
+        debug_assert_eq!(id, ActorId(r));
+    }
 
     for i in 0..n {
         let id = world.add_actor(ClientActor::new(
@@ -112,7 +137,7 @@ pub fn assemble<C: SimCache, S: SimServer<Up = C::Up, Down = C::Down>>(
             new_cache(ClientId(i)),
             OpDriver::new(trace, i, warmup),
             cfg.client_clock(i as usize),
-            server_id,
+            grantors.clone(),
             history.clone(),
             tally.clone(),
         ));
@@ -121,7 +146,7 @@ pub fn assemble<C: SimCache, S: SimServer<Up = C::Up, Down = C::Down>>(
 
     for crash in &cfg.crashes {
         let victim = match crash.node {
-            NodeSel::Server => server_id,
+            NodeSel::Server => ActorId(0),
             NodeSel::Client(i) => client_ids[i as usize],
         };
         world.schedule_crash(crash.at, victim);
@@ -129,10 +154,16 @@ pub fn assemble<C: SimCache, S: SimServer<Up = C::Up, Down = C::Down>>(
             world.schedule_recover(r, victim);
         }
     }
+    // A replica kill is a crash and a restart at one instant (without a
+    // quorum, replica 0's is the server's).
+    for &(when, r) in cfg.faults.replica_kills.iter().filter(|k| k.1 < replicas) {
+        world.schedule_crash(Time::ZERO + when, ActorId(r));
+        world.schedule_recover(Time::ZERO + when, ActorId(r));
+    }
 
     RunHandle {
         world,
-        server: server_id,
+        server: ActorId(0),
         clients: client_ids,
         history,
         tally,
@@ -143,8 +174,13 @@ pub fn assemble<C: SimCache, S: SimServer<Up = C::Up, Down = C::Down>>(
 
 /// Builds the world for `cfg` and `trace` without running it.
 pub fn build_world(cfg: &SystemConfig, trace: &Trace) -> RunHandle {
+    let new_cache = |id| LeaseClient::new(id, cfg.client.clone());
+    assemble(cfg, trace, new_cache, || lease_server(cfg, trace))
+}
+
+/// The lease server `cfg` asks for, over the files of `trace`.
+fn lease_server(cfg: &SystemConfig, trace: &Trace) -> LeaseServer<u64, u64> {
     let n = trace.client_count().max(1);
-    // Server configuration.
     let mut sc: ServerConfig<u64> = match &cfg.term {
         TermSpec::Fixed(d) => ServerConfig::fixed(*d),
         TermSpec::Adaptive { theta, min, max } => {
@@ -180,8 +216,7 @@ pub fn build_world(cfg: &SystemConfig, trace: &Trace) -> RunHandle {
         }
         server.set_installed_group((0..n).map(ClientId).collect());
     }
-    let new_cache = |id| LeaseClient::new(id, cfg.client.clone());
-    assemble(cfg, trace, new_cache, server)
+    server
 }
 
 impl<M: 'static> RunHandle<M> {

@@ -18,7 +18,11 @@
 //! links, client and server clocks): the plan type the real-time runtime
 //! reads, so one plan describes a fault in both worlds. It records a
 //! global [`History`] that the consistency oracle in `lease-faults`
-//! checks against single-copy semantics.
+//! checks against single-copy semantics. With
+//! [`SystemConfig::quorum`] the one server becomes a quorum of grantor
+//! replicas, each running a `lease-quorum` node beside its lease server
+//! over the same network (the [`replica`] module), so one run covers the
+//! election and the file leases together.
 //! [`assemble`] is the one builder, and [`ClientActor`] and
 //! [`ServerActor`] are the one client and the one server actor: the §6
 //! baselines run their callback and TTL servers on them through
@@ -51,6 +55,7 @@ pub mod config;
 pub mod driver;
 pub mod harness;
 pub mod params;
+pub mod replica;
 pub mod report;
 pub mod server_actor;
 pub mod simnet;
@@ -66,7 +71,8 @@ pub use lease_core::ClientConfig;
 /// `lease_faults`.
 pub use lease_faults::{History, HistoryEvent};
 pub use params::NetParams;
+pub use replica::Grantors;
 pub use report::{RunReport, SharedTally, Tally, Traffic, TrafficClass};
-pub use server_actor::{ServerActor, ServerEffect, ServerEvent, SimServer};
+pub use server_actor::{Disk, ServerActor, ServerEffect, ServerEvent, SharedDisk, SimServer};
 pub use simnet::SimNet;
 pub use types::{Data, NetMsg, Res, Store};

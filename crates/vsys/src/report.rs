@@ -83,6 +83,9 @@ pub struct Tally {
     pub write_delay: Histogram,
     /// Per-operation delay over reads and writes (seconds).
     pub all_delay: Histogram,
+    /// Grantor election messages the replicas of a quorum sent, apart
+    /// from the file-lease traffic: no [`RunReport`] field counts them.
+    pub quorum_msgs: u64,
 }
 
 /// The tally one world's actors share.

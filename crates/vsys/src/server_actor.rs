@@ -1,4 +1,8 @@
-//! The file-server actor: a sans-IO server wired to the simulator.
+//! The file-server actor: a sans-IO server wired to the simulator, and
+//! under a quorum one grantor replica.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use lease_clock::{ClockModel, Dur, Time};
 use lease_core::{
@@ -6,8 +10,10 @@ use lease_core::{
     Version, WriteId,
 };
 use lease_faults::{HistoryEvent, SharedHistory};
+use lease_quorum::{GrantorNode, NodeOut};
 use lease_sim::{Actor, ActorId, Ctx, TimerId};
 
+use crate::replica::{Grantors, GRANTOR_TICK, TICK};
 use crate::report::{SharedTally, TrafficClass};
 use crate::types::{Data, NetMsg, Res, Store};
 
@@ -26,6 +32,9 @@ pub trait SimServer: 'static {
     type Down: Clone + TrafficClass + 'static;
     /// What the server asks for.
     type Output;
+    /// Whether the server can be a grantor replica: its §5 recovery makes
+    /// a fresh acquisition safe. Only the lease server's does.
+    const REPLICA: bool = false;
 
     /// Starts at local time `now` over the primary storage.
     fn start(&mut self, _now: Time, _storage: &Store) -> Vec<Self::Output> {
@@ -93,6 +102,7 @@ impl SimServer for LeaseServer<Res, Data> {
     type Up = ToServer<Res, Data>;
     type Down = ToClient<Res, Data>;
     type Output = ServerOutput<Res, Data>;
+    const REPLICA: bool = true;
 
     fn start(&mut self, now: Time, storage: &Store) -> Vec<Self::Output> {
         LeaseServer::start(self, now, storage)
@@ -158,25 +168,38 @@ impl SimServer for LeaseServer<Res, Data> {
 /// The network message of the protocol `S` speaks.
 type Wire<S> = NetMsg<<S as SimServer>::Up, <S as SimServer>::Down>;
 
-/// The server actor: owns the server state machine, the primary storage
-/// (durable across crashes), the server's clock model, and the durable
-/// recovery slots; counts the server's traffic after the warm-up into the
+/// What survives a server's crash: the primary storage and the durable
+/// recovery slots. The replicas of a quorum share one, as the real-time
+/// runtime's replicas share one store.
+#[derive(Default)]
+pub struct Disk {
+    /// Primary storage.
+    pub storage: Store,
+    /// The maximum granted term (MaxTerm recovery, §2).
+    max_term: Option<Dur>,
+    /// Lease records (PersistentRecords recovery).
+    leases: Vec<(Res, ClientId, Time)>,
+}
+
+/// The one disk of a world's server replicas.
+pub type SharedDisk = Rc<RefCell<Disk>>;
+
+/// The server actor: owns the server state machine and the server's clock
+/// model, writes through the disk, and under a quorum runs its replica's
+/// grantor node; counts the server's traffic after the warm-up into the
 /// run's tally.
 pub struct ServerActor<S: SimServer = LeaseServer<Res, Data>> {
     /// The protocol state machine.
     pub server: S,
-    /// Primary storage: models the disk, so it survives crashes.
-    pub storage: Store,
+    disk: SharedDisk,
     clock: ClockModel,
     /// ClientId -> ActorId mapping (dense).
     clients: Vec<ActorId>,
     history: SharedHistory,
     tally: SharedTally,
     warmup: Time,
-    /// Durable slot: the maximum granted term (MaxTerm recovery, §2).
-    durable_max_term: Option<Dur>,
-    /// Durable slot: lease records (PersistentRecords recovery).
-    durable_leases: Vec<(Res, ClientId, Time)>,
+    /// Under a quorum, this replica's node and the claims it publishes.
+    pub(crate) grantor: Option<(GrantorNode, Rc<Grantors>)>,
     timer_ids: FxMap<u64, TimerId>,
     /// The server's outputs for the event at hand; empty between events.
     out: Vec<S::Output>,
@@ -186,7 +209,7 @@ impl<S: SimServer> ServerActor<S> {
     /// Creates the actor. `clients[i]` must be the ActorId of client `i`.
     pub fn new(
         server: S,
-        storage: Store,
+        disk: SharedDisk,
         clock: ClockModel,
         clients: Vec<ActorId>,
         history: SharedHistory,
@@ -195,17 +218,25 @@ impl<S: SimServer> ServerActor<S> {
     ) -> ServerActor<S> {
         ServerActor {
             server,
-            storage,
+            disk,
             clock,
             clients,
             history,
             tally,
             warmup,
-            durable_max_term: None,
-            durable_leases: Vec::new(),
+            grantor: None,
             timer_ids: FxMap::default(),
             out: Vec::new(),
         }
+    }
+
+    /// Whether the server acts at `now`: always, unless it is a replica
+    /// whose node holds no claim. Refusing every client message and server
+    /// timer then fences what the replica takes in, sends and commits.
+    fn serving(&self, now: Time) -> bool {
+        self.grantor
+            .as_ref()
+            .is_none_or(|(node, _)| node.is_serving(self.clock.local(now)))
     }
 
     fn actor_of(&self, c: ClientId) -> ActorId {
@@ -225,9 +256,84 @@ impl<S: SimServer> ServerActor<S> {
         let local = self.clock.local(ctx.now());
         let mut out = std::mem::take(&mut self.out);
         self.server
-            .handle_into(local, event, &mut self.storage, &mut out);
+            .handle_into(local, event, &mut self.disk.borrow_mut().storage, &mut out);
         self.apply(ctx, &mut out);
         self.out = out;
+    }
+
+    /// Restarts the server from the disk (§5).
+    fn recover(&mut self, ctx: &mut Ctx<'_, Wire<S>>) {
+        let local = self.clock.local(ctx.now());
+        let d = self.disk.borrow();
+        let leases = d.leases.clone();
+        let mut out = self.server.recover(local, d.max_term, leases, &d.storage);
+        drop(d);
+        self.apply(ctx, &mut out);
+    }
+
+    /// Ticks the node and re-arms its timer, if the server is a replica.
+    fn tick(&mut self, ctx: &mut Ctx<'_, Wire<S>>) {
+        if self.grantor.is_some() {
+            ctx.set_timer_in(TICK, GRANTOR_TICK);
+            self.elect(ctx, GrantorNode::tick);
+        }
+    }
+
+    /// Runs `step` on the replica's node, if the server is one, at its
+    /// local time and carries out what the node asks for. A fresh
+    /// acquisition starts a new
+    /// serving session that can trust nothing the server knew before, so
+    /// the server crash-recovers through the §5 path.
+    fn elect(
+        &mut self,
+        ctx: &mut Ctx<'_, Wire<S>>,
+        step: impl FnOnce(&mut GrantorNode, Time) -> Vec<NodeOut>,
+    ) {
+        let Some((node, grantors)) = self.grantor.as_mut() else {
+            return;
+        };
+        let local = self.clock.local(ctx.now());
+        let (outs, grantors) = (step(node, local), Rc::clone(grantors));
+        let (me, now) = (ctx.me().0, ctx.now());
+        for o in outs {
+            let (acquired, ballot, at) = match o {
+                NodeOut::Send { to, msg } => {
+                    self.tally.borrow_mut().quorum_msgs += 1;
+                    ctx.send(ActorId(to as usize), NetMsg::Quorum(msg));
+                    continue;
+                }
+                NodeOut::Acquired { ballot, fresh } => {
+                    if fresh {
+                        self.server.crash();
+                        for (_, id) in self.timer_ids.drain() {
+                            ctx.cancel_timer(id);
+                        }
+                        self.recover(ctx);
+                    }
+                    (true, ballot, now)
+                }
+                // Noticed `overshoot` (local time) after it happened:
+                // backdated onto the true timeline through the clock.
+                NodeOut::Ceded { ballot, overshoot } => {
+                    (false, ballot, self.clock.true_before(now, overshoot))
+                }
+            };
+            grantors.held[me].set(acquired);
+            let (replica, ballot) = (me as u32, ballot.as_u64());
+            self.history.borrow_mut().push(if acquired {
+                HistoryEvent::GrantorAcquired {
+                    replica,
+                    ballot,
+                    at,
+                }
+            } else {
+                HistoryEvent::GrantorCeded {
+                    replica,
+                    ballot,
+                    at,
+                }
+            });
+        }
     }
 
     fn apply(&mut self, ctx: &mut Ctx<'_, Wire<S>>, outputs: &mut Vec<S::Output>) {
@@ -258,9 +364,10 @@ impl<S: SimServer> ServerActor<S> {
                     let id = ctx.set_timer_at(true_at, key);
                     self.timer_ids.insert(key, id);
                 }
-                ServerEffect::PersistMaxTerm(d) => self.durable_max_term = Some(d),
+                ServerEffect::PersistMaxTerm(d) => self.disk.borrow_mut().max_term = Some(d),
                 ServerEffect::PersistLease(resource, client, expiry) => {
-                    self.durable_leases.push((resource, client, expiry));
+                    let lease = (resource, client, expiry);
+                    self.disk.borrow_mut().leases.push(lease);
                 }
                 ServerEffect::Commit(resource, version, writer) => {
                     self.history.borrow_mut().push(HistoryEvent::Commit {
@@ -279,17 +386,31 @@ impl<S: SimServer> ServerActor<S> {
 impl<S: SimServer> Actor<Wire<S>> for ServerActor<S> {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Wire<S>>) {
         let local = self.clock.local(ctx.now());
-        let mut out = self.server.start(local, &self.storage);
+        let mut out = self.server.start(local, &self.disk.borrow().storage);
         self.apply(ctx, &mut out);
+        self.tick(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Wire<S>>, from: ActorId, msg: Wire<S>) {
-        let NetMsg::ToServer(msg) = msg else {
-            return; // Stray message; the server only speaks ToServer.
+        let msg = match msg {
+            NetMsg::ToServer(msg) => msg,
+            NetMsg::Quorum(msg) => {
+                // A cut severs delivery too: a message in flight when
+                // either end's cut begins is lost.
+                let cut = |g: &Rc<Grantors>| g.cut(from.0, ctx.me().0, ctx.now());
+                if self.grantor.as_ref().is_some_and(|(_, g)| !cut(g)) {
+                    self.elect(ctx, |node, local| node.handle(local, from.0 as u32, msg));
+                }
+                return;
+            }
+            NetMsg::ToClient(_) => return, // Stray; the server speaks ToServer.
         };
         let Some(client) = self.client_of(from) else {
             return;
         };
+        if !self.serving(ctx.now()) {
+            return;
+        }
         if ctx.now() >= self.warmup {
             self.tally.borrow_mut().message(msg.traffic());
         }
@@ -297,8 +418,13 @@ impl<S: SimServer> Actor<Wire<S>> for ServerActor<S> {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire<S>>, _timer: TimerId, key: u64) {
+        if key == GRANTOR_TICK {
+            return self.tick(ctx);
+        }
         self.timer_ids.remove(&key);
-        self.handle(ctx, ServerEvent::Timer(key));
+        if self.serving(ctx.now()) {
+            self.handle(ctx, ServerEvent::Timer(key));
+        }
     }
 
     fn on_crash(&mut self, _at: Time) {
@@ -308,11 +434,9 @@ impl<S: SimServer> Actor<Wire<S>> for ServerActor<S> {
     }
 
     fn on_recover(&mut self, ctx: &mut Ctx<'_, Wire<S>>) {
-        let local = self.clock.local(ctx.now());
-        let leases = self.durable_leases.clone();
-        let mut out = self
-            .server
-            .recover(local, self.durable_max_term, leases, &self.storage);
-        self.apply(ctx, &mut out);
+        self.recover(ctx);
+        // A replica's node restarts with it, silent for its MaxTerm.
+        self.elect(ctx, GrantorNode::restart);
+        self.tick(ctx);
     }
 }

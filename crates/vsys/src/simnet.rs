@@ -31,11 +31,13 @@ use crate::params::NetParams;
 /// than per-holder unicasts (§3.1, footnote 6).
 ///
 /// Faults are applied per message at send time from the attached
-/// [`FaultPlan`], the plan the real-time runtime reads: its client `cuts`
-/// and replica 0's cuts (actor 0 is the server, actor `1 + i` client
-/// `i`), `drop_prob`, `delay_max` as extra propagation uniform in
-/// `[0, delay_max)`, and `dup_prob`. The draws come from the world's
-/// stream, not the plan's seed.
+/// [`FaultPlan`], the plan the real-time runtime reads: its replica and
+/// client `cuts` (actors `0..replicas` are the server's replicas, one
+/// without a quorum, and actor `replicas + i` is client `i`), `drop_prob`,
+/// `delay_max` as extra propagation uniform in `[0, delay_max)`, and
+/// `dup_prob`. A message between two replicas is cut while either end is,
+/// as [`FaultPlan::replica_link_cut`] has it. The draws come from the
+/// world's stream, not the plan's seed.
 ///
 /// # Examples
 ///
@@ -56,6 +58,8 @@ use crate::params::NetParams;
 pub struct SimNet {
     params: NetParams,
     faults: FaultPlan,
+    /// How many of the first actors are server replicas.
+    replicas: usize,
     /// Extra one-way propagation applied to any message to or from a host
     /// (models distant clients, §3.3/§4).
     extra_prop: FxMap<ActorId, Dur>,
@@ -75,6 +79,7 @@ impl SimNet {
         SimNet {
             params,
             faults: FaultPlan::default(),
+            replicas: 1,
             extra_prop: FxMap::default(),
             cpu_free: FxMap::default(),
             sends: 0,
@@ -83,10 +88,11 @@ impl SimNet {
         }
     }
 
-    /// Attaches a fault plan. Jittered deliveries on one link may
-    /// reorder.
-    pub fn with_faults(mut self, faults: FaultPlan) -> SimNet {
-        self.faults = faults;
+    /// Attaches a fault plan over a world whose actors `0..replicas` are
+    /// the server's replicas (one, without a quorum). Jittered deliveries
+    /// on one link may reorder.
+    pub fn with_faults(mut self, faults: FaultPlan, replicas: usize) -> SimNet {
+        (self.faults, self.replicas) = (faults, replicas);
         self
     }
 
@@ -107,13 +113,13 @@ impl SimNet {
         self.params.m_prop + extra
     }
 
-    /// Whether `host`'s link is cut at `now`: the server is replica 0,
-    /// actor `1 + i` is client `i`.
+    /// Whether `host`'s link is cut at `now`: actor `r < replicas` is
+    /// replica `r`, actor `replicas + i` is client `i`.
     fn cut(&self, now: Time, host: ActorId) -> bool {
         let elapsed = now.saturating_since(Time::ZERO);
-        match host.0 {
-            0 => self.faults.replica_link_cut(0, 0, elapsed),
-            a => self.faults.cut_active(a - 1, elapsed),
+        match host.0.checked_sub(self.replicas) {
+            None => self.faults.replica_link_cut(host.0, host.0, elapsed),
+            Some(client) => self.faults.cut_active(client, elapsed),
         }
     }
 
@@ -308,7 +314,7 @@ mod tests {
 
     #[test]
     fn total_loss_drops_everything() {
-        let mut n = net().with_faults(FaultPlan::new(0).drop_messages(1.0));
+        let mut n = net().with_faults(FaultPlan::new(0).drop_messages(1.0), 1);
         let d = send(&mut n, Time::ZERO, &mut rng(), A, Dest::One(B), ());
         assert!(d.is_empty());
         assert_eq!(n.lost, 1);
@@ -318,7 +324,7 @@ mod tests {
     fn partition_blocks_cross_island_traffic() {
         // B is client 0: cutting it isolates it in both directions.
         let plan = FaultPlan::new(0).cut(Dur::ZERO, Dur::from_secs(10), 0);
-        let mut n = net().with_faults(plan);
+        let mut n = net().with_faults(plan, 1);
         let mut r = rng();
         assert!(send(&mut n, Time::from_secs(1), &mut r, A, Dest::One(B), ()).is_empty());
         assert!(send(&mut n, Time::from_secs(1), &mut r, B, Dest::One(A), ()).is_empty());
@@ -337,13 +343,13 @@ mod tests {
     #[test]
     fn a_server_cut_is_replica_zeros() {
         let plan = FaultPlan::new(0).cut_replica(Dur::ZERO, Dur::from_secs(10), 0);
-        let mut n = net().with_faults(plan);
+        let mut n = net().with_faults(plan, 1);
         let mut r = rng();
         assert!(send(&mut n, Time::from_secs(1), &mut r, B, Dest::One(A), ()).is_empty());
         assert_eq!(n.lost, 1);
         // Another replica's cut is not the server's.
         let plan = FaultPlan::new(0).cut_replica(Dur::ZERO, Dur::from_secs(10), 1);
-        let mut n = net().with_faults(plan);
+        let mut n = net().with_faults(plan, 1);
         assert_eq!(
             send(&mut n, Time::from_secs(1), &mut r, B, Dest::One(A), ()).len(),
             1
@@ -352,7 +358,7 @@ mod tests {
 
     #[test]
     fn duplication_delivers_twice() {
-        let mut n = net().with_faults(FaultPlan::new(0).duplicate_messages(1.0));
+        let mut n = net().with_faults(FaultPlan::new(0).duplicate_messages(1.0), 1);
         let d = send(&mut n, Time::ZERO, &mut rng(), A, Dest::One(B), ());
         assert_eq!(d.len(), 2);
         assert!(d[1].at > d[0].at);
@@ -374,7 +380,7 @@ mod tests {
 
     #[test]
     fn jitter_spreads_and_can_reorder_deliveries() {
-        let mut n = net().with_faults(FaultPlan::new(0).delay_messages(Dur::from_millis(20)));
+        let mut n = net().with_faults(FaultPlan::new(0).delay_messages(Dur::from_millis(20)), 1);
         let mut r = rng();
         let mut times = Vec::new();
         for i in 0..40u64 {
@@ -439,7 +445,7 @@ mod tests {
     #[test]
     fn duplication_fault_costs_exactly_one_clone() {
         let clones = std::rc::Rc::new(std::cell::Cell::new(0));
-        let mut n = net().with_faults(FaultPlan::new(0).duplicate_messages(1.0));
+        let mut n = net().with_faults(FaultPlan::new(0).duplicate_messages(1.0), 1);
         let d = send(
             &mut n,
             Time::ZERO,

@@ -3,6 +3,7 @@
 use std::hash::BuildHasherDefault;
 
 use lease_core::{FxHasher, MemStorage, ToClient, ToServer};
+use lease_quorum::QuorumMsg;
 
 /// The leased resource key: the trace's file id (regular files, installed
 /// files, and directories alike — a directory read models the name lookup
@@ -23,15 +24,18 @@ pub type Data = u64;
 pub type Store = MemStorage<Res, Data, BuildHasherDefault<FxHasher>>;
 
 /// Everything that crosses the simulated network: one protocol's
-/// client-to-server messages `U` and server-to-client messages `D`. The
-/// defaults are the lease protocol's; the write-back tokens of `lease-wb`
-/// fill in their own.
+/// client-to-server messages `U` and server-to-client messages `D`, and
+/// under a quorum the grantor election between the replicas. The defaults
+/// are the lease protocol's; the write-back tokens of `lease-wb` fill in
+/// their own.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NetMsg<U = ToServer<Res, Data>, D = ToClient<Res, Data>> {
     /// Client-to-server protocol messages.
     ToServer(U),
     /// Server-to-client protocol messages.
     ToClient(D),
+    /// Replica-to-replica grantor election messages.
+    Quorum(QuorumMsg),
 }
 
 #[cfg(test)]

@@ -1,8 +1,11 @@
 //! Property-based end-to-end checking: random workloads, random faults,
 //! random terms — every execution must satisfy single-copy semantics.
 
-use lease_clock::{Dur, Time};
+mod common;
+
+use lease_clock::{ClockModel, Dur, Time};
 use lease_faults::{check_history, FaultPlan, History, HistoryEvent, Violation};
+use lease_quorum::QuorumConfig;
 use lease_vsys::{
     run_trace_with_history, ClientConfig, CrashEvent, NodeSel, SystemConfig, TermSpec,
 };
@@ -273,6 +276,46 @@ proptest! {
         };
         let (_, h) = run_trace_with_history(&cfg, &trace);
         let res = check_history(&h.history.borrow());
+        prop_assert!(res.is_ok(), "violations: {:?}", res.err());
+    }
+
+    /// The adversarial race: two (or three) proposers contending through
+    /// kills, a partition, message chaos, and per-replica clock skew
+    /// *within the tolerated bound* — at most one grantor at any true
+    /// time, every seed.
+    #[test]
+    fn skewed_proposer_races_never_elect_two_grantors(
+        seed in 0u64..10_000,
+        skew0_ppm in -100_000.0f64..100_000.0,
+        skew1_ppm in -100_000.0f64..100_000.0,
+        skew2_ppm in -100_000.0f64..100_000.0,
+        kill_at_ms in 200u64..4_000,
+        victim in 0usize..3,
+        cut_from_ms in 200u64..4_000,
+        cut_len_ms in 100u64..2_000,
+        cut_who in 0usize..3,
+    ) {
+        let plan = FaultPlan::new(seed)
+            .with_replica_clock(0, ClockModel::drifting(skew0_ppm))
+            .with_replica_clock(1, ClockModel::drifting(skew1_ppm))
+            .with_replica_clock(2, ClockModel::drifting(skew2_ppm))
+            .kill_replica(Dur::from_millis(kill_at_ms), victim)
+            .cut_replica(
+                Dur::from_millis(cut_from_ms),
+                Dur::from_millis(cut_from_ms + cut_len_ms),
+                cut_who,
+            )
+            .drop_messages(0.05)
+            .duplicate_messages(0.05)
+            .delay_messages(Dur::from_millis(5));
+        // The 10% drift bound covers the full sampled skew range:
+        // usable_term = term * (1 - d) / (1 + d) discounts a slow leader
+        // AND fast acceptors, so even the worst pairing (leader at -100k
+        // ppm, acceptors at +100k ppm) cannot overlap.
+        // The case's seed seeds the world, whose stream rolls the dice.
+        let cfg = common::config(QuorumConfig::default(), plan, Dur::from_secs(6));
+        let out = common::run_cfg(&SystemConfig { seed, ..cfg });
+        let res = check_history(&out.history);
         prop_assert!(res.is_ok(), "violations: {:?}", res.err());
     }
 }

@@ -1,14 +1,19 @@
 //! Deterministic chaos sweeps over the 3-replica grantor quorum, and the
 //! negative controls proving the oracle can actually catch split brain.
 //!
-//! Every run is a pure function of its seed: the sim replays the plan's
-//! per-link dice and per-replica clocks in virtual time, so a failing seed
-//! here is a complete reproducer.
+//! Every run is a pure function of its plan and its world seed: the
+//! file-system simulator, serving as the quorum's host, rolls the message
+//! dice from the world's stream and replays the plan's kills, cuts and
+//! per-replica clocks in virtual time, so a failing seed here is a
+//! complete reproducer.
 
+mod common;
+
+use common::{config, run, run_cfg, run_default};
 use lease_clock::{ClockModel, Dur, Time};
 use lease_faults::{check_history, staleness_of, FaultPlan, HistoryEvent, Violation};
-use lease_quorum::sim::{run, SimConfig};
 use lease_quorum::QuorumConfig;
+use lease_vsys::SystemConfig;
 
 fn mix(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -40,14 +45,11 @@ fn hundred_seed_chaos_sweep_has_no_violations() {
             .delay_messages(Dur::from_millis(4));
         if seed % 4 == 0 {
             // One fast clock is a *minority* fault: quorum intersection
-            // must mask it.
+            // masks it while a correct acceptor is in every accepting
+            // majority (the known fault below is where one is not).
             plan = plan.with_replica_clock((seed % 3) as usize, ClockModel::drifting(1_000_000.0));
         }
-        let out = run(&SimConfig {
-            plan,
-            duration: Dur::from_secs(8),
-            ..SimConfig::default()
-        });
+        let out = run_default(plan, Dur::from_secs(8));
         let res = check_history(&out.history);
         assert!(
             res.is_ok(),
@@ -65,11 +67,7 @@ fn hundred_seed_chaos_sweep_has_no_violations() {
 fn single_fast_replica_clock_is_masked() {
     for fast in 0..3usize {
         let plan = FaultPlan::new(11).with_replica_clock(fast, ClockModel::drifting(1_000_000.0));
-        let out = run(&SimConfig {
-            plan,
-            duration: Dur::from_secs(10),
-            ..SimConfig::default()
-        });
+        let out = run_default(plan, Dur::from_secs(10));
         let res = check_history(&out.history);
         assert!(res.is_ok(), "fast replica {fast}: {:?}", res.err());
         assert!(out.acquisitions >= 2, "the quorum must still make progress");
@@ -81,11 +79,7 @@ fn single_fast_replica_clock_is_masked() {
 #[test]
 fn partitioned_leader_with_correct_clocks_is_safe() {
     let plan = FaultPlan::new(5).cut_replica(Dur::from_millis(300), Dur::from_secs(4), 0);
-    let out = run(&SimConfig {
-        plan,
-        duration: Dur::from_secs(8),
-        ..SimConfig::default()
-    });
+    let out = run_default(plan, Dur::from_secs(8));
     let res = check_history(&out.history);
     assert!(res.is_ok(), "violations: {:?}", res.err());
     // And the cluster did fail over while replica 0 was cut off.
@@ -102,14 +96,11 @@ fn partitioned_leader_with_correct_clocks_is_safe() {
 #[test]
 fn fencing_disabled_split_brain_is_caught() {
     let plan = FaultPlan::new(5).cut_replica(Dur::from_millis(300), Dur::from_secs(6), 0);
-    let out = run(&SimConfig {
-        quorum: QuorumConfig {
-            fence: false,
-            ..QuorumConfig::default()
-        },
-        plan,
-        duration: Dur::from_secs(8),
-    });
+    let unfenced = QuorumConfig {
+        fence: false,
+        ..QuorumConfig::default()
+    };
+    let out = run(unfenced, plan, Dur::from_secs(8));
     let violations = check_history(&out.history).expect_err("split brain must be detected");
     assert!(
         violations
@@ -135,11 +126,7 @@ fn majority_fast_acceptor_clocks_split_brain_is_caught() {
         // ...while the other two replicas run 2× fast.
         .with_replica_clock(1, ClockModel::drifting(1_000_000.0))
         .with_replica_clock(2, ClockModel::drifting(1_000_000.0));
-    let out = run(&SimConfig {
-        plan,
-        duration: Dur::from_secs(8),
-        ..SimConfig::default()
-    });
+    let out = run_default(plan, Dur::from_secs(8));
     let violations = check_history(&out.history).expect_err("majority clock failure must surface");
     assert!(
         violations
@@ -165,11 +152,7 @@ fn slow_leader_fast_acceptors_within_bound_are_safe() {
                 .with_replica_clock(1, ClockModel::drifting(100_000.0))
                 .with_replica_clock(2, ClockModel::drifting(100_000.0))
                 .cut_replica(Dur::from_millis(cut_ms), Dur::from_secs(6), 0);
-            let out = run(&SimConfig {
-                plan,
-                duration: Dur::from_secs(8),
-                ..SimConfig::default()
-            });
+            let out = run_default(plan, Dur::from_secs(8));
             let res = check_history(&out.history);
             assert!(
                 res.is_ok(),
@@ -189,11 +172,7 @@ fn slow_leader_clock_beyond_bound_is_caught() {
         .cut_replica(Dur::from_millis(300), Dur::from_secs(6), 0)
         // 0.4× speed — far beyond the 10% bound the config discounts.
         .with_replica_clock(0, ClockModel::drifting(-600_000.0));
-    let out = run(&SimConfig {
-        plan,
-        duration: Dur::from_secs(8),
-        ..SimConfig::default()
-    });
+    let out = run_default(plan, Dur::from_secs(8));
     let violations = check_history(&out.history).expect_err("slow leader must overshoot");
     assert!(violations
         .iter()
@@ -211,12 +190,43 @@ fn rolling_replica_restarts_are_safe() {
             .kill_replica(Dur::from_millis(2600), 1)
             .kill_replica(Dur::from_millis(4400), 2)
             .delay_messages(Dur::from_millis(3));
-        let out = run(&SimConfig {
-            plan,
-            duration: Dur::from_secs(8),
-            ..SimConfig::default()
-        });
+        let out = run_default(plan, Dur::from_secs(8));
         let res = check_history(&out.history);
         assert!(res.is_ok(), "seed {seed}: {:?}", res.err());
     }
+}
+
+/// A known fault: one 2×-fast clock is outside the drift bound, and the
+/// quorum masks it only while a correct acceptor sits in every majority
+/// that accepted the live grantor lease. Here replica 2 is cut while
+/// replica 1 renews, so the renewal's majority is replica 1 and the fast
+/// replica 0, which forgets the lease after half its term. When the cut
+/// heals, replica 0's prepare reaches replica 2 (which never accepted the
+/// renewal) and its promise lands before replica 1's: replica 0 and 2
+/// elect replica 0 while replica 1 still serves. The hundred-seed
+/// sweep's seed-60 plan on a world seeded by 60. A fix that makes the
+/// quorum mask a fast clock turns this test red on purpose.
+#[test]
+fn known_fault_a_fast_acceptor_alone_with_the_leader_lets_a_rival_in() {
+    let plan = FaultPlan::new(60)
+        .kill_replica(Dur::from_millis(2955), 2)
+        .cut_replica(Dur::from_millis(1262), Dur::from_millis(2207), 2)
+        .drop_messages(0.08)
+        .duplicate_messages(0.05)
+        .delay_messages(Dur::from_millis(4))
+        .with_replica_clock(0, ClockModel::drifting(1_000_000.0));
+    let cfg = config(QuorumConfig::default(), plan, Dur::from_secs(8));
+    let out = run_cfg(&SystemConfig { seed: 60, ..cfg });
+    let violations = check_history(&out.history).expect_err("the fast acceptor lets a rival in");
+    assert!(
+        violations.iter().any(|v| matches!(
+            v,
+            Violation::TwoGrantors {
+                replica_a: 1,
+                replica_b: 0,
+                ..
+            }
+        )),
+        "expected replicas 1 and 0 to overlap, got {violations:?}"
+    );
 }

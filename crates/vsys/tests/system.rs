@@ -524,7 +524,7 @@ fn plan_fields_the_simulator_cannot_honour_are_refused() {
     for (field, faults) in [
         ("kills", plan.clone().kill_shard(d, 0)),
         ("slow_shard", plan.clone().with_slow_shard(0, d)),
-        ("replica_kills", plan.clone().kill_replica(d, 0)),
+        ("replica_kills", plan.clone().kill_replica(d, 1)),
         ("replica_cuts", plan.clone().cut_replica(d, d, 1)),
         (
             "replica_clocks",
@@ -545,11 +545,23 @@ fn plan_fields_the_simulator_cannot_honour_are_refused() {
             "{field}: {message}"
         );
     }
-    // Replica 0 is the server: its cut and clock are honoured.
+    // Replica 0 is the server: its kill, cut and clock are honoured.
     let cfg = SystemConfig {
         faults: plan
+            .clone()
+            .kill_replica(d, 0)
             .cut_replica(d, d, 0)
             .with_server_clock(ClockModel::perfect()),
+        ..SystemConfig::default()
+    };
+    build_world(&cfg, &trace);
+    // Under a quorum, every replica's kill, cut and clock are honoured.
+    let cfg = SystemConfig {
+        faults: plan
+            .kill_replica(d, 2)
+            .cut_replica(d, d, 1)
+            .with_replica_clock(2, ClockModel::perfect()),
+        quorum: Some(lease_quorum::QuorumConfig::default()),
         ..SystemConfig::default()
     };
     build_world(&cfg, &trace);

@@ -74,10 +74,12 @@ pub fn run_wb_with_history(cfg: &WbConfig, trace: &Trace) -> (RunReport, SharedH
         drain: cfg.drain,
         ..SystemConfig::default()
     };
-    let server = WbServer::new(WbServerConfig {
-        term: cfg.term,
-        reservation_range: 1 << 20,
-    });
+    let server = || {
+        WbServer::new(WbServerConfig {
+            term: cfg.term,
+            reservation_range: 1 << 20,
+        })
+    };
     let new_cache = |id| WbClient::new(id, cfg.client);
     let mut h = assemble(&sys, trace, new_cache, server);
     (h.run(cfg.drain), h.history)

@@ -24,7 +24,7 @@
 //! | [`faults`] | `lease-faults` | the single-copy consistency oracle and staleness analysis |
 //! | [`svc`] | `lease-svc` | service runtime: the lease table sharded across single-threaded workers with batched mailboxes and a hierarchical timer wheel; supervised shard crash/restart (§5 MaxTerm recovery) and seeded chaos plans |
 //! | [`rt`] | `lease-rt` | real-time deployment on the service runtime: threads, channels, wall clocks, a real file store; retry backoff with per-op deadlines, chaos fault injection, and true-time history recording for the oracle |
-//! | [`quorum`] | `lease-quorum` | replicated grantor: the right to grant is itself a lease, held PaxosLease-style by a majority of diskless acceptors; sans-IO nodes, a wall-clock runtime with per-replica gates, and a deterministic virtual-time simulation |
+//! | [`quorum`] | `lease-quorum` | replicated grantor: the right to grant is itself a lease, held PaxosLease-style by a majority of diskless acceptors; sans-IO nodes, hosted on threads behind per-replica gates by `rt` and as replicas of the simulated server by `vsys` |
 //! | [`wb`] | `lease-wb` | the non-write-through extension: exclusive write tokens, local buffering, write-back, lost-write semantics |
 //!
 //! # Quickstart

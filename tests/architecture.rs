@@ -227,10 +227,11 @@ const RULES: &[Rule] = &[
     },
     Rule {
         name: "One simulator, one fault plan",
-        reason: "The grantor quorum's sim runs on lease-sim's World and the file-system \
-                 simulator's SimNet (in lease-vsys) reads lease-faults' FaultPlan; an \
-                 event loop of lease-quorum's own or a second fault vocabulary beside \
-                 the simulated network means the fork crept back in.",
+        reason: "The file-system simulator hosts the grantor quorum: its replicas are \
+                 lease-vsys ServerActors on lease-sim's World, the election rides the one \
+                 SimNet, and SimNet reads lease-faults' FaultPlan. An event loop beside \
+                 the World, a medium for the quorum of its own or a second fault \
+                 vocabulary beside the simulated network means the fork crept back in.",
         check: Check::Grep {
             paths: &[
                 "crates/quorum/src",
@@ -247,6 +248,8 @@ const RULES: &[Rule] = &[
                 Lit("FaultPlanNet"),
                 Lit("Partition::new"),
                 Lit("with_jitter"),
+                Lit("ReplicaNet"),
+                Lit("SimOutcome"),
             ],
         },
     },
@@ -391,7 +394,7 @@ const RULES: &[Rule] = &[
                  threaded service or socket code and the wall-clock runtime and the \
                  quorum link no simulator of the file system. An edge here means a \
                  type moved back into the wrong world (and lease-quorum -> lease-vsys \
-                 is a cycle once the grantor runs as a lease-vsys actor).",
+                 is a cycle: lease-vsys hosts the grantor).",
         check: Check::NoDependency(&[
             ("crates/faults/Cargo.toml", "lease-vsys"),
             ("crates/faults/Cargo.toml", "lease-svc"),
@@ -403,6 +406,21 @@ const RULES: &[Rule] = &[
             ("crates/rt/Cargo.toml", "lease-workload"),
             ("crates/quorum/Cargo.toml", "lease-vsys"),
             ("crates/net/Cargo.toml", "lease-sim"),
+        ]),
+    },
+    Rule {
+        name: "lease-quorum is sans-IO; each world hosts it",
+        reason: "GrantorNode takes an explicit now, messages in and messages out, as \
+                 lease-core's machines do; lease-rt runs it on threads behind a gate and \
+                 lease-vsys beside its simulated lease server. A simulator, a threaded \
+                 service or a fault plan under lease-quorum means a host crept back into \
+                 it, and a simulator under lease-rt means the wall-clock runtime links \
+                 the simulated world again.",
+        check: Check::NoDependency(&[
+            ("crates/quorum/Cargo.toml", "lease-sim"),
+            ("crates/quorum/Cargo.toml", "lease-svc"),
+            ("crates/quorum/Cargo.toml", "lease-faults"),
+            ("crates/rt/Cargo.toml", "lease-sim"),
         ]),
     },
     Rule {
@@ -470,8 +488,8 @@ const RULES: &[Rule] = &[
     Rule {
         name: "The simulator counts in types",
         reason: "A simulated run counts into lease_vsys::Tally's fields, each server \
-                 message by its TrafficClass, and the quorum simulation in its \
-                 replicas; a registry of counters named by strings reads a misspelt \
+                 message by its TrafficClass and each grantor election message apart \
+                 from them; a registry of counters named by strings reads a misspelt \
                  name as 0 without any error.",
         check: Check::Grep {
             paths: &[
