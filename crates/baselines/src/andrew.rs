@@ -15,6 +15,7 @@
 //! renewal timer.
 
 use lease_clock::{Dur, Time};
+use lease_core::shard::Persisted;
 use lease_core::{
     ClientId, ErrorReason, FxMap, FxSet, Grant, Storage, ToClient, ToServer, Version, WriteId,
 };
@@ -156,20 +157,11 @@ impl SimServer for AndrewServer {
         }
     }
 
-    fn crash(&mut self) {
+    fn restart(&mut self, _now: Time, _: Persisted<Res>, _: &Store) -> Vec<Self::Output> {
         // Callback state is volatile — the real Andrew server rebuilt it by
         // breaking all promises on recovery; we simply lose it, which is
         // the unsafe direction and shows up as staleness under the oracle.
         self.callbacks.clear();
-    }
-
-    fn recover(
-        &mut self,
-        _now: Time,
-        _max_term: Option<Dur>,
-        _leases: Vec<(Res, ClientId, Time)>,
-        _storage: &Store,
-    ) -> Vec<Self::Output> {
         Vec::new()
     }
 
@@ -255,8 +247,9 @@ mod tests {
     fn crash_forgets_every_promise() {
         let (mut s, mut storage) = (AndrewServer::new(), store());
         msg(&mut s, &mut storage, 0, fetch(1));
-        s.crash();
-        assert!(s.recover(Time::ZERO, None, Vec::new(), &storage).is_empty());
+        assert!(s
+            .restart(Time::ZERO, (None, Vec::new()), &storage)
+            .is_empty());
         let out = msg(&mut s, &mut storage, 1, write(2));
         assert!(
             !out.iter().any(|e| matches!(e, ServerEffect::Multicast(..))),

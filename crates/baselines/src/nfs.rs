@@ -10,6 +10,7 @@
 use std::collections::VecDeque;
 
 use lease_clock::{Dur, Time};
+use lease_core::shard::Persisted;
 use lease_core::{ClientId, ErrorReason, FxMap, ReqId, Storage, ToClient, ToServer, Version};
 use lease_vsys::{Data, Res, ServerEffect, ServerEvent, SimServer, Store};
 
@@ -134,18 +135,9 @@ impl SimServer for NfsServer {
 
     /// Stateless but for the reply cache, which is volatile: a crash
     /// loses it.
-    fn crash(&mut self) {
+    fn restart(&mut self, _now: Time, _: Persisted<Res>, _: &Store) -> Vec<Self::Output> {
         self.recent_writes.clear();
         self.order.clear();
-    }
-
-    fn recover(
-        &mut self,
-        _now: Time,
-        _max_term: Option<Dur>,
-        _leases: Vec<(Res, ClientId, Time)>,
-        _storage: &Store,
-    ) -> Vec<Self::Output> {
         Vec::new()
     }
 
@@ -280,7 +272,9 @@ mod tests {
     fn a_crash_loses_the_reply_cache() {
         let (mut s, mut storage) = (server(), store());
         msg(&mut s, &mut storage, 0, write(7));
-        s.crash();
+        assert!(s
+            .restart(Time::ZERO, (None, Vec::new()), &storage)
+            .is_empty());
         assert!(s.recent_writes.is_empty() && s.order.is_empty());
         let again = msg(&mut s, &mut storage, 0, write(7));
         assert!(matches!(again[0], ServerEffect::Commit(1, Version(3), _)));

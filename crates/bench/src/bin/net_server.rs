@@ -10,10 +10,12 @@
 
 use std::collections::HashMap;
 use std::io::Write as _;
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use bytes::Bytes;
 
+use lease_bench::term_file::{read_term_file, term_file_hook};
 use lease_clock::{Clock, Dur, SysClock, WallClock};
 use lease_core::{LeaseServer, MemStorage, ServerConfig, Storage, Version};
 use lease_net::NetServer;
@@ -149,18 +151,9 @@ fn serve(o: &ServerOpts) {
         ..SvcHooks::default()
     };
     if let Some(path) = &o.term_file {
-        let persist_path = path.clone();
-        hooks.persist_max_term = Some(Arc::new(move |d: Dur| {
-            let tmp = format!("{persist_path}.tmp");
-            if std::fs::write(&tmp, d.as_nanos().to_le_bytes()).is_ok() {
-                let _ = std::fs::rename(&tmp, &persist_path);
-            }
-        }));
-        let recover_path = path.clone();
-        hooks.recover_max_term = Some(Arc::new(move || {
-            let bytes = std::fs::read(&recover_path).ok()?;
-            Some(Dur(u64::from_le_bytes(bytes.try_into().ok()?)))
-        }));
+        let path = PathBuf::from(path);
+        hooks.persist_max_term = Some(term_file_hook(&path));
+        hooks.recover_max_term = Some(Arc::new(move || read_term_file(&path)));
     }
 
     // A prior incarnation's commits replay into every shard's store

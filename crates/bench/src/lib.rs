@@ -16,6 +16,7 @@ use lease_workload::Trace;
 
 mod alloc_count;
 pub mod sweep;
+pub mod term_file;
 
 pub use alloc_count::{allocations, live_bytes};
 

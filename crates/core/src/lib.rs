@@ -21,6 +21,9 @@
 //!   extension and delayed update (§4), and recovers from crashes either
 //!   by honouring the persisted maximum term or from persistent lease
 //!   records (§2, §5).
+//! * [`ShardCore`] — one shard of a server as both worlds host it: the
+//!   restart, the serving-session check and the epoch-tagged write ids
+//!   around a [`LeaseServer`].
 //! * [`LeaseClient`] — the write-through cache: read fast path under a
 //!   valid lease, batched extension, conservative effective-term
 //!   accounting (`t_c = t_s − (m_prop + 2·m_proc) − ε`, §3.1), approval
@@ -85,6 +88,7 @@ pub mod msg;
 pub mod policy;
 pub mod ring;
 pub mod server;
+pub mod shard;
 pub mod stats;
 pub mod storage;
 pub mod table;
@@ -101,6 +105,7 @@ pub use policy::{AdaptiveTerm, CompensatedTerm, FixedTerm, Observation, TermPoli
 pub use server::{
     LeaseServer, RecoveryMode, ServerConfig, ServerCounters, ServerInput, ServerOutput, ServerTimer,
 };
+pub use shard::ShardCore;
 pub use stats::ResourceStats;
 pub use storage::{MemStorage, Storage};
 pub use table::{LeaseTable, SlabTable};

@@ -41,9 +41,10 @@ use lease_clock::{ClockModel, Dur};
 ///
 /// Faults come at two granularities:
 ///
-/// * **shard-level** ([`FaultPlan::kill_shard`]) — panic the worker that
-///   owns one shard (on every replica, where there are several); the
-///   supervisor restarts it through §5 MaxTerm recovery.
+/// * **shard-level** ([`FaultPlan::kill_shard`]) — crash one shard (on
+///   every replica, where there are several): it restarts in place
+///   through §5 MaxTerm recovery as the next epoch, with no panic. The
+///   simulator's server is one shard, shard 0.
 /// * **host-level** ([`FaultPlan::kill_replica`], [`FaultPlan::cut_replica`],
 ///   [`FaultPlan::with_replica_clock`]) — crash, isolate, or clock-skew a
 ///   whole server. A deployment without a grantor quorum has one, and it
@@ -69,7 +70,8 @@ use lease_clock::{ClockModel, Dur};
 pub struct FaultPlan {
     /// Root seed; every derived decision stream mixes it in.
     pub seed: u64,
-    /// `(when, shard)`: panic shard `shard`'s worker at `when`.
+    /// `(when, shard)`: crash shard `shard` at `when`; it restarts at once
+    /// through §5 MaxTerm recovery (`lease_core::ShardCore::restart`).
     pub kills: Vec<(Dur, usize)>,
     /// Probability a delivered message is silently dropped.
     pub drop_prob: f64,
@@ -206,9 +208,9 @@ impl FaultPlan {
         }
     }
 
-    /// Adds a shard-level kill at `when`: panic the worker that owns
-    /// shard `shard`, on every replica there is. For crashing a whole
-    /// server, use [`FaultPlan::kill_replica`].
+    /// Adds a shard-level kill at `when`: crash-restart shard `shard`, on
+    /// every replica there is. For crashing a whole server, use
+    /// [`FaultPlan::kill_replica`].
     pub fn kill_shard(mut self, when: Dur, shard: usize) -> FaultPlan {
         self.kills.push((when, shard));
         self

@@ -45,8 +45,7 @@ use lease_faults::{FaultPlan, History, HistoryEvent};
 use lease_quorum::QuorumConfig;
 use lease_store::{DirId, FileKind, Perms, Store};
 use lease_svc::{
-    chaos::silence_injected_kills, shard_of, AdmissionControl, Egress, LeaseService, LiveFaults,
-    SvcConfig, SvcHooks, SvcStats,
+    shard_of, AdmissionControl, Egress, LeaseService, LiveFaults, SvcConfig, SvcHooks, SvcStats,
 };
 
 use crate::client::{spawn_client, RtClientHandle};
@@ -163,10 +162,6 @@ impl RtSystemBuilder {
         // host's (possibly skewed) model clock all derive from it.
         let truth = WallClock::new();
         let recorder = Arc::new(Recorder::new(truth.clone()));
-        // Injected kills panic on purpose.
-        if self.chaos.is_some() {
-            silence_injected_kills();
-        }
         // The one reader of the plan, shared by every sink, port and
         // replica; without a plan, a fault-free one.
         let faults = Arc::new(LiveFaults::new(
@@ -562,11 +557,10 @@ impl RtSystem {
         }
     }
 
-    /// Kills shard `shard`'s worker (a supervised crash) on every
-    /// replica: it restarts through §5 MaxTerm recovery, refusing grants
-    /// and deferring writes for the persisted maximum term.
+    /// Kills shard `shard` on every replica: it restarts in place
+    /// through §5 MaxTerm recovery, refusing grants and deferring writes
+    /// for the persisted maximum term.
     pub fn kill_shard(&self, shard: usize) {
-        silence_injected_kills();
         crash(&self.router, None, Crash::Shard(shard));
     }
 
@@ -575,7 +569,6 @@ impl RtSystem {
     /// quorum, the grantor node in front of them (volatile state lost,
     /// MaxTerm silence).
     pub fn kill_replica(&self, i: usize) {
-        silence_injected_kills();
         let nodes = self.quorum.as_ref().map(QuorumRuntime::kill_handle);
         crash(&self.router, nodes.as_ref(), Crash::Replica(i));
     }

@@ -3,8 +3,9 @@
 //! (`lease_vsys::run_trace_with_history`) and through a real-time
 //! `RtSystem`, one server or a quorum of grantor replicas in each, and
 //! the consistency oracle reaches the same verdict on both. A plan the
-//! protocol masks is clean on both; a 2x-fast server clock, the §5 fault
-//! it cannot mask, ends in a `StaleRead` on both.
+//! protocol masks is clean on both, a shard kill among its faults; a
+//! 2x-fast server clock, the §5 fault it cannot mask, ends in a
+//! `StaleRead` on both, with or without a shard kill before it.
 
 use std::time::{Duration, Instant};
 
@@ -120,12 +121,22 @@ fn shared_script() -> Vec<Step> {
         .collect()
 }
 
-#[test]
-fn a_fast_server_clock_is_a_stale_read_in_both() {
-    let plan = FaultPlan::new(7).with_server_clock(ClockModel::drifting(1_000_000.0)); // 2x
+/// Client 1 takes a lease before shard 0 is killed at 100 ms, client 0
+/// writes after a fast server's recovery has ended but before client 1's
+/// lease has, and client 1 reads from its cache. A server whose clock
+/// keeps time waits out the term the lease was granted for.
+fn kill_script() -> Vec<Step> {
+    vec![(0, 1, false, 0), (330, 0, true, 0), (370, 1, false, 0)]
+}
+
+const KILL: Dur = Dur::from_millis(100);
+
+/// Runs `script` under `plan` in both worlds and expects the oracle to
+/// flag a `StaleRead` in each.
+fn stale_in_both(plan: &FaultPlan, script: &[Step]) {
     for (world, history) in [
-        ("simulator", simulate(&plan, None, &stale_script())),
-        ("runtime", run_real(&plan, None, &stale_script())),
+        ("simulator", simulate(plan, None, script)),
+        ("runtime", run_real(plan, None, script)),
     ] {
         let violations = check_history(&history)
             .expect_err(&format!("{world}: the oracle must flag the stale read"));
@@ -138,17 +149,33 @@ fn a_fast_server_clock_is_a_stale_read_in_both() {
     }
 }
 
-/// Runs the shared script under `plan` in both worlds and expects the
-/// oracle to find nothing in either. Under a quorum, the plan must also
-/// have moved the grantor claim off replica 0 in both.
-fn clean_in_both(plan: &FaultPlan, quorum: Option<QuorumConfig>) {
+const TWICE_AS_FAST: f64 = 1_000_000.0; // ppm: 2x
+
+#[test]
+fn a_fast_server_clock_is_a_stale_read_in_both() {
+    let plan = FaultPlan::new(7).with_server_clock(ClockModel::drifting(TWICE_AS_FAST));
+    stale_in_both(&plan, &stale_script());
+}
+
+/// A killed shard waits out the persisted term on its own clock: a fast
+/// one ends its recovery before the lease it granted has, and the read is
+/// stale.
+#[test]
+fn a_shard_kill_does_not_mask_a_fast_server_clock_in_either() {
+    let plan = FaultPlan::new(15)
+        .with_server_clock(ClockModel::drifting(TWICE_AS_FAST))
+        .kill_shard(KILL, 0);
+    stale_in_both(&plan, &kill_script());
+}
+
+/// Runs `script` under `plan` in both worlds and expects the oracle to
+/// find nothing in either. Under a quorum, the plan must also have moved
+/// the grantor claim off replica 0 in both.
+fn clean_in_both(plan: &FaultPlan, quorum: Option<QuorumConfig>, script: &[Step]) {
     let replicated = quorum.is_some();
     for (world, history) in [
-        (
-            "simulator",
-            simulate(plan, quorum.clone(), &shared_script()),
-        ),
-        ("runtime", run_real(plan, quorum.clone(), &shared_script())),
+        ("simulator", simulate(plan, quorum.clone(), script)),
+        ("runtime", run_real(plan, quorum.clone(), script)),
     ] {
         assert!(!history.events.is_empty(), "{world}: nothing recorded");
         check_history(&history).unwrap_or_else(|v| panic!("{world}: violations {v:?}"));
@@ -164,7 +191,27 @@ fn a_maskable_plan_is_clean_in_both() {
         .duplicate_messages(0.05)
         .delay_messages(Dur::from_millis(4))
         .cut(Dur::from_millis(500), Dur::from_millis(700), 1);
-    clean_in_both(&plan, None);
+    clean_in_both(&plan, None, &shared_script());
+}
+
+/// The restarted shard's recovery waits out client 1's lease: the same
+/// kill on a clock that keeps time is masked.
+#[test]
+fn a_shard_kill_is_clean_in_both() {
+    let plan = FaultPlan::new(15).kill_shard(KILL, 0);
+    clean_in_both(&plan, None, &kill_script());
+}
+
+/// Shard 0 is killed mid-script under message chaos: it restarts into §5
+/// recovery, and the writes it defers wait out the persisted term.
+#[test]
+fn a_shard_kill_under_message_chaos_is_clean_in_both() {
+    let plan = FaultPlan::new(14)
+        .drop_messages(0.02)
+        .duplicate_messages(0.05)
+        .delay_messages(Dur::from_millis(4))
+        .kill_shard(Dur::from_millis(600), 0);
+    clean_in_both(&plan, None, &shared_script());
 }
 
 /// The grantor is killed mid-script: a successor takes over, and its §5
@@ -172,7 +219,7 @@ fn a_maskable_plan_is_clean_in_both() {
 #[test]
 fn a_grantor_kill_is_clean_in_both() {
     let plan = FaultPlan::new(12).kill_replica(Dur::from_millis(600), 0);
-    clean_in_both(&plan, Some(QuorumConfig::quick()));
+    clean_in_both(&plan, Some(QuorumConfig::quick()), &shared_script());
 }
 
 /// The grantor is cut off mid-script under message chaos: it fences
@@ -184,5 +231,5 @@ fn a_grantor_cut_under_message_chaos_is_clean_in_both() {
         .duplicate_messages(0.05)
         .delay_messages(Dur::from_millis(4))
         .cut_replica(Dur::from_millis(500), Dur::from_millis(1100), 0);
-    clean_in_both(&plan, Some(QuorumConfig::quick()));
+    clean_in_both(&plan, Some(QuorumConfig::quick()), &shared_script());
 }

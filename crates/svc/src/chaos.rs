@@ -15,13 +15,11 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use lease_clock::{Clock, Dur, Time};
 use lease_faults::{Delivery, FaultPlan, LinkChaos};
-
-use crate::shard::INJECTED_KILL;
 
 /// Stream-id bit distinguishing a client's client→server link from its
 /// server→client one.
@@ -285,33 +283,6 @@ impl Sleeper {
             st = self.lock();
         }
     }
-}
-
-/// Installs a process-wide panic hook that swallows the panics
-/// [`SvcHandle::kill_shard`](crate::SvcHandle::kill_shard) injects —
-/// they are expected and supervised, and a chaos sweep would otherwise
-/// bury real output under backtraces. All other panics still reach the
-/// previous hook. Safe to call repeatedly; only the first call installs.
-pub fn silence_injected_kills() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(|s| s.contains(INJECTED_KILL))
-                .or_else(|| {
-                    info.payload()
-                        .downcast_ref::<&str>()
-                        .map(|s| s.contains(INJECTED_KILL))
-                })
-                .unwrap_or(false);
-            if !injected {
-                prev(info);
-            }
-        }));
-    });
 }
 
 #[cfg(test)]

@@ -60,19 +60,21 @@
 //!   approvals keep flowing), and drops inputs whose propagated op
 //!   deadline has already passed. Granted terms are the policy's, however
 //!   hot the shard runs: pacing is the client's, through `retry_after`.
-//! * **Supervision** — each shard worker runs under a supervisor that
-//!   restarts the shard through §5 MaxTerm recovery on the *same* lanes
-//!   after a panic ([`SvcHandle::kill_shard`] injects one) or a move of
-//!   the serving session ([`SvcHooks::session`]); restart epochs are
-//!   folded into global write ids so approvals addressed to a dead
-//!   incarnation are dropped, not misapplied.
+//! * **Restarts** — a shard restarts through §5 MaxTerm recovery as one
+//!   `lease_core::ShardCore` step, in place, on an injected kill
+//!   ([`SvcHandle::kill_shard`]) or a move of the serving session
+//!   ([`SvcHooks::session`]); a panic is caught by the worker's
+//!   supervisor, which rebuilds the shard from its factory on the *same*
+//!   lanes. Restart epochs are folded into global write ids so approvals
+//!   addressed to a dead incarnation are dropped, not misapplied.
 //! * **Chaos** — a `lease-faults` plan (shard kills, message
 //!   drop/delay/duplication, link cuts, clock faults) replays on the wall
 //!   clock through one [`chaos::LiveFaults`] and its one sleeper thread.
 //!
 //! Protocol semantics are untouched: each shard runs the same
-//! `LeaseServer` the simulator and `lease-rt` run, so every consistency
-//! argument (and the oracle test suites) carries over shard by shard.
+//! `lease_core::ShardCore`, around the same `LeaseServer`, that the
+//! simulator runs, so every consistency argument (and the oracle test
+//! suites) carries over shard by shard.
 //!
 //! # Example
 //!
@@ -138,5 +140,4 @@ pub use service::{
     shard_of, AdmissionControl, BatchBuf, ClientSink, LeaseService, ShardGauges, SvcConfig,
     SvcError, SvcHandle, SvcHooks, SvcStats, WorkerSink,
 };
-pub use shard::INJECTED_KILL;
 pub use wheel::TimerWheel;

@@ -138,10 +138,11 @@ pub struct SvcHooks {
     pub clock: Option<Arc<dyn Clock>>,
     /// The serving session the shards answer for (a replicated grantor's
     /// count of fresh acquisitions), read after every gather: once it has
-    /// moved, the shard restarts through the crash path — factory, §5
-    /// recovery from [`SvcHooks::recover_max_term`], epoch bump — before it
-    /// fires a timer or handles an input. A session must be published
-    /// before traffic for it is let in. `None`: one session, ever.
+    /// moved, the shard restarts in place, as after a kill — §5 recovery
+    /// from [`SvcHooks::recover_max_term`], epoch bump, the old timers
+    /// dropped — before it fires a timer or handles an input. A session
+    /// must be published before traffic for it is let in. `None`: one
+    /// session, ever.
     pub session: Option<Arc<dyn Fn() -> u64 + Send + Sync>>,
 }
 
@@ -564,15 +565,19 @@ impl<R: Resource, D: Clone> SvcHandle<R, D> {
         )
     }
 
-    /// Fault injection: panic shard `shard`'s worker. The supervisor
-    /// catches the panic and restarts the shard through §5 MaxTerm
-    /// recovery, so this models a server crash, not a shutdown.
+    /// Fault injection: crash shard `shard`. Its worker restarts the
+    /// shard in place through §5 MaxTerm recovery (a
+    /// [`lease_core::ShardCore`] restart, no panic), so this models a
+    /// server crash, not a shutdown: the shard's counters start again,
+    /// [`SvcStats::restarts`] counts it, and approvals minted before it
+    /// approve nothing.
     ///
     /// The kill travels through **this handle's lane**, so it is ordered
-    /// after everything this handle already submitted: chaos plans that
-    /// interleave kills with traffic from the same producer replay
-    /// identically on the ring ingress (the crash boundary stays
-    /// message-aligned — see the shard worker's stash).
+    /// after everything this handle already submitted, and the inputs
+    /// behind it in the same batch go to the new incarnation: chaos plans
+    /// that interleave kills with traffic from the same producer replay
+    /// identically on the ring ingress, however the lanes are chunked into
+    /// batches.
     pub fn kill_shard(&self, shard: usize) -> Result<(), SvcError> {
         if shard >= self.shards() {
             return Err(SvcError::ShardDown(shard));
@@ -735,9 +740,10 @@ impl<R: Resource, D: Clone + Send + 'static> LeaseService<R, D> {
     /// installed files). The state machines are unmodified `lease-core`
     /// servers — the service only partitions, supervises, and schedules
     /// them. The factory is retained for the life of the service: each
-    /// crash of shard `i` calls `make_shard(i)` again to build the
+    /// panic of shard `i` calls `make_shard(i)` again to build the
     /// replacement incarnation, which then runs §5 MaxTerm recovery from
-    /// [`SvcHooks::recover_max_term`].
+    /// [`SvcHooks::recover_max_term`]. A kill or a moved session restarts
+    /// the shard in place, on its storage.
     pub fn spawn<F>(
         cfg: SvcConfig,
         sink: Arc<dyn ClientSink<R, D>>,
@@ -795,7 +801,6 @@ impl<R: Resource, D: Clone + Send + 'static> LeaseService<R, D> {
                     clock: clock.clone(),
                     factory: factory.clone(),
                     restarts: shard_restarts.clone(),
-                    stash: std::sync::Mutex::new(Vec::new()),
                 })
             })
             .collect();
@@ -1535,20 +1540,19 @@ mod tests {
     }
 
     /// A sink whose `attach_worker` panics once the test lets it: the
-    /// supervisor calls it outside the incarnation it restarts, so the
-    /// panic takes the shard's thread down for good.
+    /// supervisor calls it before the first incarnation, so the panic
+    /// takes the shard's thread down for good.
     struct DoomedSink(Mutex<Receiver<()>>);
 
     impl ClientSink<u64, String> for DoomedSink {
         fn attach_worker(&self) -> Box<dyn WorkerSink<u64, String>> {
             let _ = self.0.lock().unwrap().recv();
-            panic!("{}: the supervisor dies too", crate::INJECTED_KILL)
+            panic!("the sink refuses the worker: the supervisor dies too")
         }
     }
 
     #[test]
     fn a_dead_shard_reports_shard_down_not_timeout() {
-        crate::chaos::silence_injected_kills();
         let (doom, doomed) = unbounded();
         let svc = LeaseService::spawn(
             SvcConfig::default(),
@@ -1562,7 +1566,6 @@ mod tests {
             },
         );
         let h = svc.handle();
-        h.kill_shard(0).unwrap();
         drop(doom);
         let t0 = Instant::now();
         while h.try_send_at(ClientId(0), fetch(0), None) != Err(SvcError::Closed) {
@@ -1570,6 +1573,131 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(svc.stats().err(), Some(SvcError::ShardDown(0)));
+        svc.shutdown();
+    }
+
+    /// A store that, once armed, stops at its next write until the test
+    /// lets it go and then panics: a crash nobody injected, in the middle
+    /// of a batch.
+    struct FailingDisk {
+        inner: MemStorage<u64, String>,
+        armed: Arc<std::sync::atomic::AtomicBool>,
+        hit: std::sync::mpsc::Sender<()>,
+        go: Arc<Mutex<Receiver<()>>>,
+    }
+
+    impl Storage<u64, String> for FailingDisk {
+        fn read(&self, resource: &u64) -> Option<(String, lease_core::Version)> {
+            self.inner.read(resource)
+        }
+
+        fn version(&self, resource: &u64) -> Option<lease_core::Version> {
+            self.inner.version(resource)
+        }
+
+        fn write(&mut self, resource: &u64, data: String) -> lease_core::Version {
+            if self.armed.swap(false, Ordering::SeqCst) {
+                let _ = self.hit.send(());
+                let _ = self.go.lock().unwrap().recv();
+                panic!("the disk failed mid-batch");
+            }
+            self.inner.write(resource, data)
+        }
+    }
+
+    /// A panic nobody injected restarts the shard through its factory, on
+    /// the same lanes, as the next epoch: `restarts` counts it and the
+    /// counters start again; what was queued behind the panic is
+    /// answered; and an approval minted before it approves nothing, even
+    /// though the rebuilt server mints the same local write ids again.
+    #[test]
+    fn an_organic_panic_restarts_through_the_factory_as_the_next_epoch() {
+        let (tx, rx) = unbounded();
+        let (hit_tx, hit) = unbounded();
+        let (go, go_rx) = unbounded();
+        let armed = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let builds = Arc::new(AtomicU64::new(0));
+        let disk = FailingDisk {
+            inner: {
+                let mut store = MemStorage::new();
+                for r in 0..16u64 {
+                    store.insert(r, format!("v{r}"));
+                }
+                store
+            },
+            armed: Arc::clone(&armed),
+            hit: hit_tx,
+            go: Arc::new(Mutex::new(go_rx)),
+        };
+        let svc = LeaseService::spawn(
+            SvcConfig::default(),
+            Arc::new(FifoSink(move |m| {
+                let _ = tx.send(m);
+            })),
+            SvcHooks::default(),
+            {
+                let builds = Arc::clone(&builds);
+                move |_| {
+                    builds.fetch_add(1, Ordering::SeqCst);
+                    let disk = FailingDisk {
+                        inner: disk.inner.clone(),
+                        armed: Arc::clone(&disk.armed),
+                        hit: disk.hit.clone(),
+                        go: Arc::clone(&disk.go),
+                    };
+                    (
+                        LeaseServer::new(ServerConfig::fixed(Dur::from_secs(10))),
+                        Box::new(disk) as Box<dyn Storage<u64, String> + Send>,
+                    )
+                }
+            },
+        );
+        let h = svc.handle();
+        let (a, b, c) = (ClientId(0), ClientId(1), ClientId(2));
+        let write = |req, resource| ToServer::Write {
+            req: ReqId(req),
+            resource,
+            data: format!("w{req}"),
+        };
+        let asked = |rx: &Receiver<Msg>| match recv(rx) {
+            (to, ToClient::ApprovalRequest { write_id, .. }) if to == a => write_id,
+            other => panic!("expected an approval request to A, got {other:?}"),
+        };
+
+        // B's write waits on A's lease: A is asked to approve it.
+        send(&h, a, fetch(7)).unwrap();
+        assert!(matches!(recv(&rx), (to, ToClient::Grants { .. }) if to == a));
+        send(&h, b, write(100, 7)).unwrap();
+        let stale = asked(&rx);
+
+        // C's write reaches the disk, which holds the batch until two
+        // fetches are queued behind it, then panics.
+        armed.store(true, Ordering::SeqCst);
+        send(&h, c, write(101, 9)).unwrap();
+        hit.recv_timeout(Duration::from_secs(5))
+            .expect("the write hit the disk");
+        send(&h, c, fetch(1)).unwrap();
+        send(&h, c, fetch(2)).unwrap();
+        go.send(()).unwrap();
+        for _ in 0..2 {
+            assert!(matches!(recv(&rx), (to, ToClient::Grants { .. }) if to == c));
+        }
+        let stats = svc.stats().unwrap();
+        assert_eq!(stats.restarts, vec![1]);
+        assert_eq!(builds.load(Ordering::SeqCst), 2, "rebuilt by the factory");
+        assert_eq!(stats.counters.fetch_rx, 2, "the counters started again");
+
+        // The same story in the new incarnation mints the same local id.
+        send(&h, a, fetch(7)).unwrap();
+        assert!(matches!(recv(&rx), (to, ToClient::Grants { .. }) if to == a));
+        send(&h, b, write(102, 7)).unwrap();
+        let fresh = asked(&rx);
+        assert_ne!(fresh, stale, "the epoch tells the two apart");
+        send(&h, a, ToServer::Approve { write_id: stale }).unwrap();
+        assert_eq!(svc.stats().unwrap().counters.approvals_rx, 0);
+        assert!(rx.try_recv().is_err(), "the stale approval committed");
+        send(&h, a, ToServer::Approve { write_id: fresh }).unwrap();
+        assert!(matches!(recv(&rx), (to, ToClient::WriteDone { .. }) if to == b));
         svc.shutdown();
     }
 

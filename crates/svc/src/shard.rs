@@ -1,7 +1,8 @@
 //! One shard worker: a supervised thread owning a slice of the lease table.
 //!
 //! Each worker runs an unmodified `lease-core` [`LeaseServer`] over the
-//! resources that hash to its shard. Everything it is told arrives one
+//! resources that hash to its shard, inside the sans-IO [`ShardCore`]
+//! that the simulator drives too. Everything it is told arrives one
 //! way: per-producer SPSC ring *lanes* (one per live [`crate::SvcHandle`],
 //! adopted through the shard's [`lease_core::ring::Inbox`] and drained
 //! round-robin with pure atomic loads). Protocol inputs, stats requests,
@@ -14,9 +15,9 @@
 //! through a single flush per wakeup — via the private [`WorkerSink`] the
 //! sink handed it at [`ClientSink::attach_worker`](crate::ClientSink) —
 //! drives the core's timers and the table's expiry pruning from a
-//! hierarchical [`TimerWheel`], and rewrites write ids on outbound
-//! approval requests so that approvals can be routed back to the owning
-//! shard from anywhere.
+//! hierarchical [`TimerWheel`]. The core tags outbound approval requests
+//! with global write ids, so approvals route back to the owning shard
+//! from anywhere.
 //!
 //! Between batches the worker parks *adaptively*: after a non-empty drain
 //! it polls its lanes up to [`SPIN`] times (lock-free `Acquire`
@@ -26,32 +27,35 @@
 //! never fall between the worker's final look and its sleep — the
 //! lost-wakeup hole a bare spin-then-park would have.
 //!
-//! # Supervision
+//! # Restarts and supervision
 //!
-//! The thread is a *supervisor loop*: the worker proper runs inside
-//! [`std::panic::catch_unwind`], and a panic — organic or injected via
-//! [`ShardMsg::Kill`] — is a §5 server crash, and so, with no panic, is
-//! a move of [`SvcHooks::session`] seen after a gather. The supervisor
-//! rebuilds the state machine from the shard factory, replays MaxTerm
-//! recovery from whatever [`SvcHooks::recover_max_term`] persisted, and
-//! resumes on the *same* lanes, so [`crate::SvcHandle`]s held by clients
-//! stay valid across the crash. Every incarnation gets a new *epoch*,
-//! folded into outbound global write ids; approvals addressed to a dead
-//! incarnation carry its old epoch and are dropped on arrival instead of
-//! being misapplied to an unrelated post-restart write with the same local
-//! id — in-flight cross-shard write ids fail cleanly rather than leak.
+//! A shard restarts as a §5 server crash in three ways: an injected
+//! [`ShardMsg::Kill`], a move of [`SvcHooks::session`] seen after a
+//! gather, and a panic. The first two are a [`ShardCore`] step inside the
+//! loop: the core crash-recovers from whatever
+//! [`SvcHooks::recover_max_term`] persisted, the old incarnation's timers
+//! are dropped, and the rest of the batch goes on under the new
+//! incarnation. A kill is therefore message-aligned: its observable effect
+//! does not depend on how the lanes were chunked into batches, so seeded
+//! chaos plans replay identically.
 //!
-//! An *injected* kill is message-aligned: the dying worker flushes replies
-//! it already computed and stashes the drained-but-unprocessed tail of its
-//! batch for the next incarnation to replay first, so a kill's observable
-//! effect does not depend on how the lanes were chunked into batches
-//! (seeded chaos plans replay identically). Organic panics make no such
-//! promise — a real crash may lose its in-flight batch and outbox.
+//! A panic is the third way. The worker runs inside
+//! [`std::panic::catch_unwind`] under a *supervisor loop*, which rebuilds
+//! the state machine and storage from the shard factory and brings the
+//! next incarnation up through the same recovery on the *same* lanes, so
+//! [`crate::SvcHandle`]s held by clients stay valid. Such a crash may lose
+//! its in-flight batch and outbox, as a real one would.
+//!
+//! Every incarnation has its own *epoch*, folded into outbound global
+//! write ids: an approval addressed to a dead incarnation is dropped on
+//! arrival instead of being misapplied to an unrelated post-restart write
+//! with the same local id. The shard's restart count is that epoch, so the
+//! supervisor keeps it across a panic.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::mpsc::SyncSender;
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 
 use lease_clock::{Clock, Dur, Time};
@@ -59,21 +63,13 @@ use lease_core::ring::{Inbox, Lanes};
 use lease_core::table::ORPHAN_SLACK;
 use lease_core::{
     ClientId, ErrorReason, LeaseServer, Resource, ServerCounters, ServerInput, ServerOutput,
-    ServerTimer, Storage, ToClient, ToServer, WriteId,
+    ServerTimer, ShardCore, Storage, ToClient, ToServer, WriteId,
 };
 
 use crate::service::{
     AdmissionControl, ClientSink, HandleShared, ShardGauges, SvcHooks, WorkerSink,
 };
 use crate::wheel::TimerWheel;
-
-/// Bits of a global write id reserved for the shard's restart epoch.
-///
-/// Global ids are `((local << EPOCH_BITS) | epoch) * nshards + shard`;
-/// 10 bits lets approvals distinguish the last 1024 incarnations, far more
-/// than can be in flight at once.
-pub(crate) const EPOCH_BITS: u32 = 10;
-pub(crate) const EPOCH_MASK: u64 = (1 << EPOCH_BITS) - 1;
 
 /// Timer-wheel quantum. Timers fire at most one tick late, never early.
 const WHEEL_TICK: Dur = Dur::from_millis(1);
@@ -105,12 +101,6 @@ pub(crate) const SPIN: usize = 256;
 const INDEX_AHEAD: usize = 16;
 const HOLDER_AHEAD: usize = 8;
 
-/// The panic message of a shard killed on purpose
-/// ([`SvcHandle::kill_shard`](crate::SvcHandle::kill_shard)); chaos
-/// harnesses install a panic hook that recognizes it to keep
-/// injected-crash logs quiet.
-pub const INJECTED_KILL: &str = "injected shard kill (chaos)";
-
 /// Messages into one shard worker.
 pub(crate) enum ShardMsg<R, D> {
     /// A routed protocol input, carrying the originating op's deadline
@@ -132,7 +122,7 @@ pub(crate) enum ShardMsg<R, D> {
         /// re-queued stats request is answered instead of re-barriered.
         barriered: bool,
     },
-    /// Chaos injection: panic the worker; the supervisor restarts it.
+    /// Chaos injection: restart the shard (§5) before its next input.
     Kill,
     /// Stop the worker.
     Shutdown,
@@ -260,7 +250,7 @@ impl Timers {
 }
 
 /// Builds one shard's state machine and storage; called once at spawn and
-/// again after every crash.
+/// again after every panic.
 pub(crate) type ShardFactory<R, D> =
     Arc<dyn Fn(usize) -> (LeaseServer<R, D>, Box<dyn Storage<R, D> + Send>) + Send + Sync>;
 
@@ -289,34 +279,13 @@ pub(crate) struct ShardCtx<R: Resource, D> {
     pub hooks: SvcHooks,
     pub clock: Arc<dyn Clock>,
     pub factory: ShardFactory<R, D>,
-    /// Completed restarts of this shard, shared with the service for stats.
+    /// Completed restarts of this shard, shared with the service for
+    /// stats: the epoch of the incarnation running now.
     pub restarts: Arc<AtomicU64>,
-    /// Messages an injected kill had already drained but not yet
-    /// processed, handed across the panic to the next incarnation (which
-    /// replays them before touching the lanes, preserving FIFO order).
-    /// Keeps the kill's crash boundary message-aligned no matter how the
-    /// lanes were chunked into batches; organic panics don't use it — a
-    /// real crash may lose its in-flight batch.
-    pub stash: Mutex<Vec<ShardMsg<R, D>>>,
-}
-
-/// Rewrites a shard-local write id into the service-global namespace
-/// (`global = ((local << EPOCH_BITS) | epoch) * nshards + shard`) so
-/// [`crate::SvcHandle`] can route the matching `Approve` straight back to
-/// this shard, and this shard can tell which incarnation minted it.
-fn globalize<R, D>(mut msg: ToClient<R, D>, ctx: &ShardCtx<R, D>, epoch: u64) -> ToClient<R, D>
-where
-    R: Resource,
-{
-    if let ToClient::ApprovalRequest { write_id, .. } = &mut msg {
-        let tagged = (write_id.0 << EPOCH_BITS) | (epoch & EPOCH_MASK);
-        *write_id = WriteId(tagged * ctx.nshards + ctx.index);
-    }
-    msg
 }
 
 /// Applies (and drains) the effects one input produced. `outs` is the
-/// worker's one output buffer, lent to `LeaseServer::handle_into` for every
+/// worker's one output buffer, lent to `ShardCore::handle_into` for every
 /// input and emptied here, so its capacity is allocated once per
 /// incarnation.
 fn apply<R, D>(
@@ -324,7 +293,6 @@ fn apply<R, D>(
     timers: &mut Timers,
     outbox: &mut Vec<(ClientId, ToClient<R, D>)>,
     ctx: &ShardCtx<R, D>,
-    epoch: u64,
 ) where
     R: Resource,
     D: Clone,
@@ -334,9 +302,8 @@ fn apply<R, D>(
             // Outbound protocol messages accumulate in the worker's
             // outbox and leave in one flush per wakeup, so the sink's
             // per-call cost is paid per flush, not per message.
-            ServerOutput::Send { to, msg } => outbox.push((to, globalize(msg, ctx, epoch))),
+            ServerOutput::Send { to, msg } => outbox.push((to, msg)),
             ServerOutput::Multicast { to, msg } => {
-                let msg = globalize(msg, ctx, epoch);
                 for c in to {
                     outbox.push((c, msg.clone()));
                 }
@@ -347,23 +314,10 @@ fn apply<R, D>(
                     f(d);
                 }
             }
-            ServerOutput::PersistLease { .. } => {
-                // The service recovers via MaxTerm, like lease-rt.
-            }
-            ServerOutput::Committed { .. } => {}
+            // The service recovers via MaxTerm, like lease-rt.
+            ServerOutput::PersistLease { .. } | ServerOutput::Committed { .. } => {}
         }
     }
-}
-
-/// Why one incarnation's run loop returned (panics don't return — they
-/// unwind into the supervisor).
-enum Exit {
-    /// [`ShardMsg::Shutdown`] received.
-    Shutdown,
-    /// Every handle is gone and the lanes are dry.
-    Disconnected,
-    /// The serving session moved: restart as after a crash.
-    Succession,
 }
 
 /// One egress flush: everything the wakeup accumulated leaves through
@@ -379,47 +333,49 @@ fn flush_outbox<R, D>(
     outbox.clear(); // In case a custom sink did not drain fully.
 }
 
-/// One incarnation of the worker: runs until shutdown, disconnect, or
-/// panic. `lanes` (the adopted per-producer ring consumers with their
-/// round-robin cursor) and `wsink` (the per-worker egress sink) live in
-/// the supervisor so queued ring traffic — and established egress lanes
-/// — survive a crash.
+/// One incarnation of the worker, built from the shard factory: runs
+/// until shutdown, disconnect, or panic, restarting its [`ShardCore`] in
+/// place on a kill or a moved session. `lanes` (the adopted per-producer
+/// ring consumers with their round-robin cursor) and `wsink` (the
+/// per-worker egress sink) live in the supervisor so queued ring traffic
+/// — and established egress lanes — survive a panic.
 fn run<R, D>(
     ctx: &ShardCtx<R, D>,
     lanes: &mut Lanes<ShardMsg<R, D>>,
     wsink: &mut dyn WorkerSink<R, D>,
-    epoch: u64,
-) -> Exit
-where
+    panicked: bool,
+) where
     R: Resource,
     D: Clone + Send + 'static,
 {
-    // The session this incarnation answers for, read before it is built.
     let session = || ctx.hooks.session.as_ref().map_or(0, |f| f());
-    let mine = session();
-    let (mut server, mut storage) = (ctx.factory)(ctx.index as usize);
+    // §5 crash recovery: the previous incarnation's lease grants are
+    // unknown, so the server recovers from the persisted maximum term and
+    // stalls writes (and, when configured, refuses grants) until every
+    // possibly-outstanding lease has expired.
+    let persisted = || {
+        let max_term = ctx.hooks.recover_max_term.as_ref().and_then(|f| f());
+        (max_term, Vec::new())
+    };
+    // After a panic the rebuilt shard comes up as the incarnation that
+    // died, and restarts from it as after a kill.
+    let (server, mut storage) = (ctx.factory)(ctx.index as usize);
+    let epoch = ctx.restarts.load(Ordering::Relaxed);
+    let mut core = ShardCore::new(server, ctx.index, ctx.nshards, epoch, session());
     let now = ctx.clock.now();
+    let mut outs = if panicked {
+        ctx.restarts.fetch_add(1, Ordering::Relaxed);
+        core.restart(now, persisted(), &*storage)
+    } else {
+        core.server.start(now, &*storage)
+    };
     let mut timers = Timers::new(WHEEL_TICK, now);
     // Fired-entry scratch reused across wakeups.
     let mut fired: Vec<(Time, WheelKey)> = Vec::new();
     let mut outbox: Vec<(ClientId, ToClient<R, D>)> = Vec::new();
-    let mut outs = if epoch == 0 {
-        server.start(now, &*storage)
-    } else {
-        // §5 crash recovery: the previous incarnation's lease grants are
-        // unknown, so recover from the persisted maximum term and let the
-        // server stall writes (and, when configured, refuse grants) until
-        // every possibly-outstanding lease has expired.
-        let max_term = ctx.hooks.recover_max_term.as_ref().and_then(|f| f());
-        server.recover(now, max_term, Vec::new(), &*storage)
-    };
-    apply(&mut outs, &mut timers, &mut outbox, ctx, epoch);
+    apply(&mut outs, &mut timers, &mut outbox, ctx);
 
-    // Start from whatever an injected kill left half-drained: those
-    // messages precede everything still in the lanes, so the new
-    // incarnation replays them first, preserving FIFO order.
-    let mut batch: Vec<ShardMsg<R, D>> = std::mem::take(&mut *ctx.stash.lock().unwrap());
-    batch.reserve(ctx.batch.saturating_sub(batch.len()));
+    let mut batch: Vec<ShardMsg<R, D>> = Vec::with_capacity(ctx.batch);
     // Whether the last wakeup drained any input — the adaptive-park
     // signal: loaded shards spin briefly for the next batch, idle shards
     // park on the condvar exactly as before.
@@ -429,82 +385,82 @@ where
         // advance produced leaves in a single sink call.
         flush_outbox(wsink, &mut outbox);
 
-        // Gather input (unless a replayed stash is already pending).
-        // Ticket first, then poll: any publish after a poll bumps the
-        // ticket and makes the park below return immediately, so a
-        // producer's publish-then-ring can never slip between the
+        // Gather input. Ticket first, then poll: any publish after a poll
+        // bumps the ticket and makes the park below return immediately, so
+        // a producer's publish-then-ring can never slip between the
         // worker's last look and its sleep (the lost-wakeup hole a bare
         // spin-then-park has).
-        if batch.is_empty() {
-            let ticket = ctx.ingress.bell().ticket();
-            lanes.prune_disconnected();
-            lanes.drain_into(&mut batch, ctx.batch);
-            if batch.is_empty() && hot && ctx.spin > 0 {
-                // Adaptive spin: a loaded shard polls its lanes (pure
-                // Acquire loads) up to `spin` times before conceding
-                // the park.
-                for _ in 0..ctx.spin {
-                    if lanes.drain_into(&mut batch, ctx.batch) > 0 {
-                        break;
-                    }
-                    std::hint::spin_loop();
+        let ticket = ctx.ingress.bell().ticket();
+        lanes.prune_disconnected();
+        lanes.drain_into(&mut batch, ctx.batch);
+        if batch.is_empty() && hot && ctx.spin > 0 {
+            // Adaptive spin: a loaded shard polls its lanes (pure Acquire
+            // loads) up to `spin` times before conceding the park.
+            for _ in 0..ctx.spin {
+                if lanes.drain_into(&mut batch, ctx.batch) > 0 {
+                    break;
                 }
+                std::hint::spin_loop();
             }
-            if batch.is_empty() {
-                if ctx.handles.strong_count() == 0 {
-                    // Every handle is gone. The fence pairs with the
-                    // Release decrement of the last handle's `Arc` drop,
-                    // so whatever that handle registered or published
-                    // before it died is visible to this final look.
-                    fence(Ordering::Acquire);
-                    if lanes.drain_into(&mut batch, ctx.batch) == 0 {
-                        return Exit::Disconnected;
-                    }
-                } else {
-                    // Until the next entry can fire — its tick boundary,
-                    // not its bare deadline, which under a steady stream
-                    // of write deadlines would have the worker spin
-                    // between the two.
-                    let wait = std::time::Duration::from(
-                        timers
-                            .wheel
-                            .next_fire()
-                            .map(|at| at.saturating_since(ctx.clock.now()))
-                            .map_or(IDLE_WAIT, |d| d.min(IDLE_WAIT)),
-                    );
-                    ctx.ingress.bell().wait(ticket, wait);
-                    // Woken or timed out either way: loop back through
-                    // the wheel advance and re-gather.
+        }
+        if batch.is_empty() {
+            if ctx.handles.strong_count() == 0 {
+                // Every handle is gone. The fence pairs with the Release
+                // decrement of the last handle's `Arc` drop, so whatever
+                // that handle registered or published before it died is
+                // visible to this final look.
+                fence(Ordering::Acquire);
+                if lanes.drain_into(&mut batch, ctx.batch) == 0 {
+                    return;
                 }
+            } else {
+                // Until the next entry can fire — its tick boundary, not
+                // its bare deadline, which under a steady stream of write
+                // deadlines would have the worker spin between the two.
+                let wait = std::time::Duration::from(
+                    timers
+                        .wheel
+                        .next_fire()
+                        .map(|at| at.saturating_since(ctx.clock.now()))
+                        .map_or(IDLE_WAIT, |d| d.min(IDLE_WAIT)),
+                );
+                ctx.ingress.bell().wait(ticket, wait);
+                // Woken or timed out either way: loop back through the
+                // wheel advance and re-gather.
             }
         }
         // The session, before any timer fires or input is handled: input a
         // new session let in carries its number (published before the gate
-        // opened, read after the drain). The batch goes to the next one.
-        if session() != mine {
-            *ctx.stash.lock().expect("never held across a panic") = std::mem::take(&mut batch);
-            return Exit::Succession;
+        // opened, read after the drain), so the batch goes to the new
+        // incarnation. A restart's host half: the old incarnation's timers
+        // go, the restart is counted, and what the new one asks for is
+        // applied.
+        let now = ctx.clock.now();
+        if let Some(restart) = core.check_session(now, session(), persisted, &*storage) {
+            (outs, timers) = (restart, Timers::new(WHEEL_TICK, now));
+            ctx.restarts.fetch_add(1, Ordering::Relaxed);
+            apply(&mut outs, &mut timers, &mut outbox, ctx);
         }
         // Fire due wheel entries, skipping superseded ones.
         fired.clear();
-        timers.wheel.advance_into(ctx.clock.now(), &mut fired);
+        timers.wheel.advance_into(now, &mut fired);
         for &(at, k) in &fired {
             if !timers.claim(at, k) {
                 continue;
             }
             let timer = match k {
                 WheelKey::Prune => {
-                    server.prune(ctx.clock.now());
+                    core.server.prune(ctx.clock.now());
                     continue;
                 }
                 WheelKey::InstalledTick => ServerTimer::InstalledTick,
                 WheelKey::WriteDeadline(w) => ServerTimer::WriteDeadline(w),
             };
             let input = ServerInput::Timer(timer);
-            server.handle_into(ctx.clock.now(), input, &mut *storage, &mut outs);
-            apply(&mut outs, &mut timers, &mut outbox, ctx, epoch);
+            core.handle_into(ctx.clock.now(), input, &mut *storage, &mut outs);
+            apply(&mut outs, &mut timers, &mut outbox, ctx);
         }
-        timers.compact_if_due(&server);
+        timers.compact_if_due(&core.server);
         hot = !batch.is_empty();
         // Admission pressure: occupancy *behind* this drain — what is
         // still queued in the adopted lanes after we took our batch,
@@ -523,165 +479,137 @@ where
         // The look-ahead's prologue: the first inputs' index buckets.
         for m in batch.iter().take(INDEX_AHEAD) {
             if let ShardMsg::Input { input, .. } = m {
-                server.prefetch(input, &*storage);
+                core.server.prefetch(input, &*storage);
             }
         }
-        {
-            // Indexed iteration (with a cheap placeholder swap) so the
-            // Kill arm can move the unprocessed tail into the stash. A
-            // `while` rather than `for`: the Stats barrier may splice a
-            // lane snapshot into the unprocessed tail, growing the batch
-            // mid-iteration.
-            let mut i = 0;
-            while i < batch.len() {
-                if let Some(ShardMsg::Input { input, .. }) = batch.get(i + INDEX_AHEAD) {
-                    server.prefetch(input, &*storage);
-                }
-                if let Some(ShardMsg::Input { input, .. }) = batch.get(i + HOLDER_AHEAD) {
-                    server.prefetch_holder(input);
-                }
-                let m = std::mem::replace(&mut batch[i], ShardMsg::Kill);
-                i += 1;
-                match m {
-                    ShardMsg::Input { input, deadline } => {
-                        if deadline.is_some_and(|d| ctx.clock.now() > d) {
-                            // The caller already timed out; processing the
-                            // input would be dead work at the worst time.
-                            server.counters.expired_drops += 1;
-                            continue;
-                        }
-                        if let Some(a) = shed {
-                            // Over the shed watermark: refuse the
-                            // lowest-priority class — cold fetches, i.e.
-                            // brand-new grants with nothing cached and no
-                            // piggybacked extensions. Renewals, writes,
-                            // approvals, and relinquishes keep flowing
-                            // (lease continuity and expiry outrank new
-                            // admissions). A client piggybacks only the
-                            // leases that are due, so most of its cold
-                            // fetches are of this class; a shed one has
-                            // put no renewal off, and its retransmission
-                            // builds the list afresh, so whatever came due
-                            // meanwhile rides it and is admitted. Refusing
-                            // a grant is always consistency-safe: no lease
-                            // comes into existence.
-                            if let ServerInput::Msg {
-                                from,
-                                msg:
-                                    ToServer::Fetch {
-                                        req,
-                                        cached: None,
-                                        also_extend,
-                                        ..
-                                    },
-                            } = &input
-                            {
-                                if also_extend.is_empty() {
-                                    server.counters.sheds += 1;
-                                    outbox.push((
-                                        *from,
-                                        ToClient::Error {
-                                            req: *req,
-                                            reason: ErrorReason::Shed {
-                                                retry_after: a.retry_after,
-                                            },
+        // Indexed iteration with a cheap placeholder swap, and a `while`
+        // rather than a `for`: the Stats barrier may splice a lane
+        // snapshot into the unprocessed tail, growing the batch
+        // mid-iteration.
+        let mut i = 0;
+        while i < batch.len() {
+            if let Some(ShardMsg::Input { input, .. }) = batch.get(i + INDEX_AHEAD) {
+                core.server.prefetch(input, &*storage);
+            }
+            if let Some(ShardMsg::Input { input, .. }) = batch.get(i + HOLDER_AHEAD) {
+                core.server.prefetch_holder(input);
+            }
+            let m = std::mem::replace(&mut batch[i], ShardMsg::Kill);
+            i += 1;
+            match m {
+                ShardMsg::Input { input, deadline } => {
+                    if deadline.is_some_and(|d| ctx.clock.now() > d) {
+                        // The caller already timed out; processing the
+                        // input would be dead work at the worst time.
+                        core.server.counters.expired_drops += 1;
+                        continue;
+                    }
+                    if let Some(a) = shed {
+                        // Over the shed watermark: refuse the
+                        // lowest-priority class — cold fetches, i.e.
+                        // brand-new grants with nothing cached and no
+                        // piggybacked extensions. Renewals, writes,
+                        // approvals, and relinquishes keep flowing (lease
+                        // continuity and expiry outrank new admissions). A
+                        // client piggybacks only the leases that are due,
+                        // so most of its cold fetches are of this class; a
+                        // shed one has put no renewal off, and its
+                        // retransmission builds the list afresh, so
+                        // whatever came due meanwhile rides it and is
+                        // admitted. Refusing a grant is always
+                        // consistency-safe: no lease comes into existence.
+                        if let ServerInput::Msg {
+                            from,
+                            msg:
+                                ToServer::Fetch {
+                                    req,
+                                    cached: None,
+                                    also_extend,
+                                    ..
+                                },
+                        } = &input
+                        {
+                            if also_extend.is_empty() {
+                                core.server.counters.sheds += 1;
+                                outbox.push((
+                                    *from,
+                                    ToClient::Error {
+                                        req: *req,
+                                        reason: ErrorReason::Shed {
+                                            retry_after: a.retry_after,
                                         },
-                                    ));
-                                    continue;
-                                }
-                            }
-                        }
-                        let input = match input {
-                            ServerInput::Msg {
-                                from,
-                                msg: ToServer::Approve { write_id },
-                            } => {
-                                // Strip the epoch tag; an approval minted
-                                // by a previous incarnation approves
-                                // nothing now — its write died with the
-                                // crash and the writer will retransmit.
-                                if write_id.0 & EPOCH_MASK != epoch & EPOCH_MASK {
-                                    continue;
-                                }
-                                ServerInput::Msg {
-                                    from,
-                                    msg: ToServer::Approve {
-                                        write_id: WriteId(write_id.0 >> EPOCH_BITS),
                                     },
-                                }
+                                ));
+                                continue;
                             }
-                            other => other,
-                        };
-                        server.handle_into(ctx.clock.now(), input, &mut *storage, &mut outs);
-                        apply(&mut outs, &mut timers, &mut outbox, ctx, epoch);
-                        timers.compact_if_due(&server);
-                        if let Some(d) = ctx.slow {
-                            // Injected degradation: bound this worker's
-                            // throughput to ~1/d inputs per second.
-                            std::thread::sleep(std::time::Duration::from(d));
                         }
                     }
-                    ShardMsg::Stats { reply, barriered } => {
-                        // The stats barrier: a stats reply certifies that
-                        // every reply to input submitted before the stats
-                        // request has left the service (the contract
-                        // `LeaseService::stats` documents and the
-                        // equivalence tests rely on). The request rode one
-                        // lane; input submitted before it on *other*
-                        // lanes may still be queued there, or sit behind
-                        // it in `batch`. So take a snapshot of
-                        // everything still visible in the lanes, append
-                        // it to the end of the batch, and re-queue the
-                        // request (marked) behind all of it. Above the
-                        // stats watermark both the barrier and the egress
-                        // flush are skipped — stats are the
-                        // lowest-priority work and must not stall an
-                        // overloaded drain; the counters stay exact.
-                        if !stats_skip_flush && !barriered {
-                            lanes.snapshot_into(&mut batch);
-                            batch.push(ShardMsg::Stats {
-                                reply,
-                                barriered: true,
-                            });
-                            continue;
-                        }
-                        if !stats_skip_flush {
-                            flush_outbox(wsink, &mut outbox);
-                        }
-                        let table = server.table();
-                        let gauges = ShardGauges {
-                            leases_live: table.len() as u64,
-                            timer_entries: (table.timer_entries() + timers.wheel.len()) as u64,
-                            ingress_lanes: lanes.adopted() as u64,
-                            ingress_queued: lanes.queued() as u64,
-                        };
-                        let _ = reply.send((server.counters, gauges));
-                    }
-                    ShardMsg::Kill => {
-                        // Make the injected crash boundary exactly this
-                        // message, independent of batch chunking: flush
-                        // replies already computed for earlier inputs,
-                        // and hand the drained-but-unprocessed tail to
-                        // the next incarnation via the stash. Seeded
-                        // chaos plans (and the batch-equivalence tests)
-                        // rely on a kill's observable effect not
-                        // depending on how the lanes happened to be
-                        // chunked into batches.
-                        flush_outbox(wsink, &mut outbox);
-                        *ctx.stash.lock().unwrap() = batch.drain(i..).collect();
-                        panic!("{INJECTED_KILL}")
-                    }
-                    ShardMsg::Shutdown => {
-                        // Deliver what this batch already produced; what
-                        // is still queued is abandoned with the service.
-                        flush_outbox(wsink, &mut outbox);
-                        return Exit::Shutdown;
+                    core.handle_into(ctx.clock.now(), input, &mut *storage, &mut outs);
+                    apply(&mut outs, &mut timers, &mut outbox, ctx);
+                    timers.compact_if_due(&core.server);
+                    if let Some(d) = ctx.slow {
+                        // Injected degradation: bound this worker's
+                        // throughput to ~1/d inputs per second.
+                        std::thread::sleep(std::time::Duration::from(d));
                     }
                 }
+                ShardMsg::Stats { reply, barriered } => {
+                    // The stats barrier: a stats reply certifies that
+                    // every reply to input submitted before the stats
+                    // request has left the service (the contract
+                    // `LeaseService::stats` documents and the equivalence
+                    // tests rely on). The request rode one lane; input
+                    // submitted before it on *other* lanes may still be
+                    // queued there, or sit behind it in `batch`. So take
+                    // a snapshot of everything still visible in the
+                    // lanes, append it to the end of the batch, and
+                    // re-queue the request (marked) behind all of it.
+                    // Above the stats watermark both the barrier and the
+                    // egress flush are skipped — stats are the
+                    // lowest-priority work and must not stall an
+                    // overloaded drain; the counters stay exact.
+                    if !stats_skip_flush && !barriered {
+                        lanes.snapshot_into(&mut batch);
+                        batch.push(ShardMsg::Stats {
+                            reply,
+                            barriered: true,
+                        });
+                        continue;
+                    }
+                    if !stats_skip_flush {
+                        flush_outbox(wsink, &mut outbox);
+                    }
+                    let server = &core.server;
+                    let table = server.table();
+                    let gauges = ShardGauges {
+                        leases_live: table.len() as u64,
+                        timer_entries: (table.timer_entries() + timers.wheel.len()) as u64,
+                        ingress_lanes: lanes.adopted() as u64,
+                        ingress_queued: lanes.queued() as u64,
+                    };
+                    let _ = reply.send((server.counters, gauges));
+                }
+                ShardMsg::Kill => {
+                    // A §5 crash at exactly this message, whatever the
+                    // batch chunking: what the batch computed so far
+                    // stays in the outbox, and the rest of the batch goes
+                    // to the new incarnation, as after a moved session.
+                    let now = ctx.clock.now();
+                    outs = core.restart(now, persisted(), &*storage);
+                    timers = Timers::new(WHEEL_TICK, now);
+                    ctx.restarts.fetch_add(1, Ordering::Relaxed);
+                    apply(&mut outs, &mut timers, &mut outbox, ctx);
+                }
+                ShardMsg::Shutdown => {
+                    // Deliver what this batch already produced; what is
+                    // still queued is abandoned with the service.
+                    flush_outbox(wsink, &mut outbox);
+                    return;
+                }
             }
-            batch.clear();
         }
-        timers.arm_prune(server.table().next_expiry());
+        batch.clear();
+        timers.arm_prune(core.server.table().next_expiry());
     }
 }
 
@@ -697,29 +625,24 @@ where
             if let Some(base) = ctx.pin {
                 lease_core::affinity::pin_to_core(base + ctx.index as usize);
             }
-            let mut epoch: u64 = 0;
             // Adopted lanes (with their round-robin cursor) and the
             // per-worker egress sink live here, outside the incarnation,
-            // so ring traffic queued at crash time is replayed by the
-            // next incarnation (dropping the consumers would instead
-            // sever every live handle), and established egress lanes
-            // survive the restart.
+            // so ring traffic queued at crash time is handled by the next
+            // incarnation (dropping the consumers would instead sever
+            // every live handle), and established egress lanes survive
+            // the restart.
             let mut lanes: Lanes<ShardMsg<R, D>> = Lanes::new(Arc::clone(&ctx.ingress));
             let mut wsink: Box<dyn WorkerSink<R, D>> = ctx.sink.attach_worker();
-            loop {
-                match catch_unwind(AssertUnwindSafe(|| {
-                    run(&ctx, &mut lanes, &mut *wsink, epoch)
-                })) {
-                    Ok(Exit::Shutdown) | Ok(Exit::Disconnected) => break,
-                    Ok(Exit::Succession) | Err(_) => {
-                        // Restart on the same lanes with the next epoch.
-                        // Unprocessed inputs queued behind the crash are
-                        // handled by the new incarnation, which answers
-                        // them with fresh (post-recovery) state.
-                        epoch = epoch.wrapping_add(1);
-                        ctx.restarts.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+            // A panic restarts the shard on the same lanes as the next
+            // epoch; the unprocessed inputs queued behind it are answered
+            // by the new incarnation with fresh (post-recovery) state.
+            let mut panicked = false;
+            while catch_unwind(AssertUnwindSafe(|| {
+                run(&ctx, &mut lanes, &mut *wsink, panicked)
+            }))
+            .is_err()
+            {
+                panicked = true;
             }
             // Sever the producers: dropping `lanes` closes the inbox —
             // adopted lanes drop with it, and pending (never-adopted)

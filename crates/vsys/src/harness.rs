@@ -3,6 +3,7 @@
 use lease_clock::{Dur, Time};
 use lease_core::{
     AdaptiveTerm, ClientId, CompensatedTerm, LeaseClient, LeaseServer, RecoveryMode, ServerConfig,
+    ShardCore,
 };
 use lease_faults::{history, FaultPlan, SharedHistory};
 use lease_quorum::GrantorNode;
@@ -38,12 +39,14 @@ pub struct RunHandle<M = NetMsg> {
 }
 
 /// The plan fields the simulator cannot honour yet, checked so that no
-/// fault is silently left out of a run: it has no shards, and without a
-/// quorum one server, replica 0 (whose kill, cut and clock it honours).
+/// fault is silently left out of a run: its server is one shard, shard 0
+/// (whose kills it honours), no shard of it runs slow, and without a
+/// quorum it is one server, replica 0 (whose kill, cut and clock it
+/// honours).
 fn refuse_unsupported(plan: &FaultPlan, replicated: bool) {
     let other = |replica| !replicated && replica != 0;
     let refused = [
-        ("kills", !plan.kills.is_empty()),
+        ("kills", plan.kills.iter().any(|k| k.1 != 0)),
         ("slow_shard", plan.slow_shard.is_some()),
         (
             "replica_kills",
@@ -58,7 +61,7 @@ fn refuse_unsupported(plan: &FaultPlan, replicated: bool) {
     if let Some((field, _)) = refused.iter().find(|r| r.1) {
         panic!(
             "the simulator cannot honour FaultPlan::{field} yet \
-             (no shards; without a quorum one server, replica 0)"
+             (one shard, never slow; without a quorum one server, replica 0)"
         );
     }
 }
@@ -73,7 +76,8 @@ fn refuse_unsupported(plan: &FaultPlan, replicated: bool) {
 /// builds (client `i` is the actor after the replicas, `i` on) on
 /// [`SystemConfig::client_clock`], sending to the server or to the
 /// replica that serves; and the crash schedule, the plan's replica kills
-/// among it. Every actor counts into one [`Tally`]. [`build_world`]
+/// among it. The plan's kills of shard 0 restart every server actor's
+/// server. Every actor counts into one [`Tally`]. [`build_world`]
 /// passes the lease server and lease caches; the §6 baselines pass their
 /// callback or TTL server with the same caches, and `lease-wb` its token
 /// server and caches, so all run on the same actors, driver and
@@ -81,10 +85,10 @@ fn refuse_unsupported(plan: &FaultPlan, replicated: bool) {
 ///
 /// # Panics
 ///
-/// If `cfg.faults` names a fault the simulator cannot honour yet (shard
-/// kills, a slow shard, and without a quorum a kill, cut or clock of a
-/// replica other than 0), or if a quorum's server is not the lease server
-/// ([`SimServer::REPLICA`]).
+/// If `cfg.faults` names a fault the simulator cannot honour yet (a kill
+/// of a shard other than 0, a slow shard, and without a quorum a kill, cut
+/// or clock of a replica other than 0), or if a quorum's server is not the
+/// lease server ([`SimServer::REPLICA`]).
 pub fn assemble<C: SimCache, S: SimServer<Up = C::Up, Down = C::Down>>(
     cfg: &SystemConfig,
     trace: &Trace,
@@ -113,6 +117,7 @@ pub fn assemble<C: SimCache, S: SimServer<Up = C::Up, Down = C::Down>>(
         disk.borrow_mut().storage.insert(f.id, 0);
     }
     let grantors = Grantors::new(cfg);
+    let kills: Vec<Time> = cfg.faults.kills.iter().map(|k| Time::ZERO + k.0).collect();
     for r in 0..replicas {
         let mut server = ServerActor::new(
             new_server(),
@@ -127,6 +132,7 @@ pub fn assemble<C: SimCache, S: SimServer<Up = C::Up, Down = C::Down>>(
             let node = GrantorNode::new(r as u32, g.quorum.clone());
             server.grantor = Some((node, g.clone()));
         }
+        server.kills = kills.clone();
         let id = world.add_actor(server);
         debug_assert_eq!(id, ActorId(r));
     }
@@ -178,8 +184,9 @@ pub fn build_world(cfg: &SystemConfig, trace: &Trace) -> RunHandle {
     assemble(cfg, trace, new_cache, || lease_server(cfg, trace))
 }
 
-/// The lease server `cfg` asks for, over the files of `trace`.
-fn lease_server(cfg: &SystemConfig, trace: &Trace) -> LeaseServer<u64, u64> {
+/// The lease server `cfg` asks for, over the files of `trace`, as shard 0
+/// of 1.
+fn lease_server(cfg: &SystemConfig, trace: &Trace) -> ShardCore<u64, u64> {
     let n = trace.client_count().max(1);
     let mut sc: ServerConfig<u64> = match &cfg.term {
         TermSpec::Fixed(d) => ServerConfig::fixed(*d),
@@ -216,7 +223,7 @@ fn lease_server(cfg: &SystemConfig, trace: &Trace) -> LeaseServer<u64, u64> {
         }
         server.set_installed_group((0..n).map(ClientId).collect());
     }
-    server
+    ShardCore::new(server, 0, 1, 0, 0)
 }
 
 impl<M: 'static> RunHandle<M> {

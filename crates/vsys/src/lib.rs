@@ -15,8 +15,10 @@
 //! (check-on-every-read, the Sprite/Andrew-prototype configuration) and
 //! infinity — under scheduled crashes and under a `lease-faults`
 //! [`FaultPlan`](lease_faults::FaultPlan) (loss, duplication, jitter, cut
-//! links, client and server clocks): the plan type the real-time runtime
-//! reads, so one plan describes a fault in both worlds. It records a
+//! links, client and server clocks, kills of the server's one shard): the
+//! plan type the real-time runtime reads, so one plan describes a fault
+//! in both worlds. The lease server runs as a `lease_core::ShardCore`,
+//! the shard step `lease-svc`'s threads drive too. It records a
 //! global [`History`] that the consistency oracle in `lease-faults`
 //! checks against single-copy semantics. With
 //! [`SystemConfig::quorum`] the one server becomes a quorum of grantor

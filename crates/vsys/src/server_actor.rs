@@ -5,8 +5,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use lease_clock::{ClockModel, Dur, Time};
+use lease_core::shard::Persisted;
 use lease_core::{
-    ClientId, FxMap, LeaseServer, ServerInput, ServerOutput, ServerTimer, ToClient, ToServer,
+    ClientId, FxMap, ServerInput, ServerOutput, ServerTimer, ShardCore, ToClient, ToServer,
     Version, WriteId,
 };
 use lease_faults::{HistoryEvent, SharedHistory};
@@ -18,8 +19,8 @@ use crate::report::{SharedTally, TrafficClass};
 use crate::types::{Data, NetMsg, Res, Store};
 
 /// A sans-IO file server the [`ServerActor`] can drive: the lease server
-/// of `lease-core`, the write-back token server of `lease-wb` and the §6
-/// baselines' callback and TTL servers.
+/// of `lease-core` as one [`ShardCore`], the write-back token server of
+/// `lease-wb` and the §6 baselines' callback and TTL servers.
 ///
 /// As with [`SimCache`](crate::SimCache), the actor hands the server
 /// [`ServerEvent`]s and maps each output, by value, to a [`ServerEffect`].
@@ -50,19 +51,30 @@ pub trait SimServer: 'static {
         storage: &mut Store,
         out: &mut Vec<Self::Output>,
     );
-    /// Wipes the volatile state. A server without §5 recovery refuses.
-    fn crash(&mut self) {
-        panic!("this server has no §5 crash recovery");
-    }
-    /// Restarts from the durable slots the actor kept (§5).
-    fn recover(
+    /// Crashes and restarts at local time `now` (§5): the volatile state
+    /// is wiped and the server recovers from the durable slots the actor
+    /// kept. Nothing reaches a crashed server, so the actor restarts it
+    /// when it comes back. A server without §5 recovery refuses.
+    fn restart(
         &mut self,
         _now: Time,
-        _max_term: Option<Dur>,
-        _leases: Vec<(Res, ClientId, Time)>,
+        _persisted: Persisted<Res>,
         _storage: &Store,
     ) -> Vec<Self::Output> {
         panic!("this server has no §5 crash recovery");
+    }
+    /// The session check of a grantor replica's server: once `session`
+    /// is not the one it answers for, it restarts (§5) from what
+    /// `persisted` reads back and returns what the restart asks for. Only
+    /// a [`Self::REPLICA`] server is asked.
+    fn check_session(
+        &mut self,
+        _now: Time,
+        _session: u64,
+        _persisted: impl FnOnce() -> Persisted<Res>,
+        _storage: &Store,
+    ) -> Option<Vec<Self::Output>> {
+        panic!("only a grantor replica answers for a session");
     }
     /// What the simulator does with one output.
     fn effect(out: Self::Output) -> ServerEffect<Self::Down>;
@@ -98,14 +110,16 @@ pub enum ServerEffect<D> {
     Nothing,
 }
 
-impl SimServer for LeaseServer<Res, Data> {
+/// The simulated lease server is shard 0 of 1: the plan's shard-0 kills
+/// restart it, and a replica's fresh acquisition is its session check.
+impl SimServer for ShardCore<Res, Data> {
     type Up = ToServer<Res, Data>;
     type Down = ToClient<Res, Data>;
     type Output = ServerOutput<Res, Data>;
     const REPLICA: bool = true;
 
     fn start(&mut self, now: Time, storage: &Store) -> Vec<Self::Output> {
-        LeaseServer::start(self, now, storage)
+        self.server.start(now, storage)
     }
 
     fn handle_into(
@@ -122,21 +136,26 @@ impl SimServer for LeaseServer<Res, Data> {
                 ServerInput::Timer(ServerTimer::WriteDeadline(WriteId(key - 1)))
             }
         };
-        LeaseServer::handle_into(self, now, input, storage, out)
+        ShardCore::handle_into(self, now, input, storage, out)
     }
 
-    fn crash(&mut self) {
-        LeaseServer::crash(self);
-    }
-
-    fn recover(
+    fn restart(
         &mut self,
         now: Time,
-        max_term: Option<Dur>,
-        leases: Vec<(Res, ClientId, Time)>,
+        persisted: Persisted<Res>,
         storage: &Store,
     ) -> Vec<Self::Output> {
-        LeaseServer::recover(self, now, max_term, leases, storage)
+        ShardCore::restart(self, now, persisted, storage)
+    }
+
+    fn check_session(
+        &mut self,
+        now: Time,
+        session: u64,
+        persisted: impl FnOnce() -> Persisted<Res>,
+        storage: &Store,
+    ) -> Option<Vec<Self::Output>> {
+        ShardCore::check_session(self, now, session, persisted, storage)
     }
 
     fn effect(out: Self::Output) -> ServerEffect<Self::Down> {
@@ -168,6 +187,9 @@ impl SimServer for LeaseServer<Res, Data> {
 /// The network message of the protocol `S` speaks.
 type Wire<S> = NetMsg<<S as SimServer>::Up, <S as SimServer>::Down>;
 
+/// The timer key of the plan's shard kills; no server's own key.
+const SHARD_KILL: u64 = u64::MAX - 1;
+
 /// What survives a server's crash: the primary storage and the durable
 /// recovery slots. The replicas of a quorum share one, as the real-time
 /// runtime's replicas share one store.
@@ -186,9 +208,9 @@ pub type SharedDisk = Rc<RefCell<Disk>>;
 
 /// The server actor: owns the server state machine and the server's clock
 /// model, writes through the disk, and under a quorum runs its replica's
-/// grantor node; counts the server's traffic after the warm-up into the
-/// run's tally.
-pub struct ServerActor<S: SimServer = LeaseServer<Res, Data>> {
+/// grantor node; restarts the server at the plan's shard-0 kills; counts
+/// the server's traffic after the warm-up into the run's tally.
+pub struct ServerActor<S: SimServer = ShardCore<Res, Data>> {
     /// The protocol state machine.
     pub server: S,
     disk: SharedDisk,
@@ -200,6 +222,11 @@ pub struct ServerActor<S: SimServer = LeaseServer<Res, Data>> {
     warmup: Time,
     /// Under a quorum, this replica's node and the claims it publishes.
     pub(crate) grantor: Option<(GrantorNode, Rc<Grantors>)>,
+    /// The node's fresh acquisitions: the session the server answers for.
+    sessions: u64,
+    /// The plan's kills of shard 0, in true time. One the server is down
+    /// for is skipped.
+    pub(crate) kills: Vec<Time>,
     timer_ids: FxMap<u64, TimerId>,
     /// The server's outputs for the event at hand; empty between events.
     out: Vec<S::Output>,
@@ -225,6 +252,8 @@ impl<S: SimServer> ServerActor<S> {
             tally,
             warmup,
             grantor: None,
+            sessions: 0,
+            kills: Vec::new(),
             timer_ids: FxMap::default(),
             out: Vec::new(),
         }
@@ -261,14 +290,33 @@ impl<S: SimServer> ServerActor<S> {
         self.out = out;
     }
 
-    /// Restarts the server from the disk (§5).
-    fn recover(&mut self, ctx: &mut Ctx<'_, Wire<S>>) {
+    /// Crashes the server and restarts it from the disk (§5), or with a
+    /// `session` lets the server's session check decide whether to; the
+    /// old incarnation's timers go with it.
+    fn restart(&mut self, ctx: &mut Ctx<'_, Wire<S>>, session: Option<u64>) {
         let local = self.clock.local(ctx.now());
         let d = self.disk.borrow();
-        let leases = d.leases.clone();
-        let mut out = self.server.recover(local, d.max_term, leases, &d.storage);
+        let persisted = || (d.max_term, d.leases.clone());
+        let restarted = match session {
+            Some(s) => self.server.check_session(local, s, persisted, &d.storage),
+            None => Some(self.server.restart(local, persisted(), &d.storage)),
+        };
         drop(d);
-        self.apply(ctx, &mut out);
+        if let Some(mut out) = restarted {
+            for (_, id) in self.timer_ids.drain() {
+                ctx.cancel_timer(id);
+            }
+            self.apply(ctx, &mut out);
+        }
+    }
+
+    /// Arms a timer for each shard kill still ahead: at the start, and
+    /// again at a recovery, since the world drops a crashed actor's timers.
+    fn arm_kills(&self, ctx: &mut Ctx<'_, Wire<S>>) {
+        let now = ctx.now();
+        for &at in self.kills.iter().filter(|&&at| at >= now) {
+            ctx.set_timer_at(at, SHARD_KILL);
+        }
     }
 
     /// Ticks the node and re-arms its timer, if the server is a replica.
@@ -281,9 +329,10 @@ impl<S: SimServer> ServerActor<S> {
 
     /// Runs `step` on the replica's node, if the server is one, at its
     /// local time and carries out what the node asks for. A fresh
-    /// acquisition starts a new
-    /// serving session that can trust nothing the server knew before, so
-    /// the server crash-recovers through the §5 path.
+    /// acquisition starts a new serving session that can trust nothing
+    /// the server knew before: the server's session check crash-recovers
+    /// it through the §5 path, at the instant a shard thread would after
+    /// its next gather.
     fn elect(
         &mut self,
         ctx: &mut Ctx<'_, Wire<S>>,
@@ -304,11 +353,8 @@ impl<S: SimServer> ServerActor<S> {
                 }
                 NodeOut::Acquired { ballot, fresh } => {
                     if fresh {
-                        self.server.crash();
-                        for (_, id) in self.timer_ids.drain() {
-                            ctx.cancel_timer(id);
-                        }
-                        self.recover(ctx);
+                        self.sessions += 1;
+                        self.restart(ctx, Some(self.sessions));
                     }
                     (true, ballot, now)
                 }
@@ -389,6 +435,7 @@ impl<S: SimServer> Actor<Wire<S>> for ServerActor<S> {
         let mut out = self.server.start(local, &self.disk.borrow().storage);
         self.apply(ctx, &mut out);
         self.tick(ctx);
+        self.arm_kills(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Wire<S>>, from: ActorId, msg: Wire<S>) {
@@ -421,6 +468,9 @@ impl<S: SimServer> Actor<Wire<S>> for ServerActor<S> {
         if key == GRANTOR_TICK {
             return self.tick(ctx);
         }
+        if key == SHARD_KILL {
+            return self.restart(ctx, None);
+        }
         self.timer_ids.remove(&key);
         if self.serving(ctx.now()) {
             self.handle(ctx, ServerEvent::Timer(key));
@@ -428,15 +478,16 @@ impl<S: SimServer> Actor<Wire<S>> for ServerActor<S> {
     }
 
     fn on_crash(&mut self, _at: Time) {
-        // Volatile protocol state dies; storage and durable slots survive.
-        self.server.crash();
+        // The world drops a crashed actor's timers; its server's volatile
+        // state dies at the restart, as nothing reaches it before.
         self.timer_ids.clear();
     }
 
     fn on_recover(&mut self, ctx: &mut Ctx<'_, Wire<S>>) {
-        self.recover(ctx);
+        self.restart(ctx, None);
         // A replica's node restarts with it, silent for its MaxTerm.
         self.elect(ctx, GrantorNode::restart);
         self.tick(ctx);
+        self.arm_kills(ctx);
     }
 }

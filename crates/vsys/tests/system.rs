@@ -4,7 +4,7 @@ use lease_clock::{ClockModel, Dur, Time};
 use lease_faults::{check_history, FaultPlan, HistoryEvent};
 use lease_vsys::{
     build_world, run_trace, run_trace_with_history, ClientConfig, CrashEvent, InstalledMode,
-    NodeSel, SystemConfig, TermSpec,
+    NodeSel, ServerActor, SystemConfig, TermSpec,
 };
 use lease_workload::{FileClass, FileSpec, PoissonWorkload, Trace, TraceOp, TraceRecord, VTrace};
 
@@ -250,6 +250,73 @@ fn persistent_lease_records_avoid_the_recovery_stall() {
     assert_eq!(r.op_failures, 0);
     // No stall: the only lease record expired before the write arrived.
     assert!(r.write_delay.max < 1.0, "write delay {}", r.write_delay.max);
+}
+
+/// A kill of shard 0 lands while client 1's approval of client 0's write
+/// is on its way (client 1 is 50 ms away): the restarted server drops
+/// that approval, the old epoch's, before the lease server sees it; it
+/// defers the write's retransmission for the persisted max term; and the
+/// oracle finds the run clean.
+#[test]
+fn a_shard_kill_mid_approval_voids_the_approval_and_waits_out_the_max_term() {
+    let records = vec![
+        TraceRecord {
+            at: Time::from_secs(1),
+            client: 1,
+            op: TraceOp::Read { file: 1 },
+        },
+        TraceRecord {
+            at: Time::from_secs(2),
+            client: 0,
+            op: TraceOp::Write { file: 1 },
+        },
+        TraceRecord {
+            at: Time::from_secs(30),
+            client: 0,
+            op: TraceOp::Read { file: 1 },
+        },
+    ];
+    let trace = Trace::new(
+        vec![FileSpec {
+            id: 1,
+            class: FileClass::Regular,
+            path: None,
+        }],
+        records,
+    );
+    let kill = Time::from_millis(2020);
+    let mut cfg = fixed(10);
+    cfg.warmup = Dur::ZERO;
+    cfg.extra_prop = vec![(1, Dur::from_millis(50))];
+    cfg.faults = FaultPlan::new(1).kill_shard(kill.saturating_since(Time::ZERO), 0);
+    cfg.client.max_retries = 100;
+    let (r, h) = run_trace_with_history(&cfg, &trace);
+    assert_eq!(r.op_failures, 0);
+    // The request went out and the approval came back. It came after the
+    // kill (one approval commits the write, and the commit is below), and
+    // the restarted server never handed it to its lease server.
+    assert_eq!(r.approval_msgs, 2);
+    let actor = h.world.actor::<ServerActor>(h.server).expect("the server");
+    assert_eq!(actor.server.epoch(), 1, "one restart");
+    assert_eq!(actor.server.server.counters.approvals_rx, 0);
+    let history = h.history.borrow();
+    let committed = history
+        .events
+        .iter()
+        .find_map(|e| match e {
+            HistoryEvent::Commit {
+                writer: Some(_),
+                at,
+                ..
+            } => Some(*at),
+            _ => None,
+        })
+        .expect("the write committed");
+    assert!(
+        committed >= kill + Dur::from_secs(10),
+        "the write committed at {committed:?}, inside the max term after the kill"
+    );
+    check_history(&history).expect("consistent");
 }
 
 #[test]
@@ -522,7 +589,7 @@ fn plan_fields_the_simulator_cannot_honour_are_refused() {
     let d = Dur::from_millis(1);
     let plan = FaultPlan::default();
     for (field, faults) in [
-        ("kills", plan.clone().kill_shard(d, 0)),
+        ("kills", plan.clone().kill_shard(d, 1)),
         ("slow_shard", plan.clone().with_slow_shard(0, d)),
         ("replica_kills", plan.clone().kill_replica(d, 1)),
         ("replica_cuts", plan.clone().cut_replica(d, d, 1)),
@@ -545,19 +612,22 @@ fn plan_fields_the_simulator_cannot_honour_are_refused() {
             "{field}: {message}"
         );
     }
-    // Replica 0 is the server: its kill, cut and clock are honoured.
+    // Replica 0 is the server, shard 0 of 1: its kills, cut and clock are
+    // honoured.
     let cfg = SystemConfig {
         faults: plan
             .clone()
+            .kill_shard(d, 0)
             .kill_replica(d, 0)
             .cut_replica(d, d, 0)
             .with_server_clock(ClockModel::perfect()),
         ..SystemConfig::default()
     };
     build_world(&cfg, &trace);
-    // Under a quorum, every replica's kill, cut and clock are honoured.
+    // Under a quorum, every replica's kills, cut and clock are honoured.
     let cfg = SystemConfig {
         faults: plan
+            .kill_shard(d, 0)
             .kill_replica(d, 2)
             .cut_replica(d, d, 1)
             .with_replica_clock(2, ClockModel::perfect()),

@@ -472,6 +472,39 @@ const RULES: &[Rule] = &[
         },
     },
     Rule {
+        name: "One shard step (a restart is a ShardCore step, not a panic)",
+        reason: "lease_core::ShardCore owns the restart, the session check and the \
+                 epoch-tagged write ids, and the shard thread and the simulator both \
+                 drive it. Epoch arithmetic, a write-id rewrite or a bare crash and \
+                 recover in lease-svc means the thread grew its own copy of the step; \
+                 a stash of inputs carried across an unwind or a kill's panic message \
+                 means kills are panics again.",
+        check: Check::Grep {
+            paths: &["crates/svc/src"],
+            code_only: false,
+            forbidden: &[
+                Lit("EPOCH_BITS"),
+                Lit("EPOCH_MASK"),
+                Lit("globalize"),
+                Lit(".crash()"),
+                Lit(".recover("),
+                Lit("stash"),
+                Lit("INJECTED_KILL"),
+            ],
+        },
+    },
+    Rule {
+        name: "One shard step (no panic hook hides a kill)",
+        reason: "A shard kill restarts the shard without a panic, so there is nothing \
+                 for a process-wide hook to silence; one that swallows panics by their \
+                 message would hide a real crash.",
+        check: Check::Grep {
+            paths: &["crates"],
+            code_only: false,
+            forbidden: &[Lit("silence_injected_kills")],
+        },
+    },
+    Rule {
         name: "One simulated client and server (the write-back tokens and the §6 \
                baselines run on lease-vsys's actors)",
         reason: "lease-wb's cache and server and the §6 baselines' callback and TTL \
